@@ -29,10 +29,18 @@ from .errors import (
     DimensionError,
     MarginError,
     StageError,
+    VariantError,
 )
-from .geometry import Density, ManifoldModel, MetricWeight, veronese_model
+from .geometry import (
+    Density,
+    ManifoldModel,
+    MetricWeight,
+    _curvature_density,
+    veronese_model,
+)
 from .linalg import HermitianForm, cholesky_lower
 from .maps import ANTICANONICAL, CANONICAL, FIXED, exponent_for_variant, hilb, hilb_nu
+from .moments import _max_entropy_newton
 from .pushforward import hermitian_basis, solve_psi
 
 COND_LIMIT = 1e8
@@ -175,76 +183,6 @@ def _validate_target(g, n: int) -> HermitianForm:
     return form
 
 
-def _full_gram_newton(model, gfun_pairs, nu_weights, target_mat, tol, max_newton):
-    """Newton on hermitian coefficient matrices C for the moment map
-    C -> (N/V) sum s_i conj(s_j) e^{u_C} d nu with u_C = Re-contraction of C
-    against the section pair products; convex in C (max-ent structure)."""
-    n = target_mat.shape[0]
-    sect = gfun_pairs  # N x Q complex section values
-    rw = model.ref_weight
-    qw_nu = nu_weights
-    scale = model.N / model.V
-    target_scaled = target_mat / scale
-
-    def potential(cmat):
-        return np.real(np.einsum("ab,aq,bq->q", cmat, sect, sect.conj())) * rw
-
-    cmat = np.zeros((n, n), dtype=complex)
-    history = []
-    for it in range(max_newton):
-        u = potential(cmat)
-        if u.max() > 700.0:
-            raise ConvergenceError("full-Gram Newton overflow", history)
-        ew = np.exp(u) * qw_nu
-        gram = np.einsum("aq,bq,q->ab", sect, sect.conj(), ew * rw)
-        gram = 0.5 * (gram + gram.conj().T)
-        resid = gram - target_scaled
-        rn = float(np.abs(resid).max()) * scale
-        history.append(rn)
-        if rn <= tol:
-            return cmat, u, history
-        # Newton in the real vector space of hermitian coefficient matrices.
-        # Scalarising the residual by elementwise pairing with the basis (the
-        # same quadratic-form pairing the potential uses) makes the Jacobian
-        # the weighted Gram of the basis pair-products: symmetric PD.
-        basis = hermitian_basis(n)
-        bfun = np.real(np.einsum("kab,aq,bq->kq", basis, sect, sect.conj())) * rw
-        jac_r = (bfun * ew) @ bfun.T
-        rhs_r = -np.real(np.einsum("kab,ab->k", basis, resid))
-        try:
-            cholesky_lower(jac_r)
-            dcoef = np.linalg.solve(jac_r, rhs_r)
-        except Exception as exc:
-            raise ConvergenceError(
-                f"full-Gram Newton jacobian failure at iteration {it}", history
-            ) from exc
-        dmat = np.einsum("k,kab->ab", dcoef, basis)
-        norm_old = float(np.linalg.norm(resid))
-        alpha = 1.0
-        for _ in range(60):
-            cand = cmat + alpha * dmat
-            uc = potential(cand)
-            if uc.max() <= 700.0:
-                ewc = np.exp(uc) * qw_nu
-                gramc = np.einsum("aq,bq,q->ab", sect, sect.conj(), ewc * rw)
-                gramc = 0.5 * (gramc + gramc.conj().T)
-                if float(np.linalg.norm(gramc - target_scaled)) < norm_old:
-                    cmat = cand
-                    break
-            alpha *= 0.5
-        else:
-            raise ConvergenceError(
-                f"full-Gram Newton line search stalled at iteration {it} "
-                f"(residual {rn:.3e}); target may be outside the moment cone "
-                "of positive measures for this basis",
-                history,
-            )
-    raise ConvergenceError(
-        f"full-Gram Newton did not reach {tol:g} in {max_newton} iterations",
-        history,
-    )
-
-
 def surject_fixed_volume(
     model: ManifoldModel,
     target,
@@ -261,30 +199,44 @@ def surject_fixed_volume(
     produce the metric; the report carries the recomputed forward residual.
     """
     if variant == CANONICAL and model.geometry != "general_type_mock":
-        from .errors import VariantError
-
         raise VariantError("canonical variant requires general type")
     g_form = _validate_target(target, model.N)
     base_nu = nu if nu is not None else Density(model.quad_weights.copy())
     if variant == ANTICANONICAL:
         if model.geometry != "fano_anticanonical":
-            from .errors import VariantError
-
             raise VariantError("anticanonical variant requires the Fano test-bed")
         base_nu = Density(model.quad_weights.copy())
     elif variant == CANONICAL:
         base_nu = model.canonical_base
-    stage_logs = []
-    cmat, u, history = _full_gram_newton(
-        model, model.sections, base_nu.weights, g_form.mat, tol, max_newton
+    # The full-Gram problem is the max-entropy moment problem in the real
+    # coordinates of the hermitian basis, with u = c @ bfun and
+    # bfun[k] = Re sum_ab basis_k[a, b] s_a conj(s_b) * rw, summed over a in
+    # real arithmetic so that no complex N^2 x Q table is held.  The largest
+    # coordinate bounds the largest matrix entry from above, so the
+    # coordinate tolerance tol / scale is never looser than the entry one.
+    n = model.N
+    scale = model.N / model.V
+    target_scaled = g_form.mat / scale
+    basis = hermitian_basis(n)
+    sect = model.sections
+    bfun = np.zeros((n * n, model.Q))
+    for a in range(n):
+        pa = sect[a] * sect.conj()
+        bfun += basis[:, a].real @ pa.real - basis[:, a].imag @ pa.imag
+    bfun *= model.ref_weight
+    lam = np.real(np.einsum("kab,ab->k", basis, target_scaled))
+    _, u, history = _max_entropy_newton(
+        bfun, base_nu.weights, lam, tol / scale, max_newton
     )
-    stage_logs.append(
+    ew = np.exp(u) * base_nu.weights * model.ref_weight
+    gram = np.einsum("aq,bq,q->ab", sect, sect.conj(), ew)
+    stage_logs = [
         {
             "stage": "full-gram-moment",
             "newton_iters": len(history),
-            "residual": history[-1],
+            "residual": float(np.abs(gram - target_scaled).max()) * scale,
         }
-    )
+    ]
     exponent = exponent_for_variant(variant, model.k)
     # solved weight e^u multiplies h_ref^k under the fixed base measure; the
     # realising metric scales the reference by exp(exponent * u) per power,
@@ -358,13 +310,7 @@ def surject_full(
     # d mu = (curvature volume of log |B s|^2) / |B s|^2, rescaled so that
     # (N/V) * Gram(d mu) = G exactly.
     bm = bstar.mat
-    w = bm @ model.sections
-    wz = bm @ model.sections_dz
-    p = np.einsum("iq,iq->q", w, w.conj()).real
-    pz = np.einsum("iq,iq->q", wz, w.conj())
-    pzz = np.einsum("iq,iq->q", wz, wz.conj()).real
-    x2 = (1.0 + np.abs(model.nodes) ** 2) ** 2
-    dens = (p * pzz - np.abs(pz) ** 2) / p**2 * x2 / model.V
+    dens, p = _curvature_density(model, bm @ model.sections, bm @ model.sections_dz)
     mu = dens * model.quad_weights / p
     t_mass = float(
         (np.einsum("iq,iq->q", model.sections, model.sections.conj()).real * mu).sum()

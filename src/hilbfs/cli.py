@@ -1,8 +1,9 @@
 """Command-line front end: batch computations in, JSON/CSV reports out.
 
-Exit codes: 0 success, 1 validation error (bad inputs, malformed matrices),
-2 numerical or hypothesis failure (the structured report is still written).
-Every randomized command takes --seed and reproduces byte-identical output.
+Exit codes: 0 success, 1 validation error (bad inputs, malformed matrices,
+usage errors), 2 numerical or hypothesis failure (the structured report is
+still written).  The randomized command ``inject-sweep`` takes --seed and
+reproduces byte-identical output.
 """
 
 from __future__ import annotations
@@ -36,19 +37,13 @@ from .geometry import (
     build_p1_model,
     dump_model_csv,
     fs_metric,
+    veronese_model,
 )
 from .injectivity import perturbed_pair, verify_injectivity
 from .linalg import HermitianForm, load_matrix_json
 from .maps import hilb, hilb_nu, t_iterate
 from .moments import build_lambda
-from .pushforward import (
-    HermitianForm as _HF,  # noqa: F401  (re-export convenience)
-    psi,
-    psi0_closed,
-    psi_t,
-    solve_psi,
-)
-from .geometry import veronese_model
+from .pushforward import psi, psi0_closed, psi_t, solve_psi
 
 SCHEMA_VERSION = "1"
 
@@ -333,20 +328,25 @@ def cmd_dump_model(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1 (bad input), not 2, which
+    the exit-code contract reserves for numerical failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hilbfs",
         description="Hilbert / Fubini-Study map computations on the projective line",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_k=True):
-        if needs_k:
-            p.add_argument("--k", type=int, required=True)
-        p.add_argument("--manifold", choices=["p1"], default="p1")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1, help="reserved; single front-end thread")
+    def common(p):
+        p.add_argument("--k", type=int, required=True)
         p.add_argument("--out", type=str, default=None, help="directory for report artifacts")
         p.add_argument("--radial-nodes", type=int, default=None)
         p.add_argument("--azimuthal-nodes", type=int, default=None)
@@ -409,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inject-sweep", help="randomized injectivity sweep")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--scale", type=float, default=1e-2)
     p.add_argument("--cond", type=float, default=10.0)

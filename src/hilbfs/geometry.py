@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.linalg as sla
 from scipy.special import gammaln, lpmv
 
 from .errors import (
@@ -283,32 +284,24 @@ def fs_metric(model: ManifoldModel, h: HermitianForm) -> MetricWeight:
     return MetricWeight.bergman(h)
 
 
-def _bergman_curvature_density(model, h: HermitianForm, full_ddbar=False):
-    """Density against omega_ref of the curvature of the metric induced by H.
+def _curvature_density(model: ManifoldModel, w: np.ndarray, wz: np.ndarray):
+    """Curvature density of log P, P = sum_i |w_i|^2, against omega_ref.
 
-    Writing P(z) = sum_i |s'_i(z)|^2 over H-orthonormalised rows, the metric
-    weight on the L^k frame is 1/P and
-        ddbar log P = (P P_zzbar - P_z P_zbar) / P^2,
-    evaluated cancellation-free via the Cauchy-Binet form
-        P P_zzbar - |P_z|^2 = sum_{i<j} |W_i W'_j - W_j W'_i|^2.
-    The returned density divides by k (curvature of the k-th root) unless
-    ``full_ddbar`` is set, and is exact polynomial data, never a finite
-    difference.
+    ``w`` holds the section rows W_i at the nodes and ``wz`` their
+    z-derivatives.  Returns (density, P) with
+        density = (P P_zzbar - |P_z|^2) / P^2 * (1+|z|^2)^2 / V,
+    i.e. ddbar log P divided by the reference form, for the pullback of
+    the Fubini-Study form along z -> [W(z)].  The numerator is formed
+    directly; the Cauchy-Binet identity
+        P P_zzbar - |P_z|^2 = sum_{i<j} |W_i W'_j - W_j W'_i|^2
+    only explains why it is nonnegative in exact arithmetic.
     """
-    L = cholesky_lower(h)
-    import scipy.linalg as sla
-
-    W = sla.solve_triangular(L, model.sections, lower=True)
-    Wz = sla.solve_triangular(L, model.sections_dz, lower=True)
-    P = np.einsum("iq,iq->q", W, W.conj()).real
-    Pz = np.einsum("iq,iq->q", Wz, W.conj())
-    Pzz = np.einsum("iq,iq->q", Wz, Wz.conj()).real
-    num = P * Pzz - np.abs(Pz) ** 2
+    p = np.einsum("iq,iq->q", w, w.conj()).real
+    pz = np.einsum("iq,iq->q", wz, w.conj())
+    pzz = np.einsum("iq,iq->q", wz, wz.conj()).real
     x2 = (1.0 + np.abs(model.nodes) ** 2) ** 2
-    dens = num / P**2 * x2 / model.V
-    if not full_ddbar:
-        dens = dens / model.k
-    return dens, P
+    dens = (p * pzz - np.abs(pz) ** 2) / p**2 * x2 / model.V
+    return dens, p
 
 
 def curvature_volume(model: ManifoldModel, m: MetricWeight) -> Density:
@@ -320,7 +313,13 @@ def curvature_volume(model: ManifoldModel, m: MetricWeight) -> Density:
     exactness check, not a rescaling) and the density must be positive.
     """
     if m.kind == "bergman":
-        dens, _ = _bergman_curvature_density(model, m.form)
+        # H-orthonormal rows W = L^{-1} s with H = L L*; the curvature of the
+        # k-th root divides the density of log P by k
+        L = cholesky_lower(m.form)
+        w = sla.solve_triangular(L, model.sections, lower=True)
+        wz = sla.solve_triangular(L, model.sections_dz, lower=True)
+        dens, _ = _curvature_density(model, w, wz)
+        dens = dens / model.k
     else:
         u = m.potential(model)
         dens = 1.0 + (model.laplacian() @ u) / (4.0 * np.pi * model.k)
@@ -369,13 +368,6 @@ class AmbientModel:
     @property
     def N(self) -> int:
         return self.coords.shape[0]
-
-    def pairing_trace(self) -> np.ndarray:
-        s2 = np.einsum("iq,iq->q", self.coords, self.coords.conj()).real
-        return np.ones_like(s2)  # sum_i |s_i|^2 / sum_l |s_l|^2
-
-    def sum_sq(self) -> np.ndarray:
-        return np.einsum("iq,iq->q", self.coords, self.coords.conj()).real
 
 
 def veronese_model(model: ManifoldModel) -> AmbientModel:

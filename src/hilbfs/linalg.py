@@ -99,9 +99,14 @@ class HermitianForm:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "HermitianForm":
-        n = int(d["n"])
-        re = np.asarray(d["re"], dtype=float)
-        im = np.asarray(d["im"], dtype=float)
+        try:
+            n = int(d["n"])
+            re = np.asarray(d["re"], dtype=float)
+            im = np.asarray(d["im"], dtype=float)
+        except (KeyError, TypeError) as exc:
+            raise DimensionError(
+                f"matrix JSON must be an object with keys n, re, im ({exc!r})"
+            ) from exc
         if re.shape != (n, n) or im.shape != (n, n):
             raise DimensionError(
                 f"matrix JSON claims n={n} but re/im have shapes {re.shape}, {im.shape}"

@@ -7,6 +7,13 @@ maximum-entropy ansatz, N unknowns for N constraints, solved by damped
 Newton on the convex dual.  The Newton Jacobian is the weighted Gram matrix
 int g_i g_j e^u dV, positive definite at every iterate.
 
+The Newton itself, ``_max_entropy_newton``, works on arrays: any family of
+node functions g_k, any positive node weights and any real target.  Its
+second caller is ``calabi.surject_fixed_volume``, whose full-Gram problem
+is the same max-entropy problem with g_k the real pairings of the section
+pair products s_a conj(s_b) with an orthonormal hermitian basis, and whose
+targets (the basis coordinates of a Gram matrix) may be negative.
+
 Feasibility caveat: with the monomial basis the diagonal moments are
 moments of a positive measure on [0, infinity) in x = |z|^2, hence
 log-convex in the index.  Spike targets (floor, ..., 1, ..., floor) with an
@@ -24,7 +31,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, MomentInfeasibleError
+from .errors import (
+    ConvergenceError,
+    DefinitenessError,
+    DimensionError,
+    MomentInfeasibleError,
+)
 from .geometry import Density, ManifoldModel
 from .linalg import MatrixNorms, cholesky_lower, matrix_norms
 
@@ -81,62 +93,50 @@ def hankel_margins(values: np.ndarray) -> dict:
     return {"hankel_even": e0, "hankel_odd": e1}
 
 
-def solve_moments(
-    model: ManifoldModel,
-    target: MomentTarget,
-    tol: float = 1e-11,
-    max_newton: int = 100,
-    sections: Optional[np.ndarray] = None,
-) -> MomentSolution:
-    """Positive density e^u dV_ref with prescribed squared-section moments.
+def _max_entropy_newton(
+    gfun: np.ndarray,
+    weights: np.ndarray,
+    target: np.ndarray,
+    tol: float,
+    max_newton: int,
+):
+    """Coefficients c with gfun @ (e^(c @ gfun) * weights) = target.
 
     Damped Newton with Armijo line search on the convex dual objective
-    int e^u dV - <c, target>, starting from c = 0 (the reference density).
+    sum(e^u * weights) - <c, target>, u = c @ gfun, starting from c = 0.
+    The target may have entries of either sign.  Returns (c, u, history),
+    history holding the max-norm residual of every iterate.
     """
-    gfun = section_squares(model, sections)
-    n = gfun.shape[0]
-    if target.dim != n:
-        raise DimensionError(f"target has {target.dim} entries, basis has {n}")
-    lam = target.values
-    qw = model.quad_weights
-    coef = np.zeros(n)
+    coef = np.zeros(gfun.shape[0])
     history: List[float] = []
 
     def dual_and_grad(c):
         u = c @ gfun
         if u.max() > 700.0:
             return None, None, None
-        ew = np.exp(u) * qw
+        ew = np.exp(u) * weights
         moments = gfun @ ew
-        objective = float(ew.sum() - c @ lam)
+        objective = float(ew.sum() - c @ target)
         return objective, moments, ew
 
     obj, moments, ew = dual_and_grad(coef)
     for it in range(max_newton):
-        resid = float(np.abs(moments - lam).max())
+        resid = float(np.abs(moments - target).max())
         history.append(resid)
         if resid <= tol:
-            u = coef @ gfun
-            return MomentSolution(
-                density=Density(np.exp(u) * qw),
-                achieved=moments,
-                coefficients=coef,
-                potential=u,
-                residual_history=history,
-                newton_iters=it,
-            )
+            return coef, coef @ gfun, history
         jac = (gfun * ew) @ gfun.T
         try:
             cholesky_lower(jac)  # convexity audit: weighted Gram must stay PD
-            step = np.linalg.solve(jac, lam - moments)
-        except Exception as exc:
+            step = np.linalg.solve(jac, target - moments)
+        except (DefinitenessError, np.linalg.LinAlgError) as exc:
             raise ConvergenceError(
                 f"moment Newton jacobian degenerate at iteration {it} "
                 f"(residual {resid:.3e}); the iterates are running to the "
                 "boundary of the achievable cone",
                 history,
             ) from exc
-        grad = moments - lam
+        grad = moments - target
         slope = float(grad @ step)
         alpha = 1.0
         accepted = False
@@ -159,6 +159,36 @@ def solve_moments(
         f"moment Newton did not reach tol {tol:g} in {max_newton} iterations "
         f"(last residual {history[-1]:.3e})",
         history,
+    )
+
+
+def solve_moments(
+    model: ManifoldModel,
+    target: MomentTarget,
+    tol: float = 1e-11,
+    max_newton: int = 100,
+    sections: Optional[np.ndarray] = None,
+) -> MomentSolution:
+    """Positive density e^u dV_ref with prescribed squared-section moments.
+
+    Damped Newton with Armijo line search on the convex dual objective
+    int e^u dV - <c, target>, starting from c = 0 (the reference density).
+    """
+    gfun = section_squares(model, sections)
+    if target.dim != gfun.shape[0]:
+        raise DimensionError(
+            f"target has {target.dim} entries, basis has {gfun.shape[0]}"
+        )
+    qw = model.quad_weights
+    coef, u, history = _max_entropy_newton(gfun, qw, target.values, tol, max_newton)
+    ew = np.exp(u) * qw
+    return MomentSolution(
+        density=Density(ew),
+        achieved=gfun @ ew,
+        coefficients=coef,
+        potential=u,
+        residual_history=history,
+        newton_iters=len(history) - 1,
     )
 
 

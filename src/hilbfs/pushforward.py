@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ContinuationError, DimensionError, MarginError
-from .geometry import AmbientModel
+from .geometry import AmbientModel, _curvature_density
 from .linalg import HermitianForm
 
 TRACE_TOL = 1e-12
@@ -82,9 +82,6 @@ class ScaleClass:
     def of(cls, m) -> "ScaleClass":
         form = m if isinstance(m, HermitianForm) else HermitianForm(m)
         return cls(form)
-
-    def same_class(self, other: "ScaleClass", tol: float = 1e-10) -> bool:
-        return bool(np.abs(self.mat - other.mat).max() <= tol)
 
 
 def _as_pd_matrix(b) -> np.ndarray:
@@ -215,13 +212,7 @@ def phi_matrix(ambient: AmbientModel, b) -> HermitianForm:
     if ev.min() <= 0:
         raise MarginError("B must be positive definite (singular B rejected)")
     w = bm @ ambient.coords
-    wz = bm @ ambient.coords_dz
-    p = np.einsum("iq,iq->q", w, w.conj()).real
-    pz = np.einsum("iq,iq->q", wz, w.conj())
-    pzz = np.einsum("iq,iq->q", wz, wz.conj()).real
-    num = p * pzz - np.abs(pz) ** 2
-    x2 = (1.0 + np.abs(model.nodes) ** 2) ** 2
-    dens = num / p**2 * x2 / model.V
+    dens, p = _curvature_density(model, w, bm @ ambient.coords_dz)
     wts = dens * model.quad_weights / p
     g = np.einsum("iq,jq,q->ij", w, w.conj(), wts)
     return HermitianForm(0.5 * (g + g.conj().T))

@@ -98,11 +98,18 @@ class TestSurjectFixedVolume:
         assert report.residual_max <= 1e-9
         assert np.abs(metric.potential(model)).max() <= 1e-7
 
-    def test_forward_generated_targets(self):
-        model = build_p1_model(2, radial_nodes=24, azimuthal_nodes=32)
+    @pytest.mark.parametrize("k", [2, 6])
+    def test_forward_generated_targets(self, k):
+        # the sin term gives the target imaginary off-diagonal entries, so the
+        # Newton must reach negative and imaginary hermitian coordinates
+        model = build_p1_model(k, radial_nodes=24, azimuthal_nodes=32)
         rng = np.random.default_rng(4)
         for _ in range(3):
-            u = 0.4 * np.cos(model.theta) * model.t + 0.2 * (model.t - 0.5)
+            u = (
+                0.4 * np.cos(model.theta) * model.t
+                + 0.3 * np.sin(model.theta) * (1.0 - model.t)
+                + 0.2 * (model.t - 0.5)
+            )
             u = u * rng.uniform(0.5, 1.5)
             target = hilb_nu(
                 model, MetricWeight.grid(u), FIXED, nu=Density(model.quad_weights)

@@ -1,0 +1,83 @@
+"""Exit-code and reproducibility contract of the command-line front end:
+0 success, 1 bad input (including usage errors), 2 numerical failure."""
+
+import json
+
+import pytest
+
+from hilbfs.cli import main
+
+
+def write_matrix(path, d):
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
+def exit_code(argv):
+    """main's return value, or the status of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_hilb_reference_metric_succeeds(capsys):
+    assert main(["hilb", "--k", "2", "--metric", "ref"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["n"] == 3
+
+
+def test_non_hermitian_matrix_is_invalid_input(tmp_path, capsys):
+    path = write_matrix(
+        tmp_path / "h.json", {"n": 2, "re": [[1.0, 0.2], [0.4, 1.0]], "im": [[0, 0], [0, 0]]}
+    )
+    assert main(["fs", "--k", "1", "--H", path]) == 1
+    assert "invalid input" in capsys.readouterr().err
+
+
+def test_matrix_json_missing_key_is_invalid_input(tmp_path, capsys):
+    path = write_matrix(tmp_path / "nokey.json", {"n": 2, "re": [[1.0, 0.0], [0.0, 1.0]]})
+    assert main(["fs", "--k", "1", "--H", path]) == 1
+    assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilb"],  # missing --k
+        ["hilb", "--k", "2", "--bogus"],
+        ["hilb", "--k", "2", "--threads", "2"],
+        ["hilb", "--k", "2", "--manifold", "p1"],
+        ["hilb", "--k", "2", "--seed", "1"],  # only inject-sweep takes a seed
+    ],
+)
+def test_usage_errors_exit_1(argv):
+    assert exit_code(argv) == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["hilb", "--help"]])
+def test_help_and_version_exit_0(argv):
+    assert exit_code(argv) == 0
+
+
+def test_out_of_range_surject_reports_stage(tmp_path, capsys):
+    path = write_matrix(
+        tmp_path / "spike.json",
+        {"n": 3, "re": [[0.6, 0, 0], [0, 1.8, 0], [0, 0, 0.6]], "im": [[0] * 3] * 3},
+    )
+    argv = ["surject", "--k", "2", "--target", path,
+            "--radial-nodes", "32", "--azimuthal-nodes", "48"]
+    assert main(argv) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "failure"
+    assert report["stage"] == "pushforward-continuation"
+
+
+def test_inject_sweep_seed_is_byte_identical(capsys):
+    argv = ["inject-sweep", "--k", "2", "--seed", "3", "--trials", "2"]
+    outputs = []
+    for _ in range(2):
+        exit_code(argv)
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[1].startswith("0,3,")

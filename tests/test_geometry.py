@@ -241,11 +241,6 @@ class TestVeronese:
         scale = np.abs(amb.coords).max(axis=0) ** 2
         assert np.abs(rel / scale).max() <= 1e-14
 
-    def test_pairing_trace_is_one(self):
-        model = build_p1_model(3)
-        amb = veronese_model(model)
-        assert np.abs(amb.pairing_trace() - 1.0).max() == 0.0
-
 
 class TestFsHomogeneity:
     def test_scale_family(self):
