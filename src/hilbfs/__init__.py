@@ -52,14 +52,11 @@ from .maps import (
 )
 from .pushforward import (
     ContinuationTrace,
-    ScaleClass,
-    SimplexPoint,
     dpsi0,
     dpsi0_kernel_dim,
     phi_matrix,
     psi,
     psi0_closed,
-    psi0_reference,
     psi_t,
     solve_psi,
 )

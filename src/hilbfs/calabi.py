@@ -41,9 +41,14 @@ from .geometry import (
 from .linalg import HermitianForm, cholesky_lower
 from .maps import ANTICANONICAL, CANONICAL, FIXED, exponent_for_variant, hilb, hilb_nu
 from .moments import _max_entropy_newton
-from .pushforward import hermitian_basis, solve_psi
+from .pushforward import MARGIN, hermitian_basis, solve_psi
 
 COND_LIMIT = 1e8
+CONTINUATION_STEPS = 10
+PSI_TOL = 1e-10
+MA_TOL = 1e-11
+# numerical failures a stage reports; anything else is a programming error
+_STAGE_ERRORS = (ValueError, RuntimeError, ArithmeticError)
 
 
 @dataclass
@@ -200,6 +205,7 @@ def surject_fixed_volume(
     """
     if variant == CANONICAL and model.geometry != "general_type_mock":
         raise VariantError("canonical variant requires general type")
+    exponent = exponent_for_variant(variant, model.k)
     g_form = _validate_target(target, model.N)
     base_nu = nu if nu is not None else Density(model.quad_weights.copy())
     if variant == ANTICANONICAL:
@@ -237,7 +243,6 @@ def surject_fixed_volume(
             "residual": float(np.abs(gram - target_scaled).max()) * scale,
         }
     ]
-    exponent = exponent_for_variant(variant, model.k)
     # solved weight e^u multiplies h_ref^k under the fixed base measure; the
     # realising metric scales the reference by exp(exponent * u) per power,
     # i.e. the L^k-metric potential is -k * exponent * u.
@@ -263,15 +268,7 @@ def surject_fixed_volume(
     return metric, report
 
 
-def surject_full(
-    model: ManifoldModel,
-    target,
-    tol: float = 1e-8,
-    continuation_steps: int = 10,
-    psi_tol: float = 1e-10,
-    ma_tol: float = 1e-11,
-    margin: float = 1e-3,
-):
+def surject_full(model: ManifoldModel, target, tol: float = 1e-8):
     """Realise a target form as hilb of a positively curved metric.
 
     Step 1 solves the curve pushforward for the trace-normalised target and
@@ -286,18 +283,17 @@ def surject_full(
     tr = float(np.real(np.trace(g_form.mat)))
     ghat = g_form.mat / tr
     ev = np.linalg.eigvalsh(ghat)
-    if ev.min() < margin:
+    if ev.min() < MARGIN:
         raise MarginError(
-            f"normalised target eigenvalue {ev.min():.3e} below margin {margin:g}"
+            f"normalised target eigenvalue {ev.min():.3e} below margin {MARGIN:g}"
         )
     ambient = veronese_model(model)
     stage_logs = []
     try:
         bstar, ctrace = solve_psi(
-            ambient, HermitianForm(ghat), steps=continuation_steps,
-            newton_tol=psi_tol, margin=margin,
+            ambient, HermitianForm(ghat), steps=CONTINUATION_STEPS, newton_tol=PSI_TOL
         )
-    except Exception as exc:
+    except _STAGE_ERRORS as exc:
         raise StageError("pushforward-continuation", exc) from exc
     stage_logs.append(
         {
@@ -323,8 +319,8 @@ def surject_full(
     stage_logs.append({"stage": "weight-extraction", "gram_residual": step1_resid})
     g_data = np.log(mu_hat / (model.ref_weight * model.quad_weights))
     try:
-        ma = solve_ma(MAProblem(model, g_data), tol=ma_tol)
-    except Exception as exc:
+        ma = solve_ma(MAProblem(model, g_data), tol=MA_TOL)
+    except _STAGE_ERRORS as exc:
         raise StageError("monge-ampere", exc) from exc
     stage_logs.append(
         {
@@ -338,7 +334,7 @@ def surject_full(
     metric = MetricWeight.grid(ma.f)
     try:
         forward = hilb(model, metric)
-    except Exception as exc:
+    except _STAGE_ERRORS as exc:
         raise StageError("forward-check", exc) from exc
     resid = float(np.abs(forward.mat - g_form.mat).max())
     stage_logs.append({"stage": "forward-check", "residual": resid})

@@ -174,7 +174,7 @@ def cmd_psi(args) -> int:
         result = psi_t(ambient, b, args.t)
     else:
         raise ValueError(f"unknown psi mode {args.mode!r}")
-    print(emit_report(_matrix_report(result.form), _out_path(args, "psi.json")))
+    print(emit_report(_matrix_report(result), _out_path(args, "psi.json")))
     return 0
 
 
@@ -201,7 +201,7 @@ def cmd_psi_solve(args) -> int:
     report = {
         "schema_version": SCHEMA_VERSION,
         "status": "ok",
-        "B": solution.representative.to_json_dict(),
+        "B": solution.to_json_dict(),
         "forward_residual": float(
             np.abs(psi(ambient, solution).mat - target.mat / np.real(np.trace(target.mat))).max()
         ),

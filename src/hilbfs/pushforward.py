@@ -13,6 +13,14 @@ psi0(B) = B^{-2} / tr(B^{-2}), its linearisation loses all transposes, and
 psi(B) = B^{-1} Phi(B) B^{-1} / tr(...); in the conjugate-first convention
 all matrices transpose and the classical displayed formulas with B^t are
 recovered verbatim.
+
+Validation happens once, at the boundary: the public functions accept B as
+a ``HermitianForm`` or an array, check it once as a ``HermitianForm`` and
+return unit-trace ``HermitianForm`` values.  The continuation Newton runs
+on raw arrays through ``_psi_t``.  ``phi_matrix`` alone keeps its positive
+definiteness check on every call: a finite-difference probe that leaves
+the positive cone raises ``MarginError`` there, and the Newton turns that
+into a failed step, so the continuation shortens its step instead.
 """
 
 from __future__ import annotations
@@ -27,95 +35,47 @@ from .errors import ContinuationError, DimensionError, MarginError
 from .geometry import AmbientModel, _curvature_density
 from .linalg import HermitianForm
 
-TRACE_TOL = 1e-12
-EIG_FLOOR = -1e-12
+MARGIN = 1e-3  # smallest admissible eigenvalue of a unit-trace target
+STEP_FLOOR = 1e-6  # continuation step below which solve_psi gives up
+NEWTON_MAX_ITERS = 25
+FD_STEP = 1e-6  # central-difference step of the Jacobian, relative to |B|
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
-    """Positive semi-definite hermitian matrix with unit trace."""
-
-    form: HermitianForm
-
-    def __post_init__(self):
-        tr = float(np.real(np.trace(self.form.mat)))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace is {tr!r}, expected 1")
-        ev = np.linalg.eigvalsh(self.form.mat)
-        if ev.min() < EIG_FLOOR:
-            raise ValueError(f"eigenvalue {ev.min():.3e} below PSD tolerance")
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.form.mat
-
-    @property
-    def dim(self) -> int:
-        return self.form.dim
+def _as_form(b) -> HermitianForm:
+    return b if isinstance(b, HermitianForm) else HermitianForm(b)
 
 
-@dataclass(frozen=True)
-class ScaleClass:
-    """Scale class of a positive definite matrix, stored at unit trace."""
-
-    representative: HermitianForm
-
-    def __post_init__(self):
-        ev = np.linalg.eigvalsh(self.representative.mat)
-        if ev.min() <= 0:
-            raise ValueError("scale class representative must be positive definite")
-        tr = float(np.real(np.trace(self.representative.mat)))
-        if abs(tr - 1.0) > TRACE_TOL:
-            object.__setattr__(
-                self, "representative", self.representative.scaled(1.0 / tr)
-            )
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.representative.mat
-
-    @property
-    def dim(self) -> int:
-        return self.representative.dim
-
-    @classmethod
-    def of(cls, m) -> "ScaleClass":
-        form = m if isinstance(m, HermitianForm) else HermitianForm(m)
-        return cls(form)
-
-
-def _as_pd_matrix(b) -> np.ndarray:
-    if isinstance(b, ScaleClass):
-        return b.mat
-    if isinstance(b, HermitianForm):
-        return b.mat
-    return HermitianForm(b).mat
-
-
-def _simplex(m: np.ndarray) -> SimplexPoint:
+def _unit_trace(m: np.ndarray) -> np.ndarray:
     m = 0.5 * (m + m.conj().T)
-    return SimplexPoint(HermitianForm(m / np.real(np.trace(m))))
+    return m / np.real(np.trace(m))
 
 
-def psi0_reference(n: int) -> SimplexPoint:
-    """Value of the ambient pushforward at the identity class: I/N.
+def _psi_t(ambient: Optional[AmbientModel], bm: np.ndarray, t: float) -> np.ndarray:
+    """psi_t on a hermitian positive definite array, without validation.
 
-    Hard-coded from unitary invariance of the Fubini-Study measure (the
-    integral must commute with every unitary conjugation, hence be a
-    multiple of the identity, and the trace normalisation fixes 1/N); the
-    quadrature evaluation of the defining integral exists only in tests.
+    Inverts B once and forms psi0 and, for t > 0, psi from that inverse;
+    ``ambient`` is unused at t = 0.  Positive definiteness is still checked
+    by ``phi_matrix``.
     """
-    return SimplexPoint(HermitianForm(np.eye(n, dtype=complex) / n))
+    binv = np.linalg.inv(bm)
+    p0 = _unit_trace(binv @ binv)
+    if t == 0.0:
+        return p0
+    m = binv @ phi_matrix(ambient, bm).mat @ binv
+    if np.real(np.trace(m)) <= 0:
+        raise RuntimeError("internal error: pushforward trace must be positive")
+    p = _unit_trace(m)
+    if t == 1.0:
+        return p
+    return _unit_trace(t * p + (1.0 - t) * p0)
 
 
-def psi0_closed(b) -> SimplexPoint:
+def psi0_closed(b) -> HermitianForm:
     """Closed form of the ambient pushforward: B^{-2}/tr(B^{-2}).
 
     Scale-invariant: psi0(aB) = psi0(B) for a > 0.
     """
-    m = _as_pd_matrix(b)
-    inv = np.linalg.inv(m)
-    return _simplex(inv @ inv)
+    return HermitianForm(_psi_t(None, _as_form(b).mat, 0.0))
 
 
 def dpsi0(b, a) -> np.ndarray:
@@ -125,11 +85,11 @@ def dpsi0(b, a) -> np.ndarray:
     P = psi0(B); the output is hermitian and traceless, and vanishes exactly
     when A is a multiple of B (the scale direction).
     """
-    bm = _as_pd_matrix(b)
+    bm = _as_form(b).mat
     am = np.asarray(a, dtype=complex)
     if am.shape != bm.shape:
         raise DimensionError("direction matrix must match B's shape")
-    p = psi0_closed(bm).mat
+    p = _psi_t(None, bm, 0.0)
     binv = np.linalg.inv(bm)
     core = binv @ am @ p + p @ am @ binv
     out = -core + np.real(np.trace(core)) * p
@@ -171,12 +131,11 @@ def traceless_basis(n: int) -> np.ndarray:
 
 def dpsi0_matrix(b) -> np.ndarray:
     """Real matrix of A -> dpsi0(B, A) on the n^2-dimensional hermitian space."""
-    bm = _as_pd_matrix(b)
-    n = bm.shape[0]
-    basis = hermitian_basis(n)
+    form = _as_form(b)
+    basis = hermitian_basis(form.dim)
     cols = []
     for e in basis:
-        out = dpsi0(bm, e)
+        out = dpsi0(form, e)
         cols.append(np.real(np.einsum("aij,ji->a", basis, out)))
     return np.array(cols).T
 
@@ -204,7 +163,7 @@ def phi_matrix(ambient: AmbientModel, b) -> HermitianForm:
     to the embedding degree) and the integrand is W_r conj(W_s) / |W|^2.
     Positive definite for nondegenerate embeddings.
     """
-    bm = _as_pd_matrix(b)
+    bm = _as_form(b).mat
     model = ambient.model
     if bm.shape[0] != ambient.N:
         raise DimensionError("B must act on the ambient coordinates")
@@ -218,29 +177,17 @@ def phi_matrix(ambient: AmbientModel, b) -> HermitianForm:
     return HermitianForm(0.5 * (g + g.conj().T))
 
 
-def psi(ambient: AmbientModel, b) -> SimplexPoint:
+def psi(ambient: AmbientModel, b) -> HermitianForm:
     """Pushforward along the embedded curve: the normalised conjugation
     B^{-1} Phi(B) B^{-1} / tr(...); scale-invariant in B."""
-    bm = _as_pd_matrix(b)
-    binv = np.linalg.inv(bm)
-    m = binv @ phi_matrix(ambient, bm).mat @ binv
-    tr = float(np.real(np.trace(m)))
-    if tr <= 0:
-        raise RuntimeError("internal error: pushforward trace must be positive")
-    return _simplex(m)
+    return HermitianForm(_psi_t(ambient, _as_form(b).mat, 1.0))
 
 
-def psi_t(ambient: AmbientModel, b, t: float) -> SimplexPoint:
+def psi_t(ambient: AmbientModel, b, t: float) -> HermitianForm:
     """Affine homotopy t * psi + (1 - t) * psi0 between the two pushforwards."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    bm = _as_pd_matrix(b)
-    if t == 0.0:
-        return psi0_closed(bm)
-    if t == 1.0:
-        return psi(ambient, bm)
-    m = t * psi(ambient, bm).mat + (1.0 - t) * psi0_closed(bm).mat
-    return _simplex(m)
+    return HermitianForm(_psi_t(ambient, _as_form(b).mat, t))
 
 
 @dataclass
@@ -265,24 +212,23 @@ class ContinuationTrace:
                 fh.write(f"{r.t!r},{r.residual!r},{r.step!r},{r.newton_iters}\n")
 
 
-def _newton_at_t(ambient, b, t, g, basis, tol, max_iters=25, fd_step=1e-6):
+def _newton_at_t(ambient, b, t, g, basis, tol):
     """Newton-correct psi_t(B) = G in traceless coordinates around unit trace."""
-    n = g.shape[0]
 
     def value(mat):
-        return psi_t(ambient, mat, t).mat
+        return _psi_t(ambient, mat, t)
 
     def coords(m):
         return np.real(np.einsum("aij,ji->a", basis, m))
 
     bm = b.copy()
-    for it in range(max_iters):
+    for it in range(NEWTON_MAX_ITERS):
         r = coords(value(bm) - g)
         rn = float(np.abs(r).max())
         if rn < tol:
             return bm, it, rn
         jac = np.empty((basis.shape[0], basis.shape[0]))
-        h = fd_step * float(np.linalg.norm(bm))
+        h = FD_STEP * float(np.linalg.norm(bm))
         try:
             for a_idx in range(basis.shape[0]):
                 bp = bm + h * basis[a_idx]
@@ -310,8 +256,8 @@ def _newton_at_t(ambient, b, t, g, basis, tol, max_iters=25, fd_step=1e-6):
     r = coords(value(bm) - g)
     rn = float(np.abs(r).max())
     if rn < tol:
-        return bm, max_iters, rn
-    return None, max_iters, rn
+        return bm, NEWTON_MAX_ITERS, rn
+    return None, NEWTON_MAX_ITERS, rn
 
 
 def solve_psi(
@@ -319,26 +265,25 @@ def solve_psi(
     g,
     steps: int = 10,
     newton_tol: float = 1e-9,
-    margin: float = 1e-3,
-    step_floor: float = 1e-6,
-) -> Tuple[ScaleClass, ContinuationTrace]:
+) -> Tuple[HermitianForm, ContinuationTrace]:
     """Find B with psi(B) = G by continuation from the closed-form seed.
 
     The seed B0 = G^{-1/2} satisfies psi0(B0) = G exactly; t then marches
     from 0 to 1 with adaptive steps (halve on Newton failure, double after
-    two successes, floor ``step_floor``).  Raises ``MarginError`` when G's
-    smallest eigenvalue is below ``margin`` and ``ContinuationError``
-    carrying the trace when the step size underflows.  The returned B is
-    certified only by its forward residual, recorded in the trace.
+    two successes, floor ``STEP_FLOOR``).  Raises ``MarginError`` when G's
+    smallest eigenvalue is below ``MARGIN`` and ``ContinuationError``
+    carrying the trace when the step size underflows.  Returns B as a
+    unit-trace ``HermitianForm`` with the trace; B is certified only by its
+    forward residual, recorded in the trace.
     """
-    gm = _as_pd_matrix(g)
+    gm = _as_form(g).mat
     tr = float(np.real(np.trace(gm)))
     if abs(tr - 1.0) > 1e-9:
         raise ValueError("target must have unit trace")
     ev = np.linalg.eigvalsh(gm)
-    if ev.min() < margin:
+    if ev.min() < MARGIN:
         raise MarginError(
-            f"target eigenvalue {ev.min():.3e} below margin {margin:g}; "
+            f"target eigenvalue {ev.min():.3e} below margin {MARGIN:g}; "
             "too close to the simplex boundary"
         )
     n = gm.shape[0]
@@ -348,7 +293,7 @@ def solve_psi(
     b = np.real_if_close(b, tol=1e6).astype(complex)
     b = b / np.real(np.trace(b))
     trace = ContinuationTrace()
-    trace.log(0.0, float(np.abs(psi0_closed(b).mat - gm).max()), 0.0, 0)
+    trace.log(0.0, float(np.abs(_psi_t(ambient, b, 0.0) - gm).max()), 0.0, 0)
     t = 0.0
     h = 1.0 / max(steps, 1)
     successes = 0
@@ -358,10 +303,10 @@ def solve_psi(
         if bn is None:
             successes = 0
             h *= 0.5
-            if h < step_floor:
+            if h < STEP_FLOOR:
                 trace.log(t_next, resid, h, iters)
                 raise ContinuationError(
-                    f"continuation step underflow below {step_floor:g} at t={t_next:.6f} "
+                    f"continuation step underflow below {STEP_FLOOR:g} at t={t_next:.6f} "
                     f"(residual {resid:.3e}); target may be outside the map's range",
                     trace=trace,
                 )
@@ -372,4 +317,4 @@ def solve_psi(
         successes += 1
         if successes >= 2:
             h = min(2.0 * h, 0.25)
-    return ScaleClass.of(b), trace
+    return HermitianForm(b), trace

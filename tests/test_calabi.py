@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import hilbfs.calabi
 from hilbfs import (
     ANTICANONICAL,
+    CANONICAL,
     FIXED,
     Density,
     HermitianForm,
@@ -22,7 +24,7 @@ from hilbfs import (
     surject_fixed_volume,
     surject_full,
 )
-from hilbfs.errors import HermitianDefectError
+from hilbfs.errors import HermitianDefectError, VariantError
 from hilbfs.linalg import random_spd
 
 
@@ -149,6 +151,20 @@ class TestSurjectFixedVolume:
         with pytest.raises(HermitianDefectError):
             surject_fixed_volume(model, np.array([[1.0, 0.2], [0.4, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "variant, build",
+        [("bogus", lambda: build_p1_model(2)), (CANONICAL, lambda: mock_general_type_model(1))],
+        ids=["unknown", "canonical-k1"],
+    )
+    def test_bad_variant_rejected_before_solve(self, monkeypatch, variant, build):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("moment Newton ran before the variant check")
+
+        monkeypatch.setattr(hilbfs.calabi, "_max_entropy_newton", unreachable)
+        model = build()
+        with pytest.raises(VariantError):
+            surject_fixed_volume(model, HermitianForm.identity(model.N), variant=variant)
+
     def test_ill_conditioned_target_rejected(self):
         model = build_p1_model(2)
         bad = HermitianForm.diagonal([1.0, 1e-9, 1.0])
@@ -205,6 +221,18 @@ class TestSurjectFull:
         bad = HermitianForm.diagonal([1.0, 1.0, 1e-6])
         with pytest.raises(MarginError):
             surject_full(model, bad)
+
+    def test_programming_error_not_wrapped(self, monkeypatch):
+        # only numerical failures become a StageError; a coding mistake
+        # inside a stage propagates as itself
+        def broken(*args, **kwargs):
+            raise TypeError("broken stage")
+
+        monkeypatch.setattr(hilbfs.calabi, "solve_psi", broken)
+        model = build_p1_model(2, radial_nodes=32, azimuthal_nodes=48)
+        target = hilb(model, MetricWeight.reference(model))
+        with pytest.raises(TypeError, match="broken stage"):
+            surject_full(model, target)
 
     def test_stage_wrapping_diagonal_spike(self):
         # the diagonal spike pattern is the cleanest out-of-range instance

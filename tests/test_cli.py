@@ -3,8 +3,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from hilbfs import HermitianForm, build_p1_model, psi, veronese_model
 from hilbfs.cli import main
 
 
@@ -81,3 +83,36 @@ def test_inject_sweep_seed_is_byte_identical(capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert outputs[0].splitlines()[1].startswith("0,3,")
+
+
+GRID = ["--radial-nodes", "32", "--azimuthal-nodes", "48"]
+
+
+@pytest.mark.parametrize("mode", ["closed", "integral", "homotopy"])
+def test_psi_modes_print_matrix(tmp_path, capsys, mode):
+    path = write_matrix(tmp_path / "b.json", HermitianForm.diagonal([1.0, 1.3, 0.8]).to_json_dict())
+    assert main(["psi", "--k", "2", "--B", path, "--mode", mode, *GRID]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["n"] == 3
+    assert {"re", "im"} <= report.keys()
+
+
+def test_psi_solve_feasible_target(tmp_path, capsys):
+    amb = veronese_model(build_p1_model(2, radial_nodes=32, azimuthal_nodes=48))
+    target = psi(amb, np.diag([1.0, 1.3, 0.8]))
+    path = write_matrix(tmp_path / "g.json", target.to_json_dict())
+    trace_path = tmp_path / "trace.csv"
+    argv = ["psi-solve", "--k", "2", "--target", path, "--trace-out", str(trace_path), *GRID]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "ok"
+    assert report["B"]["n"] == 3
+    assert report["forward_residual"] <= 1e-8
+    assert report["t_steps"] >= 2
+    assert trace_path.read_text().splitlines()[0] == "t,residual,step,newton_iters"
+
+
+def test_psi_solve_out_of_range_target(tmp_path, capsys):
+    path = write_matrix(tmp_path / "g.json", HermitianForm.diagonal([0.2, 0.6, 0.2]).to_json_dict())
+    assert main(["psi-solve", "--k", "2", "--target", path, *GRID]) == 2
+    assert json.loads(capsys.readouterr().out)["status"] == "continuation failure"

@@ -3,16 +3,15 @@ import pytest
 
 from hilbfs import (
     ContinuationError,
+    HermitianDefectError,
     HermitianForm,
     MarginError,
-    ScaleClass,
     build_p1_model,
     dpsi0,
     dpsi0_kernel_dim,
     phi_matrix,
     psi,
     psi0_closed,
-    psi0_reference,
     psi_t,
     solve_psi,
     veronese_model,
@@ -30,10 +29,6 @@ def line_ambient(nr=40, na=40):
 
 
 class TestPsi0:
-    def test_reference_values(self):
-        assert np.allclose(psi0_reference(2).mat, np.eye(2) / 2.0)
-        assert np.allclose(psi0_reference(3).mat, np.eye(3) / 3.0)
-
     def test_reference_quadrature_oracle(self):
         oracle = psi0_defining_quadrature(np.eye(2))
         assert np.abs(oracle - np.eye(2) / 2.0).max() <= 1e-10
@@ -174,6 +169,15 @@ class TestPsi:
         assert np.linalg.eigvalsh(out.mat).min() < 0.5 * prev
 
 
+# the public psi evaluations, each validating B once at the boundary
+BOUNDARY = [
+    lambda amb, b: psi0_closed(b),
+    lambda amb, b: psi(amb, b),
+    lambda amb, b: psi_t(amb, b, 0.5),
+]
+BOUNDARY_IDS = ["psi0_closed", "psi", "psi_t"]
+
+
 class TestPsiT:
     def test_endpoints(self):
         amb = conic_ambient()
@@ -192,6 +196,27 @@ class TestPsiT:
         with pytest.raises(ValueError):
             psi_t(amb, np.eye(2, dtype=complex), 1.5)
 
+    @pytest.mark.parametrize("evaluate", BOUNDARY, ids=BOUNDARY_IDS)
+    def test_unit_trace_form(self, evaluate):
+        b = random_spd(3, np.random.default_rng(10), cond=4.0)
+        out = evaluate(conic_ambient(), b.mat)
+        assert isinstance(out, HermitianForm)
+        assert abs(np.trace(out.mat) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("evaluate", BOUNDARY[1:], ids=BOUNDARY_IDS[1:])
+    @pytest.mark.parametrize(
+        "b, error",
+        [
+            (np.diag([1.0, -0.5, 1.0]), MarginError),
+            (np.array([[1.0, 0.2, 0.0], [0.4, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+             HermitianDefectError),
+        ],
+        ids=["indefinite", "non-hermitian"],
+    )
+    def test_invalid_b_rejected(self, evaluate, b, error):
+        with pytest.raises(error):
+            evaluate(conic_ambient(), b)
+
 
 class TestSolvePsi:
     def test_forward_roundtrip_on_conic(self):
@@ -202,7 +227,7 @@ class TestSolvePsi:
             x = x / np.abs(np.linalg.eigvalsh(x)).max()
             b_true = np.eye(3) + 0.35 * x
             target = psi(amb, HermitianForm(b_true))
-            sol, trace = solve_psi(amb, target.form, steps=8, newton_tol=1e-10)
+            sol, trace = solve_psi(amb, target, steps=8, newton_tol=1e-10)
             resid = np.abs(psi(amb, sol).mat - target.mat).max()
             assert resid <= 1e-8
 
@@ -212,6 +237,8 @@ class TestSolvePsi:
         resid = np.abs(psi(amb, sol).mat - np.eye(2) / 2.0).max()
         assert resid <= 1e-10
         assert np.abs(sol.mat - np.eye(2) / 2.0).max() <= 1e-8
+        assert isinstance(sol, HermitianForm)
+        assert abs(np.trace(sol.mat) - 1.0) <= 1e-14
 
     def test_margin_error(self):
         amb = conic_ambient()
@@ -233,7 +260,7 @@ class TestSolvePsi:
     def test_trace_rows_monotone_t(self):
         amb = conic_ambient()
         target = psi(amb, np.eye(3, dtype=complex))
-        _, trace = solve_psi(amb, target.form, steps=6)
+        _, trace = solve_psi(amb, target, steps=6)
         ts = [r.t for r in trace.rows]
         assert ts == sorted(ts)
         assert ts[-1] == pytest.approx(1.0)
