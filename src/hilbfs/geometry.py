@@ -296,12 +296,48 @@ def _curvature_density(model: ManifoldModel, w: np.ndarray, wz: np.ndarray):
         P P_zzbar - |P_z|^2 = sum_{i<j} |W_i W'_j - W_j W'_i|^2
     only explains why it is nonnegative in exact arithmetic.
     """
-    p = np.einsum("iq,iq->q", w, w.conj()).real
-    pz = np.einsum("iq,iq->q", wz, w.conj())
-    pzz = np.einsum("iq,iq->q", wz, wz.conj()).real
+    p, pz, pzz = _curvature_sums(w, wz)
     x2 = (1.0 + np.abs(model.nodes) ** 2) ** 2
     dens = (p * pzz - np.abs(pz) ** 2) / p**2 * x2 / model.V
     return dens, p
+
+
+def _curvature_sums(w: np.ndarray, wz: np.ndarray):
+    """P = sum_i |W_i|^2 and its derivatives P_z, P_zzbar at the nodes."""
+    p = np.einsum("iq,iq->q", w, w.conj()).real
+    pz = np.einsum("iq,iq->q", wz, w.conj())
+    pzz = np.einsum("iq,iq->q", wz, wz.conj()).real
+    return p, pz, pzz
+
+
+def _curvature_density_derivative(model: ManifoldModel, w, wz, z, zz, dirs):
+    """Derivatives of ``_curvature_density``'s (density, P) along W = B Z.
+
+    ``z`` and ``zz`` hold the unmoved rows Z, Z' with ``w`` = B Z and
+    ``wz`` = B Z'; ``dirs`` stacks the directions A (n_dirs x N x N) in
+    which B moves.  With the table of per-node outer products
+    conj(X_i) Y_j flattened over ij, each of
+        dP = 2 Re(conj(W) . AZ),  dP_z = AZ' . conj(W) + W' . conj(AZ),
+        dP_zzbar = 2 Re(conj(W') . AZ')
+    is one product of the flattened directions with such a table (A is
+    hermitian, so conj(A_ij) = A_ji).  Returns (d density, dP), each
+    n_dirs x Q.
+    """
+    n, q = z.shape
+
+    def outer(x, y):
+        return (x.conj()[:, None, :] * y[None, :, :]).reshape(n * n, q)
+
+    a = dirs.reshape(len(dirs), n * n)
+    dp = 2.0 * (a @ outer(w, z)).real
+    dpz = a @ (outer(w, zz) + outer(z, wz))
+    dpzz = 2.0 * (a @ outer(wz, zz)).real
+    p, pz, pzz = _curvature_sums(w, wz)
+    num = p * pzz - np.abs(pz) ** 2
+    dnum = dp * pzz + p * dpzz - 2.0 * (pz.conj() * dpz).real
+    x2 = (1.0 + np.abs(model.nodes) ** 2) ** 2
+    ddens = (dnum / p**2 - 2.0 * num * dp / p**3) * x2 / model.V
+    return ddens, dp
 
 
 def curvature_volume(model: ManifoldModel, m: MetricWeight) -> Density:

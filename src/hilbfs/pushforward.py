@@ -17,10 +17,11 @@ recovered verbatim.
 Validation happens once, at the boundary: the public functions accept B as
 a ``HermitianForm`` or an array, check it once as a ``HermitianForm`` and
 return unit-trace ``HermitianForm`` values.  The continuation Newton runs
-on raw arrays through ``_psi_t``.  ``phi_matrix`` alone keeps its positive
-definiteness check on every call: a finite-difference probe that leaves
-the positive cone raises ``MarginError`` there, and the Newton turns that
-into a failed step, so the continuation shortens its step instead.
+on raw arrays through ``_psi_t`` and its analytic derivative
+``_psi_t_jacobian``; its line search tests positive definiteness before it
+evaluates a candidate, so no evaluation inside the Newton leaves the
+positive cone.  ``phi_matrix`` keeps its own positive definiteness check
+because it is a public entry point.
 """
 
 from __future__ import annotations
@@ -32,13 +33,12 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ContinuationError, DimensionError, MarginError
-from .geometry import AmbientModel, _curvature_density
+from .geometry import AmbientModel, _curvature_density, _curvature_density_derivative
 from .linalg import HermitianForm
 
 MARGIN = 1e-3  # smallest admissible eigenvalue of a unit-trace target
 STEP_FLOOR = 1e-6  # continuation step below which solve_psi gives up
 NEWTON_MAX_ITERS = 25
-FD_STEP = 1e-6  # central-difference step of the Jacobian, relative to |B|
 
 
 def _as_form(b) -> HermitianForm:
@@ -78,6 +78,15 @@ def psi0_closed(b) -> HermitianForm:
     return HermitianForm(_psi_t(None, _as_form(b).mat, 0.0))
 
 
+def _dpsi0(bm: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """dpsi0 at the array B along each of the stacked directions ``dirs``."""
+    binv = np.linalg.inv(bm)
+    p = _unit_trace(binv @ binv)
+    core = binv @ dirs @ p + p @ dirs @ binv
+    out = -core + np.real(np.trace(core, axis1=-2, axis2=-1))[..., None, None] * p
+    return 0.5 * (out + np.swapaxes(out, -1, -2).conj())
+
+
 def dpsi0(b, a) -> np.ndarray:
     """Linearisation of psi0 at B in the hermitian direction A.
 
@@ -89,11 +98,7 @@ def dpsi0(b, a) -> np.ndarray:
     am = np.asarray(a, dtype=complex)
     if am.shape != bm.shape:
         raise DimensionError("direction matrix must match B's shape")
-    p = _psi_t(None, bm, 0.0)
-    binv = np.linalg.inv(bm)
-    core = binv @ am @ p + p @ am @ binv
-    out = -core + np.real(np.trace(core)) * p
-    return 0.5 * (out + out.conj().T)
+    return _dpsi0(bm, am)
 
 
 def hermitian_basis(n: int) -> np.ndarray:
@@ -129,15 +134,16 @@ def traceless_basis(n: int) -> np.ndarray:
     return np.array(basis + list(full[n:]))
 
 
+def _coords(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Real coordinates tr(E_a M) of (stacked) hermitian M in ``basis``."""
+    return np.real(np.einsum("aij,...ji->...a", basis, m))
+
+
 def dpsi0_matrix(b) -> np.ndarray:
     """Real matrix of A -> dpsi0(B, A) on the n^2-dimensional hermitian space."""
-    form = _as_form(b)
-    basis = hermitian_basis(form.dim)
-    cols = []
-    for e in basis:
-        out = dpsi0(form, e)
-        cols.append(np.real(np.einsum("aij,ji->a", basis, out)))
-    return np.array(cols).T
+    bm = _as_form(b).mat
+    basis = hermitian_basis(bm.shape[0])
+    return _coords(basis, _dpsi0(bm, basis)).T
 
 
 def dpsi0_kernel_dim(b, rtol: float = 1e-8) -> Tuple[int, float]:
@@ -212,34 +218,64 @@ class ContinuationTrace:
                 fh.write(f"{r.t!r},{r.residual!r},{r.step!r},{r.newton_iters}\n")
 
 
+def _psi_t_jacobian(
+    ambient: AmbientModel, bm: np.ndarray, t: float, basis: np.ndarray
+) -> np.ndarray:
+    """Analytic Jacobian of psi_t at B in the coordinates of ``basis``.
+
+    Column b is the derivative along basis[b] and row a its coordinate
+    tr(E_a . ).  With W = B Z, B^{-1} Phi(B) B^{-1} = M = sum_q Z_q Z_q* c_q
+    (P P_zzbar - |P_z|^2) / P^3 (c_q the quadrature weight times the chart
+    factor), so M moves only through the curvature sums, whose derivatives
+    ``_curvature_density_derivative`` forms for all directions at once;
+    dpsi = dM / tr M - tr(dM) psi / tr M.  Both endpoints of the homotopy
+    have unit trace, so d psi_t = t dpsi + (1 - t) dpsi0.
+    """
+    d = (1.0 - t) * _dpsi0(bm, basis)
+    if t > 0.0:
+        model = ambient.model
+        z, zz = ambient.coords, ambient.coords_dz
+        w, wz = bm @ z, bm @ zz
+        dens, p = _curvature_density(model, w, wz)
+        ddens, dp = _curvature_density_derivative(model, w, wz, z, zz, basis)
+        wts = dens * model.quad_weights / p
+        dwts = (ddens / p - dens * dp / p**2) * model.quad_weights
+        n, q = z.shape
+        zpairs = (z[:, None, :] * z.conj()[None, :, :]).reshape(n * n, q)
+        m = (zpairs @ wts).reshape(n, n)
+        dm = (dwts @ zpairs.T).reshape(-1, n, n)
+        trm = np.real(np.trace(m))
+        trdm = np.real(np.trace(dm, axis1=1, axis2=2))
+        d = d + t * (dm - trdm[:, None, None] * (m / trm)) / trm
+    return _coords(basis, d).T
+
+
 def _newton_at_t(ambient, b, t, g, basis, tol):
-    """Newton-correct psi_t(B) = G in traceless coordinates around unit trace."""
+    """Newton-correct psi_t(B) = G in traceless coordinates around unit trace.
 
-    def value(mat):
-        return _psi_t(ambient, mat, t)
+    Each step solves with the analytic Jacobian ``_psi_t_jacobian`` and
+    takes a damped update that keeps B positive definite and of unit trace;
+    the residual of the accepted candidate carries into the next step.  A
+    singular Jacobian or a stalled line search is a failed step, which the
+    continuation answers by shortening its step.  Returns (B or None,
+    iterations, max-norm residual).
+    """
 
-    def coords(m):
-        return np.real(np.einsum("aij,ji->a", basis, m))
+    def residual(mat):
+        return _coords(basis, _psi_t(ambient, mat, t) - g)
 
     bm = b.copy()
-    for it in range(NEWTON_MAX_ITERS):
-        r = coords(value(bm) - g)
+    r = residual(bm)
+    for it in range(NEWTON_MAX_ITERS + 1):
         rn = float(np.abs(r).max())
         if rn < tol:
             return bm, it, rn
-        jac = np.empty((basis.shape[0], basis.shape[0]))
-        h = FD_STEP * float(np.linalg.norm(bm))
+        if it == NEWTON_MAX_ITERS:
+            break
         try:
-            for a_idx in range(basis.shape[0]):
-                bp = bm + h * basis[a_idx]
-                bmn = bm - h * basis[a_idx]
-                jac[:, a_idx] = coords(value(bp) - value(bmn)) / (2.0 * h)
-            dv = np.linalg.solve(jac, -r)
-        except (np.linalg.LinAlgError, MarginError):
-            # an FD probe left the positive cone: treat as a failed step so
-            # the continuation shortens and eventually reports the stall
+            dv = np.linalg.solve(_psi_t_jacobian(ambient, bm, t, basis), -r)
+        except np.linalg.LinAlgError:
             return None, it, rn
-        # damped update keeping positive definiteness and unit trace
         norm_r = np.linalg.norm(r)
         step = 1.0
         for _ in range(10):
@@ -247,16 +283,13 @@ def _newton_at_t(ambient, b, t, g, basis, tol):
             cand = 0.5 * (cand + cand.conj().T)
             if np.linalg.eigvalsh(cand).min() > 0:
                 cand = cand / np.real(np.trace(cand))
-                if np.linalg.norm(coords(value(cand) - g)) < norm_r:
-                    bm = cand
+                r_cand = residual(cand)
+                if np.linalg.norm(r_cand) < norm_r:
+                    bm, r = cand, r_cand
                     break
             step *= 0.5
         else:
             return None, it, rn
-    r = coords(value(bm) - g)
-    rn = float(np.abs(r).max())
-    if rn < tol:
-        return bm, NEWTON_MAX_ITERS, rn
     return None, NEWTON_MAX_ITERS, rn
 
 
@@ -270,16 +303,19 @@ def solve_psi(
 
     The seed B0 = G^{-1/2} satisfies psi0(B0) = G exactly; t then marches
     from 0 to 1 with adaptive steps (halve on Newton failure, double after
-    two successes, floor ``STEP_FLOOR``).  Raises ``MarginError`` when G's
-    smallest eigenvalue is below ``MARGIN`` and ``ContinuationError``
-    carrying the trace when the step size underflows.  Returns B as a
+    two successes, floor ``STEP_FLOOR``).  psi is scale-invariant, so G is
+    first normalised by its trace, which must be positive (``ValueError``
+    otherwise).  Raises ``MarginError`` when the normalised G's smallest
+    eigenvalue is below ``MARGIN`` and ``ContinuationError`` carrying the
+    trace when the step size underflows.  Returns B as a
     unit-trace ``HermitianForm`` with the trace; B is certified only by its
     forward residual, recorded in the trace.
     """
     gm = _as_form(g).mat
     tr = float(np.real(np.trace(gm)))
-    if abs(tr - 1.0) > 1e-9:
-        raise ValueError("target must have unit trace")
+    if not tr > 0.0:
+        raise ValueError(f"target trace {tr:.3e} must be positive")
+    gm = gm / tr
     ev = np.linalg.eigvalsh(gm)
     if ev.min() < MARGIN:
         raise MarginError(

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from hilbfs import HermitianForm, build_p1_model, psi, veronese_model
+from hilbfs import HermitianForm, build_p1_model, fs_metric, hilb, psi, veronese_model
+from hilbfs.linalg import random_spd
 from hilbfs.cli import main
 
 
@@ -112,7 +113,33 @@ def test_psi_solve_feasible_target(tmp_path, capsys):
     assert trace_path.read_text().splitlines()[0] == "t,residual,step,newton_iters"
 
 
+def test_psi_solve_accepts_any_trace(tmp_path, capsys):
+    amb = veronese_model(build_p1_model(2, radial_nodes=32, azimuthal_nodes=48))
+    target = psi(amb, np.diag([1.0, 1.3, 0.8])).scaled(2.5)
+    path = write_matrix(tmp_path / "g.json", target.to_json_dict())
+    assert main(["psi-solve", "--k", "2", "--target", path, *GRID]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "ok"
+    assert report["forward_residual"] <= 1e-8
+
+
 def test_psi_solve_out_of_range_target(tmp_path, capsys):
     path = write_matrix(tmp_path / "g.json", HermitianForm.diagonal([0.2, 0.6, 0.2]).to_json_dict())
     assert main(["psi-solve", "--k", "2", "--target", path, *GRID]) == 2
     assert json.loads(capsys.readouterr().out)["status"] == "continuation failure"
+
+
+def test_surject_full_feasible_target(tmp_path, capsys):
+    model = build_p1_model(2, radial_nodes=32, azimuthal_nodes=48)
+    target = hilb(model, fs_metric(model, random_spd(3, np.random.default_rng(14), cond=3.0)))
+    path = write_matrix(tmp_path / "g.json", target.to_json_dict())
+    assert main(["surject", "--k", "2", "--target", path, "--mode", "full", *GRID]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["schema_version"] == "1"
+    assert report["mode"] == "full"
+    assert report["achieved"] is True
+    assert report["residual_max"] <= 1e-8
+    assert report["positivity_margin"] > 0
+    assert [s["stage"] for s in report["stage_logs"]] == [
+        "pushforward-continuation", "weight-extraction", "monge-ampere", "forward-check"
+    ]

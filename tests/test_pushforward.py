@@ -17,6 +17,12 @@ from hilbfs import (
     veronese_model,
 )
 from hilbfs.linalg import random_hermitian, random_spd
+from hilbfs.pushforward import (
+    _psi_t_jacobian,
+    dpsi0_matrix,
+    hermitian_basis,
+    traceless_basis,
+)
 from _oracles import psi0_defining_mc, psi0_defining_quadrature
 
 
@@ -99,6 +105,16 @@ class TestDpsi0:
                 out = dpsi0(b, a)
                 denom = max(np.abs(out).max(), 1e-30)
                 assert np.abs(out - fd).max() / denom <= 1e-6
+
+    def test_matrix_matches_per_direction_loop(self):
+        rng = np.random.default_rng(11)
+        for n in [2, 3, 5]:
+            b = random_spd(n, rng, cond=10.0)
+            basis = hermitian_basis(n)
+            loop = np.array(
+                [np.real(np.einsum("aij,ji->a", basis, dpsi0(b, e))) for e in basis]
+            ).T
+            assert np.abs(dpsi0_matrix(b) - loop).max() <= 1e-14
 
     def test_kernel_dimension_one(self):
         rng = np.random.default_rng(6)
@@ -218,6 +234,37 @@ class TestPsiT:
             evaluate(conic_ambient(), b)
 
 
+def coords(basis, m):
+    return np.real(np.einsum("aij,ji->a", basis, m))
+
+
+class TestPsiJacobian:
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "ambient",
+        [conic_ambient, lambda: veronese_model(
+            build_p1_model(4, radial_nodes=24, azimuthal_nodes=40))],
+        ids=["conic", "k4-2x"],
+    )
+    def test_matches_finite_differences(self, ambient, t):
+        amb = ambient()
+        basis = traceless_basis(amb.N)
+        rng = np.random.default_rng(12)
+        h = 1e-5
+        for _ in range(2):
+            b = random_spd(amb.N, rng, cond=10.0).mat
+            b = b / np.real(np.trace(b))
+            jac = _psi_t_jacobian(amb, b, t, basis)
+            fd = np.array(
+                [
+                    coords(basis, psi_t(amb, b + h * e, t).mat - psi_t(amb, b - h * e, t).mat)
+                    / (2.0 * h)
+                    for e in basis
+                ]
+            ).T
+            assert np.abs(jac - fd).max() / np.abs(jac).max() <= 1e-6
+
+
 class TestSolvePsi:
     def test_forward_roundtrip_on_conic(self):
         amb = conic_ambient()
@@ -239,6 +286,19 @@ class TestSolvePsi:
         assert np.abs(sol.mat - np.eye(2) / 2.0).max() <= 1e-8
         assert isinstance(sol, HermitianForm)
         assert abs(np.trace(sol.mat) - 1.0) <= 1e-14
+
+    def test_scaled_target_same_solution(self):
+        amb = conic_ambient()
+        x = random_hermitian(3, np.random.default_rng(13))
+        b_true = np.eye(3) + 0.35 * x / np.abs(np.linalg.eigvalsh(x)).max()
+        target = psi(amb, b_true)
+        sol, _ = solve_psi(amb, target, steps=8, newton_tol=1e-10)
+        scaled, _ = solve_psi(amb, target.scaled(2.5), steps=8, newton_tol=1e-10)
+        assert np.abs(scaled.mat - sol.mat).max() <= 1e-10
+
+    def test_nonpositive_trace_rejected(self):
+        with pytest.raises(ValueError, match="trace"):
+            solve_psi(conic_ambient(), HermitianForm(np.diag([0.5, -1.0, 0.3])))
 
     def test_margin_error(self):
         amb = conic_ambient()
