@@ -27,7 +27,6 @@ from .linalg import (
     orthonormalize_sections,
 )
 from .geometry import (
-    AmbientModel,
     Density,
     ManifoldModel,
     MetricWeight,
@@ -39,7 +38,6 @@ from .geometry import (
     integrate,
     mock_general_type_model,
     reference_density,
-    veronese_model,
 )
 from .maps import (
     ANTICANONICAL,

@@ -35,13 +35,13 @@ from .geometry import (
     Density,
     ManifoldModel,
     MetricWeight,
-    _curvature_density,
-    veronese_model,
+    _pushforward_measure,
+    _weighted_gram,
 )
 from .linalg import HermitianForm, cholesky_lower
 from .maps import ANTICANONICAL, CANONICAL, FIXED, exponent_for_variant, hilb, hilb_nu
 from .moments import _max_entropy_newton
-from .pushforward import MARGIN, hermitian_basis, solve_psi
+from .pushforward import hermitian_basis, solve_psi
 
 COND_LIMIT = 1e8
 CONTINUATION_STEPS = 10
@@ -164,7 +164,6 @@ class SurjectivityReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": "1",
             "mode": self.mode,
             "dim": self.dim,
             "residual_max": self.residual_max,
@@ -235,7 +234,7 @@ def surject_fixed_volume(
         bfun, base_nu.weights, lam, tol / scale, max_newton
     )
     ew = np.exp(u) * base_nu.weights * model.ref_weight
-    gram = np.einsum("aq,bq,q->ab", sect, sect.conj(), ew)
+    gram = _weighted_gram(sect, ew)
     stage_logs = [
         {
             "stage": "full-gram-moment",
@@ -271,28 +270,22 @@ def surject_fixed_volume(
 def surject_full(model: ManifoldModel, target, tol: float = 1e-8):
     """Realise a target form as hilb of a positively curved metric.
 
-    Step 1 solves the curve pushforward for the trace-normalised target and
-    converts the solution into the weight data (a positive node measure
-    realising the target exactly on the grid); step 2 solves the
-    Monge-Ampere equation for that data; step 3 assembles the metric,
-    recomputes the forward Hilbert map and reports the residual and the
-    curvature positivity margin.  Stage failures are wrapped with the stage
-    name; a final residual above tol is reported, not silenced.
+    Step 1 solves the curve pushforward for the target (``solve_psi``
+    normalises it by its trace) and converts the solution into the weight
+    data (a positive node measure realising the target exactly on the
+    grid); step 2 solves the Monge-Ampere equation for that data; step 3
+    assembles the metric, recomputes the forward Hilbert map and reports the
+    residual and the curvature positivity margin.  Stage failures are
+    wrapped with the stage name; a target too close to the boundary raises
+    the bare ``MarginError``, like any other invalid input.  A final
+    residual above tol is reported, not silenced.
     """
     g_form = _validate_target(target, model.N)
-    tr = float(np.real(np.trace(g_form.mat)))
-    ghat = g_form.mat / tr
-    ev = np.linalg.eigvalsh(ghat)
-    if ev.min() < MARGIN:
-        raise MarginError(
-            f"normalised target eigenvalue {ev.min():.3e} below margin {MARGIN:g}"
-        )
-    ambient = veronese_model(model)
     stage_logs = []
     try:
-        bstar, ctrace = solve_psi(
-            ambient, HermitianForm(ghat), steps=CONTINUATION_STEPS, newton_tol=PSI_TOL
-        )
+        bstar, ctrace = solve_psi(model, g_form, steps=CONTINUATION_STEPS, newton_tol=PSI_TOL)
+    except MarginError:
+        raise
     except _STAGE_ERRORS as exc:
         raise StageError("pushforward-continuation", exc) from exc
     stage_logs.append(
@@ -302,20 +295,14 @@ def surject_full(model: ManifoldModel, target, tol: float = 1e-8):
             "final_residual": ctrace.rows[-1].residual,
         }
     )
-    # weight extraction: the solved B gives the positive measure
-    # d mu = (curvature volume of log |B s|^2) / |B s|^2, rescaled so that
-    # (N/V) * Gram(d mu) = G exactly.
-    bm = bstar.mat
-    dens, p = _curvature_density(model, bm @ model.sections, bm @ model.sections_dz)
-    mu = dens * model.quad_weights / p
-    t_mass = float(
-        (np.einsum("iq,iq->q", model.sections, model.sections.conj()).real * mu).sum()
-    )
-    mu_hat = mu * (model.V * tr / (model.N * t_mass))
-    step1_gram = (model.N / model.V) * np.einsum(
-        "iq,jq,q->ij", model.sections, model.sections.conj(), mu_hat
-    )
-    step1_resid = float(np.abs(step1_gram - g_form.mat).max())
+    # weight extraction: the solved B gives the positive measure mu_B, whose
+    # section Gram is proportional to G; rescale it so that
+    # (N/V) * Gram(mu_hat) = G exactly.
+    mu = _pushforward_measure(model, bstar.mat)
+    gram = _weighted_gram(model.sections, mu)
+    scale = float(np.real(np.trace(g_form.mat) / np.trace(gram)))
+    mu_hat = mu * (model.V * scale / model.N)
+    step1_resid = float(np.abs(scale * gram - g_form.mat).max())
     stage_logs.append({"stage": "weight-extraction", "gram_residual": step1_resid})
     g_data = np.log(mu_hat / (model.ref_weight * model.quad_weights))
     try:

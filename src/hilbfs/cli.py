@@ -37,10 +37,9 @@ from .geometry import (
     build_p1_model,
     dump_model_csv,
     fs_metric,
-    veronese_model,
 )
 from .injectivity import perturbed_pair, verify_injectivity
-from .linalg import HermitianForm, load_matrix_json
+from .linalg import load_matrix_json
 from .maps import hilb, hilb_nu, t_iterate
 from .moments import build_lambda
 from .pushforward import psi, psi0_closed, psi_t, solve_psi
@@ -68,23 +67,13 @@ NUMERICAL_ERRORS = (
 
 
 def emit_report(report: dict, path=None) -> str:
-    """Serialise a report dict with deterministic field order and
-    round-trip-exact floats; writes to ``path`` when given."""
-    if "schema_version" not in report:
-        report = {"schema_version": SCHEMA_VERSION, **report}
-    text = json.dumps(report, indent=2, allow_nan=False)
+    """Serialise a report dict after a leading ``schema_version`` key, with
+    deterministic field order and round-trip-exact floats; writes to
+    ``path`` when given."""
+    text = json.dumps({"schema_version": SCHEMA_VERSION, **report}, indent=2, allow_nan=False)
     if path is not None:
         Path(path).write_text(text + "\n")
     return text
-
-
-def _matrix_report(form: HermitianForm) -> dict:
-    d = form.to_json_dict()
-    return {"schema_version": SCHEMA_VERSION, **d}
-
-
-def _load_form(path) -> HermitianForm:
-    return load_matrix_json(path)
 
 
 def _model_for(args, k=None, anticanonical=False):
@@ -97,7 +86,7 @@ def _load_metric(model, spec: str) -> MetricWeight:
     if spec == "ref":
         return MetricWeight.reference(model)
     if spec.startswith("bergman:"):
-        return fs_metric(model, _load_form(spec.split(":", 1)[1]))
+        return fs_metric(model, load_matrix_json(spec.split(":", 1)[1]))
     if spec.startswith("grid:"):
         path = spec.split(":", 1)[1]
         u = np.loadtxt(path, delimiter=",", usecols=(1,), skiprows=1)
@@ -129,13 +118,13 @@ def cmd_hilb(args) -> int:
             Density(model.quad_weights.copy()) if args.variant == "fixed" else None
         )
         form = hilb_nu(model, metric, variant=args.variant, nu=nu)
-    print(emit_report(_matrix_report(form), _out_path(args, "hilb.json")))
+    print(emit_report(form.to_json_dict(), _out_path(args, "hilb.json")))
     return 0
 
 
 def cmd_fs(args) -> int:
     model = _model_for(args)
-    metric = fs_metric(model, _load_form(args.H))
+    metric = fs_metric(model, load_matrix_json(args.H))
     u = metric.potential(model)
     path = _out_path(args, "fs_potential.csv")
     lines = ["index,u"]
@@ -149,7 +138,7 @@ def cmd_fs(args) -> int:
 
 def cmd_balance(args) -> int:
     model = _model_for(args)
-    h0 = _load_form(args.h0)
+    h0 = load_matrix_json(args.h0)
     trace = t_iterate(model, h0, max_iters=args.iters, tol=args.tol)
     lines = ["iter,step_max_norm,trace_defect"]
     for s in trace.steps[1:]:
@@ -164,46 +153,37 @@ def cmd_balance(args) -> int:
 
 def cmd_psi(args) -> int:
     model = _model_for(args)
-    ambient = veronese_model(model)
-    b = _load_form(args.B)
+    b = load_matrix_json(args.B)
     if args.mode == "closed":
         result = psi0_closed(b)
     elif args.mode == "integral":
-        result = psi(ambient, b)
+        result = psi(model, b)
     elif args.mode == "homotopy":
-        result = psi_t(ambient, b, args.t)
+        result = psi_t(model, b, args.t)
     else:
         raise ValueError(f"unknown psi mode {args.mode!r}")
-    print(emit_report(_matrix_report(result), _out_path(args, "psi.json")))
+    print(emit_report(result.to_json_dict(), _out_path(args, "psi.json")))
     return 0
 
 
 def cmd_psi_solve(args) -> int:
     model = _model_for(args)
-    ambient = veronese_model(model)
-    target = _load_form(args.target)
+    target = load_matrix_json(args.target)
     try:
-        solution, trace = solve_psi(
-            ambient, target, steps=args.steps, newton_tol=args.tol
-        )
+        solution, trace = solve_psi(model, target, steps=args.steps, newton_tol=args.tol)
     except ContinuationError as exc:
         if exc.trace is not None and args.trace_out:
             exc.trace.to_csv(args.trace_out)
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "status": "continuation failure",
-            "detail": str(exc),
-        }
+        report = {"status": "continuation failure", "detail": str(exc)}
         print(emit_report(report, _out_path(args, "psi_solve.json")))
         return 2
     if args.trace_out:
         trace.to_csv(args.trace_out)
     report = {
-        "schema_version": SCHEMA_VERSION,
         "status": "ok",
         "B": solution.to_json_dict(),
         "forward_residual": float(
-            np.abs(psi(ambient, solution).mat - target.mat / np.real(np.trace(target.mat))).max()
+            np.abs(psi(model, solution).mat - target.mat / np.real(np.trace(target.mat))).max()
         ),
         "t_steps": len(trace.rows),
     }
@@ -217,7 +197,6 @@ def cmd_lambda(args) -> int:
         system = build_lambda(model, floor=args.floor, mode=args.mode)
     except MomentInfeasibleError as exc:
         report = {
-            "schema_version": SCHEMA_VERSION,
             "status": "infeasible",
             "row": exc.row,
             "diagnostics": {k: float(v) for k, v in exc.diagnostics.items()},
@@ -226,7 +205,6 @@ def cmd_lambda(args) -> int:
         print(emit_report(report, _out_path(args, "lambda.json")))
         return 2
     report = {
-        "schema_version": SCHEMA_VERSION,
         "status": "ok",
         "mode": system.mode,
         "floor": system.floor,
@@ -249,7 +227,7 @@ def cmd_lambda(args) -> int:
 def cmd_surject(args) -> int:
     anticanonical = args.mode == "anticanonical"
     model = _model_for(args, anticanonical=anticanonical)
-    target = _load_form(args.target)
+    target = load_matrix_json(args.target)
     path = _out_path(args, "surject.json")
     try:
         if args.mode == "full":
@@ -260,17 +238,8 @@ def cmd_surject(args) -> int:
             )
     except NUMERICAL_ERRORS as exc:
         stage = getattr(exc, "stage", args.mode)
-        print(
-            emit_report(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "status": "failure",
-                    "stage": stage,
-                    "detail": str(exc),
-                },
-                path,
-            )
-        )
+        report = {"status": "failure", "stage": stage, "detail": str(exc)}
+        print(emit_report(report, path))
         return 2
     d = report.to_dict()
     if args.metric_out:
@@ -284,8 +253,8 @@ def cmd_surject(args) -> int:
 
 def cmd_inject(args) -> int:
     model = _model_for(args)
-    h = _load_form(args.H)
-    h2 = _load_form(args.Hprime)
+    h = load_matrix_json(args.H)
+    h2 = load_matrix_json(args.Hprime)
     report = verify_injectivity(model, h, h2, floor=args.floor)
     print(emit_report(report.to_dict(), _out_path(args, "inject.json")))
     if report.status == "verified":
@@ -354,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hilb", help="Hilbert map of a metric")
     common(p)
     p.add_argument("--metric", default="ref")
-    p.add_argument("--variant", choices=["fixed", "anticanonical", "canonical"], default=None)
+    p.add_argument("--variant", choices=["fixed", "anticanonical"], default=None)
     p.add_argument("--nu", type=str, default=None, help="CSV density for the fixed variant")
     p.set_defaults(func=cmd_hilb)
 

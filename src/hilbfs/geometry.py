@@ -90,6 +90,8 @@ class ManifoldModel:
 
     @property
     def monomial_degree(self) -> int:
+        """Degree dk of the curve embedded in P^(N-1) by its sections: the
+        total mass of the pulled-back Fubini-Study form."""
         return self.line_degree * self.k
 
     def laplacian(self) -> np.ndarray:
@@ -310,19 +312,34 @@ def _curvature_sums(w: np.ndarray, wz: np.ndarray):
     return p, pz, pzz
 
 
-def _curvature_density_derivative(model: ManifoldModel, w, wz, z, zz, dirs):
-    """Derivatives of ``_curvature_density``'s (density, P) along W = B Z.
+def _pushforward_measure(model: ManifoldModel, bm: np.ndarray) -> np.ndarray:
+    """Node weights mu_B = density * quad_weights / P of the curve pushforward.
 
-    ``z`` and ``zz`` hold the unmoved rows Z, Z' with ``w`` = B Z and
-    ``wz`` = B Z'; ``dirs`` stacks the directions A (n_dirs x N x N) in
-    which B moves.  With the table of per-node outer products
-    conj(X_i) Y_j flattened over ij, each of
+    ``density`` and P = |B s|^2 are ``_curvature_density``'s for the moved
+    sections W = B s, so mu_B is the Fubini-Study volume of the moved curve
+    divided by |W|^2.  Summing s s* against it gives the pushforward matrix
+    M = B^{-1} Phi(B) B^{-1}, and W W* against it gives Phi(B).
+    """
+    dens, p = _curvature_density(model, bm @ model.sections, bm @ model.sections_dz)
+    return dens * model.quad_weights / p
+
+
+def _pushforward_measure_derivative(model: ManifoldModel, bm: np.ndarray, dirs):
+    """Derivatives of ``_pushforward_measure`` at B along each of ``dirs``.
+
+    ``dirs`` stacks the directions A (n_dirs x N x N) in which B moves; Z
+    and Z' are the section rows and their z-derivatives, and W = B Z.  With
+    the table of per-node outer products conj(X_i) Y_j flattened over ij,
+    each of
         dP = 2 Re(conj(W) . AZ),  dP_z = AZ' . conj(W) + W' . conj(AZ),
         dP_zzbar = 2 Re(conj(W') . AZ')
     is one product of the flattened directions with such a table (A is
-    hermitian, so conj(A_ij) = A_ji).  Returns (d density, dP), each
-    n_dirs x Q.
+    hermitian, so conj(A_ij) = A_ji).  The measure is the curvature
+    numerator P P_zzbar - |P_z|^2 over P^3, times the chart factor and the
+    quadrature weight.  Returns d mu_B, n_dirs x Q.
     """
+    z, zz = model.sections, model.sections_dz
+    w, wz = bm @ z, bm @ zz
     n, q = z.shape
 
     def outer(x, y):
@@ -336,8 +353,12 @@ def _curvature_density_derivative(model: ManifoldModel, w, wz, z, zz, dirs):
     num = p * pzz - np.abs(pz) ** 2
     dnum = dp * pzz + p * dpzz - 2.0 * (pz.conj() * dpz).real
     x2 = (1.0 + np.abs(model.nodes) ** 2) ** 2
-    ddens = (dnum / p**2 - 2.0 * num * dp / p**3) * x2 / model.V
-    return ddens, dp
+    return (dnum / p**3 - 3.0 * num * dp / p**4) * x2 * model.quad_weights / model.V
+
+
+def _weighted_gram(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_q x_i(q) conj(x_j(q)) w(q) for rows ``x`` (n x Q) and weights ``w``."""
+    return np.einsum("iq,jq,q->ij", x, x.conj(), w)
 
 
 def curvature_volume(model: ManifoldModel, m: MetricWeight) -> Density:
@@ -383,36 +404,6 @@ def beta_function(model: ManifoldModel, m1: MetricWeight, m2: MetricWeight) -> n
     v1 = curvature_volume(model, m1)
     v2 = curvature_volume(model, m2)
     return np.log(v1.weights) - np.log(v2.weights)
-
-
-@dataclass
-class AmbientModel:
-    """Image data of the embedding of the model into P^(N-1) by its sections.
-
-    ``coords`` are the homogeneous coordinates along the image (the section
-    values in the trivialising frame); the ambient hermitian pairing along
-    the image is coords_i * conj(coords_j) / sum_l |coords_l|^2.  The image
-    has degree ``degree`` = dk, which is the total mass of the pulled-back
-    ambient Fubini-Study form.
-    """
-
-    model: ManifoldModel
-    coords: np.ndarray
-    coords_dz: np.ndarray
-    degree: int
-
-    @property
-    def N(self) -> int:
-        return self.coords.shape[0]
-
-
-def veronese_model(model: ManifoldModel) -> AmbientModel:
-    return AmbientModel(
-        model=model,
-        coords=model.sections,
-        coords_dz=model.sections_dz,
-        degree=model.monomial_degree,
-    )
 
 
 def anticanonical_density(model: ManifoldModel, m: MetricWeight) -> Density:

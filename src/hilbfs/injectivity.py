@@ -145,7 +145,6 @@ class InjectivityReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": "1",
             "N": self.N,
             "k": self.k,
             "epsilon": self.epsilon,

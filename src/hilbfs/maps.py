@@ -19,6 +19,7 @@ from .geometry import (
     Density,
     ManifoldModel,
     MetricWeight,
+    _weighted_gram,
     anticanonical_density,
     canonical_density,
     curvature_volume,
@@ -32,7 +33,7 @@ CANONICAL = "canonical"
 
 
 def _gram(model: ManifoldModel, weights: np.ndarray) -> HermitianForm:
-    g = np.einsum("iq,jq,q->ij", model.sections, model.sections.conj(), weights)
+    g = _weighted_gram(model.sections, weights)
     g = (model.N / model.V) * 0.5 * (g + g.conj().T)
     form = HermitianForm(g)
     if not form.is_positive_definite():

@@ -14,14 +14,19 @@ psi(B) = B^{-1} Phi(B) B^{-1} / tr(...); in the conjugate-first convention
 all matrices transpose and the classical displayed formulas with B^t are
 recovered verbatim.
 
-Validation happens once, at the boundary: the public functions accept B as
-a ``HermitianForm`` or an array, check it once as a ``HermitianForm`` and
-return unit-trace ``HermitianForm`` values.  The continuation Newton runs
-on raw arrays through ``_psi_t`` and its analytic derivative
-``_psi_t_jacobian``; its line search tests positive definiteness before it
-evaluates a candidate, so no evaluation inside the Newton leaves the
-positive cone.  ``phi_matrix`` keeps its own positive definiteness check
-because it is a public entry point.
+The maps run on the ``ManifoldModel`` itself: the curve sits in P^(N-1)
+through its sections s, and psi(B) = M / tr M with M = sum_q s_q s_q*
+mu_B(q), where mu_B is ``geometry._pushforward_measure`` (the Fubini-Study
+volume of the moved curve B s divided by |B s|^2).
+
+Validation happens once per public call: every public function accepts B
+as a ``HermitianForm`` or an array, checks it once in ``_checked_b``
+(hermitian, positive definite, and of the model's size where a model is
+given) and returns unit-trace ``HermitianForm`` values.  The continuation
+Newton runs on raw arrays through ``_psi_t`` and its analytic derivative
+``_psi_t_jacobian``, which validate nothing; its line search tests positive
+definiteness before it evaluates a candidate, so no evaluation inside the
+Newton leaves the positive cone.
 """
 
 from __future__ import annotations
@@ -33,7 +38,12 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ContinuationError, DimensionError, MarginError
-from .geometry import AmbientModel, _curvature_density, _curvature_density_derivative
+from .geometry import (
+    ManifoldModel,
+    _pushforward_measure,
+    _pushforward_measure_derivative,
+    _weighted_gram,
+)
 from .linalg import HermitianForm
 
 MARGIN = 1e-3  # smallest admissible eigenvalue of a unit-trace target
@@ -45,23 +55,36 @@ def _as_form(b) -> HermitianForm:
     return b if isinstance(b, HermitianForm) else HermitianForm(b)
 
 
+def _checked_b(b, n: Optional[int] = None) -> np.ndarray:
+    """B as an array, validated at a public entry point: hermitian, positive
+    definite and, when ``n`` is given, acting on the model's n sections."""
+    bm = _as_form(b).mat
+    if n is not None and bm.shape[0] != n:
+        raise DimensionError("B must act on the model's sections")
+    if np.linalg.eigvalsh(bm).min() <= 0:
+        raise MarginError("B must be positive definite (singular B rejected)")
+    return bm
+
+
 def _unit_trace(m: np.ndarray) -> np.ndarray:
     m = 0.5 * (m + m.conj().T)
     return m / np.real(np.trace(m))
 
 
-def _psi_t(ambient: Optional[AmbientModel], bm: np.ndarray, t: float) -> np.ndarray:
+def _psi_t(model: Optional[ManifoldModel], bm: np.ndarray, t: float) -> np.ndarray:
     """psi_t on a hermitian positive definite array, without validation.
 
-    Inverts B once and forms psi0 and, for t > 0, psi from that inverse;
-    ``ambient`` is unused at t = 0.  Positive definiteness is still checked
-    by ``phi_matrix``.
+    psi0 comes from B^{-1}; for t > 0, psi comes from M = sum_q s_q s_q*
+    mu_B(q), which is B^{-1} Phi(B) B^{-1} with the inverses cancelled
+    against the moved sections B s.  ``model`` is unused at t = 0.  The
+    caller has checked B: ``_checked_b`` at a public entry point, the line
+    search inside the continuation Newton.
     """
     binv = np.linalg.inv(bm)
     p0 = _unit_trace(binv @ binv)
     if t == 0.0:
         return p0
-    m = binv @ phi_matrix(ambient, bm).mat @ binv
+    m = _weighted_gram(model.sections, _pushforward_measure(model, bm))
     if np.real(np.trace(m)) <= 0:
         raise RuntimeError("internal error: pushforward trace must be positive")
     p = _unit_trace(m)
@@ -75,7 +98,7 @@ def psi0_closed(b) -> HermitianForm:
 
     Scale-invariant: psi0(aB) = psi0(B) for a > 0.
     """
-    return HermitianForm(_psi_t(None, _as_form(b).mat, 0.0))
+    return HermitianForm(_psi_t(None, _checked_b(b), 0.0))
 
 
 def _dpsi0(bm: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -94,7 +117,7 @@ def dpsi0(b, a) -> np.ndarray:
     P = psi0(B); the output is hermitian and traceless, and vanishes exactly
     when A is a multiple of B (the scale direction).
     """
-    bm = _as_form(b).mat
+    bm = _checked_b(b)
     am = np.asarray(a, dtype=complex)
     if am.shape != bm.shape:
         raise DimensionError("direction matrix must match B's shape")
@@ -141,7 +164,7 @@ def _coords(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def dpsi0_matrix(b) -> np.ndarray:
     """Real matrix of A -> dpsi0(B, A) on the n^2-dimensional hermitian space."""
-    bm = _as_form(b).mat
+    bm = _checked_b(b)
     basis = hermitian_basis(bm.shape[0])
     return _coords(basis, _dpsi0(bm, basis)).T
 
@@ -160,40 +183,31 @@ def dpsi0_kernel_dim(b, rtol: float = 1e-8) -> Tuple[int, float]:
     return dim, gap
 
 
-def phi_matrix(ambient: AmbientModel, b) -> HermitianForm:
-    """Gram of the moved homogeneous coordinates against the moved curve's
-    induced Fubini-Study volume.
+def phi_matrix(model: ManifoldModel, b) -> HermitianForm:
+    """Gram of the moved sections against the moved curve's induced
+    Fubini-Study volume.
 
-    The coordinate action sends the node data Z to W = B Z; the measure is
-    the volume of ddbar log sum_l |W_l|^2 along the curve (total mass equal
-    to the embedding degree) and the integrand is W_r conj(W_s) / |W|^2.
-    Positive definite for nondegenerate embeddings.
+    B sends the section values s to W = B s; the measure is the volume of
+    ddbar log sum_l |W_l|^2 along the curve (total mass equal to the
+    embedding degree ``model.monomial_degree``) and the integrand is
+    W_r conj(W_s) / |W|^2.  Positive definite for nondegenerate embeddings.
     """
-    bm = _as_form(b).mat
-    model = ambient.model
-    if bm.shape[0] != ambient.N:
-        raise DimensionError("B must act on the ambient coordinates")
-    ev = np.linalg.eigvalsh(bm)
-    if ev.min() <= 0:
-        raise MarginError("B must be positive definite (singular B rejected)")
-    w = bm @ ambient.coords
-    dens, p = _curvature_density(model, w, bm @ ambient.coords_dz)
-    wts = dens * model.quad_weights / p
-    g = np.einsum("iq,jq,q->ij", w, w.conj(), wts)
+    bm = _checked_b(b, model.N)
+    g = _weighted_gram(bm @ model.sections, _pushforward_measure(model, bm))
     return HermitianForm(0.5 * (g + g.conj().T))
 
 
-def psi(ambient: AmbientModel, b) -> HermitianForm:
+def psi(model: ManifoldModel, b) -> HermitianForm:
     """Pushforward along the embedded curve: the normalised conjugation
     B^{-1} Phi(B) B^{-1} / tr(...); scale-invariant in B."""
-    return HermitianForm(_psi_t(ambient, _as_form(b).mat, 1.0))
+    return HermitianForm(_psi_t(model, _checked_b(b, model.N), 1.0))
 
 
-def psi_t(ambient: AmbientModel, b, t: float) -> HermitianForm:
+def psi_t(model: ManifoldModel, b, t: float) -> HermitianForm:
     """Affine homotopy t * psi + (1 - t) * psi0 between the two pushforwards."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    return HermitianForm(_psi_t(ambient, _as_form(b).mat, t))
+    return HermitianForm(_psi_t(model, _checked_b(b, model.N), t))
 
 
 @dataclass
@@ -219,38 +233,31 @@ class ContinuationTrace:
 
 
 def _psi_t_jacobian(
-    ambient: AmbientModel, bm: np.ndarray, t: float, basis: np.ndarray
+    model: ManifoldModel, bm: np.ndarray, t: float, basis: np.ndarray
 ) -> np.ndarray:
     """Analytic Jacobian of psi_t at B in the coordinates of ``basis``.
 
     Column b is the derivative along basis[b] and row a its coordinate
-    tr(E_a . ).  With W = B Z, B^{-1} Phi(B) B^{-1} = M = sum_q Z_q Z_q* c_q
-    (P P_zzbar - |P_z|^2) / P^3 (c_q the quadrature weight times the chart
-    factor), so M moves only through the curvature sums, whose derivatives
-    ``_curvature_density_derivative`` forms for all directions at once;
+    tr(E_a . ).  B^{-1} Phi(B) B^{-1} = M = sum_q s_q s_q* mu_B(q), so M
+    moves only through the pushforward measure, whose derivatives
+    ``_pushforward_measure_derivative`` forms for all directions at once;
     dpsi = dM / tr M - tr(dM) psi / tr M.  Both endpoints of the homotopy
     have unit trace, so d psi_t = t dpsi + (1 - t) dpsi0.
     """
     d = (1.0 - t) * _dpsi0(bm, basis)
     if t > 0.0:
-        model = ambient.model
-        z, zz = ambient.coords, ambient.coords_dz
-        w, wz = bm @ z, bm @ zz
-        dens, p = _curvature_density(model, w, wz)
-        ddens, dp = _curvature_density_derivative(model, w, wz, z, zz, basis)
-        wts = dens * model.quad_weights / p
-        dwts = (ddens / p - dens * dp / p**2) * model.quad_weights
+        z = model.sections
         n, q = z.shape
         zpairs = (z[:, None, :] * z.conj()[None, :, :]).reshape(n * n, q)
-        m = (zpairs @ wts).reshape(n, n)
-        dm = (dwts @ zpairs.T).reshape(-1, n, n)
+        m = _weighted_gram(z, _pushforward_measure(model, bm))
+        dm = (_pushforward_measure_derivative(model, bm, basis) @ zpairs.T).reshape(-1, n, n)
         trm = np.real(np.trace(m))
         trdm = np.real(np.trace(dm, axis1=1, axis2=2))
         d = d + t * (dm - trdm[:, None, None] * (m / trm)) / trm
     return _coords(basis, d).T
 
 
-def _newton_at_t(ambient, b, t, g, basis, tol):
+def _newton_at_t(model, b, t, g, basis, tol):
     """Newton-correct psi_t(B) = G in traceless coordinates around unit trace.
 
     Each step solves with the analytic Jacobian ``_psi_t_jacobian`` and
@@ -262,7 +269,7 @@ def _newton_at_t(ambient, b, t, g, basis, tol):
     """
 
     def residual(mat):
-        return _coords(basis, _psi_t(ambient, mat, t) - g)
+        return _coords(basis, _psi_t(model, mat, t) - g)
 
     bm = b.copy()
     r = residual(bm)
@@ -273,7 +280,7 @@ def _newton_at_t(ambient, b, t, g, basis, tol):
         if it == NEWTON_MAX_ITERS:
             break
         try:
-            dv = np.linalg.solve(_psi_t_jacobian(ambient, bm, t, basis), -r)
+            dv = np.linalg.solve(_psi_t_jacobian(model, bm, t, basis), -r)
         except np.linalg.LinAlgError:
             return None, it, rn
         norm_r = np.linalg.norm(r)
@@ -294,7 +301,7 @@ def _newton_at_t(ambient, b, t, g, basis, tol):
 
 
 def solve_psi(
-    ambient: AmbientModel,
+    model: ManifoldModel,
     g,
     steps: int = 10,
     newton_tol: float = 1e-9,
@@ -329,13 +336,13 @@ def solve_psi(
     b = np.real_if_close(b, tol=1e6).astype(complex)
     b = b / np.real(np.trace(b))
     trace = ContinuationTrace()
-    trace.log(0.0, float(np.abs(_psi_t(ambient, b, 0.0) - gm).max()), 0.0, 0)
+    trace.log(0.0, float(np.abs(_psi_t(model, b, 0.0) - gm).max()), 0.0, 0)
     t = 0.0
     h = 1.0 / max(steps, 1)
     successes = 0
     while t < 1.0:
         t_next = min(t + h, 1.0)
-        bn, iters, resid = _newton_at_t(ambient, b, t_next, gm, basis, newton_tol)
+        bn, iters, resid = _newton_at_t(model, b, t_next, gm, basis, newton_tol)
         if bn is None:
             successes = 0
             h *= 0.5

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from hilbfs import HermitianForm, build_p1_model, fs_metric, hilb, psi, veronese_model
+from hilbfs import HermitianForm, build_p1_model, fs_metric, hilb, psi
 from hilbfs.linalg import random_spd
 from hilbfs.cli import main
 
@@ -52,6 +52,7 @@ def test_matrix_json_missing_key_is_invalid_input(tmp_path, capsys):
         ["hilb", "--k", "2", "--threads", "2"],
         ["hilb", "--k", "2", "--manifold", "p1"],
         ["hilb", "--k", "2", "--seed", "1"],  # only inject-sweep takes a seed
+        ["hilb", "--k", "2", "--variant", "canonical"],  # needs a general-type model
     ],
 )
 def test_usage_errors_exit_1(argv):
@@ -99,8 +100,8 @@ def test_psi_modes_print_matrix(tmp_path, capsys, mode):
 
 
 def test_psi_solve_feasible_target(tmp_path, capsys):
-    amb = veronese_model(build_p1_model(2, radial_nodes=32, azimuthal_nodes=48))
-    target = psi(amb, np.diag([1.0, 1.3, 0.8]))
+    model = build_p1_model(2, radial_nodes=32, azimuthal_nodes=48)
+    target = psi(model, np.diag([1.0, 1.3, 0.8]))
     path = write_matrix(tmp_path / "g.json", target.to_json_dict())
     trace_path = tmp_path / "trace.csv"
     argv = ["psi-solve", "--k", "2", "--target", path, "--trace-out", str(trace_path), *GRID]
@@ -114,8 +115,8 @@ def test_psi_solve_feasible_target(tmp_path, capsys):
 
 
 def test_psi_solve_accepts_any_trace(tmp_path, capsys):
-    amb = veronese_model(build_p1_model(2, radial_nodes=32, azimuthal_nodes=48))
-    target = psi(amb, np.diag([1.0, 1.3, 0.8])).scaled(2.5)
+    model = build_p1_model(2, radial_nodes=32, azimuthal_nodes=48)
+    target = psi(model, np.diag([1.0, 1.3, 0.8])).scaled(2.5)
     path = write_matrix(tmp_path / "g.json", target.to_json_dict())
     assert main(["psi-solve", "--k", "2", "--target", path, *GRID]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -143,3 +144,51 @@ def test_surject_full_feasible_target(tmp_path, capsys):
     assert [s["stage"] for s in report["stage_logs"]] == [
         "pushforward-continuation", "weight-extraction", "monge-ampere", "forward-check"
     ]
+
+
+def json_report(capsys):
+    """The printed report, after checking that schema_version leads it."""
+    report = json.loads(capsys.readouterr().out)
+    assert next(iter(report)) == "schema_version"
+    assert report["schema_version"] == "1"
+    return report
+
+
+def test_lambda_probe_report(capsys):
+    assert main(["lambda", "--k", "2", "--mode", "probe"]) == 0
+    assert list(json_report(capsys)) == [
+        "schema_version", "status", "mode", "floor", "matrix", "norm_op",
+        "inverse_norm_op", "max_entry", "bounds_hold",
+    ]
+
+
+def test_inject_report(tmp_path, capsys):
+    h = random_spd(3, np.random.default_rng(15), cond=3.0)
+    h_path = write_matrix(tmp_path / "h.json", h.to_json_dict())
+    h2_path = write_matrix(
+        tmp_path / "h2.json", HermitianForm(h.mat + 1e-4 * np.eye(3)).to_json_dict()
+    )
+    assert main(["inject", "--k", "2", "--H", h_path, "--Hprime", h2_path]) == 0
+    report = json_report(capsys)
+    assert list(report) == [
+        "schema_version", "N", "k", "epsilon", "epsilon_node", "hypothesis_ok", "d_sq",
+        "bound", "distance_op", "chain", "pass", "status", "lambda_mode", "lambda_floor",
+        "lambda_norm_op", "lambda_inv_norm_op", "lambda_bounds_ok", "lambda_paper_status",
+        "route_agreement", "intermediate_ok", "refinement_flag", "epsilon_refined",
+        "warnings",
+    ]
+    assert report["status"] == "verified"
+
+
+def test_surject_fixed_report(tmp_path, capsys):
+    model = build_p1_model(2, radial_nodes=32, azimuthal_nodes=48)
+    target = hilb(model, fs_metric(model, random_spd(3, np.random.default_rng(14), cond=3.0)))
+    path = write_matrix(tmp_path / "g.json", target.to_json_dict())
+    assert main(["surject", "--k", "2", "--target", path, "--mode", "fixed", *GRID]) == 0
+    report = json_report(capsys)
+    assert list(report) == [
+        "schema_version", "mode", "dim", "residual_max", "positivity_margin", "tolerance",
+        "achieved", "stage_logs", "metric_dump_path",
+    ]
+    assert report["mode"] == "fixed"
+    assert [s["stage"] for s in report["stage_logs"]] == ["full-gram-moment", "forward-check"]

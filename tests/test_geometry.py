@@ -15,7 +15,6 @@ from hilbfs import (
     fs_metric,
     integrate,
     reference_density,
-    veronese_model,
 )
 from hilbfs.linalg import random_spd, random_unitary
 from _oracles import mc_integral_p1
@@ -230,15 +229,13 @@ class TestBetaFunction:
 class TestVeronese:
     def test_k1_identity_embedding(self):
         model = build_p1_model(1)
-        amb = veronese_model(model)
-        assert amb.N == 2
-        assert np.allclose(amb.coords[1] / amb.coords[0], model.nodes)
+        assert model.N == 2
+        assert np.allclose(model.sections[1] / model.sections[0], model.nodes)
 
     def test_k2_conic_relation(self):
         model = build_p1_model(2)
-        amb = veronese_model(model)
-        rel = amb.coords[0] * amb.coords[2] - amb.coords[1] ** 2
-        scale = np.abs(amb.coords).max(axis=0) ** 2
+        rel = model.sections[0] * model.sections[2] - model.sections[1] ** 2
+        scale = np.abs(model.sections).max(axis=0) ** 2
         assert np.abs(rel / scale).max() <= 1e-14
 
 

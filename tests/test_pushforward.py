@@ -14,7 +14,6 @@ from hilbfs import (
     psi0_closed,
     psi_t,
     solve_psi,
-    veronese_model,
 )
 from hilbfs.linalg import random_hermitian, random_spd
 from hilbfs.pushforward import (
@@ -26,12 +25,12 @@ from hilbfs.pushforward import (
 from _oracles import psi0_defining_mc, psi0_defining_quadrature
 
 
-def conic_ambient(nr=40, na=64):
-    return veronese_model(build_p1_model(2, radial_nodes=nr, azimuthal_nodes=na))
+def conic_model(nr=40, na=64):
+    return build_p1_model(2, radial_nodes=nr, azimuthal_nodes=na)
 
 
-def line_ambient(nr=40, na=40):
-    return veronese_model(build_p1_model(1, radial_nodes=nr, azimuthal_nodes=na))
+def line_model(nr=40, na=40):
+    return build_p1_model(1, radial_nodes=nr, azimuthal_nodes=na)
 
 
 class TestPsi0:
@@ -130,96 +129,96 @@ class TestDpsi0:
 
 class TestPhi:
     def test_line_identity(self):
-        amb = line_ambient()
-        out = phi_matrix(amb, np.eye(2, dtype=complex))
+        model = line_model()
+        out = phi_matrix(model, np.eye(2, dtype=complex))
         assert np.abs(out.mat - np.diag([0.5, 0.5])).max() <= 1e-12
 
     def test_conic_symmetry(self):
-        amb = conic_ambient()
-        out = phi_matrix(amb, np.eye(3, dtype=complex))
+        model = conic_model()
+        out = phi_matrix(model, np.eye(3, dtype=complex))
         assert abs(out.mat[0, 0] - out.mat[2, 2]) <= 1e-12
 
     def test_boundary_sequence_stabilises(self):
-        amb = line_ambient()
+        model = line_model()
         vals = []
         for nu in [1e-2, 1e-4, 1e-6]:
-            vals.append(phi_matrix(amb, np.diag([1.0, nu]).astype(complex)).mat)
+            vals.append(phi_matrix(model, np.diag([1.0, nu]).astype(complex)).mat)
         # grid evaluation of the degenerating family settles down
         assert np.abs(vals[1] - vals[2]).max() <= np.abs(vals[0] - vals[1]).max() + 1e-12
 
     def test_conic_mass(self):
-        amb = conic_ambient()
-        out = phi_matrix(amb, np.eye(3, dtype=complex))
-        assert np.real(np.trace(out.mat)) == pytest.approx(amb.degree, abs=1e-10)
+        model = conic_model()
+        out = phi_matrix(model, np.eye(3, dtype=complex))
+        assert np.real(np.trace(out.mat)) == pytest.approx(model.monomial_degree, abs=1e-10)
 
 
 class TestPsi:
     def test_line_identity(self):
-        amb = line_ambient()
-        out = psi(amb, np.eye(2, dtype=complex))
+        model = line_model()
+        out = psi(model, np.eye(2, dtype=complex))
         assert np.abs(out.mat - np.eye(2) / 2.0).max() <= 1e-12
 
     def test_scale_invariance(self):
-        amb = conic_ambient()
+        model = conic_model()
         rng = np.random.default_rng(7)
         b = random_spd(3, rng, cond=6.0)
-        base = psi(amb, b).mat
+        base = psi(model, b).mat
         for alpha in [0.1, 10.0]:
-            assert np.abs(psi(amb, b.scaled(alpha)).mat - base).max() <= 1e-12
+            assert np.abs(psi(model, b.scaled(alpha)).mat - base).max() <= 1e-12
 
     def test_boundary_eigenvalue_decay(self):
         # the smallest eigenvalue decays along the degenerating sequence;
         # the floor it saturates at is set by the grid's largest node radius
         # (the limit measure concentrates near |z| ~ 1/nu) and drops under
         # radial refinement
-        amb = line_ambient()
+        model = line_model()
         prev = 1.0
         for nu in [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]:
-            out = psi(amb, np.diag([1.0, nu]).astype(complex))
+            out = psi(model, np.diag([1.0, nu]).astype(complex))
             smallest = np.linalg.eigvalsh(out.mat).min()
             assert smallest < prev
             prev = smallest
         assert prev <= 1e-3
-        fine = line_ambient(nr=120, na=40)
+        fine = line_model(nr=120, na=40)
         out = psi(fine, np.diag([1.0, 1e-5]).astype(complex))
         assert np.linalg.eigvalsh(out.mat).min() < 0.5 * prev
 
 
 # the public psi evaluations, each validating B once at the boundary
 BOUNDARY = [
-    lambda amb, b: psi0_closed(b),
-    lambda amb, b: psi(amb, b),
-    lambda amb, b: psi_t(amb, b, 0.5),
+    lambda model, b: psi0_closed(b),
+    lambda model, b: psi(model, b),
+    lambda model, b: psi_t(model, b, 0.5),
 ]
 BOUNDARY_IDS = ["psi0_closed", "psi", "psi_t"]
 
 
 class TestPsiT:
     def test_endpoints(self):
-        amb = conic_ambient()
+        model = conic_model()
         rng = np.random.default_rng(8)
         b = random_spd(3, rng, cond=4.0)
-        assert np.abs(psi_t(amb, b, 0.0).mat - psi0_closed(b).mat).max() == 0.0
-        assert np.abs(psi_t(amb, b, 1.0).mat - psi(amb, b).mat).max() == 0.0
+        assert np.abs(psi_t(model, b, 0.0).mat - psi0_closed(b).mat).max() == 0.0
+        assert np.abs(psi_t(model, b, 1.0).mat - psi(model, b).mat).max() == 0.0
 
     def test_midpoint_on_line_identity(self):
-        amb = line_ambient()
-        out = psi_t(amb, np.eye(2, dtype=complex), 0.5)
+        model = line_model()
+        out = psi_t(model, np.eye(2, dtype=complex), 0.5)
         assert np.abs(out.mat - np.eye(2) / 2.0).max() <= 1e-12
 
     def test_t_range_checked(self):
-        amb = line_ambient()
+        model = line_model()
         with pytest.raises(ValueError):
-            psi_t(amb, np.eye(2, dtype=complex), 1.5)
+            psi_t(model, np.eye(2, dtype=complex), 1.5)
 
     @pytest.mark.parametrize("evaluate", BOUNDARY, ids=BOUNDARY_IDS)
     def test_unit_trace_form(self, evaluate):
         b = random_spd(3, np.random.default_rng(10), cond=4.0)
-        out = evaluate(conic_ambient(), b.mat)
+        out = evaluate(conic_model(), b.mat)
         assert isinstance(out, HermitianForm)
         assert abs(np.trace(out.mat) - 1.0) <= 1e-14
 
-    @pytest.mark.parametrize("evaluate", BOUNDARY[1:], ids=BOUNDARY_IDS[1:])
+    @pytest.mark.parametrize("evaluate", BOUNDARY, ids=BOUNDARY_IDS)
     @pytest.mark.parametrize(
         "b, error",
         [
@@ -231,7 +230,7 @@ class TestPsiT:
     )
     def test_invalid_b_rejected(self, evaluate, b, error):
         with pytest.raises(error):
-            evaluate(conic_ambient(), b)
+            evaluate(conic_model(), b)
 
 
 def coords(basis, m):
@@ -241,23 +240,22 @@ def coords(basis, m):
 class TestPsiJacobian:
     @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize(
-        "ambient",
-        [conic_ambient, lambda: veronese_model(
-            build_p1_model(4, radial_nodes=24, azimuthal_nodes=40))],
+        "make_model",
+        [conic_model, lambda: build_p1_model(4, radial_nodes=24, azimuthal_nodes=40)],
         ids=["conic", "k4-2x"],
     )
-    def test_matches_finite_differences(self, ambient, t):
-        amb = ambient()
-        basis = traceless_basis(amb.N)
+    def test_matches_finite_differences(self, make_model, t):
+        model = make_model()
+        basis = traceless_basis(model.N)
         rng = np.random.default_rng(12)
         h = 1e-5
         for _ in range(2):
-            b = random_spd(amb.N, rng, cond=10.0).mat
+            b = random_spd(model.N, rng, cond=10.0).mat
             b = b / np.real(np.trace(b))
-            jac = _psi_t_jacobian(amb, b, t, basis)
+            jac = _psi_t_jacobian(model, b, t, basis)
             fd = np.array(
                 [
-                    coords(basis, psi_t(amb, b + h * e, t).mat - psi_t(amb, b - h * e, t).mat)
+                    coords(basis, psi_t(model, b + h * e, t).mat - psi_t(model, b - h * e, t).mat)
                     / (2.0 * h)
                     for e in basis
                 ]
@@ -267,60 +265,60 @@ class TestPsiJacobian:
 
 class TestSolvePsi:
     def test_forward_roundtrip_on_conic(self):
-        amb = conic_ambient()
+        model = conic_model()
         rng = np.random.default_rng(9)
         for _ in range(3):
             x = random_hermitian(3, rng)
             x = x / np.abs(np.linalg.eigvalsh(x)).max()
             b_true = np.eye(3) + 0.35 * x
-            target = psi(amb, HermitianForm(b_true))
-            sol, trace = solve_psi(amb, target, steps=8, newton_tol=1e-10)
-            resid = np.abs(psi(amb, sol).mat - target.mat).max()
+            target = psi(model, HermitianForm(b_true))
+            sol, trace = solve_psi(model, target, steps=8, newton_tol=1e-10)
+            resid = np.abs(psi(model, sol).mat - target.mat).max()
             assert resid <= 1e-8
 
     def test_identity_target_on_line(self):
-        amb = line_ambient()
-        sol, _ = solve_psi(amb, HermitianForm(np.eye(2) / 2.0), steps=5)
-        resid = np.abs(psi(amb, sol).mat - np.eye(2) / 2.0).max()
+        model = line_model()
+        sol, _ = solve_psi(model, HermitianForm(np.eye(2) / 2.0), steps=5)
+        resid = np.abs(psi(model, sol).mat - np.eye(2) / 2.0).max()
         assert resid <= 1e-10
         assert np.abs(sol.mat - np.eye(2) / 2.0).max() <= 1e-8
         assert isinstance(sol, HermitianForm)
         assert abs(np.trace(sol.mat) - 1.0) <= 1e-14
 
     def test_scaled_target_same_solution(self):
-        amb = conic_ambient()
+        model = conic_model()
         x = random_hermitian(3, np.random.default_rng(13))
         b_true = np.eye(3) + 0.35 * x / np.abs(np.linalg.eigvalsh(x)).max()
-        target = psi(amb, b_true)
-        sol, _ = solve_psi(amb, target, steps=8, newton_tol=1e-10)
-        scaled, _ = solve_psi(amb, target.scaled(2.5), steps=8, newton_tol=1e-10)
+        target = psi(model, b_true)
+        sol, _ = solve_psi(model, target, steps=8, newton_tol=1e-10)
+        scaled, _ = solve_psi(model, target.scaled(2.5), steps=8, newton_tol=1e-10)
         assert np.abs(scaled.mat - sol.mat).max() <= 1e-10
 
     def test_nonpositive_trace_rejected(self):
         with pytest.raises(ValueError, match="trace"):
-            solve_psi(conic_ambient(), HermitianForm(np.diag([0.5, -1.0, 0.3])))
+            solve_psi(conic_model(), HermitianForm(np.diag([0.5, -1.0, 0.3])))
 
     def test_margin_error(self):
-        amb = conic_ambient()
+        model = conic_model()
         bad = np.diag([1.0 - 2e-5, 1e-5, 1e-5])
         with pytest.raises(MarginError):
-            solve_psi(amb, HermitianForm(bad))
+            solve_psi(model, HermitianForm(bad))
 
     def test_infeasible_diagonal_pattern_fails_diagnosably(self):
         # targets whose diagonal is not log-convex for the monomial curve
         # lie outside the curve pushforward's range; the continuation must
         # stall with a diagnostic trace instead of pretending success
-        amb = conic_ambient()
+        model = conic_model()
         target = HermitianForm(np.diag([0.2, 0.6, 0.2]))
         with pytest.raises(ContinuationError) as err:
-            solve_psi(amb, target, steps=8)
+            solve_psi(model, target, steps=8)
         assert err.value.trace is not None
         assert len(err.value.trace.rows) > 0
 
     def test_trace_rows_monotone_t(self):
-        amb = conic_ambient()
-        target = psi(amb, np.eye(3, dtype=complex))
-        _, trace = solve_psi(amb, target, steps=6)
+        model = conic_model()
+        target = psi(model, np.eye(3, dtype=complex))
+        _, trace = solve_psi(model, target, steps=6)
         ts = [r.t for r in trace.rows]
         assert ts == sorted(ts)
         assert ts[-1] == pytest.approx(1.0)
