@@ -9,6 +9,17 @@ discretised with the spectral Laplacian of the reference metric.  The
 constant is pinned by the g = 0 identity and the linearised comparison in
 the tests.
 
+The Newton system (D - c Lap) df = residual, with D = diag(e^{f+g}) and
+c = 1/(4 pi k), is never formed.  Both terms are self-adjoint in the
+quadrature inner product <x, y> = sum qw x y and the sum is positive
+definite, so it is solved by conjugate gradients in that inner product,
+preconditioned by (dbar - c Lap)^{-1} with dbar the qw-weighted mean of
+e^{f+g}; that inverse is diagonal in the harmonics and is applied mode by
+mode like the Laplacian itself.  CG stops at a relative residual of
+``CG_TOL`` in the quadrature norm; a system it cannot solve within
+``CG_MAX_ITERS`` iterations raises ``ConvergenceError``, never an inexact
+step.
+
 ``surject_full`` realises a target Gram matrix as the output of the Hilbert
 map: the continuation solver produces the weight data (a positive node
 measure realising the target), the Monge-Ampere step converts the measure
@@ -47,6 +58,8 @@ COND_LIMIT = 1e8
 CONTINUATION_STEPS = 10
 PSI_TOL = 1e-10
 MA_TOL = 1e-11
+CG_TOL = 1e-13
+CG_MAX_ITERS = 5000
 # numerical failures a stage reports; anything else is a programming error
 _STAGE_ERRORS = (ValueError, RuntimeError, ArithmeticError)
 
@@ -80,41 +93,77 @@ class MASolution:
     normalisation_shift: float
     newton_iters: int
     residual_history: List[float]
+    cg_iters: List[int]
+
+
+def _newton_step(lap, c: float, d: np.ndarray, b: np.ndarray, qw: np.ndarray):
+    """Solve (diag(d) - c Lap) x = b by the preconditioned conjugate
+    gradients of the module docstring; returns x and the iteration count."""
+    dbar = float(qw @ d / qw.sum())
+    # (dbar - c Lap)^{-1} = I/dbar + sum_l [(dbar - c lambda_l)^{-1} - 1/dbar] Y_l Y_l^T W/V
+    prec = lap.spectral(1.0 / (dbar - c * lap.eigenvalues) - 1.0 / dbar)
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = r / dbar + prec @ r
+    p = z
+    rz = float(qw @ (r * z))
+    bnorm = float(np.sqrt(qw @ (b * b)))
+    history: List[float] = []
+    for it in range(1, CG_MAX_ITERS + 1):
+        ap = d * p - c * (lap @ p)
+        alpha = rz / float(qw @ (p * ap))
+        x = x + alpha * p
+        r = r - alpha * ap
+        rel = float(np.sqrt(qw @ (r * r))) / bnorm
+        history.append(rel)
+        if rel <= CG_TOL:
+            return x, it
+        z = r / dbar + prec @ r
+        rz_new = float(qw @ (r * z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise ConvergenceError(
+        f"Monge-Ampere Newton system: conjugate gradients did not reach {CG_TOL:g} "
+        f"in {CG_MAX_ITERS} iterations",
+        history,
+    )
 
 
 def solve_ma(problem: MAProblem, tol: float = 1e-11, max_newton: int = 60) -> MASolution:
     """Damped Newton for the scalar Monge-Ampere reduction.
 
-    Each accepted step reduces the residual norm (asserted); the final
-    perturbed density 1 + Lap f/(4 pi k) is strictly positive and its mass
-    reproduces V up to the residual (the Laplacian has exact null mean
-    against the quadrature).
+    Each Newton system is solved matrix-free by preconditioned conjugate
+    gradients (see the module docstring) to a relative residual of
+    ``CG_TOL``; if CG does not get there, ``ConvergenceError`` carries its
+    residual history.  Each accepted step reduces the residual norm
+    (asserted); the final perturbed density 1 + Lap f/(4 pi k) is strictly
+    positive and its mass reproduces V up to the residual (the Laplacian
+    has exact null mean against the quadrature).
     """
     model = problem.model
     qw = model.quad_weights
     shift = float(np.log((np.exp(problem.g) * qw).sum() / model.V))
     g = problem.g - shift
-    lap = model.laplacian() / (4.0 * np.pi * model.k)
+    lap = model.laplacian()
+    c = 1.0 / (4.0 * np.pi * model.k)
     f = np.zeros(model.Q)
     history: List[float] = []
+    cg_iters: List[int] = []
     exp_fg = np.exp(f + g)
-    resid_vec = 1.0 + lap @ f - exp_fg
+    resid_vec = 1.0 + c * (lap @ f) - exp_fg
     for it in range(max_newton):
         rn = float(np.abs(resid_vec).max())
         history.append(rn)
         if rn <= tol:
             break
-        jac = lap - np.diag(exp_fg)
-        try:
-            df = np.linalg.solve(jac, -resid_vec)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError("Monge-Ampere Newton system singular", history) from exc
+        df, iters = _newton_step(lap, c, exp_fg, resid_vec, qw)
+        cg_iters.append(iters)
         norm_old = float(np.linalg.norm(resid_vec))
         alpha = 1.0
         for _ in range(50):
             cand = f + alpha * df
             ev = np.exp(cand + g)
-            rv = 1.0 + lap @ cand - ev
+            rv = 1.0 + c * (lap @ cand) - ev
             if np.all(np.isfinite(rv)) and float(np.linalg.norm(rv)) < norm_old:
                 f, exp_fg, resid_vec = cand, ev, rv
                 break
@@ -130,7 +179,7 @@ def solve_ma(problem: MAProblem, tol: float = 1e-11, max_newton: int = 60) -> MA
             f"Monge-Ampere Newton did not reach {tol:g} in {max_newton} iterations",
             history,
         )
-    density = 1.0 + lap @ f
+    density = 1.0 + c * (lap @ f)
     margin = float(density.min())
     if margin <= 0.0:
         raise CurvaturePositivityError(
@@ -148,6 +197,7 @@ def solve_ma(problem: MAProblem, tol: float = 1e-11, max_newton: int = 60) -> MA
         normalisation_shift=shift,
         newton_iters=it,
         residual_history=history,
+        cg_iters=cg_iters,
     )
 
 
@@ -316,6 +366,7 @@ def surject_full(model: ManifoldModel, target, tol: float = 1e-8):
             "mass_defect": ma.mass_defect,
             "normalisation_shift": ma.normalisation_shift,
             "newton_iters": ma.newton_iters,
+            "cg_iters": sum(ma.cg_iters),
         }
     )
     metric = MetricWeight.grid(ma.f)

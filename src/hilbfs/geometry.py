@@ -19,7 +19,6 @@ Geometry conventions
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -82,7 +81,7 @@ class ManifoldModel:
     azimuthal_nodes: int
     geometry: str = "projective_line"
     canonical_base: Optional[Density] = None
-    _laplacian: Optional[np.ndarray] = field(default=None, repr=False)
+    _laplacian: Optional["SphericalOperator"] = field(default=None, repr=False)
 
     @property
     def Q(self) -> int:
@@ -94,41 +93,82 @@ class ManifoldModel:
         total mass of the pulled-back Fubini-Study form."""
         return self.line_degree * self.k
 
-    def laplacian(self) -> np.ndarray:
-        """Dense spectral Laplace-Beltrami operator of the reference metric.
+    def laplacian(self) -> "SphericalOperator":
+        """Spectral Laplace-Beltrami operator of the reference metric.
 
-        Built from the round-sphere harmonics Y_lm sampled on the grid
-        (x3 = 1 - 2t), orthonormal for the quadrature; eigenvalues are
-        -4 pi l (l+1) / V.  Applying it to a gridded function performs
-        analysis by quadrature, scaling, and synthesis.
+        The operator is Y diag(lambda_l / V) Y^T diag(quad_weights / V) for
+        the round-sphere harmonics Y_lm sampled on the grid (x3 = 1 - 2t,
+        l < radial_nodes, |m| <= mmax = (azimuthal_nodes - 1) // 2),
+        orthonormal for the quadrature, with lambda_l = -4 pi l (l+1).  It is
+        never formed: the grid is a tensor product, so ``lap @ x`` (x of
+        shape (Q,) or (Q, m)) is an rfft in theta, one radial matrix
+            K_m = sum_l Pbar_l^m(x_r) lambda_l / V Pbar_l^m(x_s) w_s
+        per Fourier mode m <= mmax (higher modes, Nyquist included, are
+        dropped) and an irfft; Pbar is the normalised associated Legendre
+        function and w the radial Gauss-Legendre weights.  The Legendre
+        table is evaluated on the radial nodes only.  The operator holds
+        O(radial_nodes^2 mmax) numbers and an apply costs
+        O(Q radial_nodes).  Built once and cached.
         """
         if self._laplacian is None:
-            Y, eigs = _sphere_basis(
-                self.t, self.theta, self.radial_nodes - 1, (self.azimuthal_nodes - 1) // 2
+            nr, na = self.radial_nodes, self.azimuthal_nodes
+            mmax = min((na - 1) // 2, nr - 1)
+            x3 = 1.0 - 2.0 * self.t[::na]
+            weights = self.quad_weights.reshape(nr, na).sum(axis=1) / self.V
+            l = np.arange(nr)
+            eigs = -4.0 * np.pi * l * (l + 1) / self.V
+            self._laplacian = SphericalOperator(
+                _legendre_table(x3, nr - 1, mmax), weights, eigs, na, eigs
             )
-            eigs = eigs / self.V
-            self._laplacian = (Y * eigs) @ (Y.T * (self.quad_weights / self.V))
         return self._laplacian
 
 
-def _sphere_basis(t, theta, lmax, mmax):
-    x3 = 1.0 - 2.0 * np.asarray(t)
-    cols = []
-    eigs = []
-    for l in range(lmax + 1):
-        for m in range(-min(l, mmax), min(l, mmax) + 1):
-            am = abs(m)
-            log_norm = 0.5 * (np.log(2 * l + 1) + gammaln(l - am + 1) - gammaln(l + am + 1))
-            radial = lpmv(am, l, x3) * np.exp(log_norm)
-            if m == 0:
-                col = radial
-            elif m > 0:
-                col = math.sqrt(2.0) * radial * np.cos(m * theta)
-            else:
-                col = math.sqrt(2.0) * radial * np.sin(am * theta)
-            cols.append(col)
-            eigs.append(-4.0 * np.pi * l * (l + 1))
-    return np.array(cols).T, np.array(eigs)
+def _legendre_table(x, lmax, mmax):
+    """Normalised associated Legendre values Pbar_l^m(x), shape
+    (mmax+1, lmax+1, len(x)), zero where l < m; orthonormal against
+    (1/2) dx on [-1, 1]."""
+    table = np.zeros((mmax + 1, lmax + 1, x.size))
+    for m in range(mmax + 1):
+        l = np.arange(m, lmax + 1)
+        log_norm = 0.5 * (np.log(2 * l + 1) + gammaln(l - m + 1) - gammaln(l + m + 1))
+        table[m, m:] = lpmv(m, l[:, None], x) * np.exp(log_norm)[:, None]
+    return table
+
+
+class SphericalOperator:
+    """A function of the grid Laplacian, Y diag(multiplier) Y^T diag(qw / V),
+    applied mode by mode (see ``ManifoldModel.laplacian``).
+
+    ``eigenvalues`` holds the Laplacian's lambda_l / V for l < radial_nodes;
+    ``multiplier`` gives the operator's own value on the degree-l harmonics.
+    Functions off the harmonic band are sent to zero.  The operator is
+    self-adjoint in the quadrature inner product.
+    """
+
+    def __init__(self, legendre, weights, eigenvalues, azimuthal_nodes, multiplier):
+        self.eigenvalues = eigenvalues
+        self._legendre = legendre
+        self._weights = weights
+        self._azimuthal_nodes = azimuthal_nodes
+        scaled = legendre * np.asarray(multiplier)[:, None]
+        self._kernels = np.swapaxes(scaled, 1, 2) @ legendre * weights
+
+    def spectral(self, multiplier) -> "SphericalOperator":
+        """The operator with value ``multiplier[l]`` on the degree-l harmonics."""
+        return SphericalOperator(
+            self._legendre, self._weights, self.eigenvalues, self._azimuthal_nodes, multiplier
+        )
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        nm, nr, _ = self._kernels.shape
+        na = self._azimuthal_nodes
+        spec = np.fft.rfft(x.reshape(nr, na, -1), axis=1)
+        modes = np.ascontiguousarray(spec[:, :nm].transpose(1, 0, 2))
+        out = np.zeros_like(spec)
+        # real kernels act on the real and imaginary parts as one real array
+        out[:, :nm] = (self._kernels @ modes.view(float)).view(complex).transpose(1, 0, 2)
+        return np.fft.irfft(out, n=na, axis=1).reshape(x.shape)
 
 
 @dataclass

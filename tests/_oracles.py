@@ -2,7 +2,10 @@
 integrals and Monte Carlo estimators.  These deliberately avoid the closed
 forms and analytic shortcuts used by the production code."""
 
+import math
+
 import numpy as np
+from scipy.special import gammaln, lpmv
 
 
 def psi0_defining_quadrature(b, radial=160, azimuthal=160):
@@ -86,3 +89,27 @@ def mc_integral_p1(fn, samples, rng):
     mean = total / samples
     var = max(totalsq / samples - mean**2, 0.0)
     return mean, np.sqrt(var / samples)
+
+
+def sphere_basis(t, theta, lmax, mmax):
+    """Real round-sphere harmonics Y_lm (x3 = 1 - 2t) sampled node by node,
+    one column per (l, m) with l <= lmax and |m| <= min(l, mmax), and their
+    Laplace eigenvalues -4 pi l (l+1).  Orthonormal for the grid quadrature
+    divided by V; evaluated at every node, with no use of the tensor grid."""
+    x3 = 1.0 - 2.0 * np.asarray(t)
+    cols = []
+    eigs = []
+    for l in range(lmax + 1):
+        for m in range(-min(l, mmax), min(l, mmax) + 1):
+            am = abs(m)
+            log_norm = 0.5 * (np.log(2 * l + 1) + gammaln(l - am + 1) - gammaln(l + am + 1))
+            radial = lpmv(am, l, x3) * np.exp(log_norm)
+            if m == 0:
+                col = radial
+            elif m > 0:
+                col = math.sqrt(2.0) * radial * np.cos(m * theta)
+            else:
+                col = math.sqrt(2.0) * radial * np.sin(am * theta)
+            cols.append(col)
+            eigs.append(-4.0 * np.pi * l * (l + 1))
+    return np.array(cols).T, np.array(eigs)

@@ -24,17 +24,17 @@ from hilbfs import (
     surject_fixed_volume,
     surject_full,
 )
-from hilbfs.errors import HermitianDefectError, VariantError
+from hilbfs.errors import ConvergenceError, HermitianDefectError, VariantError
 from hilbfs.linalg import random_spd
+
+from _oracles import sphere_basis
 
 
 def smooth_random_g(model, rng, amplitude=0.4, decay=0.15):
     """Random band-limited node function, mass-normalised for solvability."""
-    from hilbfs.geometry import _sphere_basis
-
     lmax = min(model.radial_nodes - 1, 12)
     mmax = min((model.azimuthal_nodes - 1) // 2, 12)
-    y, _ = _sphere_basis(model.t, model.theta, lmax, mmax)
+    y, _ = sphere_basis(model.t, model.theta, lmax, mmax)
     c = rng.standard_normal(y.shape[1]) * np.exp(-decay * np.arange(y.shape[1]))
     c[0] = 0.0
     g = amplitude * (y @ c)
@@ -53,7 +53,7 @@ class TestSolveMA:
         rng = np.random.default_rng(0)
         g = smooth_random_g(model, rng, amplitude=1e-3)
         sol = solve_ma(MAProblem(model, g))
-        lap = model.laplacian() / (4.0 * np.pi * model.k)
+        lap = model.laplacian() @ np.eye(model.Q) / (4.0 * np.pi * model.k)
         f_lin = np.linalg.solve(lap - np.eye(model.Q), g)
         assert np.abs(sol.f - f_lin).max() <= 1e-5
 
@@ -81,10 +81,20 @@ class TestSolveMA:
         rng = np.random.default_rng(3)
         g = smooth_random_g(model, rng) + 0.8
         sol = solve_ma(MAProblem(model, g))
-        lap = model.laplacian() / (4.0 * np.pi * model.k)
+        lap = model.laplacian() @ np.eye(model.Q) / (4.0 * np.pi * model.k)
         resid = 1.0 + lap @ sol.f - np.exp(sol.f + g)
         assert np.abs(resid).max() <= 1e-9
         assert abs(sol.normalisation_shift - 0.8) <= 1e-9
+
+    def test_unconverged_cg_raises(self, monkeypatch):
+        # a Newton step is never taken from an unconverged linear solve
+        model = build_p1_model(2, radial_nodes=24, azimuthal_nodes=32)
+        g = smooth_random_g(model, np.random.default_rng(1))
+        monkeypatch.setattr(hilbfs.calabi, "CG_MAX_ITERS", 2)
+        with pytest.raises(ConvergenceError) as info:
+            solve_ma(MAProblem(model, g))
+        assert len(info.value.history) == 2
+        assert info.value.history[-1] > hilbfs.calabi.CG_TOL
 
 
 class TestSurjectFixedVolume:

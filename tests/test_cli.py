@@ -192,3 +192,51 @@ def test_surject_fixed_report(tmp_path, capsys):
     ]
     assert report["mode"] == "fixed"
     assert [s["stage"] for s in report["stage_logs"]] == ["full-gram-moment", "forward-check"]
+
+
+def test_fs_potential_csv_reproduces_bergman_hilb(tmp_path, capsys):
+    # the grid metric read back from the CSV goes through the spectral
+    # Laplacian; the bergman one through the analytic curvature
+    grid = ["--radial-nodes", "24", "--azimuthal-nodes", "32"]
+    h_path = write_matrix(
+        tmp_path / "h.json", random_spd(3, np.random.default_rng(16), cond=3.0).to_json_dict()
+    )
+    out = tmp_path / "D"
+    assert main(["fs", "--k", "2", *grid, "--H", h_path, "--out", str(out)]) == 0
+    lines = (out / "fs_potential.csv").read_text().splitlines()
+    assert lines[0] == "index,u"
+    assert len(lines) - 1 == 24 * 32
+    capsys.readouterr()
+    forms = []
+    for spec in (f"grid:{out / 'fs_potential.csv'}", f"bergman:{h_path}"):
+        assert main(["hilb", "--k", "2", *grid, "--metric", spec]) == 0
+        report = json_report(capsys)
+        forms.append(np.array(report["re"]) + 1j * np.array(report["im"]))
+    assert np.abs(forms[0] - forms[1]).max() <= 1e-10
+
+
+def test_balance_csv(tmp_path, capsys):
+    h_path = write_matrix(
+        tmp_path / "h0.json", random_spd(3, np.random.default_rng(17), cond=3.0).to_json_dict()
+    )
+    argv = ["balance", "--k", "2", "--h0", h_path, "--iters", "4", "--tol", "0", *GRID]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "iter,step_max_norm,trace_defect"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4"]
+
+
+def test_dump_model_writes_named_file(tmp_path, capsys):
+    assert main(["dump-model", "--k", "1", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "model.csv"
+    assert capsys.readouterr().out.strip() == f"wrote {path}"
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("index,z_re,z_im,quad_weight,ref_weight,s0_re,s0_im")
+    assert len(lines) - 1 == build_p1_model(1).Q
+
+
+def test_lambda_paper_mode_infeasible_row(capsys):
+    assert main(["lambda", "--k", "2", "--mode", "paper"]) == 2
+    report = json_report(capsys)
+    assert report["status"] == "infeasible"
+    assert report["row"] == 1

@@ -17,7 +17,7 @@ from hilbfs import (
     reference_density,
 )
 from hilbfs.linalg import random_spd, random_unitary
-from _oracles import mc_integral_p1
+from _oracles import mc_integral_p1, sphere_basis
 
 
 def beta_moment(a, k):
@@ -263,3 +263,38 @@ class TestLaplacian:
         u = rng.standard_normal(model.Q)
         val = float(model.quad_weights @ (model.laplacian() @ u))
         assert abs(val) <= 1e-10 * max(1.0, np.abs(u).max())
+
+    @pytest.mark.parametrize("k, nr, na", [(2, 24, 32), (6, 32, 56)])
+    def test_matches_dense_reference(self, k, nr, na):
+        # Y diag(lambda / V) Y^T diag(qw / V) with the harmonics sampled node
+        # by node
+        model = build_p1_model(k, radial_nodes=nr, azimuthal_nodes=na)
+        y, eigs = sphere_basis(model.t, model.theta, nr - 1, (na - 1) // 2)
+        dense = (y * (eigs / model.V)) @ (y.T * (model.quad_weights / model.V))
+        x = np.random.default_rng(7).standard_normal((model.Q, 3))
+        ref = dense @ x
+        assert np.abs(model.laplacian() @ x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_block_apply_matches_columns(self):
+        model = build_p1_model(2, radial_nodes=24, azimuthal_nodes=32)
+        lap = model.laplacian()
+        x = np.random.default_rng(8).standard_normal((model.Q, 3))
+        cols = np.stack([lap @ x[:, j] for j in range(3)], axis=1)
+        assert np.abs(lap @ x - cols).max() <= 1e-12 * np.abs(cols).max()
+
+    def test_self_adjoint_in_quadrature(self):
+        model = build_p1_model(4, radial_nodes=24, azimuthal_nodes=40)
+        lap = model.laplacian()
+        rng = np.random.default_rng(9)
+        x, y = rng.standard_normal((2, model.Q))
+        qw = model.quad_weights
+        lhs, rhs = qw @ (x * (lap @ y)), qw @ ((lap @ x) * y)
+        scale = np.sqrt((qw @ (lap @ x) ** 2) * (qw @ y**2))
+        assert abs(lhs - rhs) <= 1e-12 * scale
+
+    def test_storage_below_dense(self):
+        # 2x grid at k = 16: the dense operator would hold Q^2 numbers
+        model = build_p1_model(16, radial_nodes=72, azimuthal_nodes=136)
+        lap = model.laplacian()
+        held = sum(v.size for v in vars(lap).values() if isinstance(v, np.ndarray))
+        assert held < model.Q**2 / 10
