@@ -30,7 +30,6 @@ from .geometry import (
     Density,
     ManifoldModel,
     MetricWeight,
-    beta_function,
     build_p1_anticanonical_model,
     build_p1_model,
     curvature_volume,
@@ -47,6 +46,7 @@ from .maps import (
     hilb,
     hilb_nu,
     t_iterate,
+    variant_density,
 )
 from .pushforward import (
     ContinuationTrace,

@@ -40,7 +40,6 @@ from .errors import (
     DimensionError,
     MarginError,
     StageError,
-    VariantError,
 )
 from .geometry import (
     Density,
@@ -48,16 +47,18 @@ from .geometry import (
     MetricWeight,
     _pushforward_measure,
     _weighted_gram,
+    reference_density,
 )
-from .linalg import HermitianForm, cholesky_lower
-from .maps import ANTICANONICAL, CANONICAL, FIXED, exponent_for_variant, hilb, hilb_nu
+from .linalg import COND_GUARD, HermitianForm, cholesky_lower
+from .maps import FIXED, exponent_for_variant, hilb, hilb_nu, variant_density
 from .moments import _max_entropy_newton
 from .pushforward import hermitian_basis, solve_psi
 
-COND_LIMIT = 1e8
 CONTINUATION_STEPS = 10
 PSI_TOL = 1e-10
 MA_TOL = 1e-11
+MA_MAX_NEWTON = 60
+MOMENT_MAX_NEWTON = 80
 CG_TOL = 1e-13
 CG_MAX_ITERS = 5000
 # numerical failures a stage reports; anything else is a programming error
@@ -79,8 +80,6 @@ class MAProblem:
             raise DimensionError("g must be a node function")
         if not np.all(np.isfinite(g)):
             raise ValueError("g must be finite on the grid")
-        if self.model.n != 1:
-            raise ValueError("the solver is restricted to curves (n = 1)")
         self.g = g
 
 
@@ -129,7 +128,7 @@ def _newton_step(lap, c: float, d: np.ndarray, b: np.ndarray, qw: np.ndarray):
     )
 
 
-def solve_ma(problem: MAProblem, tol: float = 1e-11, max_newton: int = 60) -> MASolution:
+def solve_ma(problem: MAProblem) -> MASolution:
     """Damped Newton for the scalar Monge-Ampere reduction.
 
     Each Newton system is solved matrix-free by preconditioned conjugate
@@ -151,10 +150,10 @@ def solve_ma(problem: MAProblem, tol: float = 1e-11, max_newton: int = 60) -> MA
     cg_iters: List[int] = []
     exp_fg = np.exp(f + g)
     resid_vec = 1.0 + c * (lap @ f) - exp_fg
-    for it in range(max_newton):
+    for it in range(MA_MAX_NEWTON):
         rn = float(np.abs(resid_vec).max())
         history.append(rn)
-        if rn <= tol:
+        if rn <= MA_TOL:
             break
         df, iters = _newton_step(lap, c, exp_fg, resid_vec, qw)
         cg_iters.append(iters)
@@ -176,7 +175,7 @@ def solve_ma(problem: MAProblem, tol: float = 1e-11, max_newton: int = 60) -> MA
             )
     else:
         raise ConvergenceError(
-            f"Monge-Ampere Newton did not reach {tol:g} in {max_newton} iterations",
+            f"Monge-Ampere Newton did not reach {MA_TOL:g} in {MA_MAX_NEWTON} iterations",
             history,
         )
     density = 1.0 + c * (lap @ f)
@@ -230,10 +229,9 @@ def _validate_target(g, n: int) -> HermitianForm:
     if form.dim != n:
         raise DimensionError(f"target has dim {form.dim}, model needs {n}")
     cholesky_lower(form)
-    if form.cond() > COND_LIMIT:
-        raise MarginError(
-            f"target condition number {form.cond():.3e} exceeds {COND_LIMIT:g}"
-        )
+    cond = form.cond()
+    if cond > COND_GUARD:
+        raise MarginError(f"target condition number {cond:.3e} exceeds {COND_GUARD:g}")
     return form
 
 
@@ -243,7 +241,6 @@ def surject_fixed_volume(
     variant: str = FIXED,
     nu: Optional[Density] = None,
     tol: float = 1e-9,
-    max_newton: int = 80,
 ):
     """Realise a target form as the variant Hilbert map of a metric.
 
@@ -251,18 +248,12 @@ def surject_fixed_volume(
     h^k d nu = G by Newton on an ansatz in the span of the section pair
     products, then applies the variant exponent (1/k, 1/(k+1), 1/(k-1)) to
     produce the metric; the report carries the recomputed forward residual.
+    The base measure is ``variant_density`` at the reference metric.
     """
-    if variant == CANONICAL and model.geometry != "general_type_mock":
-        raise VariantError("canonical variant requires general type")
+    nu = nu if nu is not None else reference_density(model)
+    base_nu = variant_density(model, MetricWeight.reference(model), variant, nu)
     exponent = exponent_for_variant(variant, model.k)
     g_form = _validate_target(target, model.N)
-    base_nu = nu if nu is not None else Density(model.quad_weights.copy())
-    if variant == ANTICANONICAL:
-        if model.geometry != "fano_anticanonical":
-            raise VariantError("anticanonical variant requires the Fano test-bed")
-        base_nu = Density(model.quad_weights.copy())
-    elif variant == CANONICAL:
-        base_nu = model.canonical_base
     # The full-Gram problem is the max-entropy moment problem in the real
     # coordinates of the hermitian basis, with u = c @ bfun and
     # bfun[k] = Re sum_ab basis_k[a, b] s_a conj(s_b) * rw, summed over a in
@@ -281,7 +272,7 @@ def surject_fixed_volume(
     bfun *= model.ref_weight
     lam = np.real(np.einsum("kab,ab->k", basis, target_scaled))
     _, u, history = _max_entropy_newton(
-        bfun, base_nu.weights, lam, tol / scale, max_newton
+        bfun, base_nu.weights, lam, tol / scale, MOMENT_MAX_NEWTON
     )
     ew = np.exp(u) * base_nu.weights * model.ref_weight
     gram = _weighted_gram(sect, ew)
@@ -297,12 +288,7 @@ def surject_fixed_volume(
     # i.e. the L^k-metric potential is -k * exponent * u.
     u_metric = -float(exponent) * model.k * u
     metric = MetricWeight.grid(u_metric)
-    forward = hilb_nu(
-        model,
-        metric,
-        variant=variant,
-        nu=base_nu if variant == FIXED else None,
-    )
+    forward = hilb_nu(model, metric, variant, base_nu)
     resid = float(np.abs(forward.mat - g_form.mat).max())
     stage_logs.append({"stage": "forward-check", "residual": resid})
     report = SurjectivityReport(
@@ -356,7 +342,7 @@ def surject_full(model: ManifoldModel, target, tol: float = 1e-8):
     stage_logs.append({"stage": "weight-extraction", "gram_residual": step1_resid})
     g_data = np.log(mu_hat / (model.ref_weight * model.quad_weights))
     try:
-        ma = solve_ma(MAProblem(model, g_data), tol=MA_TOL)
+        ma = solve_ma(MAProblem(model, g_data))
     except _STAGE_ERRORS as exc:
         raise StageError("monge-ampere", exc) from exc
     stage_logs.append(

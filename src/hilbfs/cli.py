@@ -37,6 +37,7 @@ from .geometry import (
     build_p1_model,
     dump_model_csv,
     fs_metric,
+    reference_density,
 )
 from .injectivity import perturbed_pair, verify_injectivity
 from .linalg import load_matrix_json
@@ -76,10 +77,9 @@ def emit_report(report: dict, path=None) -> str:
     return text
 
 
-def _model_for(args, k=None, anticanonical=False):
-    kk = k if k is not None else args.k
+def _model_for(args, anticanonical=False):
     builder = build_p1_anticanonical_model if anticanonical else build_p1_model
-    return builder(kk, args.radial_nodes, args.azimuthal_nodes)
+    return builder(args.k, args.radial_nodes, args.azimuthal_nodes)
 
 
 def _load_metric(model, spec: str) -> MetricWeight:
@@ -107,6 +107,20 @@ def _out_path(args, name):
     return outdir / name
 
 
+def _write_csv(lines, path) -> str:
+    """Join CSV ``lines``; write them to ``path`` when given and return the
+    text."""
+    text = "\n".join(lines)
+    if path is not None:
+        Path(path).write_text(text + "\n")
+    return text
+
+
+def _node_table(column: str, values) -> list:
+    """CSV lines ``index,<column>`` of one value per grid node."""
+    return [f"index,{column}"] + [f"{i},{float(v)!r}" for i, v in enumerate(values)]
+
+
 def cmd_hilb(args) -> int:
     anticanonical = args.variant == "anticanonical"
     model = _model_for(args, anticanonical=anticanonical)
@@ -115,7 +129,7 @@ def cmd_hilb(args) -> int:
         form = hilb(model, metric)
     else:
         nu = _load_density(model, args.nu) if args.nu else (
-            Density(model.quad_weights.copy()) if args.variant == "fixed" else None
+            reference_density(model) if args.variant == "fixed" else None
         )
         form = hilb_nu(model, metric, variant=args.variant, nu=nu)
     print(emit_report(form.to_json_dict(), _out_path(args, "hilb.json")))
@@ -126,13 +140,7 @@ def cmd_fs(args) -> int:
     model = _model_for(args)
     metric = fs_metric(model, load_matrix_json(args.H))
     u = metric.potential(model)
-    path = _out_path(args, "fs_potential.csv")
-    lines = ["index,u"]
-    lines += [f"{i},{float(v)!r}" for i, v in enumerate(u)]
-    text = "\n".join(lines)
-    if path is not None:
-        Path(path).write_text(text + "\n")
-    print(text)
+    print(_write_csv(_node_table("u", u), _out_path(args, "fs_potential.csv")))
     return 0
 
 
@@ -143,11 +151,7 @@ def cmd_balance(args) -> int:
     lines = ["iter,step_max_norm,trace_defect"]
     for s in trace.steps[1:]:
         lines.append(f"{s.index},{s.step_max_norm!r},{s.trace_defect!r}")
-    text = "\n".join(lines)
-    path = _out_path(args, "balance.csv")
-    if path is not None:
-        Path(path).write_text(text + "\n")
-    print(text)
+    print(_write_csv(lines, _out_path(args, "balance.csv")))
     return 0
 
 
@@ -217,10 +221,7 @@ def cmd_lambda(args) -> int:
     print(emit_report(report, _out_path(args, "lambda.json")))
     if args.densities_out:
         for i, d in enumerate(system.densities):
-            lines = ["index,weight"] + [
-                f"{q},{float(w)!r}" for q, w in enumerate(d.weights)
-            ]
-            Path(f"{args.densities_out}.{i}.csv").write_text("\n".join(lines) + "\n")
+            _write_csv(_node_table("weight", d.weights), f"{args.densities_out}.{i}.csv")
     return 0
 
 
@@ -243,9 +244,7 @@ def cmd_surject(args) -> int:
         return 2
     d = report.to_dict()
     if args.metric_out:
-        u = metric.potential(model)
-        lines = ["index,u"] + [f"{i},{float(v)!r}" for i, v in enumerate(u)]
-        Path(args.metric_out).write_text("\n".join(lines) + "\n")
+        _write_csv(_node_table("u", metric.potential(model)), args.metric_out)
         d["metric_dump_path"] = args.metric_out
     print(emit_report(d, path))
     return 0 if report.achieved else 2
@@ -274,11 +273,7 @@ def cmd_inject_sweep(args) -> int:
         if not ok:
             failures += 1
         rows.append(derive_row(trial, args.seed, rep, ok))
-    text = "\n".join(rows)
-    path = _out_path(args, "inject_sweep.csv")
-    if path is not None:
-        Path(path).write_text(text + "\n")
-    print(text)
+    print(_write_csv(rows, _out_path(args, "inject_sweep.csv")))
     return 0 if failures == 0 else 2
 
 

@@ -31,9 +31,8 @@ from .errors import (
     CurvaturePositivityError,
     DimensionError,
     MassDefectError,
-    VariantError,
 )
-from .linalg import HermitianForm, cholesky_lower, orthonormalize_sections
+from .linalg import HermitianForm, cholesky_lower
 
 CURVATURE_MASS_TOL = 1e-8
 
@@ -64,13 +63,11 @@ class Density:
 class ManifoldModel:
     """Quadrature nodes, section values and reference metric data on P^1."""
 
-    n: int
     k: int
     line_degree: int
     N: int
     V: float
     nodes: np.ndarray          # complex chart coordinates, length Q
-    chart: str
     t: np.ndarray              # radial variable t = |z|^2/(1+|z|^2)
     theta: np.ndarray
     quad_weights: np.ndarray   # sums to V
@@ -80,7 +77,6 @@ class ManifoldModel:
     radial_nodes: int
     azimuthal_nodes: int
     geometry: str = "projective_line"
-    canonical_base: Optional[Density] = None
     _laplacian: Optional["SphericalOperator"] = field(default=None, repr=False)
 
     @property
@@ -176,17 +172,18 @@ class MetricWeight:
     """Hermitian metric on L^k relative to the reference: rw * exp(-u).
 
     ``bergman`` metrics carry the inducing form H (so curvature is available
-    in closed form); ``grid`` metrics carry the potential u at the nodes.
+    in closed form) and its Cholesky factor L, H = L L*; ``grid`` metrics
+    carry the potential u at the nodes.
     """
 
     kind: str
     form: Optional[HermitianForm] = None
     potential_values: Optional[np.ndarray] = None
+    factor: Optional[np.ndarray] = None
 
     @classmethod
     def bergman(cls, h: HermitianForm) -> "MetricWeight":
-        cholesky_lower(h)  # fail fast if not PD
-        return cls(kind="bergman", form=h)
+        return cls(kind="bergman", form=h, factor=cholesky_lower(h))
 
     @classmethod
     def grid(cls, u: np.ndarray) -> "MetricWeight":
@@ -206,7 +203,9 @@ class MetricWeight:
             if self.potential_values.shape != (model.Q,):
                 raise DimensionError("grid potential length does not match node count")
             return self.potential_values
-        rows = orthonormalize_sections(self.form, model.sections)
+        if self.form.dim != model.N:
+            raise DimensionError(f"form has dim {self.form.dim}, model needs {model.N}")
+        rows = sla.solve_triangular(self.factor, model.sections, lower=True)
         p = np.einsum("iq,iq->q", rows, rows.conj()).real
         return np.log(p * model.ref_weight)
 
@@ -267,13 +266,11 @@ def build_p1_model(
         sections_dz[1:] = powers[1:, None] * z[None, :] ** (powers[1:, None] - 1)
     rw = (1.0 + np.abs(z) ** 2) ** (-deg)
     return ManifoldModel(
-        n=1,
         k=k,
         line_degree=line_degree,
         N=deg + 1,
         V=V,
         nodes=z,
-        chart="affine",
         t=t,
         theta=theta,
         quad_weights=qw,
@@ -291,23 +288,12 @@ def build_p1_anticanonical_model(k, radial_nodes=None, azimuthal_nodes=None):
     return build_p1_model(k, radial_nodes, azimuthal_nodes, line_degree=2)
 
 
-def _pairwise_sum(v: np.ndarray):
-    if v.shape[0] <= 8:
-        total = v[0]
-        for x in v[1:]:
-            total = total + x
-        return total
-    half = v.shape[0] // 2
-    return _pairwise_sum(v[:half]) + _pairwise_sum(v[half:])
-
-
 def integrate(model: ManifoldModel, pointwise, measure: Density):
-    """sum(pointwise * weights) with a fixed pairwise-tree reduction order."""
+    """sum(pointwise * weights), numpy's pairwise summation."""
     p = np.asarray(pointwise)
     if p.shape != (model.Q,) or measure.weights.shape != (model.Q,):
         raise DimensionError("integrand and measure must match the node count")
-    prod = p * measure.weights
-    return _pairwise_sum(prod)
+    return (p * measure.weights).sum()
 
 
 def reference_density(model: ManifoldModel) -> Density:
@@ -412,9 +398,8 @@ def curvature_volume(model: ManifoldModel, m: MetricWeight) -> Density:
     if m.kind == "bergman":
         # H-orthonormal rows W = L^{-1} s with H = L L*; the curvature of the
         # k-th root divides the density of log P by k
-        L = cholesky_lower(m.form)
-        w = sla.solve_triangular(L, model.sections, lower=True)
-        wz = sla.solve_triangular(L, model.sections_dz, lower=True)
+        w = sla.solve_triangular(m.factor, model.sections, lower=True)
+        wz = sla.solve_triangular(m.factor, model.sections_dz, lower=True)
         dens, _ = _curvature_density(model, w, wz)
         dens = dens / model.k
     else:
@@ -439,51 +424,13 @@ def curvature_volume(model: ManifoldModel, m: MetricWeight) -> Density:
     return Density(weights)
 
 
-def beta_function(model: ManifoldModel, m1: MetricWeight, m2: MetricWeight) -> np.ndarray:
-    """Pointwise log of the ratio of the two curvature volume densities."""
-    v1 = curvature_volume(model, m1)
-    v2 = curvature_volume(model, m2)
-    return np.log(v1.weights) - np.log(v2.weights)
-
-
-def anticanonical_density(model: ManifoldModel, m: MetricWeight) -> Density:
-    """Volume form induced by the k-th root of ``m`` viewed as a metric on -K.
-
-    Only available on the Fano test-bed (line_degree 2, where L = -K).
-    Normalised so the reference metric gives the reference Kahler volume
-    (the round metric is Einstein, so they are proportional; the constant is
-    a convention).  Scales as the metric's (1/k)-th power, matching
-    d nu(e^{-phi} h) = e^{-phi} d nu(h) for a metric scale on L.
-    """
-    if model.geometry != "fano_anticanonical":
-        raise VariantError(
-            "anticanonical volume forms require the Fano test-bed (L = -K)"
-        )
-    u = m.potential(model)
-    return Density(np.exp(-u / model.k) * model.quad_weights)
-
-
-def canonical_density(model: ManifoldModel, m: MetricWeight) -> Density:
-    """Volume form induced by a metric on K (general-type mock models only).
-
-    Opposite scaling law to the anticanonical one: the dual metric on -K
-    defines the volume, so d nu(e^{-phi} h) = e^{+phi} d nu(h).
-    """
-    if model.geometry != "general_type_mock":
-        raise VariantError("canonical variant requires general type")
-    if model.canonical_base is None:
-        raise VariantError("mock model lacks a canonical base density")
-    u = m.potential(model)
-    return Density(np.exp(u / model.k) * model.canonical_base.weights)
-
-
 def mock_general_type_model(k: int, radial_nodes=None, azimuthal_nodes=None) -> ManifoldModel:
-    """Abstract stand-in flagged general type: the P^1 grid with a declared
-    canonical base density.  Used only to exercise the canonical scaling law;
-    it is not a geometric general-type manifold."""
+    """Abstract stand-in flagged general type: the P^1 grid, whose
+    quadrature weights serve as the canonical base density.  Used only to
+    exercise the canonical scaling law; it is not a geometric general-type
+    manifold."""
     model = build_p1_model(k, radial_nodes, azimuthal_nodes)
     model.geometry = "general_type_mock"
-    model.canonical_base = Density(model.quad_weights.copy())
     return model
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import (
     DefinitenessError,
@@ -174,19 +175,11 @@ def cholesky_lower(h: HermitianForm | np.ndarray) -> np.ndarray:
     positive definite.
     """
     a = h.mat if isinstance(h, HermitianForm) else _as_square(h)
-    n = a.shape[0]
-    L = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j].real - np.sum(np.abs(L[j, :j]) ** 2)
-        if d <= 0.0 or not np.isfinite(d):
-            raise DefinitenessError(
-                f"matrix is not positive definite: pivot {j} is {d:.3e}", pivot=j
-            )
-        L[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            L[j + 1:, j] = (
-                a[j + 1:, j] - L[j + 1:, :j] @ L[j, :j].conj()
-            ) / L[j, j]
+    L, info = sla.lapack.zpotrf(a, lower=True, clean=True)
+    if info > 0:
+        raise DefinitenessError(
+            f"matrix is not positive definite: pivot {info - 1} fails", pivot=info - 1
+        )
     if isinstance(h, HermitianForm):
         _warn_if_ill_conditioned(h, "cholesky_lower")
     return L
@@ -203,10 +196,7 @@ def orthonormalize_sections(h: HermitianForm, raw: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"section matrix must have {h.dim} rows, got shape {raw.shape}"
         )
-    L = cholesky_lower(h)
-    import scipy.linalg as sla
-
-    return sla.solve_triangular(L, raw, lower=True)
+    return sla.solve_triangular(cholesky_lower(h), raw, lower=True)
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

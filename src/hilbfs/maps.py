@@ -4,6 +4,14 @@ hilb sends a metric on L^k to the scaled L^2 Gram matrix of the section
 basis; fs_metric (in ``geometry``) sends a form back to a metric.  Their
 composition has the balanced metrics as fixed points; on the reference
 test-bed that is the binomial diagonal diag(1/C(dk, j)).
+
+The variant Hilbert map ``hilb_nu`` pairs the sections against a volume
+form nu in place of the curvature volume.  Its three variants differ only
+in that form: for the metric rw * exp(-u) on L^k and the base measure nu_0
+(the quadrature weights), d nu = e^{s u / k} d nu_0 with s = 0 (fixed; the
+caller gives nu), -1 (anticanonical, Fano test-bed L = -K) or +1 (canonical,
+general type only).  So d nu(e^{-phi} h) = e^{s phi} d nu(h) for h on L, and
+a target is realised by the 1/(k - s)-th power of the solved factor.
 """
 
 from __future__ import annotations
@@ -20,8 +28,6 @@ from .geometry import (
     ManifoldModel,
     MetricWeight,
     _weighted_gram,
-    anticanonical_density,
-    canonical_density,
     curvature_volume,
     fs_metric,
 )
@@ -30,6 +36,20 @@ from .linalg import HermitianForm
 FIXED = "fixed"
 ANTICANONICAL = "anticanonical"
 CANONICAL = "canonical"
+
+# variant -> (sign s in d nu = e^{s u / k} d nu_0, the model geometry it
+# needs, that geometry's name in the error raised on any other)
+_VARIANTS = {
+    FIXED: (0, None, None),
+    ANTICANONICAL: (-1, "fano_anticanonical", "the Fano test-bed"),
+    CANONICAL: (1, "general_type_mock", "general type"),
+}
+
+
+def _variant_law(variant: str):
+    if variant not in _VARIANTS:
+        raise VariantError(f"unknown variant {variant!r}")
+    return _VARIANTS[variant]
 
 
 def _gram(model: ManifoldModel, weights: np.ndarray) -> HermitianForm:
@@ -50,48 +70,53 @@ def hilb(model: ManifoldModel, m: MetricWeight) -> HermitianForm:
     return _gram(model, m.weight(model) * vol.weights)
 
 
+def variant_density(
+    model: ManifoldModel,
+    m: MetricWeight,
+    variant: str,
+    nu: Optional[Density] = None,
+) -> Density:
+    """The volume form d nu of the variant Hilbert map at the metric ``m``.
+
+    fixed: ``nu`` itself, which must be given and strictly positive;
+    anticanonical and canonical: e^{s u / k} times the quadrature weights
+    (see the module docstring), on the geometry each needs.
+    """
+    sign, geometry, needs = _variant_law(variant)
+    if sign == 0:
+        if nu is None:
+            raise ValueError("fixed variant requires a density")
+        if np.any(nu.weights <= 0):
+            raise ValueError("fixed variant requires a strictly positive density")
+        return nu
+    if model.geometry != geometry:
+        raise VariantError(f"{variant} variant requires {needs}")
+    u = m.potential(model)
+    return Density(np.exp(sign * u / model.k) * model.quad_weights)
+
+
 def hilb_nu(
     model: ManifoldModel,
     m: MetricWeight,
     variant: str = FIXED,
     nu: Optional[Density] = None,
 ) -> HermitianForm:
-    """Variant Hilbert map (N/V) * integral of s_i conj(s_j) d nu.
-
-    fixed: d nu given and held fixed (must be strictly positive);
-    anticanonical: d nu induced by the k-th root of m on the Fano test-bed;
-    canonical: the opposite scaling law, general-type mock models only.
-    """
-    if variant == FIXED:
-        if nu is None:
-            raise ValueError("fixed variant requires a density")
-        if np.any(nu.weights <= 0):
-            raise ValueError("fixed variant requires a strictly positive density")
-        dens = nu
-    elif variant == ANTICANONICAL:
-        dens = anticanonical_density(model, m)
-    elif variant == CANONICAL:
-        dens = canonical_density(model, m)
-    else:
-        raise VariantError(f"unknown variant {variant!r}")
+    """Variant Hilbert map (N/V) * integral of s_i conj(s_j) against the
+    metric weight and the variant volume form ``variant_density``."""
+    dens = variant_density(model, m, variant, nu)
     return _gram(model, m.weight(model) * dens.weights)
 
 
 def exponent_for_variant(variant: str, k: int) -> Fraction:
-    """Exponent applied to the solved conformal factor to produce the metric
-    realising a target: 1/k, 1/(k+1), 1/(k-1) for fixed, anticanonical,
-    canonical respectively."""
+    """Exponent 1/(k - s) applied to the solved conformal factor to produce
+    the metric realising a target: 1/k, 1/(k+1), 1/(k-1) for fixed,
+    anticanonical, canonical respectively."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if variant == FIXED:
-        return Fraction(1, k)
-    if variant == ANTICANONICAL:
-        return Fraction(1, k + 1)
-    if variant == CANONICAL:
-        if k == 1:
-            raise VariantError("canonical variant needs k >= 2 (exponent 1/(k-1))")
-        return Fraction(1, k - 1)
-    raise VariantError(f"unknown variant {variant!r}")
+    sign = _variant_law(variant)[0]
+    if k == sign:  # canonical at k = 1
+        raise VariantError("canonical variant needs k >= 2 (exponent 1/(k-1))")
+    return Fraction(1, k - sign)
 
 
 @dataclass
@@ -106,10 +131,6 @@ class IterationStep:
 class IterationTrace:
     steps: List[IterationStep]
     converged: bool
-
-    @property
-    def forms(self) -> List[HermitianForm]:
-        return [s.form for s in self.steps]
 
 
 def _unit_det(h: HermitianForm) -> HermitianForm:

@@ -40,6 +40,9 @@ from .errors import (
 from .geometry import Density, ManifoldModel
 from .linalg import MatrixNorms, cholesky_lower, matrix_norms
 
+PROBE_POWER = 8
+LAMBDA_BOUND = 2.0  # the paper's bound on ||Lambda|| and ||Lambda^{-1}||
+
 
 @dataclass(frozen=True)
 class MomentTarget:
@@ -203,8 +206,8 @@ class LambdaSystem:
     inverse_norms: MatrixNorms
     max_entry: float
 
-    def bounds_hold(self, limit: float = 2.0) -> bool:
-        return self.norms.op <= limit and self.inverse_norms.op <= limit
+    def bounds_hold(self) -> bool:
+        return self.norms.op <= LAMBDA_BOUND and self.inverse_norms.op <= LAMBDA_BOUND
 
 
 def spike_targets(n: int, floor: float) -> np.ndarray:
@@ -216,17 +219,16 @@ def spike_targets(n: int, floor: float) -> np.ndarray:
 def probe_densities(
     model: ManifoldModel,
     sections: Optional[np.ndarray] = None,
-    power: int = 8,
 ) -> List[Density]:
     """Localised positive densities, one per section: the partition function
-    of section i raised to ``power`` concentrates mass where that section
+    of section i raised to ``PROBE_POWER`` concentrates mass where that section
     dominates, yielding a diagonally-loaded (if not diagonally-dominant)
     moment matrix without solving any moment problem."""
     gfun = section_squares(model, sections)
     rho = gfun / gfun.sum(axis=0)
     out = []
     for i in range(gfun.shape[0]):
-        w = rho[i] ** power * model.quad_weights
+        w = rho[i] ** PROBE_POWER * model.quad_weights
         m = gfun @ w
         out.append(Density(w / m.max()))
     return out
@@ -238,7 +240,6 @@ def build_lambda(
     tol: float = 1e-9,
     mode: str = "paper",
     sections: Optional[np.ndarray] = None,
-    probe_power: int = 8,
     max_newton: int = 100,
 ) -> LambdaSystem:
     """Row-measure matrix: row i holds the achieved squared-section moments
@@ -253,7 +254,7 @@ def build_lambda(
     gfun = section_squares(model, sections)
     n = gfun.shape[0]
     if mode == "probe":
-        densities = probe_densities(model, sections=sections, power=probe_power)
+        densities = probe_densities(model, sections=sections)
         lam = np.array([gfun @ d.weights for d in densities])
         targets = None
         floor_used = None

@@ -49,6 +49,7 @@ from .linalg import HermitianForm
 MARGIN = 1e-3  # smallest admissible eigenvalue of a unit-trace target
 STEP_FLOOR = 1e-6  # continuation step below which solve_psi gives up
 NEWTON_MAX_ITERS = 25
+KERNEL_RTOL = 1e-8  # relative singular-value cut of the numerical kernel
 
 
 def _as_form(b) -> HermitianForm:
@@ -169,14 +170,14 @@ def dpsi0_matrix(b) -> np.ndarray:
     return _coords(basis, _dpsi0(bm, basis)).T
 
 
-def dpsi0_kernel_dim(b, rtol: float = 1e-8) -> Tuple[int, float]:
+def dpsi0_kernel_dim(b) -> Tuple[int, float]:
     """Numerical kernel dimension of the linearisation, with spectral gap.
 
     Returns (dimension, gap) where gap is the ratio of the smallest
     retained to the largest singular value.
     """
     sv = np.linalg.svd(dpsi0_matrix(b), compute_uv=False)
-    cut = rtol * sv[0]
+    cut = KERNEL_RTOL * sv[0]
     kept = sv[sv >= cut]
     dim = int(sv.size - kept.size)
     gap = float(kept[-1] / sv[0]) if kept.size else 0.0

@@ -62,7 +62,7 @@ class TestSolveMA:
         rng = np.random.default_rng(1)
         for _ in range(3):
             g = smooth_random_g(model, rng)
-            sol = solve_ma(MAProblem(model, g), tol=1e-11)
+            sol = solve_ma(MAProblem(model, g))
             assert sol.residual <= 1e-9
             assert sol.mass_defect <= 1e-10
             assert sol.positivity_margin > 0.0
@@ -163,8 +163,12 @@ class TestSurjectFixedVolume:
 
     @pytest.mark.parametrize(
         "variant, build",
-        [("bogus", lambda: build_p1_model(2)), (CANONICAL, lambda: mock_general_type_model(1))],
-        ids=["unknown", "canonical-k1"],
+        [
+            ("bogus", lambda: build_p1_model(2)),
+            (CANONICAL, lambda: mock_general_type_model(1)),
+            (ANTICANONICAL, lambda: build_p1_model(2)),
+        ],
+        ids=["unknown", "canonical-k1", "anticanonical-p1"],
     )
     def test_bad_variant_rejected_before_solve(self, monkeypatch, variant, build):
         def unreachable(*args, **kwargs):

@@ -6,7 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from hilbfs import HermitianForm, build_p1_model, fs_metric, hilb, psi
+from hilbfs import (
+    HermitianForm,
+    build_lambda,
+    build_p1_model,
+    fs_metric,
+    hilb,
+    psi,
+    surject_fixed_volume,
+)
 from hilbfs.linalg import random_spd
 from hilbfs.cli import main
 
@@ -240,3 +248,34 @@ def test_lambda_paper_mode_infeasible_row(capsys):
     report = json_report(capsys)
     assert report["status"] == "infeasible"
     assert report["row"] == 1
+
+
+def read_node_table(path, column):
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"index,{column}"
+    assert [line.split(",")[0] for line in lines[1:]] == [str(i) for i in range(len(lines) - 1)]
+    return np.array([float(line.split(",")[1]) for line in lines[1:]])
+
+
+def test_surject_metric_out_csv(tmp_path, capsys):
+    model = build_p1_model(2, radial_nodes=32, azimuthal_nodes=48)
+    target = hilb(model, fs_metric(model, random_spd(3, np.random.default_rng(14), cond=3.0)))
+    path = write_matrix(tmp_path / "g.json", target.to_json_dict())
+    out = tmp_path / "metric.csv"
+    argv = ["surject", "--k", "2", "--target", path, "--mode", "fixed", *GRID,
+            "--metric-out", str(out)]
+    assert main(argv) == 0
+    assert json_report(capsys)["metric_dump_path"] == str(out)
+    metric, _ = surject_fixed_volume(model, target, tol=1e-7)
+    assert np.array_equal(read_node_table(out, "u"), metric.potential(model))
+
+
+def test_lambda_densities_out_csv(tmp_path, capsys):
+    prefix = tmp_path / "dens"
+    assert main(["lambda", "--k", "2", "--mode", "probe", "--densities-out", str(prefix)]) == 0
+    capsys.readouterr()
+    system = build_lambda(build_p1_model(2), mode="probe")
+    for i, density in enumerate(system.densities):
+        weights = read_node_table(tmp_path / f"dens.{i}.csv", "weight")
+        assert np.array_equal(weights, density.weights)
+    assert not (tmp_path / f"dens.{len(system.densities)}.csv").exists()

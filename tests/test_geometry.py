@@ -9,14 +9,13 @@ from hilbfs import (
     Density,
     HermitianForm,
     MetricWeight,
-    beta_function,
     build_p1_model,
     curvature_volume,
     fs_metric,
     integrate,
     reference_density,
 )
-from hilbfs.linalg import random_spd, random_unitary
+from hilbfs.linalg import orthonormalize_sections, random_spd, random_unitary
 from _oracles import mc_integral_p1, sphere_basis
 
 
@@ -123,6 +122,17 @@ class TestFsMetric:
         u2 = np.log(np.einsum("iq,iq->q", rows, rows.conj()).real * model.ref_weight)
         assert np.abs(u1 - u2).max() <= 1e-12
 
+    def test_bergman_factor_is_cholesky_of_form(self):
+        model = build_p1_model(3)
+        h = random_spd(model.N, np.random.default_rng(5), cond=40.0)
+        metric = fs_metric(model, h)
+        L = metric.factor
+        assert np.array_equal(L, np.tril(L))
+        assert np.abs(L @ L.conj().T - h.mat).max() <= 1e-12
+        rows = orthonormalize_sections(h, model.sections)
+        u = np.log(np.einsum("iq,iq->q", rows, rows.conj()).real * model.ref_weight)
+        assert np.abs(metric.potential(model) - u).max() <= 1e-14
+
 
 class TestCurvatureVolume:
     def test_reference_reproduces_quadrature(self):
@@ -199,31 +209,6 @@ class TestCurvatureVolume:
         u = 60.0 * (model.t - 0.5)  # wild potential: curvature goes negative
         with pytest.raises(CurvaturePositivityError):
             curvature_volume(model, MetricWeight.grid(u))
-
-
-class TestBetaFunction:
-    def test_equal_metrics_vanish(self):
-        model = build_p1_model(2, radial_nodes=16, azimuthal_nodes=20)
-        m = fs_metric(model, HermitianForm.identity(3))
-        assert np.abs(beta_function(model, m, m)).max() == 0.0
-
-    def test_mass_consistency(self):
-        model = build_p1_model(2, radial_nodes=24, azimuthal_nodes=32)
-        rng = np.random.default_rng(8)
-        m1 = fs_metric(model, random_spd(model.N, rng, cond=5.0))
-        m2 = fs_metric(model, random_spd(model.N, rng, cond=5.0))
-        beta = beta_function(model, m1, m2)
-        mass = integrate(model, np.exp(beta), curvature_volume(model, m2))
-        assert mass == pytest.approx(model.V, abs=1e-9)
-
-    def test_k1_closed_form(self):
-        model = build_p1_model(1, radial_nodes=40, azimuthal_nodes=40)
-        ref = MetricWeight.reference(model)
-        other = fs_metric(model, HermitianForm.diagonal([4.0, 1.0]))
-        beta = beta_function(model, ref, other)
-        x = np.abs(model.nodes) ** 2
-        closed = -np.log(4.0 * (1.0 + x) ** 2 / (1.0 + 4.0 * x) ** 2)
-        assert np.abs(beta - closed).max() <= 1e-8
 
 
 class TestVeronese:

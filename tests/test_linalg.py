@@ -91,11 +91,21 @@ class TestCholesky:
             assert np.abs(L @ L.conj().T - h.mat).max() <= 1e-12 * scale
             assert np.all(np.diagonal(L).real > 0)
 
-    def test_failing_pivot_named(self):
-        h = HermitianForm(np.diag([1.0, -1.0, 2.0]))
+    @pytest.mark.parametrize(
+        "mat, pivot",
+        [
+            (np.diag([-1.0, 1.0, 2.0]), 0),
+            (np.diag([1.0, -1.0, 2.0]), 1),
+            (np.diag([1.0, 1.0, 0.0]), 2),
+            # leading 2x2 minor 1 - |1+1j|^2 = -1 on a complex hermitian form
+            (np.array([[1.0, 1 + 1j, 0.0], [1 - 1j, 1.0, 0.0], [0.0, 0.0, 1.0]]), 1),
+        ],
+        ids=["0", "1", "2", "complex-1"],
+    )
+    def test_failing_pivot_named(self, mat, pivot):
         with pytest.raises(DefinitenessError) as err:
-            cholesky_lower(h)
-        assert err.value.pivot == 1
+            cholesky_lower(HermitianForm(mat))
+        assert err.value.pivot == pivot
 
 
 class TestOrthonormalize:

@@ -21,7 +21,7 @@ from hilbfs import (
     mock_general_type_model,
     t_iterate,
 )
-from hilbfs.geometry import anticanonical_density, canonical_density
+from hilbfs.maps import variant_density
 from hilbfs.linalg import random_spd
 
 
@@ -117,18 +117,18 @@ class TestHilbNu:
     def test_anticanonical_scaling_law(self):
         model = build_p1_anticanonical_model(2)
         m = MetricWeight.reference(model)
-        base = anticanonical_density(model, m)
+        base = variant_density(model, m, ANTICANONICAL)
         phi = 0.37
-        scaled = anticanonical_density(model, m.rescaled(math.exp(-phi * model.k)))
+        scaled = variant_density(model, m.rescaled(math.exp(-phi * model.k)), ANTICANONICAL)
         # scaling the L-metric by e^{-phi} scales the volume by e^{-phi}
         assert np.abs(scaled.weights - math.exp(-phi) * base.weights).max() <= 1e-14
 
     def test_canonical_scaling_law_mock(self):
         model = mock_general_type_model(2)
         m = MetricWeight.reference(model)
-        base = canonical_density(model, m)
+        base = variant_density(model, m, CANONICAL)
         phi = 0.21
-        scaled = canonical_density(model, m.rescaled(math.exp(-phi * model.k)))
+        scaled = variant_density(model, m.rescaled(math.exp(-phi * model.k)), CANONICAL)
         assert np.abs(scaled.weights - math.exp(phi) * base.weights).max() <= 1e-14
 
     def test_anticanonical_reference_gram(self):
