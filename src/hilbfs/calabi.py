@@ -46,7 +46,6 @@ from .geometry import (
     ManifoldModel,
     MetricWeight,
     _pushforward_measure,
-    _weighted_gram,
     reference_density,
 )
 from .linalg import COND_GUARD, HermitianForm, cholesky_lower
@@ -275,7 +274,7 @@ def surject_fixed_volume(
         bfun, base_nu.weights, lam, tol / scale, MOMENT_MAX_NEWTON
     )
     ew = np.exp(u) * base_nu.weights * model.ref_weight
-    gram = _weighted_gram(sect, ew)
+    gram = model._theta_fourier().gram(ew)
     stage_logs = [
         {
             "stage": "full-gram-moment",
@@ -335,7 +334,7 @@ def surject_full(model: ManifoldModel, target, tol: float = 1e-8):
     # section Gram is proportional to G; rescale it so that
     # (N/V) * Gram(mu_hat) = G exactly.
     mu = _pushforward_measure(model, bstar.mat)
-    gram = _weighted_gram(model.sections, mu)
+    gram = model._theta_fourier().gram(mu)
     scale = float(np.real(np.trace(g_form.mat) / np.trace(gram)))
     mu_hat = mu * (model.V * scale / model.N)
     step1_resid = float(np.abs(scale * gram - g_form.mat).max())

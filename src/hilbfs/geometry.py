@@ -15,6 +15,15 @@ Geometry conventions
   <= dk times a trigonometric polynomial, and the rule is exact for those.
 * A metric on L^k is stored relative to the reference as rw * exp(-u) where
   rw(z) = (1+|z|^2)^(-dk) is the reference weight on the trivialising frame.
+* Section pairings: sum_ij A_ij conj(s_i) s_j = sum_ij A_ij r^(i+j)
+  e^{i(j-i) theta} holds at most 2N - 1 powers of r and 2N - 1 modes in the
+  equispaced theta.  One kernel, ``_ThetaFourier`` (tables of r^d, d <= 2N-2,
+  and e^{im theta}, |m| <= N; cached per model), uses this both ways.
+  Synthesis takes hermitian A, or a stack, to the node values of P = s* A s,
+  P_z = s* A s' and P_zzbar = s'* A s', in O(nr N^2 + Q N); analysis takes
+  node weights w, or a stack, to sum_q s_i conj(s_j) w =
+  sum_r r^(i+j) w_hat(r, i-j), w_hat the theta-Fourier coefficients of w.
+  Both rearrange the quadrature sums exactly, changing rounding only.
 """
 
 from __future__ import annotations
@@ -61,7 +70,10 @@ class Density:
 
 @dataclass
 class ManifoldModel:
-    """Quadrature nodes, section values and reference metric data on P^1."""
+    """Quadrature nodes, section values and reference metric data on P^1.
+
+    The sections are the monomials z^j, j <= dk: the pairing kernel
+    (``_ThetaFourier``) relies on that and never reads ``sections``."""
 
     k: int
     line_degree: int
@@ -72,12 +84,12 @@ class ManifoldModel:
     theta: np.ndarray
     quad_weights: np.ndarray   # sums to V
     sections: np.ndarray       # N x Q monomial values z^j
-    sections_dz: np.ndarray    # N x Q, d/dz of the rows
     ref_weight: np.ndarray     # (1+|z|^2)^(-dk)
     radial_nodes: int
     azimuthal_nodes: int
     geometry: str = "projective_line"
     _laplacian: Optional["SphericalOperator"] = field(default=None, repr=False)
+    _fourier: Optional["_ThetaFourier"] = field(default=None, repr=False)
 
     @property
     def Q(self) -> int:
@@ -117,6 +129,54 @@ class ManifoldModel:
                 _legendre_table(x3, nr - 1, mmax), weights, eigs, na, eigs
             )
         return self._laplacian
+
+    def _theta_fourier(self) -> "_ThetaFourier":
+        """The section-pairing kernel of the module docstring, built once."""
+        if self._fourier is None:
+            self._fourier = _ThetaFourier(self)
+        return self._fourier
+
+
+class _ThetaFourier:
+    """Synthesis and analysis of section pairings on the model's grid (see
+    the module docstring).  conj(s_i) s_j, conj(s_i) s_j' and conj(s_i') s_j'
+    are c r^d e^{im theta} with (c, d, m) = (1, i+j, j-i), (j, i+j-1, j-i-1)
+    and (ij, i+j-2, j-i); the index tables place each pair with c != 0 in
+    a (part, power, mode) table, part 0 first and complete."""
+
+    def __init__(self, model: "ManifoldModel"):
+        n, na = model.N, model.azimuthal_nodes
+        self._n, self._grid = n, (model.radial_nodes, na)
+        t = model.t[::na]
+        self._powers = np.sqrt(t / (1.0 - t))[:, None] ** np.arange(2 * n - 1)
+        self._modes = np.exp(1j * np.outer(np.arange(-n, n + 1), model.theta[:na]))
+        i, j = np.indices((n, n)).reshape(2, -1)
+        coef = np.concatenate([np.ones(n * n), j, i * j])
+        power = np.concatenate([i + j, i + j - 1, i + j - 2])
+        mode = np.concatenate([j - i, j - i - 1, j - i]) + n
+        part = np.repeat(np.arange(3), n * n)
+        keep = coef != 0
+        self._pair = np.tile(np.arange(n * n), 3)[keep]
+        self._coef = coef[keep]
+        self._cell = ((part * (2 * n - 1) + power) * (2 * n + 1) + mode)[keep]
+        self._gram_cell = (i + j) * (2 * n + 1) + (i - j + n)
+
+    def pairings(self, a: np.ndarray, parts: int = 3) -> np.ndarray:
+        """Node values of P = s* a s and, with ``parts`` = 3, of P_z and
+        P_zzbar, for a (..., N, N); complex, shape (..., parts, Q)."""
+        lead, n = a.shape[:-2], self._n
+        cut = n * n if parts == 1 else self._pair.size
+        table = np.zeros(lead + (parts, 2 * n - 1, 2 * n + 1), complex)
+        coefs = a.reshape(lead + (n * n,))[..., self._pair[:cut]] * self._coef[:cut]
+        table.reshape(lead + (-1,))[..., self._cell[:cut]] = coefs
+        return (self._powers @ table @ self._modes).reshape(lead + (parts, -1))
+
+    def gram(self, w: np.ndarray) -> np.ndarray:
+        """sum_q s_i(q) conj(s_j(q)) w(q) for node weights w (..., Q)."""
+        lead = w.shape[:-1]
+        spec = w.reshape(lead + self._grid) @ self._modes.T
+        cells = (self._powers.T @ spec).reshape(lead + (-1,))
+        return cells[..., self._gram_cell].reshape(lead + (self._n, self._n))
 
 
 def _legendre_table(x, lmax, mmax):
@@ -172,18 +232,22 @@ class MetricWeight:
     """Hermitian metric on L^k relative to the reference: rw * exp(-u).
 
     ``bergman`` metrics carry the inducing form H (so curvature is available
-    in closed form) and its Cholesky factor L, H = L L*; ``grid`` metrics
-    carry the potential u at the nodes.
+    in closed form), its Cholesky factor L, H = L L*, and H^{-1} formed from
+    L; ``grid`` metrics carry the potential u at the nodes.
     """
 
     kind: str
     form: Optional[HermitianForm] = None
     potential_values: Optional[np.ndarray] = None
     factor: Optional[np.ndarray] = None
+    inverse: Optional[np.ndarray] = None
 
     @classmethod
     def bergman(cls, h: HermitianForm) -> "MetricWeight":
-        return cls(kind="bergman", form=h, factor=cholesky_lower(h))
+        factor = cholesky_lower(h)
+        low = np.tril(sla.lapack.zpotri(factor, lower=True)[0])  # lower half of H^{-1}
+        inverse = low + np.tril(low, -1).conj().T
+        return cls(kind="bergman", form=h, factor=factor, inverse=inverse)
 
     @classmethod
     def grid(cls, u: np.ndarray) -> "MetricWeight":
@@ -198,15 +262,15 @@ class MetricWeight:
 
     def potential(self, model: ManifoldModel) -> np.ndarray:
         """u with metric = ref_weight * exp(-u); grid values or the
-        Fubini-Study potential log(sum_i |s'_i|^2 * ref_weight) for bergman."""
+        Fubini-Study potential log(sum_i |s'_i|^2 * ref_weight) for bergman,
+        with sum_i |s'_i|^2 = s* H^{-1} s."""
         if self.kind == "grid":
             if self.potential_values.shape != (model.Q,):
                 raise DimensionError("grid potential length does not match node count")
             return self.potential_values
         if self.form.dim != model.N:
             raise DimensionError(f"form has dim {self.form.dim}, model needs {model.N}")
-        rows = sla.solve_triangular(self.factor, model.sections, lower=True)
-        p = np.einsum("iq,iq->q", rows, rows.conj()).real
+        p = model._theta_fourier().pairings(self.inverse, parts=1)[0].real
         return np.log(p * model.ref_weight)
 
     def weight(self, model: ManifoldModel) -> np.ndarray:
@@ -259,11 +323,7 @@ def build_p1_model(
     qw = (np.outer(w_r, np.full(na, 1.0 / na)) * V).ravel()
     r = np.sqrt(t / (1.0 - t))
     z = r * np.exp(1j * theta)
-    powers = np.arange(deg + 1)
-    sections = z[None, :] ** powers[:, None]
-    sections_dz = np.zeros_like(sections)
-    if deg >= 1:
-        sections_dz[1:] = powers[1:, None] * z[None, :] ** (powers[1:, None] - 1)
+    sections = z[None, :] ** np.arange(deg + 1)[:, None]
     rw = (1.0 + np.abs(z) ** 2) ** (-deg)
     return ManifoldModel(
         k=k,
@@ -275,7 +335,6 @@ def build_p1_model(
         theta=theta,
         quad_weights=qw,
         sections=sections,
-        sections_dz=sections_dz,
         ref_weight=rw,
         radial_nodes=nr,
         azimuthal_nodes=na,
@@ -312,79 +371,55 @@ def fs_metric(model: ManifoldModel, h: HermitianForm) -> MetricWeight:
     return MetricWeight.bergman(h)
 
 
-def _curvature_density(model: ManifoldModel, w: np.ndarray, wz: np.ndarray):
-    """Curvature density of log P, P = sum_i |w_i|^2, against omega_ref.
+def _curvature_density(model: ManifoldModel, a: np.ndarray):
+    """Curvature density of log P, P = s* A s, against omega_ref.
 
-    ``w`` holds the section rows W_i at the nodes and ``wz`` their
-    z-derivatives.  Returns (density, P) with
+    Returns (density, P) with
         density = (P P_zzbar - |P_z|^2) / P^2 * (1+|z|^2)^2 / V,
     i.e. ddbar log P divided by the reference form, for the pullback of
-    the Fubini-Study form along z -> [W(z)].  The numerator is formed
-    directly; the Cauchy-Binet identity
+    the Fubini-Study form along z -> [W(z)], W* W = s* A s.  The numerator
+    is formed directly; the Cauchy-Binet identity
         P P_zzbar - |P_z|^2 = sum_{i<j} |W_i W'_j - W_j W'_i|^2
     only explains why it is nonnegative in exact arithmetic.
     """
-    p, pz, pzz = _curvature_sums(w, wz)
+    p, pz, pzz = model._theta_fourier().pairings(a)
+    p = p.real
     x2 = (1.0 + np.abs(model.nodes) ** 2) ** 2
-    dens = (p * pzz - np.abs(pz) ** 2) / p**2 * x2 / model.V
+    dens = (p * pzz.real - np.abs(pz) ** 2) / p**2 * x2 / model.V
     return dens, p
-
-
-def _curvature_sums(w: np.ndarray, wz: np.ndarray):
-    """P = sum_i |W_i|^2 and its derivatives P_z, P_zzbar at the nodes."""
-    p = np.einsum("iq,iq->q", w, w.conj()).real
-    pz = np.einsum("iq,iq->q", wz, w.conj())
-    pzz = np.einsum("iq,iq->q", wz, wz.conj()).real
-    return p, pz, pzz
 
 
 def _pushforward_measure(model: ManifoldModel, bm: np.ndarray) -> np.ndarray:
     """Node weights mu_B = density * quad_weights / P of the curve pushforward.
 
-    ``density`` and P = |B s|^2 are ``_curvature_density``'s for the moved
-    sections W = B s, so mu_B is the Fubini-Study volume of the moved curve
-    divided by |W|^2.  Summing s s* against it gives the pushforward matrix
+    ``density`` and P = |B s|^2 are ``_curvature_density``'s for A = B^2,
+    so mu_B is the Fubini-Study volume of the moved curve W = B s divided by
+    |W|^2.  Summing s s* against it gives the pushforward matrix
     M = B^{-1} Phi(B) B^{-1}, and W W* against it gives Phi(B).
     """
-    dens, p = _curvature_density(model, bm @ model.sections, bm @ model.sections_dz)
+    dens, p = _curvature_density(model, bm @ bm)
     return dens * model.quad_weights / p
 
 
 def _pushforward_measure_derivative(model: ManifoldModel, bm: np.ndarray, dirs):
     """Derivatives of ``_pushforward_measure`` at B along each of ``dirs``.
 
-    ``dirs`` stacks the directions A (n_dirs x N x N) in which B moves; Z
-    and Z' are the section rows and their z-derivatives, and W = B Z.  With
-    the table of per-node outer products conj(X_i) Y_j flattened over ij,
-    each of
-        dP = 2 Re(conj(W) . AZ),  dP_z = AZ' . conj(W) + W' . conj(AZ),
-        dP_zzbar = 2 Re(conj(W') . AZ')
-    is one product of the flattened directions with such a table (A is
-    hermitian, so conj(A_ij) = A_ji).  The measure is the curvature
-    numerator P P_zzbar - |P_z|^2 over P^3, times the chart factor and the
-    quadrature weight.  Returns d mu_B, n_dirs x Q.
+    ``dirs`` stacks the directions A (n_dirs x N x N) in which B moves.
+    P, P_z and P_zzbar are linear in the coefficient matrix B^2, whose
+    derivative along A is B A + A B, so the kernel synthesises all their
+    derivatives in one call.  The measure is the curvature numerator
+    num = P P_zzbar - |P_z|^2 over P^3, times the chart factor and the
+    quadrature weight c, so at each node d mu_B is the linear form
+        (dP (P_zzbar - 3 num / P) - 2 Re(conj(P_z) dP_z) + P dP_zzbar) c / P^3
+    in the derivatives.  Returns d mu_B, n_dirs x Q.
     """
-    z, zz = model.sections, model.sections_dz
-    w, wz = bm @ z, bm @ zz
-    n, q = z.shape
-
-    def outer(x, y):
-        return (x.conj()[:, None, :] * y[None, :, :]).reshape(n * n, q)
-
-    a = dirs.reshape(len(dirs), n * n)
-    dp = 2.0 * (a @ outer(w, z)).real
-    dpz = a @ (outer(w, zz) + outer(z, wz))
-    dpzz = 2.0 * (a @ outer(wz, zz)).real
-    p, pz, pzz = _curvature_sums(w, wz)
+    coefs = np.concatenate([(bm @ bm)[None], bm @ dirs + dirs @ bm])
+    vals = model._theta_fourier().pairings(coefs)
+    p, pz, pzz = vals[0, 0].real, vals[0, 1], vals[0, 2].real
     num = p * pzz - np.abs(pz) ** 2
-    dnum = dp * pzz + p * dpzz - 2.0 * (pz.conj() * dpz).real
-    x2 = (1.0 + np.abs(model.nodes) ** 2) ** 2
-    return (dnum / p**3 - 3.0 * num * dp / p**4) * x2 * model.quad_weights / model.V
-
-
-def _weighted_gram(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_q x_i(q) conj(x_j(q)) w(q) for rows ``x`` (n x Q) and weights ``w``."""
-    return np.einsum("iq,jq,q->ij", x, x.conj(), w)
+    c = (1.0 + np.abs(model.nodes) ** 2) ** 2 * model.quad_weights / (model.V * p**3)
+    form = np.stack([pzz - 3.0 * num / p, -2.0 * pz.conj(), p]) * c
+    return np.einsum("dpq,pq->dq", vals[1:], form).real
 
 
 def curvature_volume(model: ManifoldModel, m: MetricWeight) -> Density:
@@ -396,12 +431,9 @@ def curvature_volume(model: ManifoldModel, m: MetricWeight) -> Density:
     exactness check, not a rescaling) and the density must be positive.
     """
     if m.kind == "bergman":
-        # H-orthonormal rows W = L^{-1} s with H = L L*; the curvature of the
-        # k-th root divides the density of log P by k
-        w = sla.solve_triangular(m.factor, model.sections, lower=True)
-        wz = sla.solve_triangular(m.factor, model.sections_dz, lower=True)
-        dens, _ = _curvature_density(model, w, wz)
-        dens = dens / model.k
+        # P = s* H^{-1} s, the sum of |W|^2 over H-orthonormal rows W; the
+        # curvature of the k-th root divides the density of log P by k
+        dens = _curvature_density(model, m.inverse)[0] / model.k
     else:
         u = m.potential(model)
         dens = 1.0 + (model.laplacian() @ u) / (4.0 * np.pi * model.k)

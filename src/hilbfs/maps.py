@@ -27,7 +27,6 @@ from .geometry import (
     Density,
     ManifoldModel,
     MetricWeight,
-    _weighted_gram,
     curvature_volume,
     fs_metric,
 )
@@ -53,7 +52,7 @@ def _variant_law(variant: str):
 
 
 def _gram(model: ManifoldModel, weights: np.ndarray) -> HermitianForm:
-    g = _weighted_gram(model.sections, weights)
+    g = model._theta_fourier().gram(weights)
     g = (model.N / model.V) * 0.5 * (g + g.conj().T)
     form = HermitianForm(g)
     if not form.is_positive_definite():

@@ -4,8 +4,9 @@ The scale classes of positive definite matrices map to the trace-one
 positive simplex two ways: via Fubini-Study integrals over the full ambient
 projective space (psi0, closed form available) and via the same integrals
 restricted to the embedded curve (psi).  Their affine homotopy underlies
-``solve_psi``, which realises targets constructively by predictor-corrector
-continuation with Newton correction in the trace gauge.
+``solve_psi``, which realises targets constructively by continuation in t:
+each step starts Newton at the previous B (there is no predictor) and
+corrects in the trace gauge.
 
 Matrix conventions: forms are linear in the first index (see ``linalg``).
 In this convention the ambient-space map has closed form
@@ -42,7 +43,6 @@ from .geometry import (
     ManifoldModel,
     _pushforward_measure,
     _pushforward_measure_derivative,
-    _weighted_gram,
 )
 from .linalg import HermitianForm
 
@@ -85,7 +85,7 @@ def _psi_t(model: Optional[ManifoldModel], bm: np.ndarray, t: float) -> np.ndarr
     p0 = _unit_trace(binv @ binv)
     if t == 0.0:
         return p0
-    m = _weighted_gram(model.sections, _pushforward_measure(model, bm))
+    m = model._theta_fourier().gram(_pushforward_measure(model, bm))
     if np.real(np.trace(m)) <= 0:
         raise RuntimeError("internal error: pushforward trace must be positive")
     p = _unit_trace(m)
@@ -194,7 +194,7 @@ def phi_matrix(model: ManifoldModel, b) -> HermitianForm:
     W_r conj(W_s) / |W|^2.  Positive definite for nondegenerate embeddings.
     """
     bm = _checked_b(b, model.N)
-    g = _weighted_gram(bm @ model.sections, _pushforward_measure(model, bm))
+    g = bm @ model._theta_fourier().gram(_pushforward_measure(model, bm)) @ bm
     return HermitianForm(0.5 * (g + g.conj().T))
 
 
@@ -247,11 +247,8 @@ def _psi_t_jacobian(
     """
     d = (1.0 - t) * _dpsi0(bm, basis)
     if t > 0.0:
-        z = model.sections
-        n, q = z.shape
-        zpairs = (z[:, None, :] * z.conj()[None, :, :]).reshape(n * n, q)
-        m = _weighted_gram(z, _pushforward_measure(model, bm))
-        dm = (_pushforward_measure_derivative(model, bm, basis) @ zpairs.T).reshape(-1, n, n)
+        m = model._theta_fourier().gram(_pushforward_measure(model, bm))
+        dm = model._theta_fourier().gram(_pushforward_measure_derivative(model, bm, basis))
         trm = np.real(np.trace(m))
         trdm = np.real(np.trace(dm, axis1=1, axis2=2))
         d = d + t * (dm - trdm[:, None, None] * (m / trm)) / trm

@@ -113,3 +113,61 @@ def sphere_basis(t, theta, lmax, mmax):
             cols.append(col)
             eigs.append(-4.0 * np.pi * l * (l + 1))
     return np.array(cols).T, np.array(eigs)
+
+
+def section_rows(model):
+    """The monomial sections z^j and their z-derivatives j z^(j-1) as N x Q
+    rows, evaluated at the model's chart coordinates."""
+    j = np.arange(model.N)[:, None]
+    z = model.nodes[None, :]
+    return z**j, j * z ** np.maximum(j - 1, 0)
+
+
+def weighted_gram(x, w):
+    """sum_q x_i(q) conj(x_j(q)) w(q) for rows ``x`` and weights ``w`` (Q, or
+    a stack of them), by the defining sum over the nodes."""
+    return np.einsum("iq,jq,...q->...ij", x, x.conj(), w)
+
+
+def curvature_sums(w, wz):
+    """P = sum_i |W_i|^2 and its derivatives P_z, P_zzbar at the nodes, from
+    the rows W and their z-derivatives."""
+    p = np.einsum("iq,iq->q", w, w.conj()).real
+    pz = np.einsum("iq,iq->q", wz, w.conj())
+    pzz = np.einsum("iq,iq->q", wz, wz.conj()).real
+    return p, pz, pzz
+
+
+def pairing_sums(model, a):
+    """s* A s, s* A s' and s'* A s' at the nodes for hermitian A (N x N or a
+    stack), from the section rows; shape (..., 3, Q)."""
+    s, ds = section_rows(model)
+    return np.stack(
+        [np.einsum("iq,...ij,jq->...q", x.conj(), a, y) for x, y in ((s, s), (s, ds), (ds, ds))],
+        axis=-2,
+    )
+
+
+def pushforward_measure_derivative(model, bm, dirs):
+    """d mu_B along each direction A of ``dirs``, from the section rows Z, Z'
+    and the per-node outer-product tables conj(X_i) Y_j: with W = B Z,
+        dP = 2 Re(conj(W) . AZ),  dP_z = AZ' . conj(W) + W' . conj(AZ),
+        dP_zzbar = 2 Re(conj(W') . AZ'),
+    and d mu_B = (dnum / P^3 - 3 num dP / P^4) (1+|z|^2)^2 qw / V for the
+    curvature numerator num = P P_zzbar - |P_z|^2."""
+    z, zz = section_rows(model)
+    w, wz = bm @ z, bm @ zz
+    n, q = z.shape
+
+    def outer(x, y):
+        return (x.conj()[:, None, :] * y[None, :, :]).reshape(n * n, q)
+
+    a = dirs.reshape(len(dirs), n * n)
+    dp = 2.0 * (a @ outer(w, z)).real
+    dpz = a @ (outer(w, zz) + outer(z, wz))
+    dpzz = 2.0 * (a @ outer(wz, zz)).real
+    p, pz, pzz = curvature_sums(w, wz)
+    num = p * pzz - np.abs(pz) ** 2
+    dnum = dp * pzz + p * dpzz - 2.0 * (pz.conj() * dpz).real
+    x2 = (1.0 + np.abs(model.nodes) ** 2) ** 2
+    return (dnum / p**3 - 3.0 * num * dp / p**4) * x2 * model.quad_weights / model.V

@@ -1,9 +1,10 @@
 """Smoke test of the benchmark's calls into the public API.
 
 Runs one seeded item of every workload in ``perfbench/workloads.py`` at the
-smallest size of its ladder, on the benchmark's own grid, through the same
-generate/run/check calls the benchmark harness makes; a change to the
-public surface the harness uses then fails here, not in a benchmark run.
+smallest and at the largest size of its ladder, on the benchmark's own
+grid, through the same generate/run/check calls the benchmark harness
+makes; a change to the public surface the harness uses, or a fault that
+shows only at large N, then fails here, not in a benchmark run.
 """
 
 import sys
@@ -19,12 +20,28 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_one_item_passes_its_gate(name):
+def _item_gate(name, k, seed=1, index=0):
+    """The gate verdict on item ``index`` of the size-k block that the
+    benchmark generates for ``seed`` (rng seeded by (seed, k))."""
     wl = workloads.WORKLOADS[name]
-    k = min(wl.ladder)
     model = hb.geometry.build_p1_model(k, **workloads.grid(k))
     if wl.uses_laplacian:
         model.laplacian()
-    (item,) = wl.generate(hb, model, np.random.default_rng([1, k]), 1, defaultdict(int))
-    assert wl.check(hb, model, item, wl.run(hb, model, item)) is None
+    items = wl.generate(hb, model, np.random.default_rng([seed, k]), index + 1, defaultdict(int))
+    return wl.check(hb, model, items[index], wl.run(hb, model, items[index]))
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_one_item_passes_its_gate(name):
+    assert _item_gate(name, min(workloads.WORKLOADS[name].ladder)) is None
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_one_item_at_the_largest_size_passes_its_gate(name):
+    assert _item_gate(name, max(workloads.WORKLOADS[name].ladder)) is None
+
+
+def test_surject_fixed_item_at_the_rounding_floor():
+    # the third k=4 item of seed 10: the moment Newton's Armijo test alone
+    # stalled at a coordinate residual of 1.42e-9 against tol/scale = 2e-10
+    assert _item_gate("surject-fixed", 4, seed=10, index=2) is None

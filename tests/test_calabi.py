@@ -139,6 +139,17 @@ class TestSurjectFixedVolume:
         )
         assert report.residual_max <= 1e-8
 
+    def test_anticanonical_target_below_the_armijo_rounding(self):
+        # near the solution the dual objective's predicted decrease falls
+        # below its rounding; the Armijo test alone stalled here just above
+        # tol/scale
+        model = build_p1_anticanonical_model(4, radial_nodes=24, azimuthal_nodes=40)
+        u = 0.1 * np.cos(np.pi * model.t) + 0.05 * model.t * np.sin(model.theta)
+        target = hilb_nu(model, MetricWeight.grid(u), ANTICANONICAL)
+        _, report = surject_fixed_volume(model, target, variant=ANTICANONICAL, tol=1e-9)
+        assert report.achieved
+        assert report.residual_max <= 1e-9
+
     def test_canonical_variant_mock(self):
         model = mock_general_type_model(2, radial_nodes=24, azimuthal_nodes=32)
         from hilbfs.maps import CANONICAL

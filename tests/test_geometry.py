@@ -15,8 +15,22 @@ from hilbfs import (
     integrate,
     reference_density,
 )
-from hilbfs.linalg import orthonormalize_sections, random_spd, random_unitary
-from _oracles import mc_integral_p1, sphere_basis
+from hilbfs.geometry import _pushforward_measure_derivative
+from hilbfs.linalg import (
+    orthonormalize_sections,
+    random_hermitian,
+    random_spd,
+    random_unitary,
+)
+from _oracles import (
+    curvature_sums,
+    mc_integral_p1,
+    pairing_sums,
+    pushforward_measure_derivative,
+    section_rows,
+    sphere_basis,
+    weighted_gram,
+)
 
 
 def beta_moment(a, k):
@@ -209,6 +223,57 @@ class TestCurvatureVolume:
         u = 60.0 * (model.t - 0.5)  # wild potential: curvature goes negative
         with pytest.raises(CurvaturePositivityError):
             curvature_volume(model, MetricWeight.grid(u))
+
+
+def _rel(new, ref):
+    return float(np.abs(new - ref).max() / np.abs(ref).max())
+
+
+KERNEL_CASES = [(2, 1), (4, 1), (8, 1), (16, 1), (3, 2)]
+
+
+class TestThetaFourierKernel:
+    """The pairing kernel against the row-based sums over the nodes."""
+
+    @pytest.mark.parametrize("k,d", KERNEL_CASES)
+    def test_synthesis_of_an_inverse_form(self, k, d):
+        model = build_p1_model(k, line_degree=d)
+        h = random_spd(model.N, np.random.default_rng(k), cond=10.0)
+        rows, drows = section_rows(model)
+        lower = np.linalg.cholesky(h.mat)
+        ref = curvature_sums(np.linalg.solve(lower, rows), np.linalg.solve(lower, drows))
+        new = model._theta_fourier().pairings(np.linalg.inv(h.mat))
+        for part in range(3):
+            assert _rel(new[part], ref[part]) <= 1e-13
+        only_p = model._theta_fourier().pairings(np.linalg.inv(h.mat), parts=1)
+        assert only_p.shape == (1, model.Q)
+        assert _rel(only_p[0], ref[0]) <= 1e-13
+
+    @pytest.mark.parametrize("k,d", KERNEL_CASES)
+    def test_synthesis_of_a_stack(self, k, d):
+        model = build_p1_model(k, line_degree=d)
+        rng = np.random.default_rng(k + 10)
+        a = np.array([random_hermitian(model.N, rng) for _ in range(4)])
+        new = model._theta_fourier().pairings(a)
+        assert new.shape == (4, 3, model.Q)
+        assert _rel(new, pairing_sums(model, a)) <= 1e-13
+
+    @pytest.mark.parametrize("k,d", KERNEL_CASES)
+    def test_analysis_single_and_stacked(self, k, d):
+        model = build_p1_model(k, line_degree=d)
+        w = np.random.default_rng(k + 20).uniform(0.5, 1.5, size=(3, model.Q))
+        kernel = model._theta_fourier()
+        for weights in (w[0], w):
+            assert _rel(kernel.gram(weights), weighted_gram(model.sections, weights)) <= 1e-13
+
+    @pytest.mark.parametrize("k,d", KERNEL_CASES)
+    def test_pushforward_measure_derivative(self, k, d):
+        model = build_p1_model(k, line_degree=d)
+        rng = np.random.default_rng(k + 30)
+        b = random_spd(model.N, rng, cond=5.0).mat
+        dirs = np.array([random_hermitian(model.N, rng) for _ in range(5)])
+        new = _pushforward_measure_derivative(model, b, dirs)
+        assert _rel(new, pushforward_measure_derivative(model, b, dirs)) <= 1e-13
 
 
 class TestVeronese:
