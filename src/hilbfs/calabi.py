@@ -234,6 +234,44 @@ def _validate_target(g, n: int) -> HermitianForm:
     return form
 
 
+def _full_gram_family(model: ManifoldModel, basis: np.ndarray):
+    """Potential, moments and Jacobian (see ``moments._max_entropy_newton``)
+    of the family g_k = s* E_k^T s * ref_weight, E_k = basis[k].
+
+    u = sum_k c_k g_k is the pairing synthesis of C^T, C = sum_k c_k E_k,
+    and the moments Re<E_k, Gram(ref_weight ew)> are one analysis.  Since
+    s_a conj(s_b) s_c conj(s_d) = z^(a+c) conj(z)^(b+d), the Jacobian is
+        sum_q g_k g_l ew = sum E_k[a, b] E_l[c, d] G2[a + c, b + d],
+    G2 the doubled-degree Gram of ref_weight^2 ew; each E_k has at most two
+    nonzero entries, so it is an O(N^4) gather from G2.
+    """
+    n, kernel, doubled = model.N, model._theta_fourier(), model._theta_fourier(doubled=True)
+    flat = basis.reshape(len(basis), n * n)
+    # where and value of the (at most two) nonzero entries of each E_k
+    rows, cols = np.nonzero(flat)
+    slot = np.concatenate([[0], rows[1:] == rows[:-1]]).astype(int)
+    where = np.zeros((len(basis), 2), dtype=int)
+    value = np.zeros((len(basis), 2), dtype=complex)
+    where[rows, slot] = cols
+    value[rows, slot] = flat[rows, cols]
+    a, b = np.divmod(np.arange(n * n), n)
+    pair_sum = (a[:, None] + a) * (2 * n - 1) + b[:, None] + b
+
+    def potential(c):
+        coef = np.tensordot(c, basis, 1)
+        return kernel.pairings(coef.T, parts=1)[0].real * model.ref_weight
+
+    def moments(ew):
+        return np.real(flat @ kernel.gram(ew * model.ref_weight).ravel())
+
+    def jacobian(ew):
+        t = doubled.gram(ew).ravel()[pair_sum]  # T[(a, b), (c, d)] = G2[a + c, b + d]
+        left = value[:, :1] * t[where[:, 0]] + value[:, 1:] * t[where[:, 1]]
+        return np.real(left[:, where[:, 0]] * value[:, 0] + left[:, where[:, 1]] * value[:, 1])
+
+    return potential, moments, jacobian
+
+
 def surject_fixed_volume(
     model: ManifoldModel,
     target,
@@ -254,24 +292,22 @@ def surject_fixed_volume(
     exponent = exponent_for_variant(variant, model.k)
     g_form = _validate_target(target, model.N)
     # The full-Gram problem is the max-entropy moment problem in the real
-    # coordinates of the hermitian basis, with u = c @ bfun and
-    # bfun[k] = Re sum_ab basis_k[a, b] s_a conj(s_b) * rw, summed over a in
-    # real arithmetic so that no complex N^2 x Q table is held.  The largest
-    # coordinate bounds the largest matrix entry from above, so the
-    # coordinate tolerance tol / scale is never looser than the entry one.
-    n = model.N
+    # coordinates of the hermitian basis E_k: g_k = s* E_k^T s * rw, matched
+    # against Re<E_k, G>.  ``_full_gram_family`` evaluates it through the
+    # theta-Fourier kernels, so no node table of the N^2 functions g_k is
+    # held.  The largest coordinate bounds the largest matrix entry from
+    # above, so the coordinate tolerance tol / scale is never looser than the
+    # entry one.
     scale = model.N / model.V
     target_scaled = g_form.mat / scale
-    basis = hermitian_basis(n)
-    sect = model.sections
-    bfun = np.zeros((n * n, model.Q))
-    for a in range(n):
-        pa = sect[a] * sect.conj()
-        bfun += basis[:, a].real @ pa.real - basis[:, a].imag @ pa.imag
-    bfun *= model.ref_weight
+    basis = hermitian_basis(model.N)
     lam = np.real(np.einsum("kab,ab->k", basis, target_scaled))
     _, u, history = _max_entropy_newton(
-        bfun, base_nu.weights, lam, tol / scale, MOMENT_MAX_NEWTON
+        *_full_gram_family(model, basis),
+        base_nu.weights,
+        lam,
+        tol / scale,
+        MOMENT_MAX_NEWTON,
     )
     ew = np.exp(u) * base_nu.weights * model.ref_weight
     gram = model._theta_fourier().gram(ew)

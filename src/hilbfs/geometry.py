@@ -24,6 +24,15 @@ Geometry conventions
   node weights w, or a stack, to sum_q s_i conj(s_j) w =
   sum_r r^(i+j) w_hat(r, i-j), w_hat the theta-Fourier coefficients of w.
   Both rearrange the quadrature sums exactly, changing rounding only.
+* Products of two pairings: s_a conj(s_b) s_c conj(s_d) =
+  z^(a+c) conj(z)^(b+d), so a sum over the nodes of four sections against
+  a weight depends only on (a+c, b+d) and is one entry of the Gram of the
+  2N - 1 monomials of degree <= 2N - 2.  The doubled kernel
+  (``_theta_fourier(doubled=True)``) is that Gram's analysis: modes
+  |m| <= 2N - 2 and powers r^d, d <= 4N - 4, with ref_weight^2 =
+  (1 - t)^(2N - 2) folded into the powers, r^d ref_weight^2 =
+  sqrt(t)^d sqrt(1 - t)^(4N - 4 - d) in [0, 1], so that no power overflows
+  where r^d alone would.  Its gram(w) is sum_q z^p conj(z)^p' ref_weight^2 w.
 """
 
 from __future__ import annotations
@@ -33,7 +42,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.special import gammaln, lpmv
 
 from .errors import (
     ConfigurationError,
@@ -89,7 +97,7 @@ class ManifoldModel:
     azimuthal_nodes: int
     geometry: str = "projective_line"
     _laplacian: Optional["SphericalOperator"] = field(default=None, repr=False)
-    _fourier: Optional["_ThetaFourier"] = field(default=None, repr=False)
+    _fourier: dict = field(default_factory=dict, repr=False)
 
     @property
     def Q(self) -> int:
@@ -130,11 +138,12 @@ class ManifoldModel:
             )
         return self._laplacian
 
-    def _theta_fourier(self) -> "_ThetaFourier":
-        """The section-pairing kernel of the module docstring, built once."""
-        if self._fourier is None:
-            self._fourier = _ThetaFourier(self)
-        return self._fourier
+    def _theta_fourier(self, doubled: bool = False) -> "_ThetaFourier":
+        """The section-pairing kernel of the module docstring, or with
+        ``doubled`` its doubled-degree kernel; each built once."""
+        if doubled not in self._fourier:
+            self._fourier[doubled] = _ThetaFourier(self, doubled)
+        return self._fourier[doubled]
 
 
 class _ThetaFourier:
@@ -142,13 +151,20 @@ class _ThetaFourier:
     the module docstring).  conj(s_i) s_j, conj(s_i) s_j' and conj(s_i') s_j'
     are c r^d e^{im theta} with (c, d, m) = (1, i+j, j-i), (j, i+j-1, j-i-1)
     and (ij, i+j-2, j-i); the index tables place each pair with c != 0 in
-    a (part, power, mode) table, part 0 first and complete."""
+    a (part, power, mode) table, part 0 first and complete.  The doubled
+    kernel takes the 2N - 1 monomials of degree <= 2N - 2 for the sections
+    and carries ref_weight^2 in its powers."""
 
-    def __init__(self, model: "ManifoldModel"):
+    def __init__(self, model: "ManifoldModel", doubled: bool = False):
         n, na = model.N, model.azimuthal_nodes
-        self._n, self._grid = n, (model.radial_nodes, na)
         t = model.t[::na]
-        self._powers = np.sqrt(t / (1.0 - t))[:, None] ** np.arange(2 * n - 1)
+        if doubled:
+            n = 2 * n - 1
+            d = np.arange(2 * n - 1)
+            self._powers = np.sqrt(t)[:, None] ** d * np.sqrt(1.0 - t)[:, None] ** (d[-1] - d)
+        else:
+            self._powers = np.sqrt(t / (1.0 - t))[:, None] ** np.arange(2 * n - 1)
+        self._n, self._grid = n, (model.radial_nodes, na)
         self._modes = np.exp(1j * np.outer(np.arange(-n, n + 1), model.theta[:na]))
         i, j = np.indices((n, n)).reshape(2, -1)
         coef = np.concatenate([np.ones(n * n), j, i * j])
@@ -182,12 +198,28 @@ class _ThetaFourier:
 def _legendre_table(x, lmax, mmax):
     """Normalised associated Legendre values Pbar_l^m(x), shape
     (mmax+1, lmax+1, len(x)), zero where l < m; orthonormal against
-    (1/2) dx on [-1, 1]."""
+    (1/2) dx on [-1, 1], with the Condon-Shortley phase.
+
+    The normalised three-term recurrence (Holmes and Featherstone, 2002):
+    the sectoral values Pbar_m^m = -sqrt((2m+1)/(2m)) u Pbar_(m-1)^(m-1),
+    u = sqrt(1 - x^2), then for every order at once
+        Pbar_l^m = a_lm x Pbar_(l-1)^m - b_lm Pbar_(l-2)^m.
+    Every value is formed from normalised ones, so nothing overflows.
+    """
     table = np.zeros((mmax + 1, lmax + 1, x.size))
-    for m in range(mmax + 1):
-        l = np.arange(m, lmax + 1)
-        log_norm = 0.5 * (np.log(2 * l + 1) + gammaln(l - m + 1) - gammaln(l + m + 1))
-        table[m, m:] = lpmv(m, l[:, None], x) * np.exp(log_norm)[:, None]
+    m = np.arange(mmax + 1)
+    u = np.sqrt((1.0 - x) * (1.0 + x))
+    step = -np.sqrt((2 * m[1:] + 1) / (2.0 * m[1:]))[:, None] * u
+    table[m, m] = np.cumprod(np.vstack([np.ones_like(x), step]), axis=0)
+    for l in range(1, lmax + 1):
+        top = min(l, mmax + 1)  # the orders m < l
+        mm = m[:top, None]
+        a = np.sqrt((2 * l - 1) * (2 * l + 1) / ((l - mm) * (l + mm)))
+        table[:top, l] = a * x * table[:top, l - 1]
+        if l >= 2:
+            b = np.sqrt((2 * l + 1) * (l + mm - 1) * (l - mm - 1)
+                        / ((l - mm) * (l + mm) * (2 * l - 3.0)))
+            table[:top, l] -= b * table[:top, l - 2]
     return table
 
 

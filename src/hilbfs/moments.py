@@ -11,12 +11,17 @@ below the objective's rounding, and the test decides on noise; so once the
 full step's predicted decrease |slope| < ROUNDING_FLOOR |objective|, a
 step that lowers ||moments - target||_2 is accepted too.
 
-The Newton itself, ``_max_entropy_newton``, works on arrays: any family of
-node functions g_k, any positive node weights and any real target.  Its
-second caller is ``calabi.surject_fixed_volume``, whose full-Gram problem
-is the same max-entropy problem with g_k the real pairings of the section
-pair products s_a conj(s_b) with an orthonormal hermitian basis, and whose
-targets (the basis coordinates of a Gram matrix) may be negative.
+The Newton itself, ``_max_entropy_newton``, takes any positive node
+weights, any real target and any family of node functions g_k, which it
+sees only through three functions: the potential u = sum_k c_k g_k at the
+nodes, and for node weights ew the moments sum_q g_k ew and the Jacobian
+sum_q g_k g_l ew.  ``solve_moments`` forms all three from its N x Q table
+of squared sections.  The second caller, ``calabi.surject_fixed_volume``,
+solves the full-Gram problem, with g_k = s* E_k^T s * ref_weight for an
+orthonormal hermitian basis E_k; its targets, the basis coordinates of a
+Gram matrix, may be negative.  It holds no node table: the potential is a
+pairing synthesis, the moments a Gram analysis and the Jacobian a gather
+from the Gram of the doubled-degree monomials (see ``geometry``).
 
 Feasibility caveat: with the monomial basis the diagonal moments are
 moments of a positive measure on [0, infinity) in x = |z|^2, hence
@@ -31,7 +36,7 @@ iterations.  A well-conditioned row family remains available through the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -102,43 +107,47 @@ def hankel_margins(values: np.ndarray) -> dict:
 
 
 def _max_entropy_newton(
-    gfun: np.ndarray,
+    potential: Callable[[np.ndarray], np.ndarray],
+    moments: Callable[[np.ndarray], np.ndarray],
+    jacobian: Callable[[np.ndarray], np.ndarray],
     weights: np.ndarray,
     target: np.ndarray,
     tol: float,
     max_newton: int,
 ):
-    """Coefficients c with gfun @ (e^(c @ gfun) * weights) = target.
+    """Coefficients c with moments(e^potential(c) * weights) = target.
 
-    Damped Newton with Armijo line search on the convex dual objective
-    sum(e^u * weights) - <c, target>, u = c @ gfun, starting from c = 0,
+    The family g_k enters through three functions: ``potential`` takes c to
+    the node values u = sum_k c_k g_k, ``moments`` takes node weights ew to
+    the vector sum_q g_k ew and ``jacobian`` takes them to the Gram
+    sum_q g_k g_l ew.  Damped Newton with Armijo line search on the convex
+    dual objective sum(e^u * weights) - <c, target>, starting from c = 0,
     or by the gradient-norm test of the module docstring once the Armijo
     test is below rounding.  The target may have entries of either sign.
     Returns (c, u, history), history holding the max-norm residual of every
     iterate.
     """
-    coef = np.zeros(gfun.shape[0])
+    coef = np.zeros(target.size)
     history: List[float] = []
 
     def dual_and_grad(c):
-        u = c @ gfun
+        u = potential(c)
         if u.max() > 700.0:
             return None, None, None
         ew = np.exp(u) * weights
-        moments = gfun @ ew
         objective = float(ew.sum() - c @ target)
-        return objective, moments, ew
+        return objective, moments(ew), ew
 
-    obj, moments, ew = dual_and_grad(coef)
+    obj, mom, ew = dual_and_grad(coef)
     for it in range(max_newton):
-        resid = float(np.abs(moments - target).max())
+        resid = float(np.abs(mom - target).max())
         history.append(resid)
         if resid <= tol:
-            return coef, coef @ gfun, history
-        jac = (gfun * ew) @ gfun.T
+            return coef, potential(coef), history
+        jac = jacobian(ew)
         try:
             cholesky_lower(jac)  # convexity audit: weighted Gram must stay PD
-            step = np.linalg.solve(jac, target - moments)
+            step = np.linalg.solve(jac, target - mom)
         except (DefinitenessError, np.linalg.LinAlgError) as exc:
             raise ConvergenceError(
                 f"moment Newton jacobian degenerate at iteration {it} "
@@ -146,19 +155,19 @@ def _max_entropy_newton(
                 "boundary of the achievable cone",
                 history,
             ) from exc
-        grad = moments - target
+        grad = mom - target
         slope = float(grad @ step)
         alpha = 1.0
         accepted = False
         below_rounding = abs(slope) < ROUNDING_FLOOR * abs(obj)
         for _ in range(60):
             cand = coef + alpha * step
-            obj_c, moments_c, ew_c = dual_and_grad(cand)
+            obj_c, mom_c, ew_c = dual_and_grad(cand)
             if obj_c is not None and (
                 obj_c <= obj + 1e-4 * alpha * slope
-                or below_rounding and np.linalg.norm(moments_c - target) < np.linalg.norm(grad)
+                or below_rounding and np.linalg.norm(mom_c - target) < np.linalg.norm(grad)
             ):
-                coef, obj, moments, ew = cand, obj_c, moments_c, ew_c
+                coef, obj, mom, ew = cand, obj_c, mom_c, ew_c
                 accepted = True
                 break
             alpha *= 0.5
@@ -182,19 +191,30 @@ def solve_moments(
     tol: float = 1e-11,
     max_newton: int = 100,
     sections: Optional[np.ndarray] = None,
+    squares: Optional[np.ndarray] = None,
 ) -> MomentSolution:
     """Positive density e^u dV_ref with prescribed squared-section moments.
 
     Damped Newton with Armijo line search on the convex dual objective
     int e^u dV - <c, target>, starting from c = 0 (the reference density).
+    ``squares`` is ``section_squares(model, sections)`` when the caller
+    already holds it.
     """
-    gfun = section_squares(model, sections)
+    gfun = section_squares(model, sections) if squares is None else squares
     if target.dim != gfun.shape[0]:
         raise DimensionError(
             f"target has {target.dim} entries, basis has {gfun.shape[0]}"
         )
     qw = model.quad_weights
-    coef, u, history = _max_entropy_newton(gfun, qw, target.values, tol, max_newton)
+    coef, u, history = _max_entropy_newton(
+        lambda c: c @ gfun,
+        lambda ew: gfun @ ew,
+        lambda ew: (gfun * ew) @ gfun.T,
+        qw,
+        target.values,
+        tol,
+        max_newton,
+    )
     ew = np.exp(u) * qw
     return MomentSolution(
         density=Density(ew),
@@ -296,7 +316,7 @@ def build_lambda(
                     MomentTarget(targets[i]),
                     tol=tol,
                     max_newton=max_newton,
-                    sections=sections,
+                    squares=gfun,
                 )
             except ConvergenceError as exc:
                 raise MomentInfeasibleError(

@@ -307,8 +307,9 @@ def solve_psi(
     """Find B with psi(B) = G by continuation from the closed-form seed.
 
     The seed B0 = G^{-1/2} satisfies psi0(B0) = G exactly; t then marches
-    from 0 to 1 with adaptive steps (halve on Newton failure, double after
-    two successes, floor ``STEP_FLOOR``).  psi is scale-invariant, so G is
+    from 0 to 1 with adaptive steps (on Newton failure halve the step
+    tried, which is h or 1 - t where t + h is clipped to 1; double after two
+    successes; floor ``STEP_FLOOR``).  psi is scale-invariant, so G is
     first normalised by its trace, which must be positive (``ValueError``
     otherwise).  Raises ``MarginError`` when the normalised G's smallest
     eigenvalue is below ``MARGIN`` and ``ContinuationError`` carrying the
@@ -343,7 +344,7 @@ def solve_psi(
         bn, iters, resid = _newton_at_t(model, b, t_next, gm, basis, newton_tol)
         if bn is None:
             successes = 0
-            h *= 0.5
+            h = 0.5 * min(h, 1.0 - t)  # the step tried: t + h is clipped to 1
             if h < STEP_FLOOR:
                 trace.log(t_next, resid, h, iters)
                 raise ContinuationError(

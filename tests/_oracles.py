@@ -7,6 +7,8 @@ import math
 import numpy as np
 from scipy.special import gammaln, lpmv
 
+from hilbfs.pushforward import hermitian_basis
+
 
 def psi0_defining_quadrature(b, radial=160, azimuthal=160):
     """Defining integral of the ambient pushforward for N = 2, evaluated by
@@ -171,3 +173,31 @@ def pushforward_measure_derivative(model, bm, dirs):
     dnum = dp * pzz + p * dpzz - 2.0 * (pz.conj() * dpz).real
     x2 = (1.0 + np.abs(model.nodes) ** 2) ** 2
     return (dnum / p**3 - 3.0 * num * dp / p**4) * x2 * model.quad_weights / model.V
+
+
+def pair_product_table(model):
+    """The N^2 x Q table of the full-Gram moment family, row k holding
+    Re sum_ab E_k[a, b] s_a conj(s_b) * ref_weight for the hermitian basis
+    E_k, summed over a from the section values."""
+    n = model.N
+    basis = hermitian_basis(n)
+    sect = model.sections
+    table = np.zeros((n * n, model.Q))
+    for a in range(n):
+        pa = sect[a] * sect.conj()
+        table += basis[:, a].real @ pa.real - basis[:, a].imag @ pa.imag
+    return table * model.ref_weight
+
+
+def legendre_table_lpmv(x, lmax, mmax):
+    """Normalised associated Legendre values from ``scipy.special.lpmv`` times
+    the normalisation sqrt((2l+1)(l-m)!/(l+m)!), shape
+    (mmax+1, lmax+1, len(x)); lpmv overflows at high degree and order,
+    leaving inf or nan there."""
+    table = np.zeros((mmax + 1, lmax + 1, x.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(mmax + 1):
+            l = np.arange(m, lmax + 1)
+            log_norm = 0.5 * (np.log(2 * l + 1) + gammaln(l - m + 1) - gammaln(l + m + 1))
+            table[m, m:] = lpmv(m, l[:, None], x) * np.exp(log_norm)[:, None]
+    return table

@@ -1,4 +1,8 @@
 import math
+import sys
+import tracemalloc
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +28,21 @@ from hilbfs import (
     surject_fixed_volume,
     surject_full,
 )
-from hilbfs.errors import ConvergenceError, HermitianDefectError, VariantError
+from hilbfs.calabi import _full_gram_family
+from hilbfs.errors import (
+    ConvergenceError,
+    HermitianDefectError,
+    IllConditionedWarning,
+    VariantError,
+)
 from hilbfs.linalg import random_spd
+from hilbfs.moments import _max_entropy_newton
+from hilbfs.pushforward import hermitian_basis
 
-from _oracles import sphere_basis
+from _oracles import pair_product_table, sphere_basis
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def smooth_random_g(model, rng, amplitude=0.4, decay=0.15):
@@ -193,8 +208,72 @@ class TestSurjectFixedVolume:
     def test_ill_conditioned_target_rejected(self):
         model = build_p1_model(2)
         bad = HermitianForm.diagonal([1.0, 1e-9, 1.0])
-        with pytest.raises(MarginError):
+        with pytest.raises(MarginError), pytest.warns(IllConditionedWarning):
             surject_fixed_volume(model, bad)
+
+
+def _rel(new, ref):
+    return float(np.abs(new - ref).max() / np.abs(ref).max())
+
+
+def _table_family(table):
+    """The moment family's three functions from its N^2 x Q node table."""
+    return (
+        lambda c: c @ table,
+        lambda ew: table @ ew,
+        lambda ew: (table * ew) @ table.T,
+    )
+
+
+def _benchmark_item(k, seed=1):
+    """The first surject-fixed benchmark item of size k for ``seed``."""
+    model = build_p1_model(k, **workloads.grid(k))
+    wl = workloads.WORKLOADS["surject-fixed"]
+    g, nu = wl.generate(hilbfs, model, np.random.default_rng([seed, k]), 1, defaultdict(int))[0]
+    return model, g, nu
+
+
+class TestFullGramFamily:
+    """The table-free full-Gram moment family against the N^2 x Q table of
+    its node functions."""
+
+    @pytest.mark.parametrize("k,d", [(2, 1), (4, 1), (8, 1), (12, 1), (16, 1), (3, 2)])
+    def test_matches_pair_product_table(self, k, d):
+        model = build_p1_model(k, line_degree=d)
+        family = _full_gram_family(model, hermitian_basis(model.N))
+        oracle = _table_family(pair_product_table(model))
+        rng = np.random.default_rng(k + 40)
+        c = 0.3 * rng.standard_normal(model.N**2)
+        ew = model.quad_weights * rng.uniform(0.5, 1.5, size=model.Q)
+        assert _rel(family[0](c), oracle[0](c)) <= 1e-13
+        for new, ref in zip(family[1:], oracle[1:]):
+            assert _rel(new(ew), ref(ew)) <= 1e-13
+
+    @pytest.mark.parametrize("k", [4, 8, 12])
+    def test_newton_path_matches_the_table(self, monkeypatch, k):
+        model, g, nu = _benchmark_item(k)
+        _, report = surject_fixed_volume(model, g, nu=nu)
+        table = pair_product_table(model)
+
+        def table_newton(potential, moments, jacobian, *rest):
+            return _max_entropy_newton(*_table_family(table), *rest)
+
+        monkeypatch.setattr(hilbfs.calabi, "_max_entropy_newton", table_newton)
+        _, oracle = surject_fixed_volume(model, g, nu=nu)
+        assert report.stage_logs[0]["newton_iters"] == oracle.stage_logs[0]["newton_iters"]
+        assert report.residual_max <= 1e-8
+        assert abs(report.residual_max - oracle.residual_max) <= 1e-12
+
+    def test_no_node_table_is_held(self):
+        # one N^2 x Q table of floats alone would take 8 N^2 Q bytes
+        model, g, nu = _benchmark_item(12)
+        tracemalloc.start()
+        try:
+            surject_fixed_volume(model, g, nu=nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * model.N**2 * model.Q
 
 
 class TestSurjectFull:

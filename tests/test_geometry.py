@@ -15,7 +15,7 @@ from hilbfs import (
     integrate,
     reference_density,
 )
-from hilbfs.geometry import _pushforward_measure_derivative
+from hilbfs.geometry import _legendre_table, _pushforward_measure_derivative
 from hilbfs.linalg import (
     orthonormalize_sections,
     random_hermitian,
@@ -24,6 +24,7 @@ from hilbfs.linalg import (
 )
 from _oracles import (
     curvature_sums,
+    legendre_table_lpmv,
     mc_integral_p1,
     pairing_sums,
     pushforward_measure_derivative,
@@ -267,6 +268,18 @@ class TestThetaFourierKernel:
             assert _rel(kernel.gram(weights), weighted_gram(model.sections, weights)) <= 1e-13
 
     @pytest.mark.parametrize("k,d", KERNEL_CASES)
+    def test_doubled_analysis(self, k, d):
+        # the Gram of the 2N - 1 monomials of degree <= 2N - 2 against
+        # ref_weight^2 w
+        model = build_p1_model(k, line_degree=d)
+        w = np.random.default_rng(k + 25).uniform(0.5, 1.5, size=(3, model.Q))
+        monomials = model.nodes[None, :] ** np.arange(2 * model.N - 1)[:, None]
+        kernel = model._theta_fourier(doubled=True)
+        for weights in (w[0], w):
+            ref = weighted_gram(monomials, weights * model.ref_weight**2)
+            assert _rel(kernel.gram(weights), ref) <= 1e-13
+
+    @pytest.mark.parametrize("k,d", KERNEL_CASES)
     def test_pushforward_measure_derivative(self, k, d):
         model = build_p1_model(k, line_degree=d)
         rng = np.random.default_rng(k + 30)
@@ -348,3 +361,37 @@ class TestLaplacian:
         lap = model.laplacian()
         held = sum(v.size for v in vars(lap).values() if isinstance(v, np.ndarray))
         assert held < model.Q**2 / 10
+
+    def test_fine_grid_operator_is_finite(self):
+        # scipy's lpmv overflowed here from 91 radial nodes on
+        model = build_p1_model(8, radial_nodes=128, azimuthal_nodes=182)
+        lap = model.laplacian()
+        x = np.random.default_rng(10).standard_normal(model.Q)
+        assert np.all(np.isfinite(lap @ x))
+        # constants up to the rounding of the largest eigenvalue, 4 pi 127 128
+        assert np.abs(lap @ np.ones(model.Q)).max() <= 1e-11 * np.abs(lap.eigenvalues).max()
+
+
+class TestLegendreTable:
+    NODES = 128
+
+    def test_matches_lpmv_where_finite(self):
+        # |Pbar_l^m| is bounded by sqrt(2l + 1); lpmv's own rounding, not the
+        # recurrence's, sets the largest differences at high degree
+        x = np.polynomial.legendre.leggauss(self.NODES)[0]
+        lmax = self.NODES - 1
+        new = _legendre_table(x, lmax, lmax)
+        old = legendre_table_lpmv(x, lmax, lmax)
+        finite = np.isfinite(old)
+        scaled = np.abs(new - old) / np.sqrt(2 * np.arange(lmax + 1) + 1)[:, None]
+        assert scaled[finite].max() <= 1e-13
+
+    def test_orthonormal(self):
+        x, w = np.polynomial.legendre.leggauss(self.NODES)
+        lmax = self.NODES - 1
+        table = _legendre_table(x, lmax, lmax)
+        assert np.all(np.isfinite(table))
+        for m in range(lmax + 1):
+            gram = (table[m] * (0.5 * w)) @ table[m].T
+            expected = np.diag((np.arange(lmax + 1) >= m).astype(float))
+            assert np.abs(gram - expected).max() <= 1e-12

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hilbfs.pushforward
 from hilbfs import (
     ContinuationError,
     HermitianDefectError,
@@ -322,3 +323,28 @@ class TestSolvePsi:
         ts = [r.t for r in trace.rows]
         assert ts == sorted(ts)
         assert ts[-1] == pytest.approx(1.0)
+
+    def test_clipped_failure_halves_the_step_tried(self, monkeypatch):
+        # steps=3 reaches t = 11/12 with h = 1/4, so t + h is clipped to 1;
+        # a corrector failure there halves 1 - t = 1/12, not h, and the
+        # identical failed corrector at t = 1 is not rerun
+        model = conic_model()
+        x = random_hermitian(3, np.random.default_rng(13))
+        target = psi(model, np.eye(3) + 0.35 * x / np.abs(np.linalg.eigvalsh(x)).max())
+        newton = hilbfs.pushforward._newton_at_t
+        calls = []  # (t tried, failed)
+
+        def fail_once_at_one(model, b, t, *args):
+            if t == 1.0 and not any(failed for _, failed in calls):
+                calls.append((t, True))
+                return None, 0, 1.0
+            out = newton(model, b, t, *args)
+            calls.append((t, out[0] is None))
+            return out
+
+        monkeypatch.setattr(hilbfs.pushforward, "_newton_at_t", fail_once_at_one)
+        _, trace = solve_psi(model, target, steps=3, newton_tol=1e-10)
+        assert (1.0, True) in calls
+        for (t, failed), (t_next, _) in zip(calls, calls[1:]):
+            assert not (failed and t_next == t)
+        assert trace.rows[-1].t == 1.0
