@@ -20,11 +20,15 @@ mode like the Laplacian itself.  CG stops at a relative residual of
 ``CG_MAX_ITERS`` iterations raises ``ConvergenceError``, never an inexact
 step.
 
-``surject_full`` realises a target Gram matrix as the output of the Hilbert
-map: the continuation solver produces the weight data (a positive node
-measure realising the target), the Monge-Ampere step converts the measure
-realisation into a positively curved metric, and the forward map is always
-recomputed; no internal quantity is trusted without it.
+The surjectivity pipelines realise a target Gram matrix G as the output of
+a Hilbert map and always recompute the forward map; no internal quantity is
+trusted without it.  ``surject_full`` ends at a closed-form metric: with
+mu_B = ``geometry._pushforward_measure``, hilb(fs_metric(H)) =
+(N / kV) Gram(mu_(H^{-1/2})), so the B that ``solve_psi`` returns for G
+gives the Bergman metric fs_metric(c B^{-2}), c a trace ratio, realising
+G.  ``surject_fixed_volume`` solves the full-Gram moment problem of a
+variant and reads the metric off the solved weight.  ``solve_ma`` is the
+Monge-Ampere solver for grid data; neither pipeline calls it.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ from .geometry import (
     Density,
     ManifoldModel,
     MetricWeight,
-    _pushforward_measure,
+    curvature_volume,
+    fs_metric,
     reference_density,
 )
 from .linalg import COND_GUARD, HermitianForm, cholesky_lower
@@ -208,7 +213,6 @@ class SurjectivityReport:
     stage_logs: List[dict] = field(default_factory=list)
     tol: float = 0.0
     achieved: bool = True
-    metric_dump_path: Optional[str] = None
 
     def to_dict(self) -> dict:
         return {
@@ -219,7 +223,6 @@ class SurjectivityReport:
             "tolerance": self.tol,
             "achieved": self.achieved,
             "stage_logs": self.stage_logs,
-            "metric_dump_path": self.metric_dump_path,
         }
 
 
@@ -341,58 +344,38 @@ def surject_fixed_volume(
 def surject_full(model: ManifoldModel, target, tol: float = 1e-8):
     """Realise a target form as hilb of a positively curved metric.
 
-    Step 1 solves the curve pushforward for the target (``solve_psi``
-    normalises it by its trace) and converts the solution into the weight
-    data (a positive node measure realising the target exactly on the
-    grid); step 2 solves the Monge-Ampere equation for that data; step 3
-    assembles the metric, recomputes the forward Hilbert map and reports the
-    residual and the curvature positivity margin.  Stage failures are
-    wrapped with the stage name; a target too close to the boundary raises
-    the bare ``MarginError``, like any other invalid input.  A final
-    residual above tol is reported, not silenced.
+    ``solve_psi`` finds B with psi(B) = G / tr G (stage
+    ``pushforward-continuation``).  hilb(fs_metric(B^{-2})) is
+    (N / kV) Gram(mu_B), proportional to psi(B), and hilb(fs_metric(c H))
+    is c hilb(fs_metric(H)), so the Bergman metric fs_metric(c B^{-2}),
+    with c = tr G / tr hilb(fs_metric(B^{-2})), realises G.  Stage
+    ``forward-check`` builds that metric, recomputes hilb on it and reports
+    the residual and the least curvature density as the positivity margin.
+    Stage failures are wrapped with the stage name; a target too close to
+    the boundary raises the bare ``MarginError``, like any other invalid
+    input.  A final residual above tol is reported, not silenced.
     """
     g_form = _validate_target(target, model.N)
-    stage_logs = []
     try:
         bstar, ctrace = solve_psi(model, g_form, steps=CONTINUATION_STEPS, newton_tol=PSI_TOL)
     except MarginError:
         raise
     except _STAGE_ERRORS as exc:
         raise StageError("pushforward-continuation", exc) from exc
-    stage_logs.append(
+    stage_logs = [
         {
             "stage": "pushforward-continuation",
             "t_steps": len(ctrace.rows),
             "final_residual": ctrace.rows[-1].residual,
         }
-    )
-    # weight extraction: the solved B gives the positive measure mu_B, whose
-    # section Gram is proportional to G; rescale it so that
-    # (N/V) * Gram(mu_hat) = G exactly.
-    mu = _pushforward_measure(model, bstar.mat)
-    gram = model._theta_fourier().gram(mu)
-    scale = float(np.real(np.trace(g_form.mat) / np.trace(gram)))
-    mu_hat = mu * (model.V * scale / model.N)
-    step1_resid = float(np.abs(scale * gram - g_form.mat).max())
-    stage_logs.append({"stage": "weight-extraction", "gram_residual": step1_resid})
-    g_data = np.log(mu_hat / (model.ref_weight * model.quad_weights))
+    ]
     try:
-        ma = solve_ma(MAProblem(model, g_data))
-    except _STAGE_ERRORS as exc:
-        raise StageError("monge-ampere", exc) from exc
-    stage_logs.append(
-        {
-            "stage": "monge-ampere",
-            "residual": ma.residual,
-            "mass_defect": ma.mass_defect,
-            "normalisation_shift": ma.normalisation_shift,
-            "newton_iters": ma.newton_iters,
-            "cg_iters": sum(ma.cg_iters),
-        }
-    )
-    metric = MetricWeight.grid(ma.f)
-    try:
+        binv = np.linalg.inv(bstar.mat)
+        unscaled = fs_metric(model, HermitianForm(binv @ binv))
+        scale = np.trace(g_form.mat).real / np.trace(hilb(model, unscaled).mat).real
+        metric = unscaled.rescaled(float(scale))
         forward = hilb(model, metric)
+        density = curvature_volume(model, metric).weights / model.quad_weights
     except _STAGE_ERRORS as exc:
         raise StageError("forward-check", exc) from exc
     resid = float(np.abs(forward.mat - g_form.mat).max())
@@ -401,7 +384,7 @@ def surject_full(model: ManifoldModel, target, tol: float = 1e-8):
         mode="full",
         dim=model.N,
         residual_max=resid,
-        positivity_margin=ma.positivity_margin,
+        positivity_margin=float(density.min()),
         stage_logs=stage_logs,
         tol=tol,
         achieved=resid <= tol,

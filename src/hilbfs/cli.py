@@ -242,11 +242,9 @@ def cmd_surject(args) -> int:
         report = {"status": "failure", "stage": stage, "detail": str(exc)}
         print(emit_report(report, path))
         return 2
-    d = report.to_dict()
     if args.metric_out:
         _write_csv(_node_table("u", metric.potential(model)), args.metric_out)
-        d["metric_dump_path"] = args.metric_out
-    print(emit_report(d, path))
+    print(emit_report({**report.to_dict(), "metric_dump_path": args.metric_out}, path))
     return 0 if report.achieved else 2
 
 

@@ -65,7 +65,7 @@ class MomentInfeasibleError(ConvergenceError):
 
 
 class ContinuationError(RuntimeError):
-    """Predictor-corrector continuation stalled; carries the trace so far."""
+    """Continuation step size underflowed; carries the trace so far."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)

@@ -20,6 +20,7 @@ from hilbfs import (
     StageError,
     build_p1_anticanonical_model,
     build_p1_model,
+    curvature_volume,
     fs_metric,
     hilb,
     hilb_nu,
@@ -37,7 +38,7 @@ from hilbfs.errors import (
 )
 from hilbfs.linalg import random_spd
 from hilbfs.moments import _max_entropy_newton
-from hilbfs.pushforward import hermitian_basis
+from hilbfs.pushforward import hermitian_basis, solve_psi
 
 from _oracles import pair_product_table, sphere_basis
 
@@ -304,6 +305,27 @@ class TestSurjectFull:
             metric, report = surject_full(model, target, tol=1e-5)
             assert report.residual_max <= 1e-5
             assert report.positivity_margin > 0.0
+
+    def test_ends_at_the_bergman_metric_of_the_psi_solution(self):
+        # the realising metric is fs_metric(c B^-2) for solve_psi's B on the
+        # same target: no grid metric and no Monge-Ampere stage
+        model = build_p1_model(4, **workloads.grid(4))
+        target = hilb(model, fs_metric(model, random_spd(model.N, np.random.default_rng(8), 6.0)))
+        metric, report = surject_full(model, target)
+        assert metric.kind == "bergman"
+        b, _ = solve_psi(
+            model, target, steps=hilbfs.calabi.CONTINUATION_STEPS, newton_tol=hilbfs.calabi.PSI_TOL
+        )
+        binv = np.linalg.inv(b.mat)
+        form = binv @ binv
+        c = np.trace(metric.form.mat).real / np.trace(form).real
+        assert np.abs(metric.form.mat - c * form).max() <= 1e-12 * np.abs(metric.form.mat).max()
+        assert [s["stage"] for s in report.stage_logs] == [
+            "pushforward-continuation", "forward-check"
+        ]
+        density = curvature_volume(model, metric).weights / model.quad_weights
+        assert report.positivity_margin == density.min()
+        assert report.residual_max <= 1e-8
 
     def test_out_of_range_target_reported(self):
         # a unit-trace PD matrix whose diagonal is not log-convex cannot be

@@ -14,6 +14,7 @@ from hilbfs import (
     hilb,
     psi,
     surject_fixed_volume,
+    surject_full,
 )
 from hilbfs.linalg import random_spd
 from hilbfs.cli import main
@@ -150,7 +151,7 @@ def test_surject_full_feasible_target(tmp_path, capsys):
     assert report["residual_max"] <= 1e-8
     assert report["positivity_margin"] > 0
     assert [s["stage"] for s in report["stage_logs"]] == [
-        "pushforward-continuation", "weight-extraction", "monge-ampere", "forward-check"
+        "pushforward-continuation", "forward-check"
     ]
 
 
@@ -199,6 +200,7 @@ def test_surject_fixed_report(tmp_path, capsys):
         "achieved", "stage_logs", "metric_dump_path",
     ]
     assert report["mode"] == "fixed"
+    assert report["metric_dump_path"] is None
     assert [s["stage"] for s in report["stage_logs"]] == ["full-gram-moment", "forward-check"]
 
 
@@ -257,16 +259,18 @@ def read_node_table(path, column):
     return np.array([float(line.split(",")[1]) for line in lines[1:]])
 
 
-def test_surject_metric_out_csv(tmp_path, capsys):
+@pytest.mark.parametrize("mode", ["full", "fixed"])
+def test_surject_metric_out_csv(tmp_path, capsys, mode):
     model = build_p1_model(2, radial_nodes=32, azimuthal_nodes=48)
     target = hilb(model, fs_metric(model, random_spd(3, np.random.default_rng(14), cond=3.0)))
     path = write_matrix(tmp_path / "g.json", target.to_json_dict())
     out = tmp_path / "metric.csv"
-    argv = ["surject", "--k", "2", "--target", path, "--mode", "fixed", *GRID,
+    argv = ["surject", "--k", "2", "--target", path, "--mode", mode, *GRID,
             "--metric-out", str(out)]
     assert main(argv) == 0
     assert json_report(capsys)["metric_dump_path"] == str(out)
-    metric, _ = surject_fixed_volume(model, target, tol=1e-7)
+    solve = surject_full if mode == "full" else surject_fixed_volume
+    metric, _ = solve(model, target, tol=1e-7)
     assert np.array_equal(read_node_table(out, "u"), metric.potential(model))
 
 

@@ -12,10 +12,15 @@ from hilbfs import (
     build_p1_model,
     curvature_volume,
     fs_metric,
+    hilb,
     integrate,
     reference_density,
 )
-from hilbfs.geometry import _legendre_table, _pushforward_measure_derivative
+from hilbfs.geometry import (
+    _legendre_table,
+    _pushforward_measure,
+    _pushforward_measure_derivative,
+)
 from hilbfs.linalg import (
     orthonormalize_sections,
     random_hermitian,
@@ -287,6 +292,20 @@ class TestThetaFourierKernel:
         dirs = np.array([random_hermitian(model.N, rng) for _ in range(5)])
         new = _pushforward_measure_derivative(model, b, dirs)
         assert _rel(new, pushforward_measure_derivative(model, b, dirs)) <= 1e-13
+
+
+@pytest.mark.parametrize("k,d", KERNEL_CASES)
+def test_hilb_of_a_bergman_metric_is_a_pushforward_gram(k, d):
+    # hilb(fs_metric(H)) = (N / kV) Gram(mu_B), B = H^(-1/2): the metric
+    # weight 1/P times the curvature density over k is mu_B / k
+    deg = d * k
+    model = build_p1_model(k, 2 * (2 * deg + 4), 2 * (4 * deg + 4), line_degree=d)
+    h = random_spd(model.N, np.random.default_rng(k + 40), cond=10.0)
+    ev, vec = np.linalg.eigh(h.mat)
+    b = (vec / np.sqrt(ev)) @ vec.conj().T
+    gram = model._theta_fourier().gram(_pushforward_measure(model, b))
+    ref = model.N / (model.k * model.V) * gram
+    assert _rel(hilb(model, fs_metric(model, h)).mat, ref) <= 1e-12
 
 
 class TestVeronese:
