@@ -9,17 +9,19 @@ computed directly AND recovered from the linear system
 chain is checked link by link, and every hypothesis failure is reported as
 data, never raised.
 
-Row-measure family: the spike targets with the classical floor e^{-k} are
-provably infeasible on this test-bed for k >= 2 (see ``moments``), so the
-audit falls back to the constructive probe densities; the linear-system
-identity holds for ANY positive row measures, which is all the integration
-step of the argument uses.
+Row-measure family: the audit first asks for the spike targets with the
+classical floor e^{-k} on the gauge frame.  The paper family exists at
+k = 1; at larger k the cone bound of ``moments`` rejects the gauge rows
+before any Newton (the Hankel proof covers only the monomial frame), and
+the audit falls back to the constructive probe densities.  The
+linear-system identity holds for ANY positive row measures, which is all
+the integration step of the argument uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import asdict, dataclass, field
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -27,32 +29,24 @@ import scipy.linalg as sla
 from .errors import DimensionError, MomentInfeasibleError
 from .geometry import Density, ManifoldModel, MetricWeight, build_p1_model
 from .linalg import HermitianForm, cholesky_lower, matrix_norms
-from .moments import LambdaSystem, build_lambda, section_squares
+from .moments import build_lambda, section_squares
 
 EQ4_TOL = 1e-10
 
 
-@dataclass
-class GaugeData:
-    """H-orthonormal, H'-diagonalising frame: transform A with A H A* = I
-    and A H' A* = diag(d^2)."""
-
-    transform: np.ndarray
-    d_sq: np.ndarray
-    sections: np.ndarray
-
-
-def gauge_frame(model: ManifoldModel, h: HermitianForm, h2: HermitianForm) -> GaugeData:
-    if h.dim != model.N or h2.dim != model.N:
-        raise DimensionError("forms must match the model's section dimension")
-    lh = cholesky_lower(h)
-    cholesky_lower(h2)
-    m = sla.solve_triangular(lh, h2.mat, lower=True)
+def gauge_frame(
+    model: ManifoldModel, metric: MetricWeight, metric2: MetricWeight
+) -> Tuple[np.ndarray, np.ndarray]:
+    """H-orthonormal, H'-diagonalising frame of the two Bergman metrics:
+    with H = L L* (``metric.factor``) and A = U* L^{-1}, A H A* = I and
+    A H' A* = diag(d^2).  Returns d^2 and the frame's sections A s."""
+    lh = metric.factor
+    m = sla.solve_triangular(lh, metric2.form.mat, lower=True)
     m = sla.solve_triangular(lh.conj(), m.T, lower=True).T
     m = 0.5 * (m + m.conj().T)
     d_sq, u = np.linalg.eigh(m)
     a = u.conj().T @ np.linalg.inv(lh)
-    return GaugeData(transform=a, d_sq=d_sq, sections=a @ model.sections)
+    return d_sq, a @ model.sections
 
 
 @dataclass
@@ -61,7 +55,8 @@ class FsComparison:
     epsilon: float
     epsilon_node: int
     d_sq: np.ndarray
-    gauge: GaugeData
+    metrics: Tuple[MetricWeight, MetricWeight]
+    squares: np.ndarray
     pointwise_consistency: float
 
 
@@ -72,14 +67,18 @@ def compare_fs(model: ManifoldModel, h: HermitianForm, h2: HermitianForm) -> FsC
     eigenvalues are computed independently and the reconstruction
     1 + f = sum_i d_i^{-2} |s''_i|^2_{FS(H)} is checked pointwise at 1e-10
     (an internal consistency audit of the gauge, not a tolerance on f).
+    ``squares`` is the gauge frame's ``section_squares`` table.
     """
-    u1 = MetricWeight.bergman(h).potential(model)
-    u2 = MetricWeight.bergman(h2).potential(model)
+    if h.dim != model.N or h2.dim != model.N:
+        raise DimensionError("forms must match the model's section dimension")
+    metrics = (MetricWeight.bergman(h), MetricWeight.bergman(h2))
+    u1, u2 = (m.potential(model) for m in metrics)
     f = np.exp(u2 - u1) - 1.0
     node = int(np.abs(f).argmax())
-    gauge = gauge_frame(model, h, h2)
-    p1 = np.einsum("iq,iq->q", gauge.sections, gauge.sections.conj()).real
-    p2 = np.einsum("i,iq,iq->q", 1.0 / gauge.d_sq, gauge.sections, gauge.sections.conj()).real
+    d_sq, sections = gauge_frame(model, *metrics)
+    squares = section_squares(model, sections)
+    p1 = squares.sum(axis=0)
+    p2 = (1.0 / d_sq) @ squares
     consistency = float(np.abs(p2 / p1 - (1.0 + f)).max())
     if consistency > EQ4_TOL:
         raise RuntimeError(
@@ -89,8 +88,9 @@ def compare_fs(model: ManifoldModel, h: HermitianForm, h2: HermitianForm) -> FsC
         f=f,
         epsilon=float(np.abs(f).max()),
         epsilon_node=node,
-        d_sq=gauge.d_sq,
-        gauge=gauge,
+        d_sq=d_sq,
+        metrics=metrics,
+        squares=squares,
         pointwise_consistency=consistency,
     )
 
@@ -99,17 +99,18 @@ def f_matrix(
     model: ManifoldModel,
     f: np.ndarray,
     densities: List[Density],
-    sections: Optional[np.ndarray] = None,
+    squares: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """F[i, j] = integral of f * |s_j|^2 * ref_weight against density i.
 
-    When the densities come from ``build_lambda`` (row moments bounded by
-    one) this guarantees max-norm(F) <= sup|f|.
+    ``squares`` is the frame's N x Q ``section_squares`` table; ``None``
+    means the monomials.  When the densities come from ``build_lambda``
+    (row moments bounded by one) this guarantees max-norm(F) <= sup|f|.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (model.Q,):
         raise DimensionError("f must be a node function")
-    gfun = section_squares(model, sections)
+    gfun = section_squares(model) if squares is None else squares
     rows = []
     for d in densities:
         if d.weights.shape != (model.Q,):
@@ -144,41 +145,21 @@ class InjectivityReport:
     warnings: List[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "k": self.k,
-            "epsilon": self.epsilon,
-            "epsilon_node": self.epsilon_node,
-            "hypothesis_ok": self.hypothesis_ok,
-            "d_sq": [float(x) for x in self.d_sq],
-            "bound": self.bound,
-            "distance_op": self.distance_op,
-            "chain": self.chain,
-            "pass": self.pass_,
-            "status": self.status,
-            "lambda_mode": self.lambda_mode,
-            "lambda_floor": self.lambda_floor,
-            "lambda_norm_op": self.lambda_norm_op,
-            "lambda_inv_norm_op": self.lambda_inv_norm_op,
-            "lambda_bounds_ok": self.lambda_bounds_ok,
-            "lambda_paper_status": self.lambda_paper_status,
-            "route_agreement": self.route_agreement,
-            "intermediate_ok": self.intermediate_ok,
-            "refinement_flag": self.refinement_flag,
-            "epsilon_refined": self.epsilon_refined,
-            "warnings": self.warnings,
+        out = {
+            ("pass" if key == "pass_" else key): value
+            for key, value in asdict(self).items()
         }
+        out["d_sq"] = [float(x) for x in self.d_sq]
+        return out
 
 
-def _lambda_for_audit(model, sections, floor, tol):
+def _lambda_for_audit(model, squares, floor, tol):
     """Paper-floor rows when achievable, constructive probes otherwise."""
     try:
-        system = build_lambda(
-            model, floor=floor, tol=tol, mode="paper", sections=sections
-        )
+        system = build_lambda(model, floor=floor, tol=tol, mode="paper", squares=squares)
         return system, "achieved"
     except MomentInfeasibleError as exc:
-        probe = build_lambda(model, mode="probe", sections=sections)
+        probe = build_lambda(model, mode="probe", squares=squares)
         return probe, f"infeasible: {exc}"
 
 
@@ -200,17 +181,18 @@ def verify_injectivity(
     n = model.N
     eps = comp.epsilon
     hypothesis_ok = bool(n**1.5 * eps <= 0.25)
-    system, paper_status = _lambda_for_audit(model, comp.gauge.sections, floor, tol)
-    fmat = f_matrix(model, comp.f, system.densities, sections=comp.gauge.sections)
+    system, paper_status = _lambda_for_audit(model, comp.squares, floor, tol)
+    fmat = f_matrix(model, comp.f, system.densities, squares=comp.squares)
     dinv2_direct = 1.0 / comp.d_sq
     rhs = fmat @ np.ones(n)
     solved = np.linalg.solve(system.matrix, rhs)
     agreement = float(np.abs(solved - (dinv2_direct - 1.0)).max())
     lam_inv_f = np.linalg.solve(system.matrix, fmat)
+    f_norms = matrix_norms(fmat)
     chain = {
         "F_max": float(np.abs(fmat).max()),
-        "F_hs": matrix_norms(fmat).hs,
-        "F_op": matrix_norms(fmat).op,
+        "F_hs": f_norms.hs,
+        "F_op": f_norms.op,
         "lambda_inv_F_op": matrix_norms(lam_inv_f).op,
         "max_dinv2_minus_1": float(np.abs(dinv2_direct - 1.0).max()),
     }
@@ -237,8 +219,7 @@ def verify_injectivity(
             2 * model.azimuthal_nodes,
             line_degree=model.line_degree,
         )
-        u1 = MetricWeight.bergman(h).potential(fine)
-        u2 = MetricWeight.bergman(h2).potential(fine)
+        u1, u2 = (m.potential(fine) for m in comp.metrics)
         eps_refined = float(np.abs(np.exp(u2 - u1) - 1.0).max())
         refinement_flag = bool(abs(eps_refined - eps) > 1e-6)
         if refinement_flag:

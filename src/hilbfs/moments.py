@@ -29,8 +29,13 @@ log-convex in the index.  Spike targets (floor, ..., 1, ..., floor) with an
 interior 1 and floor < 1 violate the Hankel positivity conditions of the
 truncated Stieltjes problem and are not achievable by ANY positive density;
 ``build_lambda`` diagnoses this precisely instead of burning Newton
-iterations.  A well-conditioned row family remains available through the
-``probe`` mode, which localises densities where each section dominates.
+iterations.  For any frame a cone bound applies as well: with
+rho_i = g_i / sum_j g_j at each node, a node density whose moments meet the
+spike target of row i to within tol has row-i moment at least 1 - tol and
+at most max rho_i (1 + (N-1) floor + N tol), so ``build_lambda`` rejects
+the row when that maximum falls short of 1 - tol.  A well-conditioned row
+family remains available through the ``probe`` mode, which localises
+densities where each section dominates.
 """
 
 from __future__ import annotations
@@ -39,15 +44,11 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
+import scipy.linalg as sla
 
-from .errors import (
-    ConvergenceError,
-    DefinitenessError,
-    DimensionError,
-    MomentInfeasibleError,
-)
+from .errors import ConvergenceError, DimensionError, MomentInfeasibleError
 from .geometry import Density, ManifoldModel
-from .linalg import MatrixNorms, cholesky_lower, matrix_norms
+from .linalg import MatrixNorms, matrix_norms
 
 PROBE_POWER = 8
 ROUNDING_FLOOR = 1e-10  # relative rounding of the dual objective (see above)
@@ -144,11 +145,10 @@ def _max_entropy_newton(
         history.append(resid)
         if resid <= tol:
             return coef, potential(coef), history
-        jac = jacobian(ew)
         try:
-            cholesky_lower(jac)  # convexity audit: weighted Gram must stay PD
-            step = np.linalg.solve(jac, target - mom)
-        except (DefinitenessError, np.linalg.LinAlgError) as exc:
+            # convexity audit: the weighted Gram must stay PD
+            step = sla.cho_solve((np.linalg.cholesky(jacobian(ew)), True), target - mom)
+        except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"moment Newton jacobian degenerate at iteration {it} "
                 f"(residual {resid:.3e}); the iterates are running to the "
@@ -190,17 +190,16 @@ def solve_moments(
     target: MomentTarget,
     tol: float = 1e-11,
     max_newton: int = 100,
-    sections: Optional[np.ndarray] = None,
     squares: Optional[np.ndarray] = None,
 ) -> MomentSolution:
     """Positive density e^u dV_ref with prescribed squared-section moments.
 
     Damped Newton with Armijo line search on the convex dual objective
     int e^u dV - <c, target>, starting from c = 0 (the reference density).
-    ``squares`` is ``section_squares(model, sections)`` when the caller
-    already holds it.
+    ``squares`` is the N x Q table ``section_squares(model, sections)`` of
+    the frame; ``None`` means the monomials.
     """
-    gfun = section_squares(model, sections) if squares is None else squares
+    gfun = section_squares(model) if squares is None else squares
     if target.dim != gfun.shape[0]:
         raise DimensionError(
             f"target has {target.dim} entries, basis has {gfun.shape[0]}"
@@ -230,7 +229,6 @@ def solve_moments(
 class LambdaSystem:
     matrix: np.ndarray
     densities: List[Density]
-    targets: Optional[np.ndarray]
     floor: Optional[float]
     mode: str
     norms: MatrixNorms
@@ -249,13 +247,14 @@ def spike_targets(n: int, floor: float) -> np.ndarray:
 
 def probe_densities(
     model: ManifoldModel,
-    sections: Optional[np.ndarray] = None,
+    squares: Optional[np.ndarray] = None,
 ) -> List[Density]:
     """Localised positive densities, one per section: the partition function
     of section i raised to ``PROBE_POWER`` concentrates mass where that section
     dominates, yielding a diagonally-loaded (if not diagonally-dominant)
-    moment matrix without solving any moment problem."""
-    gfun = section_squares(model, sections)
+    moment matrix without solving any moment problem.  ``squares`` is the
+    frame's N x Q ``section_squares`` table; ``None`` means the monomials."""
+    gfun = section_squares(model) if squares is None else squares
     rho = gfun / gfun.sum(axis=0)
     out = []
     for i in range(gfun.shape[0]):
@@ -270,24 +269,27 @@ def build_lambda(
     floor: Optional[float] = None,
     tol: float = 1e-9,
     mode: str = "paper",
-    sections: Optional[np.ndarray] = None,
+    squares: Optional[np.ndarray] = None,
     max_newton: int = 100,
 ) -> LambdaSystem:
     """Row-measure matrix: row i holds the achieved squared-section moments
-    of the i-th density.
+    of the i-th density.  ``squares`` is the frame's N x Q
+    ``section_squares`` table; ``None`` means the monomials.
 
     mode "paper": each row solves the spike target (floor, ..., 1, ..., floor)
     with 1 in the i-th place (floor defaults to e^{-k}); rows whose targets
-    are provably infeasible raise ``MomentInfeasibleError`` with the Hankel
-    margins.  mode "probe": constructive localised densities (no targets),
-    always available, max entry normalised to 1.
+    are provably infeasible raise ``MomentInfeasibleError`` before their
+    Newton, with the Hankel margins (monomials only) or the peak of rho_i
+    (the cone bound of the module docstring).  mode "probe": constructive
+    localised densities (no targets), always available, max entry
+    normalised to 1.
     """
-    gfun = section_squares(model, sections)
+    monomial_basis = squares is None
+    gfun = section_squares(model) if monomial_basis else squares
     n = gfun.shape[0]
     if mode == "probe":
-        densities = probe_densities(model, sections=sections)
+        densities = probe_densities(model, squares=gfun)
         lam = np.array([gfun @ d.weights for d in densities])
-        targets = None
         floor_used = None
     elif mode == "paper":
         f = float(np.exp(-min(model.k, 700))) if floor is None else float(floor)
@@ -295,7 +297,7 @@ def build_lambda(
             raise ValueError("floor must lie in (0, 1)")
         f = max(f, 1e-300)
         targets = spike_targets(n, f)
-        monomial_basis = sections is None
+        peaks = (gfun / gfun.sum(axis=0)).max(axis=1)  # max_q rho_i
         densities = []
         rows = []
         for i in range(n):
@@ -310,6 +312,15 @@ def build_lambda(
                         row=i,
                         diagnostics=margins,
                     )
+            reach = peaks[i] * (1.0 + (n - 1) * f + n * tol)
+            if reach < 1.0 - tol:
+                raise MomentInfeasibleError(
+                    f"row {i}: spike target (floor {f:g}) is outside the "
+                    f"moment cone of this frame: peak ratio {peaks[i]:.4f} caps "
+                    f"the row's moment at {reach:.4f} < 1 - tol",
+                    row=i,
+                    diagnostics={"peak_ratio": float(peaks[i])},
+                )
             try:
                 sol = solve_moments(
                     model,
@@ -335,7 +346,6 @@ def build_lambda(
     return LambdaSystem(
         matrix=lam,
         densities=densities,
-        targets=targets,
         floor=floor_used,
         mode=mode,
         norms=matrix_norms(lam),

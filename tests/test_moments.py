@@ -54,7 +54,9 @@ class TestSolveMoments:
         target = np.array([0.3, 0.18, 0.31])
         sol = solve_moments(model, MomentTarget(target))
         sol_p = solve_moments(
-            model, MomentTarget(target[perm]), sections=model.sections[perm]
+            model,
+            MomentTarget(target[perm]),
+            squares=section_squares(model, model.sections[perm]),
         )
         assert np.abs(sol_p.achieved - sol.achieved[perm]).max() <= 1e-10
 
@@ -141,7 +143,9 @@ class TestBuildLambda:
         model = build_p1_model(4, radial_nodes=32, azimuthal_nodes=48)
         rng = np.random.default_rng(0)
         a = np.linalg.inv(np.linalg.cholesky(random_spd(5, rng, cond=10.0).mat))
-        system = build_lambda(model, mode="probe", sections=a @ model.sections)
+        system = build_lambda(
+            model, mode="probe", squares=section_squares(model, a @ model.sections)
+        )
         assert system.matrix.shape == (5, 5)
         assert system.max_entry <= 1.0 + 1e-12
 
