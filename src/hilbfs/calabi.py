@@ -27,13 +27,15 @@ mu_B = ``geometry._pushforward_measure``, hilb(fs_metric(H)) =
 (N / kV) Gram(mu_(H^{-1/2})), so the B that ``solve_psi`` returns for G
 gives the Bergman metric fs_metric(c B^{-2}), c a trace ratio, realising
 G.  ``surject_fixed_volume`` solves the full-Gram moment problem of a
-variant and reads the metric off the solved weight.  ``solve_ma`` is the
+variant, to ``MOMENT_TOL`` in the scaled coordinates, and reads the metric
+off the solved weight.  Both pipelines call a realisation achieved when its
+forward residual is at most ``SURJECT_TOL``.  ``solve_ma`` is the
 Monge-Ampere solver for grid data; neither pipeline calls it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -55,14 +57,13 @@ from .geometry import (
 )
 from .linalg import COND_GUARD, HermitianForm, cholesky_lower
 from .maps import FIXED, exponent_for_variant, hilb, hilb_nu, variant_density
-from .moments import _max_entropy_newton
+from .moments import MAX_NEWTON, _max_entropy_newton
 from .pushforward import hermitian_basis, solve_psi
 
-CONTINUATION_STEPS = 10
-PSI_TOL = 1e-10
+SURJECT_TOL = 1e-8  # forward-residual gate of both surjectivity pipelines
+MOMENT_TOL = 1e-9  # full-Gram moment Newton tolerance, before the N/V scaling
 MA_TOL = 1e-11
 MA_MAX_NEWTON = 60
-MOMENT_MAX_NEWTON = 80
 CG_TOL = 1e-13
 CG_MAX_ITERS = 5000
 # numerical failures a stage reports; anything else is a programming error
@@ -210,20 +211,12 @@ class SurjectivityReport:
     dim: int
     residual_max: float
     positivity_margin: Optional[float]
-    stage_logs: List[dict] = field(default_factory=list)
-    tol: float = 0.0
-    achieved: bool = True
+    tolerance: float
+    achieved: bool
+    stage_logs: List[dict]
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "dim": self.dim,
-            "residual_max": self.residual_max,
-            "positivity_margin": self.positivity_margin,
-            "tolerance": self.tol,
-            "achieved": self.achieved,
-            "stage_logs": self.stage_logs,
-        }
+        return asdict(self)
 
 
 def _validate_target(g, n: int) -> HermitianForm:
@@ -280,15 +273,17 @@ def surject_fixed_volume(
     target,
     variant: str = FIXED,
     nu: Optional[Density] = None,
-    tol: float = 1e-9,
 ):
     """Realise a target form as the variant Hilbert map of a metric.
 
     Solves the full-Gram moment problem (N/V) int e^phi s_i conj(s_j)
     h^k d nu = G by Newton on an ansatz in the span of the section pair
-    products, then applies the variant exponent (1/k, 1/(k+1), 1/(k-1)) to
-    produce the metric; the report carries the recomputed forward residual.
-    The base measure is ``variant_density`` at the reference metric.
+    products, to ``MOMENT_TOL`` / (N/V) in the coordinates of G / (N/V) and
+    within ``moments.MAX_NEWTON`` iterations, then applies the variant
+    exponent (1/k, 1/(k+1), 1/(k-1)) to produce the metric.  The report
+    carries the recomputed forward residual and is achieved when that is at
+    most ``SURJECT_TOL``.  The base measure is ``variant_density`` at the
+    reference metric.
     """
     nu = nu if nu is not None else reference_density(model)
     base_nu = variant_density(model, MetricWeight.reference(model), variant, nu)
@@ -299,8 +294,8 @@ def surject_fixed_volume(
     # against Re<E_k, G>.  ``_full_gram_family`` evaluates it through the
     # theta-Fourier kernels, so no node table of the N^2 functions g_k is
     # held.  The largest coordinate bounds the largest matrix entry from
-    # above, so the coordinate tolerance tol / scale is never looser than the
-    # entry one.
+    # above, so the coordinate tolerance MOMENT_TOL / scale is never looser
+    # than the entry one.
     scale = model.N / model.V
     target_scaled = g_form.mat / scale
     basis = hermitian_basis(model.N)
@@ -309,8 +304,8 @@ def surject_fixed_volume(
         *_full_gram_family(model, basis),
         base_nu.weights,
         lam,
-        tol / scale,
-        MOMENT_MAX_NEWTON,
+        MOMENT_TOL / scale,
+        MAX_NEWTON,
     )
     ew = np.exp(u) * base_nu.weights * model.ref_weight
     gram = model._theta_fourier().gram(ew)
@@ -334,14 +329,14 @@ def surject_fixed_volume(
         dim=model.N,
         residual_max=resid,
         positivity_margin=None,
+        tolerance=SURJECT_TOL,
+        achieved=resid <= SURJECT_TOL,
         stage_logs=stage_logs,
-        tol=tol,
-        achieved=resid <= tol,
     )
     return metric, report
 
 
-def surject_full(model: ManifoldModel, target, tol: float = 1e-8):
+def surject_full(model: ManifoldModel, target):
     """Realise a target form as hilb of a positively curved metric.
 
     ``solve_psi`` finds B with psi(B) = G / tr G (stage
@@ -353,11 +348,12 @@ def surject_full(model: ManifoldModel, target, tol: float = 1e-8):
     the residual and the least curvature density as the positivity margin.
     Stage failures are wrapped with the stage name; a target too close to
     the boundary raises the bare ``MarginError``, like any other invalid
-    input.  A final residual above tol is reported, not silenced.
+    input.  A final residual above ``SURJECT_TOL`` is reported as not
+    achieved, not silenced.
     """
     g_form = _validate_target(target, model.N)
     try:
-        bstar, ctrace = solve_psi(model, g_form, steps=CONTINUATION_STEPS, newton_tol=PSI_TOL)
+        bstar, ctrace = solve_psi(model, g_form)
     except MarginError:
         raise
     except _STAGE_ERRORS as exc:
@@ -385,8 +381,8 @@ def surject_full(model: ManifoldModel, target, tol: float = 1e-8):
         dim=model.N,
         residual_max=resid,
         positivity_margin=float(density.min()),
+        tolerance=SURJECT_TOL,
+        achieved=resid <= SURJECT_TOL,
         stage_logs=stage_logs,
-        tol=tol,
-        achieved=resid <= tol,
     )
     return metric, report

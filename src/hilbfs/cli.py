@@ -1,7 +1,8 @@
 """Command-line front end: batch computations in, JSON/CSV reports out.
 
 Exit codes: 0 success, 1 validation error (bad inputs, malformed matrices,
-usage errors), 2 numerical or hypothesis failure (the structured report is
+usage errors), 2 numerical or hypothesis failure, including a ``surject``
+forward residual above ``calabi.SURJECT_TOL`` (the structured report is
 still written).  The randomized command ``inject-sweep`` takes --seed and
 reproduces byte-identical output.
 """
@@ -174,7 +175,7 @@ def cmd_psi_solve(args) -> int:
     model = _model_for(args)
     target = load_matrix_json(args.target)
     try:
-        solution, trace = solve_psi(model, target, steps=args.steps, newton_tol=args.tol)
+        solution, trace = solve_psi(model, target)
     except ContinuationError as exc:
         if exc.trace is not None and args.trace_out:
             exc.trace.to_csv(args.trace_out)
@@ -232,11 +233,9 @@ def cmd_surject(args) -> int:
     path = _out_path(args, "surject.json")
     try:
         if args.mode == "full":
-            metric, report = surject_full(model, target, tol=args.tol)
+            metric, report = surject_full(model, target)
         else:
-            metric, report = surject_fixed_volume(
-                model, target, variant=args.mode, tol=args.tol
-            )
+            metric, report = surject_fixed_volume(model, target, variant=args.mode)
     except NUMERICAL_ERRORS as exc:
         stage = getattr(exc, "stage", args.mode)
         report = {"status": "failure", "stage": stage, "detail": str(exc)}
@@ -342,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("psi-solve", help="continuation solve of the curve pushforward")
     common(p)
     p.add_argument("--target", required=True)
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--trace-out", type=str, default=None)
     p.set_defaults(func=cmd_psi_solve)
 
@@ -358,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--target", required=True)
     p.add_argument("--mode", choices=["full", "fixed", "anticanonical"], default="full")
-    p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--metric-out", type=str, default=None)
     p.set_defaults(func=cmd_surject)
 

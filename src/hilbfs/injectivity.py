@@ -36,17 +36,23 @@ EQ4_TOL = 1e-10
 
 def gauge_frame(
     model: ManifoldModel, metric: MetricWeight, metric2: MetricWeight
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, float]:
     """H-orthonormal, H'-diagonalising frame of the two Bergman metrics:
     with H = L L* (``metric.factor``) and A = U* L^{-1}, A H A* = I and
-    A H' A* = diag(d^2).  Returns d^2 and the frame's sections A s."""
+    A H' A* = diag(d^2).  Returns d^2, the frame's sections A s and the
+    gauge's measured rounding
+        delta = ||A H A* - I||_2 max d^2 + ||A H' A* - diag(d^2)||_2,
+    to first order a Weyl bound on the error of the computed d^2."""
     lh = metric.factor
     m = sla.solve_triangular(lh, metric2.form.mat, lower=True)
     m = sla.solve_triangular(lh.conj(), m.T, lower=True).T
     m = 0.5 * (m + m.conj().T)
     d_sq, u = np.linalg.eigh(m)
     a = u.conj().T @ np.linalg.inv(lh)
-    return d_sq, a @ model.sections
+    orth = a @ metric.form.mat @ a.conj().T - np.eye(model.N)
+    diag = a @ metric2.form.mat @ a.conj().T - np.diag(d_sq)
+    delta = float(np.linalg.norm(orth, 2) * d_sq.max() + np.linalg.norm(diag, 2))
+    return d_sq, a @ model.sections, delta
 
 
 @dataclass
@@ -55,6 +61,7 @@ class FsComparison:
     epsilon: float
     epsilon_node: int
     d_sq: np.ndarray
+    gauge_rounding: float
     metrics: Tuple[MetricWeight, MetricWeight]
     squares: np.ndarray
     pointwise_consistency: float
@@ -67,7 +74,8 @@ def compare_fs(model: ManifoldModel, h: HermitianForm, h2: HermitianForm) -> FsC
     eigenvalues are computed independently and the reconstruction
     1 + f = sum_i d_i^{-2} |s''_i|^2_{FS(H)} is checked pointwise at 1e-10
     (an internal consistency audit of the gauge, not a tolerance on f).
-    ``squares`` is the gauge frame's ``section_squares`` table.
+    ``squares`` is the gauge frame's ``section_squares`` table and
+    ``gauge_rounding`` the rounding delta that ``gauge_frame`` measured.
     """
     if h.dim != model.N or h2.dim != model.N:
         raise DimensionError("forms must match the model's section dimension")
@@ -75,7 +83,7 @@ def compare_fs(model: ManifoldModel, h: HermitianForm, h2: HermitianForm) -> FsC
     u1, u2 = (m.potential(model) for m in metrics)
     f = np.exp(u2 - u1) - 1.0
     node = int(np.abs(f).argmax())
-    d_sq, sections = gauge_frame(model, *metrics)
+    d_sq, sections, delta = gauge_frame(model, *metrics)
     squares = section_squares(model, sections)
     p1 = squares.sum(axis=0)
     p2 = (1.0 / d_sq) @ squares
@@ -89,6 +97,7 @@ def compare_fs(model: ManifoldModel, h: HermitianForm, h2: HermitianForm) -> FsC
         epsilon=float(np.abs(f).max()),
         epsilon_node=node,
         d_sq=d_sq,
+        gauge_rounding=delta,
         metrics=metrics,
         squares=squares,
         pointwise_consistency=consistency,
@@ -153,10 +162,10 @@ class InjectivityReport:
         return out
 
 
-def _lambda_for_audit(model, squares, floor, tol):
+def _lambda_for_audit(model, squares, floor):
     """Paper-floor rows when achievable, constructive probes otherwise."""
     try:
-        system = build_lambda(model, floor=floor, tol=tol, mode="paper", squares=squares)
+        system = build_lambda(model, floor=floor, mode="paper", squares=squares)
         return system, "achieved"
     except MomentInfeasibleError as exc:
         probe = build_lambda(model, mode="probe", squares=squares)
@@ -168,20 +177,22 @@ def verify_injectivity(
     h: HermitianForm,
     h2: HermitianForm,
     floor: Optional[float] = None,
-    tol: float = 1e-8,
     refine_check: bool = True,
 ) -> InjectivityReport:
     """Full audit of the quantitative injectivity bound for one pair.
 
     Mathematical hypothesis failures (eps too large, row-measure norm bounds
     not met at this k) are report fields; only dimension and I/O problems
-    raise.  ``pass`` is withheld (None) when the eps hypothesis fails.
+    raise.  ``pass`` is withheld (None) when the eps hypothesis fails, and
+    otherwise holds when the distance, less the gauge's measured rounding,
+    is within the bound; so H' = H passes although its bound is 0.  The
+    paper rows are solved to ``build_lambda``'s default tolerance.
     """
     comp = compare_fs(model, h, h2)
     n = model.N
     eps = comp.epsilon
     hypothesis_ok = bool(n**1.5 * eps <= 0.25)
-    system, paper_status = _lambda_for_audit(model, comp.squares, floor, tol)
+    system, paper_status = _lambda_for_audit(model, comp.squares, floor)
     fmat = f_matrix(model, comp.f, system.densities, squares=comp.squares)
     dinv2_direct = 1.0 / comp.d_sq
     rhs = fmat @ np.ones(n)
@@ -205,7 +216,7 @@ def verify_injectivity(
             "row-measure norm bounds (op <= 2 for Lambda and its inverse) not met"
         )
     if hypothesis_ok:
-        passed: Optional[bool] = bool(distance <= bound)
+        passed: Optional[bool] = bool(distance - comp.gauge_rounding <= bound)
         status = "verified" if passed else "bound violated"
     else:
         passed = None

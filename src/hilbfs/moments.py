@@ -53,6 +53,7 @@ from .linalg import MatrixNorms, matrix_norms
 PROBE_POWER = 8
 ROUNDING_FLOOR = 1e-10  # relative rounding of the dual objective (see above)
 LAMBDA_BOUND = 2.0  # the paper's bound on ||Lambda|| and ||Lambda^{-1}||
+MAX_NEWTON = 100  # moment Newton iteration cap (see solve_moments, build_lambda)
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,7 @@ def solve_moments(
     model: ManifoldModel,
     target: MomentTarget,
     tol: float = 1e-11,
-    max_newton: int = 100,
+    max_newton: int = MAX_NEWTON,
     squares: Optional[np.ndarray] = None,
 ) -> MomentSolution:
     """Positive density e^u dV_ref with prescribed squared-section moments.
@@ -270,7 +271,7 @@ def build_lambda(
     tol: float = 1e-9,
     mode: str = "paper",
     squares: Optional[np.ndarray] = None,
-    max_newton: int = 100,
+    max_newton: int = MAX_NEWTON,
 ) -> LambdaSystem:
     """Row-measure matrix: row i holds the achieved squared-section moments
     of the i-th density.  ``squares`` is the frame's N x Q

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ContinuationError, DimensionError, MarginError
 from .geometry import (
@@ -49,6 +48,8 @@ from .linalg import HermitianForm
 MARGIN = 1e-3  # smallest admissible eigenvalue of a unit-trace target
 STEP_FLOOR = 1e-6  # continuation step below which solve_psi gives up
 NEWTON_MAX_ITERS = 25
+CONTINUATION_STEPS = 10  # solve_psi's first step is 1 / CONTINUATION_STEPS
+PSI_TOL = 1e-10  # max-norm residual at which each continuation Newton stops
 KERNEL_RTOL = 1e-8  # relative singular-value cut of the numerical kernel
 
 
@@ -255,8 +256,9 @@ def _psi_t_jacobian(
     return _coords(basis, d).T
 
 
-def _newton_at_t(model, b, t, g, basis, tol):
-    """Newton-correct psi_t(B) = G in traceless coordinates around unit trace.
+def _newton_at_t(model, b, t, g, basis):
+    """Newton-correct psi_t(B) = G in traceless coordinates around unit
+    trace, to a max-norm residual below ``PSI_TOL``.
 
     Each step solves with the analytic Jacobian ``_psi_t_jacobian`` and
     takes a damped update that keeps B positive definite and of unit trace;
@@ -273,7 +275,7 @@ def _newton_at_t(model, b, t, g, basis, tol):
     r = residual(bm)
     for it in range(NEWTON_MAX_ITERS + 1):
         rn = float(np.abs(r).max())
-        if rn < tol:
+        if rn < PSI_TOL:
             return bm, it, rn
         if it == NEWTON_MAX_ITERS:
             break
@@ -298,18 +300,15 @@ def _newton_at_t(model, b, t, g, basis, tol):
     return None, NEWTON_MAX_ITERS, rn
 
 
-def solve_psi(
-    model: ManifoldModel,
-    g,
-    steps: int = 10,
-    newton_tol: float = 1e-9,
-) -> Tuple[HermitianForm, ContinuationTrace]:
+def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace]:
     """Find B with psi(B) = G by continuation from the closed-form seed.
 
     The seed B0 = G^{-1/2} satisfies psi0(B0) = G exactly; t then marches
-    from 0 to 1 with adaptive steps (on Newton failure halve the step
-    tried, which is h or 1 - t where t + h is clipped to 1; double after two
-    successes; floor ``STEP_FLOOR``).  psi is scale-invariant, so G is
+    from 0 to 1 with adaptive steps, the first 1 / ``CONTINUATION_STEPS``
+    (on Newton failure halve the step tried, which is h or 1 - t where
+    t + h is clipped to 1; double after two successes, up to 1/4; floor
+    ``STEP_FLOOR``).  Each step's Newton stops at the max-norm residual
+    ``PSI_TOL``.  psi is scale-invariant, so G is
     first normalised by its trace, which must be positive (``ValueError``
     otherwise).  Raises ``MarginError`` when the normalised G's smallest
     eigenvalue is below ``MARGIN`` and ``ContinuationError`` carrying the
@@ -322,7 +321,7 @@ def solve_psi(
     if not tr > 0.0:
         raise ValueError(f"target trace {tr:.3e} must be positive")
     gm = gm / tr
-    ev = np.linalg.eigvalsh(gm)
+    ev, vec = np.linalg.eigh(gm)
     if ev.min() < MARGIN:
         raise MarginError(
             f"target eigenvalue {ev.min():.3e} below margin {MARGIN:g}; "
@@ -330,18 +329,16 @@ def solve_psi(
         )
     n = gm.shape[0]
     basis = traceless_basis(n)
-    b = sla.sqrtm(np.linalg.inv(gm))
-    b = 0.5 * (b + b.conj().T)
-    b = np.real_if_close(b, tol=1e6).astype(complex)
+    b = (vec / np.sqrt(ev)) @ vec.conj().T
     b = b / np.real(np.trace(b))
     trace = ContinuationTrace()
     trace.log(0.0, float(np.abs(_psi_t(model, b, 0.0) - gm).max()), 0.0, 0)
     t = 0.0
-    h = 1.0 / max(steps, 1)
+    h = 1.0 / CONTINUATION_STEPS
     successes = 0
     while t < 1.0:
         t_next = min(t + h, 1.0)
-        bn, iters, resid = _newton_at_t(model, b, t_next, gm, basis, newton_tol)
+        bn, iters, resid = _newton_at_t(model, b, t_next, gm, basis)
         if bn is None:
             successes = 0
             h = 0.5 * min(h, 1.0 - t)  # the step tried: t + h is clipped to 1

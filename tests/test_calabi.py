@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hilbfs.calabi
+import hilbfs.moments
 from hilbfs import (
     ANTICANONICAL,
     CANONICAL,
@@ -122,7 +123,7 @@ class TestSurjectFixedVolume:
             FIXED,
             nu=Density(model.quad_weights),
         )
-        metric, report = surject_fixed_volume(model, target, tol=1e-9)
+        metric, report = surject_fixed_volume(model, target)
         assert report.residual_max <= 1e-9
         assert np.abs(metric.potential(model)).max() <= 1e-7
 
@@ -142,7 +143,7 @@ class TestSurjectFixedVolume:
             target = hilb_nu(
                 model, MetricWeight.grid(u), FIXED, nu=Density(model.quad_weights)
             )
-            metric, report = surject_fixed_volume(model, target, tol=1e-8)
+            metric, report = surject_fixed_volume(model, target)
             assert report.residual_max <= 1e-8
 
     def test_anticanonical_variant(self):
@@ -150,9 +151,7 @@ class TestSurjectFixedVolume:
         rng = np.random.default_rng(5)
         u = 0.3 * np.sin(model.theta) * model.t
         target = hilb_nu(model, MetricWeight.grid(u), ANTICANONICAL)
-        metric, report = surject_fixed_volume(
-            model, target, variant=ANTICANONICAL, tol=1e-8
-        )
+        metric, report = surject_fixed_volume(model, target, variant=ANTICANONICAL)
         assert report.residual_max <= 1e-8
 
     def test_anticanonical_target_below_the_armijo_rounding(self):
@@ -162,7 +161,7 @@ class TestSurjectFixedVolume:
         model = build_p1_anticanonical_model(4, radial_nodes=24, azimuthal_nodes=40)
         u = 0.1 * np.cos(np.pi * model.t) + 0.05 * model.t * np.sin(model.theta)
         target = hilb_nu(model, MetricWeight.grid(u), ANTICANONICAL)
-        _, report = surject_fixed_volume(model, target, variant=ANTICANONICAL, tol=1e-9)
+        _, report = surject_fixed_volume(model, target, variant=ANTICANONICAL)
         assert report.achieved
         assert report.residual_max <= 1e-9
 
@@ -172,8 +171,23 @@ class TestSurjectFixedVolume:
 
         u = 0.2 * (model.t - 0.5)
         target = hilb_nu(model, MetricWeight.grid(u), CANONICAL)
-        metric, report = surject_fixed_volume(model, target, variant=CANONICAL, tol=1e-8)
+        metric, report = surject_fixed_volume(model, target, variant=CANONICAL)
         assert report.residual_max <= 1e-8
+
+    def test_newton_runs_at_the_module_settings(self, monkeypatch):
+        model, g, nu = _benchmark_item(4)
+        seen = []
+
+        def recording(*args):
+            seen.append(args[-2:])
+            return _max_entropy_newton(*args)
+
+        monkeypatch.setattr(hilbfs.calabi, "_max_entropy_newton", recording)
+        _, report = surject_fixed_volume(model, g, nu=nu)
+        tol, cap = seen[0]
+        assert tol == pytest.approx(hilbfs.calabi.MOMENT_TOL * model.V / model.N, rel=1e-15)
+        assert cap == hilbfs.moments.MAX_NEWTON
+        assert report.tolerance == hilbfs.calabi.SURJECT_TOL
 
     def test_canonical_variant_requires_general_type(self):
         from hilbfs import VariantError
@@ -281,7 +295,7 @@ class TestSurjectFull:
     def test_reference_fixed_point(self):
         model = build_p1_model(2, radial_nodes=32, azimuthal_nodes=48)
         target = hilb(model, MetricWeight.reference(model))
-        metric, report = surject_full(model, target, tol=1e-8)
+        metric, report = surject_full(model, target)
         assert report.residual_max <= 1e-8
         assert report.positivity_margin > 0.0
         # recovered metric is the reference up to the scale gauge
@@ -302,7 +316,7 @@ class TestSurjectFull:
             if target.cond() > 10.0:
                 continue
             count += 1
-            metric, report = surject_full(model, target, tol=1e-5)
+            metric, report = surject_full(model, target)
             assert report.residual_max <= 1e-5
             assert report.positivity_margin > 0.0
 
@@ -313,9 +327,7 @@ class TestSurjectFull:
         target = hilb(model, fs_metric(model, random_spd(model.N, np.random.default_rng(8), 6.0)))
         metric, report = surject_full(model, target)
         assert metric.kind == "bergman"
-        b, _ = solve_psi(
-            model, target, steps=hilbfs.calabi.CONTINUATION_STEPS, newton_tol=hilbfs.calabi.PSI_TOL
-        )
+        b, _ = solve_psi(model, target)
         binv = np.linalg.inv(b.mat)
         form = binv @ binv
         c = np.trace(metric.form.mat).real / np.trace(form).real

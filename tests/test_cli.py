@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import hilbfs.calabi
 from hilbfs import (
     HermitianForm,
     build_lambda,
@@ -99,6 +100,19 @@ def test_inject_sweep_seed_is_byte_identical(capsys):
 GRID = ["--radial-nodes", "32", "--azimuthal-nodes", "48"]
 
 
+@pytest.mark.parametrize(
+    "command,flag",
+    [("surject", ["--tol", "1e-7"]), ("psi-solve", ["--steps", "3"]),
+     ("psi-solve", ["--tol", "1e-9"])],
+)
+def test_solver_settings_are_not_options(tmp_path, command, flag):
+    # the gate and the continuation settings are module constants
+    model = build_p1_model(2, radial_nodes=32, azimuthal_nodes=48)
+    target = hilb(model, fs_metric(model, random_spd(3, np.random.default_rng(14), cond=3.0)))
+    path = write_matrix(tmp_path / "g.json", target.to_json_dict())
+    assert exit_code([command, "--k", "2", "--target", path, *GRID, *flag]) == 1
+
+
 @pytest.mark.parametrize("mode", ["closed", "integral", "homotopy"])
 def test_psi_modes_print_matrix(tmp_path, capsys, mode):
     path = write_matrix(tmp_path / "b.json", HermitianForm.diagonal([1.0, 1.3, 0.8]).to_json_dict())
@@ -148,6 +162,7 @@ def test_surject_full_feasible_target(tmp_path, capsys):
     assert report["schema_version"] == "1"
     assert report["mode"] == "full"
     assert report["achieved"] is True
+    assert report["tolerance"] == hilbfs.calabi.SURJECT_TOL
     assert report["residual_max"] <= 1e-8
     assert report["positivity_margin"] > 0
     assert [s["stage"] for s in report["stage_logs"]] == [
@@ -200,6 +215,7 @@ def test_surject_fixed_report(tmp_path, capsys):
         "achieved", "stage_logs", "metric_dump_path",
     ]
     assert report["mode"] == "fixed"
+    assert report["tolerance"] == hilbfs.calabi.SURJECT_TOL
     assert report["metric_dump_path"] is None
     assert [s["stage"] for s in report["stage_logs"]] == ["full-gram-moment", "forward-check"]
 
@@ -270,7 +286,7 @@ def test_surject_metric_out_csv(tmp_path, capsys, mode):
     assert main(argv) == 0
     assert json_report(capsys)["metric_dump_path"] == str(out)
     solve = surject_full if mode == "full" else surject_fixed_volume
-    metric, _ = solve(model, target, tol=1e-7)
+    metric, _ = solve(model, target)
     assert np.array_equal(read_node_table(out, "u"), metric.potential(model))
 
 

@@ -35,8 +35,8 @@ class TestEqualForms:
         assert report.route_agreement <= 1e-8
 
     def test_identity_is_verified(self):
-        # eps = 0 makes the bound 2 N^2 eps zero, so only a gauge computed
-        # exactly (H = I) gives distance 0 and "verified"
+        # eps = 0 makes the bound 2 N^2 eps zero; H = I gives an exact gauge,
+        # so distance 0, with no rounding to allow for
         model = build_p1_model(3)
         h = HermitianForm.identity(model.N)
         report = verify_injectivity(model, h, h)
@@ -44,6 +44,17 @@ class TestEqualForms:
         assert report.distance_op == 0.0
         assert report.status == "verified"
         assert report.route_agreement <= 1e-8
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equal_forms_are_verified(self, k, seed):
+        # the gauge distance is rounding, not 0, so it is judged less the
+        # gauge's measured rounding against the bound 0
+        model = build_p1_model(k)
+        h, _ = perturbed_pair(model, np.random.default_rng(seed), 1e-3)
+        report = verify_injectivity(model, h, h, refine_check=False)
+        assert report.epsilon == 0.0
+        assert report.status == "verified"
 
 
 def test_each_form_is_factorised_once(monkeypatch):

@@ -273,13 +273,13 @@ class TestSolvePsi:
             x = x / np.abs(np.linalg.eigvalsh(x)).max()
             b_true = np.eye(3) + 0.35 * x
             target = psi(model, HermitianForm(b_true))
-            sol, trace = solve_psi(model, target, steps=8, newton_tol=1e-10)
+            sol, trace = solve_psi(model, target)
             resid = np.abs(psi(model, sol).mat - target.mat).max()
             assert resid <= 1e-8
 
     def test_identity_target_on_line(self):
         model = line_model()
-        sol, _ = solve_psi(model, HermitianForm(np.eye(2) / 2.0), steps=5)
+        sol, _ = solve_psi(model, HermitianForm(np.eye(2) / 2.0))
         resid = np.abs(psi(model, sol).mat - np.eye(2) / 2.0).max()
         assert resid <= 1e-10
         assert np.abs(sol.mat - np.eye(2) / 2.0).max() <= 1e-8
@@ -291,8 +291,8 @@ class TestSolvePsi:
         x = random_hermitian(3, np.random.default_rng(13))
         b_true = np.eye(3) + 0.35 * x / np.abs(np.linalg.eigvalsh(x)).max()
         target = psi(model, b_true)
-        sol, _ = solve_psi(model, target, steps=8, newton_tol=1e-10)
-        scaled, _ = solve_psi(model, target.scaled(2.5), steps=8, newton_tol=1e-10)
+        sol, _ = solve_psi(model, target)
+        scaled, _ = solve_psi(model, target.scaled(2.5))
         assert np.abs(scaled.mat - sol.mat).max() <= 1e-10
 
     def test_nonpositive_trace_rejected(self):
@@ -312,22 +312,22 @@ class TestSolvePsi:
         model = conic_model()
         target = HermitianForm(np.diag([0.2, 0.6, 0.2]))
         with pytest.raises(ContinuationError) as err:
-            solve_psi(model, target, steps=8)
+            solve_psi(model, target)
         assert err.value.trace is not None
         assert len(err.value.trace.rows) > 0
 
     def test_trace_rows_monotone_t(self):
         model = conic_model()
         target = psi(model, np.eye(3, dtype=complex))
-        _, trace = solve_psi(model, target, steps=6)
+        _, trace = solve_psi(model, target)
         ts = [r.t for r in trace.rows]
         assert ts == sorted(ts)
         assert ts[-1] == pytest.approx(1.0)
 
     def test_clipped_failure_halves_the_step_tried(self, monkeypatch):
-        # steps=3 reaches t = 11/12 with h = 1/4, so t + h is clipped to 1;
-        # a corrector failure there halves 1 - t = 1/12, not h, and the
-        # identical failed corrector at t = 1 is not rerun
+        # a first step of 1/10 reaches t = 0.9 with h = 1/4, so t + h is
+        # clipped to 1; a corrector failure there halves 1 - t = 1/10, not h,
+        # and the identical failed corrector at t = 1 is not rerun
         model = conic_model()
         x = random_hermitian(3, np.random.default_rng(13))
         target = psi(model, np.eye(3) + 0.35 * x / np.abs(np.linalg.eigvalsh(x)).max())
@@ -343,7 +343,7 @@ class TestSolvePsi:
             return out
 
         monkeypatch.setattr(hilbfs.pushforward, "_newton_at_t", fail_once_at_one)
-        _, trace = solve_psi(model, target, steps=3, newton_tol=1e-10)
+        _, trace = solve_psi(model, target)
         assert (1.0, True) in calls
         for (t, failed), (t_next, _) in zip(calls, calls[1:]):
             assert not (failed and t_next == t)
