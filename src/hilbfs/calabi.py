@@ -239,7 +239,7 @@ def _full_gram_family(model: ManifoldModel, basis: np.ndarray):
     s_a conj(s_b) s_c conj(s_d) = z^(a+c) conj(z)^(b+d), the Jacobian is
         sum_q g_k g_l ew = sum E_k[a, b] E_l[c, d] G2[a + c, b + d],
     G2 the doubled-degree Gram of ref_weight^2 ew; each E_k has at most two
-    nonzero entries, so it is an O(N^4) gather from G2.
+    nonzero entries, so it is an O(N^4) gather from the pair sums of G2.
     """
     n, kernel, doubled = model.N, model._theta_fourier(), model._theta_fourier(doubled=True)
     flat = basis.reshape(len(basis), n * n)
@@ -250,8 +250,6 @@ def _full_gram_family(model: ManifoldModel, basis: np.ndarray):
     value = np.zeros((len(basis), 2), dtype=complex)
     where[rows, slot] = cols
     value[rows, slot] = flat[rows, cols]
-    a, b = np.divmod(np.arange(n * n), n)
-    pair_sum = (a[:, None] + a) * (2 * n - 1) + b[:, None] + b
 
     def potential(c):
         coef = np.tensordot(c, basis, 1)
@@ -261,7 +259,7 @@ def _full_gram_family(model: ManifoldModel, basis: np.ndarray):
         return np.real(flat @ kernel.gram(ew * model.ref_weight).ravel())
 
     def jacobian(ew):
-        t = doubled.gram(ew).ravel()[pair_sum]  # T[(a, b), (c, d)] = G2[a + c, b + d]
+        t = doubled.pair_sums(doubled.gram(ew))  # T[(a, b), (c, d)] = G2[a + c, b + d]
         left = value[:, :1] * t[where[:, 0]] + value[:, 1:] * t[where[:, 1]]
         return np.real(left[:, where[:, 0]] * value[:, 0] + left[:, where[:, 1]] * value[:, 1])
 

@@ -44,7 +44,7 @@ from .injectivity import perturbed_pair, verify_injectivity
 from .linalg import load_matrix_json
 from .maps import hilb, hilb_nu, t_iterate
 from .moments import build_lambda
-from .pushforward import psi, psi0_closed, psi_t, solve_psi
+from .pushforward import _psi_t_jacobian, psi, psi0_closed, psi_t, solve_psi, traceless_basis
 
 SCHEMA_VERSION = "1"
 
@@ -184,6 +184,7 @@ def cmd_psi_solve(args) -> int:
         return 2
     if args.trace_out:
         trace.to_csv(args.trace_out)
+    jac = _psi_t_jacobian(model, solution.mat, 1.0, traceless_basis(model.N))
     report = {
         "status": "ok",
         "B": solution.to_json_dict(),
@@ -191,6 +192,7 @@ def cmd_psi_solve(args) -> int:
             np.abs(psi(model, solution).mat - target.mat / np.real(np.trace(target.mat))).max()
         ),
         "t_steps": len(trace.rows),
+        "jacobian_sigma_min": float(np.linalg.svd(jac, compute_uv=False)[-1]),
     }
     print(emit_report(report, _out_path(args, "psi_solve.json")))
     return 0

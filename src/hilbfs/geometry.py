@@ -32,7 +32,9 @@ Geometry conventions
   |m| <= 2N - 2 and powers r^d, d <= 4N - 4, with ref_weight^2 =
   (1 - t)^(2N - 2) folded into the powers, r^d ref_weight^2 =
   sqrt(t)^d sqrt(1 - t)^(4N - 4 - d) in [0, 1], so that no power overflows
-  where r^d alone would.  Its gram(w) is sum_q z^p conj(z)^p' ref_weight^2 w.
+  where r^d alone would.  Its gram(w) is sum_q z^p conj(z)^p' ref_weight^2 w;
+  gathered by pair_sums into four-section sums, it serves both Jacobians,
+  the full-Gram moment Newton's (``calabi``) and psi's (``pushforward``).
 """
 
 from __future__ import annotations
@@ -159,7 +161,9 @@ class _ThetaFourier:
         n, na = model.N, model.azimuthal_nodes
         t = model.t[::na]
         if doubled:
+            a, b = np.divmod(np.arange(n * n), n)
             n = 2 * n - 1
+            self._pair_sum = (a[:, None] + a) * n + b[:, None] + b
             d = np.arange(2 * n - 1)
             self._powers = np.sqrt(t)[:, None] ** d * np.sqrt(1.0 - t)[:, None] ** (d[-1] - d)
         else:
@@ -193,6 +197,12 @@ class _ThetaFourier:
         spec = w.reshape(lead + self._grid) @ self._modes.T
         cells = (self._powers.T @ spec).reshape(lead + (-1,))
         return cells[..., self._gram_cell].reshape(lead + (self._n, self._n))
+
+    def pair_sums(self, g: np.ndarray) -> np.ndarray:
+        """The (..., N^2, N^2) table g[..., i + c, j + d] at row (i, j) and
+        column (c, d) of doubled Grams g (..., 2N - 1, 2N - 1): the node sums
+        of s_i conj(s_j) s_c conj(s_d).  Doubled kernel only."""
+        return g.reshape(g.shape[:-2] + (-1,))[..., self._pair_sum]
 
 
 def _legendre_table(x, lmax, mmax):
@@ -431,27 +441,6 @@ def _pushforward_measure(model: ManifoldModel, bm: np.ndarray) -> np.ndarray:
     """
     dens, p = _curvature_density(model, bm @ bm)
     return dens * model.quad_weights / p
-
-
-def _pushforward_measure_derivative(model: ManifoldModel, bm: np.ndarray, dirs):
-    """Derivatives of ``_pushforward_measure`` at B along each of ``dirs``.
-
-    ``dirs`` stacks the directions A (n_dirs x N x N) in which B moves.
-    P, P_z and P_zzbar are linear in the coefficient matrix B^2, whose
-    derivative along A is B A + A B, so the kernel synthesises all their
-    derivatives in one call.  The measure is the curvature numerator
-    num = P P_zzbar - |P_z|^2 over P^3, times the chart factor and the
-    quadrature weight c, so at each node d mu_B is the linear form
-        (dP (P_zzbar - 3 num / P) - 2 Re(conj(P_z) dP_z) + P dP_zzbar) c / P^3
-    in the derivatives.  Returns d mu_B, n_dirs x Q.
-    """
-    coefs = np.concatenate([(bm @ bm)[None], bm @ dirs + dirs @ bm])
-    vals = model._theta_fourier().pairings(coefs)
-    p, pz, pzz = vals[0, 0].real, vals[0, 1], vals[0, 2].real
-    num = p * pzz - np.abs(pz) ** 2
-    c = (1.0 + np.abs(model.nodes) ** 2) ** 2 * model.quad_weights / (model.V * p**3)
-    form = np.stack([pzz - 3.0 * num / p, -2.0 * pz.conj(), p]) * c
-    return np.einsum("dpq,pq->dq", vals[1:], form).real
 
 
 def curvature_volume(model: ManifoldModel, m: MetricWeight) -> Density:

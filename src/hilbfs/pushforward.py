@@ -18,7 +18,8 @@ recovered verbatim.
 The maps run on the ``ManifoldModel`` itself: the curve sits in P^(N-1)
 through its sections s, and psi(B) = M / tr M with M = sum_q s_q s_q*
 mu_B(q), where mu_B is ``geometry._pushforward_measure`` (the Fubini-Study
-volume of the moved curve B s divided by |B s|^2).
+volume of the moved curve B s divided by |B s|^2).  Its Jacobian gathers
+dM along every direction from three doubled-degree Grams (``_psi_t_jacobian``).
 
 Validation happens once per public call: every public function accepts B
 as a ``HermitianForm`` or an array, checks it once in ``_checked_b``
@@ -38,11 +39,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import ContinuationError, DimensionError, MarginError
-from .geometry import (
-    ManifoldModel,
-    _pushforward_measure,
-    _pushforward_measure_derivative,
-)
+from .geometry import ManifoldModel, _pushforward_measure
 from .linalg import HermitianForm
 
 MARGIN = 1e-3  # smallest admissible eigenvalue of a unit-trace target
@@ -127,41 +124,34 @@ def dpsi0(b, a) -> np.ndarray:
 
 
 def hermitian_basis(n: int) -> np.ndarray:
-    """Orthonormal real basis of the hermitian matrices (n^2 elements)."""
-    basis = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
-            basis.append(e)
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1j / np.sqrt(2.0)
-            e[j, i] = -1j / np.sqrt(2.0)
-            basis.append(e)
-    return np.array(basis)
+    """Orthonormal real basis of the hermitian matrices (n^2 elements): the
+    diagonal units, then per pair i < j its real and imaginary element."""
+    i, j = np.triu_indices(n, 1)
+    pair = n + 2 * np.arange(len(i))
+    basis = np.zeros((n + 2 * len(i), n, n), dtype=complex)
+    basis[range(n), range(n), range(n)] = 1.0
+    basis[pair, i, j] = basis[pair, j, i] = 1.0 / np.sqrt(2.0)
+    basis[pair + 1, i, j], basis[pair + 1, j, i] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
+    return basis
 
 
 def traceless_basis(n: int) -> np.ndarray:
-    """Orthonormal real basis of traceless hermitian matrices (n^2 - 1)."""
-    basis = []
-    for i in range(n - 1):
-        e = np.zeros((n, n), dtype=complex)
-        scale = 1.0 / np.sqrt((i + 1) * (i + 2))
-        for j in range(i + 1):
-            e[j, j] = scale
-        e[i + 1, i + 1] = -(i + 1) * scale
-        basis.append(e)
-    full = hermitian_basis(n)
-    return np.array(basis + list(full[n:]))
+    """Orthonormal real basis of traceless hermitian matrices (n^2 - 1): the
+    hermitian one with diag(1, ..., 1, -r, 0, ...) / sqrt(r (r + 1)), r < n."""
+    basis = hermitian_basis(n)[1:]
+    r, c = np.arange(n - 1)[:, None], np.arange(n)
+    scale = 1.0 / np.sqrt((r + 1) * (r + 2))
+    basis[r, c, c] = np.where(c <= r, scale, np.where(c == r + 1, -(r + 1) * scale, 0.0))
+    return basis
 
 
 def _coords(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Real coordinates tr(E_a M) of (stacked) hermitian M in ``basis``."""
-    return np.real(np.einsum("aij,...ji->...a", basis, m))
+    """Real coordinates tr(E_a M) of (stacked) hermitian M in ``basis``:
+    Re vec(E_a^T) . vec(M), one real matmul over the flattened entries."""
+    n2 = basis.shape[-1] ** 2
+    flat = np.ascontiguousarray(m, dtype=complex).reshape(m.shape[:-2] + (n2,))
+    et = basis.transpose(0, 2, 1).reshape(len(basis), n2)
+    return flat.view(float) @ np.stack([et.real, -et.imag], axis=-1).reshape(len(basis), -1).T
 
 
 def dpsi0_matrix(b) -> np.ndarray:
@@ -240,20 +230,41 @@ def _psi_t_jacobian(
     """Analytic Jacobian of psi_t at B in the coordinates of ``basis``.
 
     Column b is the derivative along basis[b] and row a its coordinate
-    tr(E_a . ).  B^{-1} Phi(B) B^{-1} = M = sum_q s_q s_q* mu_B(q), so M
-    moves only through the pushforward measure, whose derivatives
-    ``_pushforward_measure_derivative`` forms for all directions at once;
-    dpsi = dM / tr M - tr(dM) psi / tr M.  Both endpoints of the homotopy
-    have unit trace, so d psi_t = t dpsi + (1 - t) dpsi0.
+    tr(E_a . ).  B^{-1} Phi(B) B^{-1} = M = sum_q s_q s_q* mu_B(q) with
+    mu_B = num c, num = P P_zzbar - |P_z|^2, c = (1+|z|^2)^2 qw / (V P^3)
+    and P = s* B^2 s.  Along A, B^2 moves by D = BA + AB and d mu_B =
+    Re(dP f_0 + 2 dP_z f_1 + dP_zzbar f_2) for the node forms
+    (f_0, f_1, f_2) = ((P_zzbar - 3 num / P) c, -conj(P_z) c, P c).  As
+    s_i conj(s_j) conj(s_a) s_b = z^(i+b) conj(z)^(j+a), dM = T vec(D) with
+        T[ij, ab] = G_0[i+b, j+a] + b G_1[i+b-1, j+a]
+                    + a conj(G_1[j+a-1, i+b]) + ab G_2[i+b-1, j+a-1],
+    G_p the doubled-degree Gram of f_p / ref_weight^2.  dpsi = dM / tr M -
+    tr(dM) psi / tr M; both endpoints of the homotopy have unit trace, so
+    d psi_t = t dpsi + (1 - t) dpsi0.
     """
-    d = (1.0 - t) * _dpsi0(bm, basis)
-    if t > 0.0:
-        m = model._theta_fourier().gram(_pushforward_measure(model, bm))
-        dm = model._theta_fourier().gram(_pushforward_measure_derivative(model, bm, basis))
-        trm = np.real(np.trace(m))
-        trdm = np.real(np.trace(dm, axis1=1, axis2=2))
-        d = d + t * (dm - trdm[:, None, None] * (m / trm)) / trm
-    return _coords(basis, d).T
+    jac = 0.0 if t == 1.0 else (1.0 - t) * _coords(basis, _dpsi0(bm, basis))
+    if t == 0.0:
+        return jac.T
+    n, doubled = model.N, model._theta_fourier(doubled=True)
+    p, pz, pzz = model._theta_fourier().pairings(bm @ bm)
+    p, pzz = p.real, pzz.real
+    num = p * pzz - np.abs(pz) ** 2
+    c = (1.0 + np.abs(model.nodes) ** 2) ** 2 * model.quad_weights / (model.V * p**3)
+    m = model._theta_fourier().gram(num * c)
+    g0, g1, g2 = doubled.gram(np.stack([pzz - 3.0 * num / p, -pz.conj(), p]) * c
+                              / model.ref_weight**2)
+    # G_0, G_1, conj(G_1)^T and G_2 shifted so that each is read at (i+b, j+a)
+    shifted = np.zeros((4,) + g0.shape, dtype=complex)
+    shifted[0], shifted[1, 1:], shifted[2, :, 1:] = g0, g1[:-1], g1.conj().T[:, :-1]
+    shifted[3, 1:, 1:] = g2[:-1, :-1]
+    b, a = np.divmod(np.arange(n * n), n)  # column (b, a) of the pair sums
+    tab = np.einsum("pkl,pl->kl", doubled.pair_sums(shifted), [a**0, b, a, a * b])
+    # T vec(D) = tab vec(D^T), and D^T = conj(D) for hermitian D
+    dm = (bm @ basis + basis @ bm).conj().reshape(len(basis), n * n) @ tab.T
+    trm = np.real(np.trace(m))
+    trdm = np.real(dm[:, :: n + 1].sum(axis=1))
+    dpsi = (_coords(basis, dm.reshape(-1, n, n)) - np.outer(trdm, _coords(basis, m)) / trm) / trm
+    return (jac + t * dpsi).T
 
 
 def _newton_at_t(model, b, t, g, basis):
@@ -307,14 +318,14 @@ def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace
     from 0 to 1 with adaptive steps, the first 1 / ``CONTINUATION_STEPS``
     (on Newton failure halve the step tried, which is h or 1 - t where
     t + h is clipped to 1; double after two successes, up to 1/4; floor
-    ``STEP_FLOOR``).  Each step's Newton stops at the max-norm residual
-    ``PSI_TOL``.  psi is scale-invariant, so G is
-    first normalised by its trace, which must be positive (``ValueError``
-    otherwise).  Raises ``MarginError`` when the normalised G's smallest
-    eigenvalue is below ``MARGIN`` and ``ContinuationError`` carrying the
-    trace when the step size underflows.  Returns B as a
-    unit-trace ``HermitianForm`` with the trace; B is certified only by its
-    forward residual, recorded in the trace.
+    ``STEP_FLOOR``; a step ending within ``STEP_FLOOR`` of 1, as a rounded
+    sum of steps can, ends at 1).  Each step's Newton stops at the max-norm
+    residual ``PSI_TOL``.  psi is scale-invariant, so G is first normalised
+    by its trace, which must be positive (``ValueError`` otherwise).  Raises
+    ``MarginError`` when the normalised G's smallest eigenvalue is below
+    ``MARGIN`` and ``ContinuationError`` carrying the trace when the step
+    size underflows.  Returns B as a unit-trace ``HermitianForm`` with the
+    trace, which records the forward residual that alone certifies B.
     """
     gm = _as_form(g).mat
     tr = float(np.real(np.trace(gm)))
@@ -337,11 +348,11 @@ def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace
     h = 1.0 / CONTINUATION_STEPS
     successes = 0
     while t < 1.0:
-        t_next = min(t + h, 1.0)
+        t_next = 1.0 if t + h > 1.0 - STEP_FLOOR else t + h
         bn, iters, resid = _newton_at_t(model, b, t_next, gm, basis)
         if bn is None:
             successes = 0
-            h = 0.5 * min(h, 1.0 - t)  # the step tried: t + h is clipped to 1
+            h = 0.5 * (1.0 - t if t_next == 1.0 else h)  # the step tried
             if h < STEP_FLOOR:
                 trace.log(t_next, resid, h, iters)
                 raise ContinuationError(

@@ -18,6 +18,7 @@ from hilbfs import (
     surject_full,
 )
 from hilbfs.linalg import random_spd
+from hilbfs.pushforward import traceless_basis
 from hilbfs.cli import main
 
 
@@ -135,6 +136,25 @@ def test_psi_solve_feasible_target(tmp_path, capsys):
     assert report["forward_residual"] <= 1e-8
     assert report["t_steps"] >= 2
     assert trace_path.read_text().splitlines()[0] == "t,residual,step,newton_iters"
+
+
+def test_psi_solve_reports_the_least_singular_value_of_the_jacobian(tmp_path, capsys):
+    model = build_p1_model(2, radial_nodes=32, azimuthal_nodes=48)
+    target = psi(model, np.diag([1.0, 1.3, 0.8]))
+    path = write_matrix(tmp_path / "g.json", target.to_json_dict())
+    assert main(["psi-solve", "--k", "2", "--target", path, *GRID]) == 0
+    report = json.loads(capsys.readouterr().out)
+    # against the central-difference Jacobian of psi at the returned B, in
+    # the coordinates of the traceless basis
+    b = HermitianForm.from_json_dict(report["B"]).mat
+    basis, h = traceless_basis(3), 1e-5
+    jac = [
+        np.einsum("aij,ji->a", basis, psi(model, b + h * e).mat - psi(model, b - h * e).mat).real
+        / (2.0 * h)
+        for e in basis
+    ]
+    sigma_min = np.linalg.svd(np.array(jac), compute_uv=False)[-1]
+    assert report["jacobian_sigma_min"] == pytest.approx(sigma_min, rel=1e-6)
 
 
 def test_psi_solve_accepts_any_trace(tmp_path, capsys):

@@ -16,11 +16,8 @@ from hilbfs import (
     integrate,
     reference_density,
 )
-from hilbfs.geometry import (
-    _legendre_table,
-    _pushforward_measure,
-    _pushforward_measure_derivative,
-)
+from hilbfs.geometry import _legendre_table, _pushforward_measure
+from hilbfs.pushforward import _dpsi0, _psi_t_jacobian, traceless_basis
 from hilbfs.linalg import (
     orthonormalize_sections,
     random_hermitian,
@@ -285,13 +282,38 @@ class TestThetaFourierKernel:
             assert _rel(kernel.gram(weights), ref) <= 1e-13
 
     @pytest.mark.parametrize("k,d", KERNEL_CASES)
+    def test_pair_sums_of_a_doubled_gram(self, k, d):
+        # row (i, j), column (c, d) holds sum_q s_i conj(s_j) s_c conj(s_d)
+        # ref_weight^2 w
+        model = build_p1_model(k, line_degree=d)
+        w = np.random.default_rng(k + 27).uniform(0.5, 1.5, size=model.Q)
+        kernel = model._theta_fourier(doubled=True)
+        pairs = (model.sections[:, None] * model.sections.conj()).reshape(model.N**2, -1)
+        ref = (pairs * w * model.ref_weight**2) @ pairs.T
+        assert _rel(kernel.pair_sums(kernel.gram(w)), ref) <= 1e-13
+
+    @pytest.mark.parametrize("k,d", KERNEL_CASES + [(12, 1)])
     def test_pushforward_measure_derivative(self, k, d):
+        # the psi Jacobian, which takes the derivative of the pushforward
+        # measure through doubled-degree Grams, against the Jacobian that
+        # the row-based derivative and the defining node sums assemble
         model = build_p1_model(k, line_degree=d)
         rng = np.random.default_rng(k + 30)
         b = random_spd(model.N, rng, cond=5.0).mat
-        dirs = np.array([random_hermitian(model.N, rng) for _ in range(5)])
-        new = _pushforward_measure_derivative(model, b, dirs)
-        assert _rel(new, pushforward_measure_derivative(model, b, dirs)) <= 1e-13
+        basis = traceless_basis(model.N)
+        rows, drows = section_rows(model)
+        p, pz, pzz = curvature_sums(b @ rows, b @ drows)
+        x2 = (1.0 + np.abs(model.nodes) ** 2) ** 2
+        mu = (p * pzz - np.abs(pz) ** 2) / p**3 * x2 * model.quad_weights / model.V
+        m = weighted_gram(rows, mu)
+        flat = (rows[:, None] * rows.conj()).reshape(model.N**2, -1)
+        dmu = pushforward_measure_derivative(model, b, basis)
+        dm = (dmu @ flat.T).reshape(-1, model.N, model.N)
+        trm, trdm = np.trace(m).real, np.trace(dm, axis1=1, axis2=2).real
+        dpsi = (dm - trdm[:, None, None] * m / trm) / trm
+        for t in (0.5, 1.0):
+            ref = np.einsum("aij,bji->ab", basis, t * dpsi + (1.0 - t) * _dpsi0(b, basis)).real
+            assert _rel(_psi_t_jacobian(model, b, t, basis), ref) <= 1e-12
 
 
 @pytest.mark.parametrize("k,d", KERNEL_CASES)

@@ -18,6 +18,7 @@ from hilbfs import (
 )
 from hilbfs.linalg import random_hermitian, random_spd
 from hilbfs.pushforward import (
+    _coords,
     _psi_t_jacobian,
     dpsi0_matrix,
     hermitian_basis,
@@ -235,7 +236,16 @@ class TestPsiT:
 
 
 def coords(basis, m):
-    return np.real(np.einsum("aij,ji->a", basis, m))
+    return np.real(np.einsum("aij,...ji->...a", basis, m))
+
+
+@pytest.mark.parametrize("make_basis", [hermitian_basis, traceless_basis])
+def test_coords_matmul_equals_the_trace_sum(make_basis):
+    basis = make_basis(5)
+    rng = np.random.default_rng(14)
+    stack = np.array([random_hermitian(5, rng) for _ in range(7)])
+    for m in (stack, stack[0], stack.real):
+        assert np.abs(_coords(basis, m) - coords(basis, m)).max() <= 1e-15
 
 
 class TestPsiJacobian:
@@ -348,3 +358,23 @@ class TestSolvePsi:
         for (t, failed), (t_next, _) in zip(calls, calls[1:]):
             assert not (failed and t_next == t)
         assert trace.rows[-1].t == 1.0
+
+    def test_steps_that_sum_to_one_below_rounding_end_at_one(self, monkeypatch):
+        # a corrector that fails every step longer than 1/10 keeps the step
+        # at 1/10, and ten of them add up to 1 - 1.1e-16 in floating point;
+        # the tenth step must still end at exactly 1, with no zero-length
+        # step after it
+        model = conic_model()
+        accepted = [0.0]
+
+        def short_steps_only(model, b, t, *args):
+            if t - accepted[-1] > 0.1 + 1e-12:
+                return None, 1, 1.0
+            accepted.append(t)
+            return b, 1, 0.0
+
+        monkeypatch.setattr(hilbfs.pushforward, "_newton_at_t", short_steps_only)
+        _, trace = solve_psi(model, psi(model, np.eye(3, dtype=complex)))
+        assert sum([0.1] * 10) < 1.0
+        assert accepted[-1] == 1.0 and len(accepted) == 11
+        assert [r.t for r in trace.rows if r.t > 0.95] == [1.0]
