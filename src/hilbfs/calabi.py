@@ -9,7 +9,8 @@ discretised with the spectral Laplacian of the reference metric.  The
 constant is pinned by the g = 0 identity and the linearised comparison in
 the tests.
 
-The Newton system (D - c Lap) df = residual, with D = diag(e^{f+g}) and
+``solve_ma`` runs the damped Newton of ``linalg.damped_newton``.  Its
+system (D - c Lap) df = residual, with D = diag(e^{f+g}) and
 c = 1/(4 pi k), is never formed.  Both terms are self-adjoint in the
 quadrature inner product <x, y> = sum qw x y and the sum is positive
 definite, so it is solved by conjugate gradients in that inner product,
@@ -55,7 +56,7 @@ from .geometry import (
     fs_metric,
     reference_density,
 )
-from .linalg import COND_GUARD, HermitianForm, cholesky_lower
+from .linalg import COND_GUARD, HermitianForm, cholesky_lower, damped_newton
 from .maps import FIXED, exponent_for_variant, hilb, hilb_nu, variant_density
 from .moments import MAX_NEWTON, _max_entropy_newton
 from .pushforward import hermitian_basis, solve_psi
@@ -136,13 +137,14 @@ def _newton_step(lap, c: float, d: np.ndarray, b: np.ndarray, qw: np.ndarray):
 def solve_ma(problem: MAProblem) -> MASolution:
     """Damped Newton for the scalar Monge-Ampere reduction.
 
-    Each Newton system is solved matrix-free by preconditioned conjugate
-    gradients (see the module docstring) to a relative residual of
-    ``CG_TOL``; if CG does not get there, ``ConvergenceError`` carries its
-    residual history.  Each accepted step reduces the residual norm
-    (asserted); the final perturbed density 1 + Lap f/(4 pi k) is strictly
-    positive and its mass reproduces V up to the residual (the Laplacian
-    has exact null mean against the quadrature).
+    ``linalg.damped_newton`` runs from f = 0 and accepts a step whose
+    residual is finite and of smaller norm.  Each Newton system is solved
+    matrix-free by preconditioned conjugate gradients (see the module
+    docstring) to a relative residual of ``CG_TOL``; if CG does not get
+    there, ``ConvergenceError`` carries its residual history.  The final
+    perturbed density 1 + Lap f/(4 pi k) is strictly positive and its mass
+    reproduces V up to the residual (the Laplacian has exact null mean
+    against the quadrature).
     """
     model = problem.model
     qw = model.quad_weights
@@ -150,39 +152,24 @@ def solve_ma(problem: MAProblem) -> MASolution:
     g = problem.g - shift
     lap = model.laplacian()
     c = 1.0 / (4.0 * np.pi * model.k)
-    f = np.zeros(model.Q)
-    history: List[float] = []
     cg_iters: List[int] = []
-    exp_fg = np.exp(f + g)
-    resid_vec = 1.0 + c * (lap @ f) - exp_fg
-    for it in range(MA_MAX_NEWTON):
-        rn = float(np.abs(resid_vec).max())
-        history.append(rn)
-        if rn <= MA_TOL:
-            break
+
+    def evaluate(f):
+        exp_fg = np.exp(f + g)
+        return f, 1.0 + c * (lap @ f) - exp_fg, exp_fg
+
+    def direction(f, resid_vec, exp_fg):
         df, iters = _newton_step(lap, c, exp_fg, resid_vec, qw)
         cg_iters.append(iters)
-        norm_old = float(np.linalg.norm(resid_vec))
-        alpha = 1.0
-        for _ in range(50):
-            cand = f + alpha * df
-            ev = np.exp(cand + g)
-            rv = 1.0 + c * (lap @ cand) - ev
-            if np.all(np.isfinite(rv)) and float(np.linalg.norm(rv)) < norm_old:
-                f, exp_fg, resid_vec = cand, ev, rv
-                break
-            alpha *= 0.5
-        else:
-            raise ConvergenceError(
-                f"Monge-Ampere line search stalled at iteration {it} "
-                f"(residual {rn:.3e})",
-                history,
-            )
-    else:
-        raise ConvergenceError(
-            f"Monge-Ampere Newton did not reach {MA_TOL:g} in {MA_MAX_NEWTON} iterations",
-            history,
-        )
+        return df
+
+    def accept(new, old, alpha, df):
+        return np.all(np.isfinite(new[1])) and np.linalg.norm(new[1]) < np.linalg.norm(old[1])
+
+    (f, resid_vec, _), history = damped_newton(
+        evaluate, direction, accept, evaluate(np.zeros(model.Q)),
+        MA_TOL, MA_MAX_NEWTON, 50, "Monge-Ampere Newton",
+    )
     density = 1.0 + c * (lap @ f)
     margin = float(density.min())
     if margin <= 0.0:
@@ -195,11 +182,11 @@ def solve_ma(problem: MAProblem) -> MASolution:
     # undo the solvability normalisation: f - shift solves the original data
     return MASolution(
         f=f - shift,
-        residual=float(np.abs(resid_vec).max()),
+        residual=history[-1],
         mass_defect=mass_defect,
         positivity_margin=margin,
         normalisation_shift=shift,
-        newton_iters=it,
+        newton_iters=len(history) - 1,
         residual_history=history,
         cg_iters=cg_iters,
     )
@@ -310,7 +297,7 @@ def surject_fixed_volume(
     stage_logs = [
         {
             "stage": "full-gram-moment",
-            "newton_iters": len(history),
+            "newton_iters": len(history) - 1,
             "residual": float(np.abs(gram - target_scaled).max()) * scale,
         }
     ]

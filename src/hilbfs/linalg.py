@@ -1,4 +1,7 @@
-"""Hermitian matrix primitives: norms, Cholesky, basis transforms, JSON I/O.
+"""Hermitian matrix primitives: norms, Cholesky, basis transforms, JSON I/O,
+and ``damped_newton``, the one damped-Newton loop that the moment, psi and
+Monge-Ampere solvers share; each caller keeps its own mathematics and its
+own test for accepting a step.
 
 Convention used throughout the package: a hermitian form G on the section
 space is stored via its matrix G[i, j] = <s_i, s_j>, linear in the first
@@ -11,12 +14,13 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import List, NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
 
 from .errors import (
+    ConvergenceError,
     DefinitenessError,
     DimensionError,
     HermitianDefectError,
@@ -206,3 +210,50 @@ def random_spd(n: int, rng: np.random.Generator, cond: float = 10.0) -> Hermitia
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (x + x.conj().T)
+
+
+def damped_newton(evaluate, direction, accept, start, tol, max_steps, max_halvings, what):
+    """Damped Newton from the point ``start`` to a max-norm residual <= tol.
+
+    A point is the tuple (x, r, ...) that ``evaluate(x)`` returns, r the
+    residual vector, or None when x is inadmissible.  Each step tries
+    x + alpha dx, dx = direction(*point), for alpha = 1, 1/2, ... (at most
+    ``max_halvings`` candidates) and moves to the first admissible one that
+    ``accept(new, old, alpha, dx)`` approves.  Returns (point, history),
+    history holding max|r| of every iterate, so len(history) - 1 steps.
+    Raises ``ConvergenceError`` with the history when ``direction`` raises
+    ``LinAlgError``, when no candidate is accepted, or when ``max_steps``
+    steps end above tol; other errors of ``direction`` propagate.
+    """
+    point = start
+    history: List[float] = []
+    for it in range(max_steps + 1):
+        resid = float(np.abs(point[1]).max())
+        history.append(resid)
+        if resid <= tol:
+            return point, history
+        if it == max_steps:
+            break
+        try:
+            dx = direction(*point)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(
+                f"{what} jacobian degenerate at iteration {it} (residual {resid:.3e})",
+                history,
+            ) from exc
+        alpha = 1.0
+        for _ in range(max_halvings):
+            new = evaluate(point[0] + alpha * dx)
+            if new is not None and accept(new, point, alpha, dx):
+                point = new
+                break
+            alpha *= 0.5
+        else:
+            raise ConvergenceError(
+                f"{what} line search stalled at iteration {it} (residual {resid:.3e})",
+                history,
+            )
+    raise ConvergenceError(
+        f"{what} did not reach {tol:g} in {max_steps} steps (last residual {resid:.3e})",
+        history,
+    )

@@ -3,20 +3,20 @@
 ``solve_moments`` constructs a positive density e^u dV_ref whose pairings
 against the squared sections match a prescribed positive vector, with u in
 the span of those same squared-section functions: the classical
-maximum-entropy ansatz, N unknowns for N constraints, solved by damped
-Newton on the convex dual.  The Newton Jacobian is the weighted Gram matrix
-int g_i g_j e^u dV, positive definite at every iterate.  Near the solution
-the decrease that the Armijo test on the dual objective asks for falls
-below the objective's rounding, and the test decides on noise; so once the
-full step's predicted decrease |slope| < ROUNDING_FLOOR |objective|, a
-step that lowers ||moments - target||_2 is accepted too.
+maximum-entropy ansatz, N unknowns for N constraints, solved on the convex
+dual by ``linalg.damped_newton``.  The Newton Jacobian is the weighted Gram
+matrix int g_i g_j e^u dV, positive definite at every iterate.  Near the
+solution the decrease that the Armijo test on the dual objective asks for
+falls below the objective's rounding, and the test decides on noise; so
+once the full step's predicted decrease |slope| < ROUNDING_FLOOR
+|objective|, a step that lowers ||moments - target||_2 is accepted too.
 
-The Newton itself, ``_max_entropy_newton``, takes any positive node
-weights, any real target and any family of node functions g_k, which it
-sees only through three functions: the potential u = sum_k c_k g_k at the
-nodes, and for node weights ew the moments sum_q g_k ew and the Jacobian
-sum_q g_k g_l ew.  ``solve_moments`` forms all three from its N x Q table
-of squared sections.  The second caller, ``calabi.surject_fixed_volume``,
+``_max_entropy_newton`` gives the driver this mathematics for any positive
+node weights, any real target and any family of node functions g_k, which
+it sees only through three functions: the potential u = sum_k c_k g_k at
+the nodes, and for node weights ew the moments sum_q g_k ew and the
+Jacobian sum_q g_k g_l ew.  ``solve_moments`` forms all three from its
+N x Q table of squared sections.  The second caller, ``calabi.surject_fixed_volume``,
 solves the full-Gram problem, with g_k = s* E_k^T s * ref_weight for an
 orthonormal hermitian basis E_k; its targets, the basis coordinates of a
 Gram matrix, may be negative.  It holds no node table: the potential is a
@@ -48,7 +48,7 @@ import scipy.linalg as sla
 
 from .errors import ConvergenceError, DimensionError, MomentInfeasibleError
 from .geometry import Density, ManifoldModel
-from .linalg import MatrixNorms, matrix_norms
+from .linalg import MatrixNorms, damped_newton, matrix_norms
 
 PROBE_POWER = 8
 ROUNDING_FLOOR = 1e-10  # relative rounding of the dual objective (see above)
@@ -122,68 +122,37 @@ def _max_entropy_newton(
     The family g_k enters through three functions: ``potential`` takes c to
     the node values u = sum_k c_k g_k, ``moments`` takes node weights ew to
     the vector sum_q g_k ew and ``jacobian`` takes them to the Gram
-    sum_q g_k g_l ew.  Damped Newton with Armijo line search on the convex
-    dual objective sum(e^u * weights) - <c, target>, starting from c = 0,
-    or by the gradient-norm test of the module docstring once the Armijo
-    test is below rounding.  The target may have entries of either sign.
-    Returns (c, u, history), history holding the max-norm residual of every
-    iterate.
+    sum_q g_k g_l ew.  ``linalg.damped_newton`` runs from c = 0, solving by
+    Cholesky (a Jacobian that is not PD means the iterates run to the cone's
+    boundary) and accepting by the Armijo test on the convex dual objective
+    sum(e^u * weights) - <c, target>, or by the gradient-norm test of the
+    module docstring once that is below rounding.  The target may have
+    entries of either sign.  Returns (c, u, history), history holding the
+    max-norm residual of every iterate.
     """
-    coef = np.zeros(target.size)
-    history: List[float] = []
 
-    def dual_and_grad(c):
+    def evaluate(c):
         u = potential(c)
         if u.max() > 700.0:
-            return None, None, None
+            return None
         ew = np.exp(u) * weights
-        objective = float(ew.sum() - c @ target)
-        return objective, moments(ew), ew
+        return c, moments(ew) - target, float(ew.sum() - c @ target), ew, u
 
-    obj, mom, ew = dual_and_grad(coef)
-    for it in range(max_newton):
-        resid = float(np.abs(mom - target).max())
-        history.append(resid)
-        if resid <= tol:
-            return coef, potential(coef), history
-        try:
-            # convexity audit: the weighted Gram must stay PD
-            step = sla.cho_solve((np.linalg.cholesky(jacobian(ew)), True), target - mom)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                f"moment Newton jacobian degenerate at iteration {it} "
-                f"(residual {resid:.3e}); the iterates are running to the "
-                "boundary of the achievable cone",
-                history,
-            ) from exc
-        grad = mom - target
-        slope = float(grad @ step)
-        alpha = 1.0
-        accepted = False
-        below_rounding = abs(slope) < ROUNDING_FLOOR * abs(obj)
-        for _ in range(60):
-            cand = coef + alpha * step
-            obj_c, mom_c, ew_c = dual_and_grad(cand)
-            if obj_c is not None and (
-                obj_c <= obj + 1e-4 * alpha * slope
-                or below_rounding and np.linalg.norm(mom_c - target) < np.linalg.norm(grad)
-            ):
-                coef, obj, mom, ew = cand, obj_c, mom_c, ew_c
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            raise ConvergenceError(
-                f"moment Newton line search stalled at iteration {it} "
-                f"(residual {resid:.3e}); target is outside or on the boundary "
-                "of the achievable moment cone",
-                history,
-            )
-    raise ConvergenceError(
-        f"moment Newton did not reach tol {tol:g} in {max_newton} iterations "
-        f"(last residual {history[-1]:.3e})",
-        history,
+    def direction(c, grad, obj, ew, u):
+        return sla.cho_solve((np.linalg.cholesky(jacobian(ew)), True), -grad)
+
+    def accept(new, old, alpha, step):
+        slope = float(old[1] @ step)
+        if new[2] <= old[2] + 1e-4 * alpha * slope:
+            return True
+        below_rounding = abs(slope) < ROUNDING_FLOOR * abs(old[2])
+        return below_rounding and np.linalg.norm(new[1]) < np.linalg.norm(old[1])
+
+    (coef, _, _, _, u), history = damped_newton(
+        evaluate, direction, accept, evaluate(np.zeros(target.size)),
+        tol, max_newton, 60, "moment Newton",
     )
+    return coef, u, history
 
 
 def solve_moments(

@@ -38,15 +38,15 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ContinuationError, DimensionError, MarginError
+from .errors import ContinuationError, ConvergenceError, DimensionError, MarginError
 from .geometry import ManifoldModel, _pushforward_measure
-from .linalg import HermitianForm
+from .linalg import HermitianForm, damped_newton
 
 MARGIN = 1e-3  # smallest admissible eigenvalue of a unit-trace target
 STEP_FLOOR = 1e-6  # continuation step below which solve_psi gives up
 NEWTON_MAX_ITERS = 25
 CONTINUATION_STEPS = 10  # solve_psi's first step is 1 / CONTINUATION_STEPS
-PSI_TOL = 1e-10  # max-norm residual at which each continuation Newton stops
+PSI_TOL = 1e-10  # each continuation Newton stops at max-norm residual <= PSI_TOL
 KERNEL_RTOL = 1e-8  # relative singular-value cut of the numerical kernel
 
 
@@ -269,46 +269,38 @@ def _psi_t_jacobian(
 
 def _newton_at_t(model, b, t, g, basis):
     """Newton-correct psi_t(B) = G in traceless coordinates around unit
-    trace, to a max-norm residual below ``PSI_TOL``.
+    trace, to a max-norm residual of at most ``PSI_TOL``.
 
-    Each step solves with the analytic Jacobian ``_psi_t_jacobian`` and
-    takes a damped update that keeps B positive definite and of unit trace;
-    the residual of the accepted candidate carries into the next step.  A
-    singular Jacobian or a stalled line search is a failed step, which the
+    ``linalg.damped_newton`` runs from B with the analytic Jacobian
+    ``_psi_t_jacobian``; a candidate is hermitised, dropped unless positive
+    definite, trace-normalised, and accepted when it lowers the residual
+    norm.  Any ``ConvergenceError`` is a failed correction, which the
     continuation answers by shortening its step.  Returns (B or None,
-    iterations, max-norm residual).
+    steps, max-norm residual).
     """
 
-    def residual(mat):
-        return _coords(basis, _psi_t(model, mat, t) - g)
+    def evaluate(cand):
+        cand = 0.5 * (cand + cand.conj().T)
+        if np.linalg.eigvalsh(cand).min() <= 0:
+            return None
+        cand = cand / np.real(np.trace(cand))
+        return cand, _coords(basis, _psi_t(model, cand, t) - g)
 
-    bm = b.copy()
-    r = residual(bm)
-    for it in range(NEWTON_MAX_ITERS + 1):
-        rn = float(np.abs(r).max())
-        if rn < PSI_TOL:
-            return bm, it, rn
-        if it == NEWTON_MAX_ITERS:
-            break
-        try:
-            dv = np.linalg.solve(_psi_t_jacobian(model, bm, t, basis), -r)
-        except np.linalg.LinAlgError:
-            return None, it, rn
-        norm_r = np.linalg.norm(r)
-        step = 1.0
-        for _ in range(10):
-            cand = bm + step * np.einsum("a,aij->ij", dv, basis)
-            cand = 0.5 * (cand + cand.conj().T)
-            if np.linalg.eigvalsh(cand).min() > 0:
-                cand = cand / np.real(np.trace(cand))
-                r_cand = residual(cand)
-                if np.linalg.norm(r_cand) < norm_r:
-                    bm, r = cand, r_cand
-                    break
-            step *= 0.5
-        else:
-            return None, it, rn
-    return None, NEWTON_MAX_ITERS, rn
+    def direction(bm, r):
+        dv = np.linalg.solve(_psi_t_jacobian(model, bm, t, basis), -r)
+        return np.einsum("a,aij->ij", dv, basis)
+
+    def accept(new, old, alpha, step):
+        return np.linalg.norm(new[1]) < np.linalg.norm(old[1])
+
+    try:
+        (bm, _), history = damped_newton(
+            evaluate, direction, accept, (b, _coords(basis, _psi_t(model, b, t) - g)),
+            PSI_TOL, NEWTON_MAX_ITERS, 10, "psi Newton",
+        )
+    except ConvergenceError as exc:
+        return None, len(exc.history) - 1, exc.history[-1]
+    return bm, len(history) - 1, history[-1]
 
 
 def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace]:

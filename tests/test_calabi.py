@@ -103,6 +103,15 @@ class TestSolveMA:
         assert np.abs(resid).max() <= 1e-9
         assert abs(sol.normalisation_shift - 0.8) <= 1e-9
 
+    def test_converging_on_the_last_allowed_step_succeeds(self, monkeypatch):
+        model = build_p1_model(2, radial_nodes=24, azimuthal_nodes=32)
+        g = smooth_random_g(model, np.random.default_rng(1))
+        free = solve_ma(MAProblem(model, g))
+        monkeypatch.setattr(hilbfs.calabi, "MA_MAX_NEWTON", free.newton_iters)
+        capped = solve_ma(MAProblem(model, g))
+        assert capped.newton_iters == free.newton_iters == len(free.residual_history) - 1
+        assert np.array_equal(capped.f, free.f)
+
     def test_unconverged_cg_raises(self, monkeypatch):
         # a Newton step is never taken from an unconverged linear solve
         model = build_p1_model(2, radial_nodes=24, azimuthal_nodes=32)
@@ -126,6 +135,8 @@ class TestSurjectFixedVolume:
         metric, report = surject_fixed_volume(model, target)
         assert report.residual_max <= 1e-9
         assert np.abs(metric.potential(model)).max() <= 1e-7
+        # the reference weight solves it at c = 0, before any Newton step
+        assert report.stage_logs[0]["newton_iters"] == 0
 
     @pytest.mark.parametrize("k", [2, 6])
     def test_forward_generated_targets(self, k):

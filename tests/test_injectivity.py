@@ -15,13 +15,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
 
-def _audit_pair(k, seed=1):
-    """Item 0 of the ``balance-audit`` block that the benchmark generates for
-    (seed, k), on the benchmark's grid: (model, H, H')."""
+def _audit_pair(k, seed=1, item=0):
+    """Item ``item`` of the ``balance-audit`` block that the benchmark
+    generates for (seed, k), on the benchmark's grid: (model, H, H')."""
     wl = workloads.WORKLOADS["balance-audit"]
     model = build_p1_model(k, **workloads.grid(k))
     rng = np.random.default_rng([seed, k])
-    _, h, h2 = wl.generate(hilbfs, model, rng, 1, defaultdict(int))[0]
+    _, h, h2 = wl.generate(hilbfs, model, rng, item + 1, defaultdict(int))[item]
     return model, h, h2
 
 
@@ -106,3 +106,13 @@ class TestPaperRows:
         report = verify_injectivity(model, h, h2, refine_check=False)
         assert report.lambda_mode == "paper"
         assert report.lambda_paper_status == "achieved"
+
+    def test_degenerate_row_newton_names_its_row(self):
+        # the cone bound is silent on this k=2 pair, so row 0's moment Newton
+        # runs until its Jacobian degenerates; the status keeps the row prefix
+        model, h, h2 = _audit_pair(2, seed=5, item=1)
+        report = verify_injectivity(model, h, h2, refine_check=False)
+        assert report.lambda_mode == "probe"
+        assert report.lambda_paper_status.startswith(
+            "infeasible: row 0: moment Newton jacobian degenerate at iteration"
+        )

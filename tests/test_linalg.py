@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hilbfs import (
+    ConvergenceError,
     DefinitenessError,
     DimensionError,
     HermitianDefectError,
@@ -10,7 +11,13 @@ from hilbfs import (
     matrix_norms,
     orthonormalize_sections,
 )
-from hilbfs.linalg import dump_matrix_json, load_matrix_json, random_spd, random_unitary
+from hilbfs.linalg import (
+    damped_newton,
+    dump_matrix_json,
+    load_matrix_json,
+    random_spd,
+    random_unitary,
+)
 
 
 class TestMatrixNorms:
@@ -161,3 +168,78 @@ class TestOrthonormalize:
     def test_row_count_checked(self):
         with pytest.raises(DimensionError):
             orthonormalize_sections(HermitianForm.identity(3), np.ones((2, 4)))
+
+
+def _sqrt2(x):
+    """A point of x^2 = 2 for ``damped_newton``: (x, residual)."""
+    return x, x**2 - 2.0
+
+
+def _sqrt2_direction(x, r):
+    return -r / (2.0 * x)
+
+
+def _decrease(new, old, alpha, dx):
+    return np.linalg.norm(new[1]) < np.linalg.norm(old[1])
+
+
+def _solve_sqrt2(evaluate=_sqrt2, direction=_sqrt2_direction, accept=_decrease, steps=20):
+    return damped_newton(evaluate, direction, accept, _sqrt2(np.array([1.0])), 1e-14, steps,
+                         10, "test Newton")
+
+
+class TestDampedNewton:
+    def test_converges_and_counts_steps(self):
+        (x, r), history = _solve_sqrt2()
+        assert x[0] == pytest.approx(np.sqrt(2.0), abs=1e-14)
+        assert history[-1] == float(np.abs(r).max()) <= 1e-14
+        assert all(b < a for a, b in zip(history, history[1:]))
+
+    def test_converging_on_the_last_allowed_step_succeeds(self):
+        _, history = _solve_sqrt2()
+        steps = len(history) - 1
+        _, capped = _solve_sqrt2(steps=steps)
+        assert capped == history
+        with pytest.raises(ConvergenceError, match=f"reach 1e-14 in {steps - 1} steps") as err:
+            _solve_sqrt2(steps=steps - 1)
+        assert err.value.history == history[:-1]
+
+    def test_singular_direction_is_a_degenerate_jacobian(self):
+        def singular(x, r):
+            return np.linalg.solve(np.zeros((1, 1)), -r)
+
+        with pytest.raises(ConvergenceError) as err:
+            _solve_sqrt2(direction=singular)
+        assert str(err.value).startswith("test Newton jacobian degenerate at iteration 0 ")
+        assert err.value.history == [1.0]
+
+    def test_line_search_that_never_accepts_stalls(self):
+        with pytest.raises(ConvergenceError, match="line search stalled at iteration 0") as err:
+            _solve_sqrt2(accept=lambda *args: False)
+        assert err.value.history == [1.0]
+
+    def test_inadmissible_candidates_are_halved_past(self):
+        # the full first step lands at 1.5; x > 1.45 is inadmissible, so the
+        # first candidate ever accepted is the half step to 1.25
+        alphas = []
+
+        def capped(x):
+            return None if x[0] > 1.45 else _sqrt2(x)
+
+        def recording(new, old, alpha, dx):
+            alphas.append(alpha)
+            return _decrease(new, old, alpha, dx)
+
+        (x, _), _ = _solve_sqrt2(evaluate=capped, accept=recording)
+        assert alphas[0] == 0.5
+        assert x[0] == pytest.approx(np.sqrt(2.0), abs=1e-14)
+
+    def test_convergence_error_of_the_direction_propagates(self):
+        inner = ConvergenceError("inner solver gave up", [1.0, 0.5])
+
+        def failing(x, r):
+            raise inner
+
+        with pytest.raises(ConvergenceError) as err:
+            _solve_sqrt2(direction=failing)
+        assert err.value is inner

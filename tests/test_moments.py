@@ -60,6 +60,17 @@ class TestSolveMoments:
         )
         assert np.abs(sol_p.achieved - sol.achieved[perm]).max() <= 1e-10
 
+    def test_converging_on_the_last_allowed_step_succeeds(self):
+        # the cap counts Newton steps, and the iterate after the last one is
+        # checked against the tolerance too
+        model = build_p1_model(2)
+        target = MomentTarget([0.3, 0.18, 0.31])
+        free = solve_moments(model, target)
+        capped = solve_moments(model, target, max_newton=free.newton_iters)
+        assert free.newton_iters == 4
+        assert capped.residual_history == free.residual_history
+        assert np.array_equal(capped.potential, free.potential)
+
     def test_nonpositive_target_rejected(self):
         with pytest.raises(ValueError):
             MomentTarget([0.5, 0.0])
