@@ -23,15 +23,15 @@ step.
 
 The surjectivity pipelines realise a target Gram matrix G as the output of
 a Hilbert map and always recompute the forward map; no internal quantity is
-trusted without it.  ``surject_full`` ends at a closed-form metric: with
-mu_B = ``geometry._pushforward_measure``, hilb(fs_metric(H)) =
-(N / kV) Gram(mu_(H^{-1/2})), so the B that ``solve_psi`` returns for G
-gives the Bergman metric fs_metric(c B^{-2}), c a trace ratio, realising
-G.  ``surject_fixed_volume`` solves the full-Gram moment problem of a
-variant, to ``MOMENT_TOL`` in the scaled coordinates, and reads the metric
-off the solved weight.  Both pipelines call a realisation achieved when its
-forward residual is at most ``SURJECT_TOL``.  ``solve_ma`` is the
-Monge-Ampere solver for grid data; neither pipeline calls it.
+trusted without it.  ``surject_full`` ends at a closed-form metric: by
+the Bergman identity of the ``geometry`` module docstring, the B that
+``solve_psi`` returns for G gives the Bergman metric fs_metric(c B^{-2}),
+c a trace ratio, realising G.  ``surject_fixed_volume`` solves the
+full-Gram moment problem of a variant, to ``MOMENT_TOL`` in the scaled
+coordinates, and reads the metric off the solved weight.  Both pipelines
+call a realisation achieved when its forward residual is at most
+``SURJECT_TOL``.  ``solve_ma`` is the Monge-Ampere solver for grid data;
+neither pipeline calls it.
 """
 
 from __future__ import annotations
@@ -326,7 +326,7 @@ def surject_full(model: ManifoldModel, target):
 
     ``solve_psi`` finds B with psi(B) = G / tr G (stage
     ``pushforward-continuation``).  hilb(fs_metric(B^{-2})) is
-    (N / kV) Gram(mu_B), proportional to psi(B), and hilb(fs_metric(c H))
+    proportional to psi(B) (see ``geometry``), and hilb(fs_metric(c H))
     is c hilb(fs_metric(H)), so the Bergman metric fs_metric(c B^{-2}),
     with c = tr G / tr hilb(fs_metric(B^{-2})), realises G.  Stage
     ``forward-check`` builds that metric, recomputes hilb on it and reports

@@ -44,7 +44,15 @@ from .injectivity import perturbed_pair, verify_injectivity
 from .linalg import load_matrix_json
 from .maps import hilb, hilb_nu, t_iterate
 from .moments import build_lambda
-from .pushforward import _psi_t_jacobian, psi, psi0_closed, psi_t, solve_psi, traceless_basis
+from .pushforward import (
+    _coords_table,
+    _psi_t_jacobian,
+    psi,
+    psi0_closed,
+    psi_t,
+    solve_psi,
+    traceless_basis,
+)
 
 SCHEMA_VERSION = "1"
 
@@ -184,7 +192,8 @@ def cmd_psi_solve(args) -> int:
         return 2
     if args.trace_out:
         trace.to_csv(args.trace_out)
-    jac = _psi_t_jacobian(model, solution.mat, 1.0, traceless_basis(model.N))
+    basis = traceless_basis(model.N)
+    jac = _psi_t_jacobian(model, solution.mat, 1.0, basis, _coords_table(basis))
     report = {
         "status": "ok",
         "B": solution.to_json_dict(),

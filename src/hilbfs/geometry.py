@@ -15,6 +15,12 @@ Geometry conventions
   <= dk times a trigonometric polynomial, and the rule is exact for those.
 * A metric on L^k is stored relative to the reference as rw * exp(-u) where
   rw(z) = (1+|z|^2)^(-dk) is the reference weight on the trivialising frame.
+* Bergman metrics: fs_metric(H) has u = log(P rw) with P = s* H^{-1} s, so
+  its weight is rw * exp(-u) = 1/P, and its curvature density is that of
+  log P divided by k.  One synthesis of P therefore gives both factors of
+  hilb(fs_metric(H)) = (N/V) sum_q s s* dens / (k P) qw; with
+  mu_B = ``_pushforward_measure`` this reads
+  hilb(fs_metric(H)) = (N / kV) Gram(mu_(H^{-1/2})).
 * Section pairings: sum_ij A_ij conj(s_i) s_j = sum_ij A_ij r^(i+j)
   e^{i(j-i) theta} holds at most 2N - 1 powers of r and 2N - 1 modes in the
   equispaced theta.  One kernel, ``_ThetaFourier`` (tables of r^d, d <= 2N-2,
@@ -83,7 +89,12 @@ class ManifoldModel:
     """Quadrature nodes, section values and reference metric data on P^1.
 
     The sections are the monomials z^j, j <= dk: the pairing kernel
-    (``_ThetaFourier``) relies on that and never reads ``sections``."""
+    (``_ThetaFourier``) relies on that and never reads ``sections``.
+
+    Four members are built on first use and then kept: ``laplacian()``, the
+    pairing kernels (``_theta_fourier``, plain and doubled), ``refined()``
+    and the N x Q table ``sections``.  A model that never reads one never
+    holds it."""
 
     k: int
     line_degree: int
@@ -93,17 +104,25 @@ class ManifoldModel:
     t: np.ndarray              # radial variable t = |z|^2/(1+|z|^2)
     theta: np.ndarray
     quad_weights: np.ndarray   # sums to V
-    sections: np.ndarray       # N x Q monomial values z^j
     ref_weight: np.ndarray     # (1+|z|^2)^(-dk)
     radial_nodes: int
     azimuthal_nodes: int
     geometry: str = "projective_line"
     _laplacian: Optional["SphericalOperator"] = field(default=None, repr=False)
     _fourier: dict = field(default_factory=dict, repr=False)
+    _refined: Optional["ManifoldModel"] = field(default=None, repr=False)
+    _sections: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def Q(self) -> int:
         return self.nodes.shape[0]
+
+    @property
+    def sections(self) -> np.ndarray:
+        """N x Q monomial values z^j at the nodes; formed once, on first read."""
+        if self._sections is None:
+            self._sections = self.nodes[None, :] ** np.arange(self.N)[:, None]
+        return self._sections
 
     @property
     def monomial_degree(self) -> int:
@@ -139,6 +158,18 @@ class ManifoldModel:
                 _legendre_table(x3, nr - 1, mmax), weights, eigs, na, eigs
             )
         return self._laplacian
+
+    def refined(self) -> "ManifoldModel":
+        """The model of the same k and line degree on the doubled grid
+        (2 radial_nodes, 2 azimuthal_nodes).  Built once and cached."""
+        if self._refined is None:
+            self._refined = build_p1_model(
+                self.k,
+                2 * self.radial_nodes,
+                2 * self.azimuthal_nodes,
+                line_degree=self.line_degree,
+            )
+        return self._refined
 
     def _theta_fourier(self, doubled: bool = False) -> "_ThetaFourier":
         """The section-pairing kernel of the module docstring, or with
@@ -365,7 +396,6 @@ def build_p1_model(
     qw = (np.outer(w_r, np.full(na, 1.0 / na)) * V).ravel()
     r = np.sqrt(t / (1.0 - t))
     z = r * np.exp(1j * theta)
-    sections = z[None, :] ** np.arange(deg + 1)[:, None]
     rw = (1.0 + np.abs(z) ** 2) ** (-deg)
     return ManifoldModel(
         k=k,
@@ -376,7 +406,6 @@ def build_p1_model(
         t=t,
         theta=theta,
         quad_weights=qw,
-        sections=sections,
         ref_weight=rw,
         radial_nodes=nr,
         azimuthal_nodes=na,
@@ -451,13 +480,24 @@ def curvature_volume(model: ManifoldModel, m: MetricWeight) -> Density:
     1 + (Lap u)/(4 pi k).  Total mass must reproduce V to 1e-8 (a quadrature
     exactness check, not a rescaling) and the density must be positive.
     """
+    return _weight_and_volume(model, m)[1]
+
+
+def _weight_and_volume(model: ManifoldModel, m: MetricWeight):
+    """(weight, volume): the metric weight rw * exp(-u) at the nodes and
+    ``curvature_volume``, with its checks.  A bergman metric's weight is the
+    1/P of the synthesis its curvature is formed from (module docstring),
+    a grid metric's is ``m.weight``."""
     if m.kind == "bergman":
         # P = s* H^{-1} s, the sum of |W|^2 over H-orthonormal rows W; the
         # curvature of the k-th root divides the density of log P by k
-        dens = _curvature_density(model, m.inverse)[0] / model.k
+        dens, p = _curvature_density(model, m.inverse)
+        dens /= model.k
+        weight = 1.0 / p
     else:
         u = m.potential(model)
         dens = 1.0 + (model.laplacian() @ u) / (4.0 * np.pi * model.k)
+        weight = m.weight(model)
     worst = int(np.argmin(dens))
     if dens[worst] <= 0.0:
         raise CurvaturePositivityError(
@@ -474,7 +514,7 @@ def curvature_volume(model: ManifoldModel, m: MetricWeight) -> Density:
             f"{CURVATURE_MASS_TOL:g} * V; increase node counts",
             defect=defect,
         )
-    return Density(weights)
+    return weight, Density(weights)
 
 
 def mock_general_type_model(k: int, radial_nodes=None, azimuthal_nodes=None) -> ManifoldModel:

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DimensionError, MomentInfeasibleError
-from .geometry import Density, ManifoldModel, MetricWeight, build_p1_model
+from .geometry import Density, ManifoldModel, MetricWeight
 from .linalg import HermitianForm, cholesky_lower, matrix_norms
 from .moments import build_lambda, section_squares
 
@@ -186,7 +186,9 @@ def verify_injectivity(
     raise.  ``pass`` is withheld (None) when the eps hypothesis fails, and
     otherwise holds when the distance, less the gauge's measured rounding,
     is within the bound; so H' = H passes although its bound is 0.  The
-    paper rows are solved to ``build_lambda``'s default tolerance.
+    paper rows are solved to ``build_lambda``'s default tolerance.  With
+    ``refine_check`` eps is measured again on ``model.refined()``, the
+    doubled grid, which is built once per model and kept for later audits.
     """
     comp = compare_fs(model, h, h2)
     n = model.N
@@ -224,12 +226,7 @@ def verify_injectivity(
     refinement_flag = None
     eps_refined = None
     if refine_check:
-        fine = build_p1_model(
-            model.k,
-            2 * model.radial_nodes,
-            2 * model.azimuthal_nodes,
-            line_degree=model.line_degree,
-        )
+        fine = model.refined()
         u1, u2 = (m.potential(fine) for m in comp.metrics)
         eps_refined = float(np.abs(np.exp(u2 - u1) - 1.0).max())
         refinement_flag = bool(abs(eps_refined - eps) > 1e-6)

@@ -27,7 +27,7 @@ from .geometry import (
     Density,
     ManifoldModel,
     MetricWeight,
-    curvature_volume,
+    _weight_and_volume,
     fs_metric,
 )
 from .linalg import HermitianForm
@@ -64,9 +64,10 @@ def _gram(model: ManifoldModel, weights: np.ndarray) -> HermitianForm:
 
 def hilb(model: ManifoldModel, m: MetricWeight) -> HermitianForm:
     """(N/V) * integral of s_i conj(s_j) against the metric weight and the
-    volume form of the metric's curvature."""
-    vol = curvature_volume(model, m)
-    return _gram(model, m.weight(model) * vol.weights)
+    volume form of the metric's curvature.  A Bergman metric's weight and
+    curvature come from one synthesis (see ``geometry``)."""
+    weight, vol = _weight_and_volume(model, m)
+    return _gram(model, weight * vol.weights)
 
 
 def variant_density(

@@ -145,20 +145,28 @@ def traceless_basis(n: int) -> np.ndarray:
     return basis
 
 
-def _coords(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Real coordinates tr(E_a M) of (stacked) hermitian M in ``basis``:
-    Re vec(E_a^T) . vec(M), one real matmul over the flattened entries."""
+def _coords_table(basis: np.ndarray) -> np.ndarray:
+    """The real (2 n^2, len(basis)) table that ``_coords`` applies: column a
+    holds Re and -Im of vec(E_a^T), interleaved."""
     n2 = basis.shape[-1] ** 2
-    flat = np.ascontiguousarray(m, dtype=complex).reshape(m.shape[:-2] + (n2,))
     et = basis.transpose(0, 2, 1).reshape(len(basis), n2)
-    return flat.view(float) @ np.stack([et.real, -et.imag], axis=-1).reshape(len(basis), -1).T
+    return np.stack([et.real, -et.imag], axis=-1).reshape(len(basis), -1).T
+
+
+def _coords(table: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Real coordinates tr(E_a M) of (stacked) hermitian M in the basis of
+    ``table`` (``_coords_table``): Re vec(E_a^T) . vec(M), one real matmul
+    over the flattened entries."""
+    n2 = table.shape[0] // 2
+    flat = np.ascontiguousarray(m, dtype=complex).reshape(m.shape[:-2] + (n2,))
+    return flat.view(float) @ table
 
 
 def dpsi0_matrix(b) -> np.ndarray:
     """Real matrix of A -> dpsi0(B, A) on the n^2-dimensional hermitian space."""
     bm = _checked_b(b)
     basis = hermitian_basis(bm.shape[0])
-    return _coords(basis, _dpsi0(bm, basis)).T
+    return _coords(_coords_table(basis), _dpsi0(bm, basis)).T
 
 
 def dpsi0_kernel_dim(b) -> Tuple[int, float]:
@@ -225,9 +233,14 @@ class ContinuationTrace:
 
 
 def _psi_t_jacobian(
-    model: ManifoldModel, bm: np.ndarray, t: float, basis: np.ndarray
+    model: ManifoldModel,
+    bm: np.ndarray,
+    t: float,
+    basis: np.ndarray,
+    table: np.ndarray,
 ) -> np.ndarray:
-    """Analytic Jacobian of psi_t at B in the coordinates of ``basis``.
+    """Analytic Jacobian of psi_t at B in the coordinates of ``basis``, whose
+    ``_coords_table`` is ``table``.
 
     Column b is the derivative along basis[b] and row a its coordinate
     tr(E_a . ).  B^{-1} Phi(B) B^{-1} = M = sum_q s_q s_q* mu_B(q) with
@@ -242,7 +255,7 @@ def _psi_t_jacobian(
     tr(dM) psi / tr M; both endpoints of the homotopy have unit trace, so
     d psi_t = t dpsi + (1 - t) dpsi0.
     """
-    jac = 0.0 if t == 1.0 else (1.0 - t) * _coords(basis, _dpsi0(bm, basis))
+    jac = 0.0 if t == 1.0 else (1.0 - t) * _coords(table, _dpsi0(bm, basis))
     if t == 0.0:
         return jac.T
     n, doubled = model.N, model._theta_fourier(doubled=True)
@@ -263,13 +276,14 @@ def _psi_t_jacobian(
     dm = (bm @ basis + basis @ bm).conj().reshape(len(basis), n * n) @ tab.T
     trm = np.real(np.trace(m))
     trdm = np.real(dm[:, :: n + 1].sum(axis=1))
-    dpsi = (_coords(basis, dm.reshape(-1, n, n)) - np.outer(trdm, _coords(basis, m)) / trm) / trm
+    dpsi = (_coords(table, dm.reshape(-1, n, n)) - np.outer(trdm, _coords(table, m)) / trm) / trm
     return (jac + t * dpsi).T
 
 
-def _newton_at_t(model, b, t, g, basis):
+def _newton_at_t(model, b, t, g, basis, table):
     """Newton-correct psi_t(B) = G in traceless coordinates around unit
-    trace, to a max-norm residual of at most ``PSI_TOL``.
+    trace, to a max-norm residual of at most ``PSI_TOL``; ``table`` is the
+    basis's ``_coords_table``.
 
     ``linalg.damped_newton`` runs from B with the analytic Jacobian
     ``_psi_t_jacobian``; a candidate is hermitised, dropped unless positive
@@ -284,10 +298,10 @@ def _newton_at_t(model, b, t, g, basis):
         if np.linalg.eigvalsh(cand).min() <= 0:
             return None
         cand = cand / np.real(np.trace(cand))
-        return cand, _coords(basis, _psi_t(model, cand, t) - g)
+        return cand, _coords(table, _psi_t(model, cand, t) - g)
 
     def direction(bm, r):
-        dv = np.linalg.solve(_psi_t_jacobian(model, bm, t, basis), -r)
+        dv = np.linalg.solve(_psi_t_jacobian(model, bm, t, basis, table), -r)
         return np.einsum("a,aij->ij", dv, basis)
 
     def accept(new, old, alpha, step):
@@ -295,7 +309,7 @@ def _newton_at_t(model, b, t, g, basis):
 
     try:
         (bm, _), history = damped_newton(
-            evaluate, direction, accept, (b, _coords(basis, _psi_t(model, b, t) - g)),
+            evaluate, direction, accept, (b, _coords(table, _psi_t(model, b, t) - g)),
             PSI_TOL, NEWTON_MAX_ITERS, 10, "psi Newton",
         )
     except ConvergenceError as exc:
@@ -332,6 +346,7 @@ def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace
         )
     n = gm.shape[0]
     basis = traceless_basis(n)
+    table = _coords_table(basis)
     b = (vec / np.sqrt(ev)) @ vec.conj().T
     b = b / np.real(np.trace(b))
     trace = ContinuationTrace()
@@ -341,7 +356,7 @@ def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace
     successes = 0
     while t < 1.0:
         t_next = 1.0 if t + h > 1.0 - STEP_FLOOR else t + h
-        bn, iters, resid = _newton_at_t(model, b, t_next, gm, basis)
+        bn, iters, resid = _newton_at_t(model, b, t_next, gm, basis, table)
         if bn is None:
             successes = 0
             h = 0.5 * (1.0 - t if t_next == 1.0 else h)  # the step tried

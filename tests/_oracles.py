@@ -150,6 +150,18 @@ def pairing_sums(model, a):
     )
 
 
+def bergman_hilb_weights(model, h):
+    """Node weights of hilb(fs_metric(H)) formed from two syntheses, as the
+    metric weight rw exp(-u), u = log(P rw), times the curvature volume
+    (P P_zzbar - |P_z|^2) / P^2 (1+|z|^2)^2 qw / (kV), with P = s* H^{-1} s
+    and its derivatives from the section rows."""
+    p, pz, pzz = pairing_sums(model, np.linalg.inv(h))
+    p, pzz = p.real, pzz.real
+    u = np.log(p * model.ref_weight)
+    dens = (p * pzz - np.abs(pz) ** 2) / p**2 * (1.0 + np.abs(model.nodes) ** 2) ** 2
+    return model.ref_weight * np.exp(-u) * dens * model.quad_weights / (model.k * model.V)
+
+
 def pushforward_measure_derivative(model, bm, dirs):
     """d mu_B along each direction A of ``dirs``, from the section rows Z, Z'
     and the per-node outer-product tables conj(X_i) Y_j: with W = B Z,

@@ -41,6 +41,19 @@ def test_one_item_at_the_largest_size_passes_its_gate(name):
     assert _item_gate(name, max(workloads.WORKLOADS[name].ladder)) is None
 
 
+def test_two_balance_audit_items_on_one_model_pass_their_gates():
+    # the second item's audit reads the refined grid the first one built
+    wl = workloads.WORKLOADS["balance-audit"]
+    k = min(wl.ladder)
+    model = hb.geometry.build_p1_model(k, **workloads.grid(k))
+    items = wl.generate(hb, model, np.random.default_rng([1, k]), 2, defaultdict(int))
+    fine = []
+    for inp in items:
+        assert wl.check(hb, model, inp, wl.run(hb, model, inp)) is None
+        fine.append(model.refined())
+    assert fine[0] is fine[1]
+
+
 def test_surject_fixed_item_at_the_rounding_floor():
     # the third k=4 item of seed 10: the moment Newton's Armijo test alone
     # stalled at a coordinate residual of 1.42e-9 against tol/scale = 2e-10

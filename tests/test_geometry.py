@@ -17,7 +17,7 @@ from hilbfs import (
     reference_density,
 )
 from hilbfs.geometry import _legendre_table, _pushforward_measure
-from hilbfs.pushforward import _dpsi0, _psi_t_jacobian, traceless_basis
+from hilbfs.pushforward import _coords_table, _dpsi0, _psi_t_jacobian, traceless_basis
 from hilbfs.linalg import (
     orthonormalize_sections,
     random_hermitian,
@@ -313,7 +313,8 @@ class TestThetaFourierKernel:
         dpsi = (dm - trdm[:, None, None] * m / trm) / trm
         for t in (0.5, 1.0):
             ref = np.einsum("aij,bji->ab", basis, t * dpsi + (1.0 - t) * _dpsi0(b, basis)).real
-            assert _rel(_psi_t_jacobian(model, b, t, basis), ref) <= 1e-12
+            jac = _psi_t_jacobian(model, b, t, basis, _coords_table(basis))
+            assert _rel(jac, ref) <= 1e-12
 
 
 @pytest.mark.parametrize("k,d", KERNEL_CASES)
@@ -328,6 +329,36 @@ def test_hilb_of_a_bergman_metric_is_a_pushforward_gram(k, d):
     gram = model._theta_fourier().gram(_pushforward_measure(model, b))
     ref = model.N / (model.k * model.V) * gram
     assert _rel(hilb(model, fs_metric(model, h)).mat, ref) <= 1e-12
+
+
+class TestModelCaches:
+    def test_refined_is_built_once(self):
+        model = build_p1_model(4, 24, 40)
+        assert model.refined() is model.refined()
+
+    @pytest.mark.parametrize("k,d", [(4, 1), (3, 2)])
+    def test_refined_equals_a_fresh_doubled_model(self, k, d):
+        model = build_p1_model(k, 2 * (2 * d * k + 4), 2 * (4 * d * k + 4), line_degree=d)
+        fine = model.refined()
+        fresh = build_p1_model(k, 2 * model.radial_nodes, 2 * model.azimuthal_nodes, line_degree=d)
+        assert (fine.radial_nodes, fine.azimuthal_nodes) == (fresh.radial_nodes, fresh.azimuthal_nodes)
+        assert (fine.k, fine.line_degree, fine.N, fine.V) == (fresh.k, fresh.line_degree, fresh.N, fresh.V)
+        for name in ("nodes", "t", "theta", "quad_weights", "ref_weight"):
+            assert np.array_equal(getattr(fine, name), getattr(fresh, name))
+        h = random_spd(model.N, np.random.default_rng(k + 60), cond=10.0).mat
+        w = np.random.default_rng(k + 61).uniform(0.5, 1.5, size=fine.Q)
+        for a, b in ((fine._theta_fourier(), fresh._theta_fourier()),
+                     (fine._theta_fourier(doubled=True), fresh._theta_fourier(doubled=True))):
+            assert np.array_equal(a.gram(w), b.gram(w))
+        plain = fine._theta_fourier(), fresh._theta_fourier()
+        assert np.array_equal(plain[0].pairings(h), plain[1].pairings(h))
+
+    def test_sections_are_the_monomials_formed_once(self):
+        model = build_p1_model(3, 20, 28)
+        assert model._sections is None
+        first = model.sections
+        assert first is model.sections
+        assert np.array_equal(first, section_rows(model)[0])
 
 
 class TestVeronese:

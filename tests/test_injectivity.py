@@ -7,7 +7,8 @@ import pytest
 import scipy.linalg as sla
 
 import hilbfs
-from hilbfs import DimensionError, HermitianForm, build_p1_model, verify_injectivity
+import hilbfs.geometry
+from hilbfs import DimensionError, HermitianForm, MetricWeight, build_p1_model, verify_injectivity
 from hilbfs.injectivity import perturbed_pair
 from hilbfs.linalg import random_spd
 
@@ -85,6 +86,39 @@ def test_refine_check_off_leaves_refinement_unset():
     report = verify_injectivity(model, h, h2, refine_check=False)
     assert report.refinement_flag is None
     assert report.epsilon_refined is None
+
+
+class TestRefinedGrid:
+    def test_two_audits_build_the_fine_grid_once(self, monkeypatch):
+        model, h, h2 = _audit_pair(4)
+        build = hilbfs.geometry.build_p1_model
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args[1:3])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(hilbfs.geometry, "build_p1_model", counting)
+        first = verify_injectivity(model, h, h2)
+        second = verify_injectivity(model, h, h2)
+        assert built == [(2 * model.radial_nodes, 2 * model.azimuthal_nodes)]
+        assert second.epsilon_refined == first.epsilon_refined
+
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_refined_supremum_equals_a_fresh_fine_model(self, k):
+        model, h, h2 = _audit_pair(k)
+        fine = build_p1_model(k, 2 * model.radial_nodes, 2 * model.azimuthal_nodes)
+        u1, u2 = (MetricWeight.bergman(x).potential(fine) for x in (h, h2))
+        eps_refined = float(np.abs(np.exp(u2 - u1) - 1.0).max())
+        for _ in range(2):
+            report = verify_injectivity(model, h, h2)
+            assert report.epsilon_refined == eps_refined
+            assert report.refinement_flag == bool(abs(eps_refined - report.epsilon) > 1e-6)
+
+    def test_the_fine_grid_never_forms_its_sections(self):
+        model, h, h2 = _audit_pair(4)
+        verify_injectivity(model, h, h2)
+        assert model.refined()._sections is None
 
 
 class TestPaperRows:

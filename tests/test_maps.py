@@ -4,12 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import hilbfs.geometry
 from hilbfs import (
     ANTICANONICAL,
     CANONICAL,
     FIXED,
+    CurvaturePositivityError,
     Density,
     HermitianForm,
+    MassDefectError,
     MetricWeight,
     VariantError,
     build_p1_anticanonical_model,
@@ -25,7 +28,7 @@ from hilbfs import (
 from hilbfs.maps import variant_density
 from hilbfs.linalg import random_spd
 
-from _oracles import weighted_gram
+from _oracles import bergman_hilb_weights, section_rows, weighted_gram
 
 
 def binomial_diag(k):
@@ -79,6 +82,48 @@ class TestHilb:
             g = hilb(model, fs_metric(model, h))
             tr = float(np.real(np.trace(np.linalg.solve(h.mat, g.mat))))
             assert abs(tr - model.N) <= 1e-8
+
+
+class TestBergmanHilb:
+    """hilb of a Bergman metric takes its weight 1/P from the synthesis
+    its curvature is formed from."""
+
+    @pytest.mark.parametrize("k", [2, 4, 8, 16])
+    def test_matches_the_two_synthesis_weight(self, k):
+        model = build_p1_model(k, 2 * (2 * k + 4), 2 * (4 * k + 4))
+        h = random_spd(model.N, np.random.default_rng(k + 50), cond=10.0)
+        weights = bergman_hilb_weights(model, h.mat)
+        ref = (model.N / model.V) * weighted_gram(section_rows(model)[0], weights)
+        ref = 0.5 * (ref + ref.conj().T)
+        new = hilb(model, fs_metric(model, h)).mat
+        assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_mass_guard_fires_when_underresolved(self):
+        # the curvature volume's exactness audit at spec-default nodes
+        model = build_p1_model(2)
+        with pytest.raises(MassDefectError):
+            hilb(model, fs_metric(model, HermitianForm.identity(3)))
+
+    def test_positivity_guard_fires_on_a_bergman_metric(self, monkeypatch):
+        # exact Bergman curvature is positive, so a negative density is
+        # planted at one node of the synthesis that hilb reads
+        model = build_p1_model(2, radial_nodes=16, azimuthal_nodes=20)
+        synthesis = hilbfs.geometry._curvature_density
+
+        def planted(model, a):
+            dens, p = synthesis(model, a)
+            dens[7] = -dens[7]
+            return dens, p
+
+        monkeypatch.setattr(hilbfs.geometry, "_curvature_density", planted)
+        with pytest.raises(CurvaturePositivityError) as err:
+            hilb(model, fs_metric(model, HermitianForm.identity(3)))
+        assert err.value.node == 7
+
+    def test_positivity_guard_fires_on_a_grid_metric(self):
+        model = build_p1_model(1, radial_nodes=16, azimuthal_nodes=16)
+        with pytest.raises(CurvaturePositivityError):
+            hilb(model, MetricWeight.grid(60.0 * (model.t - 0.5)))
 
 
 class TestHilbNu:

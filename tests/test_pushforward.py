@@ -19,6 +19,7 @@ from hilbfs import (
 from hilbfs.linalg import random_hermitian, random_spd
 from hilbfs.pushforward import (
     _coords,
+    _coords_table,
     _psi_t_jacobian,
     dpsi0_matrix,
     hermitian_basis,
@@ -245,7 +246,23 @@ def test_coords_matmul_equals_the_trace_sum(make_basis):
     rng = np.random.default_rng(14)
     stack = np.array([random_hermitian(5, rng) for _ in range(7)])
     for m in (stack, stack[0], stack.real):
-        assert np.abs(_coords(basis, m) - coords(basis, m)).max() <= 1e-15
+        assert np.abs(_coords(_coords_table(basis), m) - coords(basis, m)).max() <= 1e-15
+
+
+def test_solve_psi_builds_one_coordinate_table(monkeypatch):
+    model = conic_model()
+    x = random_hermitian(3, np.random.default_rng(13))
+    target = psi(model, np.eye(3) + 0.35 * x / np.abs(np.linalg.eigvalsh(x)).max())
+    built = []
+
+    def counting(basis):
+        built.append(basis.shape)
+        return _coords_table(basis)
+
+    monkeypatch.setattr(hilbfs.pushforward, "_coords_table", counting)
+    _, trace = solve_psi(model, target)
+    assert sum(row.newton_iters for row in trace.rows) > 1
+    assert built == [(8, 3, 3)]
 
 
 class TestPsiJacobian:
@@ -263,7 +280,7 @@ class TestPsiJacobian:
         for _ in range(2):
             b = random_spd(model.N, rng, cond=10.0).mat
             b = b / np.real(np.trace(b))
-            jac = _psi_t_jacobian(model, b, t, basis)
+            jac = _psi_t_jacobian(model, b, t, basis, _coords_table(basis))
             fd = np.array(
                 [
                     coords(basis, psi_t(model, b + h * e, t).mat - psi_t(model, b - h * e, t).mat)
