@@ -352,7 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("psi-solve", help="continuation solve of the curve pushforward")
     common(p)
     p.add_argument("--target", required=True)
-    p.add_argument("--trace-out", type=str, default=None)
+    p.add_argument(
+        "--trace-out", type=str, default=None,
+        help="CSV of the continuation steps; its residual column is each step's "
+        "stopping residual, <= PATH_TOL before t = 1 and <= PSI_TOL at t = 1",
+    )
     p.set_defaults(func=cmd_psi_solve)
 
     p = sub.add_parser("lambda", help="row-measure moment matrix")

@@ -5,8 +5,11 @@ positive simplex two ways: via Fubini-Study integrals over the full ambient
 projective space (psi0, closed form available) and via the same integrals
 restricted to the embedded curve (psi).  Their affine homotopy underlies
 ``solve_psi``, which realises targets constructively by continuation in t:
-each step starts Newton at the previous B (there is no predictor) and
-corrects in the trace gauge.
+each step starts Newton at the secant predictor through the last two
+accepted points (the previous B on the first step, or when the predictor
+leaves the positive cone) and corrects in the trace gauge, loosely to
+``PATH_TOL`` at t < 1, where the point need only lie in the next
+corrector's basin, and tightly to ``PSI_TOL`` at t = 1.
 
 Matrix conventions: forms are linear in the first index (see ``linalg``).
 In this convention the ambient-space map has closed form
@@ -46,7 +49,8 @@ MARGIN = 1e-3  # smallest admissible eigenvalue of a unit-trace target
 STEP_FLOOR = 1e-6  # continuation step below which solve_psi gives up
 NEWTON_MAX_ITERS = 25
 CONTINUATION_STEPS = 10  # solve_psi's first step is 1 / CONTINUATION_STEPS
-PSI_TOL = 1e-10  # each continuation Newton stops at max-norm residual <= PSI_TOL
+PSI_TOL = 1e-10  # max-norm residual at which the continuation Newton stops at t = 1
+PATH_TOL = 1e-4  # the same at every t < 1, whose point need only seed the next step
 KERNEL_RTOL = 1e-8  # relative singular-value cut of the numerical kernel
 
 
@@ -282,8 +286,8 @@ def _psi_t_jacobian(
 
 def _newton_at_t(model, b, t, g, basis, table):
     """Newton-correct psi_t(B) = G in traceless coordinates around unit
-    trace, to a max-norm residual of at most ``PSI_TOL``; ``table`` is the
-    basis's ``_coords_table``.
+    trace, to a max-norm residual of at most ``PSI_TOL`` at t = 1 and
+    ``PATH_TOL`` at t < 1; ``table`` is the basis's ``_coords_table``.
 
     ``linalg.damped_newton`` runs from B with the analytic Jacobian
     ``_psi_t_jacobian``; a candidate is hermitised, dropped unless positive
@@ -310,7 +314,7 @@ def _newton_at_t(model, b, t, g, basis, table):
     try:
         (bm, _), history = damped_newton(
             evaluate, direction, accept, (b, _coords(table, _psi_t(model, b, t) - g)),
-            PSI_TOL, NEWTON_MAX_ITERS, 10, "psi Newton",
+            PSI_TOL if t == 1.0 else PATH_TOL, NEWTON_MAX_ITERS, 10, "psi Newton",
         )
     except ConvergenceError as exc:
         return None, len(exc.history) - 1, exc.history[-1]
@@ -323,15 +327,20 @@ def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace
     The seed B0 = G^{-1/2} satisfies psi0(B0) = G exactly; t then marches
     from 0 to 1 with adaptive steps, the first 1 / ``CONTINUATION_STEPS``
     (on Newton failure halve the step tried, which is h or 1 - t where
-    t + h is clipped to 1; double after two successes, up to 1/4; floor
-    ``STEP_FLOOR``; a step ending within ``STEP_FLOOR`` of 1, as a rounded
-    sum of steps can, ends at 1).  Each step's Newton stops at the max-norm
-    residual ``PSI_TOL``.  psi is scale-invariant, so G is first normalised
-    by its trace, which must be positive (``ValueError`` otherwise).  Raises
-    ``MarginError`` when the normalised G's smallest eigenvalue is below
-    ``MARGIN`` and ``ContinuationError`` carrying the trace when the step
-    size underflows.  Returns B as a unit-trace ``HermitianForm`` with the
-    trace, which records the forward residual that alone certifies B.
+    t + h is clipped to 1; on every success from the second consecutive one
+    on, double h, up to 1/4; floor ``STEP_FLOOR``; a step ending within
+    ``STEP_FLOOR`` of 1, as a rounded sum of steps can, ends at 1).  Each
+    attempt's Newton starts at the secant predictor
+    B + (t_next - t) (B - B_prev) / (t - t_prev) through the last two
+    accepted points, trace-normalised, when that is positive definite, and
+    at B otherwise and on the first step.  It stops at the max-norm residual
+    ``PATH_TOL`` at t < 1 and ``PSI_TOL`` at t = 1.  psi is scale-invariant,
+    so G is first normalised by its trace, which must be positive
+    (``ValueError`` otherwise).  Raises ``MarginError`` when the normalised
+    G's smallest eigenvalue is below ``MARGIN`` and ``ContinuationError``
+    carrying the trace when the step size underflows.  Returns B as a
+    unit-trace ``HermitianForm`` with the trace, which records the forward
+    residual that alone certifies B.
     """
     gm = _as_form(g).mat
     tr = float(np.real(np.trace(gm)))
@@ -351,12 +360,18 @@ def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace
     b = b / np.real(np.trace(b))
     trace = ContinuationTrace()
     trace.log(0.0, float(np.abs(_psi_t(model, b, 0.0) - gm).max()), 0.0, 0)
-    t = 0.0
+    t = t_prev = 0.0
+    b_prev = b
     h = 1.0 / CONTINUATION_STEPS
     successes = 0
     while t < 1.0:
         t_next = 1.0 if t + h > 1.0 - STEP_FLOOR else t + h
-        bn, iters, resid = _newton_at_t(model, b, t_next, gm, basis, table)
+        start = b
+        if t > t_prev:
+            pred = b + (t_next - t) / (t - t_prev) * (b - b_prev)
+            if np.linalg.eigvalsh(pred).min() > 0:
+                start = pred / np.real(np.trace(pred))
+        bn, iters, resid = _newton_at_t(model, start, t_next, gm, basis, table)
         if bn is None:
             successes = 0
             h = 0.5 * (1.0 - t if t_next == 1.0 else h)  # the step tried
@@ -368,8 +383,8 @@ def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace
                     trace=trace,
                 )
             continue
-        b = bn
-        t = t_next
+        b_prev, t_prev = b, t
+        b, t = bn, t_next
         trace.log(t, resid, h, iters)
         successes += 1
         if successes >= 2:

@@ -41,6 +41,28 @@ def test_one_item_at_the_largest_size_passes_its_gate(name):
     assert _item_gate(name, max(workloads.WORKLOADS[name].ladder)) is None
 
 
+def test_surject_full_item_at_k12_passes_its_gate():
+    # the loose path tolerance of the continuation has about one decade of
+    # margin here: at 1e-3 instead of 1e-4 a seed-1 k=12 item fails
+    assert _item_gate("surject-full", 12) is None
+
+
+def test_surject_full_item_takes_at_most_twelve_jacobians(monkeypatch):
+    # the secant predictor and the loose path tolerance take 9-11 Jacobian
+    # assemblies here; a tight tolerance on every step without a predictor
+    # took 19
+    jacobian = hb.pushforward._psi_t_jacobian
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return jacobian(*args)
+
+    monkeypatch.setattr(hb.pushforward, "_psi_t_jacobian", counting)
+    assert _item_gate("surject-full", 4) is None
+    assert 0 < calls[0] <= 12
+
+
 def test_two_balance_audit_items_on_one_model_pass_their_gates():
     # the second item's audit reads the refined grid the first one built
     wl = workloads.WORKLOADS["balance-audit"]

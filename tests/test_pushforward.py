@@ -18,6 +18,8 @@ from hilbfs import (
 )
 from hilbfs.linalg import random_hermitian, random_spd
 from hilbfs.pushforward import (
+    PATH_TOL,
+    PSI_TOL,
     _coords,
     _coords_table,
     _psi_t_jacobian,
@@ -395,3 +397,23 @@ class TestSolvePsi:
         assert sum([0.1] * 10) < 1.0
         assert accepted[-1] == 1.0 and len(accepted) == 11
         assert [r.t for r in trace.rows if r.t > 0.95] == [1.0]
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_path_steps_stop_at_path_tol_and_the_endpoint_at_psi_tol(k, monkeypatch):
+    # k = 2 on the conic test grid, k = 4 on the 2x resolved grid; a path
+    # point solved only to PATH_TOL must not move the returned B
+    if k == 2:
+        model = conic_model()
+    else:
+        model = build_p1_model(4, radial_nodes=24, azimuthal_nodes=40)
+    x = random_hermitian(model.N, np.random.default_rng(21))
+    target = psi(model, np.eye(model.N) + 0.35 * x / np.abs(np.linalg.eigvalsh(x)).max())
+    sol, trace = solve_psi(model, target)
+    assert trace.rows[-1].t == 1.0 and trace.rows[-1].residual <= PSI_TOL
+    assert len(trace.rows) > 2
+    assert all(row.residual <= PATH_TOL for row in trace.rows[:-1])
+    monkeypatch.setattr(hilbfs.pushforward, "PATH_TOL", PSI_TOL)
+    tight, tight_trace = solve_psi(model, target)
+    assert all(row.residual <= PSI_TOL for row in tight_trace.rows)
+    assert np.abs(tight.mat - sol.mat).max() <= 1e-8
