@@ -91,10 +91,10 @@ class ManifoldModel:
     The sections are the monomials z^j, j <= dk: the pairing kernel
     (``_ThetaFourier``) relies on that and never reads ``sections``.
 
-    Four members are built on first use and then kept: ``laplacian()``, the
-    pairing kernels (``_theta_fourier``, plain and doubled), ``refined()``
-    and the N x Q table ``sections``.  A model that never reads one never
-    holds it."""
+    Five members are built on first use and then kept: ``laplacian()``, the
+    pairing kernels (``_theta_fourier``, plain and doubled), ``refined()``,
+    the N x Q table ``sections`` and the node factor ``_volume_factor()``.
+    A model that never reads one never holds it."""
 
     k: int
     line_degree: int
@@ -112,6 +112,7 @@ class ManifoldModel:
     _fourier: dict = field(default_factory=dict, repr=False)
     _refined: Optional["ManifoldModel"] = field(default=None, repr=False)
     _sections: Optional[np.ndarray] = field(default=None, repr=False)
+    _volume: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def Q(self) -> int:
@@ -170,6 +171,13 @@ class ManifoldModel:
                 line_degree=self.line_degree,
             )
         return self._refined
+
+    def _volume_factor(self) -> np.ndarray:
+        """(1+|z|^2)^2 qw / V at the nodes: a density against omega_ref in
+        the chart times this is its node weight.  Built once."""
+        if self._volume is None:
+            self._volume = (1.0 + np.abs(self.nodes) ** 2) ** 2 * self.quad_weights / self.V
+        return self._volume
 
     def _theta_fourier(self, doubled: bool = False) -> "_ThetaFourier":
         """The section-pairing kernel of the module docstring, or with
@@ -305,8 +313,9 @@ class MetricWeight:
     """Hermitian metric on L^k relative to the reference: rw * exp(-u).
 
     ``bergman`` metrics carry the inducing form H (so curvature is available
-    in closed form), its Cholesky factor L, H = L L*, and H^{-1} formed from
-    L; ``grid`` metrics carry the potential u at the nodes.
+    in closed form), its Cholesky factor L, H = L L* (the form's kept
+    ``factor``), and H^{-1} formed from L; ``grid`` metrics carry the
+    potential u at the nodes.
     """
 
     kind: str
@@ -318,8 +327,11 @@ class MetricWeight:
     @classmethod
     def bergman(cls, h: HermitianForm) -> "MetricWeight":
         factor = cholesky_lower(h)
-        low = np.tril(sla.lapack.zpotri(factor, lower=True)[0])  # lower half of H^{-1}
-        inverse = low + np.tril(low, -1).conj().T
+        # zpotri writes H^{-1} into the lower half and keeps the factor's
+        # zero upper half
+        low = sla.lapack.zpotri(factor, lower=True)[0]
+        inverse = low + low.conj().T
+        np.fill_diagonal(inverse, low.diagonal().real)
         return cls(kind="bergman", form=h, factor=factor, inverse=inverse)
 
     @classmethod
@@ -442,34 +454,47 @@ def fs_metric(model: ManifoldModel, h: HermitianForm) -> MetricWeight:
     return MetricWeight.bergman(h)
 
 
-def _curvature_density(model: ManifoldModel, a: np.ndarray):
-    """Curvature density of log P, P = s* A s, against omega_ref.
+def _curvature_numerator(p: np.ndarray, pz: np.ndarray, pzz: np.ndarray) -> np.ndarray:
+    """P P_zzbar - |P_z|^2 at the nodes, for real P and P_zzbar."""
+    num = p * pzz
+    num -= np.square(pz.real)
+    num -= np.square(pz.imag)
+    return num
 
-    Returns (density, P) with
-        density = (P P_zzbar - |P_z|^2) / P^2 * (1+|z|^2)^2 / V,
-    i.e. ddbar log P divided by the reference form, for the pullback of
-    the Fubini-Study form along z -> [W(z)], W* W = s* A s.  The numerator
-    is formed directly; the Cauchy-Binet identity
+
+def _curvature_density(model: ManifoldModel, a: np.ndarray):
+    """Curvature of log P, P = s* A s, as node weights.
+
+    Returns (weights, 1/P) with
+        weights = (P P_zzbar - |P_z|^2) / P^2 * (1+|z|^2)^2 qw / V,
+    i.e. ddbar log P divided by the reference form, times the quadrature
+    weights, for the pullback of the Fubini-Study form along z -> [W(z)],
+    W* W = s* A s.  The numerator is formed directly; the Cauchy-Binet
+    identity
         P P_zzbar - |P_z|^2 = sum_{i<j} |W_i W'_j - W_j W'_i|^2
     only explains why it is nonnegative in exact arithmetic.
     """
     p, pz, pzz = model._theta_fourier().pairings(a)
     p = p.real
-    x2 = (1.0 + np.abs(model.nodes) ** 2) ** 2
-    dens = (p * pzz.real - np.abs(pz) ** 2) / p**2 * x2 / model.V
-    return dens, p
+    inv_p = 1.0 / p
+    weights = _curvature_numerator(p, pz, pzz.real)
+    weights *= model._volume_factor()
+    weights *= inv_p
+    weights *= inv_p
+    return weights, inv_p
 
 
 def _pushforward_measure(model: ManifoldModel, bm: np.ndarray) -> np.ndarray:
-    """Node weights mu_B = density * quad_weights / P of the curve pushforward.
+    """Node weights mu_B = curvature weights / P of the curve pushforward.
 
-    ``density`` and P = |B s|^2 are ``_curvature_density``'s for A = B^2,
+    The weights and 1/P, P = |B s|^2, are ``_curvature_density``'s for A = B^2,
     so mu_B is the Fubini-Study volume of the moved curve W = B s divided by
     |W|^2.  Summing s s* against it gives the pushforward matrix
     M = B^{-1} Phi(B) B^{-1}, and W W* against it gives Phi(B).
     """
-    dens, p = _curvature_density(model, bm @ bm)
-    return dens * model.quad_weights / p
+    weights, inv_p = _curvature_density(model, bm @ bm)
+    weights *= inv_p
+    return weights
 
 
 def curvature_volume(model: ManifoldModel, m: MetricWeight) -> Density:
@@ -480,41 +505,43 @@ def curvature_volume(model: ManifoldModel, m: MetricWeight) -> Density:
     1 + (Lap u)/(4 pi k).  Total mass must reproduce V to 1e-8 (a quadrature
     exactness check, not a rescaling) and the density must be positive.
     """
-    return _weight_and_volume(model, m)[1]
+    return Density(_weight_and_volume(model, m)[1])
 
 
 def _weight_and_volume(model: ManifoldModel, m: MetricWeight):
-    """(weight, volume): the metric weight rw * exp(-u) at the nodes and
-    ``curvature_volume``, with its checks.  A bergman metric's weight is the
-    1/P of the synthesis its curvature is formed from (module docstring),
-    a grid metric's is ``m.weight``."""
+    """(weight, volume): node arrays of the metric weight rw * exp(-u) and of
+    the ``curvature_volume`` weights, with its checks.  A bergman metric's
+    weight is the 1/P of the synthesis its curvature is formed from (module
+    docstring), a grid metric's is ``m.weight``."""
     if m.kind == "bergman":
         # P = s* H^{-1} s, the sum of |W|^2 over H-orthonormal rows W; the
-        # curvature of the k-th root divides the density of log P by k
-        dens, p = _curvature_density(model, m.inverse)
-        dens /= model.k
-        weight = 1.0 / p
+        # curvature of the k-th root divides that of log P by k
+        vol, weight = _curvature_density(model, m.inverse)
+        vol /= model.k
     else:
         u = m.potential(model)
-        dens = 1.0 + (model.laplacian() @ u) / (4.0 * np.pi * model.k)
+        vol = 1.0 + (model.laplacian() @ u) / (4.0 * np.pi * model.k)
+        vol *= model.quad_weights
         weight = m.weight(model)
-    worst = int(np.argmin(dens))
-    if dens[worst] <= 0.0:
-        raise CurvaturePositivityError(
-            f"curvature density is {dens[worst]:.3e} at node {worst}: "
-            "metric is not positively curved",
-            node=worst,
-            value=float(dens[worst]),
-        )
-    weights = dens * model.quad_weights
-    defect = abs(weights.sum() - model.V)
+    if not vol.min() > 0.0:  # a node of nonpositive (or nan) curvature
+        dens = vol / model.quad_weights
+        worst = int(np.argmin(dens))
+        if dens[worst] <= 0.0:
+            raise CurvaturePositivityError(
+                f"curvature density is {dens[worst]:.3e} at node {worst}: "
+                "metric is not positively curved",
+                node=worst,
+                value=float(dens[worst]),
+            )
+        Density(vol)  # raises: the weights are not finite
+    defect = abs(vol.sum() - model.V)
     if defect > CURVATURE_MASS_TOL * model.V:
         raise MassDefectError(
             f"curvature volume mass defect {defect:.3e} exceeds "
             f"{CURVATURE_MASS_TOL:g} * V; increase node counts",
             defect=defect,
         )
-    return weight, Density(weights)
+    return weight, vol
 
 
 def mock_general_type_model(k: int, radial_nodes=None, azimuthal_nodes=None) -> ManifoldModel:

@@ -29,7 +29,7 @@ import scipy.linalg as sla
 from .errors import DimensionError, MomentInfeasibleError
 from .geometry import Density, ManifoldModel, MetricWeight
 from .linalg import HermitianForm, cholesky_lower, matrix_norms
-from .moments import build_lambda, section_squares
+from .moments import build_lambda, section_shares, section_squares
 
 EQ4_TOL = 1e-10
 
@@ -120,12 +120,11 @@ def f_matrix(
     if f.shape != (model.Q,):
         raise DimensionError("f must be a node function")
     gfun = section_squares(model) if squares is None else squares
-    rows = []
-    for d in densities:
-        if d.weights.shape != (model.Q,):
-            raise DimensionError("density length mismatch")
-        rows.append(gfun @ (f * d.weights))
-    return np.array(rows)
+    if any(d.weights.shape != (model.Q,) for d in densities):
+        raise DimensionError("density length mismatch")
+    weights = np.array([d.weights for d in densities])
+    weights *= f
+    return weights @ gfun.T
 
 
 @dataclass
@@ -163,12 +162,14 @@ class InjectivityReport:
 
 
 def _lambda_for_audit(model, squares, floor):
-    """Paper-floor rows when achievable, constructive probes otherwise."""
+    """Paper-floor rows when achievable, constructive probes otherwise; the
+    two share one table of ``section_shares``."""
+    rho = section_shares(squares)
     try:
-        system = build_lambda(model, floor=floor, mode="paper", squares=squares)
+        system = build_lambda(model, floor=floor, mode="paper", squares=squares, rho=rho)
         return system, "achieved"
     except MomentInfeasibleError as exc:
-        probe = build_lambda(model, mode="probe", squares=squares)
+        probe = build_lambda(model, mode="probe", squares=squares, rho=rho)
         return probe, f"infeasible: {exc}"
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
-from typing import List, NamedTuple
+from dataclasses import dataclass, field
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -40,16 +40,23 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HermitianForm:
     """An N x N hermitian matrix, symmetrised at construction.
 
     Inputs whose hermiticity defect exceeds ``HERMITICITY_TOL`` (relative to
     max(1, largest entry)) are rejected; smaller defects are absorbed by
     replacing M with (M + M*)/2.
+
+    The form is immutable, so it keeps its Cholesky factor (``factor``) and
+    condition number (``cond``) once first asked for, and ``scaled`` passes
+    both on: one factorisation serves every later positive-definiteness
+    check, determinant and Bergman metric of the form.
     """
 
     mat: np.ndarray
+    _factor: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _cond: Optional[float] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = _as_square(self.mat)
@@ -80,8 +87,46 @@ class HermitianForm:
     def diagonal(cls, values) -> "HermitianForm":
         return cls(np.diag(np.asarray(values, dtype=complex)))
 
+    @classmethod
+    def _unchecked(cls, mat: np.ndarray, factor=None, cond=None) -> "HermitianForm":
+        """The form of ``mat``, which the caller knows to be finite and
+        hermitian to the bit, with its factor and condition number when
+        known; nothing is checked."""
+        form = object.__new__(cls)
+        for name, value in (("mat", mat), ("_factor", factor), ("_cond", cond)):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(form, name, value)
+        return form
+
+    @classmethod
+    def _hermitian_part(cls, m) -> "HermitianForm":
+        """The form (M + M*)/2 of a square matrix M with finite entries, for
+        an M that is hermitian only up to rounding (a computed Gram, say):
+        no hermiticity defect is checked."""
+        a = _as_square(m)
+        return cls._unchecked(0.5 * (a + a.conj().T))
+
     def scaled(self, c: float) -> "HermitianForm":
-        return HermitianForm(c * self.mat)
+        """The form c H.  For finite c > 0, c H is hermitian to the bit and is
+        not checked again, and a factor L and condition number already found
+        pass on as sqrt(c) L and the same number."""
+        c = float(c)
+        mat = c * self.mat
+        if not (c > 0.0 and np.isfinite(mat).all()):
+            return HermitianForm(mat)
+        factor = None if self._factor is None else np.sqrt(c) * self._factor
+        return HermitianForm._unchecked(mat, factor, self._cond)
+
+    def factor(self) -> np.ndarray:
+        """Lower-triangular L with H = L L* and positive diagonal, found once
+        and kept (read-only).  Raises ``DefinitenessError`` naming the first
+        failing pivot; ``cholesky_lower`` adds the conditioning warning."""
+        if self._factor is None:
+            factor = _lower_factor(self.mat)
+            factor.setflags(write=False)
+            object.__setattr__(self, "_factor", factor)
+        return self._factor
 
     def is_positive_definite(self) -> bool:
         try:
@@ -91,9 +136,14 @@ class HermitianForm:
             return False
 
     def cond(self) -> float:
-        ev = np.abs(np.linalg.eigvalsh(self.mat))
-        lo = ev.min()
-        return float("inf") if lo == 0.0 else float(ev.max() / lo)
+        """Ratio of the largest to the smallest eigenvalue modulus, found once
+        and kept."""
+        if self._cond is None:
+            ev = np.abs(np.linalg.eigvalsh(self.mat))
+            lo = ev.min()
+            cond = float("inf") if lo == 0.0 else float(ev.max() / lo)
+            object.__setattr__(self, "_cond", cond)
+        return self._cond
 
     def to_json_dict(self) -> dict:
         return {
@@ -162,20 +212,27 @@ def _warn_if_ill_conditioned(h: HermitianForm, what: str) -> None:
         )
 
 
-def cholesky_lower(h: HermitianForm | np.ndarray) -> np.ndarray:
-    """Lower-triangular L with H = L L* and strictly positive diagonal.
-
-    Raises ``DefinitenessError`` naming the first failing pivot when H is not
-    positive definite.
-    """
-    a = h.mat if isinstance(h, HermitianForm) else _as_square(h)
+def _lower_factor(a: np.ndarray) -> np.ndarray:
     L, info = sla.lapack.zpotrf(a, lower=True, clean=True)
     if info > 0:
         raise DefinitenessError(
             f"matrix is not positive definite: pivot {info - 1} fails", pivot=info - 1
         )
-    if isinstance(h, HermitianForm):
-        _warn_if_ill_conditioned(h, "cholesky_lower")
+    return L
+
+
+def cholesky_lower(h: HermitianForm | np.ndarray) -> np.ndarray:
+    """Lower-triangular L with H = L L* and strictly positive diagonal.
+
+    Raises ``DefinitenessError`` naming the first failing pivot when H is not
+    positive definite.  For a ``HermitianForm`` L is the form's kept,
+    read-only ``factor`` and an ``IllConditionedWarning`` is raised when its
+    condition number exceeds ``COND_GUARD``.
+    """
+    if not isinstance(h, HermitianForm):
+        return _lower_factor(_as_square(h))
+    L = h.factor()
+    _warn_if_ill_conditioned(h, "cholesky_lower")
     return L
 
 

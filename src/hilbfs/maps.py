@@ -3,7 +3,11 @@
 hilb sends a metric on L^k to the scaled L^2 Gram matrix of the section
 basis; fs_metric (in ``geometry``) sends a form back to a metric.  Their
 composition has the balanced metrics as fixed points; on the reference
-test-bed that is the binomial diagonal diag(1/C(dk, j)).
+test-bed that is the binomial diagonal diag(1/C(dk, j)).  ``t_iterate``
+iterates that composition: it checks its seed once, at entry, and each step
+factorises one form, the Gram that ``hilb`` returns.  The form keeps its
+factor (``linalg.HermitianForm``), so the positive-definiteness check, the
+unit-determinant scale and the next ``fs_metric`` share it.
 
 The variant Hilbert map ``hilb_nu`` pairs the sections against a volume
 form nu in place of the curvature volume.  Its three variants differ only
@@ -53,8 +57,7 @@ def _variant_law(variant: str):
 
 def _gram(model: ManifoldModel, weights: np.ndarray) -> HermitianForm:
     g = model._theta_fourier().gram(weights)
-    g = (model.N / model.V) * 0.5 * (g + g.conj().T)
-    form = HermitianForm(g)
+    form = HermitianForm._hermitian_part((model.N / model.V) * g)
     if not form.is_positive_definite():
         raise DefinitenessError(
             "hilb output is not positive definite; quadrature is under-resolved"
@@ -67,7 +70,7 @@ def hilb(model: ManifoldModel, m: MetricWeight) -> HermitianForm:
     volume form of the metric's curvature.  A Bergman metric's weight and
     curvature come from one synthesis (see ``geometry``)."""
     weight, vol = _weight_and_volume(model, m)
-    return _gram(model, weight * vol.weights)
+    return _gram(model, weight * vol)
 
 
 def variant_density(
@@ -134,9 +137,14 @@ class IterationTrace:
 
 
 def _unit_det(h: HermitianForm) -> HermitianForm:
-    ev = np.linalg.eigvalsh(h.mat)
-    scale = float(np.exp(-np.mean(np.log(ev))))
-    return h.scaled(scale)
+    """H scaled to unit determinant, from log det H = 2 sum log L_ii."""
+    log_det = 2.0 * float(np.log(h.factor().diagonal().real).sum())
+    return h.scaled(np.exp(-log_det / h.dim))
+
+
+def _record(h: HermitianForm) -> HermitianForm:
+    """H without the factor it keeps."""
+    return HermitianForm._unchecked(h.mat)
 
 
 def t_iterate(
@@ -147,25 +155,32 @@ def t_iterate(
 ) -> IterationTrace:
     """Iterate H -> hilb(fs_metric(H)), logging per-step distances.
 
-    The composition is scale-covariant, so each iterate is normalised to
-    unit determinant before the distance is measured.  The trace defect
-    |tr(H_r^{-1} H_{r+1}) - N| is logged at every step; convergence of the
-    iteration itself is reported, never asserted.
+    The seed is checked here, once: a seed of the wrong size raises
+    ``DimensionError`` and one that is not positive definite the
+    ``DefinitenessError`` naming its failing pivot.  The composition is
+    scale-covariant, so each iterate is normalised to unit determinant
+    before the distance is measured.  The trace defect
+    |tr(H_r^{-1} H_{r+1}) - N| is logged at every step, H_r^{-1} read from
+    the Bergman metric of H_r; convergence of the iteration itself is
+    reported, never asserted.  Each step factorises one form, hilb's Gram,
+    and that factor gives its determinant and its next Bergman metric; the
+    trace records each form without it, one matrix per step.
     """
+    if h0.dim != model.N:
+        raise DimensionError(f"form has dim {h0.dim}, model needs {model.N}")
     current = _unit_det(h0)
-    steps: List[IterationStep] = [IterationStep(0, current, float("nan"), float("nan"))]
+    steps = [IterationStep(0, _record(current), float("nan"), float("nan"))]
     converged = False
     for r in range(1, max_iters + 1):
+        metric = fs_metric(model, current)
         try:
-            nxt = hilb(model, fs_metric(model, current))
-        except (DefinitenessError, DimensionError) as exc:
-            raise type(exc)(f"iteration {r}: {exc}") from exc
-        defect = abs(
-            float(np.real(np.trace(np.linalg.solve(current.mat, nxt.mat)))) - model.N
-        )
+            nxt = hilb(model, metric)
+        except DefinitenessError as exc:
+            raise DefinitenessError(f"iteration {r}: {exc}") from exc
+        defect = abs(float(np.vdot(nxt.mat, metric.inverse).real) - model.N)
         nxt = _unit_det(nxt)
         dist = float(np.abs(nxt.mat - current.mat).max())
-        steps.append(IterationStep(r, nxt, dist, defect))
+        steps.append(IterationStep(r, _record(nxt), dist, defect))
         current = nxt
         if dist < tol:
             converged = True

@@ -50,7 +50,7 @@ from .errors import ConvergenceError, DimensionError, MomentInfeasibleError
 from .geometry import Density, ManifoldModel
 from .linalg import MatrixNorms, damped_newton, matrix_norms
 
-PROBE_POWER = 8
+PROBE_POWER = 8  # of rho_i in the probe densities, formed by three squarings
 ROUNDING_FLOOR = 1e-10  # relative rounding of the dual objective (see above)
 LAMBDA_BOUND = 2.0  # the paper's bound on ||Lambda|| and ||Lambda^{-1}||
 MAX_NEWTON = 100  # moment Newton iteration cap (see solve_moments, build_lambda)
@@ -76,7 +76,16 @@ class MomentTarget:
 def section_squares(model: ManifoldModel, sections: Optional[np.ndarray] = None) -> np.ndarray:
     """The moment integrands g_j = |s_j|^2 * ref_weight as an N x Q array."""
     s = model.sections if sections is None else np.asarray(sections, dtype=complex)
-    return (np.abs(s) ** 2) * model.ref_weight
+    squares = np.square(s.real)
+    squares += np.square(s.imag)
+    squares *= model.ref_weight
+    return squares
+
+
+def section_shares(squares: np.ndarray) -> np.ndarray:
+    """rho_i = g_i / sum_j g_j at each node for an N x Q ``section_squares``
+    table: the cone bound's ratios and the probe densities' base."""
+    return squares / squares.sum(axis=0)
 
 
 @dataclass
@@ -215,6 +224,21 @@ def spike_targets(n: int, floor: float) -> np.ndarray:
     return t
 
 
+def _probe_rows(model: ManifoldModel, gfun: np.ndarray, rho: np.ndarray):
+    """Node weights w_i = rho_i^PROBE_POWER qw / max_j m_ij of the probe
+    densities as an N x Q array, and their moments m_ij / max_j m_ij,
+    m_ij = sum_q w_i g_j, as the N x N row-measure matrix."""
+    w = np.square(rho)
+    w *= w
+    w *= w
+    w *= model.quad_weights
+    moments = w @ gfun.T
+    peak = moments.max(axis=1, keepdims=True)
+    w /= peak
+    moments /= peak
+    return w, moments
+
+
 def probe_densities(
     model: ManifoldModel,
     squares: Optional[np.ndarray] = None,
@@ -225,13 +249,7 @@ def probe_densities(
     moment matrix without solving any moment problem.  ``squares`` is the
     frame's N x Q ``section_squares`` table; ``None`` means the monomials."""
     gfun = section_squares(model) if squares is None else squares
-    rho = gfun / gfun.sum(axis=0)
-    out = []
-    for i in range(gfun.shape[0]):
-        w = rho[i] ** PROBE_POWER * model.quad_weights
-        m = gfun @ w
-        out.append(Density(w / m.max()))
-    return out
+    return [Density(w) for w in _probe_rows(model, gfun, section_shares(gfun))[0]]
 
 
 def build_lambda(
@@ -241,10 +259,12 @@ def build_lambda(
     mode: str = "paper",
     squares: Optional[np.ndarray] = None,
     max_newton: int = MAX_NEWTON,
+    rho: Optional[np.ndarray] = None,
 ) -> LambdaSystem:
     """Row-measure matrix: row i holds the achieved squared-section moments
     of the i-th density.  ``squares`` is the frame's N x Q
-    ``section_squares`` table; ``None`` means the monomials.
+    ``section_squares`` table; ``None`` means the monomials.  ``rho`` is
+    ``section_shares(squares)`` when the caller holds it; ``None`` forms it.
 
     mode "paper": each row solves the spike target (floor, ..., 1, ..., floor)
     with 1 in the i-th place (floor defaults to e^{-k}); rows whose targets
@@ -257,17 +277,20 @@ def build_lambda(
     monomial_basis = squares is None
     gfun = section_squares(model) if monomial_basis else squares
     n = gfun.shape[0]
+    if mode not in ("probe", "paper"):
+        raise ValueError(f"unknown build_lambda mode {mode!r}")
+    rho = section_shares(gfun) if rho is None else rho
     if mode == "probe":
-        densities = probe_densities(model, squares=gfun)
-        lam = np.array([gfun @ d.weights for d in densities])
+        weights, lam = _probe_rows(model, gfun, rho)
+        densities = [Density(w) for w in weights]
         floor_used = None
-    elif mode == "paper":
+    else:
         f = float(np.exp(-min(model.k, 700))) if floor is None else float(floor)
         if not 0.0 < f < 1.0:
             raise ValueError("floor must lie in (0, 1)")
         f = max(f, 1e-300)
         targets = spike_targets(n, f)
-        peaks = (gfun / gfun.sum(axis=0)).max(axis=1)  # max_q rho_i
+        peaks = rho.max(axis=1)
         densities = []
         rows = []
         for i in range(n):
@@ -307,8 +330,6 @@ def build_lambda(
             rows.append(sol.achieved)
         lam = np.array(rows)
         floor_used = f
-    else:
-        raise ValueError(f"unknown build_lambda mode {mode!r}")
     if np.abs(lam).max() > 1.0 + 10 * tol:
         raise RuntimeError(
             f"row-measure matrix entry {np.abs(lam).max():.6f} exceeds 1"

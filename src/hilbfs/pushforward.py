@@ -42,7 +42,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import ContinuationError, ConvergenceError, DimensionError, MarginError
-from .geometry import ManifoldModel, _pushforward_measure
+from .geometry import ManifoldModel, _curvature_numerator, _pushforward_measure
 from .linalg import HermitianForm, damped_newton
 
 MARGIN = 1e-3  # smallest admissible eigenvalue of a unit-trace target
@@ -265,8 +265,8 @@ def _psi_t_jacobian(
     n, doubled = model.N, model._theta_fourier(doubled=True)
     p, pz, pzz = model._theta_fourier().pairings(bm @ bm)
     p, pzz = p.real, pzz.real
-    num = p * pzz - np.abs(pz) ** 2
-    c = (1.0 + np.abs(model.nodes) ** 2) ** 2 * model.quad_weights / (model.V * p**3)
+    num = _curvature_numerator(p, pz, pzz)
+    c = model._volume_factor() / (p * p * p)
     m = model._theta_fourier().gram(num * c)
     g0, g1, g2 = doubled.gram(np.stack([pzz - 3.0 * num / p, -pz.conj(), p]) * c
                               / model.ref_weight**2)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 from scipy.special import gammaln, lpmv
 
+from hilbfs import HermitianForm, fs_metric, hilb
 from hilbfs.pushforward import hermitian_basis
 
 
@@ -213,3 +214,22 @@ def legendre_table_lpmv(x, lmax, mmax):
             log_norm = 0.5 * (np.log(2 * l + 1) + gammaln(l - m + 1) - gammaln(l + m + 1))
             table[m, m:] = lpmv(m, l[:, None], x) * np.exp(log_norm)[:, None]
     return table
+
+
+def balancing_loop(model, h0, iters):
+    """The balancing iteration as a plain loop, each step on a fresh form:
+    H_{r+1} = hilb(fs_metric(H_r)), scaled to unit determinant by its
+    eigenvalues, with the trace defect |tr(H_r^{-1} H_{r+1}) - N| by an LU
+    solve.  Returns the unit-determinant matrices H_0..H_iters and the
+    defects of steps 1..iters."""
+
+    def unit_det(mat):
+        return mat * np.exp(-np.mean(np.log(np.linalg.eigvalsh(mat))))
+
+    forms = [unit_det(h0.mat)]
+    defects = []
+    for _ in range(iters):
+        nxt = hilb(model, fs_metric(model, HermitianForm(forms[-1]))).mat
+        defects.append(abs(np.trace(np.linalg.solve(forms[-1], nxt)).real - model.N))
+        forms.append(unit_det(nxt))
+    return forms, defects

@@ -272,6 +272,20 @@ def test_balance_csv(tmp_path, capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4"]
 
 
+@pytest.mark.parametrize(
+    "diag, code, message",
+    [
+        ([1.0, -1.0, 1.0], 2, "error: matrix is not positive definite: pivot 1 fails"),
+        ([1.0, 1.0], 1, "invalid input: form has dim 2, model needs 3"),
+    ],
+    ids=["not-positive-definite", "wrong-size"],
+)
+def test_balance_checks_its_seed(tmp_path, capsys, diag, code, message):
+    h_path = write_matrix(tmp_path / "h0.json", HermitianForm.diagonal(diag).to_json_dict())
+    assert main(["balance", "--k", "2", "--h0", h_path, "--iters", "4", *GRID]) == code
+    assert capsys.readouterr().err.strip() == message
+
+
 def test_dump_model_writes_named_file(tmp_path, capsys):
     assert main(["dump-model", "--k", "1", "--out", str(tmp_path)]) == 0
     path = tmp_path / "model.csv"

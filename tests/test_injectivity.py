@@ -60,7 +60,8 @@ class TestEqualForms:
 
 def test_each_form_is_factorised_once(monkeypatch):
     model = build_p1_model(4)
-    h, h2 = perturbed_pair(model, np.random.default_rng(3), 1e-3)
+    # fresh forms: perturbed_pair leaves the factor it found on h
+    h, h2 = (HermitianForm(f.mat) for f in perturbed_pair(model, np.random.default_rng(3), 1e-3))
     zpotrf = sla.lapack.zpotrf
     calls = []
 

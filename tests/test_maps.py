@@ -10,7 +10,9 @@ from hilbfs import (
     CANONICAL,
     FIXED,
     CurvaturePositivityError,
+    DefinitenessError,
     Density,
+    DimensionError,
     HermitianForm,
     MassDefectError,
     MetricWeight,
@@ -28,7 +30,7 @@ from hilbfs import (
 from hilbfs.maps import variant_density
 from hilbfs.linalg import random_spd
 
-from _oracles import bergman_hilb_weights, section_rows, weighted_gram
+from _oracles import balancing_loop, bergman_hilb_weights, section_rows, weighted_gram
 
 
 def binomial_diag(k):
@@ -222,3 +224,30 @@ class TestTIterate:
         trace = t_iterate(model, h0, max_iters=5, tol=0.0)
         for step in trace.steps[1:]:
             assert step.trace_defect <= 1e-9
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_matches_the_plain_loop(self, k):
+        # every step on a fresh form, eigenvalue determinants and LU trace
+        # defects; the two differ by rounding (about 3e-14 at k = 4)
+        model = build_p1_model(k, 2 * (2 * k + 4), 2 * (4 * k + 4))
+        h0 = random_spd(model.N, np.random.default_rng(k + 70), cond=3.0)
+        trace = t_iterate(model, h0, max_iters=20, tol=0.0)
+        forms, defects = balancing_loop(model, h0, 20)
+        assert len(trace.steps) == len(forms) == 21
+        for step, form in zip(trace.steps, forms):
+            assert np.abs(step.form.mat - form).max() <= 1e-11 * np.abs(form).max()
+        for step, defect in zip(trace.steps[1:], defects):
+            assert abs(step.trace_defect - defect) <= 1e-12
+
+    def test_seed_not_positive_definite(self):
+        model = build_p1_model(2, radial_nodes=16, azimuthal_nodes=20)
+        pivot_fails = "^matrix is not positive definite: pivot 1 fails$"
+        with pytest.raises(DefinitenessError, match=pivot_fails) as err:
+            t_iterate(model, HermitianForm.diagonal([1.0, -1.0, 1.0]), max_iters=3)
+        assert err.value.pivot == 1
+
+    def test_seed_of_the_wrong_size(self):
+        model = build_p1_model(3, radial_nodes=16, azimuthal_nodes=20)
+        with pytest.raises(DimensionError, match="^form has dim 3, model needs 4$"):
+            t_iterate(model, HermitianForm.identity(3), max_iters=3)
+
