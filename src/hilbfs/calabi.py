@@ -347,6 +347,8 @@ def surject_full(model: ManifoldModel, target):
         {
             "stage": "pushforward-continuation",
             "t_steps": len(ctrace.rows),
+            "abandoned_attempts": ctrace.abandoned,
+            "corrector_iters": ctrace.corrector_iters,
             "final_residual": ctrace.rows[-1].residual,
         }
     ]

@@ -354,8 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument(
         "--trace-out", type=str, default=None,
-        help="CSV of the continuation steps; its residual column is each step's "
-        "stopping residual, <= PATH_TOL before t = 1 and <= PSI_TOL at t = 1",
+        help="CSV of the accepted continuation steps: the full step to t = 1 alone "
+        "when its undamped Newton passes the contraction test, else the march in t "
+        "that follows it; the residual column is each step's stopping residual, "
+        "<= PATH_TOL before t = 1 and <= PSI_TOL at t = 1",
     )
     p.set_defaults(func=cmd_psi_solve)
 

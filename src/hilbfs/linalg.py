@@ -40,7 +40,7 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class HermitianForm:
     """An N x N hermitian matrix, symmetrised at construction.
 
@@ -51,12 +51,13 @@ class HermitianForm:
     The form is immutable, so it keeps its Cholesky factor (``factor``) and
     condition number (``cond``) once first asked for, and ``scaled`` passes
     both on: one factorisation serves every later positive-definiteness
-    check, determinant and Bergman metric of the form.
+    check, determinant and Bergman metric of the form.  Two forms are equal
+    when their matrices agree entry for entry.
     """
 
     mat: np.ndarray
-    _factor: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    _cond: Optional[float] = field(default=None, init=False, repr=False, compare=False)
+    _factor: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _cond: Optional[float] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         a = _as_square(self.mat)
@@ -74,6 +75,15 @@ class HermitianForm:
         sym = 0.5 * (a + a.conj().T)
         sym.setflags(write=False)
         object.__setattr__(self, "mat", sym)
+
+    def __eq__(self, other):
+        if not isinstance(other, HermitianForm):
+            return NotImplemented
+        return bool(np.array_equal(self.mat, other.mat))
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which == does not tell apart
+        return hash((self.mat.shape, (self.mat + 0.0).tobytes()))
 
     @property
     def dim(self) -> int:
@@ -269,8 +279,10 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     return 0.5 * (x + x.conj().T)
 
 
-def damped_newton(evaluate, direction, accept, start, tol, max_steps, max_halvings, what):
-    """Damped Newton from the point ``start`` to a max-norm residual <= tol.
+def damped_newton(evaluate, direction, accept, start, tol, max_steps, max_halvings, what,
+                  min_steps=0):
+    """Damped Newton from the point ``start`` to a max-norm residual <= tol,
+    reached after at least ``min_steps`` steps.
 
     A point is the tuple (x, r, ...) that ``evaluate(x)`` returns, r the
     residual vector, or None when x is inadmissible.  Each step tries
@@ -287,7 +299,7 @@ def damped_newton(evaluate, direction, accept, start, tol, max_steps, max_halvin
     for it in range(max_steps + 1):
         resid = float(np.abs(point[1]).max())
         history.append(resid)
-        if resid <= tol:
+        if resid <= tol and it >= min_steps:
             return point, history
         if it == max_steps:
             break

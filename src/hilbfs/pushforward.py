@@ -4,12 +4,16 @@ The scale classes of positive definite matrices map to the trace-one
 positive simplex two ways: via Fubini-Study integrals over the full ambient
 projective space (psi0, closed form available) and via the same integrals
 restricted to the embedded curve (psi).  Their affine homotopy underlies
-``solve_psi``, which realises targets constructively by continuation in t:
-each step starts Newton at the secant predictor through the last two
-accepted points (the previous B on the first step, or when the predictor
-leaves the positive cone) and corrects in the trace gauge, loosely to
-``PATH_TOL`` at t < 1, where the point need only lie in the next
-corrector's basin, and tightly to ``PSI_TOL`` at t = 1.
+``solve_psi``, which realises targets constructively by continuation in t.
+Its first attempt is the full step to t = 1: undamped Newton from the
+closed-form seed, abandoned at the first step that fails Deuflhard's
+contraction test (the simplified correction, solved with the Jacobian
+already assembled, must be at most ``CONTRACTION_MAX`` times the step).
+Only then does t march, each step starting Newton at the secant predictor
+through the last two accepted points (the previous B on the first step, or
+when the predictor leaves the positive cone) and correcting in the trace
+gauge, loosely to ``PATH_TOL`` at t < 1, where the point need only lie in
+the next corrector's basin, and tightly to ``PSI_TOL`` at t = 1.
 
 Matrix conventions: forms are linear in the first index (see ``linalg``).
 In this convention the ambient-space map has closed form
@@ -48,7 +52,8 @@ from .linalg import HermitianForm, damped_newton
 MARGIN = 1e-3  # smallest admissible eigenvalue of a unit-trace target
 STEP_FLOOR = 1e-6  # continuation step below which solve_psi gives up
 NEWTON_MAX_ITERS = 25
-CONTINUATION_STEPS = 10  # solve_psi's first step is 1 / CONTINUATION_STEPS
+CONTINUATION_STEPS = 10  # after an abandoned full step, solve_psi marches from 1 / this
+CONTRACTION_MAX = 0.5  # largest |simplified correction| / |correction| the full step accepts
 PSI_TOL = 1e-10  # max-norm residual at which the continuation Newton stops at t = 1
 PATH_TOL = 1e-4  # the same at every t < 1, whose point need only seed the next step
 KERNEL_RTOL = 1e-8  # relative singular-value cut of the numerical kernel
@@ -224,7 +229,14 @@ class TraceRow:
 
 @dataclass
 class ContinuationTrace:
+    """The accepted continuation points (``rows``, the seed first), and two
+    totals over every attempt, the abandoned ones included: ``abandoned``
+    attempts and ``corrector_iters``, the Jacobians their correctors
+    assembled."""
+
     rows: List[TraceRow] = field(default_factory=list)
+    abandoned: int = 0
+    corrector_iters: int = 0
 
     def log(self, t, residual, step, iters):
         self.rows.append(TraceRow(float(t), float(residual), float(step), int(iters)))
@@ -284,18 +296,26 @@ def _psi_t_jacobian(
     return (jac + t * dpsi).T
 
 
-def _newton_at_t(model, b, t, g, basis, table):
+def _newton_at_t(model, b, t, g, basis, table, full=False):
     """Newton-correct psi_t(B) = G in traceless coordinates around unit
     trace, to a max-norm residual of at most ``PSI_TOL`` at t = 1 and
     ``PATH_TOL`` at t < 1; ``table`` is the basis's ``_coords_table``.
 
     ``linalg.damped_newton`` runs from B with the analytic Jacobian
     ``_psi_t_jacobian``; a candidate is hermitised, dropped unless positive
-    definite, trace-normalised, and accepted when it lowers the residual
-    norm.  Any ``ConvergenceError`` is a failed correction, which the
-    continuation answers by shortening its step.  Returns (B or None,
-    steps, max-norm residual).
+    definite and trace-normalised.  On the full step (``full``) Newton is
+    undamped, and a candidate is accepted only while it passes Deuflhard's
+    contraction test: its simplified correction J^{-1} F(candidate), solved
+    with the Jacobian of the step, is at most ``CONTRACTION_MAX`` times the
+    step.  Otherwise a line search accepts a candidate that lowers the
+    residual norm or lies within the tolerance, and at t < 1 at least one
+    correction is made, even from a start within ``PATH_TOL``, so that path
+    points do not creep towards the tolerance.  Any ``ConvergenceError`` is
+    a failed correction, which the continuation answers by shortening its
+    step.  Returns (B or None, Jacobians assembled, max-norm residual).
     """
+    tol = PSI_TOL if t == 1.0 else PATH_TOL
+    jac = None
 
     def evaluate(cand):
         cand = 0.5 * (cand + cand.conj().T)
@@ -305,42 +325,52 @@ def _newton_at_t(model, b, t, g, basis, table):
         return cand, _coords(table, _psi_t(model, cand, t) - g)
 
     def direction(bm, r):
-        dv = np.linalg.solve(_psi_t_jacobian(model, bm, t, basis, table), -r)
-        return np.einsum("a,aij->ij", dv, basis)
+        nonlocal jac
+        jac = _psi_t_jacobian(model, bm, t, basis, table)
+        return np.einsum("a,aij->ij", np.linalg.solve(jac, -r), basis)
 
     def accept(new, old, alpha, step):
-        return np.linalg.norm(new[1]) < np.linalg.norm(old[1])
+        if full:
+            # the basis is orthonormal, so a step's Frobenius norm is its coordinates' norm
+            simplified = np.linalg.solve(jac, new[1])
+            return np.linalg.norm(simplified) <= CONTRACTION_MAX * np.linalg.norm(step)
+        return np.linalg.norm(new[1]) < np.linalg.norm(old[1]) or np.abs(new[1]).max() <= tol
 
     try:
         (bm, _), history = damped_newton(
             evaluate, direction, accept, (b, _coords(table, _psi_t(model, b, t) - g)),
-            PSI_TOL if t == 1.0 else PATH_TOL, NEWTON_MAX_ITERS, 10, "psi Newton",
+            tol, NEWTON_MAX_ITERS, 1 if full else 10, "psi Newton",
+            min_steps=0 if t == 1.0 else 1,
         )
     except ConvergenceError as exc:
-        return None, len(exc.history) - 1, exc.history[-1]
+        # a step that stalls or meets a singular Jacobian has assembled that Jacobian too
+        return None, min(len(exc.history), NEWTON_MAX_ITERS), exc.history[-1]
     return bm, len(history) - 1, history[-1]
 
 
 def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace]:
     """Find B with psi(B) = G by continuation from the closed-form seed.
 
-    The seed B0 = G^{-1/2} satisfies psi0(B0) = G exactly; t then marches
-    from 0 to 1 with adaptive steps, the first 1 / ``CONTINUATION_STEPS``
-    (on Newton failure halve the step tried, which is h or 1 - t where
-    t + h is clipped to 1; on every success from the second consecutive one
-    on, double h, up to 1/4; floor ``STEP_FLOOR``; a step ending within
-    ``STEP_FLOOR`` of 1, as a rounded sum of steps can, ends at 1).  Each
-    attempt's Newton starts at the secant predictor
-    B + (t_next - t) (B - B_prev) / (t - t_prev) through the last two
-    accepted points, trace-normalised, when that is positive definite, and
-    at B otherwise and on the first step.  It stops at the max-norm residual
-    ``PATH_TOL`` at t < 1 and ``PSI_TOL`` at t = 1.  psi is scale-invariant,
-    so G is first normalised by its trace, which must be positive
-    (``ValueError`` otherwise).  Raises ``MarginError`` when the normalised
-    G's smallest eigenvalue is below ``MARGIN`` and ``ContinuationError``
-    carrying the trace when the step size underflows.  Returns B as a
-    unit-trace ``HermitianForm`` with the trace, which records the forward
-    residual that alone certifies B.
+    The seed B0 = G^{-1/2} satisfies psi0(B0) = G exactly.  The first
+    attempt is the full step to t = 1: undamped Newton from B0, abandoned
+    at the first step that fails the contraction test of ``_newton_at_t``,
+    which costs no Jacobian beyond the step's own.  After an abandoned full
+    step, t marches from 0 to 1 with adaptive steps, the first
+    1 / ``CONTINUATION_STEPS`` (on Newton failure halve the step tried,
+    which is h or 1 - t where t + h is clipped to 1; on every success from
+    the second consecutive one on, double h, up to 1/4; floor
+    ``STEP_FLOOR``; a step ending within ``STEP_FLOOR`` of 1, as a rounded
+    sum of steps can, ends at 1).  Each march attempt's Newton starts at
+    the secant predictor B + (t_next - t) (B - B_prev) / (t - t_prev)
+    through the last two accepted points, trace-normalised, when that is
+    positive definite, and at B otherwise and on the first step.  It stops
+    at the max-norm residual ``PATH_TOL`` at t < 1 and ``PSI_TOL`` at
+    t = 1.  psi is scale-invariant, so G is first normalised by its trace,
+    which must be positive (``ValueError`` otherwise).  Raises
+    ``MarginError`` when the normalised G's smallest eigenvalue is below
+    ``MARGIN`` and ``ContinuationError`` carrying the trace when the step
+    size underflows.  Returns B as a unit-trace ``HermitianForm`` with the
+    trace, which records the forward residual that alone certifies B.
     """
     gm = _as_form(g).mat
     tr = float(np.real(np.trace(gm)))
@@ -362,7 +392,7 @@ def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace
     trace.log(0.0, float(np.abs(_psi_t(model, b, 0.0) - gm).max()), 0.0, 0)
     t = t_prev = 0.0
     b_prev = b
-    h = 1.0 / CONTINUATION_STEPS
+    full, h = True, 1.0
     successes = 0
     while t < 1.0:
         t_next = 1.0 if t + h > 1.0 - STEP_FLOOR else t + h
@@ -371,9 +401,14 @@ def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace
             pred = b + (t_next - t) / (t - t_prev) * (b - b_prev)
             if np.linalg.eigvalsh(pred).min() > 0:
                 start = pred / np.real(np.trace(pred))
-        bn, iters, resid = _newton_at_t(model, start, t_next, gm, basis, table)
+        bn, iters, resid = _newton_at_t(model, start, t_next, gm, basis, table, full)
+        trace.corrector_iters += iters
         if bn is None:
+            trace.abandoned += 1
             successes = 0
+            if full:
+                full, h = False, 1.0 / CONTINUATION_STEPS
+                continue
             h = 0.5 * (1.0 - t if t_next == 1.0 else h)  # the step tried
             if h < STEP_FLOOR:
                 trace.log(t_next, resid, h, iters)

@@ -350,6 +350,18 @@ class TestSurjectFull:
         assert report.positivity_margin == density.min()
         assert report.residual_max <= 1e-8
 
+    def test_continuation_log_counts_every_attempt(self):
+        # k = 6 abandons its full step, so the march's attempts follow it
+        model = build_p1_model(6, **workloads.grid(6))
+        target = hilb(model, fs_metric(model, random_spd(model.N, np.random.default_rng(8), 6.0)))
+        _, report = surject_full(model, target)
+        _, trace = solve_psi(model, target)
+        log = report.stage_logs[0]
+        assert log["abandoned_attempts"] == trace.abandoned >= 1
+        assert log["corrector_iters"] == trace.corrector_iters
+        assert log["corrector_iters"] >= sum(r.newton_iters for r in trace.rows) + 1
+        assert log["t_steps"] == len(trace.rows)
+
     def test_out_of_range_target_reported(self):
         # a unit-trace PD matrix whose diagonal is not log-convex cannot be
         # hit; the pipeline must fail loudly in stage 1

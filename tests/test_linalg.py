@@ -79,6 +79,22 @@ class TestHermitianForm:
         h2 = load_matrix_json(path)
         assert np.array_equal(h.mat, h2.mat)
 
+    def test_equality_compares_the_matrices(self):
+        a = HermitianForm.identity(2)
+        b = HermitianForm.identity(2)
+        assert a == b and hash(a) == hash(b)
+        b.factor()  # a kept factor does not change what the form is
+        assert a == b and hash(a) == hash(b)
+        assert a != a.scaled(2.0)
+        assert a != HermitianForm.identity(3)
+        assert a.__eq__(a.mat) is NotImplemented
+        assert len({a, b, a.scaled(2.0)}) == 2
+
+    def test_signed_zeros_are_equal_and_hash_alike(self):
+        a = HermitianForm(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        b = HermitianForm(np.array([[1.0, -0.0], [-0.0, 1.0]]))
+        assert a == b and hash(a) == hash(b)
+
 
 class TestCholesky:
     def test_identity(self):
@@ -233,6 +249,15 @@ class TestDampedNewton:
         (x, _), _ = _solve_sqrt2(evaluate=capped, accept=recording)
         assert alphas[0] == 0.5
         assert x[0] == pytest.approx(np.sqrt(2.0), abs=1e-14)
+
+    def test_min_steps_corrects_a_start_within_tolerance(self):
+        start = _sqrt2(np.array([np.sqrt(2.0) + 1e-9]))
+        _, history = damped_newton(_sqrt2, _sqrt2_direction, _decrease, start, 1e-8, 20,
+                                   10, "test Newton")
+        assert len(history) == 1
+        _, history = damped_newton(_sqrt2, _sqrt2_direction, _decrease, start, 1e-8, 20,
+                                   10, "test Newton", min_steps=1)
+        assert len(history) == 2 and history[1] < 1e-14
 
     def test_convergence_error_of_the_direction_propagates(self):
         inner = ConvergenceError("inner solver gave up", [1.0, 0.5])

@@ -30,6 +30,19 @@ from hilbfs.pushforward import (
 from _oracles import psi0_defining_mc, psi0_defining_quadrature
 
 
+def march_only(monkeypatch):
+    """Make every full step of ``solve_psi`` fail at once, so that the
+    continuation marches in t as it does after an abandoned full step."""
+    newton = hilbfs.pushforward._newton_at_t
+
+    def no_full_step(model, b, t, g, basis, table, full=False):
+        if full:
+            return None, 0, float("inf")
+        return newton(model, b, t, g, basis, table, full)
+
+    monkeypatch.setattr(hilbfs.pushforward, "_newton_at_t", no_full_step)
+
+
 def conic_model(nr=40, na=64):
     return build_p1_model(2, radial_nodes=nr, azimuthal_nodes=na)
 
@@ -354,33 +367,38 @@ class TestSolvePsi:
         assert ts[-1] == pytest.approx(1.0)
 
     def test_clipped_failure_halves_the_step_tried(self, monkeypatch):
-        # a first step of 1/10 reaches t = 0.9 with h = 1/4, so t + h is
-        # clipped to 1; a corrector failure there halves 1 - t = 1/10, not h,
-        # and the identical failed corrector at t = 1 is not rerun
+        # the full step and the march's first attempt at t = 1 fail; the
+        # march's first step of 1/10 reaches t = 0.9 with h = 1/4, so t + h
+        # is clipped to 1; the failure there halves 1 - t = 1/10, not h, and
+        # the identical failed corrector at t = 1 is not rerun
         model = conic_model()
         x = random_hermitian(3, np.random.default_rng(13))
         target = psi(model, np.eye(3) + 0.35 * x / np.abs(np.linalg.eigvalsh(x)).max())
         newton = hilbfs.pushforward._newton_at_t
         calls = []  # (t tried, failed)
 
-        def fail_once_at_one(model, b, t, *args):
-            if t == 1.0 and not any(failed for _, failed in calls):
+        def fail_twice_at_one(model, b, t, *args):
+            if t == 1.0 and sum(failed for _, failed in calls) < 2:
                 calls.append((t, True))
                 return None, 0, 1.0
             out = newton(model, b, t, *args)
             calls.append((t, out[0] is None))
             return out
 
-        monkeypatch.setattr(hilbfs.pushforward, "_newton_at_t", fail_once_at_one)
+        monkeypatch.setattr(hilbfs.pushforward, "_newton_at_t", fail_twice_at_one)
         _, trace = solve_psi(model, target)
-        assert (1.0, True) in calls
-        for (t, failed), (t_next, _) in zip(calls, calls[1:]):
+        assert calls[0] == (1.0, True) and calls[1][0] == pytest.approx(0.1)
+        second = calls.index((1.0, True), 1)
+        assert calls[second - 1][0] == pytest.approx(0.9)
+        assert calls[second + 1][0] == pytest.approx(0.95)
+        for (t, failed), (t_next, _) in zip(calls[1:], calls[2:]):
             assert not (failed and t_next == t)
-        assert trace.rows[-1].t == 1.0
+        assert trace.rows[-1].t == 1.0 and trace.abandoned == 2
 
     def test_steps_that_sum_to_one_below_rounding_end_at_one(self, monkeypatch):
-        # a corrector that fails every step longer than 1/10 keeps the step
-        # at 1/10, and ten of them add up to 1 - 1.1e-16 in floating point;
+        # a corrector that fails every step longer than 1/10, the full step
+        # first, keeps the step at 1/10, and ten of them add up to
+        # 1 - 1.1e-16 in floating point;
         # the tenth step must still end at exactly 1, with no zero-length
         # step after it
         model = conic_model()
@@ -401,8 +419,10 @@ class TestSolvePsi:
 
 @pytest.mark.parametrize("k", [2, 4])
 def test_path_steps_stop_at_path_tol_and_the_endpoint_at_psi_tol(k, monkeypatch):
-    # k = 2 on the conic test grid, k = 4 on the 2x resolved grid; a path
-    # point solved only to PATH_TOL must not move the returned B
+    # k = 2 on the conic test grid, k = 4 on the 2x resolved grid, whose
+    # full steps succeed, so the march is forced; a path point solved only
+    # to PATH_TOL must not move the returned B
+    march_only(monkeypatch)
     if k == 2:
         model = conic_model()
     else:
@@ -417,3 +437,50 @@ def test_path_steps_stop_at_path_tol_and_the_endpoint_at_psi_tol(k, monkeypatch)
     tight, tight_trace = solve_psi(model, target)
     assert all(row.residual <= PSI_TOL for row in tight_trace.rows)
     assert np.abs(tight.mat - sol.mat).max() <= 1e-8
+
+
+def test_a_full_step_that_converges_is_the_whole_continuation():
+    model = build_p1_model(4, radial_nodes=24, azimuthal_nodes=40)
+    x = random_hermitian(model.N, np.random.default_rng(21))
+    target = psi(model, np.eye(model.N) + 0.35 * x / np.abs(np.linalg.eigvalsh(x)).max())
+    _, trace = solve_psi(model, target)
+    assert [(r.t, r.step) for r in trace.rows] == [(0.0, 0.0), (1.0, 1.0)]
+    assert trace.rows[-1].residual <= PSI_TOL
+    assert trace.abandoned == 0 and trace.corrector_iters == trace.rows[-1].newton_iters
+
+
+def test_an_abandoned_full_step_costs_one_jacobian_before_the_march(monkeypatch):
+    # at k = 6 the first undamped step from the seed already fails the
+    # contraction test; the march after it is the one that runs without it
+    model = build_p1_model(6, radial_nodes=20, azimuthal_nodes=32)
+    x = random_hermitian(model.N, np.random.default_rng(21))
+    target = psi(model, np.eye(model.N) + 0.35 * x / np.abs(np.linalg.eigvalsh(x)).max())
+    jacobian = hilbfs.pushforward._psi_t_jacobian
+    ts = []
+
+    def recording(model, bm, t, *args):
+        ts.append(t)
+        return jacobian(model, bm, t, *args)
+
+    monkeypatch.setattr(hilbfs.pushforward, "_psi_t_jacobian", recording)
+    _, trace = solve_psi(model, target)
+    assert trace.abandoned == 1 and trace.corrector_iters == len(ts)
+    assert ts[0] == 1.0 and ts[1] < 1.0
+    assert trace.rows[-1].t == 1.0 and trace.rows[-1].residual <= PSI_TOL
+    march_only(monkeypatch)
+    _, marched = solve_psi(model, target)
+    assert marched.rows == trace.rows
+    assert marched.corrector_iters == trace.corrector_iters - 1
+
+
+def test_path_points_are_corrected_even_from_a_start_within_path_tol(monkeypatch):
+    # psi_t(I/2) = I/2 on the line for every t, so each march attempt starts
+    # at the solution; a path point still takes one correction, which must
+    # be accepted although it cannot lower a residual at the rounding floor
+    march_only(monkeypatch)
+    model = line_model()
+    _, trace = solve_psi(model, HermitianForm(np.eye(2) / 2.0))
+    path = [row for row in trace.rows if 0.0 < row.t < 1.0]
+    assert path and all(row.newton_iters == 1 for row in path)
+    assert all(row.residual <= PATH_TOL for row in path)
+    assert trace.rows[-1].newton_iters == 0 and trace.rows[-1].residual <= PSI_TOL
