@@ -21,7 +21,6 @@ from .errors import (
 from .linalg import (
     HermitianForm,
     cholesky_lower,
-    dump_matrix_json,
     load_matrix_json,
     matrix_norms,
     orthonormalize_sections,
@@ -34,13 +33,10 @@ from .geometry import (
     build_p1_model,
     curvature_volume,
     fs_metric,
-    integrate,
-    mock_general_type_model,
     reference_density,
 )
 from .maps import (
     ANTICANONICAL,
-    CANONICAL,
     FIXED,
     exponent_for_variant,
     hilb,
@@ -50,8 +46,6 @@ from .maps import (
 )
 from .pushforward import (
     ContinuationTrace,
-    dpsi0,
-    dpsi0_kernel_dim,
     phi_matrix,
     psi,
     psi0_closed,

@@ -31,7 +31,10 @@ full-Gram moment problem of a variant, to ``MOMENT_TOL`` in the scaled
 coordinates, and reads the metric off the solved weight.  Both pipelines
 call a realisation achieved when its forward residual is at most
 ``SURJECT_TOL``.  ``solve_ma`` is the Monge-Ampere solver for grid data;
-neither pipeline calls it.
+neither pipeline calls it.  It stays, with ``MAProblem``, ``MASolution``
+and ``SphericalOperator.spectral``, because ``perfbench/tracing.py`` wraps
+it and reports its time and Newton counts, and because a moment route for
+``surject_full`` (a moment solve, then MA) would call it again.
 """
 
 from __future__ import annotations
@@ -265,7 +268,7 @@ def surject_fixed_volume(
     h^k d nu = G by Newton on an ansatz in the span of the section pair
     products, to ``MOMENT_TOL`` / (N/V) in the coordinates of G / (N/V) and
     within ``moments.MAX_NEWTON`` iterations, then applies the variant
-    exponent (1/k, 1/(k+1), 1/(k-1)) to produce the metric.  The report
+    exponent (1/k or 1/(k+1)) to produce the metric.  The report
     carries the recomputed forward residual and is achieved when that is at
     most ``SURJECT_TOL``.  The base measure is ``variant_density`` at the
     reference metric.

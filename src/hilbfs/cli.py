@@ -103,7 +103,7 @@ def _load_metric(model, spec: str) -> MetricWeight:
     raise ValueError(f"unknown metric spec {spec!r} (ref|bergman:FILE|grid:FILE)")
 
 
-def _load_density(model, path) -> Density:
+def _load_density(path) -> Density:
     w = np.loadtxt(path, delimiter=",", usecols=(1,), skiprows=1)
     return Density(np.asarray(w, dtype=float))
 
@@ -137,7 +137,7 @@ def cmd_hilb(args) -> int:
     if args.variant is None:
         form = hilb(model, metric)
     else:
-        nu = _load_density(model, args.nu) if args.nu else (
+        nu = _load_density(args.nu) if args.nu else (
             reference_density(model) if args.variant == "fixed" else None
         )
         form = hilb_nu(model, metric, variant=args.variant, nu=nu)
@@ -201,6 +201,8 @@ def cmd_psi_solve(args) -> int:
             np.abs(psi(model, solution).mat - target.mat / np.real(np.trace(target.mat))).max()
         ),
         "t_steps": len(trace.rows),
+        "abandoned_attempts": trace.abandoned,
+        "corrector_iters": trace.corrector_iters,
         "jacobian_sigma_min": float(np.linalg.svd(jac, compute_uv=False)[-1]),
     }
     print(emit_report(report, _out_path(args, "psi_solve.json")))

@@ -79,10 +79,6 @@ class Density:
             raise ValueError("density must have positive total mass")
         self.weights = w
 
-    @property
-    def mass(self) -> float:
-        return float(self.weights.sum())
-
 
 @dataclass
 class ManifoldModel:
@@ -124,12 +120,6 @@ class ManifoldModel:
         if self._sections is None:
             self._sections = self.nodes[None, :] ** np.arange(self.N)[:, None]
         return self._sections
-
-    @property
-    def monomial_degree(self) -> int:
-        """Degree dk of the curve embedded in P^(N-1) by its sections: the
-        total mass of the pulled-back Fubini-Study form."""
-        return self.line_degree * self.k
 
     def laplacian(self) -> "SphericalOperator":
         """Spectral Laplace-Beltrami operator of the reference metric.
@@ -430,14 +420,6 @@ def build_p1_anticanonical_model(k, radial_nodes=None, azimuthal_nodes=None):
     return build_p1_model(k, radial_nodes, azimuthal_nodes, line_degree=2)
 
 
-def integrate(model: ManifoldModel, pointwise, measure: Density):
-    """sum(pointwise * weights), numpy's pairwise summation."""
-    p = np.asarray(pointwise)
-    if p.shape != (model.Q,) or measure.weights.shape != (model.Q,):
-        raise DimensionError("integrand and measure must match the node count")
-    return (p * measure.weights).sum()
-
-
 def reference_density(model: ManifoldModel) -> Density:
     return Density(model.quad_weights.copy())
 
@@ -542,16 +524,6 @@ def _weight_and_volume(model: ManifoldModel, m: MetricWeight):
             defect=defect,
         )
     return weight, vol
-
-
-def mock_general_type_model(k: int, radial_nodes=None, azimuthal_nodes=None) -> ManifoldModel:
-    """Abstract stand-in flagged general type: the P^1 grid, whose
-    quadrature weights serve as the canonical base density.  Used only to
-    exercise the canonical scaling law; it is not a geometric general-type
-    manifold."""
-    model = build_p1_model(k, radial_nodes, azimuthal_nodes)
-    model.geometry = "general_type_mock"
-    return model
 
 
 def dump_model_csv(model: ManifoldModel, path) -> None:

@@ -184,12 +184,6 @@ def load_matrix_json(path) -> HermitianForm:
         return HermitianForm.from_json_dict(json.load(fh))
 
 
-def dump_matrix_json(form: HermitianForm, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(form.to_json_dict(), fh)
-        fh.write("\n")
-
-
 class MatrixNorms(NamedTuple):
     op: float
     hs: float

@@ -10,12 +10,13 @@ factor (``linalg.HermitianForm``), so the positive-definiteness check, the
 unit-determinant scale and the next ``fs_metric`` share it.
 
 The variant Hilbert map ``hilb_nu`` pairs the sections against a volume
-form nu in place of the curvature volume.  Its three variants differ only
-in that form: for the metric rw * exp(-u) on L^k and the base measure nu_0
+form nu in place of the curvature volume.  Its two variants differ only in
+that form: for the metric rw * exp(-u) on L^k and the base measure nu_0
 (the quadrature weights), d nu = e^{s u / k} d nu_0 with s = 0 (fixed; the
-caller gives nu), -1 (anticanonical, Fano test-bed L = -K) or +1 (canonical,
-general type only).  So d nu(e^{-phi} h) = e^{s phi} d nu(h) for h on L, and
-a target is realised by the 1/(k - s)-th power of the solved factor.
+caller gives nu) or -1 (anticanonical, Fano test-bed L = -K).  So
+d nu(e^{-phi} h) = e^{s phi} d nu(h) for h on L, and a target is realised
+by the 1/(k - s)-th power of the solved factor.  The canonical law s = +1
+needs a polarisation L = K of general type, which O(d) on P^1 never is.
 """
 
 from __future__ import annotations
@@ -38,14 +39,12 @@ from .linalg import HermitianForm
 
 FIXED = "fixed"
 ANTICANONICAL = "anticanonical"
-CANONICAL = "canonical"
 
 # variant -> (sign s in d nu = e^{s u / k} d nu_0, the model geometry it
 # needs, that geometry's name in the error raised on any other)
 _VARIANTS = {
     FIXED: (0, None, None),
     ANTICANONICAL: (-1, "fano_anticanonical", "the Fano test-bed"),
-    CANONICAL: (1, "general_type_mock", "general type"),
 }
 
 
@@ -81,14 +80,19 @@ def variant_density(
 ) -> Density:
     """The volume form d nu of the variant Hilbert map at the metric ``m``.
 
-    fixed: ``nu`` itself, which must be given and strictly positive;
-    anticanonical and canonical: e^{s u / k} times the quadrature weights
-    (see the module docstring), on the geometry each needs.
+    fixed: ``nu`` itself, which must be given, strictly positive and one
+    weight per node (``DimensionError`` naming both lengths otherwise);
+    anticanonical: e^{-u / k} times the quadrature weights (see the module
+    docstring), on the Fano test-bed.
     """
     sign, geometry, needs = _variant_law(variant)
     if sign == 0:
         if nu is None:
             raise ValueError("fixed variant requires a density")
+        if nu.weights.shape != (model.Q,):
+            raise DimensionError(
+                f"density has {nu.weights.size} weights, model has {model.Q} nodes"
+            )
         if np.any(nu.weights <= 0):
             raise ValueError("fixed variant requires a strictly positive density")
         return nu
@@ -112,14 +116,11 @@ def hilb_nu(
 
 def exponent_for_variant(variant: str, k: int) -> Fraction:
     """Exponent 1/(k - s) applied to the solved conformal factor to produce
-    the metric realising a target: 1/k, 1/(k+1), 1/(k-1) for fixed,
-    anticanonical, canonical respectively."""
+    the metric realising a target: 1/k for fixed, 1/(k+1) for
+    anticanonical."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    sign = _variant_law(variant)[0]
-    if k == sign:  # canonical at k = 1
-        raise VariantError("canonical variant needs k >= 2 (exponent 1/(k-1))")
-    return Fraction(1, k - sign)
+    return Fraction(1, k - _variant_law(variant)[0])
 
 
 @dataclass

@@ -239,19 +239,6 @@ def _probe_rows(model: ManifoldModel, gfun: np.ndarray, rho: np.ndarray):
     return w, moments
 
 
-def probe_densities(
-    model: ManifoldModel,
-    squares: Optional[np.ndarray] = None,
-) -> List[Density]:
-    """Localised positive densities, one per section: the partition function
-    of section i raised to ``PROBE_POWER`` concentrates mass where that section
-    dominates, yielding a diagonally-loaded (if not diagonally-dominant)
-    moment matrix without solving any moment problem.  ``squares`` is the
-    frame's N x Q ``section_squares`` table; ``None`` means the monomials."""
-    gfun = section_squares(model) if squares is None else squares
-    return [Density(w) for w in _probe_rows(model, gfun, section_shares(gfun))[0]]
-
-
 def build_lambda(
     model: ManifoldModel,
     floor: Optional[float] = None,

@@ -56,7 +56,6 @@ CONTINUATION_STEPS = 10  # after an abandoned full step, solve_psi marches from 
 CONTRACTION_MAX = 0.5  # largest |simplified correction| / |correction| the full step accepts
 PSI_TOL = 1e-10  # max-norm residual at which the continuation Newton stops at t = 1
 PATH_TOL = 1e-4  # the same at every t < 1, whose point need only seed the next step
-KERNEL_RTOL = 1e-8  # relative singular-value cut of the numerical kernel
 
 
 def _as_form(b) -> HermitianForm:
@@ -110,26 +109,16 @@ def psi0_closed(b) -> HermitianForm:
 
 
 def _dpsi0(bm: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """dpsi0 at the array B along each of the stacked directions ``dirs``."""
+    """dpsi0 at the array B along each of the stacked directions A:
+    - B^{-1} A P - P A B^{-1} + tr(B^{-1} A P + P A B^{-1}) P with
+    P = psi0(B), hermitian and traceless, and zero exactly on the scale
+    direction A = B.  Private: only ``_psi_t_jacobian`` uses it, at t < 1;
+    the tests' ``TestDpsi0`` checks it and its one-dimensional kernel."""
     binv = np.linalg.inv(bm)
     p = _unit_trace(binv @ binv)
     core = binv @ dirs @ p + p @ dirs @ binv
     out = -core + np.real(np.trace(core, axis1=-2, axis2=-1))[..., None, None] * p
     return 0.5 * (out + np.swapaxes(out, -1, -2).conj())
-
-
-def dpsi0(b, a) -> np.ndarray:
-    """Linearisation of psi0 at B in the hermitian direction A.
-
-    Evaluates - B^{-1} A P - P A B^{-1} + tr(B^{-1} A P + P A B^{-1}) P with
-    P = psi0(B); the output is hermitian and traceless, and vanishes exactly
-    when A is a multiple of B (the scale direction).
-    """
-    bm = _checked_b(b)
-    am = np.asarray(a, dtype=complex)
-    if am.shape != bm.shape:
-        raise DimensionError("direction matrix must match B's shape")
-    return _dpsi0(bm, am)
 
 
 def hermitian_basis(n: int) -> np.ndarray:
@@ -171,34 +160,13 @@ def _coords(table: np.ndarray, m: np.ndarray) -> np.ndarray:
     return flat.view(float) @ table
 
 
-def dpsi0_matrix(b) -> np.ndarray:
-    """Real matrix of A -> dpsi0(B, A) on the n^2-dimensional hermitian space."""
-    bm = _checked_b(b)
-    basis = hermitian_basis(bm.shape[0])
-    return _coords(_coords_table(basis), _dpsi0(bm, basis)).T
-
-
-def dpsi0_kernel_dim(b) -> Tuple[int, float]:
-    """Numerical kernel dimension of the linearisation, with spectral gap.
-
-    Returns (dimension, gap) where gap is the ratio of the smallest
-    retained to the largest singular value.
-    """
-    sv = np.linalg.svd(dpsi0_matrix(b), compute_uv=False)
-    cut = KERNEL_RTOL * sv[0]
-    kept = sv[sv >= cut]
-    dim = int(sv.size - kept.size)
-    gap = float(kept[-1] / sv[0]) if kept.size else 0.0
-    return dim, gap
-
-
 def phi_matrix(model: ManifoldModel, b) -> HermitianForm:
     """Gram of the moved sections against the moved curve's induced
     Fubini-Study volume.
 
     B sends the section values s to W = B s; the measure is the volume of
     ddbar log sum_l |W_l|^2 along the curve (total mass equal to the
-    embedding degree ``model.monomial_degree``) and the integrand is
+    embedding degree dk) and the integrand is
     W_r conj(W_s) / |W|^2.  Positive definite for nondegenerate embeddings.
     """
     bm = _checked_b(b, model.N)

@@ -11,7 +11,6 @@ import hilbfs.calabi
 import hilbfs.moments
 from hilbfs import (
     ANTICANONICAL,
-    CANONICAL,
     FIXED,
     Density,
     HermitianForm,
@@ -25,7 +24,6 @@ from hilbfs import (
     fs_metric,
     hilb,
     hilb_nu,
-    mock_general_type_model,
     solve_ma,
     surject_fixed_volume,
     surject_full,
@@ -176,15 +174,6 @@ class TestSurjectFixedVolume:
         assert report.achieved
         assert report.residual_max <= 1e-9
 
-    def test_canonical_variant_mock(self):
-        model = mock_general_type_model(2, radial_nodes=24, azimuthal_nodes=32)
-        from hilbfs.maps import CANONICAL
-
-        u = 0.2 * (model.t - 0.5)
-        target = hilb_nu(model, MetricWeight.grid(u), CANONICAL)
-        metric, report = surject_fixed_volume(model, target, variant=CANONICAL)
-        assert report.residual_max <= 1e-8
-
     def test_newton_runs_at_the_module_settings(self, monkeypatch):
         model, g, nu = _benchmark_item(4)
         seen = []
@@ -201,12 +190,10 @@ class TestSurjectFixedVolume:
         assert report.tolerance == hilbfs.calabi.SURJECT_TOL
 
     def test_canonical_variant_requires_general_type(self):
-        from hilbfs import VariantError
-        from hilbfs.maps import CANONICAL
-
+        # which O(d) on P^1 never is, so no canonical variant is offered
         model = build_p1_model(2)
-        with pytest.raises(VariantError, match="general type"):
-            surject_fixed_volume(model, HermitianForm.identity(3), variant=CANONICAL)
+        with pytest.raises(VariantError, match="unknown variant 'canonical'"):
+            surject_fixed_volume(model, HermitianForm.identity(3), variant="canonical")
 
     def test_non_hermitian_target_rejected(self):
         model = build_p1_model(2)
@@ -217,10 +204,9 @@ class TestSurjectFixedVolume:
         "variant, build",
         [
             ("bogus", lambda: build_p1_model(2)),
-            (CANONICAL, lambda: mock_general_type_model(1)),
             (ANTICANONICAL, lambda: build_p1_model(2)),
         ],
-        ids=["unknown", "canonical-k1", "anticanonical-p1"],
+        ids=["unknown", "anticanonical-p1"],
     )
     def test_bad_variant_rejected_before_solve(self, monkeypatch, variant, build):
         def unreachable(*args, **kwargs):

@@ -14,6 +14,7 @@ from hilbfs import (
     fs_metric,
     hilb,
     psi,
+    solve_psi,
     surject_fixed_volume,
     surject_full,
 )
@@ -41,6 +42,14 @@ def test_hilb_reference_metric_succeeds(capsys):
     assert report["n"] == 3
 
 
+def test_density_of_the_wrong_length_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "two_rows.csv"
+    path.write_text("index,weight\n0,0.5\n1,0.5\n")
+    assert main(["hilb", "--k", "2", "--variant", "fixed", "--nu", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid input" in err and "2 weights" in err and "96 nodes" in err
+
+
 def test_non_hermitian_matrix_is_invalid_input(tmp_path, capsys):
     path = write_matrix(
         tmp_path / "h.json", {"n": 2, "re": [[1.0, 0.2], [0.4, 1.0]], "im": [[0, 0], [0, 0]]}
@@ -63,7 +72,7 @@ def test_matrix_json_missing_key_is_invalid_input(tmp_path, capsys):
         ["hilb", "--k", "2", "--threads", "2"],
         ["hilb", "--k", "2", "--manifold", "p1"],
         ["hilb", "--k", "2", "--seed", "1"],  # only inject-sweep takes a seed
-        ["hilb", "--k", "2", "--variant", "canonical"],  # needs a general-type model
+        ["hilb", "--k", "2", "--variant", "canonical"],  # P^1 is never canonically polarised
     ],
 )
 def test_usage_errors_exit_1(argv):
@@ -135,6 +144,10 @@ def test_psi_solve_feasible_target(tmp_path, capsys):
     assert report["B"]["n"] == 3
     assert report["forward_residual"] <= 1e-8
     assert report["t_steps"] >= 2
+    # the same totals over every attempt as the solver's own trace
+    _, trace = solve_psi(model, target)
+    assert report["abandoned_attempts"] == trace.abandoned
+    assert report["corrector_iters"] == trace.corrector_iters >= report["t_steps"] - 1
     assert trace_path.read_text().splitlines()[0] == "t,residual,step,newton_iters"
 
 

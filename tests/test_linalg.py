@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from hilbfs import (
 )
 from hilbfs.linalg import (
     damped_newton,
-    dump_matrix_json,
     load_matrix_json,
     random_spd,
     random_unitary,
@@ -75,7 +76,8 @@ class TestHermitianForm:
         rng = np.random.default_rng(0)
         h = random_spd(4, rng, cond=50.0)
         path = tmp_path / "h.json"
-        dump_matrix_json(h, path)
+        with open(path, "w") as fh:
+            json.dump(h.to_json_dict(), fh)
         h2 = load_matrix_json(path)
         assert np.array_equal(h.mat, h2.mat)
 

@@ -7,7 +7,6 @@ import pytest
 import hilbfs.geometry
 from hilbfs import (
     ANTICANONICAL,
-    CANONICAL,
     FIXED,
     CurvaturePositivityError,
     DefinitenessError,
@@ -24,7 +23,7 @@ from hilbfs import (
     fs_metric,
     hilb,
     hilb_nu,
-    mock_general_type_model,
+    surject_fixed_volume,
     t_iterate,
 )
 from hilbfs.maps import variant_density
@@ -135,6 +134,16 @@ class TestHilbNu:
         g = hilb_nu(model, MetricWeight.reference(model), FIXED, nu=nu)
         assert np.abs(g.mat - np.diag([1.0, 0.5, 1.0])).max() <= 1e-13
 
+    def test_density_of_the_wrong_length_rejected(self):
+        # both public callers of variant_density, before any broadcast
+        model = build_p1_model(2)
+        for size in (model.Q - 1, model.Q + 3):
+            nu = Density(np.ones(size))
+            with pytest.raises(DimensionError, match=f"{size} weights, model has {model.Q} nodes"):
+                hilb_nu(model, MetricWeight.reference(model), FIXED, nu=nu)
+            with pytest.raises(DimensionError, match=f"{size} weights, model has {model.Q} nodes"):
+                surject_fixed_volume(model, HermitianForm.identity(model.N), nu=nu)
+
     def test_linearity_and_monotonicity(self):
         model = build_p1_model(2)
         m = MetricWeight.reference(model)
@@ -149,9 +158,10 @@ class TestHilbNu:
         assert np.abs(g_sum.mat - g1.mat - g2.mat).max() <= 1e-12
 
     def test_canonical_on_p1_rejected(self):
+        # O(d) on P^1 is never canonically polarised: no canonical variant
         model = build_p1_model(2)
-        with pytest.raises(VariantError, match="general type"):
-            hilb_nu(model, MetricWeight.reference(model), CANONICAL)
+        with pytest.raises(VariantError, match="unknown variant 'canonical'"):
+            hilb_nu(model, MetricWeight.reference(model), "canonical")
 
     def test_anticanonical_requires_fano_model(self):
         model = build_p1_model(2)
@@ -167,14 +177,6 @@ class TestHilbNu:
         # scaling the L-metric by e^{-phi} scales the volume by e^{-phi}
         assert np.abs(scaled.weights - math.exp(-phi) * base.weights).max() <= 1e-14
 
-    def test_canonical_scaling_law_mock(self):
-        model = mock_general_type_model(2)
-        m = MetricWeight.reference(model)
-        base = variant_density(model, m, CANONICAL)
-        phi = 0.21
-        scaled = variant_density(model, m.rescaled(math.exp(-phi * model.k)), CANONICAL)
-        assert np.abs(scaled.weights - math.exp(phi) * base.weights).max() <= 1e-14
-
     def test_anticanonical_reference_gram(self):
         # L = O(2), k = 1: N = 3 and the reference Gram is binomial in the
         # monomial degree
@@ -189,16 +191,12 @@ class TestExponents:
         [
             (FIXED, 4, Fraction(1, 4)),
             (ANTICANONICAL, 4, Fraction(1, 5)),
-            (CANONICAL, 4, Fraction(1, 3)),
+            (ANTICANONICAL, 1, Fraction(1, 2)),
             (FIXED, 1, Fraction(1, 1)),
         ],
     )
     def test_values(self, variant, k, expected):
         assert exponent_for_variant(variant, k) == expected
-
-    def test_canonical_k1_rejected(self):
-        with pytest.raises(VariantError):
-            exponent_for_variant(CANONICAL, 1)
 
 
 class TestTIterate:

@@ -8,8 +8,6 @@ from hilbfs import (
     HermitianForm,
     MarginError,
     build_p1_model,
-    dpsi0,
-    dpsi0_kernel_dim,
     phi_matrix,
     psi,
     psi0_closed,
@@ -22,8 +20,8 @@ from hilbfs.pushforward import (
     PSI_TOL,
     _coords,
     _coords_table,
+    _dpsi0,
     _psi_t_jacobian,
-    dpsi0_matrix,
     hermitian_basis,
     traceless_basis,
 )
@@ -87,6 +85,18 @@ class TestPsi0:
         assert np.all(diff <= 5.0 * stderr + 1e-12)
 
 
+def dpsi0(b, a):
+    """dpsi0 at the form or array B along the one direction A."""
+    bm = b.mat if isinstance(b, HermitianForm) else np.asarray(b, dtype=complex)
+    return _dpsi0(bm, np.asarray(a, dtype=complex))
+
+
+def dpsi0_matrix(b):
+    """Real matrix of A -> dpsi0(B, A) in the coordinates of the hermitian basis."""
+    basis = hermitian_basis(b.dim)
+    return _coords(_coords_table(basis), _dpsi0(b.mat, basis)).T
+
+
 class TestDpsi0:
     def test_direction_b_is_kernel(self):
         rng = np.random.default_rng(3)
@@ -134,15 +144,16 @@ class TestDpsi0:
             assert np.abs(dpsi0_matrix(b) - loop).max() <= 1e-14
 
     def test_kernel_dimension_one(self):
+        # the scale direction alone: one singular value below 1e-8 of the
+        # largest, and the smallest kept one above 1e-6 of it
         rng = np.random.default_rng(6)
-        dim, gap = dpsi0_kernel_dim(np.eye(2, dtype=complex))
-        assert dim == 1
-        for n in [2, 3]:
-            for _ in range(5):
-                b = random_spd(n, rng, cond=15.0)
-                dim, gap = dpsi0_kernel_dim(b)
-                assert dim == 1
-                assert gap > 1e-6
+        forms = [HermitianForm.identity(2)]
+        forms += [random_spd(n, rng, cond=15.0) for n in [2, 3] for _ in range(5)]
+        for b in forms:
+            sv = np.linalg.svd(dpsi0_matrix(b), compute_uv=False)
+            kept = sv[sv >= 1e-8 * sv[0]]
+            assert sv.size - kept.size == 1
+            assert kept[-1] / sv[0] > 1e-6
 
 
 class TestPhi:
@@ -167,7 +178,7 @@ class TestPhi:
     def test_conic_mass(self):
         model = conic_model()
         out = phi_matrix(model, np.eye(3, dtype=complex))
-        assert np.real(np.trace(out.mat)) == pytest.approx(model.monomial_degree, abs=1e-10)
+        assert np.real(np.trace(out.mat)) == pytest.approx(model.line_degree * model.k, abs=1e-10)
 
 
 class TestPsi:
