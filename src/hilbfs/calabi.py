@@ -350,6 +350,7 @@ def surject_full(model: ManifoldModel, target):
         {
             "stage": "pushforward-continuation",
             "t_steps": len(ctrace.rows),
+            "seed_steps": ctrace.seed_steps,
             "abandoned_attempts": ctrace.abandoned,
             "corrector_iters": ctrace.corrector_iters,
             "final_residual": ctrace.rows[-1].residual,

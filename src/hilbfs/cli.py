@@ -201,6 +201,7 @@ def cmd_psi_solve(args) -> int:
             np.abs(psi(model, solution).mat - target.mat / np.real(np.trace(target.mat))).max()
         ),
         "t_steps": len(trace.rows),
+        "seed_steps": trace.seed_steps,
         "abandoned_attempts": trace.abandoned,
         "corrector_iters": trace.corrector_iters,
         "jacobian_sigma_min": float(np.linalg.svd(jac, compute_uv=False)[-1]),

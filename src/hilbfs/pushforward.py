@@ -5,11 +5,21 @@ positive simplex two ways: via Fubini-Study integrals over the full ambient
 projective space (psi0, closed form available) and via the same integrals
 restricted to the embedded curve (psi).  Their affine homotopy underlies
 ``solve_psi``, which realises targets constructively by continuation in t.
-Its first attempt is the full step to t = 1: undamped Newton from the
-closed-form seed, abandoned at the first step that fails Deuflhard's
-contraction test (the simplified correction, solved with the Jacobian
-already assembled, must be at most ``CONTRACTION_MAX`` times the step).
-Only then does t march, each step starting Newton at the secant predictor
+Its first attempt is the full step to t = 1.  It starts where balancing
+(Picard) steps towards the target leave it: psi(B) is proportional to
+hilb(fs_metric(B^{-2})) (see ``geometry``), so in H = B^{-2} the step
+H <- H - (psi(B) - G) is Donaldson's balancing iteration run towards G.
+Near the solution it scales the mode of degree l by 1 - lambda_l, where
+lambda_l = (1 + l(l+1)/K) K!(K+1)! / ((K-l)!(K+l+1)!), K = dk, is the
+linearised balancing map's eigenvalue (measured, not yet derived), so it
+removes the lambda_l ~ 1 modes l = 0, 1, 2 that throw an undamped Newton
+step from the closed-form seed out of its basin.  The
+steps stop when H leaves the positive cone or a step fails to shrink the
+residual by ``CONTRACTION_MAX``.  The full step is undamped Newton,
+abandoned at the first step that fails Deuflhard's contraction test (the
+simplified correction, solved with the Jacobian already assembled, must be
+at most ``CONTRACTION_MAX`` times the step).  Only then does t march from
+the closed-form seed, each step starting Newton at the secant predictor
 through the last two accepted points (the previous B on the first step, or
 when the predictor leaves the positive cone) and correcting in the trace
 gauge, loosely to ``PATH_TOL`` at t < 1, where the point need only lie in
@@ -197,12 +207,14 @@ class TraceRow:
 
 @dataclass
 class ContinuationTrace:
-    """The accepted continuation points (``rows``, the seed first), and two
-    totals over every attempt, the abandoned ones included: ``abandoned``
-    attempts and ``corrector_iters``, the Jacobians their correctors
-    assembled."""
+    """The accepted continuation points (``rows``, the seed first), the
+    ``seed_steps`` (balancing steps before the full step, each one psi
+    evaluation and no Jacobian), and two totals over every attempt, the
+    abandoned ones included: ``abandoned`` attempts and ``corrector_iters``,
+    the Jacobians their correctors assembled."""
 
     rows: List[TraceRow] = field(default_factory=list)
+    seed_steps: int = 0
     abandoned: int = 0
     corrector_iters: int = 0
 
@@ -264,10 +276,12 @@ def _psi_t_jacobian(
     return (jac + t * dpsi).T
 
 
-def _newton_at_t(model, b, t, g, basis, table, full=False):
+def _newton_at_t(model, b, t, g, basis, table, full=False, r=None):
     """Newton-correct psi_t(B) = G in traceless coordinates around unit
     trace, to a max-norm residual of at most ``PSI_TOL`` at t = 1 and
-    ``PATH_TOL`` at t < 1; ``table`` is the basis's ``_coords_table``.
+    ``PATH_TOL`` at t < 1; ``table`` is the basis's ``_coords_table``, and
+    ``r``, when given, the start's residual coordinates, which are then not
+    evaluated again.
 
     ``linalg.damped_newton`` runs from B with the analytic Jacobian
     ``_psi_t_jacobian``; a candidate is hermitised, dropped unless positive
@@ -304,9 +318,11 @@ def _newton_at_t(model, b, t, g, basis, table, full=False):
             return np.linalg.norm(simplified) <= CONTRACTION_MAX * np.linalg.norm(step)
         return np.linalg.norm(new[1]) < np.linalg.norm(old[1]) or np.abs(new[1]).max() <= tol
 
+    if r is None:
+        r = _coords(table, _psi_t(model, b, t) - g)
     try:
         (bm, _), history = damped_newton(
-            evaluate, direction, accept, (b, _coords(table, _psi_t(model, b, t) - g)),
+            evaluate, direction, accept, (b, r),
             tol, NEWTON_MAX_ITERS, 1 if full else 10, "psi Newton",
             min_steps=0 if t == 1.0 else 1,
         )
@@ -316,14 +332,55 @@ def _newton_at_t(model, b, t, g, basis, table, full=False):
     return bm, len(history) - 1, history[-1]
 
 
+def _inverse_sqrt(ev: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """H^{-1/2} / tr(H^{-1/2}) from the eigenpairs of a positive definite H."""
+    b = (vec / np.sqrt(ev)) @ vec.conj().T
+    return b / np.real(np.trace(b))
+
+
+def _balancing_start(model, gm, b, table):
+    """Balancing (Picard) steps towards psi(B) = G from B = G^{-1/2}, the
+    start of the full step (Donaldson's iteration run towards G, see the
+    module docstring).
+
+    With H = G and B = H^{-1/2} (both unit trace) it repeats
+    r = psi(B) - G, H <- herm(H - r), trace-normalised, B = H^{-1/2}.  It
+    stops when H is not positive definite or when a step fails to shrink
+    the residual's norm (traceless coordinates of ``table``) by
+    ``CONTRACTION_MAX``, and then keeps the better of the last two points.
+    Returns (B, its residual coordinates, steps evaluated).
+    """
+    h, rm = gm, _psi_t(model, b, 1.0) - gm
+    r = _coords(table, rm)
+    steps = 0
+    while True:
+        h_new = _unit_trace(h - rm)
+        ev, vec = np.linalg.eigh(h_new)
+        if ev.min() <= 0:
+            return b, r, steps
+        steps += 1
+        b_new = _inverse_sqrt(ev, vec)
+        rm_new = _psi_t(model, b_new, 1.0) - gm
+        r_new = _coords(table, rm_new)
+        norm, norm_new = np.linalg.norm(r), np.linalg.norm(r_new)
+        if norm_new < norm:
+            h, b, rm, r = h_new, b_new, rm_new, r_new
+        if not norm_new < CONTRACTION_MAX * norm:
+            return b, r, steps
+
+
 def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace]:
     """Find B with psi(B) = G by continuation from the closed-form seed.
 
     The seed B0 = G^{-1/2} satisfies psi0(B0) = G exactly.  The first
-    attempt is the full step to t = 1: undamped Newton from B0, abandoned
-    at the first step that fails the contraction test of ``_newton_at_t``,
-    which costs no Jacobian beyond the step's own.  After an abandoned full
-    step, t marches from 0 to 1 with adaptive steps, the first
+    attempt is the full step to t = 1: undamped Newton from the point that
+    balancing steps H <- H - (psi(H^{-1/2}) - G) from H = G reach
+    (``_balancing_start``; they stop when H leaves the positive cone or a
+    step shrinks the residual by less than ``CONTRACTION_MAX``, and the
+    Newton reuses their last residual), abandoned at the first step that
+    fails the contraction test of ``_newton_at_t``, which costs no Jacobian
+    beyond the step's own.  After an abandoned full step, t marches from
+    0 and B0 to 1 with adaptive steps, the first
     1 / ``CONTINUATION_STEPS`` (on Newton failure halve the step tried,
     which is h or 1 - t where t + h is clipped to 1; on every success from
     the second consecutive one on, double h, up to 1/4; floor
@@ -354,22 +411,23 @@ def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace
     n = gm.shape[0]
     basis = traceless_basis(n)
     table = _coords_table(basis)
-    b = (vec / np.sqrt(ev)) @ vec.conj().T
-    b = b / np.real(np.trace(b))
+    b = _inverse_sqrt(ev, vec)
     trace = ContinuationTrace()
     trace.log(0.0, float(np.abs(_psi_t(model, b, 0.0) - gm).max()), 0.0, 0)
+    start, r_start, trace.seed_steps = _balancing_start(model, gm, b, table)
     t = t_prev = 0.0
     b_prev = b
     full, h = True, 1.0
     successes = 0
     while t < 1.0:
         t_next = 1.0 if t + h > 1.0 - STEP_FLOOR else t + h
-        start = b
+        if not full:
+            start, r_start = b, None
         if t > t_prev:
             pred = b + (t_next - t) / (t - t_prev) * (b - b_prev)
             if np.linalg.eigvalsh(pred).min() > 0:
                 start = pred / np.real(np.trace(pred))
-        bn, iters, resid = _newton_at_t(model, start, t_next, gm, basis, table, full)
+        bn, iters, resid = _newton_at_t(model, start, t_next, gm, basis, table, full, r_start)
         trace.corrector_iters += iters
         if bn is None:
             trace.abandoned += 1

@@ -154,6 +154,42 @@ def test_surject_full_item_takes_at_most_six_jacobians(monkeypatch):
     assert 0 < calls[0] <= 6
 
 
+def test_surject_full_k6_item_skips_the_march(monkeypatch):
+    # from the balancing steps' start the full step converges in 4 Jacobian
+    # assemblies; from the closed-form seed it was abandoned after one, and
+    # the march after it took 10 more
+    jacobian = hb.pushforward._psi_t_jacobian
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return jacobian(*args)
+
+    wl = workloads.WORKLOADS["surject-full"]
+    model = hb.geometry.build_p1_model(6, **workloads.grid(6))
+    g = wl.generate(hb, model, np.random.default_rng([1, 6]), 1, defaultdict(int))[0]
+    monkeypatch.setattr(hb.pushforward, "_psi_t_jacobian", counting)
+    out = wl.run(hb, model, g)
+    assert wl.check(hb, model, g, out) is None
+    assert 0 < calls[0] <= 5
+    log = out[1].stage_logs[0]
+    assert log["abandoned_attempts"] == 0 and log["corrector_iters"] == calls[0]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_surject_reject_target_fails_after_the_march(seed):
+    # the balancing steps stop at once on these out-of-range targets; the
+    # full step and the march fail after them, in pushforward-continuation
+    wl = workloads.WORKLOADS["surject-reject"]
+    k = min(wl.ladder)
+    model = hb.geometry.build_p1_model(k, **workloads.grid(k))
+    g = wl.generate(hb, model, np.random.default_rng([seed, k]), 1, defaultdict(int))[0]
+    out = wl.run(hb, model, g)
+    assert wl.check(hb, model, g, out) is None
+    trace = out.cause.trace
+    assert trace.seed_steps <= 1 and trace.abandoned >= 2
+
+
 def test_two_balance_audit_items_on_one_model_pass_their_gates():
     # the second item's audit reads the refined grid the first one built
     wl = workloads.WORKLOADS["balance-audit"]

@@ -337,12 +337,14 @@ class TestSurjectFull:
         assert report.residual_max <= 1e-8
 
     def test_continuation_log_counts_every_attempt(self):
-        # k = 6 abandons its full step, so the march's attempts follow it
-        model = build_p1_model(6, **workloads.grid(6))
+        # this k = 8 target abandons its full step even from the balancing
+        # steps' start, so the march's attempts follow it
+        model = build_p1_model(8, **workloads.grid(8))
         target = hilb(model, fs_metric(model, random_spd(model.N, np.random.default_rng(8), 6.0)))
         _, report = surject_full(model, target)
         _, trace = solve_psi(model, target)
         log = report.stage_logs[0]
+        assert log["seed_steps"] == trace.seed_steps >= 1
         assert log["abandoned_attempts"] == trace.abandoned >= 1
         assert log["corrector_iters"] == trace.corrector_iters
         assert log["corrector_iters"] >= sum(r.newton_iters for r in trace.rows) + 1

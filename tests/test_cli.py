@@ -146,6 +146,7 @@ def test_psi_solve_feasible_target(tmp_path, capsys):
     assert report["t_steps"] >= 2
     # the same totals over every attempt as the solver's own trace
     _, trace = solve_psi(model, target)
+    assert report["seed_steps"] == trace.seed_steps >= 1
     assert report["abandoned_attempts"] == trace.abandoned
     assert report["corrector_iters"] == trace.corrector_iters >= report["t_steps"] - 1
     assert trace_path.read_text().splitlines()[0] == "t,residual,step,newton_iters"

@@ -16,6 +16,7 @@ from hilbfs import (
 )
 from hilbfs.linalg import random_hermitian, random_spd
 from hilbfs.pushforward import (
+    CONTRACTION_MAX,
     PATH_TOL,
     PSI_TOL,
     _coords,
@@ -33,10 +34,10 @@ def march_only(monkeypatch):
     continuation marches in t as it does after an abandoned full step."""
     newton = hilbfs.pushforward._newton_at_t
 
-    def no_full_step(model, b, t, g, basis, table, full=False):
+    def no_full_step(model, b, t, g, basis, table, full=False, r=None):
         if full:
             return None, 0, float("inf")
-        return newton(model, b, t, g, basis, table, full)
+        return newton(model, b, t, g, basis, table, full, r)
 
     monkeypatch.setattr(hilbfs.pushforward, "_newton_at_t", no_full_step)
 
@@ -461,10 +462,11 @@ def test_a_full_step_that_converges_is_the_whole_continuation():
 
 
 def test_an_abandoned_full_step_costs_one_jacobian_before_the_march(monkeypatch):
-    # at k = 6 the first undamped step from the seed already fails the
-    # contraction test; the march after it is the one that runs without it
-    model = build_p1_model(6, radial_nodes=20, azimuthal_nodes=32)
-    x = random_hermitian(model.N, np.random.default_rng(21))
+    # on this k = 8 target the first undamped step from the balancing
+    # steps' start already fails the contraction test; the march after it
+    # is the one that runs without it
+    model = build_p1_model(8, radial_nodes=20, azimuthal_nodes=32)
+    x = random_hermitian(model.N, np.random.default_rng(20))
     target = psi(model, np.eye(model.N) + 0.35 * x / np.abs(np.linalg.eigvalsh(x)).max())
     jacobian = hilbfs.pushforward._psi_t_jacobian
     ts = []
@@ -482,6 +484,56 @@ def test_an_abandoned_full_step_costs_one_jacobian_before_the_march(monkeypatch)
     _, marched = solve_psi(model, target)
     assert marched.rows == trace.rows
     assert marched.corrector_iters == trace.corrector_iters - 1
+
+
+def inverse_sqrt(h):
+    ev, vec = np.linalg.eigh(h)
+    return (vec / np.sqrt(ev)) @ vec.conj().T
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_the_warm_started_full_step_finds_the_marched_solution(k, monkeypatch):
+    # psi is injective on scale classes, so the full step from the balancing
+    # steps' start and the march from the closed-form seed find one B
+    model = build_p1_model(k, radial_nodes=2 * (2 * k + 4), azimuthal_nodes=2 * (4 * k + 4))
+    x = random_hermitian(model.N, np.random.default_rng(21))
+    target = psi(model, np.eye(model.N) + 0.35 * x / np.abs(np.linalg.eigvalsh(x)).max())
+    warm, trace = solve_psi(model, target)
+    assert trace.seed_steps >= 1 and trace.abandoned == 0 and len(trace.rows) == 2
+    march_only(monkeypatch)
+    marched, marched_trace = solve_psi(model, target)
+    assert marched_trace.seed_steps == trace.seed_steps and len(marched_trace.rows) > 2
+    assert np.abs(warm.mat - marched.mat).max() <= 1e-8 * np.abs(marched.mat).max()
+
+
+def test_a_balancing_step_that_leaves_the_cone_is_not_taken(monkeypatch):
+    # G - (psi(G^{-1/2}) - G) is indefinite for this conic target, so the
+    # full step starts at the seed itself, and the march still finds its B
+    model = conic_model()
+    g = np.diag([0.499, 0.002, 0.499])
+    assert np.linalg.eigvalsh(2.0 * g - psi(model, inverse_sqrt(g)).mat).min() < 0.0
+    sol, trace = solve_psi(model, HermitianForm(g))
+    assert trace.seed_steps == 0 and trace.rows[-1].residual <= PSI_TOL
+    march_only(monkeypatch)
+    marched, marched_trace = solve_psi(model, HermitianForm(g))
+    assert len(marched_trace.rows) > 2
+    assert np.abs(sol.mat - marched.mat).max() <= 1e-8 * np.abs(marched.mat).max()
+
+
+def test_a_balancing_step_that_does_not_contract_still_reaches_the_march():
+    # on this k = 6 target the first balancing step shrinks the residual by
+    # about 0.58, more than CONTRACTION_MAX: it is kept, as the better point,
+    # and the balancing stops; the full step from there is abandoned, and
+    # the march converges
+    model = build_p1_model(6, radial_nodes=20, azimuthal_nodes=32)
+    target = psi(model, np.diag(20.0 ** (np.arange(model.N) / (model.N - 1))))
+    g = target.mat
+    r0 = psi(model, inverse_sqrt(g)).mat - g
+    r1 = psi(model, inverse_sqrt(g - r0)).mat - g
+    assert CONTRACTION_MAX * np.linalg.norm(r0) < np.linalg.norm(r1) < np.linalg.norm(r0)
+    _, trace = solve_psi(model, target)
+    assert trace.seed_steps == 1 and trace.abandoned == 1 and len(trace.rows) > 2
+    assert trace.rows[-1].t == 1.0 and trace.rows[-1].residual <= PSI_TOL
 
 
 def test_path_points_are_corrected_even_from_a_start_within_path_tol(monkeypatch):
