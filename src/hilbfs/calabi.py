@@ -243,7 +243,7 @@ def _full_gram_family(model: ManifoldModel, basis: np.ndarray):
 
     def potential(c):
         coef = np.tensordot(c, basis, 1)
-        return kernel.pairings(coef.T, parts=1)[0].real * model.ref_weight
+        return kernel.pairings(coef.T, parts=1)[0] * model.ref_weight
 
     def moments(ew):
         return np.real(flat @ kernel.gram(ew * model.ref_weight).ravel())

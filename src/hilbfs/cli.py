@@ -273,6 +273,8 @@ def cmd_inject(args) -> int:
 
 
 def cmd_inject_sweep(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     model = _model_for(args)
     rng = np.random.default_rng(args.seed)
     rows = ["trial,seed,epsilon,bound,distance,pass"]

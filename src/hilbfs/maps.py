@@ -158,7 +158,8 @@ def t_iterate(
 
     The seed is checked here, once: a seed of the wrong size raises
     ``DimensionError`` and one that is not positive definite the
-    ``DefinitenessError`` naming its failing pivot.  The composition is
+    ``DefinitenessError`` naming its failing pivot; a negative ``max_iters``
+    raises ``ValueError``.  The composition is
     scale-covariant, so each iterate is normalised to unit determinant
     before the distance is measured.  The trace defect
     |tr(H_r^{-1} H_{r+1}) - N| is logged at every step, H_r^{-1} read from
@@ -167,6 +168,8 @@ def t_iterate(
     and that factor gives its determinant and its next Bergman metric; the
     trace records each form without it, one matrix per step.
     """
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     if h0.dim != model.N:
         raise DimensionError(f"form has dim {h0.dim}, model needs {model.N}")
     current = _unit_det(h0)

@@ -255,13 +255,14 @@ def _psi_t_jacobian(
     if t == 0.0:
         return jac.T
     n, doubled = model.N, model._theta_fourier(doubled=True)
-    p, pz, pzz = model._theta_fourier().pairings(bm @ bm)
-    p, pzz = p.real, pzz.real
-    num = _curvature_numerator(p, pz, pzz)
+    p, pz_re, pz_im, pzz = rows = model._theta_fourier().pairings(bm @ bm)
+    num = _curvature_numerator(*rows)
     c = model._volume_factor() / (p * p * p)
     m = model._theta_fourier().gram(num * c)
-    g0, g1, g2 = doubled.gram(np.stack([pzz - 3.0 * num / p, -pz.conj(), p]) * c
-                              / model.ref_weight**2)
+    # f_1 = -conj(P_z) c is complex: G_1 = G(Re f_1) + i G(Im f_1)
+    g0, g1_re, g1_im, g2 = doubled.gram(np.stack([pzz - 3.0 * num / p, -pz_re, pz_im, p])
+                                        * (c / model.ref_weight**2))
+    g1 = g1_re + 1j * g1_im
     # G_0, G_1, conj(G_1)^T and G_2 shifted so that each is read at (i+b, j+a)
     shifted = np.zeros((4,) + g0.shape, dtype=complex)
     shifted[0], shifted[1, 1:], shifted[2, :, 1:] = g0, g1[:-1], g1.conj().T[:, :-1]

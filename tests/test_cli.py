@@ -300,6 +300,21 @@ def test_balance_checks_its_seed(tmp_path, capsys, diag, code, message):
     assert capsys.readouterr().err.strip() == message
 
 
+def test_negative_balance_iterations_are_invalid_input(tmp_path, capsys):
+    h_path = write_matrix(tmp_path / "h0.json", HermitianForm.identity(3).to_json_dict())
+    assert main(["balance", "--k", "2", "--h0", h_path, "--iters", "-1", *GRID]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "invalid input: max_iters must be nonnegative, got -1"
+
+
+def test_negative_sweep_trials_are_invalid_input(capsys):
+    assert main(["inject-sweep", "--k", "2", "--trials", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "invalid input: --trials must be nonnegative, got -1"
+
+
 def test_dump_model_writes_named_file(tmp_path, capsys):
     assert main(["dump-model", "--k", "1", "--out", str(tmp_path)]) == 0
     path = tmp_path / "model.csv"

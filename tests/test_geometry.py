@@ -209,6 +209,13 @@ def _rel(new, ref):
     return float(np.abs(new - ref).max() / np.abs(ref).max())
 
 
+def _real_rows(sums):
+    """The oracle's (P, P_z, P_zzbar) as the kernel's real rows (P, Re P_z,
+    Im P_z, P_zzbar); P and P_zzbar are real for hermitian A."""
+    p, pz, pzz = sums
+    return np.real(p), pz.real, pz.imag, np.real(pzz)
+
+
 KERNEL_CASES = [(2, 1), (4, 1), (8, 1), (16, 1), (3, 2)]
 
 
@@ -223,10 +230,11 @@ class TestThetaFourierKernel:
         lower = np.linalg.cholesky(h.mat)
         ref = curvature_sums(np.linalg.solve(lower, rows), np.linalg.solve(lower, drows))
         new = model._theta_fourier().pairings(np.linalg.inv(h.mat))
-        for part in range(3):
-            assert _rel(new[part], ref[part]) <= 1e-13
+        assert new.dtype == float and new.shape == (4, model.Q)
+        for row, want in zip(new, _real_rows(ref)):
+            assert _rel(row, want) <= 1e-13
         only_p = model._theta_fourier().pairings(np.linalg.inv(h.mat), parts=1)
-        assert only_p.shape == (1, model.Q)
+        assert only_p.dtype == float and only_p.shape == (1, model.Q)
         assert _rel(only_p[0], ref[0]) <= 1e-13
 
     @pytest.mark.parametrize("k,d", KERNEL_CASES)
@@ -235,8 +243,10 @@ class TestThetaFourierKernel:
         rng = np.random.default_rng(k + 10)
         a = np.array([random_hermitian(model.N, rng) for _ in range(4)])
         new = model._theta_fourier().pairings(a)
-        assert new.shape == (4, 3, model.Q)
-        assert _rel(new, pairing_sums(model, a)) <= 1e-13
+        assert new.dtype == float and new.shape == (4, 4, model.Q)
+        ref = _real_rows(np.moveaxis(pairing_sums(model, a), -2, 0))
+        for row, want in zip(np.moveaxis(new, -2, 0), ref):
+            assert _rel(row, want) <= 1e-13
 
     @pytest.mark.parametrize("k,d", KERNEL_CASES)
     def test_analysis_single_and_stacked(self, k, d):
@@ -245,6 +255,22 @@ class TestThetaFourierKernel:
         kernel = model._theta_fourier()
         for weights in (w[0], w):
             assert _rel(kernel.gram(weights), weighted_gram(model.sections, weights)) <= 1e-13
+
+    @pytest.mark.parametrize("k,d", KERNEL_CASES)
+    @pytest.mark.parametrize("doubled", [False, True])
+    def test_gram_of_real_weights_is_exactly_hermitian(self, k, d, doubled):
+        model = build_p1_model(k, line_degree=d)
+        w = np.random.default_rng(k + 23).uniform(0.5, 1.5, size=(2, model.Q))
+        g = model._theta_fourier(doubled).gram(w)
+        assert np.array_equal(g, np.swapaxes(g, -1, -2).conj())
+
+    def test_gram_rejects_complex_weights(self):
+        model = build_p1_model(2)
+        kernel = model._theta_fourier()
+        with pytest.raises(TypeError):
+            kernel.gram(np.ones(model.Q) + 1e-3j)
+        with pytest.raises(TypeError):
+            kernel.gram(np.ones(model.Q, dtype=complex))
 
     @pytest.mark.parametrize("k,d", KERNEL_CASES)
     def test_doubled_analysis(self, k, d):

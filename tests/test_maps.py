@@ -27,7 +27,7 @@ from hilbfs import (
     t_iterate,
 )
 from hilbfs.maps import variant_density
-from hilbfs.linalg import random_spd
+from hilbfs.linalg import random_hermitian, random_spd
 
 from _oracles import balancing_loop, bergman_hilb_weights, section_rows, weighted_gram
 
@@ -222,6 +222,32 @@ class TestTIterate:
         trace = t_iterate(model, h0, max_iters=5, tol=0.0)
         for step in trace.steps[1:]:
             assert step.trace_defect <= 1e-9
+
+    @pytest.mark.parametrize("k,steps", [(4, 20), (8, 40)])
+    def test_step_ratio_tends_to_the_second_eigenvalue(self, k, steps):
+        """Near the balanced form H_b = diag(1/C(K, i)), K = k, write
+        H = H_b^(1/2) (I + X) H_b^(1/2).  The derivative of T = hilb o fs_metric
+        there, divided by T(H_b)'s trace ratio, has the eigenvalue
+            lambda_l = (1 + l(l+1)/K) K!(K+1)! / ((K-l)!(K+l+1)!)
+        on a (2l+1)-dimensional space for each l <= K (measured by central
+        differences to 2e-8; the closed form was fitted, not derived).  The
+        l = 0 mode is scale, which the unit determinant removes, and the
+        l = 1 modes have eigenvalue 1: they move along the orbit of balanced
+        forms and make no step.  So the steps shrink by
+        lambda_2 = 1 - 12/((K+2)(K+3)), 0.714286 at K = 4 and 0.890909 at
+        K = 8, once the higher modes have decayed."""
+        model = build_p1_model(k, 2 * (2 * k + 4), 2 * (4 * k + 4))
+        root = np.diag([math.comb(k, i) ** -0.5 for i in range(k + 1)])
+        x = random_hermitian(k + 1, np.random.default_rng(k))
+        h0 = HermitianForm(root @ (np.eye(k + 1) + 1e-4 * x) @ root)
+        trace = t_iterate(model, h0, max_iters=steps, tol=0.0)
+        ratio = trace.steps[-1].step_max_norm / trace.steps[-2].step_max_norm
+        assert abs(ratio - (1.0 - 12.0 / ((k + 2) * (k + 3)))) <= 1e-4
+
+    def test_negative_iteration_count(self):
+        model = build_p1_model(2, radial_nodes=16, azimuthal_nodes=20)
+        with pytest.raises(ValueError, match="^max_iters must be nonnegative, got -1$"):
+            t_iterate(model, HermitianForm.identity(3), max_iters=-1)
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_matches_the_plain_loop(self, k):
