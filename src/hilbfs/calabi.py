@@ -224,12 +224,14 @@ def _full_gram_family(model: ManifoldModel, basis: np.ndarray):
     """Potential, moments and Jacobian (see ``moments._max_entropy_newton``)
     of the family g_k = s* E_k^T s * ref_weight, E_k = basis[k].
 
-    u = sum_k c_k g_k is the pairing synthesis of C^T, C = sum_k c_k E_k,
-    and the moments Re<E_k, Gram(ref_weight ew)> are one analysis.  Since
+    The kernels carry ref_weight (see ``geometry``): u = sum_k c_k g_k is
+    the pairing synthesis of C^T, C = sum_k c_k E_k, and the moments
+    Re<E_k, gram(ew)> are one analysis.  Since
     s_a conj(s_b) s_c conj(s_d) = z^(a+c) conj(z)^(b+d), the Jacobian is
         sum_q g_k g_l ew = sum E_k[a, b] E_l[c, d] G2[a + c, b + d],
-    G2 the doubled-degree Gram of ref_weight^2 ew; each E_k has at most two
-    nonzero entries, so it is an O(N^4) gather from the pair sums of G2.
+    G2 the doubled kernel's gram of ew, which carries ref_weight^2; each
+    E_k has at most two nonzero entries, so it is an O(N^4) gather from the
+    pair sums of G2.
     """
     n, kernel, doubled = model.N, model._theta_fourier(), model._theta_fourier(doubled=True)
     flat = basis.reshape(len(basis), n * n)
@@ -243,10 +245,10 @@ def _full_gram_family(model: ManifoldModel, basis: np.ndarray):
 
     def potential(c):
         coef = np.tensordot(c, basis, 1)
-        return kernel.pairings(coef.T, parts=1)[0] * model.ref_weight
+        return kernel.pairings(coef.T, parts=1)[0]
 
     def moments(ew):
-        return np.real(flat @ kernel.gram(ew * model.ref_weight).ravel())
+        return np.real(flat @ kernel.gram(ew).ravel())
 
     def jacobian(ew):
         t = doubled.pair_sums(doubled.gram(ew))  # T[(a, b), (c, d)] = G2[a + c, b + d]
@@ -295,7 +297,7 @@ def surject_fixed_volume(
         MOMENT_TOL / scale,
         MAX_NEWTON,
     )
-    ew = np.exp(u) * base_nu.weights * model.ref_weight
+    ew = np.exp(u) * base_nu.weights
     gram = model._theta_fourier().gram(ew)
     stage_logs = [
         {

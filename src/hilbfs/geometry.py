@@ -15,40 +15,36 @@ Geometry conventions
   <= dk times a trigonometric polynomial, and the rule is exact for those.
 * A metric on L^k is stored relative to the reference as rw * exp(-u) where
   rw(z) = (1+|z|^2)^(-dk) is the reference weight on the trivialising frame.
-* Bergman metrics: fs_metric(H) has u = log(P rw) with P = s* H^{-1} s, so
+* Bergman metrics: fs_metric(H) has u = log(rw P) with P = s* H^{-1} s, so
   its weight is rw * exp(-u) = 1/P, and its curvature density is that of
-  log P divided by k.  One synthesis of P therefore gives both factors of
-  hilb(fs_metric(H)) = (N/V) sum_q s s* dens / (k P) qw; with
-  mu_B = ``_pushforward_measure`` this reads
-  hilb(fs_metric(H)) = (N / kV) Gram(mu_(H^{-1/2})).
-* Section pairings: sum_ij A_ij conj(s_i) s_j = sum_ij A_ij r^(i+j)
-  e^{i(j-i) theta} holds at most 2N - 1 powers of r and 2N - 1 modes in the
-  equispaced theta.  One kernel, ``_ThetaFourier`` (tables of r^d, d <= 2N-2,
-  and of cos m theta, m <= N, and sin m theta, 1 <= m <= N; cached per
-  model), uses this both ways, in real arithmetic: every caller passes a
-  hermitian A or real weights, so P and P_zzbar are real and the modes m
-  and -m are one cos/sin pair.  Synthesis takes hermitian A, or a stack, to
-  the real node rows P = s* A s, Re P_z, Im P_z (P_z = s* A s') and
-  P_zzbar = s'* A s'; it scatters Re A and Im A into a real (row, power,
-  cos/sin mode) table and multiplies out the powers and then the modes,
-  two real products of O(nr N^2 + Q N) flops.  Analysis takes real node
-  weights w, or a stack, to sum_q s_i conj(s_j) w = sum_r r^(i+j)
-  (C(r, |i-j|) + i sgn(i-j) S(r, |i-j|)), C and S the cos and sin sums of w
-  over theta; the gather makes the Gram hermitian to the bit.  Both
-  rearrange the quadrature sums exactly, changing rounding only.  The
-  real products are a third (synthesis) and a quarter (analysis) of the
-  flops of the complex ones they replaced.
+  log P divided by k.  One synthesis of rw P therefore gives both factors of
+  hilb(fs_metric(H)) = (N/V) sum_q s s* rw dens / (k rw P) qw; with the
+  kernel's gram below and mu_B / rw = ``_pushforward_measure`` this reads
+  hilb(fs_metric(H)) = (N / kV) gram(mu_(H^{-1/2}) / rw).
+* Section pairings: for n monomials z^i, i < n, sum_ij A_ij conj(z^i) z^j =
+  sum_ij A_ij r^(i+j) e^{i(j-i) theta} holds at most 2n - 1 powers of r and
+  2n - 1 modes in the equispaced theta.  One kernel, ``_ThetaFourier``
+  (cached per model), uses this both ways, with the weight (1 - t)^(n-1)
+  in its powers, r^d (1 - t)^(n-1) = sqrt(t)^d sqrt(1 - t)^(2n-2-d) in
+  [0, 1], d <= 2n - 2, so none overflows at any k.  For the sections
+  (n = N) it is rw: synthesis gives rw (P, Re P_z, Im P_z, P_zzbar) with
+  P = s* A s, P_z = s* A s', P_zzbar = s'* A s', and gram(w) is
+  sum_q s conj(s) rw w, so no caller multiplies or divides by rw; a
+  quotient of degree 0 in the rows, as the curvature is, does not see it.
+  Both directions run in real arithmetic, for hermitian A or real weights,
+  so the modes m and -m are one cos/sin pair: synthesis scatters Re A and
+  Im A into a real (row, power, cos/sin mode) table and multiplies out the
+  powers and then the modes; analysis of w, or a stack, is sum_r r^(i+j)
+  (C(r, |i-j|) + i sgn(i-j) S(r, |i-j|)), C and S the cos and sin sums of
+  w over theta, hermitian to the bit.  Both rearrange the quadrature sums
+  exactly, changing rounding only.
 * Products of two pairings: s_a conj(s_b) s_c conj(s_d) =
   z^(a+c) conj(z)^(b+d), so a sum over the nodes of four sections against
-  a weight depends only on (a+c, b+d) and is one entry of the Gram of the
-  2N - 1 monomials of degree <= 2N - 2.  The doubled kernel
-  (``_theta_fourier(doubled=True)``) is that Gram's analysis: modes
-  |m| <= 2N - 2 and powers r^d, d <= 4N - 4, with ref_weight^2 =
-  (1 - t)^(2N - 2) folded into the powers, r^d ref_weight^2 =
-  sqrt(t)^d sqrt(1 - t)^(4N - 4 - d) in [0, 1], so that no power overflows
-  where r^d alone would.  Its gram(w) is sum_q z^p conj(z)^p' ref_weight^2 w;
-  gathered by pair_sums into four-section sums, it serves both Jacobians,
-  the full-Gram moment Newton's (``calabi``) and psi's (``pushforward``).
+  a weight is one entry of the Gram of the n = 2N - 1 monomials of degree
+  <= 2N - 2.  The doubled kernel (``_theta_fourier(doubled=True)``) is that
+  Gram's analysis, its weight (1 - t)^(n-1) is rw^2, and gathered by
+  pair_sums into four-section sums it serves both Jacobians, the full-Gram
+  moment Newton's (``calabi``) and psi's (``pushforward``).
 """
 
 from __future__ import annotations
@@ -93,7 +89,8 @@ class ManifoldModel:
     """Quadrature nodes, section values and reference metric data on P^1.
 
     The sections are the monomials z^j, j <= dk: the pairing kernel
-    (``_ThetaFourier``) relies on that and never reads ``sections``.
+    (``_ThetaFourier``) relies on that, never reads ``sections`` and
+    carries ``ref_weight`` in its tables (module docstring).
 
     Five members are built on first use and then kept: ``laplacian()``, the
     pairing kernels (``_theta_fourier``, plain and doubled), ``refined()``,
@@ -204,9 +201,9 @@ class _ThetaFourier:
     the same two products transposed, (Q + nr (2N-1)) (2N+1) multiply-adds,
     and a gather.  At k = 16 on the 2x grid (one BLAS thread) a four-row
     synthesis takes about 0.09 ms and a Gram 0.04 ms, against 0.24 and
-    0.10 ms for the complex products of an e^{im theta} table.  The doubled
-    kernel takes the 2N - 1 monomials of degree <= 2N - 2 for the sections
-    and carries ref_weight^2 in its powers."""
+    0.10 ms for the complex products of an e^{im theta} table.  The powers
+    r^d (1 - t)^(n-1) of n monomials fold in rw for the N sections and rw^2
+    for the doubled kernel's 2N - 1 monomials of degree <= 2N - 2."""
 
     def __init__(self, model: "ManifoldModel", doubled: bool = False):
         n, na = model.N, model.azimuthal_nodes
@@ -215,10 +212,8 @@ class _ThetaFourier:
             a, b = np.divmod(np.arange(n * n), n)
             n = 2 * n - 1
             self._pair_sum = (a[:, None] + a) * n + b[:, None] + b
-            d = np.arange(2 * n - 1)
-            self._powers = np.sqrt(t)[:, None] ** d * np.sqrt(1.0 - t)[:, None] ** (d[-1] - d)
-        else:
-            self._powers = np.sqrt(t / (1.0 - t))[:, None] ** np.arange(2 * n - 1)
+        d = np.arange(2 * n - 1)
+        self._powers = np.sqrt(t)[:, None] ** d * np.sqrt(1.0 - t)[:, None] ** (d[-1] - d)
         self._n, self._grid = n, (model.radial_nodes, na)
         m = np.outer(np.arange(n + 1), model.theta[:na])
         self._trig = np.vstack([np.cos(m), np.sin(m[1:])])
@@ -229,9 +224,9 @@ class _ThetaFourier:
         self._gram_sign = np.sign(i - j).reshape(n, n)
 
     def pairings(self, a: np.ndarray, parts: int = 3) -> np.ndarray:
-        """Real node values of P = s* a s and, with ``parts`` = 3, of
-        Re P_z, Im P_z and P_zzbar, P_z = s* a s', for hermitian a (..., N, N);
-        shape (..., 1 or 4, Q)."""
+        """Real node values of rw P, P = s* a s, and, with ``parts`` = 3, of
+        rw Re P_z, rw Im P_z and rw P_zzbar, P_z = s* a s', for hermitian
+        a (..., N, N); shape (..., 1 or 4, Q)."""
         lead, n = a.shape[:-2], self._n
         rows = 1 if parts == 1 else 4
         src = np.ascontiguousarray(a, dtype=complex).reshape(lead + (n * n,)).view(float)
@@ -243,9 +238,9 @@ class _ThetaFourier:
         return (table @ self._trig).reshape(lead + (rows, -1))
 
     def gram(self, w: np.ndarray) -> np.ndarray:
-        """sum_q s_i(q) conj(s_j(q)) w(q) for real node weights w (..., Q);
-        hermitian to the bit: G_ij = C[i+j, |i-j|] + i sgn(i-j) S[i+j, |i-j|]
-        for the cos and sin cells C, S of w."""
+        """sum_q s_i conj(s_j) rw w (rw^2 w, doubled) for real node weights
+        w (..., Q); hermitian to the bit: G_ij = C[i+j, |i-j|] + i sgn(i-j)
+        S[i+j, |i-j|] for the cos and sin cells C, S of w."""
         if np.iscomplexobj(w):
             raise TypeError("gram takes real node weights")
         lead, (cos_cell, sin_cell) = w.shape[:-1], self._gram_cells
@@ -392,7 +387,7 @@ class MetricWeight:
     def potential(self, model: ManifoldModel) -> np.ndarray:
         """u with metric = ref_weight * exp(-u); grid values or the
         Fubini-Study potential log(sum_i |s'_i|^2 * ref_weight) for bergman,
-        with sum_i |s'_i|^2 = s* H^{-1} s."""
+        the log of the kernel's synthesis of s* H^{-1} s = sum_i |s'_i|^2."""
         if self.kind == "grid":
             if self.potential_values.shape != (model.Q,):
                 raise DimensionError("grid potential length does not match node count")
@@ -400,10 +395,7 @@ class MetricWeight:
         if self.form.dim != model.N:
             raise DimensionError(f"form has dim {self.form.dim}, model needs {model.N}")
         p = model._theta_fourier().pairings(self.inverse, parts=1)[0]
-        return np.log(p * model.ref_weight)
-
-    def weight(self, model: ManifoldModel) -> np.ndarray:
-        return model.ref_weight * np.exp(-self.potential(model))
+        return np.log(p)
 
     def rescaled(self, c: float) -> "MetricWeight":
         """Metric scaled by the constant c > 0 (potential shifts by -log c)."""
@@ -492,8 +484,8 @@ def fs_metric(model: ManifoldModel, h: HermitianForm) -> MetricWeight:
 
 def _curvature_numerator(p, pz_re, pz_im, pzz) -> np.ndarray:
     """P P_zzbar - (Re P_z)^2 - (Im P_z)^2 at the nodes, from the four real
-    rows of a three-part ``_ThetaFourier.pairings``: four real products per
-    node, with no complex array formed."""
+    rows of a three-part ``_ThetaFourier.pairings`` (which give rw^2 times
+    it): four real products per node, with no complex array formed."""
     num = p * pzz
     num -= np.square(pz_re)
     num -= np.square(pz_im)
@@ -503,14 +495,15 @@ def _curvature_numerator(p, pz_re, pz_im, pzz) -> np.ndarray:
 def _curvature_density(model: ManifoldModel, a: np.ndarray):
     """Curvature of log P, P = s* A s, as node weights.
 
-    Returns (weights, 1/P) with
+    Returns (weights, 1/(rw P)) with
         weights = (P P_zzbar - |P_z|^2) / P^2 * (1+|z|^2)^2 qw / V,
     i.e. ddbar log P divided by the reference form, times the quadrature
     weights, for the pullback of the Fubini-Study form along z -> [W(z)],
     W* W = s* A s.  The numerator is formed directly; the Cauchy-Binet
     identity
         P P_zzbar - |P_z|^2 = sum_{i<j} |W_i W'_j - W_j W'_i|^2
-    only explains why it is nonnegative in exact arithmetic.
+    only explains why it is nonnegative in exact arithmetic; the rw that
+    the kernel's rows carry cancels from it.
     """
     rows = model._theta_fourier().pairings(a)
     inv_p = 1.0 / rows[0]
@@ -522,12 +515,11 @@ def _curvature_density(model: ManifoldModel, a: np.ndarray):
 
 
 def _pushforward_measure(model: ManifoldModel, bm: np.ndarray) -> np.ndarray:
-    """Node weights mu_B = curvature weights / P of the curve pushforward.
-
-    The weights and 1/P, P = |B s|^2, are ``_curvature_density``'s for A = B^2,
-    so mu_B is the Fubini-Study volume of the moved curve W = B s divided by
-    |W|^2.  Summing s s* against it gives the pushforward matrix
-    M = B^{-1} Phi(B) B^{-1}, and W W* against it gives Phi(B).
+    """Node weights mu_B / rw, mu_B = curvature weights / P, of the curve
+    pushforward.  With 1/(rw P), P = |B s|^2, from ``_curvature_density``
+    at A = B^2, mu_B is the Fubini-Study volume of the moved curve W = B s
+    divided by |W|^2.  The kernel's gram of mu_B / rw (it carries rw) is the
+    pushforward matrix M = B^{-1} Phi(B) B^{-1}; W W* against mu_B gives Phi(B).
     """
     weights, inv_p = _curvature_density(model, bm @ bm)
     weights *= inv_p
@@ -546,10 +538,10 @@ def curvature_volume(model: ManifoldModel, m: MetricWeight) -> Density:
 
 
 def _weight_and_volume(model: ManifoldModel, m: MetricWeight):
-    """(weight, volume): node arrays of the metric weight rw * exp(-u) and of
-    the ``curvature_volume`` weights, with its checks.  A bergman metric's
-    weight is the 1/P of the synthesis its curvature is formed from (module
-    docstring), a grid metric's is ``m.weight``."""
+    """(weight, volume): node arrays of exp(-u), the metric weight over rw
+    (the kernel's gram carries rw), and of the ``curvature_volume``
+    weights, with its checks.  A bergman metric's exp(-u) is the 1/(rw P)
+    of the synthesis its curvature is formed from (module docstring)."""
     if m.kind == "bergman":
         # P = s* H^{-1} s, the sum of |W|^2 over H-orthonormal rows W; the
         # curvature of the k-th root divides that of log P by k
@@ -559,7 +551,7 @@ def _weight_and_volume(model: ManifoldModel, m: MetricWeight):
         u = m.potential(model)
         vol = 1.0 + (model.laplacian() @ u) / (4.0 * np.pi * model.k)
         vol *= model.quad_weights
-        weight = m.weight(model)
+        weight = np.exp(-u)
     if not vol.min() > 0.0:  # a node of nonpositive (or nan) curvature
         dens = vol / model.quad_weights
         worst = int(np.argmin(dens))

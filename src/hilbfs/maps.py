@@ -65,9 +65,10 @@ def _gram(model: ManifoldModel, weights: np.ndarray) -> HermitianForm:
 
 
 def hilb(model: ManifoldModel, m: MetricWeight) -> HermitianForm:
-    """(N/V) * integral of s_i conj(s_j) against the metric weight and the
-    volume form of the metric's curvature.  A Bergman metric's weight and
-    curvature come from one synthesis (see ``geometry``)."""
+    """(N/V) * integral of s_i conj(s_j) against the metric weight
+    rw exp(-u) and the volume form of the metric's curvature: the kernel's
+    gram, which carries rw, of exp(-u) times that volume.  A Bergman
+    metric's exp(-u) and curvature come from one synthesis (``geometry``)."""
     weight, vol = _weight_and_volume(model, m)
     return _gram(model, weight * vol)
 
@@ -111,7 +112,7 @@ def hilb_nu(
     """Variant Hilbert map (N/V) * integral of s_i conj(s_j) against the
     metric weight and the variant volume form ``variant_density``."""
     dens = variant_density(model, m, variant, nu)
-    return _gram(model, m.weight(model) * dens.weights)
+    return _gram(model, np.exp(-m.potential(model)) * dens.weights)
 
 
 def exponent_for_variant(variant: str, k: int) -> Fraction:

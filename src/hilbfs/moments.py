@@ -21,7 +21,8 @@ solves the full-Gram problem, with g_k = s* E_k^T s * ref_weight for an
 orthonormal hermitian basis E_k; its targets, the basis coordinates of a
 Gram matrix, may be negative.  It holds no node table: the potential is a
 pairing synthesis, the moments a Gram analysis and the Jacobian a gather
-from the Gram of the doubled-degree monomials (see ``geometry``).
+from the Gram of the doubled-degree monomials, and the kernels carry
+ref_weight and ref_weight^2 in their tables (see ``geometry``).
 
 Feasibility caveat: with the monomial basis the diagonal moments are
 moments of a positive measure on [0, infinity) in x = |z|^2, hence

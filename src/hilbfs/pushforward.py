@@ -11,7 +11,8 @@ hilb(fs_metric(B^{-2})) (see ``geometry``), so in H = B^{-2} the step
 H <- H - (psi(B) - G) is Donaldson's balancing iteration run towards G.
 Near the solution it scales the mode of degree l by 1 - lambda_l, where
 lambda_l = (1 + l(l+1)/K) K!(K+1)! / ((K-l)!(K+l+1)!), K = dk, is the
-linearised balancing map's eigenvalue (measured, not yet derived), so it
+linearised balancing map's eigenvalue (measured, and checked on the psi
+Jacobian by the tests' ``TestPsiJacobian.test_balanced_spectrum``), so it
 removes the lambda_l ~ 1 modes l = 0, 1, 2 that throw an undamped Newton
 step from the closed-form seed out of its basin.  The
 steps stop when H leaves the positive cone or a step fails to shrink the
@@ -34,9 +35,10 @@ recovered verbatim.
 
 The maps run on the ``ManifoldModel`` itself: the curve sits in P^(N-1)
 through its sections s, and psi(B) = M / tr M with M = sum_q s_q s_q*
-mu_B(q), where mu_B is ``geometry._pushforward_measure`` (the Fubini-Study
-volume of the moved curve B s divided by |B s|^2).  Its Jacobian gathers
-dM along every direction from three doubled-degree Grams (``_psi_t_jacobian``).
+mu_B(q), mu_B the Fubini-Study volume of the moved curve B s over |B s|^2:
+M is the kernel's gram of ``geometry._pushforward_measure``, mu_B / rw.
+Its Jacobian gathers dM along every direction from three doubled-degree
+Grams (``_psi_t_jacobian``).
 
 Validation happens once per public call: every public function accepts B
 as a ``HermitianForm`` or an array, checks it once in ``_checked_b``
@@ -241,13 +243,16 @@ def _psi_t_jacobian(
     Column b is the derivative along basis[b] and row a its coordinate
     tr(E_a . ).  B^{-1} Phi(B) B^{-1} = M = sum_q s_q s_q* mu_B(q) with
     mu_B = num c, num = P P_zzbar - |P_z|^2, c = (1+|z|^2)^2 qw / (V P^3)
-    and P = s* B^2 s.  Along A, B^2 moves by D = BA + AB and d mu_B =
+    and P = s* B^2 s.  The kernel's rows are rw (P, P_z, P_zzbar), so the
+    c formed from them is c / rw^3 and the forms f_p below come out divided
+    by rw^2, as the doubled kernel, which carries rw^2, needs.  Along A,
+    B^2 moves by D = BA + AB and d mu_B =
     Re(dP f_0 + 2 dP_z f_1 + dP_zzbar f_2) for the node forms
     (f_0, f_1, f_2) = ((P_zzbar - 3 num / P) c, -conj(P_z) c, P c).  As
     s_i conj(s_j) conj(s_a) s_b = z^(i+b) conj(z)^(j+a), dM = T vec(D) with
         T[ij, ab] = G_0[i+b, j+a] + b G_1[i+b-1, j+a]
                     + a conj(G_1[j+a-1, i+b]) + ab G_2[i+b-1, j+a-1],
-    G_p the doubled-degree Gram of f_p / ref_weight^2.  dpsi = dM / tr M -
+    G_p the doubled-degree Gram of f_p.  dpsi = dM / tr M -
     tr(dM) psi / tr M; both endpoints of the homotopy have unit trace, so
     d psi_t = t dpsi + (1 - t) dpsi0.
     """
@@ -260,8 +265,7 @@ def _psi_t_jacobian(
     c = model._volume_factor() / (p * p * p)
     m = model._theta_fourier().gram(num * c)
     # f_1 = -conj(P_z) c is complex: G_1 = G(Re f_1) + i G(Im f_1)
-    g0, g1_re, g1_im, g2 = doubled.gram(np.stack([pzz - 3.0 * num / p, -pz_re, pz_im, p])
-                                        * (c / model.ref_weight**2))
+    g0, g1_re, g1_im, g2 = doubled.gram(np.stack([pzz - 3.0 * num / p, -pz_re, pz_im, p]) * c)
     g1 = g1_re + 1j * g1_im
     # G_0, G_1, conj(G_1)^T and G_2 shifted so that each is read at (i+b, j+a)
     shifted = np.zeros((4,) + g0.shape, dtype=complex)

@@ -8,7 +8,13 @@ import numpy as np
 from scipy.special import gammaln, lpmv
 
 from hilbfs import HermitianForm, fs_metric, hilb
-from hilbfs.pushforward import hermitian_basis
+from hilbfs.pushforward import (
+    _coords,
+    _coords_table,
+    _psi_t_jacobian,
+    hermitian_basis,
+    traceless_basis,
+)
 
 
 def psi0_defining_quadrature(b, radial=160, azimuthal=160):
@@ -233,3 +239,49 @@ def balancing_loop(model, h0, iters):
         defects.append(abs(np.trace(np.linalg.solve(forms[-1], nxt)).real - model.N))
         forms.append(unit_det(nxt))
     return forms, defects
+
+
+def balancing_spectrum(K):
+    """The eigenvalues lambda_l = (1 + l(l+1)/K) K!(K+1)! / ((K-l)!(K+l+1)!)
+    of the linearised balancing map at the balanced form, l = 1..K, each
+    repeated 2l + 1 times and sorted: N^2 - 1 values for N = K + 1, the
+    traceless directions (l = 0 is the scale)."""
+    lam = [
+        (1.0 + l * (l + 1) / K)
+        * math.factorial(K) * math.factorial(K + 1)
+        / (math.factorial(K - l) * math.factorial(K + l + 1))
+        for l in range(1, K + 1)
+    ]
+    return np.sort(np.repeat(lam, 2 * np.arange(1, K + 1) + 1))
+
+
+def psi_jacobian_chain(model):
+    """The psi Jacobian at the balanced form read as the linearised
+    balancing map, by the chain rule and no finite differences.
+
+    With H_b = diag(1/C(K, i)) and B = c H_b^{-1/2} at unit trace, psi(B) is
+    proportional to hilb(fs_metric(B^{-2})), so psi(B) = P = H_b / tr H_b.
+    A traceless X moves H by dH = H_b^{1/2} X H_b^{1/2}; since H_b is
+    diagonal, d(H^{-1/2}) = F o dH with F_ij = -1/(sqrt h_i sqrt h_j
+    (sqrt h_i + sqrt h_j)), so B moves by dB = c F o dH, less its scale
+    part (tr dB / tr B) B, which psi does not see.  ``_psi_t_jacobian`` at
+    t = 1 takes dB to dpsi, read as Y = P^{-1/2} dpsi P^{-1/2}.  Returns the
+    real matrix of X -> Y in the traceless basis's coordinates.  Unlike the
+    other oracles it runs the code under test, whose spectrum the caller
+    compares with the closed form ``balancing_spectrum``."""
+    n = model.N
+    K = n - 1
+    h = np.array([1.0 / math.comb(K, i) for i in range(n)])
+    root = np.sqrt(h)
+    b = np.diag(1.0 / root)
+    c = 1.0 / np.trace(b)
+    b *= c
+    f = -1.0 / (root[:, None] * root * (root[:, None] + root))
+    basis = traceless_basis(n)
+    table = _coords_table(basis)
+    db = c * f * (root[:, None] * basis * root)
+    db -= np.trace(db, axis1=1, axis2=2).real[:, None, None] * b
+    jac = _psi_t_jacobian(model, b, 1.0, basis, table)
+    dpsi = np.einsum("ba,aij->bij", jac @ _coords(table, db).T, basis)
+    p_root = np.sqrt(np.sum(h)) / root
+    return _coords(table, p_root[:, None] * dpsi * p_root).T

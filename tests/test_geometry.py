@@ -220,7 +220,9 @@ KERNEL_CASES = [(2, 1), (4, 1), (8, 1), (16, 1), (3, 2)]
 
 
 class TestThetaFourierKernel:
-    """The pairing kernel against the row-based sums over the nodes."""
+    """The pairing kernel against the row-based sums over the nodes, times
+    the reference weight that the kernel carries (rw for the sections,
+    rw^2 for the doubled monomials)."""
 
     @pytest.mark.parametrize("k,d", KERNEL_CASES)
     def test_synthesis_of_an_inverse_form(self, k, d):
@@ -232,10 +234,10 @@ class TestThetaFourierKernel:
         new = model._theta_fourier().pairings(np.linalg.inv(h.mat))
         assert new.dtype == float and new.shape == (4, model.Q)
         for row, want in zip(new, _real_rows(ref)):
-            assert _rel(row, want) <= 1e-13
+            assert _rel(row, want * model.ref_weight) <= 1e-13
         only_p = model._theta_fourier().pairings(np.linalg.inv(h.mat), parts=1)
         assert only_p.dtype == float and only_p.shape == (1, model.Q)
-        assert _rel(only_p[0], ref[0]) <= 1e-13
+        assert _rel(only_p[0], ref[0] * model.ref_weight) <= 1e-13
 
     @pytest.mark.parametrize("k,d", KERNEL_CASES)
     def test_synthesis_of_a_stack(self, k, d):
@@ -246,7 +248,7 @@ class TestThetaFourierKernel:
         assert new.dtype == float and new.shape == (4, 4, model.Q)
         ref = _real_rows(np.moveaxis(pairing_sums(model, a), -2, 0))
         for row, want in zip(np.moveaxis(new, -2, 0), ref):
-            assert _rel(row, want) <= 1e-13
+            assert _rel(row, want * model.ref_weight) <= 1e-13
 
     @pytest.mark.parametrize("k,d", KERNEL_CASES)
     def test_analysis_single_and_stacked(self, k, d):
@@ -254,7 +256,8 @@ class TestThetaFourierKernel:
         w = np.random.default_rng(k + 20).uniform(0.5, 1.5, size=(3, model.Q))
         kernel = model._theta_fourier()
         for weights in (w[0], w):
-            assert _rel(kernel.gram(weights), weighted_gram(model.sections, weights)) <= 1e-13
+            ref = weighted_gram(model.sections, weights * model.ref_weight)
+            assert _rel(kernel.gram(weights), ref) <= 1e-13
 
     @pytest.mark.parametrize("k,d", KERNEL_CASES)
     @pytest.mark.parametrize("doubled", [False, True])
@@ -382,10 +385,10 @@ class TestFsHomogeneity:
         model = build_p1_model(2)
         rng = np.random.default_rng(11)
         h = random_spd(model.N, rng, cond=6.0)
-        base = fs_metric(model, h).weight(model)
+        base = fs_metric(model, h).potential(model)
         for c in [0.5, 2.0, 10.0]:
-            scaled = fs_metric(model, h.scaled(c)).weight(model)
-            assert np.abs(scaled - c * base).max() <= 1e-12 * np.abs(c * base).max()
+            scaled = fs_metric(model, h.scaled(c)).potential(model)
+            assert np.abs(scaled - (base - np.log(c))).max() <= 1e-12
 
 
 class TestLaplacian:

@@ -70,7 +70,8 @@ class TestHilb:
         m = MetricWeight.reference(model)
         g = hilb(model, m)
         # the Gram of the changed basis a s, by the defining sum over the nodes
-        weights = m.weight(model) * curvature_volume(model, m).weights
+        weight = model.ref_weight * np.exp(-m.potential(model))
+        weights = weight * curvature_volume(model, m).weights
         g2 = (model.N / model.V) * weighted_gram(a @ model.sections, weights)
         target = a @ g.mat @ a.conj().T
         assert np.abs(g2 - target).max() <= 1e-10 * np.abs(target).max()
@@ -125,6 +126,16 @@ class TestBergmanHilb:
         model = build_p1_model(1, radial_nodes=16, azimuthal_nodes=16)
         with pytest.raises(CurvaturePositivityError):
             hilb(model, MetricWeight.grid(60.0 * (model.t - 0.5)))
+
+    @pytest.mark.parametrize("k", [40, 48, 64])
+    def test_no_overflow_at_large_k(self, k):
+        # the kernel's powers r^d rw lie in [0, 1]; bare powers r^d made
+        # P P_zzbar overflow from k = 38
+        model = build_p1_model(k, 2 * (2 * k + 4), 2 * (4 * k + 4))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            g = hilb(model, fs_metric(model, HermitianForm.identity(model.N)))
+        # tr(H^{-1} hilb(fs_metric(H))) = N at every H, here H = I
+        assert abs(np.trace(g.mat).real - model.N) <= 1e-8 * model.N
 
 
 class TestHilbNu:

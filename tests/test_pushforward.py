@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,12 @@ from hilbfs.pushforward import (
     hermitian_basis,
     traceless_basis,
 )
-from _oracles import psi0_defining_mc, psi0_defining_quadrature
+from _oracles import (
+    balancing_spectrum,
+    psi0_defining_mc,
+    psi0_defining_quadrature,
+    psi_jacobian_chain,
+)
 
 
 def march_only(monkeypatch):
@@ -316,6 +324,32 @@ class TestPsiJacobian:
                 ]
             ).T
             assert np.abs(jac - fd).max() / np.abs(jac).max() <= 1e-6
+
+    def test_finite_and_warning_free_at_k32(self):
+        # c = volume factor / P^3 from the kernel's rw P; from the bare P it
+        # overflowed at the outermost radial nodes
+        k = 32
+        model = build_p1_model(k, 2 * (2 * k + 4), 2 * (4 * k + 4))
+        b = np.diag([math.sqrt(math.comb(k, i)) for i in range(model.N)])
+        b /= np.trace(b)
+        basis = traceless_basis(model.N)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            jac = _psi_t_jacobian(model, b, 1.0, basis, _coords_table(basis))
+        assert np.all(np.isfinite(jac))
+
+    @pytest.mark.parametrize("k,d", [(2, 1), (3, 1), (4, 1), (6, 1), (8, 1), (2, 2), (3, 2), (4, 2)])
+    def test_balanced_spectrum(self, k, d):
+        """At the balanced form the Jacobian, chained with d(H^{-1/2}) and
+        read relative to psi(B) (``psi_jacobian_chain``), is the linearised
+        balancing map: its spectrum is lambda_l, l = 1..K, each 2l + 1 times
+        (``balancing_spectrum``), with no finite differences."""
+        deg = d * k
+        model = build_p1_model(k, 2 * (2 * deg + 4), 2 * (4 * deg + 4), line_degree=d)
+        ev = np.linalg.eigvals(psi_jacobian_chain(model))
+        want = balancing_spectrum(deg)
+        assert np.abs(ev.imag).max() <= 1e-10 * want.min()
+        assert np.abs(np.sort(ev.real) / want - 1.0).max() <= 1e-10
 
 
 class TestSolvePsi:
