@@ -28,8 +28,10 @@ the Bergman identity of the ``geometry`` module docstring, the B that
 ``solve_psi`` returns for G gives the Bergman metric fs_metric(c B^{-2}),
 c a trace ratio, realising G.  ``surject_fixed_volume`` solves the
 full-Gram moment problem of a variant, to ``MOMENT_TOL`` in the scaled
-coordinates, and reads the metric off the solved weight.  Both pipelines
-call a realisation achieved when its forward residual is at most
+coordinates, and reads the metric off the solved weight.  A target is
+checked once, by ``pushforward._checked_target``: ``surject_full`` checks
+nothing itself and leaves that to ``solve_psi``.  Both pipelines call a
+realisation achieved when its forward residual is at most
 ``SURJECT_TOL``.  ``solve_ma`` is the Monge-Ampere solver for grid data;
 neither pipeline calls it.  It stays, with ``MAProblem``, ``MASolution``
 and ``SphericalOperator.spectral``, because ``perfbench/tracing.py`` wraps
@@ -59,10 +61,10 @@ from .geometry import (
     fs_metric,
     reference_density,
 )
-from .linalg import COND_GUARD, HermitianForm, cholesky_lower, damped_newton
+from .linalg import COND_GUARD, HermitianForm, _as_form, damped_newton
 from .maps import FIXED, exponent_for_variant, hilb, hilb_nu, variant_density
 from .moments import MAX_NEWTON, _max_entropy_newton
-from .pushforward import hermitian_basis, solve_psi
+from .pushforward import _checked_target, hermitian_basis, solve_psi
 
 SURJECT_TOL = 1e-8  # forward-residual gate of both surjectivity pipelines
 MOMENT_TOL = 1e-9  # full-Gram moment Newton tolerance, before the N/V scaling
@@ -209,17 +211,6 @@ class SurjectivityReport:
         return asdict(self)
 
 
-def _validate_target(g, n: int) -> HermitianForm:
-    form = g if isinstance(g, HermitianForm) else HermitianForm(g)
-    if form.dim != n:
-        raise DimensionError(f"target has dim {form.dim}, model needs {n}")
-    cholesky_lower(form)
-    cond = form.cond()
-    if cond > COND_GUARD:
-        raise MarginError(f"target condition number {cond:.3e} exceeds {COND_GUARD:g}")
-    return form
-
-
 def _full_gram_family(model: ManifoldModel, basis: np.ndarray):
     """Potential, moments and Jacobian (see ``moments._max_entropy_newton``)
     of the family g_k = s* E_k^T s * ref_weight, E_k = basis[k].
@@ -273,12 +264,16 @@ def surject_fixed_volume(
     exponent (1/k or 1/(k+1)) to produce the metric.  The report
     carries the recomputed forward residual and is achieved when that is at
     most ``SURJECT_TOL``.  The base measure is ``variant_density`` at the
-    reference metric.
+    reference metric.  After the variant the target is checked; a condition
+    number above ``COND_GUARD`` raises ``MarginError``.
     """
     nu = nu if nu is not None else reference_density(model)
     base_nu = variant_density(model, MetricWeight.reference(model), variant, nu)
     exponent = exponent_for_variant(variant, model.k)
-    g_form = _validate_target(target, model.N)
+    g_form, _, ev, _ = _checked_target(model, target)
+    cond = ev.max() / ev.min()
+    if cond > COND_GUARD:
+        raise MarginError(f"target condition number {cond:.3e} exceeds {COND_GUARD:g}")
     # The full-Gram problem is the max-entropy moment problem in the real
     # coordinates of the hermitian basis E_k: g_k = s* E_k^T s * rw, matched
     # against Re<E_k, G>.  ``_full_gram_family`` evaluates it through the
@@ -336,15 +331,15 @@ def surject_full(model: ManifoldModel, target):
     with c = tr G / tr hilb(fs_metric(B^{-2})), realises G.  Stage
     ``forward-check`` builds that metric, recomputes hilb on it and reports
     the residual and the least curvature density as the positivity margin.
-    Stage failures are wrapped with the stage name; a target too close to
-    the boundary raises the bare ``MarginError``, like any other invalid
-    input.  A final residual above ``SURJECT_TOL`` is reported as not
+    It checks nothing itself: the ``DimensionError`` and ``MarginError`` of
+    ``solve_psi``'s one target check propagate bare, like any other invalid
+    input; other stage failures are wrapped with the stage name.  A final residual above ``SURJECT_TOL`` is reported as not
     achieved, not silenced.
     """
-    g_form = _validate_target(target, model.N)
+    g_form = _as_form(target)
     try:
         bstar, ctrace = solve_psi(model, g_form)
-    except MarginError:
+    except (DimensionError, MarginError):
         raise
     except _STAGE_ERRORS as exc:
         raise StageError("pushforward-continuation", exc) from exc

@@ -1,9 +1,10 @@
 """Command-line front end: batch computations in, JSON/CSV reports out.
 
 Exit codes: 0 success, 1 validation error (bad inputs, malformed matrices,
-usage errors), 2 numerical or hypothesis failure, including a ``surject``
-forward residual above ``calabi.SURJECT_TOL`` (the structured report is
-still written).  The randomized command ``inject-sweep`` takes --seed and
+invalid targets: of the wrong size, not positive definite or within the
+margin; usage errors), 2 numerical or hypothesis failure, including a
+``surject`` forward residual above ``calabi.SURJECT_TOL`` (the structured
+report is still written).  The randomized command ``inject-sweep`` takes --seed and
 reproduces byte-identical output.
 """
 
@@ -36,7 +37,6 @@ from .geometry import (
     MetricWeight,
     build_p1_anticanonical_model,
     build_p1_model,
-    dump_model_csv,
     fs_metric,
     reference_density,
 )
@@ -130,6 +130,13 @@ def _node_table(column: str, values) -> list:
     return [f"index,{column}"] + [f"{i},{float(v)!r}" for i, v in enumerate(values)]
 
 
+def _trace_table(trace) -> list:
+    """CSV lines of the accepted points of a ``ContinuationTrace``."""
+    return ["t,residual,step,newton_iters"] + [
+        f"{r.t!r},{r.residual!r},{r.step!r},{r.newton_iters}" for r in trace.rows
+    ]
+
+
 def cmd_hilb(args) -> int:
     anticanonical = args.variant == "anticanonical"
     model = _model_for(args, anticanonical=anticanonical)
@@ -186,12 +193,12 @@ def cmd_psi_solve(args) -> int:
         solution, trace = solve_psi(model, target)
     except ContinuationError as exc:
         if exc.trace is not None and args.trace_out:
-            exc.trace.to_csv(args.trace_out)
+            _write_csv(_trace_table(exc.trace), args.trace_out)
         report = {"status": "continuation failure", "detail": str(exc)}
         print(emit_report(report, _out_path(args, "psi_solve.json")))
         return 2
     if args.trace_out:
-        trace.to_csv(args.trace_out)
+        _write_csv(_trace_table(trace), args.trace_out)
     basis = traceless_basis(model.N)
     jac = _psi_t_jacobian(model, solution.mat, 1.0, basis, _coords_table(basis))
     report = {
@@ -300,7 +307,15 @@ def derive_row(trial, seed, rep, ok):
 def cmd_dump_model(args) -> int:
     model = _model_for(args)
     path = _out_path(args, "model.csv") or "model.csv"
-    dump_model_csv(model, path)
+    header = ["index", "z_re", "z_im", "quad_weight", "ref_weight"]
+    header += [f"s{j}_{part}" for j in range(model.N) for part in ("re", "im")]
+    table = np.column_stack([
+        model.nodes.real, model.nodes.imag, model.quad_weights, model.ref_weight,
+        np.ascontiguousarray(model.sections.T).view(float),
+    ])
+    lines = [",".join(header)]
+    lines += [",".join([str(q)] + [repr(float(v)) for v in row]) for q, row in enumerate(table)]
+    _write_csv(lines, path)
     print(f"wrote {path}")
     return 0
 

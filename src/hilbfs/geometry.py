@@ -61,7 +61,7 @@ from .errors import (
     DimensionError,
     MassDefectError,
 )
-from .linalg import HermitianForm, cholesky_lower
+from .linalg import HermitianForm, _as_form, cholesky_lower
 
 CURVATURE_MASS_TOL = 1e-8
 
@@ -347,6 +347,15 @@ class SphericalOperator:
         return np.fft.irfft(out, n=na, axis=1).reshape(x.shape)
 
 
+def _sized_form(model: ManifoldModel, h) -> HermitianForm:
+    """``h`` as a ``HermitianForm`` on the model's N sections, the one size
+    check of every public entry point that takes a form."""
+    h = _as_form(h)
+    if h.dim != model.N:
+        raise DimensionError(f"form has dim {h.dim}, model needs {model.N}")
+    return h
+
+
 @dataclass
 class MetricWeight:
     """Hermitian metric on L^k relative to the reference: rw * exp(-u).
@@ -392,8 +401,7 @@ class MetricWeight:
             if self.potential_values.shape != (model.Q,):
                 raise DimensionError("grid potential length does not match node count")
             return self.potential_values
-        if self.form.dim != model.N:
-            raise DimensionError(f"form has dim {self.form.dim}, model needs {model.N}")
+        _sized_form(model, self.form)
         p = model._theta_fourier().pairings(self.inverse, parts=1)[0]
         return np.log(p)
 
@@ -470,16 +478,14 @@ def reference_density(model: ManifoldModel) -> Density:
     return Density(model.quad_weights.copy())
 
 
-def fs_metric(model: ManifoldModel, h: HermitianForm) -> MetricWeight:
+def fs_metric(model: ManifoldModel, h) -> MetricWeight:
     """The metric with sum_i |s'_i|^2 = 1 over any H-orthonormal basis {s'_i}.
 
     Returned as a bergman MetricWeight; its potential is
     u = log(sum_i |s'_i|^2 * ref_weight), independent of the orthonormal
     basis chosen.
     """
-    if h.dim != model.N:
-        raise DimensionError(f"form has dim {h.dim}, model needs {model.N}")
-    return MetricWeight.bergman(h)
+    return MetricWeight.bergman(_sized_form(model, h))
 
 
 def _curvature_numerator(p, pz_re, pz_im, pzz) -> np.ndarray:
@@ -571,25 +577,3 @@ def _weight_and_volume(model: ManifoldModel, m: MetricWeight):
             defect=defect,
         )
     return weight, vol
-
-
-def dump_model_csv(model: ManifoldModel, path) -> None:
-    """CSV: node index, z_re, z_im, quad_weight, ref_weight, then section
-    values with re and im interleaved."""
-    with open(path, "w") as fh:
-        header = ["index", "z_re", "z_im", "quad_weight", "ref_weight"]
-        for j in range(model.N):
-            header += [f"s{j}_re", f"s{j}_im"]
-        fh.write(",".join(header) + "\n")
-        for q in range(model.Q):
-            row = [
-                str(q),
-                repr(float(model.nodes[q].real)),
-                repr(float(model.nodes[q].imag)),
-                repr(float(model.quad_weights[q])),
-                repr(float(model.ref_weight[q])),
-            ]
-            for j in range(model.N):
-                row.append(repr(float(model.sections[j, q].real)))
-                row.append(repr(float(model.sections[j, q].imag)))
-            fh.write(",".join(row) + "\n")

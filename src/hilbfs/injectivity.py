@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DimensionError, MomentInfeasibleError
-from .geometry import Density, ManifoldModel, MetricWeight
+from .geometry import Density, ManifoldModel, MetricWeight, fs_metric
 from .linalg import HermitianForm, cholesky_lower, matrix_norms
 from .moments import build_lambda, section_shares, section_squares
 
@@ -77,9 +77,7 @@ def compare_fs(model: ManifoldModel, h: HermitianForm, h2: HermitianForm) -> FsC
     ``squares`` is the gauge frame's ``section_squares`` table and
     ``gauge_rounding`` the rounding delta that ``gauge_frame`` measured.
     """
-    if h.dim != model.N or h2.dim != model.N:
-        raise DimensionError("forms must match the model's section dimension")
-    metrics = (MetricWeight.bergman(h), MetricWeight.bergman(h2))
+    metrics = (fs_metric(model, h), fs_metric(model, h2))
     u1, u2 = (m.potential(model) for m in metrics)
     f = np.exp(u2 - u1) - 1.0
     node = int(np.abs(f).argmax())

@@ -179,6 +179,10 @@ class HermitianForm:
         return cls(re + 1j * im)
 
 
+def _as_form(h) -> HermitianForm:
+    return h if isinstance(h, HermitianForm) else HermitianForm(h)
+
+
 def load_matrix_json(path) -> HermitianForm:
     with open(path, "r") as fh:
         return HermitianForm.from_json_dict(json.load(fh))

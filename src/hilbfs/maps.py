@@ -32,6 +32,7 @@ from .geometry import (
     Density,
     ManifoldModel,
     MetricWeight,
+    _sized_form,
     _weight_and_volume,
     fs_metric,
 )
@@ -171,9 +172,7 @@ def t_iterate(
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
-    if h0.dim != model.N:
-        raise DimensionError(f"form has dim {h0.dim}, model needs {model.N}")
-    current = _unit_det(h0)
+    current = _unit_det(_sized_form(model, h0))
     steps = [IterationStep(0, _record(current), float("nan"), float("nan"))]
     converged = False
     for r in range(1, max_iters + 1):

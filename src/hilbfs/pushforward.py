@@ -43,7 +43,9 @@ Grams (``_psi_t_jacobian``).
 Validation happens once per public call: every public function accepts B
 as a ``HermitianForm`` or an array, checks it once in ``_checked_b``
 (hermitian, positive definite, and of the model's size where a model is
-given) and returns unit-trace ``HermitianForm`` values.  The continuation
+given) and returns unit-trace ``HermitianForm`` values; a target G, here
+and in both ``calabi`` pipelines, is checked once in ``_checked_target``.
+The continuation
 Newton runs on raw arrays through ``_psi_t`` and its analytic derivative
 ``_psi_t_jacobian``, which validate nothing; its line search tests positive
 definiteness before it evaluates a candidate, so no evaluation inside the
@@ -57,9 +59,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ContinuationError, ConvergenceError, DimensionError, MarginError
-from .geometry import ManifoldModel, _curvature_numerator, _pushforward_measure
-from .linalg import HermitianForm, damped_newton
+from .errors import ContinuationError, ConvergenceError, MarginError
+from .geometry import ManifoldModel, _curvature_numerator, _pushforward_measure, _sized_form
+from .linalg import HermitianForm, _as_form, damped_newton
 
 MARGIN = 1e-3  # smallest admissible eigenvalue of a unit-trace target
 STEP_FLOOR = 1e-6  # continuation step below which solve_psi gives up
@@ -70,19 +72,28 @@ PSI_TOL = 1e-10  # max-norm residual at which the continuation Newton stops at t
 PATH_TOL = 1e-4  # the same at every t < 1, whose point need only seed the next step
 
 
-def _as_form(b) -> HermitianForm:
-    return b if isinstance(b, HermitianForm) else HermitianForm(b)
-
-
-def _checked_b(b, n: Optional[int] = None) -> np.ndarray:
+def _checked_b(b, model: Optional[ManifoldModel] = None) -> np.ndarray:
     """B as an array, validated at a public entry point: hermitian, positive
-    definite and, when ``n`` is given, acting on the model's n sections."""
-    bm = _as_form(b).mat
-    if n is not None and bm.shape[0] != n:
-        raise DimensionError("B must act on the model's sections")
+    definite and, when ``model`` is given, of the model's size."""
+    bm = (_as_form(b) if model is None else _sized_form(model, b)).mat
     if np.linalg.eigvalsh(bm).min() <= 0:
         raise MarginError("B must be positive definite (singular B rejected)")
     return bm
+
+
+def _checked_target(model: ManifoldModel, g):
+    """G as a form, G / tr G and that matrix's eigenpairs, from one ``eigh``
+    once G is of the model's size, of positive trace and positive definite
+    (``MarginError`` for the last two)."""
+    form = _sized_form(model, g)
+    tr = float(np.real(np.trace(form.mat)))
+    if not tr > 0.0:
+        raise MarginError(f"target trace {tr:.3e} must be positive")
+    gm = form.mat / tr
+    ev, vec = np.linalg.eigh(gm)
+    if not ev.min() > 0.0:
+        raise MarginError(f"target is not positive definite: eigenvalue {ev.min():.3e}")
+    return form, gm, ev, vec
 
 
 def _unit_trace(m: np.ndarray) -> np.ndarray:
@@ -99,16 +110,17 @@ def _psi_t(model: Optional[ManifoldModel], bm: np.ndarray, t: float) -> np.ndarr
     caller has checked B: ``_checked_b`` at a public entry point, the line
     search inside the continuation Newton.
     """
+    if t > 0.0:
+        m = model._theta_fourier().gram(_pushforward_measure(model, bm))
+        if np.real(np.trace(m)) <= 0:
+            raise RuntimeError("internal error: pushforward trace must be positive")
+        p = _unit_trace(m)
+        if t == 1.0:
+            return p
     binv = np.linalg.inv(bm)
     p0 = _unit_trace(binv @ binv)
     if t == 0.0:
         return p0
-    m = model._theta_fourier().gram(_pushforward_measure(model, bm))
-    if np.real(np.trace(m)) <= 0:
-        raise RuntimeError("internal error: pushforward trace must be positive")
-    p = _unit_trace(m)
-    if t == 1.0:
-        return p
     return _unit_trace(t * p + (1.0 - t) * p0)
 
 
@@ -181,7 +193,7 @@ def phi_matrix(model: ManifoldModel, b) -> HermitianForm:
     embedding degree dk) and the integrand is
     W_r conj(W_s) / |W|^2.  Positive definite for nondegenerate embeddings.
     """
-    bm = _checked_b(b, model.N)
+    bm = _checked_b(b, model)
     g = bm @ model._theta_fourier().gram(_pushforward_measure(model, bm)) @ bm
     return HermitianForm(0.5 * (g + g.conj().T))
 
@@ -189,14 +201,14 @@ def phi_matrix(model: ManifoldModel, b) -> HermitianForm:
 def psi(model: ManifoldModel, b) -> HermitianForm:
     """Pushforward along the embedded curve: the normalised conjugation
     B^{-1} Phi(B) B^{-1} / tr(...); scale-invariant in B."""
-    return HermitianForm(_psi_t(model, _checked_b(b, model.N), 1.0))
+    return HermitianForm(_psi_t(model, _checked_b(b, model), 1.0))
 
 
 def psi_t(model: ManifoldModel, b, t: float) -> HermitianForm:
     """Affine homotopy t * psi + (1 - t) * psi0 between the two pushforwards."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    return HermitianForm(_psi_t(model, _checked_b(b, model.N), t))
+    return HermitianForm(_psi_t(model, _checked_b(b, model), t))
 
 
 @dataclass
@@ -222,12 +234,6 @@ class ContinuationTrace:
 
     def log(self, t, residual, step, iters):
         self.rows.append(TraceRow(float(t), float(residual), float(step), int(iters)))
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t,residual,step,newton_iters\n")
-            for r in self.rows:
-                fh.write(f"{r.t!r},{r.residual!r},{r.step!r},{r.newton_iters}\n")
 
 
 def _psi_t_jacobian(
@@ -395,19 +401,17 @@ def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace
     through the last two accepted points, trace-normalised, when that is
     positive definite, and at B otherwise and on the first step.  It stops
     at the max-norm residual ``PATH_TOL`` at t < 1 and ``PSI_TOL`` at
-    t = 1.  psi is scale-invariant, so G is first normalised by its trace,
-    which must be positive (``ValueError`` otherwise).  Raises
-    ``MarginError`` when the normalised G's smallest eigenvalue is below
-    ``MARGIN`` and ``ContinuationError`` carrying the trace when the step
-    size underflows.  Returns B as a unit-trace ``HermitianForm`` with the
+    t = 1.  psi is scale-invariant, so G is first normalised by its trace.
+    ``_checked_target`` checks G once: a G of the wrong size raises
+    ``DimensionError``, and one whose trace is not positive or that is not
+    positive definite ``MarginError``.  ``MARGIN`` is tested against the
+    smallest eigenvalue of G / tr G in the monomial basis of the sections
+    (``MarginError`` below it), and B0 comes from the same eigenpairs.
+    Raises ``ContinuationError`` carrying the trace when the step size
+    underflows.  Returns B as a unit-trace ``HermitianForm`` with the
     trace, which records the forward residual that alone certifies B.
     """
-    gm = _as_form(g).mat
-    tr = float(np.real(np.trace(gm)))
-    if not tr > 0.0:
-        raise ValueError(f"target trace {tr:.3e} must be positive")
-    gm = gm / tr
-    ev, vec = np.linalg.eigh(gm)
+    _, gm, ev, vec = _checked_target(model, g)
     if ev.min() < MARGIN:
         raise MarginError(
             f"target eigenvalue {ev.min():.3e} below margin {MARGIN:g}; "

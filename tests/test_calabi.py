@@ -32,7 +32,6 @@ from hilbfs.calabi import _full_gram_family
 from hilbfs.errors import (
     ConvergenceError,
     HermitianDefectError,
-    IllConditionedWarning,
     VariantError,
 )
 from hilbfs.linalg import random_spd
@@ -220,7 +219,7 @@ class TestSurjectFixedVolume:
     def test_ill_conditioned_target_rejected(self):
         model = build_p1_model(2)
         bad = HermitianForm.diagonal([1.0, 1e-9, 1.0])
-        with pytest.raises(MarginError), pytest.warns(IllConditionedWarning):
+        with pytest.raises(MarginError, match="condition number"):
             surject_fixed_volume(model, bad)
 
 
@@ -369,6 +368,14 @@ class TestSurjectFull:
         model = build_p1_model(2, radial_nodes=32, azimuthal_nodes=48)
         bad = HermitianForm.diagonal([1.0, 1.0, 1e-6])
         with pytest.raises(MarginError):
+            surject_full(model, bad)
+
+    def test_indefinite_target_margin_error(self):
+        # an invalid target raises the bare MarginError of the one target
+        # check, neither a pivot failure nor a wrapped stage failure
+        model = build_p1_model(2, radial_nodes=32, azimuthal_nodes=48)
+        bad = HermitianForm.diagonal([1.0, -0.1, 1.0])
+        with pytest.raises(MarginError, match="not positive definite"):
             surject_full(model, bad)
 
     def test_programming_error_not_wrapped(self, monkeypatch):

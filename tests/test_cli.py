@@ -187,6 +187,22 @@ def test_psi_solve_out_of_range_target(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "continuation failure"
 
 
+@pytest.mark.parametrize("mode", ["full", "fixed"])
+def test_surject_indefinite_target_is_invalid_input(tmp_path, capsys, mode):
+    # an invalid target is bad input (exit 1), not a failure of a stage (exit 2)
+    path = write_matrix(tmp_path / "g.json", HermitianForm.diagonal([1.0, -0.1, 1.0]).to_json_dict())
+    assert main(["surject", "--k", "2", "--target", path, "--mode", mode, *GRID]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input:")
+
+
+def test_psi_solve_target_of_the_wrong_size_is_invalid_input(tmp_path, capsys):
+    path = write_matrix(tmp_path / "g.json", HermitianForm.identity(4).to_json_dict())
+    assert main(["psi-solve", "--k", "2", "--target", path, *GRID]) == 1
+    assert capsys.readouterr().err.strip() == "invalid input: form has dim 4, model needs 3"
+
+
 def test_surject_full_feasible_target(tmp_path, capsys):
     model = build_p1_model(2, radial_nodes=32, azimuthal_nodes=48)
     target = hilb(model, fs_metric(model, random_spd(3, np.random.default_rng(14), cond=3.0)))

@@ -7,6 +7,7 @@ import pytest
 import hilbfs.pushforward
 from hilbfs import (
     ContinuationError,
+    DimensionError,
     HermitianDefectError,
     HermitianForm,
     MarginError,
@@ -386,6 +387,10 @@ class TestSolvePsi:
     def test_nonpositive_trace_rejected(self):
         with pytest.raises(ValueError, match="trace"):
             solve_psi(conic_model(), HermitianForm(np.diag([0.5, -1.0, 0.3])))
+
+    def test_target_of_the_wrong_size_rejected(self):
+        with pytest.raises(DimensionError, match="^form has dim 4, model needs 3$"):
+            solve_psi(build_p1_model(2), HermitianForm.identity(4))
 
     def test_margin_error(self):
         model = conic_model()
