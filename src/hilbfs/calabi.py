@@ -61,10 +61,10 @@ from .geometry import (
     fs_metric,
     reference_density,
 )
-from .linalg import COND_GUARD, HermitianForm, _as_form, damped_newton
+from .linalg import COND_GUARD, HermitianCoords, HermitianForm, _as_form, damped_newton
 from .maps import FIXED, exponent_for_variant, hilb, hilb_nu, variant_density
 from .moments import MAX_NEWTON, _max_entropy_newton
-from .pushforward import _checked_target, hermitian_basis, solve_psi
+from .pushforward import _checked_target, solve_psi
 
 SURJECT_TOL = 1e-8  # forward-residual gate of both surjectivity pipelines
 MOMENT_TOL = 1e-9  # full-Gram moment Newton tolerance, before the N/V scaling
@@ -211,38 +211,55 @@ class SurjectivityReport:
         return asdict(self)
 
 
-def _full_gram_family(model: ManifoldModel, basis: np.ndarray):
-    """Potential, moments and Jacobian (see ``moments._max_entropy_newton``)
-    of the family g_k = s* E_k^T s * ref_weight, E_k = basis[k].
+def _report(mode, forward, g_form, margin, stage_logs) -> SurjectivityReport:
+    """The report of a realisation: the max-norm residual of the recomputed
+    ``forward`` form against the target, logged as stage ``forward-check``
+    and achieved when at most ``SURJECT_TOL``."""
+    resid = float(np.abs(forward.mat - g_form.mat).max())
+    stage_logs.append({"stage": "forward-check", "residual": resid})
+    return SurjectivityReport(
+        mode=mode,
+        dim=g_form.dim,
+        residual_max=resid,
+        positivity_margin=margin,
+        tolerance=SURJECT_TOL,
+        achieved=resid <= SURJECT_TOL,
+        stage_logs=stage_logs,
+    )
 
-    The kernels carry ref_weight (see ``geometry``): u = sum_k c_k g_k is
-    the pairing synthesis of C^T, C = sum_k c_k E_k, and the moments
-    Re<E_k, gram(ew)> are one analysis.  Since
-    s_a conj(s_b) s_c conj(s_d) = z^(a+c) conj(z)^(b+d), the Jacobian is
-        sum_q g_k g_l ew = sum E_k[a, b] E_l[c, d] G2[a + c, b + d],
+
+def _full_gram_family(model: ManifoldModel, coords: HermitianCoords):
+    """Potential, moments and Jacobian (see ``moments._max_entropy_newton``)
+    of the family g_a = s* E_a s * ref_weight, E_a = coords.basis[a].
+
+    The kernels carry ref_weight (see ``geometry``): u = sum_a c_a g_a is
+    the pairing synthesis of ``coords.matrix(c)`` = sum_a c_a E_a, and the
+    moments tr(E_a gram(ew)) are the coordinates of one analysis.  Since
+    g_a = sum E_a^T[i, j] s_i conj(s_j) and
+    s_i conj(s_j) s_k conj(s_l) = z^(i+k) conj(z)^(j+l), the Jacobian is
+        sum_q g_a g_b ew = sum E_a^T[i, j] E_b^T[k, l] G2[i + k, j + l],
     G2 the doubled kernel's gram of ew, which carries ref_weight^2; each
-    E_k has at most two nonzero entries, so it is an O(N^4) gather from the
+    E_a has at most two nonzero entries, so it is an O(N^4) gather from the
     pair sums of G2.
     """
-    n, kernel, doubled = model.N, model._theta_fourier(), model._theta_fourier(doubled=True)
-    flat = basis.reshape(len(basis), n * n)
-    # where and value of the (at most two) nonzero entries of each E_k
-    rows, cols = np.nonzero(flat)
+    kernel, doubled = model._theta_fourier(), model._theta_fourier(doubled=True)
+    # where and value of the (at most two) nonzero entries of each
+    # vec(E_a^T) = conj(vec(E_a)), E_a being hermitian
+    rows, cols, nonzero = coords.entries
     slot = np.concatenate([[0], rows[1:] == rows[:-1]]).astype(int)
-    where = np.zeros((len(basis), 2), dtype=int)
-    value = np.zeros((len(basis), 2), dtype=complex)
+    where = np.zeros((len(coords.basis), 2), dtype=int)
+    value = np.zeros((len(coords.basis), 2), dtype=complex)
     where[rows, slot] = cols
-    value[rows, slot] = flat[rows, cols]
+    value[rows, slot] = nonzero.conj()
 
     def potential(c):
-        coef = np.tensordot(c, basis, 1)
-        return kernel.pairings(coef.T, parts=1)[0]
+        return kernel.pairings(coords.matrix(c), parts=1)[0]
 
     def moments(ew):
-        return np.real(flat @ kernel.gram(ew).ravel())
+        return coords.of(kernel.gram(ew))
 
     def jacobian(ew):
-        t = doubled.pair_sums(doubled.gram(ew))  # T[(a, b), (c, d)] = G2[a + c, b + d]
+        t = doubled.pair_sums(doubled.gram(ew))  # T[(i, j), (k, l)] = G2[i + k, j + l]
         left = value[:, :1] * t[where[:, 0]] + value[:, 1:] * t[where[:, 1]]
         return np.real(left[:, where[:, 0]] * value[:, 0] + left[:, where[:, 1]] * value[:, 1])
 
@@ -275,20 +292,19 @@ def surject_fixed_volume(
     if cond > COND_GUARD:
         raise MarginError(f"target condition number {cond:.3e} exceeds {COND_GUARD:g}")
     # The full-Gram problem is the max-entropy moment problem in the real
-    # coordinates of the hermitian basis E_k: g_k = s* E_k^T s * rw, matched
-    # against Re<E_k, G>.  ``_full_gram_family`` evaluates it through the
-    # theta-Fourier kernels, so no node table of the N^2 functions g_k is
+    # coordinates of the hermitian basis E_a: g_a = s* E_a s * rw, matched
+    # against tr(E_a G).  ``_full_gram_family`` evaluates it through the
+    # theta-Fourier kernels, so no node table of the N^2 functions g_a is
     # held.  The largest coordinate bounds the largest matrix entry from
     # above, so the coordinate tolerance MOMENT_TOL / scale is never looser
     # than the entry one.
     scale = model.N / model.V
     target_scaled = g_form.mat / scale
-    basis = hermitian_basis(model.N)
-    lam = np.real(np.einsum("kab,ab->k", basis, target_scaled))
+    coords = HermitianCoords.full(model.N)
     _, u, history = _max_entropy_newton(
-        *_full_gram_family(model, basis),
+        *_full_gram_family(model, coords),
         base_nu.weights,
-        lam,
+        coords.of(target_scaled),
         MOMENT_TOL / scale,
         MAX_NEWTON,
     )
@@ -307,18 +323,7 @@ def surject_fixed_volume(
     u_metric = -float(exponent) * model.k * u
     metric = MetricWeight.grid(u_metric)
     forward = hilb_nu(model, metric, variant, base_nu)
-    resid = float(np.abs(forward.mat - g_form.mat).max())
-    stage_logs.append({"stage": "forward-check", "residual": resid})
-    report = SurjectivityReport(
-        mode=variant,
-        dim=model.N,
-        residual_max=resid,
-        positivity_margin=None,
-        tolerance=SURJECT_TOL,
-        achieved=resid <= SURJECT_TOL,
-        stage_logs=stage_logs,
-    )
-    return metric, report
+    return metric, _report(variant, forward, g_form, None, stage_logs)
 
 
 def surject_full(model: ManifoldModel, target):
@@ -362,15 +367,4 @@ def surject_full(model: ManifoldModel, target):
         density = curvature_volume(model, metric).weights / model.quad_weights
     except _STAGE_ERRORS as exc:
         raise StageError("forward-check", exc) from exc
-    resid = float(np.abs(forward.mat - g_form.mat).max())
-    stage_logs.append({"stage": "forward-check", "residual": resid})
-    report = SurjectivityReport(
-        mode="full",
-        dim=model.N,
-        residual_max=resid,
-        positivity_margin=float(density.min()),
-        tolerance=SURJECT_TOL,
-        achieved=resid <= SURJECT_TOL,
-        stage_logs=stage_logs,
-    )
-    return metric, report
+    return metric, _report("full", forward, g_form, float(density.min()), stage_logs)

@@ -24,13 +24,10 @@ from .errors import (
     ConvergenceError,
     CurvaturePositivityError,
     DefinitenessError,
-    DimensionError,
     HermitianDefectError,
-    MarginError,
     MassDefectError,
     MomentInfeasibleError,
     StageError,
-    VariantError,
 )
 from .geometry import (
     Density,
@@ -41,36 +38,20 @@ from .geometry import (
     reference_density,
 )
 from .injectivity import perturbed_pair, verify_injectivity
-from .linalg import load_matrix_json
+from .linalg import HermitianCoords, load_matrix_json
 from .maps import hilb, hilb_nu, t_iterate
 from .moments import build_lambda
-from .pushforward import (
-    _coords_table,
-    _psi_t_jacobian,
-    psi,
-    psi0_closed,
-    psi_t,
-    solve_psi,
-    traceless_basis,
-)
+from .pushforward import _psi_t_jacobian, psi, psi0_closed, psi_t, solve_psi
 
 SCHEMA_VERSION = "1"
 
-VALIDATION_ERRORS = (
-    HermitianDefectError,
-    DimensionError,
-    MarginError,
-    VariantError,
-    ValueError,
-    FileNotFoundError,
-    json.JSONDecodeError,
-)
+# main tries NUMERICAL_ERRORS first, so DefinitenessError, a ValueError, exits 2
+VALIDATION_ERRORS = (ValueError, FileNotFoundError)
 NUMERICAL_ERRORS = (
     DefinitenessError,
     CurvaturePositivityError,
     MassDefectError,
     ConvergenceError,
-    MomentInfeasibleError,
     ContinuationError,
     StageError,
 )
@@ -138,15 +119,15 @@ def _trace_table(trace) -> list:
 
 
 def cmd_hilb(args) -> int:
+    if args.nu and args.variant != "fixed":
+        raise ValueError("--nu applies to --variant fixed only")
     anticanonical = args.variant == "anticanonical"
     model = _model_for(args, anticanonical=anticanonical)
     metric = _load_metric(model, args.metric)
     if args.variant is None:
         form = hilb(model, metric)
     else:
-        nu = _load_density(args.nu) if args.nu else (
-            reference_density(model) if args.variant == "fixed" else None
-        )
+        nu = _load_density(args.nu) if args.nu else reference_density(model)
         form = hilb_nu(model, metric, variant=args.variant, nu=nu)
     print(emit_report(form.to_json_dict(), _out_path(args, "hilb.json")))
     return 0
@@ -199,8 +180,7 @@ def cmd_psi_solve(args) -> int:
         return 2
     if args.trace_out:
         _write_csv(_trace_table(trace), args.trace_out)
-    basis = traceless_basis(model.N)
-    jac = _psi_t_jacobian(model, solution.mat, 1.0, basis, _coords_table(basis))
+    jac = _psi_t_jacobian(model, solution.mat, 1.0, HermitianCoords.traceless(model.N))
     report = {
         "status": "ok",
         "B": solution.to_json_dict(),
@@ -218,6 +198,8 @@ def cmd_psi_solve(args) -> int:
 
 
 def cmd_lambda(args) -> int:
+    if args.floor is not None and args.mode != "paper":
+        raise ValueError("--floor applies to --mode paper only")
     model = _model_for(args)
     try:
         system = build_lambda(model, floor=args.floor, mode=args.mode)

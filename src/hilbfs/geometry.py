@@ -108,7 +108,6 @@ class ManifoldModel:
     ref_weight: np.ndarray     # (1+|z|^2)^(-dk)
     radial_nodes: int
     azimuthal_nodes: int
-    geometry: str = "projective_line"
     _laplacian: Optional["SphericalOperator"] = field(default=None, repr=False)
     _fourier: dict = field(default_factory=dict, repr=False)
     _refined: Optional["ManifoldModel"] = field(default=None, repr=False)
@@ -465,7 +464,6 @@ def build_p1_model(
         ref_weight=rw,
         radial_nodes=nr,
         azimuthal_nodes=na,
-        geometry="projective_line" if line_degree == 1 else "fano_anticanonical",
     )
 
 

@@ -1,12 +1,15 @@
-"""Hermitian matrix primitives: norms, Cholesky, basis transforms, JSON I/O,
-and ``damped_newton``, the one damped-Newton loop that the moment, psi and
-Monge-Ampere solvers share; each caller keeps its own mathematics and its
-own test for accepting a step.
+"""Hermitian matrix primitives: norms, Cholesky, basis transforms, real
+coordinates (``HermitianCoords``), JSON I/O, and ``damped_newton``, the one
+damped-Newton loop that the moment, psi and Monge-Ampere solvers share;
+each caller keeps its own mathematics and its own test for accepting a step.
 
-Convention used throughout the package: a hermitian form G on the section
+Conventions used throughout the package: a hermitian form G on the section
 space is stored via its matrix G[i, j] = <s_i, s_j>, linear in the first
 index and conjugate-linear in the second, so a basis change s_i -> sum_j
-A[i, j] s_j transforms G into A @ G @ A*.
+A[i, j] s_j transforms G into A @ G @ A*.  The real coordinates of a
+hermitian M in an orthonormal real basis E_a (tr(E_a E_b) = delta_ab) are
+x_a = tr(E_a M), and M = sum_a x_a E_a when M lies in the span; both
+surjectivity Newtons read and write hermitian matrices this way.
 """
 
 from __future__ import annotations
@@ -229,16 +232,14 @@ def _lower_factor(a: np.ndarray) -> np.ndarray:
     return L
 
 
-def cholesky_lower(h: HermitianForm | np.ndarray) -> np.ndarray:
-    """Lower-triangular L with H = L L* and strictly positive diagonal.
+def cholesky_lower(h: HermitianForm) -> np.ndarray:
+    """The form's kept, read-only ``factor``: lower-triangular L with
+    H = L L* and strictly positive diagonal.
 
     Raises ``DefinitenessError`` naming the first failing pivot when H is not
-    positive definite.  For a ``HermitianForm`` L is the form's kept,
-    read-only ``factor`` and an ``IllConditionedWarning`` is raised when its
-    condition number exceeds ``COND_GUARD``.
+    positive definite, and an ``IllConditionedWarning`` when its condition
+    number exceeds ``COND_GUARD``.
     """
-    if not isinstance(h, HermitianForm):
-        return _lower_factor(_as_square(h))
     L = h.factor()
     _warn_if_ill_conditioned(h, "cholesky_lower")
     return L
@@ -275,6 +276,66 @@ def random_spd(n: int, rng: np.random.Generator, cond: float = 10.0) -> Hermitia
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (x + x.conj().T)
+
+
+class HermitianCoords:
+    """Real coordinates x_a = tr(E_a M) of (stacked) hermitian n x n
+    matrices M in an orthonormal real basis E_a = ``basis[a]``, and the
+    matrix sum_a x_a E_a of coordinates x.  ``full`` spans all hermitian
+    matrices (n^2 elements), ``traceless`` the traceless ones (n^2 - 1).
+    ``entries`` lists the nonzero entries of the E_a, ordered by a: the
+    element a, the index into vec(E_a) and the value."""
+
+    def __init__(self, basis: np.ndarray):
+        basis.setflags(write=False)
+        self.basis = basis
+        self._flat = basis.reshape(len(basis), -1)
+        a, entry = np.nonzero(self._flat)
+        self.entries = a, entry, self._flat[a, entry]
+
+    @staticmethod
+    def _full_basis(n: int) -> np.ndarray:
+        i, j = np.triu_indices(n, 1)
+        pair = n + 2 * np.arange(len(i))
+        basis = np.zeros((n + 2 * len(i), n, n), dtype=complex)
+        basis[range(n), range(n), range(n)] = 1.0
+        basis[pair, i, j] = basis[pair, j, i] = 1.0 / np.sqrt(2.0)
+        basis[pair + 1, i, j], basis[pair + 1, j, i] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
+        return basis
+
+    @classmethod
+    def full(cls, n: int) -> "HermitianCoords":
+        """The diagonal units, then per pair i < j its real and imaginary
+        element."""
+        return cls(cls._full_basis(n))
+
+    @classmethod
+    def traceless(cls, n: int) -> "HermitianCoords":
+        """``full`` with diag(1, ..., 1, -r, 0, ...) / sqrt(r (r + 1)),
+        0 < r < n, in place of the diagonal units."""
+        basis = cls._full_basis(n)[1:]
+        r, c = np.arange(n - 1)[:, None], np.arange(n)
+        scale = 1.0 / np.sqrt((r + 1) * (r + 2))
+        basis[r, c, c] = np.where(c <= r, scale, np.where(c == r + 1, -(r + 1) * scale, 0.0))
+        return cls(basis)
+
+    def of(self, m) -> np.ndarray:
+        """tr(E_a M) for M (..., n, n).  E_a is hermitian, so this is
+        Re sum conj(E_a) o M, one real matmul of the flattened entries
+        viewed as (Re, Im) floats."""
+        m = np.ascontiguousarray(m, dtype=complex)
+        return m.reshape(m.shape[:-2] + (-1,)).view(float) @ self._flat.view(float).T
+
+    def matrix(self, x) -> np.ndarray:
+        """sum_a x_a E_a for coordinates x (len(basis),), over the nonzero
+        entries of the E_a only; each entry sums its terms in the order
+        of a."""
+        a, entry, value = self.entries
+        terms = np.asarray(x, dtype=float)[a] * value
+        m = np.empty(self._flat.shape[1], dtype=complex)
+        m.real = np.bincount(entry, terms.real, len(m))
+        m.imag = np.bincount(entry, terms.imag, len(m))
+        return m.reshape(self.basis.shape[1:])
 
 
 def damped_newton(evaluate, direction, accept, start, tol, max_steps, max_halvings, what,

@@ -41,11 +41,11 @@ from .linalg import HermitianForm
 FIXED = "fixed"
 ANTICANONICAL = "anticanonical"
 
-# variant -> (sign s in d nu = e^{s u / k} d nu_0, the model geometry it
-# needs, that geometry's name in the error raised on any other)
+# variant -> (sign s in d nu = e^{s u / k} d nu_0, the line degree d of
+# L = O(d) it needs: 2 for -K of P^1, None for any)
 _VARIANTS = {
-    FIXED: (0, None, None),
-    ANTICANONICAL: (-1, "fano_anticanonical", "the Fano test-bed"),
+    FIXED: (0, None),
+    ANTICANONICAL: (-1, 2),
 }
 
 
@@ -87,7 +87,7 @@ def variant_density(
     anticanonical: e^{-u / k} times the quadrature weights (see the module
     docstring), on the Fano test-bed.
     """
-    sign, geometry, needs = _variant_law(variant)
+    sign, degree = _variant_law(variant)
     if sign == 0:
         if nu is None:
             raise ValueError("fixed variant requires a density")
@@ -98,8 +98,11 @@ def variant_density(
         if np.any(nu.weights <= 0):
             raise ValueError("fixed variant requires a strictly positive density")
         return nu
-    if model.geometry != geometry:
-        raise VariantError(f"{variant} variant requires {needs}")
+    if model.line_degree != degree:
+        raise VariantError(
+            f"{variant} variant requires the Fano test-bed L = O({degree}), "
+            f"got O({model.line_degree})"
+        )
     u = m.potential(model)
     return Density(np.exp(sign * u / model.k) * model.quad_weights)
 

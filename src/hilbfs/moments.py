@@ -16,9 +16,10 @@ node weights, any real target and any family of node functions g_k, which
 it sees only through three functions: the potential u = sum_k c_k g_k at
 the nodes, and for node weights ew the moments sum_q g_k ew and the
 Jacobian sum_q g_k g_l ew.  ``solve_moments`` forms all three from its
-N x Q table of squared sections.  The second caller, ``calabi.surject_fixed_volume``,
-solves the full-Gram problem, with g_k = s* E_k^T s * ref_weight for an
-orthonormal hermitian basis E_k; its targets, the basis coordinates of a
+N x Q table of squared sections.  The second caller,
+``calabi.surject_fixed_volume``, solves the full-Gram problem, with
+g_a = s* E_a s * ref_weight for the orthonormal hermitian basis E_a of
+``linalg.HermitianCoords``; its targets, the coordinates tr(E_a G) of a
 Gram matrix, may be negative.  It holds no node table: the potential is a
 pairing synthesis, the moments a Gram analysis and the Jacobian a gather
 from the Gram of the doubled-degree monomials, and the kernels carry

@@ -38,7 +38,8 @@ through its sections s, and psi(B) = M / tr M with M = sum_q s_q s_q*
 mu_B(q), mu_B the Fubini-Study volume of the moved curve B s over |B s|^2:
 M is the kernel's gram of ``geometry._pushforward_measure``, mu_B / rw.
 Its Jacobian gathers dM along every direction from three doubled-degree
-Grams (``_psi_t_jacobian``).
+Grams (``_psi_t_jacobian``).  The Newton reads residuals and writes steps
+in the traceless coordinates tr(E_a M) of ``linalg.HermitianCoords``.
 
 Validation happens once per public call: every public function accepts B
 as a ``HermitianForm`` or an array, checks it once in ``_checked_b``
@@ -61,7 +62,7 @@ import numpy as np
 
 from .errors import ContinuationError, ConvergenceError, MarginError
 from .geometry import ManifoldModel, _curvature_numerator, _pushforward_measure, _sized_form
-from .linalg import HermitianForm, _as_form, damped_newton
+from .linalg import HermitianCoords, HermitianForm, _as_form, damped_newton
 
 MARGIN = 1e-3  # smallest admissible eigenvalue of a unit-trace target
 STEP_FLOOR = 1e-6  # continuation step below which solve_psi gives up
@@ -145,45 +146,6 @@ def _dpsi0(bm: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return 0.5 * (out + np.swapaxes(out, -1, -2).conj())
 
 
-def hermitian_basis(n: int) -> np.ndarray:
-    """Orthonormal real basis of the hermitian matrices (n^2 elements): the
-    diagonal units, then per pair i < j its real and imaginary element."""
-    i, j = np.triu_indices(n, 1)
-    pair = n + 2 * np.arange(len(i))
-    basis = np.zeros((n + 2 * len(i), n, n), dtype=complex)
-    basis[range(n), range(n), range(n)] = 1.0
-    basis[pair, i, j] = basis[pair, j, i] = 1.0 / np.sqrt(2.0)
-    basis[pair + 1, i, j], basis[pair + 1, j, i] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
-    return basis
-
-
-def traceless_basis(n: int) -> np.ndarray:
-    """Orthonormal real basis of traceless hermitian matrices (n^2 - 1): the
-    hermitian one with diag(1, ..., 1, -r, 0, ...) / sqrt(r (r + 1)), r < n."""
-    basis = hermitian_basis(n)[1:]
-    r, c = np.arange(n - 1)[:, None], np.arange(n)
-    scale = 1.0 / np.sqrt((r + 1) * (r + 2))
-    basis[r, c, c] = np.where(c <= r, scale, np.where(c == r + 1, -(r + 1) * scale, 0.0))
-    return basis
-
-
-def _coords_table(basis: np.ndarray) -> np.ndarray:
-    """The real (2 n^2, len(basis)) table that ``_coords`` applies: column a
-    holds Re and -Im of vec(E_a^T), interleaved."""
-    n2 = basis.shape[-1] ** 2
-    et = basis.transpose(0, 2, 1).reshape(len(basis), n2)
-    return np.stack([et.real, -et.imag], axis=-1).reshape(len(basis), -1).T
-
-
-def _coords(table: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Real coordinates tr(E_a M) of (stacked) hermitian M in the basis of
-    ``table`` (``_coords_table``): Re vec(E_a^T) . vec(M), one real matmul
-    over the flattened entries."""
-    n2 = table.shape[0] // 2
-    flat = np.ascontiguousarray(m, dtype=complex).reshape(m.shape[:-2] + (n2,))
-    return flat.view(float) @ table
-
-
 def phi_matrix(model: ManifoldModel, b) -> HermitianForm:
     """Gram of the moved sections against the moved curve's induced
     Fubini-Study volume.
@@ -240,19 +202,17 @@ def _psi_t_jacobian(
     model: ManifoldModel,
     bm: np.ndarray,
     t: float,
-    basis: np.ndarray,
-    table: np.ndarray,
+    coords: HermitianCoords,
 ) -> np.ndarray:
-    """Analytic Jacobian of psi_t at B in the coordinates of ``basis``, whose
-    ``_coords_table`` is ``table``.
+    """Analytic Jacobian of psi_t at B in the coordinates ``coords``.
 
-    Column b is the derivative along basis[b] and row a its coordinate
-    tr(E_a . ).  B^{-1} Phi(B) B^{-1} = M = sum_q s_q s_q* mu_B(q) with
-    mu_B = num c, num = P P_zzbar - |P_z|^2, c = (1+|z|^2)^2 qw / (V P^3)
-    and P = s* B^2 s.  The kernel's rows are rw (P, P_z, P_zzbar), so the
-    c formed from them is c / rw^3 and the forms f_p below come out divided
-    by rw^2, as the doubled kernel, which carries rw^2, needs.  Along A,
-    B^2 moves by D = BA + AB and d mu_B =
+    Column b is the derivative along E_b = coords.basis[b] and row a its
+    coordinate tr(E_a . ) (``coords.of``).  B^{-1} Phi(B) B^{-1} = M =
+    sum_q s_q s_q* mu_B(q) with mu_B = num c, num = P P_zzbar - |P_z|^2,
+    c = (1+|z|^2)^2 qw / (V P^3) and P = s* B^2 s.  The kernel's rows are
+    rw (P, P_z, P_zzbar), so the c formed from them is c / rw^3 and the
+    forms f_p below come out divided by rw^2, as the doubled kernel, which
+    carries rw^2, needs.  Along A, B^2 moves by D = BA + AB and d mu_B =
     Re(dP f_0 + 2 dP_z f_1 + dP_zzbar f_2) for the node forms
     (f_0, f_1, f_2) = ((P_zzbar - 3 num / P) c, -conj(P_z) c, P c).  As
     s_i conj(s_j) conj(s_a) s_b = z^(i+b) conj(z)^(j+a), dM = T vec(D) with
@@ -262,7 +222,7 @@ def _psi_t_jacobian(
     tr(dM) psi / tr M; both endpoints of the homotopy have unit trace, so
     d psi_t = t dpsi + (1 - t) dpsi0.
     """
-    jac = 0.0 if t == 1.0 else (1.0 - t) * _coords(table, _dpsi0(bm, basis))
+    jac = 0.0 if t == 1.0 else (1.0 - t) * coords.of(_dpsi0(bm, coords.basis))
     if t == 0.0:
         return jac.T
     n, doubled = model.N, model._theta_fourier(doubled=True)
@@ -280,19 +240,19 @@ def _psi_t_jacobian(
     b, a = np.divmod(np.arange(n * n), n)  # column (b, a) of the pair sums
     tab = np.einsum("pkl,pl->kl", doubled.pair_sums(shifted), [a**0, b, a, a * b])
     # T vec(D) = tab vec(D^T), and D^T = conj(D) for hermitian D
+    basis = coords.basis
     dm = (bm @ basis + basis @ bm).conj().reshape(len(basis), n * n) @ tab.T
     trm = np.real(np.trace(m))
     trdm = np.real(dm[:, :: n + 1].sum(axis=1))
-    dpsi = (_coords(table, dm.reshape(-1, n, n)) - np.outer(trdm, _coords(table, m)) / trm) / trm
+    dpsi = (coords.of(dm.reshape(-1, n, n)) - np.outer(trdm, coords.of(m)) / trm) / trm
     return (jac + t * dpsi).T
 
 
-def _newton_at_t(model, b, t, g, basis, table, full=False, r=None):
-    """Newton-correct psi_t(B) = G in traceless coordinates around unit
+def _newton_at_t(model, b, t, g, coords, full=False, r=None):
+    """Newton-correct psi_t(B) = G in the traceless ``coords`` around unit
     trace, to a max-norm residual of at most ``PSI_TOL`` at t = 1 and
-    ``PATH_TOL`` at t < 1; ``table`` is the basis's ``_coords_table``, and
-    ``r``, when given, the start's residual coordinates, which are then not
-    evaluated again.
+    ``PATH_TOL`` at t < 1; ``r``, when given, is the start's residual
+    coordinates, which are then not evaluated again.
 
     ``linalg.damped_newton`` runs from B with the analytic Jacobian
     ``_psi_t_jacobian``; a candidate is hermitised, dropped unless positive
@@ -315,12 +275,12 @@ def _newton_at_t(model, b, t, g, basis, table, full=False, r=None):
         if np.linalg.eigvalsh(cand).min() <= 0:
             return None
         cand = cand / np.real(np.trace(cand))
-        return cand, _coords(table, _psi_t(model, cand, t) - g)
+        return cand, coords.of(_psi_t(model, cand, t) - g)
 
     def direction(bm, r):
         nonlocal jac
-        jac = _psi_t_jacobian(model, bm, t, basis, table)
-        return np.einsum("a,aij->ij", np.linalg.solve(jac, -r), basis)
+        jac = _psi_t_jacobian(model, bm, t, coords)
+        return coords.matrix(np.linalg.solve(jac, -r))
 
     def accept(new, old, alpha, step):
         if full:
@@ -330,7 +290,7 @@ def _newton_at_t(model, b, t, g, basis, table, full=False, r=None):
         return np.linalg.norm(new[1]) < np.linalg.norm(old[1]) or np.abs(new[1]).max() <= tol
 
     if r is None:
-        r = _coords(table, _psi_t(model, b, t) - g)
+        r = coords.of(_psi_t(model, b, t) - g)
     try:
         (bm, _), history = damped_newton(
             evaluate, direction, accept, (b, r),
@@ -349,7 +309,7 @@ def _inverse_sqrt(ev: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return b / np.real(np.trace(b))
 
 
-def _balancing_start(model, gm, b, table):
+def _balancing_start(model, gm, b, coords):
     """Balancing (Picard) steps towards psi(B) = G from B = G^{-1/2}, the
     start of the full step (Donaldson's iteration run towards G, see the
     module docstring).
@@ -357,12 +317,12 @@ def _balancing_start(model, gm, b, table):
     With H = G and B = H^{-1/2} (both unit trace) it repeats
     r = psi(B) - G, H <- herm(H - r), trace-normalised, B = H^{-1/2}.  It
     stops when H is not positive definite or when a step fails to shrink
-    the residual's norm (traceless coordinates of ``table``) by
+    the residual's norm (in the traceless ``coords``) by
     ``CONTRACTION_MAX``, and then keeps the better of the last two points.
     Returns (B, its residual coordinates, steps evaluated).
     """
     h, rm = gm, _psi_t(model, b, 1.0) - gm
-    r = _coords(table, rm)
+    r = coords.of(rm)
     steps = 0
     while True:
         h_new = _unit_trace(h - rm)
@@ -372,7 +332,7 @@ def _balancing_start(model, gm, b, table):
         steps += 1
         b_new = _inverse_sqrt(ev, vec)
         rm_new = _psi_t(model, b_new, 1.0) - gm
-        r_new = _coords(table, rm_new)
+        r_new = coords.of(rm_new)
         norm, norm_new = np.linalg.norm(r), np.linalg.norm(r_new)
         if norm_new < norm:
             h, b, rm, r = h_new, b_new, rm_new, r_new
@@ -417,13 +377,11 @@ def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace
             f"target eigenvalue {ev.min():.3e} below margin {MARGIN:g}; "
             "too close to the simplex boundary"
         )
-    n = gm.shape[0]
-    basis = traceless_basis(n)
-    table = _coords_table(basis)
+    coords = HermitianCoords.traceless(gm.shape[0])
     b = _inverse_sqrt(ev, vec)
     trace = ContinuationTrace()
     trace.log(0.0, float(np.abs(_psi_t(model, b, 0.0) - gm).max()), 0.0, 0)
-    start, r_start, trace.seed_steps = _balancing_start(model, gm, b, table)
+    start, r_start, trace.seed_steps = _balancing_start(model, gm, b, coords)
     t = t_prev = 0.0
     b_prev = b
     full, h = True, 1.0
@@ -436,7 +394,7 @@ def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace
             pred = b + (t_next - t) / (t - t_prev) * (b - b_prev)
             if np.linalg.eigvalsh(pred).min() > 0:
                 start = pred / np.real(np.trace(pred))
-        bn, iters, resid = _newton_at_t(model, start, t_next, gm, basis, table, full, r_start)
+        bn, iters, resid = _newton_at_t(model, start, t_next, gm, coords, full, r_start)
         trace.corrector_iters += iters
         if bn is None:
             trace.abandoned += 1

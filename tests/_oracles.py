@@ -8,13 +8,8 @@ import numpy as np
 from scipy.special import gammaln, lpmv
 
 from hilbfs import HermitianForm, fs_metric, hilb
-from hilbfs.pushforward import (
-    _coords,
-    _coords_table,
-    _psi_t_jacobian,
-    hermitian_basis,
-    traceless_basis,
-)
+from hilbfs.linalg import HermitianCoords
+from hilbfs.pushforward import _psi_t_jacobian
 
 
 def psi0_defining_quadrature(b, radial=160, azimuthal=160):
@@ -196,14 +191,14 @@ def pushforward_measure_derivative(model, bm, dirs):
 
 def pair_product_table(model):
     """The N^2 x Q table of the full-Gram moment family, row k holding
-    Re sum_ab E_k[a, b] s_a conj(s_b) * ref_weight for the hermitian basis
+    Re sum_ab E_k[a, b] conj(s_a) s_b * ref_weight for the hermitian basis
     E_k, summed over a from the section values."""
     n = model.N
-    basis = hermitian_basis(n)
+    basis = HermitianCoords.full(n).basis
     sect = model.sections
     table = np.zeros((n * n, model.Q))
     for a in range(n):
-        pa = sect[a] * sect.conj()
+        pa = sect[a].conj() * sect
         table += basis[:, a].real @ pa.real - basis[:, a].imag @ pa.imag
     return table * model.ref_weight
 
@@ -277,11 +272,10 @@ def psi_jacobian_chain(model):
     c = 1.0 / np.trace(b)
     b *= c
     f = -1.0 / (root[:, None] * root * (root[:, None] + root))
-    basis = traceless_basis(n)
-    table = _coords_table(basis)
-    db = c * f * (root[:, None] * basis * root)
+    coords = HermitianCoords.traceless(n)
+    db = c * f * (root[:, None] * coords.basis * root)
     db -= np.trace(db, axis1=1, axis2=2).real[:, None, None] * b
-    jac = _psi_t_jacobian(model, b, 1.0, basis, table)
-    dpsi = np.einsum("ba,aij->bij", jac @ _coords(table, db).T, basis)
+    jac = _psi_t_jacobian(model, b, 1.0, coords)
+    dpsi = np.einsum("ba,aij->bij", jac @ coords.of(db).T, coords.basis)
     p_root = np.sqrt(np.sum(h)) / root
-    return _coords(table, p_root[:, None] * dpsi * p_root).T
+    return coords.of(p_root[:, None] * dpsi * p_root).T

@@ -34,9 +34,9 @@ from hilbfs.errors import (
     HermitianDefectError,
     VariantError,
 )
-from hilbfs.linalg import random_spd
+from hilbfs.linalg import HermitianCoords, random_spd
 from hilbfs.moments import _max_entropy_newton
-from hilbfs.pushforward import hermitian_basis, solve_psi
+from hilbfs.pushforward import solve_psi
 
 from _oracles import pair_product_table, sphere_basis
 
@@ -251,7 +251,7 @@ class TestFullGramFamily:
     @pytest.mark.parametrize("k,d", [(2, 1), (4, 1), (8, 1), (12, 1), (16, 1), (3, 2)])
     def test_matches_pair_product_table(self, k, d):
         model = build_p1_model(k, line_degree=d)
-        family = _full_gram_family(model, hermitian_basis(model.N))
+        family = _full_gram_family(model, HermitianCoords.full(model.N))
         oracle = _table_family(pair_product_table(model))
         rng = np.random.default_rng(k + 40)
         c = 0.3 * rng.standard_normal(model.N**2)

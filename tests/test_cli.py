@@ -18,8 +18,7 @@ from hilbfs import (
     surject_fixed_volume,
     surject_full,
 )
-from hilbfs.linalg import random_spd
-from hilbfs.pushforward import traceless_basis
+from hilbfs.linalg import HermitianCoords, random_spd
 from hilbfs.cli import main
 
 
@@ -77,6 +76,25 @@ def test_matrix_json_missing_key_is_invalid_input(tmp_path, capsys):
 )
 def test_usage_errors_exit_1(argv):
     assert exit_code(argv) == 1
+
+
+@pytest.mark.parametrize(
+    "variant", [[], ["--variant", "anticanonical"]], ids=["no-variant", "anticanonical"]
+)
+def test_hilb_nu_without_the_fixed_variant_is_a_usage_error(tmp_path, capsys, variant):
+    # a density the fixed variant would accept, which no other Hilbert map reads
+    model = build_p1_model(2, line_degree=2 if variant else 1)
+    path = tmp_path / "nu.csv"
+    path.write_text("\n".join(["index,weight"] + [f"{i},{w!r}" for i, w in
+                                                  enumerate(model.quad_weights)]) + "\n")
+    assert main(["hilb", "--k", "2", *variant, "--nu", str(path)]) == 1
+    assert "--nu applies to --variant fixed only" in capsys.readouterr().err
+
+
+def test_lambda_floor_in_probe_mode_is_a_usage_error(capsys):
+    # the probe rows have no spike targets, so they have no floor to take
+    assert main(["lambda", "--k", "2", "--mode", "probe", "--floor", "0.1"]) == 1
+    assert "--floor applies to --mode paper only" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["hilb", "--help"]])
@@ -161,7 +179,7 @@ def test_psi_solve_reports_the_least_singular_value_of_the_jacobian(tmp_path, ca
     # against the central-difference Jacobian of psi at the returned B, in
     # the coordinates of the traceless basis
     b = HermitianForm.from_json_dict(report["B"]).mat
-    basis, h = traceless_basis(3), 1e-5
+    basis, h = HermitianCoords.traceless(3).basis, 1e-5
     jac = [
         np.einsum("aij,ji->a", basis, psi(model, b + h * e).mat - psi(model, b - h * e).mat).real
         / (2.0 * h)

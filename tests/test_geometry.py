@@ -16,8 +16,9 @@ from hilbfs import (
     reference_density,
 )
 from hilbfs.geometry import _legendre_table, _pushforward_measure
-from hilbfs.pushforward import _coords_table, _dpsi0, _psi_t_jacobian, traceless_basis
+from hilbfs.pushforward import _dpsi0, _psi_t_jacobian
 from hilbfs.linalg import (
+    HermitianCoords,
     orthonormalize_sections,
     random_hermitian,
     random_spd,
@@ -306,7 +307,8 @@ class TestThetaFourierKernel:
         model = build_p1_model(k, line_degree=d)
         rng = np.random.default_rng(k + 30)
         b = random_spd(model.N, rng, cond=5.0).mat
-        basis = traceless_basis(model.N)
+        hc = HermitianCoords.traceless(model.N)
+        basis = hc.basis
         rows, drows = section_rows(model)
         p, pz, pzz = curvature_sums(b @ rows, b @ drows)
         x2 = (1.0 + np.abs(model.nodes) ** 2) ** 2
@@ -319,7 +321,7 @@ class TestThetaFourierKernel:
         dpsi = (dm - trdm[:, None, None] * m / trm) / trm
         for t in (0.5, 1.0):
             ref = np.einsum("aij,bji->ab", basis, t * dpsi + (1.0 - t) * _dpsi0(b, basis)).real
-            jac = _psi_t_jacobian(model, b, t, basis, _coords_table(basis))
+            jac = _psi_t_jacobian(model, b, t, hc)
             assert _rel(jac, ref) <= 1e-12
 
 

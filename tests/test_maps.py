@@ -175,9 +175,11 @@ class TestHilbNu:
             hilb_nu(model, MetricWeight.reference(model), "canonical")
 
     def test_anticanonical_requires_fano_model(self):
-        model = build_p1_model(2)
-        with pytest.raises(VariantError):
-            hilb_nu(model, MetricWeight.reference(model), ANTICANONICAL)
+        # -K of P^1 is O(2): neither O(1) nor O(3) is the Fano test-bed
+        for d in (1, 3):
+            model = build_p1_model(2 if d == 1 else 1, line_degree=d)
+            with pytest.raises(VariantError):
+                hilb_nu(model, MetricWeight.reference(model), ANTICANONICAL)
 
     def test_anticanonical_scaling_law(self):
         model = build_p1_anticanonical_model(2)

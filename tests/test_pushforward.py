@@ -18,17 +18,13 @@ from hilbfs import (
     psi_t,
     solve_psi,
 )
-from hilbfs.linalg import random_hermitian, random_spd
+from hilbfs.linalg import HermitianCoords, random_hermitian, random_spd
 from hilbfs.pushforward import (
     CONTRACTION_MAX,
     PATH_TOL,
     PSI_TOL,
-    _coords,
-    _coords_table,
     _dpsi0,
     _psi_t_jacobian,
-    hermitian_basis,
-    traceless_basis,
 )
 from _oracles import (
     balancing_spectrum,
@@ -43,10 +39,10 @@ def march_only(monkeypatch):
     continuation marches in t as it does after an abandoned full step."""
     newton = hilbfs.pushforward._newton_at_t
 
-    def no_full_step(model, b, t, g, basis, table, full=False, r=None):
+    def no_full_step(model, b, t, g, coords, full=False, r=None):
         if full:
             return None, 0, float("inf")
-        return newton(model, b, t, g, basis, table, full, r)
+        return newton(model, b, t, g, coords, full, r)
 
     monkeypatch.setattr(hilbfs.pushforward, "_newton_at_t", no_full_step)
 
@@ -103,8 +99,8 @@ def dpsi0(b, a):
 
 def dpsi0_matrix(b):
     """Real matrix of A -> dpsi0(B, A) in the coordinates of the hermitian basis."""
-    basis = hermitian_basis(b.dim)
-    return _coords(_coords_table(basis), _dpsi0(b.mat, basis)).T
+    coords = HermitianCoords.full(b.dim)
+    return coords.of(_dpsi0(b.mat, coords.basis)).T
 
 
 class TestDpsi0:
@@ -147,7 +143,7 @@ class TestDpsi0:
         rng = np.random.default_rng(11)
         for n in [2, 3, 5]:
             b = random_spd(n, rng, cond=10.0)
-            basis = hermitian_basis(n)
+            basis = HermitianCoords.full(n).basis
             loop = np.array(
                 [np.real(np.einsum("aij,ji->a", basis, dpsi0(b, e))) for e in basis]
             ).T
@@ -276,13 +272,19 @@ def coords(basis, m):
     return np.real(np.einsum("aij,...ji->...a", basis, m))
 
 
-@pytest.mark.parametrize("make_basis", [hermitian_basis, traceless_basis])
-def test_coords_matmul_equals_the_trace_sum(make_basis):
-    basis = make_basis(5)
+@pytest.mark.parametrize(
+    "make", [HermitianCoords.full, HermitianCoords.traceless],
+    ids=["hermitian_basis", "traceless_basis"],
+)
+def test_coords_matmul_equals_the_trace_sum(make):
+    hc = make(5)
     rng = np.random.default_rng(14)
     stack = np.array([random_hermitian(5, rng) for _ in range(7)])
     for m in (stack, stack[0], stack.real):
-        assert np.abs(_coords(_coords_table(basis), m) - coords(basis, m)).max() <= 1e-15
+        assert np.abs(hc.of(m) - coords(hc.basis, m)).max() <= 1e-15
+    # the basis is orthonormal, so matrix(x) = sum_a x_a E_a has coordinates x
+    for x in hc.of(stack):
+        assert np.abs(hc.of(hc.matrix(x)) - x).max() <= 1e-14
 
 
 def test_solve_psi_builds_one_coordinate_table(monkeypatch):
@@ -290,12 +292,13 @@ def test_solve_psi_builds_one_coordinate_table(monkeypatch):
     x = random_hermitian(3, np.random.default_rng(13))
     target = psi(model, np.eye(3) + 0.35 * x / np.abs(np.linalg.eigvalsh(x)).max())
     built = []
+    init = HermitianCoords.__init__
 
-    def counting(basis):
+    def counting(self, basis):
         built.append(basis.shape)
-        return _coords_table(basis)
+        init(self, basis)
 
-    monkeypatch.setattr(hilbfs.pushforward, "_coords_table", counting)
+    monkeypatch.setattr(HermitianCoords, "__init__", counting)
     _, trace = solve_psi(model, target)
     assert sum(row.newton_iters for row in trace.rows) > 1
     assert built == [(8, 3, 3)]
@@ -310,13 +313,14 @@ class TestPsiJacobian:
     )
     def test_matches_finite_differences(self, make_model, t):
         model = make_model()
-        basis = traceless_basis(model.N)
+        hc = HermitianCoords.traceless(model.N)
+        basis = hc.basis
         rng = np.random.default_rng(12)
         h = 1e-5
         for _ in range(2):
             b = random_spd(model.N, rng, cond=10.0).mat
             b = b / np.real(np.trace(b))
-            jac = _psi_t_jacobian(model, b, t, basis, _coords_table(basis))
+            jac = _psi_t_jacobian(model, b, t, hc)
             fd = np.array(
                 [
                     coords(basis, psi_t(model, b + h * e, t).mat - psi_t(model, b - h * e, t).mat)
@@ -333,10 +337,9 @@ class TestPsiJacobian:
         model = build_p1_model(k, 2 * (2 * k + 4), 2 * (4 * k + 4))
         b = np.diag([math.sqrt(math.comb(k, i)) for i in range(model.N)])
         b /= np.trace(b)
-        basis = traceless_basis(model.N)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            jac = _psi_t_jacobian(model, b, 1.0, basis, _coords_table(basis))
+            jac = _psi_t_jacobian(model, b, 1.0, HermitianCoords.traceless(model.N))
         assert np.all(np.isfinite(jac))
 
     @pytest.mark.parametrize("k,d", [(2, 1), (3, 1), (4, 1), (6, 1), (8, 1), (2, 2), (3, 2), (4, 2)])
