@@ -23,20 +23,16 @@ step.
 
 The surjectivity pipelines realise a target Gram matrix G as the output of
 a Hilbert map and always recompute the forward map; no internal quantity is
-trusted without it.  ``surject_full`` ends at a closed-form metric: by
-the Bergman identity of the ``geometry`` module docstring, the B that
-``solve_psi`` returns for G gives the Bergman metric fs_metric(c B^{-2}),
-c a trace ratio, realising G.  ``surject_fixed_volume`` solves the
-full-Gram moment problem of a variant, to ``MOMENT_TOL`` in the scaled
-coordinates, and reads the metric off the solved weight.  A target is
-checked once, by ``pushforward._checked_target``: ``surject_full`` checks
-nothing itself and leaves that to ``solve_psi``.  Both pipelines call a
-realisation achieved when its forward residual is at most
-``SURJECT_TOL``.  ``solve_ma`` is the Monge-Ampere solver for grid data;
-neither pipeline calls it.  It stays, with ``MAProblem``, ``MASolution``
-and ``SphericalOperator.spectral``, because ``perfbench/tracing.py`` wraps
-it and reports its time and Newton counts, and because a moment route for
-``surject_full`` (a moment solve, then MA) would call it again.
+trusted without it.  ``surject_full`` ends at the closed-form Bergman
+metric of the B that ``solve_psi`` returns, ``surject_fixed_volume`` at
+the solved weight of a full-Gram moment problem.  Each checks its target
+once, by ``pushforward._checked_target``, and calls a realisation achieved
+when its forward residual is at most ``SURJECT_TOL``.  ``solve_ma`` is
+the Monge-Ampere solver for grid data; neither pipeline calls it.  It
+stays, with ``MAProblem``, ``MASolution`` and ``SphericalOperator.spectral``,
+because ``perfbench/tracing.py`` wraps it and reports its time and Newton
+counts, and because a moment route for ``surject_full`` (a moment solve,
+then MA) would call it again.
 """
 
 from __future__ import annotations
@@ -230,7 +226,8 @@ def _report(mode, forward, g_form, margin, stage_logs) -> SurjectivityReport:
 
 def _full_gram_family(model: ManifoldModel, coords: HermitianCoords):
     """Potential, moments and Jacobian (see ``moments._max_entropy_newton``)
-    of the family g_a = s* E_a s * ref_weight, E_a = coords.basis[a].
+    of the family g_a = s* E_a s * ref_weight, E_a the elements of
+    ``coords``.
 
     The kernels carry ref_weight (see ``geometry``): u = sum_a c_a g_a is
     the pairing synthesis of ``coords.matrix(c)`` = sum_a c_a E_a, and the
@@ -238,19 +235,12 @@ def _full_gram_family(model: ManifoldModel, coords: HermitianCoords):
     g_a = sum E_a^T[i, j] s_i conj(s_j) and
     s_i conj(s_j) s_k conj(s_l) = z^(i+k) conj(z)^(j+l), the Jacobian is
         sum_q g_a g_b ew = sum E_a^T[i, j] E_b^T[k, l] G2[i + k, j + l],
-    G2 the doubled kernel's gram of ew, which carries ref_weight^2; each
-    E_a has at most two nonzero entries, so it is an O(N^4) gather from the
-    pair sums of G2.
+    G2 the doubled kernel's gram of ew, which carries ref_weight^2.  As
+    vec(E^T) = conj(vec(E)) for hermitian E, that is ``coords.of_map`` of
+    the pair sums of G2 with the right index transposed.
     """
     kernel, doubled = model._theta_fourier(), model._theta_fourier(doubled=True)
-    # where and value of the (at most two) nonzero entries of each
-    # vec(E_a^T) = conj(vec(E_a)), E_a being hermitian
-    rows, cols, nonzero = coords.entries
-    slot = np.concatenate([[0], rows[1:] == rows[:-1]]).astype(int)
-    where = np.zeros((len(coords.basis), 2), dtype=int)
-    value = np.zeros((len(coords.basis), 2), dtype=complex)
-    where[rows, slot] = cols
-    value[rows, slot] = nonzero.conj()
+    n = model.N
 
     def potential(c):
         return kernel.pairings(coords.matrix(c), parts=1)[0]
@@ -260,8 +250,7 @@ def _full_gram_family(model: ManifoldModel, coords: HermitianCoords):
 
     def jacobian(ew):
         t = doubled.pair_sums(doubled.gram(ew))  # T[(i, j), (k, l)] = G2[i + k, j + l]
-        left = value[:, :1] * t[where[:, 0]] + value[:, 1:] * t[where[:, 1]]
-        return np.real(left[:, where[:, 0]] * value[:, 0] + left[:, where[:, 1]] * value[:, 1])
+        return coords.of_map(t.reshape(n * n, n, n).swapaxes(1, 2).reshape(n * n, n * n))
 
     return potential, moments, jacobian
 
@@ -291,13 +280,9 @@ def surject_fixed_volume(
     cond = ev.max() / ev.min()
     if cond > COND_GUARD:
         raise MarginError(f"target condition number {cond:.3e} exceeds {COND_GUARD:g}")
-    # The full-Gram problem is the max-entropy moment problem in the real
-    # coordinates of the hermitian basis E_a: g_a = s* E_a s * rw, matched
-    # against tr(E_a G).  ``_full_gram_family`` evaluates it through the
-    # theta-Fourier kernels, so no node table of the N^2 functions g_a is
-    # held.  The largest coordinate bounds the largest matrix entry from
-    # above, so the coordinate tolerance MOMENT_TOL / scale is never looser
-    # than the entry one.
+    # g_a = s* E_a s * rw against tr(E_a G) (``_full_gram_family``).  The
+    # largest coordinate bounds the largest matrix entry from above, so the
+    # coordinate tolerance MOMENT_TOL / scale is never looser than the entry one.
     scale = model.N / model.V
     target_scaled = g_form.mat / scale
     coords = HermitianCoords.full(model.N)

@@ -45,7 +45,8 @@ from .pushforward import _psi_t_jacobian, psi, psi0_closed, psi_t, solve_psi
 
 SCHEMA_VERSION = "1"
 
-# main tries NUMERICAL_ERRORS first, so DefinitenessError, a ValueError, exits 2
+# main tries NUMERICAL_ERRORS first, so DefinitenessError, a ValueError, exits 2;
+# ``_load_form`` turns a user-supplied form's pivot failure into a ValueError
 VALIDATION_ERRORS = (ValueError, FileNotFoundError)
 NUMERICAL_ERRORS = (
     DefinitenessError,
@@ -72,21 +73,30 @@ def _model_for(args, anticanonical=False):
     return builder(args.k, args.radial_nodes, args.azimuthal_nodes)
 
 
+def _load_form(path):
+    """A positive definite form from matrix JSON; a pivot failure here is
+    invalid input, not the numerical failure it is inside a computation."""
+    form = load_matrix_json(path)
+    try:
+        form.factor()
+    except DefinitenessError as exc:
+        raise ValueError(str(exc)) from exc
+    return form
+
+
 def _load_metric(model, spec: str) -> MetricWeight:
     if spec == "ref":
         return MetricWeight.reference(model)
     if spec.startswith("bergman:"):
-        return fs_metric(model, load_matrix_json(spec.split(":", 1)[1]))
+        return fs_metric(model, _load_form(spec.split(":", 1)[1]))
     if spec.startswith("grid:"):
-        path = spec.split(":", 1)[1]
-        u = np.loadtxt(path, delimiter=",", usecols=(1,), skiprows=1)
-        return MetricWeight.grid(u)
+        return MetricWeight.grid(_node_column(spec.split(":", 1)[1]))
     raise ValueError(f"unknown metric spec {spec!r} (ref|bergman:FILE|grid:FILE)")
 
 
-def _load_density(path) -> Density:
-    w = np.loadtxt(path, delimiter=",", usecols=(1,), skiprows=1)
-    return Density(np.asarray(w, dtype=float))
+def _node_column(path) -> np.ndarray:
+    """The values of a node CSV ``index,<column>`` (see ``_node_table``)."""
+    return np.loadtxt(path, delimiter=",", usecols=(1,), skiprows=1)
 
 
 def _out_path(args, name):
@@ -127,7 +137,7 @@ def cmd_hilb(args) -> int:
     if args.variant is None:
         form = hilb(model, metric)
     else:
-        nu = _load_density(args.nu) if args.nu else reference_density(model)
+        nu = Density(_node_column(args.nu)) if args.nu else reference_density(model)
         form = hilb_nu(model, metric, variant=args.variant, nu=nu)
     print(emit_report(form.to_json_dict(), _out_path(args, "hilb.json")))
     return 0
@@ -135,7 +145,7 @@ def cmd_hilb(args) -> int:
 
 def cmd_fs(args) -> int:
     model = _model_for(args)
-    metric = fs_metric(model, load_matrix_json(args.H))
+    metric = fs_metric(model, _load_form(args.H))
     u = metric.potential(model)
     print(_write_csv(_node_table("u", u), _out_path(args, "fs_potential.csv")))
     return 0
@@ -143,7 +153,7 @@ def cmd_fs(args) -> int:
 
 def cmd_balance(args) -> int:
     model = _model_for(args)
-    h0 = load_matrix_json(args.h0)
+    h0 = _load_form(args.h0)
     trace = t_iterate(model, h0, max_iters=args.iters, tol=args.tol)
     lines = ["iter,step_max_norm,trace_defect"]
     for s in trace.steps[1:]:
@@ -159,10 +169,8 @@ def cmd_psi(args) -> int:
         result = psi0_closed(b)
     elif args.mode == "integral":
         result = psi(model, b)
-    elif args.mode == "homotopy":
-        result = psi_t(model, b, args.t)
     else:
-        raise ValueError(f"unknown psi mode {args.mode!r}")
+        result = psi_t(model, b, args.t)
     print(emit_report(result.to_json_dict(), _out_path(args, "psi.json")))
     return 0
 
@@ -252,8 +260,8 @@ def cmd_surject(args) -> int:
 
 def cmd_inject(args) -> int:
     model = _model_for(args)
-    h = load_matrix_json(args.H)
-    h2 = load_matrix_json(args.Hprime)
+    h = _load_form(args.H)
+    h2 = _load_form(args.Hprime)
     report = verify_injectivity(model, h, h2, floor=args.floor)
     print(emit_report(report.to_dict(), _out_path(args, "inject.json")))
     if report.status == "verified":
@@ -271,19 +279,13 @@ def cmd_inject_sweep(args) -> int:
     for trial in range(args.trials):
         h, h2 = perturbed_pair(model, rng, args.scale, cond=args.cond)
         rep = verify_injectivity(model, h, h2, refine_check=False)
-        ok = rep.pass_ if rep.pass_ is not None else False
-        if not ok:
-            failures += 1
-        rows.append(derive_row(trial, args.seed, rep, ok))
+        failures += not rep.pass_
+        rows.append(
+            f"{trial},{args.seed},{rep.epsilon!r},{rep.bound!r},{rep.distance_op!r},"
+            f"{'true' if rep.pass_ else 'false'}"
+        )
     print(_write_csv(rows, _out_path(args, "inject_sweep.csv")))
     return 0 if failures == 0 else 2
-
-
-def derive_row(trial, seed, rep, ok):
-    return (
-        f"{trial},{seed},{rep.epsilon!r},{rep.bound!r},{rep.distance_op!r},"
-        f"{'true' if ok else 'false'}"
-    )
 
 
 def cmd_dump_model(args) -> int:
@@ -319,40 +321,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, summary):
+        """A subcommand running ``func``, with the options every command takes."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--out", type=str, default=None, help="directory for report artifacts")
         p.add_argument("--radial-nodes", type=int, default=None)
         p.add_argument("--azimuthal-nodes", type=int, default=None)
+        return p
 
-    p = sub.add_parser("hilb", help="Hilbert map of a metric")
-    common(p)
+    p = command("hilb", cmd_hilb, "Hilbert map of a metric")
     p.add_argument("--metric", default="ref")
     p.add_argument("--variant", choices=["fixed", "anticanonical"], default=None)
     p.add_argument("--nu", type=str, default=None, help="CSV density for the fixed variant")
-    p.set_defaults(func=cmd_hilb)
 
-    p = sub.add_parser("fs", help="Fubini-Study potential of a form")
-    common(p)
+    p = command("fs", cmd_fs, "Fubini-Study potential of a form")
     p.add_argument("--H", required=True)
-    p.set_defaults(func=cmd_fs)
 
-    p = sub.add_parser("balance", help="iterate hilb o fs from a seed form")
-    common(p)
+    p = command("balance", cmd_balance, "iterate hilb o fs from a seed form")
     p.add_argument("--h0", required=True)
     p.add_argument("--iters", type=int, default=50)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(func=cmd_balance)
 
-    p = sub.add_parser("psi", help="pushforward maps of a scale class")
-    common(p)
+    p = command("psi", cmd_psi, "pushforward maps of a scale class")
     p.add_argument("--B", required=True)
     p.add_argument("--mode", choices=["closed", "integral", "homotopy"], default="closed")
     p.add_argument("--t", type=float, default=0.5)
-    p.set_defaults(func=cmd_psi)
 
-    p = sub.add_parser("psi-solve", help="continuation solve of the curve pushforward")
-    common(p)
+    p = command("psi-solve", cmd_psi_solve, "continuation solve of the curve pushforward")
     p.add_argument("--target", required=True)
     p.add_argument(
         "--trace-out", type=str, default=None,
@@ -361,40 +358,29 @@ def build_parser() -> argparse.ArgumentParser:
         "that follows it; the residual column is each step's stopping residual, "
         "<= PATH_TOL before t = 1 and <= PSI_TOL at t = 1",
     )
-    p.set_defaults(func=cmd_psi_solve)
 
-    p = sub.add_parser("lambda", help="row-measure moment matrix")
-    common(p)
+    p = command("lambda", cmd_lambda, "row-measure moment matrix")
     p.add_argument("--floor", type=float, default=None)
     p.add_argument("--mode", choices=["paper", "probe"], default="paper")
     p.add_argument("--densities-out", type=str, default=None)
-    p.set_defaults(func=cmd_lambda)
 
-    p = sub.add_parser("surject", help="realise a target form as a Hilbert map value")
-    common(p)
+    p = command("surject", cmd_surject, "realise a target form as a Hilbert map value")
     p.add_argument("--target", required=True)
     p.add_argument("--mode", choices=["full", "fixed", "anticanonical"], default="full")
     p.add_argument("--metric-out", type=str, default=None)
-    p.set_defaults(func=cmd_surject)
 
-    p = sub.add_parser("inject", help="quantitative injectivity report for a pair")
-    common(p)
+    p = command("inject", cmd_inject, "quantitative injectivity report for a pair")
     p.add_argument("--H", required=True)
     p.add_argument("--Hprime", required=True)
     p.add_argument("--floor", type=float, default=None)
-    p.set_defaults(func=cmd_inject)
 
-    p = sub.add_parser("inject-sweep", help="randomized injectivity sweep")
-    common(p)
+    p = command("inject-sweep", cmd_inject_sweep, "randomized injectivity sweep")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--scale", type=float, default=1e-2)
     p.add_argument("--cond", type=float, default=10.0)
-    p.set_defaults(func=cmd_inject_sweep)
 
-    p = sub.add_parser("dump-model", help="write the model node/section table")
-    common(p)
-    p.set_defaults(func=cmd_dump_model)
+    command("dump-model", cmd_dump_model, "write the model node/section table")
 
     return parser
 

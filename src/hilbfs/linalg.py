@@ -9,7 +9,9 @@ index and conjugate-linear in the second, so a basis change s_i -> sum_j
 A[i, j] s_j transforms G into A @ G @ A*.  The real coordinates of a
 hermitian M in an orthonormal real basis E_a (tr(E_a E_b) = delta_ab) are
 x_a = tr(E_a M), and M = sum_a x_a E_a when M lies in the span; both
-surjectivity Newtons read and write hermitian matrices this way.
+surjectivity Newtons read and write hermitian matrices this way, and read
+their Jacobians as tr(E_a L(E_b)) for a linear map L given by its table
+(``HermitianCoords.of_map``).
 """
 
 from __future__ import annotations
@@ -136,7 +138,11 @@ class HermitianForm:
         and kept (read-only).  Raises ``DefinitenessError`` naming the first
         failing pivot; ``cholesky_lower`` adds the conditioning warning."""
         if self._factor is None:
-            factor = _lower_factor(self.mat)
+            factor, info = sla.lapack.zpotrf(self.mat, lower=True, clean=True)
+            if info > 0:
+                raise DefinitenessError(
+                    f"matrix is not positive definite: pivot {info - 1} fails", pivot=info - 1
+                )
             factor.setflags(write=False)
             object.__setattr__(self, "_factor", factor)
         return self._factor
@@ -212,26 +218,6 @@ def matrix_norms(m) -> MatrixNorms:
     return MatrixNorms(op, hs, mx)
 
 
-def _warn_if_ill_conditioned(h: HermitianForm, what: str) -> None:
-    c = h.cond()
-    if c > COND_GUARD:
-        warnings.warn(
-            f"{what}: condition number {c:.3e} exceeds {COND_GUARD:g}; "
-            "tolerances downstream are unreliable",
-            IllConditionedWarning,
-            stacklevel=3,
-        )
-
-
-def _lower_factor(a: np.ndarray) -> np.ndarray:
-    L, info = sla.lapack.zpotrf(a, lower=True, clean=True)
-    if info > 0:
-        raise DefinitenessError(
-            f"matrix is not positive definite: pivot {info - 1} fails", pivot=info - 1
-        )
-    return L
-
-
 def cholesky_lower(h: HermitianForm) -> np.ndarray:
     """The form's kept, read-only ``factor``: lower-triangular L with
     H = L L* and strictly positive diagonal.
@@ -241,7 +227,13 @@ def cholesky_lower(h: HermitianForm) -> np.ndarray:
     number exceeds ``COND_GUARD``.
     """
     L = h.factor()
-    _warn_if_ill_conditioned(h, "cholesky_lower")
+    if h.cond() > COND_GUARD:
+        warnings.warn(
+            f"cholesky_lower: condition number {h.cond():.3e} exceeds {COND_GUARD:g}; "
+            "tolerances downstream are unreliable",
+            IllConditionedWarning,
+            stacklevel=2,
+        )
     return L
 
 
@@ -280,62 +272,102 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
 
 class HermitianCoords:
     """Real coordinates x_a = tr(E_a M) of (stacked) hermitian n x n
-    matrices M in an orthonormal real basis E_a = ``basis[a]``, and the
-    matrix sum_a x_a E_a of coordinates x.  ``full`` spans all hermitian
-    matrices (n^2 elements), ``traceless`` the traceless ones (n^2 - 1).
-    ``entries`` lists the nonzero entries of the E_a, ordered by a: the
-    element a, the index into vec(E_a) and the value."""
+    matrices M in an orthonormal real basis E_a, the matrix sum_a x_a E_a
+    of coordinates x, and the real matrix tr(E_a L(E_b)) of a linear map L
+    (``of_map``).  ``full`` spans all hermitian matrices (n^2 elements),
+    ``traceless`` the traceless ones (n^2 - 1).
 
-    def __init__(self, basis: np.ndarray):
-        basis.setflags(write=False)
-        self.basis = basis
-        self._flat = basis.reshape(len(basis), -1)
-        a, entry = np.nonzero(self._flat)
-        self.entries = a, entry, self._flat[a, entry]
+    No element is stored as a matrix (``basis`` builds them on request).
+    Per pair i < j a real element has 1/sqrt(2) at (i, j) and (j, i), an
+    imaginary one -i/sqrt(2) at (j, i) and i/sqrt(2) at (i, j): two slots
+    each.  The diagonal elements come first: the units e_ii of ``full``,
+    two-slot elements whose second value is 0, or the rows of the real
+    (n - 1) x n ``diagonal`` block of ``traceless``.  ``of_map`` weights
+    table rows by the slots' conjugate values; ``of`` and ``matrix`` read a
+    slot as one float of vec(M), Re for a real value and Im otherwise.
+    """
 
-    @staticmethod
-    def _full_basis(n: int) -> np.ndarray:
-        i, j = np.triu_indices(n, 1)
-        pair = n + 2 * np.arange(len(i))
-        basis = np.zeros((n + 2 * len(i), n, n), dtype=complex)
-        basis[range(n), range(n), range(n)] = 1.0
-        basis[pair, i, j] = basis[pair, j, i] = 1.0 / np.sqrt(2.0)
-        basis[pair + 1, i, j], basis[pair + 1, j, i] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
-        return basis
+    def __init__(self, n: int, diagonal: Optional[np.ndarray] = None):
+        e = np.arange(n * n)
+        i, j = np.divmod(e, n)
+        ij, ji = e[i < j], (j * n + i)[i < j]
+        # [element, slot], per pair its real and then its imaginary element
+        index = np.array([ij, ji, ji, ij]).T.reshape(-1, 2)
+        value = np.tile([1.0, 1.0, -1j, 1j], (len(ij), 1)).reshape(-1, 2) / np.sqrt(2.0)
+        if diagonal is None:
+            index = np.concatenate([np.repeat(e[:: n + 1], 2).reshape(-1, 2), index])
+            value = np.concatenate([np.tile([1.0, 0.0], (n, 1)), value])
+        self.n, self._basis = n, None
+        self._diagonal = np.zeros((0, n)) if diagonal is None else diagonal
+        # slot 0 of every two-slot element, then slot 1; Re(conj(v) z) reads
+        # Re z for a real v and Im z for an imaginary (or zero) one
+        self._index, self._weight = index.T.ravel(), value.T.reshape(-1, 1).conj()
+        self._floats = 2 * self._index + (self._weight.real == 0).ravel()
+        self._float_weight = (self._weight.real - self._weight.imag).ravel()
 
     @classmethod
     def full(cls, n: int) -> "HermitianCoords":
         """The diagonal units, then per pair i < j its real and imaginary
         element."""
-        return cls(cls._full_basis(n))
+        return cls(n)
 
     @classmethod
     def traceless(cls, n: int) -> "HermitianCoords":
         """``full`` with diag(1, ..., 1, -r, 0, ...) / sqrt(r (r + 1)),
         0 < r < n, in place of the diagonal units."""
-        basis = cls._full_basis(n)[1:]
         r, c = np.arange(n - 1)[:, None], np.arange(n)
         scale = 1.0 / np.sqrt((r + 1) * (r + 2))
-        basis[r, c, c] = np.where(c <= r, scale, np.where(c == r + 1, -(r + 1) * scale, 0.0))
-        return cls(basis)
+        return cls(n, np.where(c <= r, scale, np.where(c == r + 1, -(r + 1) * scale, 0.0)))
+
+    def __len__(self) -> int:
+        return len(self._diagonal) + len(self._index) // 2
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The elements E_a as a read-only (len, n, n) stack, built on first
+        use for callers that need the matrices themselves."""
+        if self._basis is None:
+            self._basis = self.matrix(np.eye(len(self)))
+            self._basis.setflags(write=False)
+        return self._basis
 
     def of(self, m) -> np.ndarray:
         """tr(E_a M) for M (..., n, n).  E_a is hermitian, so this is
-        Re sum conj(E_a) o M, one real matmul of the flattened entries
-        viewed as (Re, Im) floats."""
+        Re sum conj(E_a) o M: two floats of M per two-slot element, after
+        the ``diagonal`` block applied to Re diag(M)."""
         m = np.ascontiguousarray(m, dtype=complex)
-        return m.reshape(m.shape[:-2] + (-1,)).view(float) @ self._flat.view(float).T
+        flat = m.reshape(m.shape[:-2] + (-1,)).view(float)
+        slots = flat.take(self._floats, axis=-1)
+        slots *= self._float_weight
+        x = slots[..., : slots.shape[-1] // 2]
+        x += slots[..., slots.shape[-1] // 2 :]
+        if not len(self._diagonal):
+            return x
+        return np.concatenate([flat[..., :: 2 * self.n + 2] @ self._diagonal.T, x], axis=-1)
+
+    def of_map(self, table) -> np.ndarray:
+        """tr(E_a L(E_b)) = Re conj(vec(E_a)) . table . vec(E_b) at (a, b) for
+        the linear map L with vec(L(X)) = table @ vec(X): the rows of
+        ``table`` gathered per element a, then ``of`` of their conjugates."""
+        table = np.asarray(table, dtype=complex)
+        slots = table[self._index]
+        slots *= self._weight
+        rows = slots[: len(slots) // 2]
+        rows += slots[len(slots) // 2 :]
+        if len(self._diagonal):
+            rows = np.concatenate([self._diagonal @ table[:: self.n + 1], rows])
+        return self.of(np.conjugate(rows, out=rows).reshape(len(rows), self.n, self.n))
 
     def matrix(self, x) -> np.ndarray:
-        """sum_a x_a E_a for coordinates x (len(basis),), over the nonzero
-        entries of the E_a only; each entry sums its terms in the order
-        of a."""
-        a, entry, value = self.entries
-        terms = np.asarray(x, dtype=float)[a] * value
-        m = np.empty(self._flat.shape[1], dtype=complex)
-        m.real = np.bincount(entry, terms.real, len(m))
-        m.imag = np.bincount(entry, terms.imag, len(m))
-        return m.reshape(self.basis.shape[1:])
+        """sum_a x_a E_a for coordinates x (..., len): each slot writes its
+        float of vec(M), and a ``diagonal`` block the real diagonal."""
+        x = np.asarray(x, dtype=float)
+        rows, d = x.reshape(-1, len(self)), len(self._diagonal)
+        m = np.zeros((len(rows), self.n * self.n), dtype=complex)
+        m.view(float)[:, self._floats] = np.concatenate([rows[:, d:]] * 2, 1) * self._float_weight
+        if d:
+            m.real[:, :: self.n + 1] = rows[:, :d] @ self._diagonal
+        return m.reshape(x.shape[:-1] + (self.n, self.n))
 
 
 def damped_newton(evaluate, direction, accept, start, tol, max_steps, max_halvings, what,

@@ -9,6 +9,17 @@ factorises one form, the Gram that ``hilb`` returns.  The form keeps its
 factor (``linalg.HermitianForm``), so the positive-definiteness check, the
 unit-determinant scale and the next ``fs_metric`` share it.
 
+Linearised at the balanced form H_b, in H = H_b^(1/2) (I + X) H_b^(1/2) and
+divided by T(H_b)'s trace ratio, T = hilb o fs_metric has the eigenvalue
+    lambda_l = (1 + l(l+1)/K) K!(K+1)! / ((K-l)!(K+l+1)!),  K = dk,
+on a (2l + 1)-dimensional space for each l <= K.  This closed form was
+fitted to central-difference measurements, not derived.  The modes l = 0
+(scale, which the unit determinant removes) and l = 1 (the three SL(2)
+directions along the orbit of balanced forms) are neutral, lambda = 1, so
+``t_iterate`` contracts at lambda_2 = 1 - 12/((K+2)(K+3)).  The tests
+``TestTIterate::test_step_ratio_tends_to_the_second_eigenvalue`` and
+``TestPsiJacobian::test_balanced_spectrum`` check the rate and the spectrum.
+
 The variant Hilbert map ``hilb_nu`` pairs the sections against a volume
 form nu in place of the curvature volume.  Its two variants differ only in
 that form: for the metric rw * exp(-u) on L^k and the base measure nu_0

@@ -11,19 +11,14 @@ falls below the objective's rounding, and the test decides on noise; so
 once the full step's predicted decrease |slope| < ROUNDING_FLOOR
 |objective|, a step that lowers ||moments - target||_2 is accepted too.
 
-``_max_entropy_newton`` gives the driver this mathematics for any positive
-node weights, any real target and any family of node functions g_k, which
-it sees only through three functions: the potential u = sum_k c_k g_k at
-the nodes, and for node weights ew the moments sum_q g_k ew and the
-Jacobian sum_q g_k g_l ew.  ``solve_moments`` forms all three from its
-N x Q table of squared sections.  The second caller,
-``calabi.surject_fixed_volume``, solves the full-Gram problem, with
-g_a = s* E_a s * ref_weight for the orthonormal hermitian basis E_a of
-``linalg.HermitianCoords``; its targets, the coordinates tr(E_a G) of a
-Gram matrix, may be negative.  It holds no node table: the potential is a
-pairing synthesis, the moments a Gram analysis and the Jacobian a gather
-from the Gram of the doubled-degree monomials, and the kernels carry
-ref_weight and ref_weight^2 in their tables (see ``geometry``).
+``_max_entropy_newton`` solves this for any positive node weights, any
+real target and any family of node functions g_k, given as three functions
+(its docstring); ``solve_moments`` forms them from its N x Q table of
+squared sections.  ``calabi.surject_fixed_volume`` solves the full-Gram
+problem, g_a = s* E_a s * ref_weight for the hermitian basis E_a of
+``linalg.HermitianCoords``, whose targets tr(E_a G) may be negative, with
+no node table: a pairing synthesis, a Gram analysis and ``of_map`` of the
+doubled-degree Gram's pair sums (see ``geometry``).
 
 Feasibility caveat: with the monomial basis the diagonal moments are
 moments of a positive measure on [0, infinity) in x = |z|^2, hence

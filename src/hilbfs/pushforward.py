@@ -4,27 +4,16 @@ The scale classes of positive definite matrices map to the trace-one
 positive simplex two ways: via Fubini-Study integrals over the full ambient
 projective space (psi0, closed form available) and via the same integrals
 restricted to the embedded curve (psi).  Their affine homotopy underlies
-``solve_psi``, which realises targets constructively by continuation in t.
-Its first attempt is the full step to t = 1.  It starts where balancing
-(Picard) steps towards the target leave it: psi(B) is proportional to
-hilb(fs_metric(B^{-2})) (see ``geometry``), so in H = B^{-2} the step
-H <- H - (psi(B) - G) is Donaldson's balancing iteration run towards G.
-Near the solution it scales the mode of degree l by 1 - lambda_l, where
-lambda_l = (1 + l(l+1)/K) K!(K+1)! / ((K-l)!(K+l+1)!), K = dk, is the
-linearised balancing map's eigenvalue (measured, and checked on the psi
-Jacobian by the tests' ``TestPsiJacobian.test_balanced_spectrum``), so it
-removes the lambda_l ~ 1 modes l = 0, 1, 2 that throw an undamped Newton
-step from the closed-form seed out of its basin.  The
-steps stop when H leaves the positive cone or a step fails to shrink the
-residual by ``CONTRACTION_MAX``.  The full step is undamped Newton,
-abandoned at the first step that fails Deuflhard's contraction test (the
-simplified correction, solved with the Jacobian already assembled, must be
-at most ``CONTRACTION_MAX`` times the step).  Only then does t march from
-the closed-form seed, each step starting Newton at the secant predictor
-through the last two accepted points (the previous B on the first step, or
-when the predictor leaves the positive cone) and correcting in the trace
-gauge, loosely to ``PATH_TOL`` at t < 1, where the point need only lie in
-the next corrector's basin, and tightly to ``PSI_TOL`` at t = 1.
+``solve_psi``, which realises targets constructively: balancing (Picard)
+steps, then the undamped full Newton step to t = 1, and only if that is
+abandoned a march in t from the closed-form seed (its docstring has the
+rules).  psi(B) is proportional to hilb(fs_metric(B^{-2})) (see
+``geometry``), so in H = B^{-2} the step H <- H - (psi(B) - G) is
+Donaldson's balancing iteration run towards G.  Near the solution it
+scales the mode of degree l by 1 - lambda_l, lambda_l the linearised
+balancing spectrum of ``maps``, so it removes the lambda_l ~ 1 modes
+l = 0, 1, 2 that throw an undamped Newton step from the closed-form seed
+out of its basin.
 
 Matrix conventions: forms are linear in the first index (see ``linalg``).
 In this convention the ambient-space map has closed form
@@ -37,17 +26,17 @@ The maps run on the ``ManifoldModel`` itself: the curve sits in P^(N-1)
 through its sections s, and psi(B) = M / tr M with M = sum_q s_q s_q*
 mu_B(q), mu_B the Fubini-Study volume of the moved curve B s over |B s|^2:
 M is the kernel's gram of ``geometry._pushforward_measure``, mu_B / rw.
-Its Jacobian gathers dM along every direction from three doubled-degree
-Grams (``_psi_t_jacobian``).  The Newton reads residuals and writes steps
-in the traceless coordinates tr(E_a M) of ``linalg.HermitianCoords``.
+The Newton reads residuals and writes steps in the traceless coordinates
+tr(E_a M) of ``linalg.HermitianCoords``, and its Jacobian
+(``_psi_t_jacobian``) is ``HermitianCoords.of_map`` of one table: the map
+A -> dM built from three doubled-degree Grams and two products with B.
 
 Validation happens once per public call: every public function accepts B
 as a ``HermitianForm`` or an array, checks it once in ``_checked_b``
 (hermitian, positive definite, and of the model's size where a model is
 given) and returns unit-trace ``HermitianForm`` values; a target G, here
 and in both ``calabi`` pipelines, is checked once in ``_checked_target``.
-The continuation
-Newton runs on raw arrays through ``_psi_t`` and its analytic derivative
+The continuation Newton runs on raw arrays through ``_psi_t`` and
 ``_psi_t_jacobian``, which validate nothing; its line search tests positive
 definiteness before it evaluates a candidate, so no evaluation inside the
 Newton leaves the positive cone.
@@ -204,27 +193,30 @@ def _psi_t_jacobian(
     t: float,
     coords: HermitianCoords,
 ) -> np.ndarray:
-    """Analytic Jacobian of psi_t at B in the coordinates ``coords``.
+    """Analytic Jacobian of psi_t at B, tr(E_a d psi_t(E_b)) in row a and
+    column b for the elements E_a of ``coords``; its psi part is
+    ``coords.of_map`` of the table of A -> dpsi(A).
 
-    Column b is the derivative along E_b = coords.basis[b] and row a its
-    coordinate tr(E_a . ) (``coords.of``).  B^{-1} Phi(B) B^{-1} = M =
-    sum_q s_q s_q* mu_B(q) with mu_B = num c, num = P P_zzbar - |P_z|^2,
-    c = (1+|z|^2)^2 qw / (V P^3) and P = s* B^2 s.  The kernel's rows are
-    rw (P, P_z, P_zzbar), so the c formed from them is c / rw^3 and the
-    forms f_p below come out divided by rw^2, as the doubled kernel, which
-    carries rw^2, needs.  Along A, B^2 moves by D = BA + AB and d mu_B =
-    Re(dP f_0 + 2 dP_z f_1 + dP_zzbar f_2) for the node forms
-    (f_0, f_1, f_2) = ((P_zzbar - 3 num / P) c, -conj(P_z) c, P c).  As
-    s_i conj(s_j) conj(s_a) s_b = z^(i+b) conj(z)^(j+a), dM = T vec(D) with
+    B^{-1} Phi(B) B^{-1} = M = sum_q s_q s_q* mu_B(q) with mu_B = num c,
+    num = P P_zzbar - |P_z|^2, c = (1+|z|^2)^2 qw / (V P^3) and P = s* B^2 s.
+    The kernel's rows are rw (P, P_z, P_zzbar), so the c formed from them
+    is c / rw^3 and the forms f_p below come out divided by rw^2, as the
+    doubled kernel, which carries rw^2, needs.  Along A, B^2 moves by
+    D = BA + AB and d mu_B = Re(dP f_0 + 2 dP_z f_1 + dP_zzbar f_2) for the
+    node forms (f_0, f_1, f_2) = ((P_zzbar - 3 num / P) c, -conj(P_z) c,
+    P c).  As s_i conj(s_j) conj(s_a) s_b = z^(i+b) conj(z)^(j+a),
+    dM = T vec(D) with
         T[ij, ab] = G_0[i+b, j+a] + b G_1[i+b-1, j+a]
                     + a conj(G_1[j+a-1, i+b]) + ab G_2[i+b-1, j+a-1],
-    G_p the doubled-degree Gram of f_p.  dpsi = dM / tr M -
-    tr(dM) psi / tr M; both endpoints of the homotopy have unit trace, so
-    d psi_t = t dpsi + (1 - t) dpsi0.
+    G_p the doubled-degree Gram of f_p, so column (k, l) of the table of
+    A -> dM is T vec(B e_kl + e_kl B), two batched products with B.  Then
+    tr M dpsi = dM - tr(dM) psi, and both endpoints of the homotopy have
+    unit trace, so d psi_t = t dpsi + (1 - t) dpsi0, ``_dpsi0`` of the
+    elements ``coords.basis``.
     """
-    jac = 0.0 if t == 1.0 else (1.0 - t) * coords.of(_dpsi0(bm, coords.basis))
+    jac = 0.0 if t == 1.0 else (1.0 - t) * coords.of(_dpsi0(bm, coords.basis)).T
     if t == 0.0:
-        return jac.T
+        return jac
     n, doubled = model.N, model._theta_fourier(doubled=True)
     p, pz_re, pz_im, pzz = rows = model._theta_fourier().pairings(bm @ bm)
     num = _curvature_numerator(*rows)
@@ -237,15 +229,15 @@ def _psi_t_jacobian(
     shifted = np.zeros((4,) + g0.shape, dtype=complex)
     shifted[0], shifted[1, 1:], shifted[2, :, 1:] = g0, g1[:-1], g1.conj().T[:, :-1]
     shifted[3, 1:, 1:] = g2[:-1, :-1]
-    b, a = np.divmod(np.arange(n * n), n)  # column (b, a) of the pair sums
-    tab = np.einsum("pkl,pl->kl", doubled.pair_sums(shifted), [a**0, b, a, a * b])
-    # T vec(D) = tab vec(D^T), and D^T = conj(D) for hermitian D
-    basis = coords.basis
-    dm = (bm @ basis + basis @ bm).conj().reshape(len(basis), n * n) @ tab.T
+    # T with its columns (a, b) read as (b, a), the columns of the pair sums
+    s0, s1, s2, s3 = doubled.pair_sums(shifted)
+    b, a = np.divmod(np.arange(n * n), n)
+    tab = (s0 + s1 * b + s2 * a + s3 * (a * b)).reshape(n * n, n, n)
+    # column (k, l) of the table of A -> dM: T vec(B e_kl + e_kl B), at (b, a) = (l, k)
+    dm = np.swapaxes(tab @ bm + bm @ tab, 1, 2).reshape(n * n, n * n)
     trm = np.real(np.trace(m))
-    trdm = np.real(dm[:, :: n + 1].sum(axis=1))
-    dpsi = (coords.of(dm.reshape(-1, n, n)) - np.outer(trdm, coords.of(m)) / trm) / trm
-    return (jac + t * dpsi).T
+    dm -= np.outer(m / trm, dm[:: n + 1].sum(axis=0))  # tr M dpsi = dM - tr(dM) psi
+    return jac + (t / trm) * coords.of_map(dm)
 
 
 def _newton_at_t(model, b, t, g, coords, full=False, r=None):
@@ -344,32 +336,26 @@ def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace
     """Find B with psi(B) = G by continuation from the closed-form seed.
 
     The seed B0 = G^{-1/2} satisfies psi0(B0) = G exactly.  The first
-    attempt is the full step to t = 1: undamped Newton from the point that
-    balancing steps H <- H - (psi(H^{-1/2}) - G) from H = G reach
-    (``_balancing_start``; they stop when H leaves the positive cone or a
-    step shrinks the residual by less than ``CONTRACTION_MAX``, and the
-    Newton reuses their last residual), abandoned at the first step that
-    fails the contraction test of ``_newton_at_t``, which costs no Jacobian
-    beyond the step's own.  After an abandoned full step, t marches from
-    0 and B0 to 1 with adaptive steps, the first
-    1 / ``CONTINUATION_STEPS`` (on Newton failure halve the step tried,
-    which is h or 1 - t where t + h is clipped to 1; on every success from
-    the second consecutive one on, double h, up to 1/4; floor
-    ``STEP_FLOOR``; a step ending within ``STEP_FLOOR`` of 1, as a rounded
-    sum of steps can, ends at 1).  Each march attempt's Newton starts at
-    the secant predictor B + (t_next - t) (B - B_prev) / (t - t_prev)
-    through the last two accepted points, trace-normalised, when that is
-    positive definite, and at B otherwise and on the first step.  It stops
-    at the max-norm residual ``PATH_TOL`` at t < 1 and ``PSI_TOL`` at
-    t = 1.  psi is scale-invariant, so G is first normalised by its trace.
-    ``_checked_target`` checks G once: a G of the wrong size raises
-    ``DimensionError``, and one whose trace is not positive or that is not
-    positive definite ``MarginError``.  ``MARGIN`` is tested against the
-    smallest eigenvalue of G / tr G in the monomial basis of the sections
-    (``MarginError`` below it), and B0 comes from the same eigenpairs.
-    Raises ``ContinuationError`` carrying the trace when the step size
-    underflows.  Returns B as a unit-trace ``HermitianForm`` with the
-    trace, which records the forward residual that alone certifies B.
+    attempt is the full step to t = 1 (``_newton_at_t``), from where the
+    balancing steps of ``_balancing_start`` leave B and with their last
+    residual.  After an abandoned full step, t marches from 0 and B0 to 1
+    with adaptive steps, the first 1 / ``CONTINUATION_STEPS`` (on Newton
+    failure halve the step tried, which is h or 1 - t where t + h is
+    clipped to 1; on every success from the second consecutive one on,
+    double h, up to 1/4; floor ``STEP_FLOOR``; a step ending within
+    ``STEP_FLOOR`` of 1, as a rounded sum of steps can, ends at 1).  Each
+    march attempt's Newton starts at the secant predictor
+    B + (t_next - t) (B - B_prev) / (t - t_prev) through the last two
+    accepted points, trace-normalised, when that is positive definite, and
+    at B otherwise and on the first step.  psi is scale-invariant, so G is
+    first normalised by its trace.  ``_checked_target`` checks G once: a G
+    of the wrong size raises ``DimensionError``, and one whose trace is not
+    positive or that is not positive definite ``MarginError``.  ``MARGIN``
+    is tested against the smallest eigenvalue of G / tr G in the monomial
+    basis of the sections (``MarginError`` below it), and B0 comes from the
+    same eigenpairs.  Raises ``ContinuationError`` carrying the trace when
+    the step size underflows.  Returns B as a unit-trace ``HermitianForm``
+    with the trace, which records the forward residual that alone certifies B.
     """
     _, gm, ev, vec = _checked_target(model, g)
     if ev.min() < MARGIN:

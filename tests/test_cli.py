@@ -323,7 +323,7 @@ def test_balance_csv(tmp_path, capsys):
 @pytest.mark.parametrize(
     "diag, code, message",
     [
-        ([1.0, -1.0, 1.0], 2, "error: matrix is not positive definite: pivot 1 fails"),
+        ([1.0, -1.0, 1.0], 1, "invalid input: matrix is not positive definite: pivot 1 fails"),
         ([1.0, 1.0], 1, "invalid input: form has dim 2, model needs 3"),
     ],
     ids=["not-positive-definite", "wrong-size"],
@@ -332,6 +332,24 @@ def test_balance_checks_its_seed(tmp_path, capsys, diag, code, message):
     h_path = write_matrix(tmp_path / "h0.json", HermitianForm.diagonal(diag).to_json_dict())
     assert main(["balance", "--k", "2", "--h0", h_path, "--iters", "4", *GRID]) == code
     assert capsys.readouterr().err.strip() == message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fs", "--H", "{bad}"], ["inject", "--H", "{bad}", "--Hprime", "{good}"],
+     ["inject", "--H", "{good}", "--Hprime", "{bad}"], ["hilb", "--metric", "bergman:{bad}"]],
+    ids=["fs", "inject-H", "inject-Hprime", "hilb-bergman"],
+)
+def test_indefinite_form_is_invalid_input(tmp_path, capsys, argv):
+    bad = HermitianForm.diagonal([1.0, -0.1, 1.0])
+    paths = {
+        "bad": write_matrix(tmp_path / "bad.json", bad.to_json_dict()),
+        "good": write_matrix(tmp_path / "good.json", HermitianForm.identity(3).to_json_dict()),
+    }
+    assert main([arg.format(**paths) for arg in argv] + ["--k", "2", *GRID]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "invalid input: matrix is not positive definite: pivot 1 fails"
 
 
 def test_negative_balance_iterations_are_invalid_input(tmp_path, capsys):

@@ -285,6 +285,14 @@ def test_coords_matmul_equals_the_trace_sum(make):
     # the basis is orthonormal, so matrix(x) = sum_a x_a E_a has coordinates x
     for x in hc.of(stack):
         assert np.abs(hc.of(hc.matrix(x)) - x).max() <= 1e-14
+    for n in (2, 3, 5, 9):
+        hc = make(n)
+        table = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+        flat = hc.basis.reshape(len(hc), n * n)
+        dense = np.real(flat.conj() @ table @ flat.T)
+        assert np.abs(hc.of_map(table) - dense).max() <= 1e-14 * np.abs(dense).max()
+        # of the identity map: tr(E_a E_b), orthonormality
+        assert np.abs(hc.of_map(np.eye(n * n)) - np.eye(len(hc))).max() <= 1e-14
 
 
 def test_solve_psi_builds_one_coordinate_table(monkeypatch):
@@ -294,9 +302,9 @@ def test_solve_psi_builds_one_coordinate_table(monkeypatch):
     built = []
     init = HermitianCoords.__init__
 
-    def counting(self, basis):
-        built.append(basis.shape)
-        init(self, basis)
+    def counting(self, n, diagonal=None):
+        init(self, n, diagonal)
+        built.append((len(self), n, n))
 
     monkeypatch.setattr(HermitianCoords, "__init__", counting)
     _, trace = solve_psi(model, target)
