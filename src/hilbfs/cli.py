@@ -32,6 +32,7 @@ from .errors import (
 from .geometry import (
     Density,
     MetricWeight,
+    _sized_form,
     build_p1_anticanonical_model,
     build_p1_model,
     fs_metric,
@@ -163,14 +164,16 @@ def cmd_balance(args) -> int:
 
 
 def cmd_psi(args) -> int:
+    if args.t is not None and args.mode != "homotopy":
+        raise ValueError("--t applies to --mode homotopy only")
     model = _model_for(args)
-    b = load_matrix_json(args.B)
+    b = _sized_form(model, load_matrix_json(args.B))
     if args.mode == "closed":
         result = psi0_closed(b)
     elif args.mode == "integral":
         result = psi(model, b)
     else:
-        result = psi_t(model, b, args.t)
+        result = psi_t(model, b, 0.5 if args.t is None else args.t)
     print(emit_report(result.to_json_dict(), _out_path(args, "psi.json")))
     return 0
 
@@ -227,7 +230,7 @@ def cmd_lambda(args) -> int:
         "matrix": [[float(x) for x in row] for row in system.matrix],
         "norm_op": system.norms.op,
         "inverse_norm_op": system.inverse_norms.op,
-        "max_entry": system.max_entry,
+        "max_entry": system.norms.max,
         "bounds_hold": system.bounds_hold(),
     }
     print(emit_report(report, _out_path(args, "lambda.json")))
@@ -347,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("psi", cmd_psi, "pushforward maps of a scale class")
     p.add_argument("--B", required=True)
     p.add_argument("--mode", choices=["closed", "integral", "homotopy"], default="closed")
-    p.add_argument("--t", type=float, default=0.5)
+    p.add_argument("--t", type=float, default=None, help="homotopy parameter (default 0.5)")
 
     p = command("psi-solve", cmd_psi_solve, "continuation solve of the curve pushforward")
     p.add_argument("--target", required=True)

@@ -24,9 +24,11 @@ Geometry conventions
 * Section pairings: for n monomials z^i, i < n, sum_ij A_ij conj(z^i) z^j =
   sum_ij A_ij r^(i+j) e^{i(j-i) theta} holds at most 2n - 1 powers of r and
   2n - 1 modes in the equispaced theta.  One kernel, ``_ThetaFourier``
-  (cached per model), uses this both ways, with the weight (1 - t)^(n-1)
-  in its powers, r^d (1 - t)^(n-1) = sqrt(t)^d sqrt(1 - t)^(2n-2-d) in
-  [0, 1], d <= 2n - 2, so none overflows at any k.  For the sections
+  (cached per model), uses this both ways, for every pairing in the
+  pipelines (the injectivity audit's squares too), with the weight
+  (1 - t)^(n-1) in its powers, r^d (1 - t)^(n-1) =
+  sqrt(t)^d sqrt(1 - t)^(2n-2-d) in [0, 1], d <= 2n - 2, so none
+  overflows at any k.  For the sections
   (n = N) it is rw: synthesis gives rw (P, Re P_z, Im P_z, P_zzbar) with
   P = s* A s, P_z = s* A s', P_zzbar = s'* A s', and gram(w) is
   sum_q s conj(s) rw w, so no caller multiplies or divides by rw; a
@@ -85,7 +87,8 @@ class ManifoldModel:
 
     The sections are the monomials z^j, j <= dk: the pairing kernel
     (``_ThetaFourier``) relies on that, never reads ``sections`` and
-    carries ``ref_weight`` in its tables (module docstring).
+    carries ``ref_weight`` in its tables (module docstring).  No pipeline
+    reads either; ``dump-model`` writes both.
 
     Five members are built on first use and then kept: ``laplacian()``, the
     pairing kernels (``_theta_fourier``, plain and doubled), ``refined()``,
@@ -353,15 +356,14 @@ class MetricWeight:
     """Hermitian metric on L^k relative to the reference: rw * exp(-u).
 
     ``bergman`` metrics carry the inducing form H (so curvature is available
-    in closed form), its Cholesky factor L, H = L L* (the form's kept
-    ``factor``), and H^{-1} formed from L; ``grid`` metrics carry the
-    potential u at the nodes.
+    in closed form) and H^{-1}, formed from the form's kept Cholesky
+    ``factor`` L, H = L L*; ``grid`` metrics carry the potential u at the
+    nodes.
     """
 
     kind: str
     form: Optional[HermitianForm] = None
     potential_values: Optional[np.ndarray] = None
-    factor: Optional[np.ndarray] = None
     inverse: Optional[np.ndarray] = None
 
     @classmethod
@@ -372,7 +374,7 @@ class MetricWeight:
         low = sla.lapack.zpotri(factor, lower=True)[0]
         inverse = low + low.conj().T
         np.fill_diagonal(inverse, low.diagonal().real)
-        return cls(kind="bergman", form=h, factor=factor, inverse=inverse)
+        return cls(kind="bergman", form=h, inverse=inverse)
 
     @classmethod
     def grid(cls, u: np.ndarray) -> "MetricWeight":

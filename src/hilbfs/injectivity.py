@@ -29,7 +29,7 @@ import scipy.linalg as sla
 from .errors import DimensionError, MomentInfeasibleError
 from .geometry import Density, ManifoldModel, MetricWeight, fs_metric
 from .linalg import HermitianForm, cholesky_lower, matrix_norms
-from .moments import build_lambda, section_shares, section_squares
+from .moments import build_lambda, section_squares
 
 EQ4_TOL = 1e-10
 
@@ -38,12 +38,12 @@ def gauge_frame(
     model: ManifoldModel, metric: MetricWeight, metric2: MetricWeight
 ) -> Tuple[np.ndarray, np.ndarray, float]:
     """H-orthonormal, H'-diagonalising frame of the two Bergman metrics:
-    with H = L L* (``metric.factor``) and A = U* L^{-1}, A H A* = I and
-    A H' A* = diag(d^2).  Returns d^2, the frame's sections A s and the
-    gauge's measured rounding
+    with H = L L* (the form's kept ``factor``) and A = U* L^{-1},
+    A H A* = I and A H' A* = diag(d^2), so the frame's sections are A s.
+    Returns d^2, the N x N frame A and the gauge's measured rounding
         delta = ||A H A* - I||_2 max d^2 + ||A H' A* - diag(d^2)||_2,
     to first order a Weyl bound on the error of the computed d^2."""
-    lh = metric.factor
+    lh = metric.form.factor()
     m = sla.solve_triangular(lh, metric2.form.mat, lower=True)
     m = sla.solve_triangular(lh.conj(), m.T, lower=True).T
     m = 0.5 * (m + m.conj().T)
@@ -52,7 +52,7 @@ def gauge_frame(
     orth = a @ metric.form.mat @ a.conj().T - np.eye(model.N)
     diag = a @ metric2.form.mat @ a.conj().T - np.diag(d_sq)
     delta = float(np.linalg.norm(orth, 2) * d_sq.max() + np.linalg.norm(diag, 2))
-    return d_sq, a @ model.sections, delta
+    return d_sq, a, delta
 
 
 @dataclass
@@ -74,15 +74,16 @@ def compare_fs(model: ManifoldModel, h: HermitianForm, h2: HermitianForm) -> FsC
     eigenvalues are computed independently and the reconstruction
     1 + f = sum_i d_i^{-2} |s''_i|^2_{FS(H)} is checked pointwise at 1e-10
     (an internal consistency audit of the gauge, not a tolerance on f).
-    ``squares`` is the gauge frame's ``section_squares`` table and
-    ``gauge_rounding`` the rounding delta that ``gauge_frame`` measured.
+    ``squares`` is the ``section_squares`` table of the gauge frame A, one
+    kernel synthesis of its rank-one forms, and ``gauge_rounding`` the
+    rounding delta that ``gauge_frame`` measured.
     """
     metrics = (fs_metric(model, h), fs_metric(model, h2))
     u1, u2 = (m.potential(model) for m in metrics)
     f = np.exp(u2 - u1) - 1.0
     node = int(np.abs(f).argmax())
-    d_sq, sections, delta = gauge_frame(model, *metrics)
-    squares = section_squares(model, sections)
+    d_sq, frame, delta = gauge_frame(model, *metrics)
+    squares = section_squares(model, frame)
     p1 = squares.sum(axis=0)
     p2 = (1.0 / d_sq) @ squares
     consistency = float(np.abs(p2 / p1 - (1.0 + f)).max())
@@ -160,15 +161,11 @@ class InjectivityReport:
 
 
 def _lambda_for_audit(model, squares, floor):
-    """Paper-floor rows when achievable, constructive probes otherwise; the
-    two share one table of ``section_shares``."""
-    rho = section_shares(squares)
+    """Paper-floor rows when achievable, constructive probes otherwise."""
     try:
-        system = build_lambda(model, floor=floor, mode="paper", squares=squares, rho=rho)
-        return system, "achieved"
+        return build_lambda(model, floor=floor, mode="paper", squares=squares), "achieved"
     except MomentInfeasibleError as exc:
-        probe = build_lambda(model, mode="probe", squares=squares, rho=rho)
-        return probe, f"infeasible: {exc}"
+        return build_lambda(model, mode="probe", squares=squares), f"infeasible: {exc}"
 
 
 def verify_injectivity(
@@ -267,9 +264,14 @@ def perturbed_pair(
 ):
     """Random PD form H (condition <= cond) and H' = L (I + scale P) L* with
     P a random hermitian direction of unit spectral radius: the sweep's pair
-    generator."""
+    generator.  A finite cond >= 1 and |scale| < 1, which keeps H' positive
+    definite, are required (``ValueError``)."""
     from .linalg import random_hermitian, random_spd
 
+    if not 1.0 <= cond < np.inf:
+        raise ValueError(f"cond must be finite and at least 1, got {cond}")
+    if not abs(scale) < 1.0:
+        raise ValueError(f"scale must lie in (-1, 1), got {scale}")
     h = random_spd(model.N, rng, cond=cond)
     p = random_hermitian(model.N, rng)
     p = p / np.abs(np.linalg.eigvalsh(p)).max()

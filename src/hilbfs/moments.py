@@ -14,11 +14,12 @@ once the full step's predicted decrease |slope| < ROUNDING_FLOOR
 ``_max_entropy_newton`` solves this for any positive node weights, any
 real target and any family of node functions g_k, given as three functions
 (its docstring); ``solve_moments`` forms them from its N x Q table of
-squared sections.  ``calabi.surject_fixed_volume`` solves the full-Gram
-problem, g_a = s* E_a s * ref_weight for the hermitian basis E_a of
-``linalg.HermitianCoords``, whose targets tr(E_a G) may be negative, with
-no node table: a pairing synthesis, a Gram analysis and ``of_map`` of the
-doubled-degree Gram's pair sums (see ``geometry``).
+squared sections, ``section_squares``, a pairing-kernel synthesis for any
+frame that overflows at no k.  ``calabi.surject_fixed_volume`` solves the
+full-Gram problem, g_a = s* E_a s * ref_weight for the hermitian basis E_a
+of ``linalg.HermitianCoords``, whose targets tr(E_a G) may be negative,
+with no node table: a pairing synthesis, a Gram analysis and ``of_map`` of
+the doubled-degree Gram's pair sums (see ``geometry``).
 
 Feasibility caveat: with the monomial basis the diagonal moments are
 moments of a positive measure on [0, infinity) in x = |z|^2, hence
@@ -70,19 +71,14 @@ class MomentTarget:
         return self.values.size
 
 
-def section_squares(model: ManifoldModel, sections: Optional[np.ndarray] = None) -> np.ndarray:
-    """The moment integrands g_j = |s_j|^2 * ref_weight as an N x Q array."""
-    s = model.sections if sections is None else np.asarray(sections, dtype=complex)
-    squares = np.square(s.real)
-    squares += np.square(s.imag)
-    squares *= model.ref_weight
-    return squares
-
-
-def section_shares(squares: np.ndarray) -> np.ndarray:
-    """rho_i = g_i / sum_j g_j at each node for an N x Q ``section_squares``
-    table: the cone bound's ratios and the probe densities' base."""
-    return squares / squares.sum(axis=0)
+def section_squares(model: ManifoldModel, frame: Optional[np.ndarray] = None) -> np.ndarray:
+    """The moment integrands g_j = |(A s)_j|^2 * ref_weight of an N x N
+    frame A as an N x Q array; ``None`` means the identity, the monomials.
+    g_j is rw s* R_j s for the rank-one form R_j = conj(a_j) a_j^T of row
+    a_j, one stacked synthesis of the pairing kernel (``geometry``)."""
+    a = np.eye(model.N) if frame is None else np.asarray(frame, dtype=complex)
+    forms = a.conj()[:, :, None] * a[:, None, :]
+    return model._theta_fourier().pairings(forms, parts=1)[:, 0]
 
 
 @dataclass
@@ -172,7 +168,7 @@ def solve_moments(
 
     Damped Newton with Armijo line search on the convex dual objective
     int e^u dV - <c, target>, starting from c = 0 (the reference density).
-    ``squares`` is the N x Q table ``section_squares(model, sections)`` of
+    ``squares`` is the N x Q table ``section_squares(model, frame)`` of
     the frame; ``None`` means the monomials.
     """
     gfun = section_squares(model) if squares is None else squares
@@ -209,7 +205,6 @@ class LambdaSystem:
     mode: str
     norms: MatrixNorms
     inverse_norms: MatrixNorms
-    max_entry: float
 
     def bounds_hold(self) -> bool:
         return self.norms.op <= LAMBDA_BOUND and self.inverse_norms.op <= LAMBDA_BOUND
@@ -243,12 +238,10 @@ def build_lambda(
     mode: str = "paper",
     squares: Optional[np.ndarray] = None,
     max_newton: int = MAX_NEWTON,
-    rho: Optional[np.ndarray] = None,
 ) -> LambdaSystem:
     """Row-measure matrix: row i holds the achieved squared-section moments
     of the i-th density.  ``squares`` is the frame's N x Q
-    ``section_squares`` table; ``None`` means the monomials.  ``rho`` is
-    ``section_shares(squares)`` when the caller holds it; ``None`` forms it.
+    ``section_squares`` table; ``None`` means the monomials.
 
     mode "paper": each row solves the spike target (floor, ..., 1, ..., floor)
     with 1 in the i-th place (floor defaults to e^{-k}); rows whose targets
@@ -263,7 +256,7 @@ def build_lambda(
     n = gfun.shape[0]
     if mode not in ("probe", "paper"):
         raise ValueError(f"unknown build_lambda mode {mode!r}")
-    rho = section_shares(gfun) if rho is None else rho
+    rho = gfun / gfun.sum(axis=0)
     if mode == "probe":
         weights, lam = _probe_rows(model, gfun, rho)
         densities = [Density(w) for w in weights]
@@ -314,16 +307,14 @@ def build_lambda(
             rows.append(sol.achieved)
         lam = np.array(rows)
         floor_used = f
-    if np.abs(lam).max() > 1.0 + 10 * tol:
-        raise RuntimeError(
-            f"row-measure matrix entry {np.abs(lam).max():.6f} exceeds 1"
-        )
+    norms = matrix_norms(lam)
+    if norms.max > 1.0 + 10 * tol:
+        raise RuntimeError(f"row-measure matrix entry {norms.max:.6f} exceeds 1")
     return LambdaSystem(
         matrix=lam,
         densities=densities,
         floor=floor_used,
         mode=mode,
-        norms=matrix_norms(lam),
+        norms=norms,
         inverse_norms=matrix_norms(np.linalg.inv(lam)),
-        max_entry=float(np.abs(lam).max()),
     )

@@ -14,12 +14,13 @@ from hilbfs import (
     fs_metric,
     hilb,
     psi,
+    psi_t,
     solve_psi,
     surject_fixed_volume,
     surject_full,
 )
 from hilbfs.linalg import HermitianCoords, random_spd
-from hilbfs.cli import main
+from hilbfs.cli import emit_report, main
 
 
 def write_matrix(path, d):
@@ -148,6 +149,35 @@ def test_psi_modes_print_matrix(tmp_path, capsys, mode):
     report = json.loads(capsys.readouterr().out)
     assert report["n"] == 3
     assert {"re", "im"} <= report.keys()
+
+
+@pytest.mark.parametrize("mode", ["closed", "integral", "homotopy"])
+def test_psi_b_of_the_wrong_size_is_invalid_input(tmp_path, capsys, mode):
+    # a 3 x 3 B against the k = 5 model, in every mode, the closed form too
+    path = write_matrix(tmp_path / "b.json", HermitianForm.diagonal([1.0, 1.3, 0.8]).to_json_dict())
+    assert main(["psi", "--k", "5", "--B", path, "--mode", mode]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid input: form has dim 3, model needs 6" in captured.err
+
+
+@pytest.mark.parametrize("mode", ["closed", "integral"])
+def test_psi_t_outside_homotopy_is_a_usage_error(tmp_path, capsys, mode):
+    path = write_matrix(tmp_path / "b.json", HermitianForm.diagonal([1.0, 1.3, 0.8]).to_json_dict())
+    assert main(["psi", "--k", "2", "--B", path, "--mode", mode, "--t", "0.7", *GRID]) == 1
+    assert "--t applies to --mode homotopy only" in capsys.readouterr().err
+
+
+def test_psi_homotopy_t_defaults_to_one_half(tmp_path, capsys):
+    b = HermitianForm.diagonal([1.0, 1.3, 0.8])
+    path = write_matrix(tmp_path / "b.json", b.to_json_dict())
+    outputs = []
+    for t in ([], ["--t", "0.5"]):
+        assert main(["psi", "--k", "2", "--B", path, "--mode", "homotopy", *t, *GRID]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    model = build_p1_model(2, radial_nodes=32, azimuthal_nodes=48)
+    assert json.loads(outputs[0]) == json.loads(emit_report(psi_t(model, b, 0.5).to_json_dict()))
 
 
 def test_psi_solve_feasible_target(tmp_path, capsys):
@@ -365,6 +395,23 @@ def test_negative_sweep_trials_are_invalid_input(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == "invalid input: --trials must be nonnegative, got -1"
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        (["--cond", "0.5"], "cond must be finite and at least 1, got 0.5"),
+        (["--cond", "0"], "cond must be finite and at least 1, got 0.0"),
+        (["--scale", "2"], "scale must lie in (-1, 1), got 2.0"),
+    ],
+)
+def test_sweep_parameters_out_of_range_are_invalid_input(capsys, flag, message):
+    # a condition number below 1 has no random form, and |scale| >= 1 can
+    # make H' indefinite: both are bad input, not a numerical failure
+    assert main(["inject-sweep", "--k", "2", "--trials", "1", *flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"invalid input: {message}"
 
 
 def test_dump_model_writes_named_file(tmp_path, capsys):

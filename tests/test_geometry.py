@@ -131,7 +131,7 @@ class TestFsMetric:
         model = build_p1_model(3)
         h = random_spd(model.N, np.random.default_rng(5), cond=40.0)
         metric = fs_metric(model, h)
-        L = metric.factor
+        L = metric.form.factor()
         assert np.array_equal(L, np.tril(L))
         assert np.abs(L @ L.conj().T - h.mat).max() <= 1e-12
         rows = orthonormalize_sections(h, model.sections)

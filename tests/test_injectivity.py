@@ -1,3 +1,4 @@
+import re
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -10,7 +11,7 @@ import hilbfs
 import hilbfs.geometry
 from hilbfs import DimensionError, HermitianForm, MetricWeight, build_p1_model, verify_injectivity
 from hilbfs.injectivity import perturbed_pair
-from hilbfs.linalg import random_spd
+from hilbfs.linalg import random_hermitian, random_spd
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -87,6 +88,46 @@ def test_refine_check_off_leaves_refinement_unset():
     report = verify_injectivity(model, h, h2, refine_check=False)
     assert report.refinement_flag is None
     assert report.epsilon_refined is None
+
+
+def test_audit_at_k96_runs_from_the_kernel():
+    # the gauge frame's squares |(A s)_j|^2 rw come from the pairing kernel,
+    # so no z^96 is formed and squared on the default grid; tier-1 turns an
+    # overflow warning into an error
+    model = build_p1_model(96)
+    n = model.N
+    p = random_hermitian(n, np.random.default_rng(0))
+    p /= np.abs(np.linalg.eigvalsh(p)).max()
+    h2 = HermitianForm(np.eye(n) + 1e-4 * p)
+    report = verify_injectivity(model, HermitianForm.identity(n), h2, refine_check=False)
+    assert report.status == "verified"
+    assert report.route_agreement <= 1e-8
+    assert model._sections is None
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"scale": 1e-3, "cond": 0.5}, "cond must be finite and at least 1"),
+        ({"scale": 1e-3, "cond": 0.0}, "cond must be finite and at least 1"),
+        ({"scale": 1e-3, "cond": float("inf")}, "cond must be finite and at least 1"),
+        ({"scale": 1e-3, "cond": float("nan")}, "cond must be finite and at least 1"),
+        ({"scale": 2.0}, "scale must lie in (-1, 1)"),
+        ({"scale": -1.0}, "scale must lie in (-1, 1)"),
+        ({"scale": float("nan")}, "scale must lie in (-1, 1)"),
+    ],
+)
+def test_perturbed_pair_rejects_bad_parameters(kwargs, message):
+    # |scale| < 1 keeps I + scale P, and so H', positive definite
+    model = build_p1_model(2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        perturbed_pair(model, np.random.default_rng(0), **kwargs)
+
+
+def test_perturbed_pair_accepts_the_limits_of_its_range():
+    model = build_p1_model(2)
+    h, h2 = perturbed_pair(model, np.random.default_rng(0), -0.999, cond=1.0)
+    assert h.is_positive_definite() and h2.is_positive_definite()
 
 
 class TestRefinedGrid:

@@ -9,9 +9,11 @@ from hilbfs import (
     MomentTarget,
     build_lambda,
     build_p1_model,
+    fs_metric,
     hankel_margins,
     solve_moments,
 )
+from hilbfs.injectivity import gauge_frame, perturbed_pair
 from hilbfs.linalg import random_spd
 from hilbfs.moments import section_squares, spike_targets
 
@@ -56,7 +58,7 @@ class TestSolveMoments:
         sol_p = solve_moments(
             model,
             MomentTarget(target[perm]),
-            squares=section_squares(model, model.sections[perm]),
+            squares=section_squares(model, np.eye(model.N)[perm]),
         )
         assert np.abs(sol_p.achieved - sol.achieved[perm]).max() <= 1e-10
 
@@ -83,6 +85,27 @@ class TestSolveMoments:
         with pytest.raises(ConvergenceError) as err:
             solve_moments(model, bad, max_newton=60)
         assert len(err.value.history) > 0
+
+
+class TestSectionSquares:
+    @pytest.mark.parametrize("k", [2, 4, 8, 16])
+    def test_kernel_squares_match_the_section_table(self, k):
+        # |(A s)_j|^2 rw from the N x Q section table is the reference for
+        # the kernel's synthesis of the rank-one forms conj(a_j) a_j^T
+        model = build_p1_model(k)
+        n = model.N
+        rng = np.random.default_rng(k)
+        h, h2 = (fs_metric(model, x) for x in perturbed_pair(model, rng, 1e-3))
+        frames = {
+            "identity": np.eye(n),
+            "permutation": np.eye(n)[rng.permutation(n)],
+            "gauge": gauge_frame(model, h, h2)[1],
+        }
+        for name, a in frames.items():
+            ref = np.abs(a @ model.sections) ** 2 * model.ref_weight
+            err = np.abs(section_squares(model, a) - ref).max(axis=1)
+            assert np.all(err <= 1e-13 * ref.max(axis=1)), name
+        assert np.array_equal(section_squares(model), section_squares(model, np.eye(n)))
 
 
 class TestHankel:
@@ -142,7 +165,7 @@ class TestBuildLambda:
             system = build_lambda(model, mode="probe")
             n = k + 1
             assert system.matrix.shape == (n, n)
-            assert system.max_entry <= 1.0 + 1e-12
+            assert system.norms.max <= 1.0 + 1e-12
             assert np.all(system.matrix > 0.0)
             assert len(system.densities) == n
             for d in system.densities:
@@ -155,10 +178,10 @@ class TestBuildLambda:
         rng = np.random.default_rng(0)
         a = np.linalg.inv(np.linalg.cholesky(random_spd(5, rng, cond=10.0).mat))
         system = build_lambda(
-            model, mode="probe", squares=section_squares(model, a @ model.sections)
+            model, mode="probe", squares=section_squares(model, a)
         )
         assert system.matrix.shape == (5, 5)
-        assert system.max_entry <= 1.0 + 1e-12
+        assert system.norms.max <= 1.0 + 1e-12
 
     def test_jacobian_spd_assertion_active(self):
         # the solver Cholesky-checks its Jacobian at every iterate; a
