@@ -53,12 +53,12 @@ from .geometry import (
     Density,
     ManifoldModel,
     MetricWeight,
-    curvature_volume,
+    _weight_and_volume,
     fs_metric,
     reference_density,
 )
 from .linalg import COND_GUARD, HermitianCoords, HermitianForm, _as_form, damped_newton
-from .maps import FIXED, exponent_for_variant, hilb, hilb_nu, variant_density
+from .maps import FIXED, _gram, exponent_for_variant, hilb, hilb_nu, variant_density
 from .moments import MAX_NEWTON, _max_entropy_newton
 from .pushforward import _checked_target, solve_psi
 
@@ -226,21 +226,19 @@ def _report(mode, forward, g_form, margin, stage_logs) -> SurjectivityReport:
 
 def _full_gram_family(model: ManifoldModel, coords: HermitianCoords):
     """Potential, moments and Jacobian (see ``moments._max_entropy_newton``)
-    of the family g_a = s* E_a s * ref_weight, E_a the elements of
+    of the family g_a = s* E_a s * ref_weight, E_a the elements of the full
     ``coords``.
 
     The kernels carry ref_weight (see ``geometry``): u = sum_a c_a g_a is
     the pairing synthesis of ``coords.matrix(c)`` = sum_a c_a E_a, and the
     moments tr(E_a gram(ew)) are the coordinates of one analysis.  Since
-    g_a = sum E_a^T[i, j] s_i conj(s_j) and
-    s_i conj(s_j) s_k conj(s_l) = z^(i+k) conj(z)^(j+l), the Jacobian is
-        sum_q g_a g_b ew = sum E_a^T[i, j] E_b^T[k, l] G2[i + k, j + l],
-    G2 the doubled kernel's gram of ew, which carries ref_weight^2.  As
-    vec(E^T) = conj(vec(E)) for hermitian E, that is ``coords.of_map`` of
-    the pair sums of G2 with the right index transposed.
+    g_a = sum E_a[i, j] conj(s_i) s_j and
+    conj(s_i) s_j conj(s_k) s_l = z^(j+l) conj(z)^(i+k), the Jacobian is
+        sum_q g_a g_b ew = sum conj(E_a[i, j]) E_b[k, l] G2[i + l, j + k]
+    (E_a hermitian), G2 the doubled kernel's gram of ew, which carries
+    ref_weight^2: ``coords.of_hankel`` of G2, one gather into coordinates.
     """
     kernel, doubled = model._theta_fourier(), model._theta_fourier(doubled=True)
-    n = model.N
 
     def potential(c):
         return kernel.pairings(coords.matrix(c), parts=1)[0]
@@ -249,8 +247,7 @@ def _full_gram_family(model: ManifoldModel, coords: HermitianCoords):
         return coords.of(kernel.gram(ew))
 
     def jacobian(ew):
-        t = doubled.pair_sums(doubled.gram(ew))  # T[(i, j), (k, l)] = G2[i + k, j + l]
-        return coords.of_map(t.reshape(n * n, n, n).swapaxes(1, 2).reshape(n * n, n * n))
+        return coords.of_hankel(doubled.gram(ew))
 
     return potential, moments, jacobian
 
@@ -319,8 +316,9 @@ def surject_full(model: ManifoldModel, target):
     proportional to psi(B) (see ``geometry``), and hilb(fs_metric(c H))
     is c hilb(fs_metric(H)), so the Bergman metric fs_metric(c B^{-2}),
     with c = tr G / tr hilb(fs_metric(B^{-2})), realises G.  Stage
-    ``forward-check`` builds that metric, recomputes hilb on it and reports
-    the residual and the least curvature density as the positivity margin.
+    ``forward-check`` builds that metric and, from one synthesis of it and
+    its mass and positivity audits, recomputes hilb and reports the residual
+    and the least curvature density as the positivity margin.
     It checks nothing itself: the ``DimensionError`` and ``MarginError`` of
     ``solve_psi``'s one target check propagate bare, like any other invalid
     input; other stage failures are wrapped with the stage name.  A final residual above ``SURJECT_TOL`` is reported as not
@@ -348,8 +346,10 @@ def surject_full(model: ManifoldModel, target):
         unscaled = fs_metric(model, HermitianForm(binv @ binv))
         scale = np.trace(g_form.mat).real / np.trace(hilb(model, unscaled).mat).real
         metric = unscaled.rescaled(float(scale))
-        forward = hilb(model, metric)
-        density = curvature_volume(model, metric).weights / model.quad_weights
+        # one synthesis and its audits give both hilb and the curvature
+        weight, volume = _weight_and_volume(model, metric)
+        forward = _gram(model, weight * volume)
+        density = volume / model.quad_weights
     except _STAGE_ERRORS as exc:
         raise StageError("forward-check", exc) from exc
     return metric, _report("full", forward, g_form, float(density.min()), stage_logs)

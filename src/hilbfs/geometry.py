@@ -39,9 +39,11 @@ Geometry conventions
   z^(a+c) conj(z)^(b+d), so a sum over the nodes of four sections against
   a weight is one entry of the Gram of the n = 2N - 1 monomials of degree
   <= 2N - 2.  The doubled kernel (``_theta_fourier(doubled=True)``) is that
-  Gram's analysis, its weight (1 - t)^(n-1) is rw^2, and gathered by
-  pair_sums into four-section sums it gives the tables of both Jacobians,
-  the full-Gram moment Newton's (``calabi``) and psi's (``pushforward``).
+  Gram's analysis, and its weight (1 - t)^(n-1) is rw^2.  Both Jacobians
+  read it: the full-Gram moment Newton's (``calabi``) in one gather
+  straight into coordinates (``linalg.HermitianCoords.of_hankel``), psi's
+  (``pushforward``) from the table of four-section sums that ``pair_sums``
+  gathers.
 """
 
 from __future__ import annotations

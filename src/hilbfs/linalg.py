@@ -10,12 +10,15 @@ A[i, j] s_j transforms G into A @ G @ A*.  The real coordinates of a
 hermitian M in an orthonormal real basis E_a (tr(E_a E_b) = delta_ab) are
 x_a = tr(E_a M), and M = sum_a x_a E_a when M lies in the span; both
 surjectivity Newtons read and write hermitian matrices this way, and read
-their Jacobians as tr(E_a L(E_b)) for a linear map L given by its table
-(``HermitianCoords.of_map``).
+their Jacobians as tr(E_a L(E_b)) for a linear map L: psi's from the map's
+table (``HermitianCoords.of_map``), the full-Gram moment Newton's in one
+gather from the doubled Gram that defines its map
+(``HermitianCoords.of_hankel``).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -34,6 +37,10 @@ from .errors import (
 
 HERMITICITY_TOL = 1e-12
 COND_GUARD = 1e8
+# the values conj(v) v' of two slot values v, v' of ``HermitianCoords``
+# elements, each real or imaginary, are real or imaginary with modulus
+# 0, 1/2, 1/sqrt(2) or 1: up to sign, one of these
+_HANKEL_SCALES = np.array([1.0, -1.0, np.sqrt(0.5), -np.sqrt(0.5), 0.5, -0.5, 0.0])
 
 
 def _as_square(m) -> np.ndarray:
@@ -273,9 +280,11 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
 class HermitianCoords:
     """Real coordinates x_a = tr(E_a M) of (stacked) hermitian n x n
     matrices M in an orthonormal real basis E_a, the matrix sum_a x_a E_a
-    of coordinates x, and the real matrix tr(E_a L(E_b)) of a linear map L
-    (``of_map``).  ``full`` spans all hermitian matrices (n^2 elements),
-    ``traceless`` the traceless ones (n^2 - 1).
+    of coordinates x, and the real matrix tr(E_a L(E_b)) of a linear map L,
+    from its table (``of_map``) or, for the Hankel maps of a doubled Gram,
+    from that Gram (``of_hankel``).  ``full`` spans all hermitian matrices
+    (n^2 elements), ``traceless`` the traceless ones (n^2 - 1); each returns
+    one shared instance per n, whose arrays are read-only.
 
     No element is stored as a matrix (``basis`` builds them on request).
     Per pair i < j a real element has 1/sqrt(2) at (i, j) and (j, i), an
@@ -284,7 +293,8 @@ class HermitianCoords:
     two-slot elements whose second value is 0, or the rows of the real
     (n - 1) x n ``diagonal`` block of ``traceless``.  ``of_map`` weights
     table rows by the slots' conjugate values; ``of`` and ``matrix`` read a
-    slot as one float of vec(M), Re for a real value and Im otherwise.
+    slot as one float of vec(M), Re for a real value and Im otherwise;
+    ``of_hankel`` reads a pair of slots as one float of the Gram, scaled.
     """
 
     def __init__(self, n: int, diagonal: Optional[np.ndarray] = None):
@@ -297,21 +307,25 @@ class HermitianCoords:
         if diagonal is None:
             index = np.concatenate([np.repeat(e[:: n + 1], 2).reshape(-1, 2), index])
             value = np.concatenate([np.tile([1.0, 0.0], (n, 1)), value])
-        self.n, self._basis = n, None
+        self.n, self._basis, self._hankel = n, None, None
         self._diagonal = np.zeros((0, n)) if diagonal is None else diagonal
         # slot 0 of every two-slot element, then slot 1; Re(conj(v) z) reads
         # Re z for a real v and Im z for an imaginary (or zero) one
         self._index, self._weight = index.T.ravel(), value.T.reshape(-1, 1).conj()
         self._floats = 2 * self._index + (self._weight.real == 0).ravel()
         self._float_weight = (self._weight.real - self._weight.imag).ravel()
+        for table in (self._diagonal, self._index, self._weight, self._floats, self._float_weight):
+            table.setflags(write=False)
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def full(cls, n: int) -> "HermitianCoords":
         """The diagonal units, then per pair i < j its real and imaginary
         element."""
         return cls(n)
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def traceless(cls, n: int) -> "HermitianCoords":
         """``full`` with diag(1, ..., 1, -r, 0, ...) / sqrt(r (r + 1)),
         0 < r < n, in place of the diagonal units."""
@@ -357,6 +371,48 @@ class HermitianCoords:
         if len(self._diagonal):
             rows = np.concatenate([self._diagonal @ table[:: self.n + 1], rows])
         return self.of(np.conjugate(rows, out=rows).reshape(len(rows), self.n, self.n))
+
+    def of_hankel(self, g2) -> np.ndarray:
+        """tr(E_a L(E_b)) for the map L(X)[i, j] = sum_kl G2[i + l, j + k]
+        X[k, l] of a (2n - 1) x (2n - 1) complex G2: ``of_map`` of that
+        map's table, with no table formed; ``full`` coordinates only.
+
+        The entry sums Re(conj(v) v' G2[i + l, j + k]) over the slots
+        (i, j), v of E_a and (k, l), v' of E_b.  Each conj(v) v' is real or
+        imaginary, so each term is Re G2 or Im G2 at one cell times one of
+        ``_HANKEL_SCALES``.  The floats of G2 are copied once under every
+        scale, and the result is four gathers from that copy, one per slot
+        pair, through index tables built on first use and kept."""
+        if self._hankel is None:
+            self._hankel = self._hankel_tables()
+        floats = np.ascontiguousarray(g2, dtype=complex).reshape(-1).view(float)
+        scaled = np.outer(_HANKEL_SCALES, floats).reshape(-1)
+        jac = scaled.take(self._hankel[0])
+        for table in self._hankel[1:]:
+            jac += scaled.take(table)
+        return jac
+
+    def _hankel_tables(self) -> np.ndarray:
+        """``of_hankel``'s read-only int32 (4, n^2, n^2) index tables: per slot
+        pair and element pair, scale s, cell c of G2 and part p (Re 0, Im 1)
+        give the index s * 2 (2n - 1)^2 + 2 c + p."""
+        if len(self._diagonal):
+            raise ValueError("of_hankel reads the full coordinates only")
+        n, m = self.n, 2 * self.n - 1
+        row, col = np.divmod(self._index.reshape(2, -1), n)
+        conj_v = self._weight.reshape(2, -1)
+        tables = np.empty((4, len(self), len(self)), dtype=np.int32)
+        for table, (s, t) in zip(tables, ((0, 0), (0, 1), (1, 0), (1, 1))):
+            cell = (row[s, :, None] + col[t]) * m + col[s, :, None] + row[t]
+            c = conj_v[s, :, None] * conj_v[t].conj()
+            # Re(c g) is c Re g for a real c and -Im c Im g for an imaginary one
+            imag = c.real == 0
+            coef = np.where(imag, -c.imag, c.real)
+            table[...] = 2 * cell + imag
+            for scale, value in enumerate(_HANKEL_SCALES):
+                table[np.isclose(coef, value)] += scale * 2 * m * m
+        tables.setflags(write=False)
+        return tables
 
     def matrix(self, x) -> np.ndarray:
         """sum_a x_a E_a for coordinates x (..., len): each slot writes its

@@ -18,8 +18,9 @@ squared sections, ``section_squares``, a pairing-kernel synthesis for any
 frame that overflows at no k.  ``calabi.surject_fixed_volume`` solves the
 full-Gram problem, g_a = s* E_a s * ref_weight for the hermitian basis E_a
 of ``linalg.HermitianCoords``, whose targets tr(E_a G) may be negative,
-with no node table: a pairing synthesis, a Gram analysis and ``of_map`` of
-the doubled-degree Gram's pair sums (see ``geometry``).
+with no node table: a pairing synthesis, a Gram analysis, and for the
+Jacobian ``of_hankel``, one gather from the doubled-degree Gram (see
+``geometry``).
 
 Feasibility caveat: with the monomial basis the diagonal moments are
 moments of a positive measure on [0, infinity) in x = |z|^2, hence

@@ -232,9 +232,15 @@ def _psi_t_jacobian(
     # T with its columns (a, b) read as (b, a), the columns of the pair sums
     s0, s1, s2, s3 = doubled.pair_sums(shifted)
     b, a = np.divmod(np.arange(n * n), n)
-    tab = (s0 + s1 * b + s2 * a + s3 * (a * b)).reshape(n * n, n, n)
+    # s0 + s1 b + s2 a + s3 ab, scaled and summed in place
+    for s, weight in ((s1, b), (s2, a), (s3, a * b)):
+        s *= weight
+        s0 += s
+    tab = s0.reshape(n * n, n, n)
     # column (k, l) of the table of A -> dM: T vec(B e_kl + e_kl B), at (b, a) = (l, k)
-    dm = np.swapaxes(tab @ bm + bm @ tab, 1, 2).reshape(n * n, n * n)
+    dm = tab @ bm
+    dm += bm @ tab
+    dm = np.swapaxes(dm, 1, 2).reshape(n * n, n * n)
     trm = np.real(np.trace(m))
     dm -= np.outer(m / trm, dm[:: n + 1].sum(axis=0))  # tr M dpsi = dM - tr(dM) psi
     return jac + (t / trm) * coords.of_map(dm)

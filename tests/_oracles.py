@@ -203,6 +203,13 @@ def pair_product_table(model):
     return table * model.ref_weight
 
 
+def moment_jacobian(model, ew):
+    """sum_q g_a g_b ew for the rows g_a of ``pair_product_table``, the
+    full-Gram moment Jacobian by its defining sum over the nodes."""
+    table = pair_product_table(model)
+    return (table * ew) @ table.T
+
+
 def legendre_table_lpmv(x, lmax, mmax):
     """Normalised associated Legendre values from ``scipy.special.lpmv`` times
     the normalisation sqrt((2l+1)(l-m)!/(l+m)!), shape

@@ -97,6 +97,17 @@ AUDITS = {
 }
 
 
+# the full-Gram moment Newton's iterations on the seed-1 surject-fixed items
+# of each size, drawn as the benchmark draws them (three rounds at k = 4 and
+# 12, ten items at k = 8): a change to how the Newton's Jacobian is
+# assembled should leave its path where it was
+FIXED_NEWTON_ITERS = {
+    4: [5, 5, 5],
+    8: [5, 5, 5, 5, 5, 5, 5, 6, 5, 5],
+    12: [6, 5, 5],
+}
+
+
 def _item_gate(name, k, seed=1, index=0):
     """The gate verdict on item ``index`` of the size-k block that the
     benchmark generates for ``seed`` (rng seeded by (seed, k))."""
@@ -207,6 +218,20 @@ def test_surject_fixed_item_at_the_rounding_floor():
     # the third k=4 item of seed 10: the moment Newton's Armijo test alone
     # stalled at a coordinate residual of 1.42e-9 against tol/scale = 2e-10
     assert _item_gate("surject-fixed", 4, seed=10, index=2) is None
+
+
+@pytest.mark.parametrize("k", sorted(FIXED_NEWTON_ITERS))
+def test_surject_fixed_newton_iterations_keep_their_counts(k):
+    wl = workloads.WORKLOADS["surject-fixed"]
+    model = hb.geometry.build_p1_model(k, **workloads.grid(k))
+    counts = FIXED_NEWTON_ITERS[k]
+    items = wl.generate(hb, model, np.random.default_rng([1, k]), len(counts), defaultdict(int))
+    iters = []
+    for inp in items:
+        out = wl.run(hb, model, inp)
+        assert wl.check(hb, model, inp, out) is None
+        iters.append(out[1].stage_logs[0]["newton_iters"])
+    assert iters == counts
 
 
 def test_balance_audit_iteration_factorises_once_per_step(monkeypatch):

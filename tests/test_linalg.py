@@ -13,12 +13,16 @@ from hilbfs import (
     matrix_norms,
     orthonormalize_sections,
 )
+from hilbfs.geometry import build_p1_model
 from hilbfs.linalg import (
+    HermitianCoords,
     damped_newton,
     load_matrix_json,
     random_spd,
     random_unitary,
 )
+
+from _oracles import moment_jacobian
 
 
 class TestMatrixNorms:
@@ -186,6 +190,38 @@ class TestOrthonormalize:
     def test_row_count_checked(self):
         with pytest.raises(DimensionError):
             orthonormalize_sections(HermitianForm.identity(3), np.ones((2, 4)))
+
+
+class TestHermitianCoords:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 4, 8, 12])
+    def test_of_hankel_matches_the_dense_sum(self, k, d):
+        # both sides are the same sum over the nodes, exact on any grid; the
+        # smallest one keeps the oracle's N^2 x Q table small
+        deg = d * k
+        model = build_p1_model(k, deg + 1, 2 * deg + 1, line_degree=d)
+        ew = model.quad_weights * np.random.default_rng([k, d]).uniform(0.1, 2.0, model.Q)
+        dense = moment_jacobian(model, ew)
+        g2 = model._theta_fourier(doubled=True).gram(ew)
+        gathered = HermitianCoords.full(model.N).of_hankel(g2)
+        assert np.abs(gathered - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("kind", ["full", "traceless"])
+    def test_shared_instances_are_read_only(self, kind):
+        make = getattr(HermitianCoords, kind)
+        hc = make(4)
+        assert make(4) is hc
+        tables = [hc._diagonal, hc._index, hc._weight, hc._floats, hc._float_weight, hc.basis]
+        g2 = np.ones((7, 7), dtype=complex)
+        if kind == "full":
+            hc.of_hankel(g2)
+            tables.append(hc._hankel)
+        else:
+            with pytest.raises(ValueError, match="full coordinates"):
+                hc.of_hankel(g2)
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0
 
 
 def _sqrt2(x):

@@ -307,8 +307,13 @@ def test_solve_psi_builds_one_coordinate_table(monkeypatch):
         built.append((len(self), n, n))
 
     monkeypatch.setattr(HermitianCoords, "__init__", counting)
+    # the coordinates are shared per size: drop those that earlier tests made
+    HermitianCoords.traceless.cache_clear()
     _, trace = solve_psi(model, target)
     assert sum(row.newton_iters for row in trace.rows) > 1
+    assert built == [(8, 3, 3)]
+    # and a second solve of the same size builds none
+    solve_psi(model, target)
     assert built == [(8, 3, 3)]
 
 
