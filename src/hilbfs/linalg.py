@@ -382,7 +382,10 @@ class HermitianCoords:
         imaginary, so each term is Re G2 or Im G2 at one cell times one of
         ``_HANKEL_SCALES``.  The floats of G2 are copied once under every
         scale, and the result is four gathers from that copy, one per slot
-        pair, through index tables built on first use and kept."""
+        pair, through index tables built on first use and kept.  The tables
+        stay int32: intp ones skip ``take``'s index conversion, 14-23% of
+        a call at k = 4-16, but double the tables' memory, and whole solves
+        did not resolve the difference."""
         if self._hankel is None:
             self._hankel = self._hankel_tables()
         floats = np.ascontiguousarray(g2, dtype=complex).reshape(-1).view(float)

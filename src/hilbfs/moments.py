@@ -5,7 +5,9 @@ against the squared sections match a prescribed positive vector, with u in
 the span of those same squared-section functions: the classical
 maximum-entropy ansatz, N unknowns for N constraints, solved on the convex
 dual by ``linalg.damped_newton``.  The Newton Jacobian is the weighted Gram
-matrix int g_i g_j e^u dV, positive definite at every iterate.  Near the
+matrix int g_i g_j e^u dV, positive definite at every iterate, so each
+step is one LAPACK ``posv``; a Jacobian that is not PD in floating point,
+or not finite, counts as degenerate and ends the Newton.  Near the
 solution the decrease that the Armijo test on the dual objective asks for
 falls below the objective's rounding, and the test decides on noise; so
 once the full step's predicted decrease |slope| < ROUNDING_FLOOR
@@ -126,8 +128,9 @@ def _max_entropy_newton(
     the node values u = sum_k c_k g_k, ``moments`` takes node weights ew to
     the vector sum_q g_k ew and ``jacobian`` takes them to the Gram
     sum_q g_k g_l ew.  ``linalg.damped_newton`` runs from c = 0, solving by
-    Cholesky (a Jacobian that is not PD means the iterates run to the cone's
-    boundary) and accepting by the Armijo test on the convex dual objective
+    one ``posv`` (a Jacobian that is not PD means the iterates run to the
+    cone's boundary; it and a non-finite one are degenerate) and accepting
+    by the Armijo test on the convex dual objective
     sum(e^u * weights) - <c, target>, or by the gradient-norm test of the
     module docstring once that is below rounding.  The target may have
     entries of either sign.  Returns (c, u, history), history holding the
@@ -142,7 +145,14 @@ def _max_entropy_newton(
         return c, moments(ew) - target, float(ew.sum() - c @ target), ew, u
 
     def direction(c, grad, obj, ew, u):
-        return sla.cho_solve((np.linalg.cholesky(jacobian(ew)), True), -grad)
+        jac = jacobian(ew)
+        # posv checks nothing: a NaN or inf Jacobian would return a NaN step
+        if not np.isfinite(jac).all():
+            raise np.linalg.LinAlgError("moment Jacobian is not finite")
+        _, step, info = sla.lapack.dposv(jac, -grad, lower=True)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"moment Jacobian not positive definite (pivot {info})")
+        return step
 
     def accept(new, old, alpha, step):
         slope = float(old[1] @ step)

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import ContinuationError, ConvergenceError, MarginError
 from .geometry import ManifoldModel, _curvature_numerator, _pushforward_measure, _sized_form
@@ -253,12 +254,13 @@ def _newton_at_t(model, b, t, g, coords, full=False, r=None):
     coordinates, which are then not evaluated again.
 
     ``linalg.damped_newton`` runs from B with the analytic Jacobian
-    ``_psi_t_jacobian``; a candidate is hermitised, dropped unless positive
-    definite and trace-normalised.  On the full step (``full``) Newton is
-    undamped, and a candidate is accepted only while it passes Deuflhard's
-    contraction test: its simplified correction J^{-1} F(candidate), solved
-    with the Jacobian of the step, is at most ``CONTRACTION_MAX`` times the
-    step.  Otherwise a line search accepts a candidate that lowers the
+    ``_psi_t_jacobian``, LU-factored once per step (a singular one is
+    degenerate); a candidate is hermitised, dropped unless positive definite
+    and trace-normalised.  On the full step (``full``) Newton is undamped,
+    and a candidate is accepted only while it passes Deuflhard's contraction
+    test: its simplified correction J^{-1} F(candidate), solved with the LU
+    factors of the step's Jacobian J, is at most ``CONTRACTION_MAX`` times
+    the step.  Otherwise a line search accepts a candidate that lowers the
     residual norm or lies within the tolerance, and at t < 1 at least one
     correction is made, even from a start within ``PATH_TOL``, so that path
     points do not creep towards the tolerance.  Any ``ConvergenceError`` is
@@ -266,7 +268,7 @@ def _newton_at_t(model, b, t, g, coords, full=False, r=None):
     step.  Returns (B or None, Jacobians assembled, max-norm residual).
     """
     tol = PSI_TOL if t == 1.0 else PATH_TOL
-    jac = None
+    lu = None
 
     def evaluate(cand):
         cand = 0.5 * (cand + cand.conj().T)
@@ -276,14 +278,16 @@ def _newton_at_t(model, b, t, g, coords, full=False, r=None):
         return cand, coords.of(_psi_t(model, cand, t) - g)
 
     def direction(bm, r):
-        nonlocal jac
-        jac = _psi_t_jacobian(model, bm, t, coords)
-        return coords.matrix(np.linalg.solve(jac, -r))
+        nonlocal lu
+        *lu, info = sla.lapack.dgetrf(_psi_t_jacobian(model, bm, t, coords))
+        if info > 0:
+            raise np.linalg.LinAlgError(f"psi Jacobian singular (pivot {info})")
+        return coords.matrix(sla.lapack.dgetrs(*lu, -r)[0])
 
     def accept(new, old, alpha, step):
         if full:
             # the basis is orthonormal, so a step's Frobenius norm is its coordinates' norm
-            simplified = np.linalg.solve(jac, new[1])
+            simplified = sla.lapack.dgetrs(*lu, new[1])[0]
             return np.linalg.norm(simplified) <= CONTRACTION_MAX * np.linalg.norm(step)
         return np.linalg.norm(new[1]) < np.linalg.norm(old[1]) or np.abs(new[1]).max() <= tol
 

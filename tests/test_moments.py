@@ -1,9 +1,15 @@
 import math
+import sys
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+import hilbfs as hb
 from hilbfs import (
+    ConvergenceError,
     HermitianForm,
     MomentInfeasibleError,
     MomentTarget,
@@ -15,7 +21,10 @@ from hilbfs import (
 )
 from hilbfs.injectivity import gauge_frame, perturbed_pair
 from hilbfs.linalg import random_spd
-from hilbfs.moments import section_squares, spike_targets
+from hilbfs.moments import _max_entropy_newton, section_squares, spike_targets
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 class TestSolveMoments:
@@ -85,6 +94,48 @@ class TestSolveMoments:
         with pytest.raises(ConvergenceError) as err:
             solve_moments(model, bad, max_newton=60)
         assert len(err.value.history) > 0
+
+
+class TestMaxEntropyNewton:
+    @pytest.mark.parametrize(
+        "jac", [np.diag([1.0, -1.0]), np.full((2, 2), np.nan)], ids=["indefinite", "nan"]
+    )
+    def test_degenerate_jacobian_fails_the_first_step(self, jac):
+        # posv reports no error on a non-finite matrix, so the NaN case must
+        # be caught before the solve
+        g = np.array([[1.0, 0.5, 0.0], [0.0, 0.5, 1.0]])
+        weights = np.full(3, 1.0 / 3.0)
+        target = np.array([0.7, 0.2])
+        with pytest.raises(ConvergenceError) as err:
+            _max_entropy_newton(
+                lambda c: c @ g, lambda ew: g @ ew, lambda ew: jac,
+                weights, target, 1e-11, 10,
+            )
+        assert str(err.value).startswith("moment Newton jacobian degenerate at iteration 0")
+        assert err.value.history == [float(np.abs(g @ weights - target).max())]
+
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_surject_fixed_steps_take_one_posv_each(self, k, monkeypatch):
+        # seed-1 items 0-3 of the surject-fixed benchmark workload
+        posv = sla.lapack.dposv
+        calls = [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return posv(*args, **kwargs)
+
+        monkeypatch.setattr(sla.lapack, "dposv", counting)
+        wl = workloads.WORKLOADS["surject-fixed"]
+        model = hb.geometry.build_p1_model(k, **workloads.grid(k))
+        items = wl.generate(hb, model, np.random.default_rng([1, k]), 4, defaultdict(int))
+        iters = []
+        for inp in items:
+            calls[0] = 0
+            out = wl.run(hb, model, inp)
+            assert wl.check(hb, model, inp, out) is None
+            iters.append(out[1].stage_logs[0]["newton_iters"])
+            assert calls[0] == iters[-1]
+        assert iters == [5, 5, 5, 5]
 
 
 class TestSectionSquares:

@@ -1,9 +1,14 @@
 import math
+import sys
 import warnings
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+import hilbfs as hb
 import hilbfs.pushforward
 from hilbfs import (
     ContinuationError,
@@ -32,6 +37,9 @@ from _oracles import (
     psi0_defining_quadrature,
     psi_jacobian_chain,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def march_only(monkeypatch):
@@ -539,6 +547,48 @@ def test_an_abandoned_full_step_costs_one_jacobian_before_the_march(monkeypatch)
     _, marched = solve_psi(model, target)
     assert marched.rows == trace.rows
     assert marched.corrector_iters == trace.corrector_iters - 1
+
+
+@pytest.mark.parametrize("t, full", [(1.0, True), (0.5, False)])
+def test_a_singular_jacobian_is_a_failed_correction(t, full, monkeypatch):
+    # getrf reports the zero pivot; the correction fails, which the
+    # continuation answers, instead of raising
+    model = build_p1_model(2)
+    coords = HermitianCoords.traceless(model.N)
+    monkeypatch.setattr(
+        hilbfs.pushforward, "_psi_t_jacobian",
+        lambda model, bm, t, coords: np.zeros((len(coords), len(coords))),
+    )
+    g, b = np.diag([0.5, 0.3, 0.2]), np.eye(model.N) / model.N
+    bn, iters, resid = hilbfs.pushforward._newton_at_t(model, b, t, g, coords, full)
+    assert bn is None and iters == 1
+    assert resid == np.abs(coords.of(psi_t(model, b, t).mat - g)).max() > PATH_TOL
+
+
+def test_surject_full_jacobians_are_factored_once_each(monkeypatch):
+    # the seed-1 k = 4 item of the surject-full benchmark workload: one
+    # balancing step, then the full step in five Jacobians, each one LU
+    # factorisation serving its direction and its contraction test
+    getrf, getrs = sla.lapack.dgetrf, sla.lapack.dgetrs
+    calls = {"getrf": 0, "getrs": 0}
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(sla.lapack, "dgetrf", counting("getrf", getrf))
+    monkeypatch.setattr(sla.lapack, "dgetrs", counting("getrs", getrs))
+    wl = workloads.WORKLOADS["surject-full"]
+    model = hb.geometry.build_p1_model(4, **workloads.grid(4))
+    g = wl.generate(hb, model, np.random.default_rng([1, 4]), 1, defaultdict(int))[0]
+    out = wl.run(hb, model, g)
+    assert wl.check(hb, model, g, out) is None
+    log = out[1].stage_logs[0]
+    assert (log["corrector_iters"], log["seed_steps"], log["abandoned_attempts"]) == (5, 1, 0)
+    # one solve for each direction, one for each contraction test
+    assert calls == {"getrf": 5, "getrs": 10}
 
 
 def inverse_sqrt(h):
