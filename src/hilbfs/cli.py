@@ -191,7 +191,10 @@ def cmd_psi_solve(args) -> int:
         return 2
     if args.trace_out:
         _write_csv(_trace_table(trace), args.trace_out)
-    jac = _psi_t_jacobian(model, solution.mat, 1.0, HermitianCoords.traceless(model.N))
+    # J - (J u) u^T, u the coordinates of I / sqrt(N): the Jacobian on the
+    # directions of zero trace, whose singular values it has, and one 0
+    jac = _psi_t_jacobian(model, solution.mat, 1.0, HermitianCoords.full(model.N))
+    jac[:, : model.N] -= jac[:, : model.N].mean(axis=1, keepdims=True)
     report = {
         "status": "ok",
         "B": solution.to_json_dict(),
@@ -202,7 +205,7 @@ def cmd_psi_solve(args) -> int:
         "seed_steps": trace.seed_steps,
         "abandoned_attempts": trace.abandoned,
         "corrector_iters": trace.corrector_iters,
-        "jacobian_sigma_min": float(np.linalg.svd(jac, compute_uv=False)[-1]),
+        "jacobian_sigma_min": float(np.linalg.svd(jac, compute_uv=False)[-2]),
     }
     print(emit_report(report, _out_path(args, "psi_solve.json")))
     return 0

@@ -546,6 +546,7 @@ def _weight_and_volume(model: ManifoldModel, m: MetricWeight):
     if m.kind == "bergman":
         # P = s* H^{-1} s, the sum of |W|^2 over H-orthonormal rows W; the
         # curvature of the k-th root divides that of log P by k
+        _sized_form(model, m.form)
         vol, weight = _curvature_density(model, m.inverse)
         vol /= model.k
     else:

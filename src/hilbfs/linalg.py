@@ -7,13 +7,15 @@ Conventions used throughout the package: a hermitian form G on the section
 space is stored via its matrix G[i, j] = <s_i, s_j>, linear in the first
 index and conjugate-linear in the second, so a basis change s_i -> sum_j
 A[i, j] s_j transforms G into A @ G @ A*.  The real coordinates of a
-hermitian M in an orthonormal real basis E_a (tr(E_a E_b) = delta_ab) are
-x_a = tr(E_a M), and M = sum_a x_a E_a when M lies in the span; both
-surjectivity Newtons read and write hermitian matrices this way, and read
-their Jacobians as tr(E_a L(E_b)) for a linear map L: psi's from the map's
-table (``HermitianCoords.of_map``), the full-Gram moment Newton's in one
-gather from the doubled Gram that defines its map
-(``HermitianCoords.of_hankel``).
+hermitian M in an orthonormal real basis E_a of all hermitian matrices
+(tr(E_a E_b) = delta_ab) are x_a = tr(E_a M), and M = sum_a x_a E_a; both
+surjectivity Newtons read and write hermitian matrices in these
+coordinates, and read their Jacobians as tr(E_a L(E_b)) for a linear map
+L: psi's from the map's table (``HermitianCoords.of_map``), the full-Gram
+moment Newton's in one gather from the doubled Gram that defines its map
+(``HermitianCoords.of_hankel``).  psi is scale-invariant with unit-trace
+values, and its Newton borders its Jacobian with the trace direction
+instead of changing coordinates (``pushforward._newton_at_t``).
 """
 
 from __future__ import annotations
@@ -279,85 +281,60 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
 
 class HermitianCoords:
     """Real coordinates x_a = tr(E_a M) of (stacked) hermitian n x n
-    matrices M in an orthonormal real basis E_a, the matrix sum_a x_a E_a
-    of coordinates x, and the real matrix tr(E_a L(E_b)) of a linear map L,
-    from its table (``of_map``) or, for the Hankel maps of a doubled Gram,
-    from that Gram (``of_hankel``).  ``full`` spans all hermitian matrices
-    (n^2 elements), ``traceless`` the traceless ones (n^2 - 1); each returns
-    one shared instance per n, whose arrays are read-only.
+    matrices M in an orthonormal real basis E_a of all hermitian matrices
+    (n^2 elements), the matrix sum_a x_a E_a of coordinates x, and the real
+    matrix tr(E_a L(E_b)) of a linear map L, from its table (``of_map``)
+    or, for the Hankel maps of a doubled Gram, from that Gram
+    (``of_hankel``).  ``full`` returns one shared instance per n, whose
+    arrays are read-only.
 
-    No element is stored as a matrix (``basis`` builds them on request).
-    Per pair i < j a real element has 1/sqrt(2) at (i, j) and (j, i), an
-    imaginary one -i/sqrt(2) at (j, i) and i/sqrt(2) at (i, j): two slots
-    each.  The diagonal elements come first: the units e_ii of ``full``,
-    two-slot elements whose second value is 0, or the rows of the real
-    (n - 1) x n ``diagonal`` block of ``traceless``.  ``of_map`` weights
-    table rows by the slots' conjugate values; ``of`` and ``matrix`` read a
-    slot as one float of vec(M), Re for a real value and Im otherwise;
-    ``of_hankel`` reads a pair of slots as one float of the Gram, scaled.
+    No element is stored as a matrix.  The diagonal units e_ii come first,
+    then per pair i < j a real element with 1/sqrt(2) at (i, j) and (j, i)
+    and an imaginary one with -i/sqrt(2) at (j, i) and i/sqrt(2) at
+    (i, j): two slots each, a diagonal unit's second value being 0.
+    ``of_map`` weights table rows by the slots' conjugate values; ``of``
+    and ``matrix`` read a slot as one float of vec(M), Re for a real value
+    and Im otherwise; ``of_hankel`` reads a pair of slots as one float of
+    the Gram, scaled.
     """
 
-    def __init__(self, n: int, diagonal: Optional[np.ndarray] = None):
+    def __init__(self, n: int):
         e = np.arange(n * n)
         i, j = np.divmod(e, n)
         ij, ji = e[i < j], (j * n + i)[i < j]
-        # [element, slot], per pair its real and then its imaginary element
+        # [element, slot]: the diagonal units, then per pair its real and
+        # then its imaginary element
         index = np.array([ij, ji, ji, ij]).T.reshape(-1, 2)
         value = np.tile([1.0, 1.0, -1j, 1j], (len(ij), 1)).reshape(-1, 2) / np.sqrt(2.0)
-        if diagonal is None:
-            index = np.concatenate([np.repeat(e[:: n + 1], 2).reshape(-1, 2), index])
-            value = np.concatenate([np.tile([1.0, 0.0], (n, 1)), value])
-        self.n, self._basis, self._hankel = n, None, None
-        self._diagonal = np.zeros((0, n)) if diagonal is None else diagonal
+        index = np.concatenate([np.repeat(e[:: n + 1], 2).reshape(-1, 2), index])
+        value = np.concatenate([np.tile([1.0, 0.0], (n, 1)), value])
+        self.n, self._hankel = n, None
         # slot 0 of every two-slot element, then slot 1; Re(conj(v) z) reads
         # Re z for a real v and Im z for an imaginary (or zero) one
         self._index, self._weight = index.T.ravel(), value.T.reshape(-1, 1).conj()
         self._floats = 2 * self._index + (self._weight.real == 0).ravel()
         self._float_weight = (self._weight.real - self._weight.imag).ravel()
-        for table in (self._diagonal, self._index, self._weight, self._floats, self._float_weight):
+        for table in (self._index, self._weight, self._floats, self._float_weight):
             table.setflags(write=False)
 
     @classmethod
     @functools.lru_cache(maxsize=None)
     def full(cls, n: int) -> "HermitianCoords":
-        """The diagonal units, then per pair i < j its real and imaginary
-        element."""
+        """The shared coordinates of the hermitian n x n matrices."""
         return cls(n)
 
-    @classmethod
-    @functools.lru_cache(maxsize=None)
-    def traceless(cls, n: int) -> "HermitianCoords":
-        """``full`` with diag(1, ..., 1, -r, 0, ...) / sqrt(r (r + 1)),
-        0 < r < n, in place of the diagonal units."""
-        r, c = np.arange(n - 1)[:, None], np.arange(n)
-        scale = 1.0 / np.sqrt((r + 1) * (r + 2))
-        return cls(n, np.where(c <= r, scale, np.where(c == r + 1, -(r + 1) * scale, 0.0)))
-
     def __len__(self) -> int:
-        return len(self._diagonal) + len(self._index) // 2
-
-    @property
-    def basis(self) -> np.ndarray:
-        """The elements E_a as a read-only (len, n, n) stack, built on first
-        use for callers that need the matrices themselves."""
-        if self._basis is None:
-            self._basis = self.matrix(np.eye(len(self)))
-            self._basis.setflags(write=False)
-        return self._basis
+        return len(self._index) // 2
 
     def of(self, m) -> np.ndarray:
         """tr(E_a M) for M (..., n, n).  E_a is hermitian, so this is
-        Re sum conj(E_a) o M: two floats of M per two-slot element, after
-        the ``diagonal`` block applied to Re diag(M)."""
+        Re sum conj(E_a) o M: two floats of M per two-slot element."""
         m = np.ascontiguousarray(m, dtype=complex)
-        flat = m.reshape(m.shape[:-2] + (-1,)).view(float)
-        slots = flat.take(self._floats, axis=-1)
+        slots = m.reshape(m.shape[:-2] + (-1,)).view(float).take(self._floats, axis=-1)
         slots *= self._float_weight
-        x = slots[..., : slots.shape[-1] // 2]
-        x += slots[..., slots.shape[-1] // 2 :]
-        if not len(self._diagonal):
-            return x
-        return np.concatenate([flat[..., :: 2 * self.n + 2] @ self._diagonal.T, x], axis=-1)
+        x = slots[..., : len(self)]
+        x += slots[..., len(self) :]
+        return x
 
     def of_map(self, table) -> np.ndarray:
         """tr(E_a L(E_b)) = Re conj(vec(E_a)) . table . vec(E_b) at (a, b) for
@@ -366,16 +343,14 @@ class HermitianCoords:
         table = np.asarray(table, dtype=complex)
         slots = table[self._index]
         slots *= self._weight
-        rows = slots[: len(slots) // 2]
-        rows += slots[len(slots) // 2 :]
-        if len(self._diagonal):
-            rows = np.concatenate([self._diagonal @ table[:: self.n + 1], rows])
+        rows = slots[: len(self)]
+        rows += slots[len(self) :]
         return self.of(np.conjugate(rows, out=rows).reshape(len(rows), self.n, self.n))
 
     def of_hankel(self, g2) -> np.ndarray:
         """tr(E_a L(E_b)) for the map L(X)[i, j] = sum_kl G2[i + l, j + k]
         X[k, l] of a (2n - 1) x (2n - 1) complex G2: ``of_map`` of that
-        map's table, with no table formed; ``full`` coordinates only.
+        map's table, with no table formed.
 
         The entry sums Re(conj(v) v' G2[i + l, j + k]) over the slots
         (i, j), v of E_a and (k, l), v' of E_b.  Each conj(v) v' is real or
@@ -399,8 +374,6 @@ class HermitianCoords:
         """``of_hankel``'s read-only int32 (4, n^2, n^2) index tables: per slot
         pair and element pair, scale s, cell c of G2 and part p (Re 0, Im 1)
         give the index s * 2 (2n - 1)^2 + 2 c + p."""
-        if len(self._diagonal):
-            raise ValueError("of_hankel reads the full coordinates only")
         n, m = self.n, 2 * self.n - 1
         row, col = np.divmod(self._index.reshape(2, -1), n)
         conj_v = self._weight.reshape(2, -1)
@@ -419,13 +392,11 @@ class HermitianCoords:
 
     def matrix(self, x) -> np.ndarray:
         """sum_a x_a E_a for coordinates x (..., len): each slot writes its
-        float of vec(M), and a ``diagonal`` block the real diagonal."""
+        float of vec(M)."""
         x = np.asarray(x, dtype=float)
-        rows, d = x.reshape(-1, len(self)), len(self._diagonal)
+        rows = x.reshape(-1, len(self))
         m = np.zeros((len(rows), self.n * self.n), dtype=complex)
-        m.view(float)[:, self._floats] = np.concatenate([rows[:, d:]] * 2, 1) * self._float_weight
-        if d:
-            m.real[:, :: self.n + 1] = rows[:, :d] @ self._diagonal
+        m.view(float)[:, self._floats] = np.concatenate([rows] * 2, 1) * self._float_weight
         return m.reshape(x.shape[:-1] + (self.n, self.n))
 
 

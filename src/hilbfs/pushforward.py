@@ -26,10 +26,14 @@ The maps run on the ``ManifoldModel`` itself: the curve sits in P^(N-1)
 through its sections s, and psi(B) = M / tr M with M = sum_q s_q s_q*
 mu_B(q), mu_B the Fubini-Study volume of the moved curve B s over |B s|^2:
 M is the kernel's gram of ``geometry._pushforward_measure``, mu_B / rw.
-The Newton reads residuals and writes steps in the traceless coordinates
+The Newton reads residuals and writes steps in the hermitian coordinates
 tr(E_a M) of ``linalg.HermitianCoords``, and its Jacobian
-(``_psi_t_jacobian``) is ``HermitianCoords.of_map`` of one table: the map
-A -> dM built from three doubled-degree Grams and two products with B.
+(``_psi_t_jacobian``) is ``HermitianCoords.of_map`` of one table at every
+t: the map A -> dM built from three doubled-degree Grams and two products
+with B, plus the closed-form table of dpsi0 at t < 1.  psi is
+scale-invariant and its values have unit trace, so that Jacobian has the
+scale direction B in its kernel and only values of zero trace; the Newton
+borders it with the trace direction (``_newton_at_t``).
 
 Validation happens once per public call: every public function accepts B
 as a ``HermitianForm`` or an array, checks it once in ``_checked_b``
@@ -123,17 +127,22 @@ def psi0_closed(b) -> HermitianForm:
     return HermitianForm(_psi_t(None, _checked_b(b), 0.0))
 
 
-def _dpsi0(bm: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """dpsi0 at the array B along each of the stacked directions A:
-    - B^{-1} A P - P A B^{-1} + tr(B^{-1} A P + P A B^{-1}) P with
-    P = psi0(B), hermitian and traceless, and zero exactly on the scale
-    direction A = B.  Private: only ``_psi_t_jacobian`` uses it, at t < 1;
-    the tests' ``TestDpsi0`` checks it and its one-dimensional kernel."""
+def _dpsi0_table(bm: np.ndarray) -> np.ndarray:
+    """The table of dpsi0 at the array B, vec(dpsi0(A)) = table @ vec(A)
+    with vec row-major: dpsi0(A) = - B^{-1} A P - P A B^{-1}
+    + tr(B^{-1} A P + P A B^{-1}) P with P = psi0(B), so the table is
+    - kron(B^{-1}, P^T) - kron(P, B^{-T})
+    + vec(P) vec((P B^{-1} + B^{-1} P)^T)^T.
+    On a hermitian A the value is hermitian of zero trace, and zero exactly
+    on the scale direction A = B.  Private: only ``_psi_t_jacobian`` uses
+    it, at t < 1; the tests' ``TestDpsi0`` checks it and its
+    one-dimensional kernel."""
     binv = np.linalg.inv(bm)
     p = _unit_trace(binv @ binv)
-    core = binv @ dirs @ p + p @ dirs @ binv
-    out = -core + np.real(np.trace(core, axis1=-2, axis2=-1))[..., None, None] * p
-    return 0.5 * (out + np.swapaxes(out, -1, -2).conj())
+    table = np.outer(p, (p @ binv + binv @ p).T)
+    table -= np.kron(binv, p.T)
+    table -= np.kron(p, binv.T)
+    return table
 
 
 def phi_matrix(model: ManifoldModel, b) -> HermitianForm:
@@ -195,8 +204,8 @@ def _psi_t_jacobian(
     coords: HermitianCoords,
 ) -> np.ndarray:
     """Analytic Jacobian of psi_t at B, tr(E_a d psi_t(E_b)) in row a and
-    column b for the elements E_a of ``coords``; its psi part is
-    ``coords.of_map`` of the table of A -> dpsi(A).
+    column b for the elements E_a of ``coords``: one ``coords.of_map`` of
+    the table of A -> d psi_t(A) at every t.
 
     B^{-1} Phi(B) B^{-1} = M = sum_q s_q s_q* mu_B(q) with mu_B = num c,
     num = P P_zzbar - |P_z|^2, c = (1+|z|^2)^2 qw / (V P^3) and P = s* B^2 s.
@@ -212,12 +221,11 @@ def _psi_t_jacobian(
     G_p the doubled-degree Gram of f_p, so column (k, l) of the table of
     A -> dM is T vec(B e_kl + e_kl B), two batched products with B.  Then
     tr M dpsi = dM - tr(dM) psi, and both endpoints of the homotopy have
-    unit trace, so d psi_t = t dpsi + (1 - t) dpsi0, ``_dpsi0`` of the
-    elements ``coords.basis``.
+    unit trace, so the table of d psi_t is (t / tr M) (dM - tr(dM) psi)
+    + (1 - t) ``_dpsi0_table``, the latter alone at t = 0.
     """
-    jac = 0.0 if t == 1.0 else (1.0 - t) * coords.of(_dpsi0(bm, coords.basis)).T
     if t == 0.0:
-        return jac
+        return coords.of_map(_dpsi0_table(bm))
     n, doubled = model.N, model._theta_fourier(doubled=True)
     p, pz_re, pz_im, pzz = rows = model._theta_fourier().pairings(bm @ bm)
     num = _curvature_numerator(*rows)
@@ -244,31 +252,40 @@ def _psi_t_jacobian(
     dm = np.swapaxes(dm, 1, 2).reshape(n * n, n * n)
     trm = np.real(np.trace(m))
     dm -= np.outer(m / trm, dm[:: n + 1].sum(axis=0))  # tr M dpsi = dM - tr(dM) psi
-    return jac + (t / trm) * coords.of_map(dm)
+    dm *= t / trm
+    if t < 1.0:
+        dm += (1.0 - t) * _dpsi0_table(bm)
+    return coords.of_map(dm)
 
 
 def _newton_at_t(model, b, t, g, coords, full=False, r=None):
-    """Newton-correct psi_t(B) = G in the traceless ``coords`` around unit
+    """Newton-correct psi_t(B) = G in the hermitian ``coords`` around unit
     trace, to a max-norm residual of at most ``PSI_TOL`` at t = 1 and
-    ``PATH_TOL`` at t < 1; ``r``, when given, is the start's residual
-    coordinates, which are then not evaluated again.
+    ``PATH_TOL`` at t < 1, the max-norm taken over those coordinates;
+    ``r``, when given, is the start's residual coordinates, which are then
+    not evaluated again.
 
-    ``linalg.damped_newton`` runs from B with the analytic Jacobian
-    ``_psi_t_jacobian``, LU-factored once per step (a singular one is
-    degenerate); a candidate is hermitised, dropped unless positive definite
-    and trace-normalised.  On the full step (``full``) Newton is undamped,
+    ``linalg.damped_newton`` runs from B with the analytic Jacobian J of
+    ``_psi_t_jacobian``, bordered with the trace direction: the step solves
+    (J + u u^T) dx = -r, u the coordinates of I / sqrt(N), and J + u u^T is
+    LU-factored once per step (a singular one is degenerate).  J B = 0 and
+    every value of J has zero trace (u^T J = 0), so the bordered matrix is
+    regular when B spans J's kernel; a residual r has zero trace, so
+    u^T dx = -u^T r = 0 and dx is the zero-trace step with J dx = -r.  A
+    candidate is hermitised, dropped unless positive definite and
+    trace-normalised.  On the full step (``full``) Newton is undamped,
     and a candidate is accepted only while it passes Deuflhard's contraction
-    test: its simplified correction J^{-1} F(candidate), solved with the LU
-    factors of the step's Jacobian J, is at most ``CONTRACTION_MAX`` times
-    the step.  Otherwise a line search accepts a candidate that lowers the
-    residual norm or lies within the tolerance, and at t < 1 at least one
-    correction is made, even from a start within ``PATH_TOL``, so that path
-    points do not creep towards the tolerance.  Any ``ConvergenceError`` is
-    a failed correction, which the continuation answers by shortening its
-    step.  Returns (B or None, Jacobians assembled, max-norm residual).
+    test: its simplified correction, the zero-trace solution of
+    J x = F(candidate) from the step's LU factors, is at most
+    ``CONTRACTION_MAX`` times the step.  Otherwise a line search accepts a
+    candidate that lowers the residual norm or lies within the tolerance,
+    and at t < 1 at least one correction is made, even from a start within
+    ``PATH_TOL``, so that path points do not creep towards the tolerance.
+    Any ``ConvergenceError`` is a failed correction, which the continuation
+    answers by shortening its step.  Returns (B or None, Jacobians assembled, max-norm residual).
     """
     tol = PSI_TOL if t == 1.0 else PATH_TOL
-    lu = None
+    n, lu = coords.n, None
 
     def evaluate(cand):
         cand = 0.5 * (cand + cand.conj().T)
@@ -279,7 +296,9 @@ def _newton_at_t(model, b, t, g, coords, full=False, r=None):
 
     def direction(bm, r):
         nonlocal lu
-        *lu, info = sla.lapack.dgetrf(_psi_t_jacobian(model, bm, t, coords))
+        jac = _psi_t_jacobian(model, bm, t, coords)
+        jac[:n, :n] += 1.0 / n  # the border u u^T
+        *lu, info = sla.lapack.dgetrf(jac)
         if info > 0:
             raise np.linalg.LinAlgError(f"psi Jacobian singular (pivot {info})")
         return coords.matrix(sla.lapack.dgetrs(*lu, -r)[0])
@@ -319,7 +338,7 @@ def _balancing_start(model, gm, b, coords):
     With H = G and B = H^{-1/2} (both unit trace) it repeats
     r = psi(B) - G, H <- herm(H - r), trace-normalised, B = H^{-1/2}.  It
     stops when H is not positive definite or when a step fails to shrink
-    the residual's norm (in the traceless ``coords``) by
+    the residual's Frobenius norm, the norm of its ``coords``, by
     ``CONTRACTION_MAX``, and then keeps the better of the last two points.
     Returns (B, its residual coordinates, steps evaluated).
     """
@@ -373,7 +392,7 @@ def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace
             f"target eigenvalue {ev.min():.3e} below margin {MARGIN:g}; "
             "too close to the simplex boundary"
         )
-    coords = HermitianCoords.traceless(gm.shape[0])
+    coords = HermitianCoords.full(gm.shape[0])
     b = _inverse_sqrt(ev, vec)
     trace = ContinuationTrace()
     trace.log(0.0, float(np.abs(_psi_t(model, b, 0.0) - gm).max()), 0.0, 0)

@@ -12,6 +12,25 @@ from hilbfs.linalg import HermitianCoords
 from hilbfs.pushforward import _psi_t_jacobian
 
 
+def hermitian_basis(n):
+    """The elements E_a of ``HermitianCoords.full(n)`` as a dense
+    (n^2, n, n) stack."""
+    return HermitianCoords.full(n).matrix(np.eye(n * n))
+
+
+def traceless_basis(n):
+    """A dense orthonormal basis of the traceless hermitian n x n matrices,
+    (n^2 - 1, n, n): the Helmert diagonals diag(1, ..., 1, -r, 0, ...)
+    / sqrt(r (r + 1)), 0 < r < n, then the off-diagonal elements of
+    ``hermitian_basis``."""
+    diag = np.zeros((n - 1, n, n), dtype=complex)
+    for r in range(1, n):
+        diag[r - 1, np.arange(r), np.arange(r)] = 1.0
+        diag[r - 1, r, r] = -r
+        diag[r - 1] /= np.sqrt(r * (r + 1))
+    return np.concatenate([diag, hermitian_basis(n)[n:]])
+
+
 def psi0_defining_quadrature(b, radial=160, azimuthal=160):
     """Defining integral of the ambient pushforward for N = 2, evaluated by
     direct quadrature on the w-chart of the target projective line.
@@ -194,7 +213,7 @@ def pair_product_table(model):
     Re sum_ab E_k[a, b] conj(s_a) s_b * ref_weight for the hermitian basis
     E_k, summed over a from the section values."""
     n = model.N
-    basis = HermitianCoords.full(n).basis
+    basis = hermitian_basis(n)
     sect = model.sections
     table = np.zeros((n * n, model.Q))
     for a in range(n):
@@ -268,8 +287,8 @@ def psi_jacobian_chain(model):
     (sqrt h_i + sqrt h_j)), so B moves by dB = c F o dH, less its scale
     part (tr dB / tr B) B, which psi does not see.  ``_psi_t_jacobian`` at
     t = 1 takes dB to dpsi, read as Y = P^{-1/2} dpsi P^{-1/2}.  Returns the
-    real matrix of X -> Y in the traceless basis's coordinates.  Unlike the
-    other oracles it runs the code under test, whose spectrum the caller
+    real matrix of X -> Y in the coordinates of ``traceless_basis``.  Unlike
+    the other oracles it runs the code under test, whose spectrum the caller
     compares with the closed form ``balancing_spectrum``."""
     n = model.N
     K = n - 1
@@ -279,10 +298,10 @@ def psi_jacobian_chain(model):
     c = 1.0 / np.trace(b)
     b *= c
     f = -1.0 / (root[:, None] * root * (root[:, None] + root))
-    coords = HermitianCoords.traceless(n)
-    db = c * f * (root[:, None] * coords.basis * root)
+    basis, coords = traceless_basis(n), HermitianCoords.full(n)
+    db = c * f * (root[:, None] * basis * root)
     db -= np.trace(db, axis1=1, axis2=2).real[:, None, None] * b
     jac = _psi_t_jacobian(model, b, 1.0, coords)
-    dpsi = np.einsum("ba,aij->bij", jac @ coords.of(db).T, coords.basis)
+    dpsi = coords.matrix((jac @ coords.of(db).T).T)
     p_root = np.sqrt(np.sum(h)) / root
-    return coords.of(p_root[:, None] * dpsi * p_root).T
+    return np.einsum("aij,bji->ab", basis, p_root[:, None] * dpsi * p_root).real

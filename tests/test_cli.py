@@ -19,8 +19,10 @@ from hilbfs import (
     surject_fixed_volume,
     surject_full,
 )
-from hilbfs.linalg import HermitianCoords, random_spd
+from hilbfs.linalg import random_spd
 from hilbfs.cli import emit_report, main
+
+from _oracles import traceless_basis
 
 
 def write_matrix(path, d):
@@ -200,16 +202,17 @@ def test_psi_solve_feasible_target(tmp_path, capsys):
     assert trace_path.read_text().splitlines()[0] == "t,residual,step,newton_iters"
 
 
-def test_psi_solve_reports_the_least_singular_value_of_the_jacobian(tmp_path, capsys):
-    model = build_p1_model(2, radial_nodes=32, azimuthal_nodes=48)
-    target = psi(model, np.diag([1.0, 1.3, 0.8]))
+@pytest.mark.parametrize("k", [2, 4])
+def test_psi_solve_reports_the_least_singular_value_of_the_jacobian(k, tmp_path, capsys):
+    model = build_p1_model(k, radial_nodes=32, azimuthal_nodes=48)
+    target = psi(model, np.diag([1.0, 1.3, 0.8, 1.1, 0.9][: k + 1]))
     path = write_matrix(tmp_path / "g.json", target.to_json_dict())
-    assert main(["psi-solve", "--k", "2", "--target", path, *GRID]) == 0
+    assert main(["psi-solve", "--k", str(k), "--target", path, *GRID]) == 0
     report = json.loads(capsys.readouterr().out)
     # against the central-difference Jacobian of psi at the returned B, in
     # the coordinates of the traceless basis
     b = HermitianForm.from_json_dict(report["B"]).mat
-    basis, h = HermitianCoords.traceless(3).basis, 1e-5
+    basis, h = traceless_basis(k + 1), 1e-5
     jac = [
         np.einsum("aij,ji->a", basis, psi(model, b + h * e).mat - psi(model, b - h * e).mat).real
         / (2.0 * h)

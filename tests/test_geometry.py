@@ -16,7 +16,7 @@ from hilbfs import (
     reference_density,
 )
 from hilbfs.geometry import _legendre_table, _pushforward_measure
-from hilbfs.pushforward import _dpsi0, _psi_t_jacobian
+from hilbfs.pushforward import _dpsi0_table, _psi_t_jacobian
 from hilbfs.linalg import (
     HermitianCoords,
     orthonormalize_sections,
@@ -26,6 +26,7 @@ from hilbfs.linalg import (
 )
 from _oracles import (
     curvature_sums,
+    hermitian_basis,
     legendre_table_lpmv,
     mc_integral_p1,
     pairing_sums,
@@ -307,8 +308,8 @@ class TestThetaFourierKernel:
         model = build_p1_model(k, line_degree=d)
         rng = np.random.default_rng(k + 30)
         b = random_spd(model.N, rng, cond=5.0).mat
-        hc = HermitianCoords.traceless(model.N)
-        basis = hc.basis
+        hc = HermitianCoords.full(model.N)
+        basis = hermitian_basis(model.N)
         rows, drows = section_rows(model)
         p, pz, pzz = curvature_sums(b @ rows, b @ drows)
         x2 = (1.0 + np.abs(model.nodes) ** 2) ** 2
@@ -319,8 +320,9 @@ class TestThetaFourierKernel:
         dm = (dmu @ flat.T).reshape(-1, model.N, model.N)
         trm, trdm = np.trace(m).real, np.trace(dm, axis1=1, axis2=2).real
         dpsi = (dm - trdm[:, None, None] * m / trm) / trm
+        dpsi0 = (basis.reshape(len(basis), -1) @ _dpsi0_table(b).T).reshape(basis.shape)
         for t in (0.5, 1.0):
-            ref = np.einsum("aij,bji->ab", basis, t * dpsi + (1.0 - t) * _dpsi0(b, basis)).real
+            ref = np.einsum("aij,bji->ab", basis, t * dpsi + (1.0 - t) * dpsi0).real
             jac = _psi_t_jacobian(model, b, t, hc)
             assert _rel(jac, ref) <= 1e-12
 

@@ -122,6 +122,14 @@ class TestBergmanHilb:
             hilb(model, fs_metric(model, HermitianForm.identity(3)))
         assert err.value.node == 7
 
+    @pytest.mark.parametrize("evaluate", [hilb, curvature_volume])
+    def test_a_metric_of_another_size_is_rejected(self, evaluate):
+        # a Bergman metric of the k = 3 model on the k = 2 model: its form
+        # is checked before the synthesis reshapes it
+        metric = fs_metric(build_p1_model(3), HermitianForm.identity(4))
+        with pytest.raises(DimensionError, match="^form has dim 4, model needs 3$"):
+            evaluate(build_p1_model(2), metric)
+
     def test_positivity_guard_fires_on_a_grid_metric(self):
         model = build_p1_model(1, radial_nodes=16, azimuthal_nodes=16)
         with pytest.raises(CurvaturePositivityError):

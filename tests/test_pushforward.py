@@ -28,14 +28,16 @@ from hilbfs.pushforward import (
     CONTRACTION_MAX,
     PATH_TOL,
     PSI_TOL,
-    _dpsi0,
+    _dpsi0_table,
     _psi_t_jacobian,
 )
 from _oracles import (
     balancing_spectrum,
+    hermitian_basis,
     psi0_defining_mc,
     psi0_defining_quadrature,
     psi_jacobian_chain,
+    traceless_basis,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -100,15 +102,16 @@ class TestPsi0:
 
 
 def dpsi0(b, a):
-    """dpsi0 at the form or array B along the one direction A."""
+    """dpsi0 at the form or array B along the one direction A: the table
+    applied to vec(A), not hermitised."""
     bm = b.mat if isinstance(b, HermitianForm) else np.asarray(b, dtype=complex)
-    return _dpsi0(bm, np.asarray(a, dtype=complex))
+    a = np.asarray(a, dtype=complex)
+    return (_dpsi0_table(bm) @ a.ravel()).reshape(a.shape)
 
 
 def dpsi0_matrix(b):
     """Real matrix of A -> dpsi0(B, A) in the coordinates of the hermitian basis."""
-    coords = HermitianCoords.full(b.dim)
-    return coords.of(_dpsi0(b.mat, coords.basis)).T
+    return HermitianCoords.full(b.dim).of_map(_dpsi0_table(b.mat))
 
 
 class TestDpsi0:
@@ -151,7 +154,7 @@ class TestDpsi0:
         rng = np.random.default_rng(11)
         for n in [2, 3, 5]:
             b = random_spd(n, rng, cond=10.0)
-            basis = HermitianCoords.full(n).basis
+            basis = hermitian_basis(n)
             loop = np.array(
                 [np.real(np.einsum("aij,ji->a", basis, dpsi0(b, e))) for e in basis]
             ).T
@@ -280,23 +283,20 @@ def coords(basis, m):
     return np.real(np.einsum("aij,...ji->...a", basis, m))
 
 
-@pytest.mark.parametrize(
-    "make", [HermitianCoords.full, HermitianCoords.traceless],
-    ids=["hermitian_basis", "traceless_basis"],
-)
+@pytest.mark.parametrize("make", [HermitianCoords.full], ids=["hermitian_basis"])
 def test_coords_matmul_equals_the_trace_sum(make):
     hc = make(5)
     rng = np.random.default_rng(14)
     stack = np.array([random_hermitian(5, rng) for _ in range(7)])
     for m in (stack, stack[0], stack.real):
-        assert np.abs(hc.of(m) - coords(hc.basis, m)).max() <= 1e-15
+        assert np.abs(hc.of(m) - coords(hermitian_basis(5), m)).max() <= 1e-15
     # the basis is orthonormal, so matrix(x) = sum_a x_a E_a has coordinates x
     for x in hc.of(stack):
         assert np.abs(hc.of(hc.matrix(x)) - x).max() <= 1e-14
     for n in (2, 3, 5, 9):
         hc = make(n)
         table = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
-        flat = hc.basis.reshape(len(hc), n * n)
+        flat = hermitian_basis(n).reshape(len(hc), n * n)
         dense = np.real(flat.conj() @ table @ flat.T)
         assert np.abs(hc.of_map(table) - dense).max() <= 1e-14 * np.abs(dense).max()
         # of the identity map: tr(E_a E_b), orthonormality
@@ -310,19 +310,19 @@ def test_solve_psi_builds_one_coordinate_table(monkeypatch):
     built = []
     init = HermitianCoords.__init__
 
-    def counting(self, n, diagonal=None):
-        init(self, n, diagonal)
+    def counting(self, n):
+        init(self, n)
         built.append((len(self), n, n))
 
     monkeypatch.setattr(HermitianCoords, "__init__", counting)
     # the coordinates are shared per size: drop those that earlier tests made
-    HermitianCoords.traceless.cache_clear()
+    HermitianCoords.full.cache_clear()
     _, trace = solve_psi(model, target)
     assert sum(row.newton_iters for row in trace.rows) > 1
-    assert built == [(8, 3, 3)]
+    assert built == [(9, 3, 3)]
     # and a second solve of the same size builds none
     solve_psi(model, target)
-    assert built == [(8, 3, 3)]
+    assert built == [(9, 3, 3)]
 
 
 class TestPsiJacobian:
@@ -334,8 +334,8 @@ class TestPsiJacobian:
     )
     def test_matches_finite_differences(self, make_model, t):
         model = make_model()
-        hc = HermitianCoords.traceless(model.N)
-        basis = hc.basis
+        hc = HermitianCoords.full(model.N)
+        basis = hermitian_basis(model.N)
         rng = np.random.default_rng(12)
         h = 1e-5
         for _ in range(2):
@@ -360,7 +360,7 @@ class TestPsiJacobian:
         b /= np.trace(b)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            jac = _psi_t_jacobian(model, b, 1.0, HermitianCoords.traceless(model.N))
+            jac = _psi_t_jacobian(model, b, 1.0, HermitianCoords.full(model.N))
         assert np.all(np.isfinite(jac))
 
     @pytest.mark.parametrize("k,d", [(2, 1), (3, 1), (4, 1), (6, 1), (8, 1), (2, 2), (3, 2), (4, 2)])
@@ -554,7 +554,7 @@ def test_a_singular_jacobian_is_a_failed_correction(t, full, monkeypatch):
     # getrf reports the zero pivot; the correction fails, which the
     # continuation answers, instead of raising
     model = build_p1_model(2)
-    coords = HermitianCoords.traceless(model.N)
+    coords = HermitianCoords.full(model.N)
     monkeypatch.setattr(
         hilbfs.pushforward, "_psi_t_jacobian",
         lambda model, bm, t, coords: np.zeros((len(coords), len(coords))),
@@ -563,6 +563,36 @@ def test_a_singular_jacobian_is_a_failed_correction(t, full, monkeypatch):
     bn, iters, resid = hilbfs.pushforward._newton_at_t(model, b, t, g, coords, full)
     assert bn is None and iters == 1
     assert resid == np.abs(coords.of(psi_t(model, b, t).mat - g)).max() > PATH_TOL
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0])
+@pytest.mark.parametrize("k", [2, 4])
+def test_the_bordered_step_is_the_traceless_newton_step(k, t, monkeypatch):
+    # J + u u^T, u the coordinates of I / sqrt(N), solves for the step that
+    # Newton takes in the coordinates of a traceless basis
+    model = build_p1_model(k, **workloads.grid(k))
+    rng = np.random.default_rng([k, 39])
+    g = psi(model, random_spd(model.N, rng, cond=4.0)).mat
+    b = random_spd(model.N, rng, cond=4.0).mat
+    b = b / np.real(np.trace(b))
+    getrs, solves = sla.lapack.dgetrs, []
+
+    def recording(*args, **kwargs):
+        out = getrs(*args, **kwargs)
+        solves.append(out[0])
+        return out
+
+    monkeypatch.setattr(sla.lapack, "dgetrs", recording)
+    hc = HermitianCoords.full(model.N)
+    hilbfs.pushforward._newton_at_t(model, b, t, g, hc)
+    step = hc.matrix(solves[0])
+    assert abs(np.trace(step)) <= 1e-13
+    basis = traceless_basis(model.N)
+    flat = hc.of(basis)
+    jac = flat @ _psi_t_jacobian(model, b, t, hc) @ flat.T
+    r = coords(basis, psi_t(model, b, t).mat - g)
+    want = np.einsum("a,aij->ij", np.linalg.solve(jac, -r), basis)
+    assert np.abs(step - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_surject_full_jacobians_are_factored_once_each(monkeypatch):
