@@ -191,9 +191,11 @@ def cmd_psi_solve(args) -> int:
         return 2
     if args.trace_out:
         _write_csv(_trace_table(trace), args.trace_out)
-    # J - (J u) u^T, u the coordinates of I / sqrt(N): the Jacobian on the
-    # directions of zero trace, whose singular values it has, and one 0
-    jac = _psi_t_jacobian(model, solution.mat, 1.0, HermitianCoords.full(model.N))
+    # J, psi's Jacobian in B: J(A) after dA = B dB + dB B.  J - (J u) u^T, u the
+    # coordinates of I / sqrt(N), has J's singular values on zero trace and one 0
+    b, coords, eye = solution.mat, HermitianCoords.full(model.N), np.eye(model.N)
+    jac = _psi_t_jacobian(model, b @ b, 1.0, coords)
+    jac = jac @ coords.of_map(np.kron(b, eye) + np.kron(eye, b.T))
     jac[:, : model.N] -= jac[:, : model.N].mean(axis=1, keepdims=True)
     report = {
         "status": "ok",

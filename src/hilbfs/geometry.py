@@ -19,8 +19,8 @@ Geometry conventions
   its weight is rw * exp(-u) = 1/P, and its curvature density is that of
   log P divided by k.  One synthesis of rw P therefore gives both factors of
   hilb(fs_metric(H)) = (N/V) sum_q s s* rw dens / (k rw P) qw; with the
-  kernel's gram below and mu_B / rw = ``_pushforward_measure`` this reads
-  hilb(fs_metric(H)) = (N / kV) gram(mu_(H^{-1/2}) / rw).
+  kernel's gram below and mu_B / rw = ``_pushforward_measure`` at A = B^2
+  this reads hilb(fs_metric(H)) = (N / kV) gram(mu_B / rw) at A = H^{-1}.
 * Section pairings: for n monomials z^i, i < n, sum_ij A_ij conj(z^i) z^j =
   sum_ij A_ij r^(i+j) e^{i(j-i) theta} holds at most 2n - 1 powers of r and
   2n - 1 modes in the equispaced theta.  One kernel, ``_ThetaFourier``
@@ -515,14 +515,14 @@ def _curvature_density(model: ManifoldModel, a: np.ndarray):
     return weights, inv_p
 
 
-def _pushforward_measure(model: ManifoldModel, bm: np.ndarray) -> np.ndarray:
+def _pushforward_measure(model: ManifoldModel, a: np.ndarray) -> np.ndarray:
     """Node weights mu_B / rw, mu_B = curvature weights / P, of the curve
-    pushforward.  With 1/(rw P), P = |B s|^2, from ``_curvature_density``
-    at A = B^2, mu_B is the Fubini-Study volume of the moved curve W = B s
-    divided by |W|^2.  The kernel's gram of mu_B / rw (it carries rw) is the
-    pushforward matrix M = B^{-1} Phi(B) B^{-1}; W W* against mu_B gives Phi(B).
+    pushforward at A = B^2: with 1/(rw P), P = s* A s = |B s|^2, from
+    ``_curvature_density``, mu_B is the Fubini-Study volume of the moved
+    curve W = B s over |W|^2.  The kernel's gram of mu_B / rw (it carries
+    rw) is M = B^{-1} Phi(B) B^{-1}; W W* against mu_B gives Phi(B).
     """
-    weights, inv_p = _curvature_density(model, bm @ bm)
+    weights, inv_p = _curvature_density(model, a)
     weights *= inv_p
     return weights
 

@@ -186,9 +186,9 @@ class HermitianForm:
             n = int(d["n"])
             re = np.asarray(d["re"], dtype=float)
             im = np.asarray(d["im"], dtype=float)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DimensionError(
-                f"matrix JSON must be an object with keys n, re, im ({exc!r})"
+                f"matrix JSON must be an object with integer n and arrays re, im ({exc!r})"
             ) from exc
         if re.shape != (n, n) or im.shape != (n, n):
             raise DimensionError(

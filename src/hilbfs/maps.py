@@ -175,8 +175,8 @@ def t_iterate(
     The seed is checked here, once: a seed of the wrong size raises
     ``DimensionError`` and one that is not positive definite the
     ``DefinitenessError`` naming its failing pivot; a negative ``max_iters``
-    raises ``ValueError``.  The composition is
-    scale-covariant, so each iterate is normalised to unit determinant
+    or a negative or NaN ``tol`` raises ``ValueError``.  The composition
+    is scale-covariant, so each iterate is normalised to unit determinant
     before the distance is measured.  The trace defect
     |tr(H_r^{-1} H_{r+1}) - N| is logged at every step, H_r^{-1} read from
     the Bergman metric of H_r; convergence of the iteration itself is
@@ -186,6 +186,8 @@ def t_iterate(
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     current = _unit_det(_sized_form(model, h0))
     steps = [IterationStep(0, _record(current), float("nan"), float("nan"))]
     converged = False

@@ -7,17 +7,18 @@ restricted to the embedded curve (psi).  Their affine homotopy underlies
 ``solve_psi``, which realises targets constructively: balancing (Picard)
 steps, then the undamped full Newton step to t = 1, and only if that is
 abandoned a march in t from the closed-form seed (its docstring has the
-rules).  psi(B) is proportional to hilb(fs_metric(B^{-2})) (see
-``geometry``), so in H = B^{-2} the step H <- H - (psi(B) - G) is
-Donaldson's balancing iteration run towards G.  Near the solution it
-scales the mode of degree l by 1 - lambda_l, lambda_l the linearised
-balancing spectrum of ``maps``, so it removes the lambda_l ~ 1 modes
-l = 0, 1, 2 that throw an undamped Newton step from the closed-form seed
-out of its basin.
+rules).  psi reads B only through A = B^2, whose pairing s* A s the kernel
+synthesises, so the solver's unknown is A.  psi is proportional to
+hilb(fs_metric(A^{-1})) (see ``geometry``), so in H = A^{-1} the step
+H <- H - (psi - G) is Donaldson's balancing iteration run towards G.  Near
+the solution it scales the mode of degree l by 1 - lambda_l, lambda_l the
+linearised balancing spectrum of ``maps``, so it removes the lambda_l ~ 1
+modes l = 0, 1, 2 that throw an undamped Newton step from the closed-form
+seed out of its basin.
 
 Matrix conventions: forms are linear in the first index (see ``linalg``).
 In this convention the ambient-space map has closed form
-psi0(B) = B^{-2} / tr(B^{-2}), its linearisation loses all transposes, and
+psi0(B) = A^{-1} / tr(A^{-1}), its linearisation loses all transposes, and
 psi(B) = B^{-1} Phi(B) B^{-1} / tr(...); in the conjugate-first convention
 all matrices transpose and the classical displayed formulas with B^t are
 recovered verbatim.
@@ -25,25 +26,25 @@ recovered verbatim.
 The maps run on the ``ManifoldModel`` itself: the curve sits in P^(N-1)
 through its sections s, and psi(B) = M / tr M with M = sum_q s_q s_q*
 mu_B(q), mu_B the Fubini-Study volume of the moved curve B s over |B s|^2:
-M is the kernel's gram of ``geometry._pushforward_measure``, mu_B / rw.
+M is the kernel's gram of ``geometry._pushforward_measure`` at A, mu_B / rw.
 The Newton reads residuals and writes steps in the hermitian coordinates
-tr(E_a M) of ``linalg.HermitianCoords``, and its Jacobian
+tr(E_a M) of ``linalg.HermitianCoords``, and its Jacobian in A
 (``_psi_t_jacobian``) is ``HermitianCoords.of_map`` of one table at every
-t: the map A -> dM built from three doubled-degree Grams and two products
-with B, plus the closed-form table of dpsi0 at t < 1.  psi is
-scale-invariant and its values have unit trace, so that Jacobian has the
-scale direction B in its kernel and only values of zero trace; the Newton
-borders it with the trace direction (``_newton_at_t``).
+t: the map dA -> dM, the pair sums of three doubled-degree Grams, plus the
+closed-form table of dpsi0 at t < 1.  psi is scale-invariant and its values
+have unit trace, so that Jacobian has the scale direction A in its kernel
+and only values of zero trace; the Newton borders it with the trace
+direction (``_newton_at_t``).
 
 Validation happens once per public call: every public function accepts B
-as a ``HermitianForm`` or an array, checks it once in ``_checked_b``
-(hermitian, positive definite, and of the model's size where a model is
-given) and returns unit-trace ``HermitianForm`` values; a target G, here
-and in both ``calabi`` pipelines, is checked once in ``_checked_target``.
-The continuation Newton runs on raw arrays through ``_psi_t`` and
-``_psi_t_jacobian``, which validate nothing; its line search tests positive
-definiteness before it evaluates a candidate, so no evaluation inside the
-Newton leaves the positive cone.
+as a ``HermitianForm`` or an array, checks and squares it once in
+``_checked_b`` (hermitian, positive definite, and of the model's size where
+a model is given) and returns unit-trace ``HermitianForm`` values; a target
+G, here and in both ``calabi`` pipelines, is checked once in
+``_checked_target``.  The continuation Newton runs on raw arrays A through
+``_psi_t`` and ``_psi_t_jacobian``, which validate nothing; its line search
+tests positive definiteness before it evaluates a candidate, so no
+evaluation inside the Newton leaves the positive cone.
 """
 
 from __future__ import annotations
@@ -67,13 +68,14 @@ PSI_TOL = 1e-10  # max-norm residual at which the continuation Newton stops at t
 PATH_TOL = 1e-4  # the same at every t < 1, whose point need only seed the next step
 
 
-def _checked_b(b, model: Optional[ManifoldModel] = None) -> np.ndarray:
-    """B as an array, validated at a public entry point: hermitian, positive
-    definite and, when ``model`` is given, of the model's size."""
+def _checked_b(b, model: Optional[ManifoldModel] = None):
+    """B and A = B^2 as arrays, B validated at a public entry point:
+    hermitian, positive definite and, when ``model`` is given, of the
+    model's size."""
     bm = (_as_form(b) if model is None else _sized_form(model, b)).mat
     if np.linalg.eigvalsh(bm).min() <= 0:
         raise MarginError("B must be positive definite (singular B rejected)")
-    return bm
+    return bm, bm @ bm
 
 
 def _checked_target(model: ManifoldModel, g):
@@ -96,24 +98,23 @@ def _unit_trace(m: np.ndarray) -> np.ndarray:
     return m / np.real(np.trace(m))
 
 
-def _psi_t(model: Optional[ManifoldModel], bm: np.ndarray, t: float) -> np.ndarray:
-    """psi_t on a hermitian positive definite array, without validation.
+def _psi_t(model: Optional[ManifoldModel], a: np.ndarray, t: float) -> np.ndarray:
+    """psi_t at A = B^2, a positive definite array, without validation.
 
-    psi0 comes from B^{-1}; for t > 0, psi comes from M = sum_q s_q s_q*
+    psi0 is A^{-1} / tr A^{-1}; for t > 0, psi comes from M = sum_q s_q s_q*
     mu_B(q), which is B^{-1} Phi(B) B^{-1} with the inverses cancelled
     against the moved sections B s.  ``model`` is unused at t = 0.  The
-    caller has checked B: ``_checked_b`` at a public entry point, the line
+    caller has checked A: ``_checked_b`` at a public entry point, the line
     search inside the continuation Newton.
     """
     if t > 0.0:
-        m = model._theta_fourier().gram(_pushforward_measure(model, bm))
+        m = model._theta_fourier().gram(_pushforward_measure(model, a))
         if np.real(np.trace(m)) <= 0:
             raise RuntimeError("internal error: pushforward trace must be positive")
         p = _unit_trace(m)
         if t == 1.0:
             return p
-    binv = np.linalg.inv(bm)
-    p0 = _unit_trace(binv @ binv)
+    p0 = _unit_trace(np.linalg.inv(a))
     if t == 0.0:
         return p0
     return _unit_trace(t * p + (1.0 - t) * p0)
@@ -124,24 +125,23 @@ def psi0_closed(b) -> HermitianForm:
 
     Scale-invariant: psi0(aB) = psi0(B) for a > 0.
     """
-    return HermitianForm(_psi_t(None, _checked_b(b), 0.0))
+    return HermitianForm(_psi_t(None, _checked_b(b)[1], 0.0))
 
 
-def _dpsi0_table(bm: np.ndarray) -> np.ndarray:
-    """The table of dpsi0 at the array B, vec(dpsi0(A)) = table @ vec(A)
-    with vec row-major: dpsi0(A) = - B^{-1} A P - P A B^{-1}
-    + tr(B^{-1} A P + P A B^{-1}) P with P = psi0(B), so the table is
-    - kron(B^{-1}, P^T) - kron(P, B^{-T})
-    + vec(P) vec((P B^{-1} + B^{-1} P)^T)^T.
-    On a hermitian A the value is hermitian of zero trace, and zero exactly
-    on the scale direction A = B.  Private: only ``_psi_t_jacobian`` uses
-    it, at t < 1; the tests' ``TestDpsi0`` checks it and its
-    one-dimensional kernel."""
-    binv = np.linalg.inv(bm)
-    p = _unit_trace(binv @ binv)
-    table = np.outer(p, (p @ binv + binv @ p).T)
-    table -= np.kron(binv, p.T)
-    table -= np.kron(p, binv.T)
+def _dpsi0_table(a: np.ndarray) -> np.ndarray:
+    """The table of dpsi0 at the form A, vec(dpsi0(X)) = table @ vec(X)
+    with vec row-major.  With tau = tr A^{-1} and P = psi0 = A^{-1} / tau,
+    dpsi0(X) = tau (tr(P^2 X) P - P X P), so the table is
+    tau (vec(P) vec((P^2)^T)^T - kron(P, P^T)), written in the hermitian P
+    alone, which keeps its values hermitian to rounding.  On a hermitian X
+    the value is hermitian of zero trace, and zero exactly on the scale
+    direction X = A.  Private: only ``_psi_t_jacobian`` uses it, at t < 1;
+    the tests' ``TestDpsi0`` checks it and its one-dimensional kernel."""
+    ainv = np.linalg.inv(a)
+    p = _unit_trace(ainv)
+    table = np.outer(p, (p @ p).T)
+    table -= np.kron(p, p.T)
+    table *= np.real(np.trace(ainv))
     return table
 
 
@@ -154,22 +154,22 @@ def phi_matrix(model: ManifoldModel, b) -> HermitianForm:
     embedding degree dk) and the integrand is
     W_r conj(W_s) / |W|^2.  Positive definite for nondegenerate embeddings.
     """
-    bm = _checked_b(b, model)
-    g = bm @ model._theta_fourier().gram(_pushforward_measure(model, bm)) @ bm
+    bm, a = _checked_b(b, model)
+    g = bm @ model._theta_fourier().gram(_pushforward_measure(model, a)) @ bm
     return HermitianForm(0.5 * (g + g.conj().T))
 
 
 def psi(model: ManifoldModel, b) -> HermitianForm:
     """Pushforward along the embedded curve: the normalised conjugation
     B^{-1} Phi(B) B^{-1} / tr(...); scale-invariant in B."""
-    return HermitianForm(_psi_t(model, _checked_b(b, model), 1.0))
+    return HermitianForm(_psi_t(model, _checked_b(b, model)[1], 1.0))
 
 
 def psi_t(model: ManifoldModel, b, t: float) -> HermitianForm:
     """Affine homotopy t * psi + (1 - t) * psi0 between the two pushforwards."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    return HermitianForm(_psi_t(model, _checked_b(b, model), t))
+    return HermitianForm(_psi_t(model, _checked_b(b, model)[1], t))
 
 
 @dataclass
@@ -199,35 +199,33 @@ class ContinuationTrace:
 
 def _psi_t_jacobian(
     model: ManifoldModel,
-    bm: np.ndarray,
+    a: np.ndarray,
     t: float,
     coords: HermitianCoords,
 ) -> np.ndarray:
-    """Analytic Jacobian of psi_t at B, tr(E_a d psi_t(E_b)) in row a and
-    column b for the elements E_a of ``coords``: one ``coords.of_map`` of
-    the table of A -> d psi_t(A) at every t.
+    """Analytic Jacobian of psi_t at the form A = B^2, tr(E_a d psi_t(E_b))
+    in row a and column b for the elements E_a of ``coords``: one
+    ``coords.of_map`` of the table of X -> d psi_t(X) at every t.
 
     B^{-1} Phi(B) B^{-1} = M = sum_q s_q s_q* mu_B(q) with mu_B = num c,
-    num = P P_zzbar - |P_z|^2, c = (1+|z|^2)^2 qw / (V P^3) and P = s* B^2 s.
+    num = P P_zzbar - |P_z|^2, c = (1+|z|^2)^2 qw / (V P^3) and P = s* A s.
     The kernel's rows are rw (P, P_z, P_zzbar), so the c formed from them
     is c / rw^3 and the forms f_p below come out divided by rw^2, as the
-    doubled kernel, which carries rw^2, needs.  Along A, B^2 moves by
-    D = BA + AB and d mu_B = Re(dP f_0 + 2 dP_z f_1 + dP_zzbar f_2) for the
-    node forms (f_0, f_1, f_2) = ((P_zzbar - 3 num / P) c, -conj(P_z) c,
-    P c).  As s_i conj(s_j) conj(s_a) s_b = z^(i+b) conj(z)^(j+a),
-    dM = T vec(D) with
+    doubled kernel, which carries rw^2, needs.  Along X, A moves by X and
+    d mu_B = Re(dP f_0 + 2 dP_z f_1 + dP_zzbar f_2) for the node forms
+    (f_0, f_1, f_2) = ((P_zzbar - 3 num / P) c, -conj(P_z) c, P c).  As
+    s_i conj(s_j) conj(s_a) s_b = z^(i+b) conj(z)^(j+a), dM = T vec(X) with
         T[ij, ab] = G_0[i+b, j+a] + b G_1[i+b-1, j+a]
                     + a conj(G_1[j+a-1, i+b]) + ab G_2[i+b-1, j+a-1],
-    G_p the doubled-degree Gram of f_p, so column (k, l) of the table of
-    A -> dM is T vec(B e_kl + e_kl B), two batched products with B.  Then
+    G_p the doubled-degree Gram of f_p, so T is the table of X -> dM.  Then
     tr M dpsi = dM - tr(dM) psi, and both endpoints of the homotopy have
     unit trace, so the table of d psi_t is (t / tr M) (dM - tr(dM) psi)
     + (1 - t) ``_dpsi0_table``, the latter alone at t = 0.
     """
     if t == 0.0:
-        return coords.of_map(_dpsi0_table(bm))
+        return coords.of_map(_dpsi0_table(a))
     n, doubled = model.N, model._theta_fourier(doubled=True)
-    p, pz_re, pz_im, pzz = rows = model._theta_fourier().pairings(bm @ bm)
+    p, pz_re, pz_im, pzz = rows = model._theta_fourier().pairings(a)
     num = _curvature_numerator(*rows)
     c = model._volume_factor() / (p * p * p)
     m = model._theta_fourier().gram(num * c)
@@ -240,40 +238,37 @@ def _psi_t_jacobian(
     shifted[3, 1:, 1:] = g2[:-1, :-1]
     # T with its columns (a, b) read as (b, a), the columns of the pair sums
     s0, s1, s2, s3 = doubled.pair_sums(shifted)
-    b, a = np.divmod(np.arange(n * n), n)
+    col_b, col_a = np.divmod(np.arange(n * n), n)
     # s0 + s1 b + s2 a + s3 ab, scaled and summed in place
-    for s, weight in ((s1, b), (s2, a), (s3, a * b)):
+    for s, weight in ((s1, col_b), (s2, col_a), (s3, col_a * col_b)):
         s *= weight
         s0 += s
-    tab = s0.reshape(n * n, n, n)
-    # column (k, l) of the table of A -> dM: T vec(B e_kl + e_kl B), at (b, a) = (l, k)
-    dm = tab @ bm
-    dm += bm @ tab
-    dm = np.swapaxes(dm, 1, 2).reshape(n * n, n * n)
+    # T, the table of X -> dM, with its columns put back in (a, b) order
+    dm = np.swapaxes(s0.reshape(n * n, n, n), 1, 2).reshape(n * n, n * n)
     trm = np.real(np.trace(m))
     dm -= np.outer(m / trm, dm[:: n + 1].sum(axis=0))  # tr M dpsi = dM - tr(dM) psi
     dm *= t / trm
     if t < 1.0:
-        dm += (1.0 - t) * _dpsi0_table(bm)
+        dm += (1.0 - t) * _dpsi0_table(a)
     return coords.of_map(dm)
 
 
-def _newton_at_t(model, b, t, g, coords, full=False, r=None):
-    """Newton-correct psi_t(B) = G in the hermitian ``coords`` around unit
+def _newton_at_t(model, a, t, g, coords, full=False, r=None):
+    """Newton-correct psi_t(A) = G in the hermitian ``coords`` around unit
     trace, to a max-norm residual of at most ``PSI_TOL`` at t = 1 and
     ``PATH_TOL`` at t < 1, the max-norm taken over those coordinates;
     ``r``, when given, is the start's residual coordinates, which are then
     not evaluated again.
 
-    ``linalg.damped_newton`` runs from B with the analytic Jacobian J of
-    ``_psi_t_jacobian``, bordered with the trace direction: the step solves
-    (J + u u^T) dx = -r, u the coordinates of I / sqrt(N), and J + u u^T is
-    LU-factored once per step (a singular one is degenerate).  J B = 0 and
-    every value of J has zero trace (u^T J = 0), so the bordered matrix is
-    regular when B spans J's kernel; a residual r has zero trace, so
-    u^T dx = -u^T r = 0 and dx is the zero-trace step with J dx = -r.  A
-    candidate is hermitised, dropped unless positive definite and
-    trace-normalised.  On the full step (``full``) Newton is undamped,
+    ``linalg.damped_newton`` runs from the form A with the analytic
+    Jacobian J of ``_psi_t_jacobian``, bordered with the trace direction:
+    the step solves (J + u u^T) dx = -r, u the coordinates of I / sqrt(N),
+    and J + u u^T is LU-factored once per step (a singular one is
+    degenerate).  J A = 0 and every value of J has zero trace (u^T J = 0),
+    so the bordered matrix is regular when A spans J's kernel; a residual r
+    has zero trace, so u^T dx = -u^T r = 0 and dx is the zero-trace step
+    with J dx = -r.  A candidate is hermitised, dropped unless positive
+    definite and trace-normalised.  On the full step (``full``) Newton is undamped,
     and a candidate is accepted only while it passes Deuflhard's contraction
     test: its simplified correction, the zero-trace solution of
     J x = F(candidate) from the step's LU factors, is at most
@@ -282,7 +277,7 @@ def _newton_at_t(model, b, t, g, coords, full=False, r=None):
     and at t < 1 at least one correction is made, even from a start within
     ``PATH_TOL``, so that path points do not creep towards the tolerance.
     Any ``ConvergenceError`` is a failed correction, which the continuation
-    answers by shortening its step.  Returns (B or None, Jacobians assembled, max-norm residual).
+    answers by shortening its step.  Returns (A or None, Jacobians assembled, max-norm residual).
     """
     tol = PSI_TOL if t == 1.0 else PATH_TOL
     n, lu = coords.n, None
@@ -294,9 +289,9 @@ def _newton_at_t(model, b, t, g, coords, full=False, r=None):
         cand = cand / np.real(np.trace(cand))
         return cand, coords.of(_psi_t(model, cand, t) - g)
 
-    def direction(bm, r):
+    def direction(am, r):
         nonlocal lu
-        jac = _psi_t_jacobian(model, bm, t, coords)
+        jac = _psi_t_jacobian(model, am, t, coords)
         jac[:n, :n] += 1.0 / n  # the border u u^T
         *lu, info = sla.lapack.dgetrf(jac)
         if info > 0:
@@ -311,80 +306,81 @@ def _newton_at_t(model, b, t, g, coords, full=False, r=None):
         return np.linalg.norm(new[1]) < np.linalg.norm(old[1]) or np.abs(new[1]).max() <= tol
 
     if r is None:
-        r = coords.of(_psi_t(model, b, t) - g)
+        r = coords.of(_psi_t(model, a, t) - g)
     try:
-        (bm, _), history = damped_newton(
-            evaluate, direction, accept, (b, r),
+        (am, _), history = damped_newton(
+            evaluate, direction, accept, (a, r),
             tol, NEWTON_MAX_ITERS, 1 if full else 10, "psi Newton",
             min_steps=0 if t == 1.0 else 1,
         )
     except ConvergenceError as exc:
         # a step that stalls or meets a singular Jacobian has assembled that Jacobian too
         return None, min(len(exc.history), NEWTON_MAX_ITERS), exc.history[-1]
-    return bm, len(history) - 1, history[-1]
+    return am, len(history) - 1, history[-1]
 
 
-def _inverse_sqrt(ev: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """H^{-1/2} / tr(H^{-1/2}) from the eigenpairs of a positive definite H."""
-    b = (vec / np.sqrt(ev)) @ vec.conj().T
-    return b / np.real(np.trace(b))
+def _power(ev: np.ndarray, vec: np.ndarray, p: float) -> np.ndarray:
+    """H^p / tr(H^p) from the eigenpairs of a positive definite H."""
+    m = (vec * ev**p) @ vec.conj().T
+    return m / np.real(np.trace(m))
 
 
-def _balancing_start(model, gm, b, coords):
-    """Balancing (Picard) steps towards psi(B) = G from B = G^{-1/2}, the
+def _balancing_start(model, gm, a, coords):
+    """Balancing (Picard) steps towards psi(A) = G from A = G^{-1}, the
     start of the full step (Donaldson's iteration run towards G, see the
     module docstring).
 
-    With H = G and B = H^{-1/2} (both unit trace) it repeats
-    r = psi(B) - G, H <- herm(H - r), trace-normalised, B = H^{-1/2}.  It
+    With H = G and A = H^{-1} (both unit trace) it repeats
+    r = psi(A) - G, H <- herm(H - r), trace-normalised, A = H^{-1}.  It
     stops when H is not positive definite or when a step fails to shrink
     the residual's Frobenius norm, the norm of its ``coords``, by
     ``CONTRACTION_MAX``, and then keeps the better of the last two points.
-    Returns (B, its residual coordinates, steps evaluated).
+    Returns (A, its residual coordinates, steps evaluated).
     """
-    h, rm = gm, _psi_t(model, b, 1.0) - gm
+    h, rm = gm, _psi_t(model, a, 1.0) - gm
     r = coords.of(rm)
     steps = 0
     while True:
         h_new = _unit_trace(h - rm)
         ev, vec = np.linalg.eigh(h_new)
         if ev.min() <= 0:
-            return b, r, steps
+            return a, r, steps
         steps += 1
-        b_new = _inverse_sqrt(ev, vec)
-        rm_new = _psi_t(model, b_new, 1.0) - gm
+        a_new = _power(ev, vec, -1.0)
+        rm_new = _psi_t(model, a_new, 1.0) - gm
         r_new = coords.of(rm_new)
         norm, norm_new = np.linalg.norm(r), np.linalg.norm(r_new)
         if norm_new < norm:
-            h, b, rm, r = h_new, b_new, rm_new, r_new
+            h, a, rm, r = h_new, a_new, rm_new, r_new
         if not norm_new < CONTRACTION_MAX * norm:
-            return b, r, steps
+            return a, r, steps
 
 
 def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace]:
     """Find B with psi(B) = G by continuation from the closed-form seed.
 
-    The seed B0 = G^{-1/2} satisfies psi0(B0) = G exactly.  The first
-    attempt is the full step to t = 1 (``_newton_at_t``), from where the
-    balancing steps of ``_balancing_start`` leave B and with their last
-    residual.  After an abandoned full step, t marches from 0 and B0 to 1
-    with adaptive steps, the first 1 / ``CONTINUATION_STEPS`` (on Newton
-    failure halve the step tried, which is h or 1 - t where t + h is
-    clipped to 1; on every success from the second consecutive one on,
-    double h, up to 1/4; floor ``STEP_FLOOR``; a step ending within
-    ``STEP_FLOOR`` of 1, as a rounded sum of steps can, ends at 1).  Each
-    march attempt's Newton starts at the secant predictor
-    B + (t_next - t) (B - B_prev) / (t - t_prev) through the last two
-    accepted points, trace-normalised, when that is positive definite, and
-    at B otherwise and on the first step.  psi is scale-invariant, so G is
-    first normalised by its trace.  ``_checked_target`` checks G once: a G
-    of the wrong size raises ``DimensionError``, and one whose trace is not
-    positive or that is not positive definite ``MarginError``.  ``MARGIN``
-    is tested against the smallest eigenvalue of G / tr G in the monomial
-    basis of the sections (``MarginError`` below it), and B0 comes from the
-    same eigenpairs.  Raises ``ContinuationError`` carrying the trace when
-    the step size underflows.  Returns B as a unit-trace ``HermitianForm``
-    with the trace, which records the forward residual that alone certifies B.
+    It solves for A = B^2 from the seed A0 = G^{-1} / tr G^{-1}, which
+    satisfies psi0(A0) = G exactly.  The first attempt is the full step to
+    t = 1 (``_newton_at_t``), from where the balancing steps of
+    ``_balancing_start`` leave A and with their last residual.  After an
+    abandoned full step, t marches from 0 and A0 to 1 with adaptive steps,
+    the first 1 / ``CONTINUATION_STEPS`` (on Newton failure halve the step
+    tried, which is h or 1 - t where t + h is clipped to 1; on every success
+    from the second consecutive one on, double h, up to 1/4; floor
+    ``STEP_FLOOR``; a step ending within ``STEP_FLOOR`` of 1, as a rounded
+    sum of steps can, ends at 1).  Each march attempt's Newton starts at the
+    secant predictor A + (t_next - t) (A - A_prev) / (t - t_prev) through
+    the last two accepted points, trace-normalised, when that is positive
+    definite, and at A otherwise and on the first step.  psi is
+    scale-invariant, so G is first normalised by its trace.
+    ``_checked_target`` checks G once: a G of the wrong size raises
+    ``DimensionError``, and one whose trace is not positive or that is not
+    positive definite ``MarginError``.  ``MARGIN`` is tested against the
+    smallest eigenvalue of G / tr G in the monomial basis of the sections
+    (``MarginError`` below it), and A0 comes from the same eigenpairs.
+    Raises ``ContinuationError`` carrying the trace when the step size
+    underflows.  Returns B = A^{1/2} as a unit-trace ``HermitianForm`` and
+    the trace, whose forward residual alone certifies B.
     """
     _, gm, ev, vec = _checked_target(model, g)
     if ev.min() < MARGIN:
@@ -393,25 +389,25 @@ def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace
             "too close to the simplex boundary"
         )
     coords = HermitianCoords.full(gm.shape[0])
-    b = _inverse_sqrt(ev, vec)
+    a = _power(ev, vec, -1.0)
     trace = ContinuationTrace()
-    trace.log(0.0, float(np.abs(_psi_t(model, b, 0.0) - gm).max()), 0.0, 0)
-    start, r_start, trace.seed_steps = _balancing_start(model, gm, b, coords)
+    trace.log(0.0, float(np.abs(_psi_t(model, a, 0.0) - gm).max()), 0.0, 0)
+    start, r_start, trace.seed_steps = _balancing_start(model, gm, a, coords)
     t = t_prev = 0.0
-    b_prev = b
+    a_prev = a
     full, h = True, 1.0
     successes = 0
     while t < 1.0:
         t_next = 1.0 if t + h > 1.0 - STEP_FLOOR else t + h
         if not full:
-            start, r_start = b, None
+            start, r_start = a, None
         if t > t_prev:
-            pred = b + (t_next - t) / (t - t_prev) * (b - b_prev)
+            pred = a + (t_next - t) / (t - t_prev) * (a - a_prev)
             if np.linalg.eigvalsh(pred).min() > 0:
                 start = pred / np.real(np.trace(pred))
-        bn, iters, resid = _newton_at_t(model, start, t_next, gm, coords, full, r_start)
+        an, iters, resid = _newton_at_t(model, start, t_next, gm, coords, full, r_start)
         trace.corrector_iters += iters
-        if bn is None:
+        if an is None:
             trace.abandoned += 1
             successes = 0
             if full:
@@ -426,10 +422,10 @@ def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace
                     trace=trace,
                 )
             continue
-        b_prev, t_prev = b, t
-        b, t = bn, t_next
+        a_prev, t_prev = a, t
+        a, t = an, t_next
         trace.log(t, resid, h, iters)
         successes += 1
         if successes >= 2:
             h = min(2.0 * h, 0.25)
-    return HermitianForm(b), trace
+    return HermitianForm(_power(*np.linalg.eigh(a), 0.5)), trace

@@ -11,11 +11,29 @@ from hilbfs import HermitianForm, fs_metric, hilb
 from hilbfs.linalg import HermitianCoords
 from hilbfs.pushforward import _psi_t_jacobian
 
+# the 2 x 2 identity's matrix JSON with one field that numpy cannot read as
+# a form: a ragged re, a non-numeric entry and a non-integer n
+_IDENTITY_JSON = {"n": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+MALFORMED_MATRIX_JSON = [
+    {**_IDENTITY_JSON, "re": [[1.0, 0.0], [0.0]]},
+    {**_IDENTITY_JSON, "im": [[0.0, "x"], [0.0, 0.0]]},
+    {**_IDENTITY_JSON, "n": "two"},
+]
+MALFORMED_IDS = ["ragged", "non-numeric", "non-integer-n"]
+
 
 def hermitian_basis(n):
     """The elements E_a of ``HermitianCoords.full(n)`` as a dense
     (n^2, n, n) stack."""
     return HermitianCoords.full(n).matrix(np.eye(n * n))
+
+
+def squaring_table(b):
+    """The table of dB -> dA = B dB + dB B, the derivative of A = B^2 at the
+    array B: vec(B X + X B) = table @ vec(X) with vec row-major, so the psi
+    Jacobian in B is ``_psi_t_jacobian`` at A chained with its ``of_map``."""
+    eye = np.eye(len(b))
+    return np.kron(b, eye) + np.kron(eye, b.T)
 
 
 def traceless_basis(n):
@@ -280,13 +298,12 @@ def psi_jacobian_chain(model):
     """The psi Jacobian at the balanced form read as the linearised
     balancing map, by the chain rule and no finite differences.
 
-    With H_b = diag(1/C(K, i)) and B = c H_b^{-1/2} at unit trace, psi(B) is
-    proportional to hilb(fs_metric(B^{-2})), so psi(B) = P = H_b / tr H_b.
-    A traceless X moves H by dH = H_b^{1/2} X H_b^{1/2}; since H_b is
-    diagonal, d(H^{-1/2}) = F o dH with F_ij = -1/(sqrt h_i sqrt h_j
-    (sqrt h_i + sqrt h_j)), so B moves by dB = c F o dH, less its scale
-    part (tr dB / tr B) B, which psi does not see.  ``_psi_t_jacobian`` at
-    t = 1 takes dB to dpsi, read as Y = P^{-1/2} dpsi P^{-1/2}.  Returns the
+    With H_b = diag(1/C(K, i)) and A = B^2 = c H_b^{-1} at unit trace, psi
+    is proportional to hilb(fs_metric(A^{-1})), so psi = P = H_b / tr H_b.
+    A traceless X moves H by dH = H_b^{1/2} X H_b^{1/2}, so A moves by
+    dA = -c H_b^{-1} dH H_b^{-1}, less its scale part (tr dA / tr A) A,
+    which psi does not see.  ``_psi_t_jacobian`` at t = 1 takes dA to dpsi,
+    read as Y = P^{-1/2} dpsi P^{-1/2}.  Returns the
     real matrix of X -> Y in the coordinates of ``traceless_basis``.  Unlike
     the other oracles it runs the code under test, whose spectrum the caller
     compares with the closed form ``balancing_spectrum``."""
@@ -294,14 +311,13 @@ def psi_jacobian_chain(model):
     K = n - 1
     h = np.array([1.0 / math.comb(K, i) for i in range(n)])
     root = np.sqrt(h)
-    b = np.diag(1.0 / root)
-    c = 1.0 / np.trace(b)
-    b *= c
-    f = -1.0 / (root[:, None] * root * (root[:, None] + root))
+    a = np.diag(1.0 / h)
+    c = 1.0 / np.trace(a)
+    a *= c
     basis, coords = traceless_basis(n), HermitianCoords.full(n)
-    db = c * f * (root[:, None] * basis * root)
-    db -= np.trace(db, axis1=1, axis2=2).real[:, None, None] * b
-    jac = _psi_t_jacobian(model, b, 1.0, coords)
-    dpsi = coords.matrix((jac @ coords.of(db).T).T)
+    da = -c * basis / (root[:, None] * root)
+    da -= np.trace(da, axis1=1, axis2=2).real[:, None, None] * a
+    jac = _psi_t_jacobian(model, a, 1.0, coords)
+    dpsi = coords.matrix((jac @ coords.of(da).T).T)
     p_root = np.sqrt(np.sum(h)) / root
     return np.einsum("aij,bji->ab", basis, p_root[:, None] * dpsi * p_root).real

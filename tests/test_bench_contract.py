@@ -130,12 +130,29 @@ def test_one_item_at_the_largest_size_passes_its_gate(name):
 
 
 def test_surject_full_item_at_k12_passes_its_gate():
-    # the loose path tolerance of the continuation has about one decade of
-    # margin here: at 1e-3 instead of 1e-4 a seed-1 k=12 item fails.  Its
-    # t = 1 corrector reaches PSI_TOL only on step 25 of NEWTON_MAX_ITERS =
-    # 25; under a lower cap (10 to 24 tried) that attempt fails instead, and
-    # the continuation halves its last step and still passes this gate
+    # the march's first attempt at t = 1 stops after 5 steps, and its last
+    # one, from t = 0.95, converges in 8, far inside NEWTON_MAX_ITERS = 25;
+    # under a cap of 7 that attempt fails too, and the continuation halves
+    # its last step again and still passes this gate
     assert _item_gate("surject-full", 12) is None
+
+
+def test_surject_full_item_at_k12_takes_at_most_25_jacobians():
+    # solved for A = B^2 this item takes 23 Jacobians; solved for B, whose
+    # Jacobian chains through dA = B dB + dB B, it took 60, each t = 1
+    # attempt running into the cap of 25 steps
+    wl = workloads.WORKLOADS["surject-full"]
+    model = hb.geometry.build_p1_model(12, **workloads.grid(12))
+    g = wl.generate(hb, model, np.random.default_rng([1, 12]), 1, defaultdict(int))[0]
+    out = wl.run(hb, model, g)
+    assert wl.check(hb, model, g, out) is None
+    assert out[1].stage_logs[0]["corrector_iters"] <= 25
+
+
+def test_surject_full_item_at_k16_passes_its_gate():
+    # in about 42 Jacobians; solved for B, the continuation's step
+    # underflowed near t = 1 after about 300
+    assert _item_gate("surject-full", 16) is None
 
 
 def test_the_tracer_finds_every_function_it_wraps():
@@ -150,7 +167,7 @@ def test_the_tracer_finds_every_function_it_wraps():
 
 
 def test_surject_full_item_takes_at_most_six_jacobians(monkeypatch):
-    # the full step to t = 1 converges here in 5 Jacobian assemblies; the
+    # the full step to t = 1 converges here in 4 Jacobian assemblies; the
     # march with the secant predictor and the loose path tolerance took 10,
     # and a tight tolerance on every step without a predictor took 19
     jacobian = hb.pushforward._psi_t_jacobian
@@ -166,7 +183,7 @@ def test_surject_full_item_takes_at_most_six_jacobians(monkeypatch):
 
 
 def test_surject_full_k6_item_skips_the_march(monkeypatch):
-    # from the balancing steps' start the full step converges in 4 Jacobian
+    # from the balancing steps' start the full step converges in 3 Jacobian
     # assemblies; from the closed-form seed it was abandoned after one, and
     # the march after it took 10 more
     jacobian = hb.pushforward._psi_t_jacobian

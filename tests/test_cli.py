@@ -22,7 +22,7 @@ from hilbfs import (
 from hilbfs.linalg import random_spd
 from hilbfs.cli import emit_report, main
 
-from _oracles import traceless_basis
+from _oracles import MALFORMED_IDS, MALFORMED_MATRIX_JSON, traceless_basis
 
 
 def write_matrix(path, d):
@@ -391,6 +391,23 @@ def test_negative_balance_iterations_are_invalid_input(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == "invalid input: max_iters must be nonnegative, got -1"
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-10"])
+def test_nan_or_negative_balance_tolerance_is_invalid_input(tmp_path, capsys, tol):
+    h_path = write_matrix(tmp_path / "h0.json", HermitianForm.identity(2).to_json_dict())
+    assert main(["balance", "--k", "1", "--h0", h_path, f"--tol={tol}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"invalid input: tol must be nonnegative, got {float(tol)}"
+
+
+@pytest.mark.parametrize("bad", MALFORMED_MATRIX_JSON, ids=MALFORMED_IDS)
+def test_malformed_matrix_json_is_invalid_input(tmp_path, capsys, bad):
+    assert main(["fs", "--k", "1", "--H", write_matrix(tmp_path / "h.json", bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: matrix JSON must be an object")
 
 
 def test_negative_sweep_trials_are_invalid_input(capsys):

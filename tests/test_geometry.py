@@ -33,6 +33,7 @@ from _oracles import (
     pushforward_measure_derivative,
     section_rows,
     sphere_basis,
+    squaring_table,
     weighted_gram,
 )
 
@@ -320,10 +321,11 @@ class TestThetaFourierKernel:
         dm = (dmu @ flat.T).reshape(-1, model.N, model.N)
         trm, trdm = np.trace(m).real, np.trace(dm, axis1=1, axis2=2).real
         dpsi = (dm - trdm[:, None, None] * m / trm) / trm
-        dpsi0 = (basis.reshape(len(basis), -1) @ _dpsi0_table(b).T).reshape(basis.shape)
+        dpsi0_tab = _dpsi0_table(b @ b) @ squaring_table(b)
+        dpsi0 = (basis.reshape(len(basis), -1) @ dpsi0_tab.T).reshape(basis.shape)
         for t in (0.5, 1.0):
             ref = np.einsum("aij,bji->ab", basis, t * dpsi + (1.0 - t) * dpsi0).real
-            jac = _psi_t_jacobian(model, b, t, hc)
+            jac = _psi_t_jacobian(model, b @ b, t, hc) @ hc.of_map(squaring_table(b))
             assert _rel(jac, ref) <= 1e-12
 
 
@@ -336,7 +338,7 @@ def test_hilb_of_a_bergman_metric_is_a_pushforward_gram(k, d):
     h = random_spd(model.N, np.random.default_rng(k + 40), cond=10.0)
     ev, vec = np.linalg.eigh(h.mat)
     b = (vec / np.sqrt(ev)) @ vec.conj().T
-    gram = model._theta_fourier().gram(_pushforward_measure(model, b))
+    gram = model._theta_fourier().gram(_pushforward_measure(model, b @ b))
     ref = model.N / (model.k * model.V) * gram
     assert _rel(hilb(model, fs_metric(model, h)).mat, ref) <= 1e-12
 

@@ -22,7 +22,7 @@ from hilbfs.linalg import (
     random_unitary,
 )
 
-from _oracles import moment_jacobian
+from _oracles import MALFORMED_IDS, MALFORMED_MATRIX_JSON, moment_jacobian
 
 
 class TestMatrixNorms:
@@ -84,6 +84,12 @@ class TestHermitianForm:
             json.dump(h.to_json_dict(), fh)
         h2 = load_matrix_json(path)
         assert np.array_equal(h.mat, h2.mat)
+
+    @pytest.mark.parametrize("bad", MALFORMED_MATRIX_JSON, ids=MALFORMED_IDS)
+    def test_malformed_json_is_a_dimension_error(self, bad):
+        # numpy raises a bare ValueError on each of these
+        with pytest.raises(DimensionError, match="^matrix JSON must be an object"):
+            HermitianForm.from_json_dict(bad)
 
     def test_equality_compares_the_matrices(self):
         a = HermitianForm.identity(2)

@@ -270,6 +270,13 @@ class TestTIterate:
         with pytest.raises(ValueError, match="^max_iters must be nonnegative, got -1$"):
             t_iterate(model, HermitianForm.identity(3), max_iters=-1)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-10])
+    def test_nan_or_negative_tolerance(self, tol):
+        # a NaN tolerance ran every step and never converged
+        model = build_p1_model(2, radial_nodes=16, azimuthal_nodes=20)
+        with pytest.raises(ValueError, match=f"^tol must be nonnegative, got {tol}$"):
+            t_iterate(model, HermitianForm.identity(3), tol=tol)
+
     @pytest.mark.parametrize("k", [2, 4])
     def test_matches_the_plain_loop(self, k):
         # every step on a fresh form, eigenvalue determinants and LU trace

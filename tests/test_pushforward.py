@@ -37,6 +37,7 @@ from _oracles import (
     psi0_defining_mc,
     psi0_defining_quadrature,
     psi_jacobian_chain,
+    squaring_table,
     traceless_basis,
 )
 
@@ -102,16 +103,16 @@ class TestPsi0:
 
 
 def dpsi0(b, a):
-    """dpsi0 at the form or array B along the one direction A: the table
-    applied to vec(A), not hermitised."""
+    """dpsi0 at the form or array B along the one direction A: the table at
+    B^2 applied to vec(B A + A B), not hermitised."""
     bm = b.mat if isinstance(b, HermitianForm) else np.asarray(b, dtype=complex)
     a = np.asarray(a, dtype=complex)
-    return (_dpsi0_table(bm) @ a.ravel()).reshape(a.shape)
+    return (_dpsi0_table(bm @ bm) @ (squaring_table(bm) @ a.ravel())).reshape(a.shape)
 
 
 def dpsi0_matrix(b):
     """Real matrix of A -> dpsi0(B, A) in the coordinates of the hermitian basis."""
-    return HermitianCoords.full(b.dim).of_map(_dpsi0_table(b.mat))
+    return HermitianCoords.full(b.dim).of_map(_dpsi0_table(b.mat @ b.mat) @ squaring_table(b.mat))
 
 
 class TestDpsi0:
@@ -341,7 +342,7 @@ class TestPsiJacobian:
         for _ in range(2):
             b = random_spd(model.N, rng, cond=10.0).mat
             b = b / np.real(np.trace(b))
-            jac = _psi_t_jacobian(model, b, t, hc)
+            jac = _psi_t_jacobian(model, b @ b, t, hc) @ hc.of_map(squaring_table(b))
             fd = np.array(
                 [
                     coords(basis, psi_t(model, b + h * e, t).mat - psi_t(model, b - h * e, t).mat)
@@ -365,7 +366,7 @@ class TestPsiJacobian:
 
     @pytest.mark.parametrize("k,d", [(2, 1), (3, 1), (4, 1), (6, 1), (8, 1), (2, 2), (3, 2), (4, 2)])
     def test_balanced_spectrum(self, k, d):
-        """At the balanced form the Jacobian, chained with d(H^{-1/2}) and
+        """At the balanced form the Jacobian, chained with d(H^{-1}) and
         read relative to psi(B) (``psi_jacobian_chain``), is the linearised
         balancing map: its spectrum is lambda_l, l = 1..K, each 2l + 1 times
         (``balancing_spectrum``), with no finite differences."""
@@ -560,7 +561,7 @@ def test_a_singular_jacobian_is_a_failed_correction(t, full, monkeypatch):
         lambda model, bm, t, coords: np.zeros((len(coords), len(coords))),
     )
     g, b = np.diag([0.5, 0.3, 0.2]), np.eye(model.N) / model.N
-    bn, iters, resid = hilbfs.pushforward._newton_at_t(model, b, t, g, coords, full)
+    bn, iters, resid = hilbfs.pushforward._newton_at_t(model, b @ b, t, g, coords, full)
     assert bn is None and iters == 1
     assert resid == np.abs(coords.of(psi_t(model, b, t).mat - g)).max() > PATH_TOL
 
@@ -584,12 +585,12 @@ def test_the_bordered_step_is_the_traceless_newton_step(k, t, monkeypatch):
 
     monkeypatch.setattr(sla.lapack, "dgetrs", recording)
     hc = HermitianCoords.full(model.N)
-    hilbfs.pushforward._newton_at_t(model, b, t, g, hc)
+    hilbfs.pushforward._newton_at_t(model, b @ b, t, g, hc)
     step = hc.matrix(solves[0])
     assert abs(np.trace(step)) <= 1e-13
     basis = traceless_basis(model.N)
     flat = hc.of(basis)
-    jac = flat @ _psi_t_jacobian(model, b, t, hc) @ flat.T
+    jac = flat @ _psi_t_jacobian(model, b @ b, t, hc) @ flat.T
     r = coords(basis, psi_t(model, b, t).mat - g)
     want = np.einsum("a,aij->ij", np.linalg.solve(jac, -r), basis)
     assert np.abs(step - want).max() <= 1e-10 * np.abs(want).max()
@@ -597,7 +598,7 @@ def test_the_bordered_step_is_the_traceless_newton_step(k, t, monkeypatch):
 
 def test_surject_full_jacobians_are_factored_once_each(monkeypatch):
     # the seed-1 k = 4 item of the surject-full benchmark workload: one
-    # balancing step, then the full step in five Jacobians, each one LU
+    # balancing step, then the full step in four Jacobians, each one LU
     # factorisation serving its direction and its contraction test
     getrf, getrs = sla.lapack.dgetrf, sla.lapack.dgetrs
     calls = {"getrf": 0, "getrs": 0}
@@ -616,9 +617,9 @@ def test_surject_full_jacobians_are_factored_once_each(monkeypatch):
     out = wl.run(hb, model, g)
     assert wl.check(hb, model, g, out) is None
     log = out[1].stage_logs[0]
-    assert (log["corrector_iters"], log["seed_steps"], log["abandoned_attempts"]) == (5, 1, 0)
+    assert (log["corrector_iters"], log["seed_steps"], log["abandoned_attempts"]) == (4, 1, 0)
     # one solve for each direction, one for each contraction test
-    assert calls == {"getrf": 5, "getrs": 10}
+    assert calls == {"getrf": 4, "getrs": 8}
 
 
 def inverse_sqrt(h):
