@@ -236,7 +236,9 @@ def _full_gram_family(model: ManifoldModel, coords: HermitianCoords):
     conj(s_i) s_j conj(s_k) s_l = z^(j+l) conj(z)^(i+k), the Jacobian is
         sum_q g_a g_b ew = sum conj(E_a[i, j]) E_b[k, l] G2[i + l, j + k]
     (E_a hermitian), G2 the doubled kernel's gram of ew, which carries
-    ref_weight^2: ``coords.of_hankel`` of G2, one gather into coordinates.
+    ref_weight^2: ``coords.of_hankel`` of G2, one sparse product into
+    coordinates, symmetric to the bit as G2 is hermitian to the bit.  It
+    returns J^T, J in Fortran order, which ``posv`` factors in place.
     """
     kernel, doubled = model._theta_fourier(), model._theta_fourier(doubled=True)
 
@@ -247,7 +249,7 @@ def _full_gram_family(model: ManifoldModel, coords: HermitianCoords):
         return coords.of(kernel.gram(ew))
 
     def jacobian(ew):
-        return coords.of_hankel(doubled.gram(ew))
+        return coords.of_hankel(doubled.gram(ew)).T
 
     return potential, moments, jacobian
 

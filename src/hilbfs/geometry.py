@@ -40,10 +40,9 @@ Geometry conventions
   a weight is one entry of the Gram of the n = 2N - 1 monomials of degree
   <= 2N - 2.  The doubled kernel (``_theta_fourier(doubled=True)``) is that
   Gram's analysis, and its weight (1 - t)^(n-1) is rw^2.  Both Jacobians
-  read it: the full-Gram moment Newton's (``calabi``) in one gather
-  straight into coordinates (``linalg.HermitianCoords.of_hankel``), psi's
-  (``pushforward``) from the table of four-section sums that ``pair_sums``
-  gathers.
+  read such Grams straight into coordinates through one sparse operator
+  (``linalg.HermitianCoords.of_hankel``): the full-Gram moment Newton's
+  (``calabi``) one Gram, psi's (``pushforward``) three.
 """
 
 from __future__ import annotations
@@ -203,12 +202,9 @@ class _ThetaFourier:
     kernel's 2N - 1 monomials of degree <= 2N - 2."""
 
     def __init__(self, model: "ManifoldModel", doubled: bool = False):
-        n, na = model.N, model.azimuthal_nodes
+        n = 2 * model.N - 1 if doubled else model.N
+        na = model.azimuthal_nodes
         t = model.t[::na]
-        if doubled:
-            a, b = np.divmod(np.arange(n * n), n)
-            n = 2 * n - 1
-            self._pair_sum = (a[:, None] + a) * n + b[:, None] + b
         d = np.arange(2 * n - 1)
         self._powers = np.sqrt(t)[:, None] ** d * np.sqrt(1.0 - t)[:, None] ** (d[-1] - d)
         self._n, self._grid = n, (model.radial_nodes, na)
@@ -247,12 +243,6 @@ class _ThetaFourier:
         g.real = cells[..., cos_cell]
         g.imag = cells[..., sin_cell] * self._gram_sign
         return g
-
-    def pair_sums(self, g: np.ndarray) -> np.ndarray:
-        """The (..., N^2, N^2) table g[..., i + c, j + d] at row (i, j) and
-        column (c, d) of doubled Grams g (..., 2N - 1, 2N - 1): the node sums
-        of s_i conj(s_j) s_c conj(s_d).  Doubled kernel only."""
-        return g.reshape(g.shape[:-2] + (-1,))[..., self._pair_sum]
 
 
 def _scatter_tables(n: int, parts: int):

@@ -11,9 +11,10 @@ hermitian M in an orthonormal real basis E_a of all hermitian matrices
 (tr(E_a E_b) = delta_ab) are x_a = tr(E_a M), and M = sum_a x_a E_a; both
 surjectivity Newtons read and write hermitian matrices in these
 coordinates, and read their Jacobians as tr(E_a L(E_b)) for a linear map
-L: psi's from the map's table (``HermitianCoords.of_map``), the full-Gram
-moment Newton's in one gather from the doubled Gram that defines its map
-(``HermitianCoords.of_hankel``).  psi is scale-invariant with unit-trace
+L.  Both maps are node sums of four sections, read from doubled-degree
+Grams, so both Jacobians are one product of a sparse operator with the
+Grams' floats (``HermitianCoords.of_hankel``): one Gram for the full-Gram
+moment Newton, three for psi.  psi is scale-invariant with unit-trace
 values, and its Newton borders its Jacobian with the trace direction
 instead of changing coordinates (``pushforward._newton_at_t``).
 """
@@ -28,6 +29,7 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sparse
 
 from .errors import (
     ConvergenceError,
@@ -39,10 +41,6 @@ from .errors import (
 
 HERMITICITY_TOL = 1e-12
 COND_GUARD = 1e8
-# the values conj(v) v' of two slot values v, v' of ``HermitianCoords``
-# elements, each real or imaginary, are real or imaginary with modulus
-# 0, 1/2, 1/sqrt(2) or 1: up to sign, one of these
-_HANKEL_SCALES = np.array([1.0, -1.0, np.sqrt(0.5), -np.sqrt(0.5), 0.5, -0.5, 0.0])
 
 
 def _as_square(m) -> np.ndarray:
@@ -183,10 +181,14 @@ class HermitianForm:
     @classmethod
     def from_json_dict(cls, d: dict) -> "HermitianForm":
         try:
-            n = int(d["n"])
+            n = d["n"]
+            # int() alone would truncate 2.7 to 2 and read true as 1
+            if isinstance(n, bool) or int(n) != n:
+                raise ValueError(f"n = {n!r} is not an integer")
+            n = int(n)
             re = np.asarray(d["re"], dtype=float)
             im = np.asarray(d["im"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DimensionError(
                 f"matrix JSON must be an object with integer n and arrays re, im ({exc!r})"
             ) from exc
@@ -284,9 +286,9 @@ class HermitianCoords:
     matrices M in an orthonormal real basis E_a of all hermitian matrices
     (n^2 elements), the matrix sum_a x_a E_a of coordinates x, and the real
     matrix tr(E_a L(E_b)) of a linear map L, from its table (``of_map``)
-    or, for the Hankel maps of a doubled Gram, from that Gram
+    or, for the Hankel maps of doubled Grams, from those Grams
     (``of_hankel``).  ``full`` returns one shared instance per n, whose
-    arrays are read-only.
+    arrays and operators are read-only.
 
     No element is stored as a matrix.  The diagonal units e_ii come first,
     then per pair i < j a real element with 1/sqrt(2) at (i, j) and (j, i)
@@ -295,7 +297,7 @@ class HermitianCoords:
     ``of_map`` weights table rows by the slots' conjugate values; ``of``
     and ``matrix`` read a slot as one float of vec(M), Re for a real value
     and Im otherwise; ``of_hankel`` reads a pair of slots as one float of
-    the Gram, scaled.
+    each Gram, weighted, through one CSR operator per Gram count.
     """
 
     def __init__(self, n: int):
@@ -308,7 +310,7 @@ class HermitianCoords:
         value = np.tile([1.0, 1.0, -1j, 1j], (len(ij), 1)).reshape(-1, 2) / np.sqrt(2.0)
         index = np.concatenate([np.repeat(e[:: n + 1], 2).reshape(-1, 2), index])
         value = np.concatenate([np.tile([1.0, 0.0], (n, 1)), value])
-        self.n, self._hankel = n, None
+        self.n, self._hankel = n, {}
         # slot 0 of every two-slot element, then slot 1; Re(conj(v) z) reads
         # Re z for a real v and Im z for an imaginary (or zero) one
         self._index, self._weight = index.T.ravel(), value.T.reshape(-1, 1).conj()
@@ -347,48 +349,52 @@ class HermitianCoords:
         rows += slots[len(self) :]
         return self.of(np.conjugate(rows, out=rows).reshape(len(rows), self.n, self.n))
 
-    def of_hankel(self, g2) -> np.ndarray:
-        """tr(E_a L(E_b)) for the map L(X)[i, j] = sum_kl G2[i + l, j + k]
-        X[k, l] of a (2n - 1) x (2n - 1) complex G2: ``of_map`` of that
-        map's table, with no table formed.
+    def of_hankel(self, grams) -> np.ndarray:
+        """tr(E_a L(E_b)) for L(X)[i, j] = sum_p sum_kl G_p[i + l, j + k]
+        W_p[k, l] X[k, l], W = (1, 2l, kl)[:P], of a complex Gram G_0 of
+        size 2n - 1 or a stack of P <= 3: the CSR operator of ``grams`` P,
+        built on first use, kept and read-only, times the Grams' floats.
 
-        The entry sums Re(conj(v) v' G2[i + l, j + k]) over the slots
-        (i, j), v of E_a and (k, l), v' of E_b.  Each conj(v) v' is real or
-        imaginary, so each term is Re G2 or Im G2 at one cell times one of
-        ``_HANKEL_SCALES``.  The floats of G2 are copied once under every
-        scale, and the result is four gathers from that copy, one per slot
-        pair, through index tables built on first use and kept.  The tables
-        stay int32: intp ones skip ``take``'s index conversion, 14-23% of
-        a call at k = 4-16, but double the tables' memory, and whole solves
-        did not resolve the difference."""
-        if self._hankel is None:
-            self._hankel = self._hankel_tables()
-        floats = np.ascontiguousarray(g2, dtype=complex).reshape(-1).view(float)
-        scaled = np.outer(_HANKEL_SCALES, floats).reshape(-1)
-        jac = scaled.take(self._hankel[0])
-        for table in self._hankel[1:]:
-            jac += scaled.take(table)
-        return jac
+        The entry sums Re(conj(v) v' W_p G_p[i + l, j + k]) over the slots
+        (i, j), v of E_a and (k, l), v' of E_b; conj(v) v' is real or
+        imaginary, so row (a, b) holds, per slot pair (0, 0), (0, 1),
+        (1, 0), (1, 1) and Gram p, one weight and one float of G_p.  For
+        P = 1 and a G_0 hermitian to the bit, J is symmetric to the bit:
+        pair (s, t) of (a, b) and (t, s) of (b, a) read conjugate cells with
+        conjugate coefficients, and the cross pairs of one entry give equal
+        products, an element's two slots being conjugate partners ((i, j),
+        v and (j, i), conj v), or one zero, for a diagonal unit's empty one.
+        """
+        grams = np.ascontiguousarray(grams, dtype=complex)
+        op = self._hankel_operator(grams.size // (2 * self.n - 1) ** 2)
+        return (op @ grams.reshape(-1).view(float)).reshape(len(self), len(self))
 
-    def _hankel_tables(self) -> np.ndarray:
-        """``of_hankel``'s read-only int32 (4, n^2, n^2) index tables: per slot
-        pair and element pair, scale s, cell c of G2 and part p (Re 0, Im 1)
-        give the index s * 2 (2n - 1)^2 + 2 c + p."""
-        n, m = self.n, 2 * self.n - 1
-        row, col = np.divmod(self._index.reshape(2, -1), n)
-        conj_v = self._weight.reshape(2, -1)
-        tables = np.empty((4, len(self), len(self)), dtype=np.int32)
-        for table, (s, t) in zip(tables, ((0, 0), (0, 1), (1, 0), (1, 1))):
-            cell = (row[s, :, None] + col[t]) * m + col[s, :, None] + row[t]
-            c = conj_v[s, :, None] * conj_v[t].conj()
-            # Re(c g) is c Re g for a real c and -Im c Im g for an imaginary one
-            imag = c.real == 0
-            coef = np.where(imag, -c.imag, c.real)
-            table[...] = 2 * cell + imag
-            for scale, value in enumerate(_HANKEL_SCALES):
-                table[np.isclose(coef, value)] += scale * 2 * m * m
-        tables.setflags(write=False)
-        return tables
+    def _hankel_operator(self, grams: int) -> sparse.csr_array:
+        if grams not in self._hankel:
+            size, m = len(self), 2 * self.n - 1
+            row, col = np.divmod(self._index.reshape(2, -1), self.n)
+            conj_v = self._weight.reshape(2, -1)
+            data = np.empty((size, size, 4, grams))
+            indices = np.empty((size, size, 4, grams), dtype=np.int32)
+            for pair, (s, t) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+                cell = (row[s, :, None] + col[t]) * m + col[s, :, None] + row[t]
+                c = conj_v[s, :, None] * conj_v[t].conj()
+                # Re(c g) is c Re g for a real c and -Im c Im g for an imaginary one
+                imag = c.real == 0
+                coef = np.where(imag, -c.imag, c.real)
+                for p, weight in enumerate((1, 2 * col[t], row[t] * col[t])[:grams]):
+                    data[:, :, pair, p] = coef * weight
+                    indices[:, :, pair, p] = 2 * (p * m * m + cell) + imag
+            width = 4 * grams
+            indptr = np.arange(0, size * size * width + 1, width, dtype=np.int32)
+            op = sparse.csr_array(
+                (data.reshape(-1), indices.reshape(-1), indptr),
+                shape=(size * size, 2 * grams * m * m),
+            )
+            for array in (op.data, op.indices, op.indptr):
+                array.setflags(write=False)
+            self._hankel[grams] = op
+        return self._hankel[grams]
 
     def matrix(self, x) -> np.ndarray:
         """sum_a x_a E_a for coordinates x (..., len): each slot writes its

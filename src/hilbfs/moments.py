@@ -21,8 +21,9 @@ frame that overflows at no k.  ``calabi.surject_fixed_volume`` solves the
 full-Gram problem, g_a = s* E_a s * ref_weight for the hermitian basis E_a
 of ``linalg.HermitianCoords``, whose targets tr(E_a G) may be negative,
 with no node table: a pairing synthesis, a Gram analysis, and for the
-Jacobian ``of_hankel``, one gather from the doubled-degree Gram (see
-``geometry``).
+Jacobian ``of_hankel``, one sparse product with the doubled-degree Gram
+(see ``geometry``), which hands ``posv`` a symmetric J in Fortran order to
+factor in place.
 
 Feasibility caveat: with the monomial basis the diagonal moments are
 moments of a positive measure on [0, infinity) in x = |z|^2, hence
@@ -127,10 +128,11 @@ def _max_entropy_newton(
     The family g_k enters through three functions: ``potential`` takes c to
     the node values u = sum_k c_k g_k, ``moments`` takes node weights ew to
     the vector sum_q g_k ew and ``jacobian`` takes them to the Gram
-    sum_q g_k g_l ew.  ``linalg.damped_newton`` runs from c = 0, solving by
-    one ``posv`` (a Jacobian that is not PD means the iterates run to the
-    cone's boundary; it and a non-finite one are degenerate) and accepting
-    by the Armijo test on the convex dual objective
+    sum_q g_k g_l ew, a fresh array that the step may overwrite.
+    ``linalg.damped_newton`` runs from c = 0, solving by one ``posv``, in
+    place when J comes in Fortran order (a Jacobian that is not PD means
+    the iterates run to the cone's boundary; it and a non-finite one are
+    degenerate) and accepting by the Armijo test on the convex dual objective
     sum(e^u * weights) - <c, target>, or by the gradient-norm test of the
     module docstring once that is below rounding.  The target may have
     entries of either sign.  Returns (c, u, history), history holding the
@@ -149,7 +151,7 @@ def _max_entropy_newton(
         # posv checks nothing: a NaN or inf Jacobian would return a NaN step
         if not np.isfinite(jac).all():
             raise np.linalg.LinAlgError("moment Jacobian is not finite")
-        _, step, info = sla.lapack.dposv(jac, -grad, lower=True)
+        _, step, info = sla.lapack.dposv(jac, -grad, lower=True, overwrite_a=True)
         if info > 0:
             raise np.linalg.LinAlgError(f"moment Jacobian not positive definite (pivot {info})")
         return step

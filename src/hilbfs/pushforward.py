@@ -29,12 +29,13 @@ mu_B(q), mu_B the Fubini-Study volume of the moved curve B s over |B s|^2:
 M is the kernel's gram of ``geometry._pushforward_measure`` at A, mu_B / rw.
 The Newton reads residuals and writes steps in the hermitian coordinates
 tr(E_a M) of ``linalg.HermitianCoords``, and its Jacobian in A
-(``_psi_t_jacobian``) is ``HermitianCoords.of_map`` of one table at every
-t: the map dA -> dM, the pair sums of three doubled-degree Grams, plus the
-closed-form table of dpsi0 at t < 1.  psi is scale-invariant and its values
-have unit trace, so that Jacobian has the scale direction A in its kernel
-and only values of zero trace; the Newton borders it with the trace
-direction (``_newton_at_t``).
+(``_psi_t_jacobian``) is read in those coordinates: dA -> dM in one
+``HermitianCoords.of_hankel`` of three doubled-degree Grams, then its
+trace part removed and, at t < 1, the ``of_map`` of dpsi0's closed-form
+table added.  psi is scale-invariant and its values have unit trace, so
+that Jacobian has the scale direction A in its kernel and only values of
+zero trace; the Newton borders it with the trace direction
+(``_newton_at_t``).
 
 Validation happens once per public call: every public function accepts B
 as a ``HermitianForm`` or an array, checks and squares it once in
@@ -204,8 +205,7 @@ def _psi_t_jacobian(
     coords: HermitianCoords,
 ) -> np.ndarray:
     """Analytic Jacobian of psi_t at the form A = B^2, tr(E_a d psi_t(E_b))
-    in row a and column b for the elements E_a of ``coords``: one
-    ``coords.of_map`` of the table of X -> d psi_t(X) at every t.
+    in row a and column b for the elements E_a of ``coords``.
 
     B^{-1} Phi(B) B^{-1} = M = sum_q s_q s_q* mu_B(q) with mu_B = num c,
     num = P P_zzbar - |P_z|^2, c = (1+|z|^2)^2 qw / (V P^3) and P = s* A s.
@@ -217,10 +217,16 @@ def _psi_t_jacobian(
     s_i conj(s_j) conj(s_a) s_b = z^(i+b) conj(z)^(j+a), dM = T vec(X) with
         T[ij, ab] = G_0[i+b, j+a] + b G_1[i+b-1, j+a]
                     + a conj(G_1[j+a-1, i+b]) + ab G_2[i+b-1, j+a-1],
-    G_p the doubled-degree Gram of f_p, so T is the table of X -> dM.  Then
+    G_p the doubled-degree Gram of f_p, so T is the table of X -> dM.  In
+    coordinates the third term sums as the second: (i, j, a, b) ->
+    (j, i, b, a) permutes the nonzero entries of the hermitian E_a and E_b,
+    conjugating conj(E_a[i, j]) E_b[a, b] and turning the third term into
+    the conjugate of the second.  So tr(E_a dM(E_b)), the real part of the
+    sum, is ``coords.of_hankel`` of (G_0, G_1, G_2), the last two shifted
+    by one row (and column), with the weights (1, 2b, ab).  Then
     tr M dpsi = dM - tr(dM) psi, and both endpoints of the homotopy have
-    unit trace, so the table of d psi_t is (t / tr M) (dM - tr(dM) psi)
-    + (1 - t) ``_dpsi0_table``, the latter alone at t = 0.
+    unit trace, so d psi_t is (t / tr M) (dM - tr(dM) psi) + (1 - t) dpsi0
+    (``_dpsi0_table``), dpsi0 alone at t = 0.
     """
     if t == 0.0:
         return coords.of_map(_dpsi0_table(a))
@@ -231,26 +237,18 @@ def _psi_t_jacobian(
     m = model._theta_fourier().gram(num * c)
     # f_1 = -conj(P_z) c is complex: G_1 = G(Re f_1) + i G(Im f_1)
     g0, g1_re, g1_im, g2 = doubled.gram(np.stack([pzz - 3.0 * num / p, -pz_re, pz_im, p]) * c)
-    g1 = g1_re + 1j * g1_im
-    # G_0, G_1, conj(G_1)^T and G_2 shifted so that each is read at (i+b, j+a)
-    shifted = np.zeros((4,) + g0.shape, dtype=complex)
-    shifted[0], shifted[1, 1:], shifted[2, :, 1:] = g0, g1[:-1], g1.conj().T[:, :-1]
-    shifted[3, 1:, 1:] = g2[:-1, :-1]
-    # T with its columns (a, b) read as (b, a), the columns of the pair sums
-    s0, s1, s2, s3 = doubled.pair_sums(shifted)
-    col_b, col_a = np.divmod(np.arange(n * n), n)
-    # s0 + s1 b + s2 a + s3 ab, scaled and summed in place
-    for s, weight in ((s1, col_b), (s2, col_a), (s3, col_a * col_b)):
-        s *= weight
-        s0 += s
-    # T, the table of X -> dM, with its columns put back in (a, b) order
-    dm = np.swapaxes(s0.reshape(n * n, n, n), 1, 2).reshape(n * n, n * n)
+    # G_0, G_1 and G_2, the last two shifted so that each is read at (i+b, j+a)
+    grams = np.zeros((3,) + g0.shape, dtype=complex)
+    grams[0], grams[2, 1:, 1:] = g0, g2[:-1, :-1]
+    grams[1, 1:] = g1_re[:-1] + 1j * g1_im[:-1]
+    jac = coords.of_hankel(grams)
     trm = np.real(np.trace(m))
-    dm -= np.outer(m / trm, dm[:: n + 1].sum(axis=0))  # tr M dpsi = dM - tr(dM) psi
-    dm *= t / trm
+    # tr M dpsi = dM - tr(dM) psi; the first n coordinates are the diagonal's
+    jac -= np.outer(coords.of(m / trm), jac[:n].sum(axis=0))
+    jac *= t / trm
     if t < 1.0:
-        dm += (1.0 - t) * _dpsi0_table(a)
-    return coords.of_map(dm)
+        jac += (1.0 - t) * coords.of_map(_dpsi0_table(a))
+    return jac
 
 
 def _newton_at_t(model, a, t, g, coords, full=False, r=None):

@@ -12,14 +12,18 @@ from hilbfs.linalg import HermitianCoords
 from hilbfs.pushforward import _psi_t_jacobian
 
 # the 2 x 2 identity's matrix JSON with one field that numpy cannot read as
-# a form: a ragged re, a non-numeric entry and a non-integer n
+# a form: a ragged re, a non-numeric entry and a non-integer n; then an n
+# that int() would truncate to the arrays' size: 2.7 with 2 x 2 arrays, and
+# true with 1 x 1 ones
 _IDENTITY_JSON = {"n": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
 MALFORMED_MATRIX_JSON = [
     {**_IDENTITY_JSON, "re": [[1.0, 0.0], [0.0]]},
     {**_IDENTITY_JSON, "im": [[0.0, "x"], [0.0, 0.0]]},
     {**_IDENTITY_JSON, "n": "two"},
+    {**_IDENTITY_JSON, "n": 2.7},
+    {"n": True, "re": [[1.0]], "im": [[0.0]]},
 ]
-MALFORMED_IDS = ["ragged", "non-numeric", "non-integer-n"]
+MALFORMED_IDS = ["ragged", "non-numeric", "non-integer-n", "fractional-n", "boolean-n"]
 
 
 def hermitian_basis(n):

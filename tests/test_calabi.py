@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import hilbfs.calabi
 import hilbfs.moments
@@ -274,6 +275,26 @@ class TestFullGramFamily:
         assert report.stage_logs[0]["newton_iters"] == oracle.stage_logs[0]["newton_iters"]
         assert report.residual_max <= 1e-8
         assert abs(report.residual_max - oracle.residual_max) <= 1e-12
+
+    @pytest.mark.parametrize("k,count", [(4, 3), (8, 10)])
+    def test_posv_overwrites_a_bit_symmetric_jacobian(self, monkeypatch, k, count):
+        # posv factors a Fortran-ordered J in place and reads one triangle
+        # of it, which stands for the other only if J is symmetric to the bit
+        model = build_p1_model(k, **workloads.grid(k))
+        wl = workloads.WORKLOADS["surject-fixed"]
+        items = wl.generate(hilbfs, model, np.random.default_rng([1, k]), count, defaultdict(int))
+        posv, seen = sla.lapack.dposv, []
+
+        def checked_posv(a, *args, **kwargs):
+            symmetric = a.flags.f_contiguous and np.array_equal(a, a.T)
+            out = posv(a, *args, **kwargs)
+            seen.append(symmetric and np.shares_memory(out[0], a))
+            return out
+
+        monkeypatch.setattr(sla.lapack, "dposv", checked_posv)
+        for g, nu in items:
+            surject_fixed_volume(model, g, nu=nu)
+        assert len(seen) >= 4 * count and all(seen)
 
     def test_no_node_table_is_held(self):
         # one N^2 x Q table of floats alone would take 8 N^2 Q bytes

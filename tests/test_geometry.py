@@ -290,16 +290,39 @@ class TestThetaFourierKernel:
             ref = weighted_gram(monomials, weights * model.ref_weight**2)
             assert _rel(kernel.gram(weights), ref) <= 1e-13
 
-    @pytest.mark.parametrize("k,d", KERNEL_CASES)
-    def test_pair_sums_of_a_doubled_gram(self, k, d):
-        # row (i, j), column (c, d) holds sum_q s_i conj(s_j) s_c conj(s_d)
-        # ref_weight^2 w
+    @pytest.mark.parametrize("t", [0.5, 1.0])
+    @pytest.mark.parametrize("k,d", [(k, d) for d in (1, 2) for k in range(1, 7)])
+    def test_psi_jacobian_from_four_section_sums(self, k, d, t):
+        # the table of X -> dM by its defining node sums: row (i, j), column
+        # (a, b) holds sum_q s_i conj(s_j) d mu_B along the unit X_ab, which
+        # moves P, P_z, P_zbar and P_zzbar by conj(s_a) s_b, conj(s_a) s_b',
+        # conj(s_a') s_b and conj(s_a') s_b', four sections a node
         model = build_p1_model(k, line_degree=d)
-        w = np.random.default_rng(k + 27).uniform(0.5, 1.5, size=model.Q)
-        kernel = model._theta_fourier(doubled=True)
-        pairs = (model.sections[:, None] * model.sections.conj()).reshape(model.N**2, -1)
-        ref = (pairs * w * model.ref_weight**2) @ pairs.T
-        assert _rel(kernel.pair_sums(kernel.gram(w)), ref) <= 1e-13
+        n = model.N
+        b = random_spd(n, np.random.default_rng([k, d, 27]), cond=5.0).mat
+        s, ds = section_rows(model)
+        p, pz, pzz = curvature_sums(b @ s, b @ ds)
+        num = p * pzz - np.abs(pz) ** 2
+        c = (1.0 + np.abs(model.nodes) ** 2) ** 2 * model.quad_weights / (model.V * p**3)
+
+        def pairs(x, y):
+            return (x.conj()[:, None] * y).reshape(n * n, -1)
+
+        f1 = -pz.conj() * c
+        dmu = (pairs(s, s) * (pzz - 3.0 * num / p) * c + pairs(s, ds) * f1
+               + pairs(ds, s) * f1.conj() + pairs(ds, ds) * p * c)
+        table = (s[:, None] * s.conj()).reshape(n * n, -1) @ dmu.T
+        m = weighted_gram(s, num * c)
+        basis = hermitian_basis(n)
+        dm = (basis.reshape(n * n, -1) @ table.T).reshape(basis.shape)
+        trm, trdm = np.trace(m).real, np.trace(dm, axis1=1, axis2=2).real
+        dpsi = (dm - trdm[:, None, None] * m / trm) / trm
+        dpsi0 = (basis.reshape(n * n, -1) @ _dpsi0_table(b @ b).T).reshape(basis.shape)
+        ref = np.einsum("aij,bji->ab", basis, t * dpsi + (1.0 - t) * dpsi0).real
+        jac = _psi_t_jacobian(model, b @ b, t, HermitianCoords.full(n))
+        # the bound is the Jacobian's own rounding: against this sum taken in
+        # long double it reads up to 1.6e-13 at N = 13, and this sum 3e-14
+        assert _rel(jac, ref) <= 3e-13
 
     @pytest.mark.parametrize("k,d", KERNEL_CASES + [(12, 1)])
     def test_pushforward_measure_derivative(self, k, d):

@@ -218,7 +218,10 @@ class TestHermitianCoords:
         hc = make(4)
         assert make(4) is hc
         hc.of_hankel(np.ones((7, 7), dtype=complex))
-        for table in [hc._index, hc._weight, hc._floats, hc._float_weight, hc._hankel]:
+        hc.of_hankel(np.ones((3, 7, 7), dtype=complex))
+        operators = [hc._hankel_operator(grams) for grams in (1, 3)]
+        arrays = [getattr(op, name) for op in operators for name in ("data", "indices", "indptr")]
+        for table in [hc._index, hc._weight, hc._floats, hc._float_weight] + arrays:
             with pytest.raises(ValueError, match="read-only"):
                 table[...] = 0
 
