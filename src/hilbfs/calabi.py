@@ -58,7 +58,7 @@ from .geometry import (
     reference_density,
 )
 from .linalg import COND_GUARD, HermitianCoords, HermitianForm, _as_form, damped_newton
-from .maps import FIXED, _gram, exponent_for_variant, hilb, hilb_nu, variant_density
+from .maps import FIXED, _gram, exponent_for_variant, hilb_nu, variant_density
 from .moments import MAX_NEWTON, _max_entropy_newton
 from .pushforward import _checked_target, solve_psi
 
@@ -314,21 +314,21 @@ def surject_full(model: ManifoldModel, target):
     """Realise a target form as hilb of a positively curved metric.
 
     ``solve_psi`` finds B with psi(B) = G / tr G (stage
-    ``pushforward-continuation``).  hilb(fs_metric(B^{-2})) is
-    proportional to psi(B) (see ``geometry``), and hilb(fs_metric(c H))
-    is c hilb(fs_metric(H)), so the Bergman metric fs_metric(c B^{-2}),
-    with c = tr G / tr hilb(fs_metric(B^{-2})), realises G.  Stage
-    ``forward-check`` builds that metric and, from one synthesis of it and
-    its mass and positivity audits, recomputes hilb and reports the residual
-    and the least curvature density as the positivity margin.
+    ``pushforward-continuation``); its trace holds A = B^2 and the M of
+    A's last synthesis.  hilb(fs_metric(A^{-1})) = (N / kV) M (see
+    ``geometry``) and hilb(fs_metric(c H)) = c hilb(fs_metric(H)), so
+    fs_metric(c A^{-1}) with c = tr G / ((N / kV) tr M) realises G.  Stage
+    ``forward-check`` builds that metric and, from its one synthesis and
+    its mass and positivity audits, recomputes hilb and reports the
+    residual and the least curvature density as the positivity margin.
     It checks nothing itself: the ``DimensionError`` and ``MarginError`` of
     ``solve_psi``'s one target check propagate bare, like any other invalid
-    input; other stage failures are wrapped with the stage name.  A final residual above ``SURJECT_TOL`` is reported as not
-    achieved, not silenced.
+    input; other stage failures are wrapped with the stage name.  A final
+    residual above ``SURJECT_TOL`` is reported as not achieved, not silenced.
     """
     g_form = _as_form(target)
     try:
-        bstar, ctrace = solve_psi(model, g_form)
+        _, ctrace = solve_psi(model, g_form)
     except (DimensionError, MarginError):
         raise
     except _STAGE_ERRORS as exc:
@@ -344,10 +344,9 @@ def surject_full(model: ManifoldModel, target):
         }
     ]
     try:
-        binv = np.linalg.inv(bstar.mat)
-        unscaled = fs_metric(model, HermitianForm(binv @ binv))
-        scale = np.trace(g_form.mat).real / np.trace(hilb(model, unscaled).mat).real
-        metric = unscaled.rescaled(float(scale))
+        hilb_trace = model.N / (model.k * model.V) * np.trace(ctrace.m).real
+        scale = np.trace(g_form.mat).real / hilb_trace
+        metric = fs_metric(model, HermitianForm(scale * np.linalg.inv(ctrace.a)))
         # one synthesis and its audits give both hilb and the curvature
         weight, volume = _weight_and_volume(model, metric)
         forward = _gram(model, weight * volume)

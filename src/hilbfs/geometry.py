@@ -18,9 +18,9 @@ Geometry conventions
 * Bergman metrics: fs_metric(H) has u = log(rw P) with P = s* H^{-1} s, so
   its weight is rw * exp(-u) = 1/P, and its curvature density is that of
   log P divided by k.  One synthesis of rw P therefore gives both factors of
-  hilb(fs_metric(H)) = (N/V) sum_q s s* rw dens / (k rw P) qw; with the
-  kernel's gram below and mu_B / rw = ``_pushforward_measure`` at A = B^2
-  this reads hilb(fs_metric(H)) = (N / kV) gram(mu_B / rw) at A = H^{-1}.
+  hilb(fs_metric(H)) = (N/V) sum_q s s* rw dens / (k rw P) qw, which is
+  (N / kV) M for the M = gram(mu_B / rw) of psi's synthesis of A = H^{-1}
+  (``pushforward._synthesis``): dens over P is mu_B.
 * Section pairings: for n monomials z^i, i < n, sum_ij A_ij conj(z^i) z^j =
   sum_ij A_ij r^(i+j) e^{i(j-i) theta} holds at most 2n - 1 powers of r and
   2n - 1 modes in the equispaced theta.  One kernel, ``_ThetaFourier``
@@ -503,18 +503,6 @@ def _curvature_density(model: ManifoldModel, a: np.ndarray):
     weights *= inv_p
     weights *= inv_p
     return weights, inv_p
-
-
-def _pushforward_measure(model: ManifoldModel, a: np.ndarray) -> np.ndarray:
-    """Node weights mu_B / rw, mu_B = curvature weights / P, of the curve
-    pushforward at A = B^2: with 1/(rw P), P = s* A s = |B s|^2, from
-    ``_curvature_density``, mu_B is the Fubini-Study volume of the moved
-    curve W = B s over |W|^2.  The kernel's gram of mu_B / rw (it carries
-    rw) is M = B^{-1} Phi(B) B^{-1}; W W* against mu_B gives Phi(B).
-    """
-    weights, inv_p = _curvature_density(model, a)
-    weights *= inv_p
-    return weights
 
 
 def curvature_volume(model: ManifoldModel, m: MetricWeight) -> Density:

@@ -260,7 +260,8 @@ def build_lambda(
     with 1 in the i-th place (floor defaults to e^{-k}); rows whose targets
     are provably infeasible raise ``MomentInfeasibleError`` before their
     Newton, with the Hankel margins (monomials only) or the peak of rho_i
-    (the cone bound of the module docstring).  mode "probe": constructive
+    (the cone bound of the module docstring), and a failed row Newton with
+    its ``history`` and no rounding-dependent text.  mode "probe": constructive
     localised densities (no targets), always available, max entry
     normalised to 1.
     """
@@ -314,7 +315,7 @@ def build_lambda(
                 )
             except ConvergenceError as exc:
                 raise MomentInfeasibleError(
-                    f"row {i}: {exc}", row=i, history=exc.history
+                    f"row {i}: moment Newton did not converge", row=i, history=exc.history
                 ) from exc
             densities.append(sol.density)
             rows.append(sol.achieved)

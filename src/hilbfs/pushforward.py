@@ -26,16 +26,16 @@ recovered verbatim.
 The maps run on the ``ManifoldModel`` itself: the curve sits in P^(N-1)
 through its sections s, and psi(B) = M / tr M with M = sum_q s_q s_q*
 mu_B(q), mu_B the Fubini-Study volume of the moved curve B s over |B s|^2:
-M is the kernel's gram of ``geometry._pushforward_measure`` at A, mu_B / rw.
-The Newton reads residuals and writes steps in the hermitian coordinates
-tr(E_a M) of ``linalg.HermitianCoords``, and its Jacobian in A
-(``_psi_t_jacobian``) is read in those coordinates: dA -> dM in one
-``HermitianCoords.of_hankel`` of three doubled-degree Grams, then its
-trace part removed and, at t < 1, the ``of_map`` of dpsi0's closed-form
-table added.  psi is scale-invariant and its values have unit trace, so
-that Jacobian has the scale direction A in its kernel and only values of
-zero trace; the Newton borders it with the trace direction
-(``_newton_at_t``).
+one synthesis of A (``_synthesis``) gives mu_B / rw and M, and a Newton
+point carries it, so its Jacobian synthesises nothing.  The Newton reads
+residuals and writes steps in the hermitian coordinates tr(E_a M) of
+``linalg.HermitianCoords``, and its Jacobian in A (``_psi_t_jacobian``) is
+read in those coordinates: dA -> dM in one ``HermitianCoords.of_hankel``
+of three doubled-degree Grams, then its trace part removed and, at t < 1,
+the ``of_map`` of dpsi0's closed-form table added.  psi is
+scale-invariant and its values have unit trace, so that Jacobian has the
+scale direction A in its kernel and only values of zero trace; the Newton
+borders it with the trace direction (``_newton_at_t``).
 
 Validation happens once per public call: every public function accepts B
 as a ``HermitianForm`` or an array, checks and squares it once in
@@ -57,7 +57,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ContinuationError, ConvergenceError, MarginError
-from .geometry import ManifoldModel, _curvature_numerator, _pushforward_measure, _sized_form
+from .geometry import ManifoldModel, _curvature_numerator, _sized_form
 from .linalg import HermitianCoords, HermitianForm, _as_form, damped_newton
 
 MARGIN = 1e-3  # smallest admissible eigenvalue of a unit-trace target
@@ -99,17 +99,33 @@ def _unit_trace(m: np.ndarray) -> np.ndarray:
     return m / np.real(np.trace(m))
 
 
-def _psi_t(model: Optional[ManifoldModel], a: np.ndarray, t: float) -> np.ndarray:
+def _synthesis(model: ManifoldModel, a: np.ndarray, known=None):
+    """(M, rows, num, c) from one synthesis of A = B^2: the kernel's rows
+    rw (P, Re P_z, Im P_z, P_zzbar), num = P P_zzbar - |P_z|^2 and
+    c = (1+|z|^2)^2 qw / (V P^3) from them, and M the gram of num c =
+    mu_B / rw.  mu_B, the curvature of log P over P, is the Fubini-Study
+    volume of the moved curve W = B s over |W|^2, so M = B^{-1} Phi(B) B^{-1}.
+    ``known``, a list [form, its synthesis], supplies it when that form is A.
+    """
+    if known is not None and known[0] is a:
+        return known[1]
+    kernel = model._theta_fourier()
+    rows = kernel.pairings(a)
+    num = _curvature_numerator(*rows)
+    c = model._volume_factor() / (rows[0] * rows[0] * rows[0])
+    return kernel.gram(num * c), rows, num, c
+
+
+def _psi_t(model: Optional[ManifoldModel], a: np.ndarray, t: float, syn=None) -> np.ndarray:
     """psi_t at A = B^2, a positive definite array, without validation.
 
-    psi0 is A^{-1} / tr A^{-1}; for t > 0, psi comes from M = sum_q s_q s_q*
-    mu_B(q), which is B^{-1} Phi(B) B^{-1} with the inverses cancelled
-    against the moved sections B s.  ``model`` is unused at t = 0.  The
+    psi0 is A^{-1} / tr A^{-1}; for t > 0, psi comes from the M of A's
+    ``_synthesis``, ``syn`` when given.  ``model`` is unused at t = 0.  The
     caller has checked A: ``_checked_b`` at a public entry point, the line
     search inside the continuation Newton.
     """
     if t > 0.0:
-        m = model._theta_fourier().gram(_pushforward_measure(model, a))
+        m = (_synthesis(model, a) if syn is None else syn)[0]
         if np.real(np.trace(m)) <= 0:
             raise RuntimeError("internal error: pushforward trace must be positive")
         p = _unit_trace(m)
@@ -156,7 +172,7 @@ def phi_matrix(model: ManifoldModel, b) -> HermitianForm:
     W_r conj(W_s) / |W|^2.  Positive definite for nondegenerate embeddings.
     """
     bm, a = _checked_b(b, model)
-    g = bm @ model._theta_fourier().gram(_pushforward_measure(model, a)) @ bm
+    g = bm @ _synthesis(model, a)[0] @ bm
     return HermitianForm(0.5 * (g + g.conj().T))
 
 
@@ -187,29 +203,29 @@ class ContinuationTrace:
     ``seed_steps`` (balancing steps before the full step, each one psi
     evaluation and no Jacobian), and two totals over every attempt, the
     abandoned ones included: ``abandoned`` attempts and ``corrector_iters``,
-    the Jacobians their correctors assembled."""
+    the Jacobians their correctors assembled.  A solve that reaches t = 1
+    leaves its A = B^2 in ``a`` and the M of A's synthesis in ``m``."""
 
     rows: List[TraceRow] = field(default_factory=list)
     seed_steps: int = 0
     abandoned: int = 0
     corrector_iters: int = 0
+    a: Optional[np.ndarray] = None
+    m: Optional[np.ndarray] = None
 
     def log(self, t, residual, step, iters):
         self.rows.append(TraceRow(float(t), float(residual), float(step), int(iters)))
 
 
 def _psi_t_jacobian(
-    model: ManifoldModel,
-    a: np.ndarray,
-    t: float,
-    coords: HermitianCoords,
+    model: ManifoldModel, a: np.ndarray, t: float, coords: HermitianCoords, syn=None
 ) -> np.ndarray:
     """Analytic Jacobian of psi_t at the form A = B^2, tr(E_a d psi_t(E_b))
     in row a and column b for the elements E_a of ``coords``.
 
-    B^{-1} Phi(B) B^{-1} = M = sum_q s_q s_q* mu_B(q) with mu_B = num c,
-    num = P P_zzbar - |P_z|^2, c = (1+|z|^2)^2 qw / (V P^3) and P = s* A s.
-    The kernel's rows are rw (P, P_z, P_zzbar), so the c formed from them
+    It reads A's ``_synthesis``, ``syn`` when given: M = sum_q s_q s_q* mu_B(q)
+    with mu_B = num c, num = P P_zzbar - |P_z|^2, c = (1+|z|^2)^2 qw / (V P^3)
+    and P = s* A s.  The kernel's rows are rw (P, P_z, P_zzbar), so their c
     is c / rw^3 and the forms f_p below come out divided by rw^2, as the
     doubled kernel, which carries rw^2, needs.  Along X, A moves by X and
     d mu_B = Re(dP f_0 + 2 dP_z f_1 + dP_zzbar f_2) for the node forms
@@ -231,10 +247,7 @@ def _psi_t_jacobian(
     if t == 0.0:
         return coords.of_map(_dpsi0_table(a))
     n, doubled = model.N, model._theta_fourier(doubled=True)
-    p, pz_re, pz_im, pzz = rows = model._theta_fourier().pairings(a)
-    num = _curvature_numerator(*rows)
-    c = model._volume_factor() / (p * p * p)
-    m = model._theta_fourier().gram(num * c)
+    m, (p, pz_re, pz_im, pzz), num, c = _synthesis(model, a) if syn is None else syn
     # f_1 = -conj(P_z) c is complex: G_1 = G(Re f_1) + i G(Im f_1)
     g0, g1_re, g1_im, g2 = doubled.gram(np.stack([pzz - 3.0 * num / p, -pz_re, pz_im, p]) * c)
     # G_0, G_1 and G_2, the last two shifted so that each is read at (i+b, j+a)
@@ -251,12 +264,12 @@ def _psi_t_jacobian(
     return jac
 
 
-def _newton_at_t(model, a, t, g, coords, full=False, r=None):
+def _newton_at_t(model, a, t, g, coords, full=False, known=None):
     """Newton-correct psi_t(A) = G in the hermitian ``coords`` around unit
     trace, to a max-norm residual of at most ``PSI_TOL`` at t = 1 and
     ``PATH_TOL`` at t < 1, the max-norm taken over those coordinates;
-    ``r``, when given, is the start's residual coordinates, which are then
-    not evaluated again.
+    ``known`` (see ``_synthesis``) may hold the start's synthesis, and
+    success leaves there the A returned and its synthesis.
 
     ``linalg.damped_newton`` runs from the form A with the analytic
     Jacobian J of ``_psi_t_jacobian``, bordered with the trace direction:
@@ -265,31 +278,36 @@ def _newton_at_t(model, a, t, g, coords, full=False, r=None):
     degenerate).  J A = 0 and every value of J has zero trace (u^T J = 0),
     so the bordered matrix is regular when A spans J's kernel; a residual r
     has zero trace, so u^T dx = -u^T r = 0 and dx is the zero-trace step
-    with J dx = -r.  A candidate is hermitised, dropped unless positive
-    definite and trace-normalised.  On the full step (``full``) Newton is undamped,
-    and a candidate is accepted only while it passes Deuflhard's contraction
-    test: its simplified correction, the zero-trace solution of
-    J x = F(candidate) from the step's LU factors, is at most
-    ``CONTRACTION_MAX`` times the step.  Otherwise a line search accepts a
-    candidate that lowers the residual norm or lies within the tolerance,
-    and at t < 1 at least one correction is made, even from a start within
-    ``PATH_TOL``, so that path points do not creep towards the tolerance.
-    Any ``ConvergenceError`` is a failed correction, which the continuation
-    answers by shortening its step.  Returns (A or None, Jacobians assembled, max-norm residual).
+    with J dx = -r.  A candidate is hermitised, dropped unless ``zpotrf``
+    factors it (it is positive definite), and trace-normalised; its point
+    carries the synthesis that its residual and Jacobian read.  On the full step
+    (``full``) Newton is undamped, and a candidate is accepted only while
+    it passes Deuflhard's contraction test: its simplified correction, the
+    zero-trace solution of J x = F(candidate) from the step's LU factors,
+    is at most ``CONTRACTION_MAX`` times the step.  Otherwise a line search
+    accepts a candidate that lowers the residual norm or lies within the
+    tolerance, and at t < 1 at least one correction is made, even from a
+    start within ``PATH_TOL``, so that path points do not creep towards the
+    tolerance.  Any ``ConvergenceError`` is a failed correction, which the
+    continuation answers by shortening its step.  Returns (A or None,
+    Jacobians assembled, max-norm residual).
     """
     tol = PSI_TOL if t == 1.0 else PATH_TOL
     n, lu = coords.n, None
 
+    def point(am, syn):
+        return am, coords.of(_psi_t(model, am, t, syn) - g), syn
+
     def evaluate(cand):
         cand = 0.5 * (cand + cand.conj().T)
-        if np.linalg.eigvalsh(cand).min() <= 0:
+        if sla.lapack.zpotrf(cand, lower=True)[1] > 0:
             return None
         cand = cand / np.real(np.trace(cand))
-        return cand, coords.of(_psi_t(model, cand, t) - g)
+        return point(cand, _synthesis(model, cand))
 
-    def direction(am, r):
+    def direction(am, r, syn):
         nonlocal lu
-        jac = _psi_t_jacobian(model, am, t, coords)
+        jac = _psi_t_jacobian(model, am, t, coords, syn)
         jac[:n, :n] += 1.0 / n  # the border u u^T
         *lu, info = sla.lapack.dgetrf(jac)
         if info > 0:
@@ -303,17 +321,17 @@ def _newton_at_t(model, a, t, g, coords, full=False, r=None):
             return np.linalg.norm(simplified) <= CONTRACTION_MAX * np.linalg.norm(step)
         return np.linalg.norm(new[1]) < np.linalg.norm(old[1]) or np.abs(new[1]).max() <= tol
 
-    if r is None:
-        r = coords.of(_psi_t(model, a, t) - g)
     try:
-        (am, _), history = damped_newton(
-            evaluate, direction, accept, (a, r),
+        (am, _, syn), history = damped_newton(
+            evaluate, direction, accept, point(a, _synthesis(model, a, known)),
             tol, NEWTON_MAX_ITERS, 1 if full else 10, "psi Newton",
             min_steps=0 if t == 1.0 else 1,
         )
     except ConvergenceError as exc:
         # a step that stalls or meets a singular Jacobian has assembled that Jacobian too
         return None, min(len(exc.history), NEWTON_MAX_ITERS), exc.history[-1]
+    if known is not None:
+        known[:] = am, syn
     return am, len(history) - 1, history[-1]
 
 
@@ -323,7 +341,7 @@ def _power(ev: np.ndarray, vec: np.ndarray, p: float) -> np.ndarray:
     return m / np.real(np.trace(m))
 
 
-def _balancing_start(model, gm, a, coords):
+def _balancing_start(model, gm, a, coords, known):
     """Balancing (Picard) steps towards psi(A) = G from A = G^{-1}, the
     start of the full step (Donaldson's iteration run towards G, see the
     module docstring).
@@ -333,25 +351,29 @@ def _balancing_start(model, gm, a, coords):
     stops when H is not positive definite or when a step fails to shrink
     the residual's Frobenius norm, the norm of its ``coords``, by
     ``CONTRACTION_MAX``, and then keeps the better of the last two points.
-    Returns (A, its residual coordinates, steps evaluated).
+    Returns (A, steps evaluated), A and its synthesis left in ``known``.
     """
-    h, rm = gm, _psi_t(model, a, 1.0) - gm
+    syn = _synthesis(model, a)
+    h, rm = gm, _psi_t(model, a, 1.0, syn) - gm
     r = coords.of(rm)
     steps = 0
     while True:
         h_new = _unit_trace(h - rm)
         ev, vec = np.linalg.eigh(h_new)
         if ev.min() <= 0:
-            return a, r, steps
+            break
         steps += 1
         a_new = _power(ev, vec, -1.0)
-        rm_new = _psi_t(model, a_new, 1.0) - gm
+        syn_new = _synthesis(model, a_new)
+        rm_new = _psi_t(model, a_new, 1.0, syn_new) - gm
         r_new = coords.of(rm_new)
         norm, norm_new = np.linalg.norm(r), np.linalg.norm(r_new)
         if norm_new < norm:
-            h, a, rm, r = h_new, a_new, rm_new, r_new
+            h, a, rm, r, syn = h_new, a_new, rm_new, r_new, syn_new
         if not norm_new < CONTRACTION_MAX * norm:
-            return a, r, steps
+            break
+    known[:] = a, syn
+    return a, steps
 
 
 def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace]:
@@ -360,7 +382,7 @@ def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace
     It solves for A = B^2 from the seed A0 = G^{-1} / tr G^{-1}, which
     satisfies psi0(A0) = G exactly.  The first attempt is the full step to
     t = 1 (``_newton_at_t``), from where the balancing steps of
-    ``_balancing_start`` leave A and with their last residual.  After an
+    ``_balancing_start`` leave A.  After an
     abandoned full step, t marches from 0 and A0 to 1 with adaptive steps,
     the first 1 / ``CONTINUATION_STEPS`` (on Newton failure halve the step
     tried, which is h or 1 - t where t + h is clipped to 1; on every success
@@ -390,7 +412,8 @@ def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace
     a = _power(ev, vec, -1.0)
     trace = ContinuationTrace()
     trace.log(0.0, float(np.abs(_psi_t(model, a, 0.0) - gm).max()), 0.0, 0)
-    start, r_start, trace.seed_steps = _balancing_start(model, gm, a, coords)
+    known = [None, None]
+    start, trace.seed_steps = _balancing_start(model, gm, a, coords, known)
     t = t_prev = 0.0
     a_prev = a
     full, h = True, 1.0
@@ -398,12 +421,12 @@ def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace
     while t < 1.0:
         t_next = 1.0 if t + h > 1.0 - STEP_FLOOR else t + h
         if not full:
-            start, r_start = a, None
+            start = a
         if t > t_prev:
             pred = a + (t_next - t) / (t - t_prev) * (a - a_prev)
-            if np.linalg.eigvalsh(pred).min() > 0:
+            if sla.lapack.zpotrf(pred, lower=True)[1] == 0:
                 start = pred / np.real(np.trace(pred))
-        an, iters, resid = _newton_at_t(model, start, t_next, gm, coords, full, r_start)
+        an, iters, resid = _newton_at_t(model, start, t_next, gm, coords, full, known)
         trace.corrector_iters += iters
         if an is None:
             trace.abandoned += 1
@@ -426,4 +449,5 @@ def solve_psi(model: ManifoldModel, g) -> Tuple[HermitianForm, ContinuationTrace
         successes += 1
         if successes >= 2:
             h = min(2.0 * h, 0.25)
+    trace.a, trace.m = a, _synthesis(model, a, known)[0]
     return HermitianForm(_power(*np.linalg.eigh(a), 0.5)), trace

@@ -204,6 +204,49 @@ def test_surject_full_k6_item_skips_the_march(monkeypatch):
     assert log["abandoned_attempts"] == 0 and log["corrector_iters"] == calls[0]
 
 
+def test_surject_full_synthesises_each_psi_point_once(monkeypatch):
+    # the seed-1 k = 4 item: each Newton point carries its synthesis, so no
+    # Jacobian synthesises A again, and the forward check's one synthesis
+    # gives both hilb and the curvature of the returned metric
+    pairings, jacobian = hb.geometry._ThetaFourier.pairings, hb.pushforward._psi_t_jacobian
+    solve = hb.calabi.solve_psi
+    calls = {"pairings": 0, "in_jacobian": 0, "jacobians": 0, "at_solution": None}
+    inside = [False]
+
+    def counting(self, *args, **kwargs):
+        calls["pairings"] += 1
+        calls["in_jacobian"] += inside[0]
+        return pairings(self, *args, **kwargs)
+
+    def marking(*args):
+        calls["jacobians"] += 1
+        inside[0] = True
+        try:
+            return jacobian(*args)
+        finally:
+            inside[0] = False
+
+    def solving(*args):
+        out = solve(*args)
+        calls["at_solution"] = calls["pairings"]
+        return out
+
+    wl = workloads.WORKLOADS["surject-full"]
+    model = hb.geometry.build_p1_model(4, **workloads.grid(4))
+    g = wl.generate(hb, model, np.random.default_rng([1, 4]), 1, defaultdict(int))[0]
+    monkeypatch.setattr(hb.geometry._ThetaFourier, "pairings", counting)
+    monkeypatch.setattr(hb.pushforward, "_psi_t_jacobian", marking)
+    monkeypatch.setattr(hb.calabi, "solve_psi", solving)
+    out = wl.run(hb, model, g)
+    forward_check = calls["pairings"] - calls["at_solution"]
+    assert wl.check(hb, model, g, out) is None
+    log = out[1].stage_logs
+    assert calls["jacobians"] == log[0]["corrector_iters"] > 0
+    assert calls["in_jacobian"] == 0
+    assert [s["stage"] for s in log] == ["pushforward-continuation", "forward-check"]
+    assert forward_check == 1
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_surject_reject_target_fails_after_the_march(seed):
     # the balancing steps stop at once on these out-of-range targets; the

@@ -15,8 +15,8 @@ from hilbfs import (
     hilb,
     reference_density,
 )
-from hilbfs.geometry import _legendre_table, _pushforward_measure
-from hilbfs.pushforward import _dpsi0_table, _psi_t_jacobian
+from hilbfs.geometry import _legendre_table
+from hilbfs.pushforward import _dpsi0_table, _psi_t_jacobian, _synthesis
 from hilbfs.linalg import (
     HermitianCoords,
     orthonormalize_sections,
@@ -361,7 +361,7 @@ def test_hilb_of_a_bergman_metric_is_a_pushforward_gram(k, d):
     h = random_spd(model.N, np.random.default_rng(k + 40), cond=10.0)
     ev, vec = np.linalg.eigh(h.mat)
     b = (vec / np.sqrt(ev)) @ vec.conj().T
-    gram = model._theta_fourier().gram(_pushforward_measure(model, b @ b))
+    gram = _synthesis(model, b @ b)[0]
     ref = model.N / (model.k * model.V) * gram
     assert _rel(hilb(model, fs_metric(model, h)).mat, ref) <= 1e-12
 

@@ -9,7 +9,14 @@ import scipy.linalg as sla
 
 import hilbfs
 import hilbfs.geometry
-from hilbfs import DimensionError, HermitianForm, MetricWeight, build_p1_model, verify_injectivity
+from hilbfs import (
+    DimensionError,
+    HermitianForm,
+    MetricWeight,
+    MomentInfeasibleError,
+    build_p1_model,
+    verify_injectivity,
+)
 from hilbfs.injectivity import perturbed_pair
 from hilbfs.linalg import random_hermitian, random_spd
 
@@ -183,12 +190,23 @@ class TestPaperRows:
         assert report.lambda_mode == "paper"
         assert report.lambda_paper_status == "achieved"
 
-    def test_degenerate_row_newton_names_its_row(self):
+    def test_degenerate_row_newton_names_its_row(self, monkeypatch):
         # the cone bound is silent on this k=2 pair, so row 0's moment Newton
-        # runs until its Jacobian degenerates; the status keeps the row prefix
+        # runs until its Jacobian degenerates; the status names the row and
+        # no iteration or residual, which rounding could move, and the
+        # Newton's history stays on the exception
+        build, raised = hilbfs.injectivity.build_lambda, []
+
+        def recording(*args, **kwargs):
+            try:
+                return build(*args, **kwargs)
+            except MomentInfeasibleError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(hilbfs.injectivity, "build_lambda", recording)
         model, h, h2 = _audit_pair(2, seed=5, item=1)
         report = verify_injectivity(model, h, h2, refine_check=False)
         assert report.lambda_mode == "probe"
-        assert report.lambda_paper_status.startswith(
-            "infeasible: row 0: moment Newton jacobian degenerate at iteration"
-        )
+        assert report.lambda_paper_status == "infeasible: row 0: moment Newton did not converge"
+        assert len(raised) == 1 and raised[0].row == 0 and len(raised[0].history) > 0

@@ -558,7 +558,7 @@ def test_a_singular_jacobian_is_a_failed_correction(t, full, monkeypatch):
     coords = HermitianCoords.full(model.N)
     monkeypatch.setattr(
         hilbfs.pushforward, "_psi_t_jacobian",
-        lambda model, bm, t, coords: np.zeros((len(coords), len(coords))),
+        lambda model, bm, t, coords, syn: np.zeros((len(coords), len(coords))),
     )
     g, b = np.diag([0.5, 0.3, 0.2]), np.eye(model.N) / model.N
     bn, iters, resid = hilbfs.pushforward._newton_at_t(model, b @ b, t, g, coords, full)
