@@ -240,8 +240,8 @@ def cmd_lambda(args) -> int:
     }
     print(emit_report(report, _out_path(args, "lambda.json")))
     if args.densities_out:
-        for i, d in enumerate(system.densities):
-            _write_csv(_node_table("weight", d.weights), f"{args.densities_out}.{i}.csv")
+        for i, weights in enumerate(system.weights):
+            _write_csv(_node_table("weight", weights), f"{args.densities_out}.{i}.csv")
     return 0
 
 

@@ -59,7 +59,7 @@ from .errors import (
     DimensionError,
     MassDefectError,
 )
-from .linalg import HermitianForm, _as_form, cholesky_lower
+from .linalg import HermitianForm, _as_form, _guard_conditioning
 
 CURVATURE_MASS_TOL = 1e-8
 
@@ -360,10 +360,12 @@ class MetricWeight:
 
     @classmethod
     def bergman(cls, h: HermitianForm) -> "MetricWeight":
-        factor = cholesky_lower(h)
+        """The Bergman metric of H, with ``cholesky_lower``'s checks: its
+        conditioning guard reads tr H^{-1} from the inverse formed here."""
         # zpotri writes H^{-1} into the lower half and keeps the factor's
         # zero upper half
-        low = sla.lapack.zpotri(factor, lower=True)[0]
+        low = sla.lapack.zpotri(h.factor(), lower=True)[0]
+        _guard_conditioning(h, float(low.diagonal().real.sum()))
         inverse = low + low.conj().T
         np.fill_diagonal(inverse, low.diagonal().real)
         return cls(kind="bergman", form=h, inverse=inverse)
@@ -390,14 +392,6 @@ class MetricWeight:
         _sized_form(model, self.form)
         p = model._theta_fourier().pairings(self.inverse, parts=1)[0]
         return np.log(p)
-
-    def rescaled(self, c: float) -> "MetricWeight":
-        """Metric scaled by the constant c > 0 (potential shifts by -log c)."""
-        if c <= 0:
-            raise ValueError("metric scale must be positive")
-        if self.kind == "bergman":
-            return MetricWeight.bergman(self.form.scaled(c))
-        return MetricWeight.grid(self.potential_values - np.log(c))
 
 
 def build_p1_model(

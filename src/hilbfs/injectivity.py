@@ -15,7 +15,10 @@ k = 1; at larger k the cone bound of ``moments`` rejects the gauge rows
 before any Newton (the Hankel proof covers only the monomial frame), and
 the audit falls back to the constructive probe densities.  The
 linear-system identity holds for ANY positive row measures, which is all
-the integration step of the argument uses.
+the integration step of the argument uses.  Both attempts read one N x Q
+row-ratio table rho = g / sum_j g_j of the gauge frame's squared sections,
+formed once per audit (``_lambda_for_audit``), and the row densities stay
+one (N, Q) weight array (``moments.LambdaSystem``) that ``f_matrix`` reads.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DimensionError, MomentInfeasibleError
-from .geometry import Density, ManifoldModel, MetricWeight, fs_metric
+from .geometry import ManifoldModel, MetricWeight, fs_metric
 from .linalg import HermitianForm, cholesky_lower, matrix_norms
 from .moments import build_lambda, section_squares
 
@@ -106,12 +109,14 @@ def compare_fs(model: ManifoldModel, h: HermitianForm, h2: HermitianForm) -> FsC
 def f_matrix(
     model: ManifoldModel,
     f: np.ndarray,
-    densities: List[Density],
+    weights: np.ndarray,
     squares: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """F[i, j] = integral of f * |s_j|^2 * ref_weight against density i.
+    """F[i, j] = integral of f * |s_j|^2 * ref_weight against density i,
+    (W o f) g^T for the (N, Q) node weights W of the densities, one row
+    each (``LambdaSystem.weights``), read as they are.
 
-    ``squares`` is the frame's N x Q ``section_squares`` table; ``None``
+    ``squares`` is the frame's N x Q ``section_squares`` table g; ``None``
     means the monomials.  When the densities come from ``build_lambda``
     (row moments bounded by one) this guarantees max-norm(F) <= sup|f|.
     """
@@ -119,11 +124,10 @@ def f_matrix(
     if f.shape != (model.Q,):
         raise DimensionError("f must be a node function")
     gfun = section_squares(model) if squares is None else squares
-    if any(d.weights.shape != (model.Q,) for d in densities):
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 2 or weights.shape[1] != model.Q:
         raise DimensionError("density length mismatch")
-    weights = np.array([d.weights for d in densities])
-    weights *= f
-    return weights @ gfun.T
+    return (weights * f) @ gfun.T
 
 
 @dataclass
@@ -161,11 +165,17 @@ class InjectivityReport:
 
 
 def _lambda_for_audit(model, squares, floor):
-    """Paper-floor rows when achievable, constructive probes otherwise."""
+    """Paper-floor rows when achievable, constructive probes otherwise.
+    Both read one row-ratio table rho = g / sum_j g_j of the frame's
+    ``squares``, formed here: the paper rows for their cone bound, the
+    probes for their weights."""
+    ratios = squares / squares.sum(axis=0)
     try:
-        return build_lambda(model, floor=floor, mode="paper", squares=squares), "achieved"
+        system = build_lambda(model, floor=floor, mode="paper", squares=squares, ratios=ratios)
+        return system, "achieved"
     except MomentInfeasibleError as exc:
-        return build_lambda(model, mode="probe", squares=squares), f"infeasible: {exc}"
+        system = build_lambda(model, mode="probe", squares=squares, ratios=ratios)
+        return system, f"infeasible: {exc}"
 
 
 def verify_injectivity(
@@ -191,7 +201,7 @@ def verify_injectivity(
     eps = comp.epsilon
     hypothesis_ok = bool(n**1.5 * eps <= 0.25)
     system, paper_status = _lambda_for_audit(model, comp.squares, floor)
-    fmat = f_matrix(model, comp.f, system.densities, squares=comp.squares)
+    fmat = f_matrix(model, comp.f, system.weights, squares=comp.squares)
     dinv2_direct = 1.0 / comp.d_sq
     rhs = fmat @ np.ones(n)
     solved = np.linalg.solve(system.matrix, rhs)

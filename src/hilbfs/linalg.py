@@ -122,12 +122,11 @@ class HermitianForm:
         return form
 
     @classmethod
-    def _hermitian_part(cls, m) -> "HermitianForm":
-        """The form (M + M*)/2 of a square matrix M with finite entries, for
-        an M that is hermitian only up to rounding (a computed Gram, say):
-        no hermiticity defect is checked."""
-        a = _as_square(m)
-        return cls._unchecked(0.5 * (a + a.conj().T))
+    def _exact(cls, m) -> "HermitianForm":
+        """The form of a square matrix M with finite entries that is
+        hermitian to the bit (a kernel Gram, say), without a copy: only
+        its shape and finiteness are checked."""
+        return cls._unchecked(_as_square(m))
 
     def scaled(self, c: float) -> "HermitianForm":
         """The form c H.  For finite c > 0, c H is hermitian to the bit and is
@@ -235,17 +234,36 @@ def cholesky_lower(h: HermitianForm) -> np.ndarray:
 
     Raises ``DefinitenessError`` naming the first failing pivot when H is not
     positive definite, and an ``IllConditionedWarning`` when its condition
-    number exceeds ``COND_GUARD``.
+    number exceeds ``COND_GUARD``.  No eigensolve is needed for that unless
+    the form is near the guard: for H PD, lambda_max <= tr H and
+    1/lambda_min <= tr H^{-1} = ||L^{-1}||_F^2 (one ``ztrtri``), so
+    tr H tr H^{-1} bounds cond_2 H from above, and the exact condition
+    number is computed only when that bound exceeds COND_GUARD / 2 (the
+    margin covers the bound's rounding) or is already kept.
     """
     L = h.factor()
+    # tr H^{-1} = ||L^{-1}||_F^2, read only while no condition number is kept
+    inverse_trace = 0.0
+    if h._cond is None:
+        inv_l = sla.lapack.ztrtri(L, lower=1)[0]
+        inverse_trace = float(np.vdot(inv_l, inv_l).real)
+    _guard_conditioning(h, inverse_trace)
+    return L
+
+
+def _guard_conditioning(h: HermitianForm, inverse_trace: float):
+    """``cholesky_lower``'s conditioning warning for a PD form whose inverse
+    has trace ``inverse_trace``: the exact condition number decides only
+    where tr H tr H^{-1} exceeds COND_GUARD / 2, or when it is kept."""
+    if h._cond is None and h.mat.diagonal().real.sum() * inverse_trace <= 0.5 * COND_GUARD:
+        return
     if h.cond() > COND_GUARD:
         warnings.warn(
             f"cholesky_lower: condition number {h.cond():.3e} exceeds {COND_GUARD:g}; "
             "tolerances downstream are unreliable",
             IllConditionedWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return L
 
 
 def orthonormalize_sections(h: HermitianForm, raw: np.ndarray) -> np.ndarray:

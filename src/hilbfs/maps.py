@@ -5,9 +5,15 @@ basis; fs_metric (in ``geometry``) sends a form back to a metric.  Their
 composition has the balanced metrics as fixed points; on the reference
 test-bed that is the binomial diagonal diag(1/C(dk, j)).  ``t_iterate``
 iterates that composition: it checks its seed once, at entry, and each step
-factorises one form, the Gram that ``hilb`` returns.  The form keeps its
-factor (``linalg.HermitianForm``), so the positive-definiteness check, the
-unit-determinant scale and the next ``fs_metric`` share it.
+factorises one form, the Gram that ``hilb`` returns, which is hermitian to
+the bit and kept without a symmetrising copy.  The form keeps its factor
+(``linalg.HermitianForm``), so the positive-definiteness check, the
+unit-determinant scale and the next ``fs_metric`` share it.  No step runs
+an eigensolve: the conditioning guard of ``linalg.cholesky_lower`` bounds
+cond_2 H by tr H tr H^{-1}, reading tr H^{-1} from one ``ztrtri`` of the
+factor at the positive-definiteness check and from the ``zpotri`` inverse
+of the Bergman metric, and computes the exact condition number only where
+that bound exceeds COND_GUARD / 2.
 
 Linearised at the balanced form H_b, in H = H_b^(1/2) (I + X) H_b^(1/2) and
 divided by T(H_b)'s trace ratio, T = hilb o fs_metric has the eigenvalue
@@ -68,7 +74,8 @@ def _variant_law(variant: str):
 
 def _gram(model: ManifoldModel, weights: np.ndarray) -> HermitianForm:
     g = model._theta_fourier().gram(weights)
-    form = HermitianForm._hermitian_part((model.N / model.V) * g)
+    g *= model.N / model.V
+    form = HermitianForm._exact(g)
     if not form.is_positive_definite():
         raise DefinitenessError(
             "hilb output is not positive definite; quadrature is under-resolved"
@@ -182,7 +189,9 @@ def t_iterate(
     the Bergman metric of H_r; convergence of the iteration itself is
     reported, never asserted.  Each step factorises one form, hilb's Gram,
     and that factor gives its determinant and its next Bergman metric; the
-    trace records each form without it, one matrix per step.
+    trace records each form without it, one matrix per step.  The exact
+    condition number, for the ``IllConditionedWarning``, is computed only
+    where tr H tr H^{-1} exceeds COND_GUARD / 2 (``cholesky_lower``).
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")

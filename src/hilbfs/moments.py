@@ -212,12 +212,34 @@ def solve_moments(
 
 @dataclass
 class LambdaSystem:
+    """The row-measure matrix of ``build_lambda`` and its row densities'
+    node weights as one (N, Q) array, row i the density of row i.  The
+    weights are checked once, here (finite, nonnegative, positive mass in
+    every row), and kept read-only; ``injectivity.f_matrix`` reads them as
+    they are."""
+
     matrix: np.ndarray
-    densities: List[Density]
+    weights: np.ndarray
     floor: Optional[float]
     mode: str
     norms: MatrixNorms
     inverse_norms: MatrixNorms
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=float)
+        if w.ndim != 2 or len(w) != len(self.matrix):
+            raise DimensionError(
+                f"row densities of shape {w.shape} do not match {len(self.matrix)} rows"
+            )
+        peaks = w.max(axis=1)
+        # a NaN makes the minimum NaN; nonnegative rows have positive mass
+        # exactly when their maximum is positive
+        if not (w.min() >= 0.0 and np.isfinite(peaks).all() and (peaks > 0.0).all()):
+            raise ValueError(
+                "row density weights must be finite and nonnegative, with positive mass"
+            )
+        w.setflags(write=False)
+        self.weights = w
 
     def bounds_hold(self) -> bool:
         return self.norms.op <= LAMBDA_BOUND and self.inverse_norms.op <= LAMBDA_BOUND
@@ -251,10 +273,13 @@ def build_lambda(
     mode: str = "paper",
     squares: Optional[np.ndarray] = None,
     max_newton: int = MAX_NEWTON,
+    ratios: Optional[np.ndarray] = None,
 ) -> LambdaSystem:
     """Row-measure matrix: row i holds the achieved squared-section moments
     of the i-th density.  ``squares`` is the frame's N x Q
-    ``section_squares`` table; ``None`` means the monomials.
+    ``section_squares`` table; ``None`` means the monomials.  ``ratios``
+    is its row-ratio table rho = g / sum_j g_j when the caller has formed
+    it (``injectivity`` shares one between both modes); ``None`` forms it.
 
     mode "paper": each row solves the spike target (floor, ..., 1, ..., floor)
     with 1 in the i-th place (floor defaults to e^{-k}); rows whose targets
@@ -270,10 +295,14 @@ def build_lambda(
     n = gfun.shape[0]
     if mode not in ("probe", "paper"):
         raise ValueError(f"unknown build_lambda mode {mode!r}")
-    rho = gfun / gfun.sum(axis=0)
+    if ratios is None:
+        rho = gfun / gfun.sum(axis=0)
+    elif ratios.shape == gfun.shape:
+        rho = ratios
+    else:
+        raise DimensionError(f"ratios have shape {ratios.shape}, squares {gfun.shape}")
     if mode == "probe":
         weights, lam = _probe_rows(model, gfun, rho)
-        densities = [Density(w) for w in weights]
         floor_used = None
     else:
         f = float(np.exp(-min(model.k, 700))) if floor is None else float(floor)
@@ -282,8 +311,7 @@ def build_lambda(
         f = max(f, 1e-300)
         targets = spike_targets(n, f)
         peaks = rho.max(axis=1)
-        densities = []
-        rows = []
+        weight_rows, rows = [], []
         for i in range(n):
             if monomial_basis:
                 margins = hankel_margins(targets[i])
@@ -317,16 +345,16 @@ def build_lambda(
                 raise MomentInfeasibleError(
                     f"row {i}: moment Newton did not converge", row=i, history=exc.history
                 ) from exc
-            densities.append(sol.density)
+            weight_rows.append(sol.density.weights)
             rows.append(sol.achieved)
-        lam = np.array(rows)
+        weights, lam = np.array(weight_rows), np.array(rows)
         floor_used = f
     norms = matrix_norms(lam)
     if norms.max > 1.0 + 10 * tol:
         raise RuntimeError(f"row-measure matrix entry {norms.max:.6f} exceeds 1")
     return LambdaSystem(
         matrix=lam,
-        densities=densities,
+        weights=weights,
         floor=floor_used,
         mode=mode,
         norms=norms,

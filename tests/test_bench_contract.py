@@ -315,6 +315,36 @@ def test_balance_audit_iteration_factorises_once_per_step(monkeypatch):
     assert calls[0] <= wl.iterations + 1
 
 
+def test_balance_audit_item_runs_no_eigensolve_and_no_per_row_density(monkeypatch):
+    # the seed-1 k = 16 item: the conditioning guard of each step's Gram is
+    # the certified bound tr(H) tr(H^-1), far below COND_GUARD / 2 here, not
+    # an eigvalsh; the audit keeps its 17 probe densities as one checked
+    # (N, Q) array, where it built and checked one Density per row
+    wl = workloads.WORKLOADS["balance-audit"]
+    model = hb.geometry.build_p1_model(16, **workloads.grid(16))
+    h0, h, h2 = wl.generate(hb, model, np.random.default_rng([1, 16]), 1, defaultdict(int))[0]
+    eigvalsh, post_init = np.linalg.eigvalsh, hb.geometry.Density.__post_init__
+    calls = {"eigvalsh": 0, "densities": 0}
+
+    def counting_eigvalsh(*args, **kwargs):
+        calls["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def counting_density(self):
+        calls["densities"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(hb.geometry.Density, "__post_init__", counting_density)
+    trace = hb.t_iterate(model, h0, max_iters=wl.iterations, tol=0.0)
+    assert len(trace.steps) == wl.iterations + 1
+    assert calls["eigvalsh"] == 0
+    report = hb.verify_injectivity(model, h, h2)
+    assert wl.check(hb, model, (h0, h, h2), (trace, report)) is None
+    assert report.lambda_mode == "probe"
+    assert calls["densities"] == 0
+
+
 @pytest.mark.parametrize("seed, k", sorted(AUDITS))
 def test_balance_audit_reports_keep_their_values(seed, k):
     wl = workloads.WORKLOADS["balance-audit"]

@@ -477,7 +477,7 @@ def test_lambda_densities_out_csv(tmp_path, capsys):
     assert main(["lambda", "--k", "2", "--mode", "probe", "--densities-out", str(prefix)]) == 0
     capsys.readouterr()
     system = build_lambda(build_p1_model(2), mode="probe")
-    for i, density in enumerate(system.densities):
+    for i, row in enumerate(system.weights):
         weights = read_node_table(tmp_path / f"dens.{i}.csv", "weight")
-        assert np.array_equal(weights, density.weights)
-    assert not (tmp_path / f"dens.{len(system.densities)}.csv").exists()
+        assert np.array_equal(weights, row)
+    assert not (tmp_path / f"dens.{len(system.weights)}.csv").exists()

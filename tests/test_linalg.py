@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hilbfs import (
     matrix_norms,
     orthonormalize_sections,
 )
+from hilbfs.errors import IllConditionedWarning
 from hilbfs.geometry import build_p1_model
 from hilbfs.linalg import (
     HermitianCoords,
@@ -125,6 +127,17 @@ class TestCholesky:
             scale = np.abs(h.mat).max()
             assert np.abs(L @ L.conj().T - h.mat).max() <= 1e-12 * scale
             assert np.all(np.diagonal(L).real > 0)
+
+    def test_warns_above_the_guard(self):
+        with pytest.warns(IllConditionedWarning, match="condition number 2.000e"):
+            cholesky_lower(HermitianForm.diagonal([1.0, 2e8]))
+
+    def test_silent_below_the_guard_when_the_trace_bound_is_not(self):
+        # tr(H) tr(H^-1) = 6e7 + 2 lies above COND_GUARD / 2, so the exact
+        # condition number, 6e7 < COND_GUARD, decides
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IllConditionedWarning)
+            cholesky_lower(HermitianForm.diagonal([1.0, 6e7]))
 
     @pytest.mark.parametrize(
         "mat, pivot",

@@ -26,6 +26,7 @@ from hilbfs import (
     surject_fixed_volume,
     t_iterate,
 )
+from hilbfs.errors import IllConditionedWarning
 from hilbfs.maps import variant_density
 from hilbfs.linalg import random_hermitian, random_spd
 
@@ -60,7 +61,8 @@ class TestHilb:
         h = random_spd(model.N, rng, cond=5.0)
         m = fs_metric(model, h)
         base = hilb(model, m)
-        scaled = hilb(model, m.rescaled(3.0))
+        # fs_metric(c H) = c fs_metric(H): its potential is shifted by -log c
+        scaled = hilb(model, fs_metric(model, h.scaled(3.0)))
         assert np.abs(scaled.mat - 3.0 * base.mat).max() <= 1e-10 * np.abs(base.mat).max()
 
     def test_equivariance_under_basis_change(self):
@@ -194,7 +196,9 @@ class TestHilbNu:
         m = MetricWeight.reference(model)
         base = variant_density(model, m, ANTICANONICAL)
         phi = 0.37
-        scaled = variant_density(model, m.rescaled(math.exp(-phi * model.k)), ANTICANONICAL)
+        # the metric scaled by c = e^{-phi k}: its grid potential is shifted by -log c
+        shifted = MetricWeight.grid(m.potential(model) + phi * model.k)
+        scaled = variant_density(model, shifted, ANTICANONICAL)
         # scaling the L-metric by e^{-phi} scales the volume by e^{-phi}
         assert np.abs(scaled.weights - math.exp(-phi) * base.weights).max() <= 1e-14
 
@@ -235,6 +239,12 @@ class TestTIterate:
         target = binomial_diag(2).mat
         target = target / np.exp(np.mean(np.log(np.linalg.eigvalsh(target))))
         assert np.abs(final - target).max() <= 1e-8
+
+    def test_ill_conditioned_seed_warns(self):
+        # the balanced form at k = 30 has condition C(30, 15) = 1.55e8, above
+        # COND_GUARD, and its first Bergman metric factorises it
+        with pytest.warns(IllConditionedWarning):
+            t_iterate(build_p1_model(30), binomial_diag(30), max_iters=1)
 
     def test_trace_invariant_along_iteration(self):
         model = build_p1_model(2, radial_nodes=24, azimuthal_nodes=32)

@@ -10,6 +10,7 @@ import scipy.linalg as sla
 import hilbfs as hb
 from hilbfs import (
     ConvergenceError,
+    DimensionError,
     HermitianForm,
     MomentInfeasibleError,
     MomentTarget,
@@ -21,7 +22,12 @@ from hilbfs import (
 )
 from hilbfs.injectivity import gauge_frame, perturbed_pair
 from hilbfs.linalg import random_spd
-from hilbfs.moments import _max_entropy_newton, section_squares, spike_targets
+from hilbfs.moments import (
+    LambdaSystem,
+    _max_entropy_newton,
+    section_squares,
+    spike_targets,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -218,11 +224,39 @@ class TestBuildLambda:
             assert system.matrix.shape == (n, n)
             assert system.norms.max <= 1.0 + 1e-12
             assert np.all(system.matrix > 0.0)
-            assert len(system.densities) == n
-            for d in system.densities:
-                assert d.weights.min() >= 0.0
+            assert system.weights.shape == (n, model.Q)
+            assert system.weights.min() >= 0.0
             # invertible with moderate conditioning
             assert system.norms.op / (1.0 / system.inverse_norms.op) < 1e4
+
+    def test_row_weights_are_checked_once_and_kept_read_only(self):
+        model = build_p1_model(2, radial_nodes=16, azimuthal_nodes=24)
+        system = build_lambda(model, mode="probe")
+        assert not system.weights.flags.writeable
+        fields = dict(vars(system))
+        for bad in (np.nan, -1e-300, np.inf):
+            w = system.weights.copy()
+            w[1, 5] = bad
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                LambdaSystem(**{**fields, "weights": w})
+        w = system.weights.copy()
+        w[2] = 0.0
+        with pytest.raises(ValueError, match="positive mass"):
+            LambdaSystem(**{**fields, "weights": w})
+        with pytest.raises(DimensionError):
+            LambdaSystem(**{**fields, "weights": system.weights[:2]})
+
+    @pytest.mark.parametrize("mode", ["probe", "paper"])
+    def test_shared_ratios_give_the_same_system(self, mode):
+        # k = 1 keeps the paper rows feasible
+        model = build_p1_model(1 if mode == "paper" else 4)
+        g = section_squares(model)
+        own = build_lambda(model, mode=mode, squares=g)
+        shared = build_lambda(model, mode=mode, squares=g, ratios=g / g.sum(axis=0))
+        assert np.array_equal(own.matrix, shared.matrix)
+        assert np.array_equal(own.weights, shared.weights)
+        with pytest.raises(DimensionError):
+            build_lambda(model, mode=mode, squares=g, ratios=g[:, 1:])
 
     def test_probe_mode_gauge_sections(self):
         model = build_p1_model(4, radial_nodes=32, azimuthal_nodes=48)
