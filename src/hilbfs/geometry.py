@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     ConfigurationError,
@@ -59,7 +58,7 @@ from .errors import (
     DimensionError,
     MassDefectError,
 )
-from .linalg import HermitianForm, _as_form, _guard_conditioning
+from .linalg import HermitianForm, _as_form, _guard_conditioning, _inverse_of_factor
 
 CURVATURE_MASS_TOL = 1e-8
 
@@ -362,12 +361,8 @@ class MetricWeight:
     def bergman(cls, h: HermitianForm) -> "MetricWeight":
         """The Bergman metric of H, with ``cholesky_lower``'s checks: its
         conditioning guard reads tr H^{-1} from the inverse formed here."""
-        # zpotri writes H^{-1} into the lower half and keeps the factor's
-        # zero upper half
-        low = sla.lapack.zpotri(h.factor(), lower=True)[0]
-        _guard_conditioning(h, float(low.diagonal().real.sum()))
-        inverse = low + low.conj().T
-        np.fill_diagonal(inverse, low.diagonal().real)
+        inverse, inverse_trace = _inverse_of_factor(h.factor())
+        _guard_conditioning(h, inverse_trace)
         return cls(kind="bergman", form=h, inverse=inverse)
 
     @classmethod
@@ -513,19 +508,35 @@ def curvature_volume(model: ManifoldModel, m: MetricWeight) -> Density:
 def _weight_and_volume(model: ManifoldModel, m: MetricWeight):
     """(weight, volume): node arrays of exp(-u), the metric weight over rw
     (the kernel's gram carries rw), and of the ``curvature_volume``
-    weights, with its checks.  A bergman metric's exp(-u) is the 1/(rw P)
-    of the synthesis its curvature is formed from (module docstring)."""
+    weights, with its checks."""
     if m.kind == "bergman":
-        # P = s* H^{-1} s, the sum of |W|^2 over H-orthonormal rows W; the
-        # curvature of the k-th root divides that of log P by k
         _sized_form(model, m.form)
-        vol, weight = _curvature_density(model, m.inverse)
-        vol /= model.k
-    else:
-        u = m.potential(model)
-        vol = 1.0 + (model.laplacian() @ u) / (4.0 * np.pi * model.k)
-        vol *= model.quad_weights
-        weight = np.exp(-u)
+        return _bergman_weight_and_volume(model, m.inverse)
+    u = m.potential(model)
+    vol = 1.0 + (model.laplacian() @ u) / (4.0 * np.pi * model.k)
+    vol *= model.quad_weights
+    _audit_volume(model, vol)
+    return np.exp(-u), vol
+
+
+def _bergman_weight_and_volume(model: ManifoldModel, inverse: np.ndarray):
+    """``_weight_and_volume`` of the Bergman metric whose form has the
+    inverse ``inverse``: its exp(-u) is the 1/(rw P) of the synthesis its
+    curvature is formed from (module docstring)."""
+    # P = s* H^{-1} s, the sum of |W|^2 over H-orthonormal rows W; the
+    # curvature of the k-th root divides that of log P by k
+    vol, weight = _curvature_density(model, inverse)
+    vol /= model.k
+    _audit_volume(model, vol)
+    return weight, vol
+
+
+def _audit_volume(model: ManifoldModel, vol: np.ndarray):
+    """The checks of ``curvature_volume``'s node weights ``vol``: a
+    ``CurvaturePositivityError`` naming the worst node where one is not
+    positive, a ``ValueError`` where one is not finite, and a
+    ``MassDefectError`` where their sum misses V by more than
+    ``CURVATURE_MASS_TOL`` V."""
     if not vol.min() > 0.0:  # a node of nonpositive (or nan) curvature
         dens = vol / model.quad_weights
         worst = int(np.argmin(dens))
@@ -544,4 +555,3 @@ def _weight_and_volume(model: ManifoldModel, m: MetricWeight):
             f"{CURVATURE_MASS_TOL:g} * V; increase node counts",
             defect=defect,
         )
-    return weight, vol

@@ -41,17 +41,20 @@ def gauge_frame(
     model: ManifoldModel, metric: MetricWeight, metric2: MetricWeight
 ) -> Tuple[np.ndarray, np.ndarray, float]:
     """H-orthonormal, H'-diagonalising frame of the two Bergman metrics:
-    with H = L L* (the form's kept ``factor``) and A = U* L^{-1},
-    A H A* = I and A H' A* = diag(d^2), so the frame's sections are A s.
+    with H = L L* (the form's kept ``factor``) and A = U* L^{-1}, L^{-1}
+    from one ``ztrtri``, A H A* = I and A H' A* = diag(d^2), so the
+    frame's sections are A s.
     Returns d^2, the N x N frame A and the gauge's measured rounding
         delta = ||A H A* - I||_2 max d^2 + ||A H' A* - diag(d^2)||_2,
     to first order a Weyl bound on the error of the computed d^2."""
     lh = metric.form.factor()
-    m = sla.solve_triangular(lh, metric2.form.mat, lower=True)
-    m = sla.solve_triangular(lh.conj(), m.T, lower=True).T
+    # two triangular solves, not products with L^{-1}: the audit's chain
+    # values move by up to 3e-10 relative when m's rounding changes
+    m = sla.lapack.ztrtrs(lh, metric2.form.mat, lower=1)[0]
+    m = sla.lapack.ztrtrs(lh.conj(), m.T, lower=1)[0].T
     m = 0.5 * (m + m.conj().T)
     d_sq, u = np.linalg.eigh(m)
-    a = u.conj().T @ np.linalg.inv(lh)
+    a = u.conj().T @ sla.lapack.ztrtri(lh, lower=1)[0]
     orth = a @ metric.form.mat @ a.conj().T - np.eye(model.N)
     diag = a @ metric2.form.mat @ a.conj().T - np.diag(d_sq)
     delta = float(np.linalg.norm(orth, 2) * d_sq.max() + np.linalg.norm(diag, 2))

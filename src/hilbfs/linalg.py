@@ -41,6 +41,10 @@ from .errors import (
 
 HERMITICITY_TOL = 1e-12
 COND_GUARD = 1e8
+# sizes n whose ``HermitianCoords.full`` instance, with the operators built on
+# it, stays shared: enough for the three sizes of a benchmark ladder, while
+# the k = 32 psi operator (175.5 MB) does not outlive the next few sizes
+COORDS_KEPT = 4
 
 
 def _as_square(m) -> np.ndarray:
@@ -121,13 +125,6 @@ class HermitianForm:
             object.__setattr__(form, name, value)
         return form
 
-    @classmethod
-    def _exact(cls, m) -> "HermitianForm":
-        """The form of a square matrix M with finite entries that is
-        hermitian to the bit (a kernel Gram, say), without a copy: only
-        its shape and finiteness are checked."""
-        return cls._unchecked(_as_square(m))
-
     def scaled(self, c: float) -> "HermitianForm":
         """The form c H.  For finite c > 0, c H is hermitian to the bit and is
         not checked again, and a factor L and condition number already found
@@ -144,11 +141,7 @@ class HermitianForm:
         and kept (read-only).  Raises ``DefinitenessError`` naming the first
         failing pivot; ``cholesky_lower`` adds the conditioning warning."""
         if self._factor is None:
-            factor, info = sla.lapack.zpotrf(self.mat, lower=True, clean=True)
-            if info > 0:
-                raise DefinitenessError(
-                    f"matrix is not positive definite: pivot {info - 1} fails", pivot=info - 1
-                )
+            factor = _cholesky(self.mat)
             factor.setflags(write=False)
             object.__setattr__(self, "_factor", factor)
         return self._factor
@@ -198,6 +191,18 @@ class HermitianForm:
         return cls(re + 1j * im)
 
 
+def _cholesky(mat: np.ndarray) -> np.ndarray:
+    """Lower-triangular L with mat = L L* and positive diagonal, from one
+    ``zpotrf`` of a finite hermitian matrix; raises ``DefinitenessError``
+    naming the first failing pivot."""
+    factor, info = sla.lapack.zpotrf(mat, lower=True, clean=True)
+    if info > 0:
+        raise DefinitenessError(
+            f"matrix is not positive definite: pivot {info - 1} fails", pivot=info - 1
+        )
+    return factor
+
+
 def _as_form(h) -> HermitianForm:
     return h if isinstance(h, HermitianForm) else HermitianForm(h)
 
@@ -239,16 +244,32 @@ def cholesky_lower(h: HermitianForm) -> np.ndarray:
     1/lambda_min <= tr H^{-1} = ||L^{-1}||_F^2 (one ``ztrtri``), so
     tr H tr H^{-1} bounds cond_2 H from above, and the exact condition
     number is computed only when that bound exceeds COND_GUARD / 2 (the
-    margin covers the bound's rounding) or is already kept.
+    margin covers the bound's rounding) or is already kept.  The Bergman
+    metric (``geometry.MetricWeight.bergman``) and the balancing iteration
+    (``maps.t_iterate``) run the same guard without this call, reading
+    tr H^{-1} from the ``zpotri`` inverse they form anyway; the iteration
+    guards its last form, which has no next inverse, by one ``ztrtri``.
     """
     L = h.factor()
-    # tr H^{-1} = ||L^{-1}||_F^2, read only while no condition number is kept
-    inverse_trace = 0.0
-    if h._cond is None:
-        inv_l = sla.lapack.ztrtri(L, lower=1)[0]
-        inverse_trace = float(np.vdot(inv_l, inv_l).real)
-    _guard_conditioning(h, inverse_trace)
+    # tr H^{-1} is read only while no condition number is kept
+    _guard_conditioning(h, 0.0 if h._cond is not None else _inverse_trace(L))
     return L
+
+
+def _inverse_of_factor(factor: np.ndarray):
+    """(H^{-1}, tr H^{-1}) for H = L L*, from one ``zpotri`` of the factor L."""
+    # zpotri writes H^{-1} into the lower half and keeps the factor's
+    # zero upper half
+    low = sla.lapack.zpotri(factor, lower=True)[0]
+    inverse = low + low.conj().T
+    np.fill_diagonal(inverse, low.diagonal().real)
+    return inverse, float(low.diagonal().real.sum())
+
+
+def _inverse_trace(factor: np.ndarray) -> float:
+    """tr H^{-1} = ||L^{-1}||_F^2 for H = L L*, from one ``ztrtri``."""
+    inv_l = sla.lapack.ztrtri(factor, lower=1)[0]
+    return float(np.vdot(inv_l, inv_l).real)
 
 
 def _guard_conditioning(h: HermitianForm, inverse_trace: float):
@@ -305,8 +326,8 @@ class HermitianCoords:
     (n^2 elements), the matrix sum_a x_a E_a of coordinates x, and the real
     matrix tr(E_a L(E_b)) of a linear map L, from its table (``of_map``)
     or, for the Hankel maps of doubled Grams, from those Grams
-    (``of_hankel``).  ``full`` returns one shared instance per n, whose
-    arrays and operators are read-only.
+    (``of_hankel``).  ``full`` returns one shared instance per n, for the
+    last ``COORDS_KEPT`` sizes, whose arrays and operators are read-only.
 
     No element is stored as a matrix.  The diagonal units e_ii come first,
     then per pair i < j a real element with 1/sqrt(2) at (i, j) and (j, i)
@@ -338,9 +359,10 @@ class HermitianCoords:
             table.setflags(write=False)
 
     @classmethod
-    @functools.lru_cache(maxsize=None)
+    @functools.lru_cache(maxsize=COORDS_KEPT)
     def full(cls, n: int) -> "HermitianCoords":
-        """The shared coordinates of the hermitian n x n matrices."""
+        """The shared coordinates of the hermitian n x n matrices, kept for
+        the ``COORDS_KEPT`` sizes last asked for."""
         return cls(n)
 
     def __len__(self) -> int:

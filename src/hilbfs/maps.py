@@ -4,16 +4,8 @@ hilb sends a metric on L^k to the scaled L^2 Gram matrix of the section
 basis; fs_metric (in ``geometry``) sends a form back to a metric.  Their
 composition has the balanced metrics as fixed points; on the reference
 test-bed that is the binomial diagonal diag(1/C(dk, j)).  ``t_iterate``
-iterates that composition: it checks its seed once, at entry, and each step
-factorises one form, the Gram that ``hilb`` returns, which is hermitian to
-the bit and kept without a symmetrising copy.  The form keeps its factor
-(``linalg.HermitianForm``), so the positive-definiteness check, the
-unit-determinant scale and the next ``fs_metric`` share it.  No step runs
-an eigensolve: the conditioning guard of ``linalg.cholesky_lower`` bounds
-cond_2 H by tr H tr H^{-1}, reading tr H^{-1} from one ``ztrtri`` of the
-factor at the positive-definiteness check and from the ``zpotri`` inverse
-of the Bergman metric, and computes the exact condition number only where
-that bound exceeds COND_GUARD / 2.
+iterates that composition on arrays, with one ``zpotri``, one synthesis, one
+analysis and one ``zpotrf`` per step and no eigensolve (its docstring).
 
 Linearised at the balanced form H_b, in H = H_b^(1/2) (I + X) H_b^(1/2) and
 divided by T(H_b)'s trace ratio, T = hilb o fs_metric has the eigenvalue
@@ -49,11 +41,19 @@ from .geometry import (
     Density,
     ManifoldModel,
     MetricWeight,
+    _bergman_weight_and_volume,
     _sized_form,
     _weight_and_volume,
-    fs_metric,
 )
-from .linalg import HermitianForm
+from .linalg import (
+    HermitianForm,
+    _as_square,
+    _cholesky,
+    _guard_conditioning,
+    _inverse_of_factor,
+    _inverse_trace,
+    cholesky_lower,
+)
 
 FIXED = "fixed"
 ANTICANONICAL = "anticanonical"
@@ -72,14 +72,26 @@ def _variant_law(variant: str):
     return _VARIANTS[variant]
 
 
-def _gram(model: ManifoldModel, weights: np.ndarray) -> HermitianForm:
+def _gram_and_factor(model: ManifoldModel, weights: np.ndarray):
+    """(G, L): G = (N/V) times the kernel's gram of the node weights, which
+    is hermitian to the bit and checked finite here, and its Cholesky
+    factor, G = L L*, whose ``zpotrf`` is G's positive-definiteness check."""
     g = model._theta_fourier().gram(weights)
     g *= model.N / model.V
-    form = HermitianForm._exact(g)
-    if not form.is_positive_definite():
+    _as_square(g)
+    try:
+        return g, _cholesky(g)
+    except DefinitenessError:
         raise DefinitenessError(
             "hilb output is not positive definite; quadrature is under-resolved"
-        )
+        ) from None
+
+
+def _gram(model: ManifoldModel, weights: np.ndarray) -> HermitianForm:
+    """``_gram_and_factor`` as a form that keeps its factor, with
+    ``cholesky_lower``'s conditioning guard."""
+    form = HermitianForm._unchecked(*_gram_and_factor(model, weights))
+    cholesky_lower(form)
     return form
 
 
@@ -160,15 +172,10 @@ class IterationTrace:
     converged: bool
 
 
-def _unit_det(h: HermitianForm) -> HermitianForm:
-    """H scaled to unit determinant, from log det H = 2 sum log L_ii."""
-    log_det = 2.0 * float(np.log(h.factor().diagonal().real).sum())
-    return h.scaled(np.exp(-log_det / h.dim))
-
-
-def _record(h: HermitianForm) -> HermitianForm:
-    """H without the factor it keeps."""
-    return HermitianForm._unchecked(h.mat)
+def _unit_scale(factor: np.ndarray) -> float:
+    """The c with det(c H) = 1 for H = L L*, from log det H = 2 sum log L_ii."""
+    log_det = 2.0 * float(np.log(factor.diagonal().real).sum())
+    return float(np.exp(-log_det / len(factor)))
 
 
 def t_iterate(
@@ -187,31 +194,51 @@ def t_iterate(
     before the distance is measured.  The trace defect
     |tr(H_r^{-1} H_{r+1}) - N| is logged at every step, H_r^{-1} read from
     the Bergman metric of H_r; convergence of the iteration itself is
-    reported, never asserted.  Each step factorises one form, hilb's Gram,
-    and that factor gives its determinant and its next Bergman metric; the
-    trace records each form without it, one matrix per step.  The exact
-    condition number, for the ``IllConditionedWarning``, is computed only
-    where tr H tr H^{-1} exceeds COND_GUARD / 2 (``cholesky_lower``).
+    reported, never asserted.
+
+    The steps run on arrays, through the helpers that ``fs_metric`` and
+    ``hilb`` of a Bergman metric call, so each check of those maps runs
+    here too.  Step r makes one ``zpotri`` of H_{r-1}'s factor, which gives
+    H_{r-1}^{-1} and the tr H_{r-1}^{-1} of H_{r-1}'s conditioning guard;
+    one three-part synthesis and the curvature volume's positivity and
+    mass audits; one analysis, ``gram``, whose Gram is hermitian to the bit
+    and kept without a symmetrising copy; and one ``zpotrf`` of that Gram,
+    its positive-definiteness check, whose factor gives the unit
+    determinant and H_r^{-1} at the next step.  The last form's guard
+    reads tr H^{-1} from one ``ztrtri`` of its factor, so every form is
+    guarded once; the exact condition number, for the
+    ``IllConditionedWarning``, is computed only where tr H tr H^{-1}
+    exceeds COND_GUARD / 2.  The trace records each form without its
+    factor, one matrix per step.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    current = _unit_det(_sized_form(model, h0))
-    steps = [IterationStep(0, _record(current), float("nan"), float("nan"))]
+    seed = _sized_form(model, h0)
+    seed = seed.scaled(_unit_scale(seed.factor()))
+    mat, factor = seed.mat, seed.factor()
+    # each record keeps no factor; the seed's keeps a condition number known
+    form = HermitianForm._unchecked(mat, cond=seed._cond)
+    steps = [IterationStep(0, form, float("nan"), float("nan"))]
     converged = False
     for r in range(1, max_iters + 1):
-        metric = fs_metric(model, current)
+        inverse, inverse_trace = _inverse_of_factor(factor)
+        _guard_conditioning(form, inverse_trace)
+        weight, vol = _bergman_weight_and_volume(model, inverse)
         try:
-            nxt = hilb(model, metric)
+            g, factor = _gram_and_factor(model, weight * vol)
         except DefinitenessError as exc:
             raise DefinitenessError(f"iteration {r}: {exc}") from exc
-        defect = abs(float(np.vdot(nxt.mat, metric.inverse).real) - model.N)
-        nxt = _unit_det(nxt)
-        dist = float(np.abs(nxt.mat - current.mat).max())
-        steps.append(IterationStep(r, _record(nxt), dist, defect))
-        current = nxt
+        defect = abs(float(np.vdot(g, inverse).real) - model.N)
+        c = _unit_scale(factor)
+        nxt, factor = c * g, np.sqrt(c) * factor
+        dist = float(np.abs(nxt - mat).max())
+        form = HermitianForm._unchecked(nxt)
+        steps.append(IterationStep(r, form, dist, defect))
+        mat = nxt
         if dist < tol:
             converged = True
             break
+    _guard_conditioning(form, _inverse_trace(factor))
     return IterationTrace(steps=steps, converged=converged)

@@ -294,25 +294,34 @@ def test_surject_fixed_newton_iterations_keep_their_counts(k):
     assert iters == counts
 
 
-def test_balance_audit_iteration_factorises_once_per_step(monkeypatch):
-    # the seed and each step's Gram are factorised once: the factor serves
-    # the positive-definiteness check, the unit-determinant scale and the
-    # next Bergman metric; two factorisations a step made 40
+def test_balance_audit_iteration_lapack_calls(monkeypatch):
+    # the seed-1 k = 4 item's 20 steps: the seed and each step's Gram are
+    # factorised once, 21 zpotrf, and each factor gives its form's unit
+    # determinant and, by one zpotri, the next Bergman metric and the
+    # tr H^-1 of the form's conditioning guard; only the last form's guard
+    # runs a ztrtri.  Two factorisations a step made 40 zpotrf, and a
+    # ztrtri per step for the guard of hilb's Gram made 20 ztrtri
     wl = workloads.WORKLOADS["balance-audit"]
     k = min(wl.ladder)
     model = hb.geometry.build_p1_model(k, **workloads.grid(k))
     h0 = wl.generate(hb, model, np.random.default_rng([1, k]), 1, defaultdict(int))[0][0]
-    zpotrf = sla.lapack.zpotrf
-    calls = [0]
+    calls = defaultdict(int)
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return zpotrf(*args, **kwargs)
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(sla.lapack, "zpotrf", counting)
+    for name in ("zpotrf", "zpotri", "ztrtri"):
+        monkeypatch.setattr(sla.lapack, name, counting(name, getattr(sla.lapack, name)))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
     trace = hb.t_iterate(model, h0, max_iters=wl.iterations, tol=0.0)
     assert len(trace.steps) == wl.iterations + 1
-    assert calls[0] <= wl.iterations + 1
+    assert calls["zpotrf"] == wl.iterations + 1
+    assert calls["zpotri"] == wl.iterations
+    assert calls["ztrtri"] <= 1
+    assert calls["eigvalsh"] == 0
 
 
 def test_balance_audit_item_runs_no_eigensolve_and_no_per_row_density(monkeypatch):

@@ -1,5 +1,7 @@
+import gc
 import json
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hilbfs import (
 from hilbfs.errors import IllConditionedWarning
 from hilbfs.geometry import build_p1_model
 from hilbfs.linalg import (
+    COORDS_KEPT,
     HermitianCoords,
     damped_newton,
     load_matrix_json,
@@ -237,6 +240,21 @@ class TestHermitianCoords:
         for table in [hc._index, hc._weight, hc._floats, hc._float_weight] + arrays:
             with pytest.raises(ValueError, match="read-only"):
                 table[...] = 0
+
+    def test_shared_instances_are_dropped_after_other_sizes(self):
+        # the k = 32 instance, whose psi operator takes 175.5 MB, stays
+        # shared while fewer than COORDS_KEPT other sizes are asked for, and
+        # no longer once more than that are
+        hc = HermitianCoords.full(33)
+        ref = weakref.ref(hc)
+        for n in range(2, 1 + COORDS_KEPT):
+            HermitianCoords.full(n)
+        assert HermitianCoords.full(33) is hc
+        del hc
+        for n in range(2, 3 + COORDS_KEPT):
+            HermitianCoords.full(n)
+        gc.collect()
+        assert ref() is None
 
 
 def _sqrt2(x):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -245,6 +246,20 @@ class TestTIterate:
         # COND_GUARD, and its first Bergman metric factorises it
         with pytest.warns(IllConditionedWarning):
             t_iterate(build_p1_model(30), binomial_diag(30), max_iters=1)
+
+    @pytest.mark.parametrize("iters, conds", [(1, ["1.056e+08"]), (2, ["1.056e+08", "1.098e+08"])])
+    def test_each_form_is_guarded_once(self, iters, conds):
+        # the seed's condition, 9.57e7, is below COND_GUARD and its two
+        # iterates' are above it: the last form is guarded too, and no form
+        # twice (guarding hilb's Gram and then its Bergman metric warned
+        # three times in two steps)
+        h0 = HermitianForm.diagonal([1.0 / math.comb(30, i) + 4e-9 for i in range(31)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            t_iterate(build_p1_model(30), h0, max_iters=iters)
+        found = [str(w.message) for w in caught if w.category is IllConditionedWarning]
+        assert len(found) == len(conds)
+        assert all(f"condition number {c} exceeds" in m for c, m in zip(conds, found))
 
     def test_trace_invariant_along_iteration(self):
         model = build_p1_model(2, radial_nodes=24, azimuthal_nodes=32)
