@@ -34,7 +34,10 @@ Geometry conventions
   sum_q s conj(s) rw w, so no caller multiplies or divides by rw; a
   quotient of degree 0 in the rows, as the curvature is, does not see it.
   Both directions run in real arithmetic and rearrange the quadrature sums
-  exactly, changing rounding only (``_ThetaFourier``).
+  exactly, changing rounding only (``_ThetaFourier``).  Callers that only
+  sum over the nodes (the injectivity audit) synthesise in blocks of whole
+  rings of at most ``NODE_BLOCK`` nodes instead, into one reused buffer
+  (``_ThetaFourier.pairing_blocks``), and form no N x Q table.
 * Products of two pairings: s_a conj(s_b) s_c conj(s_d) =
   z^(a+c) conj(z)^(b+d), so a sum over the nodes of four sections against
   a weight is one entry of the Gram of the n = 2N - 1 monomials of degree
@@ -61,6 +64,7 @@ from .errors import (
 from .linalg import HermitianForm, _as_form, _guard_conditioning, _inverse_of_factor
 
 CURVATURE_MASS_TOL = 1e-8
+NODE_BLOCK = 2048  # nodes per block of whole rings (``_ThetaFourier.pairing_blocks``)
 
 
 @dataclass
@@ -219,6 +223,30 @@ class _ThetaFourier:
         """Real node values of rw P, P = s* a s, and, with ``parts`` = 3, of
         rw Re P_z, rw Im P_z and rw P_zzbar, P_z = s* a s', for hermitian
         a (..., N, N); shape (..., 1 or 4, Q)."""
+        table, shape = self._rings(a, parts)
+        return (table @ self._trig).reshape(shape)
+
+    def pairing_blocks(self, a: np.ndarray):
+        """The rw P of ``pairings(a, parts=1)`` over blocks of whole rings of
+        at most ``NODE_BLOCK`` nodes (one ring if a ring is longer): yields
+        (nodes, values), ``nodes`` the slice of the block's nodes and
+        ``values`` of shape (..., len(nodes)).  The scatter and the radial
+        product run once, the trig product once per block, into one buffer
+        that every block reuses: no (..., Q) array is formed, and a block's
+        values are gone once the next is asked for."""
+        table = self._rings(a, 1)[0][..., 0, :, :]
+        nr, na = self._grid
+        step = min(nr, max(1, NODE_BLOCK // na))
+        out = np.empty(table.shape[:-2] + (step, na))
+        for ring in range(0, nr, step):
+            rings = min(step, nr - ring)
+            block = np.matmul(table[..., ring:ring + rings, :], self._trig, out=out[..., :rings, :])
+            yield slice(ring * na, (ring + rings) * na), block.reshape(block.shape[:-2] + (-1,))
+
+    def _rings(self, a: np.ndarray, parts: int) -> np.ndarray:
+        """The scatter and radial product of ``pairings``: the real
+        (..., rows, nr, 2n+1) table of each ring's cos/sin coefficients, and
+        the shape (..., rows, Q) of the node values."""
         lead, n = a.shape[:-2], self._n
         rows = 1 if parts == 1 else 4
         src = np.ascontiguousarray(a, dtype=complex).reshape(lead + (n * n,)).view(float)
@@ -227,7 +255,7 @@ class _ThetaFourier:
         table[..., cell1] = src[..., src1] * mult1
         table[..., cell2] += src[..., src2] * mult2
         table = self._powers @ table.reshape(lead + (rows, 2 * n - 1, 2 * n + 1))
-        return (table @ self._trig).reshape(lead + (rows, -1))
+        return table, lead + (rows, -1)
 
     def gram(self, w: np.ndarray) -> np.ndarray:
         """sum_q s_i conj(s_j) rw w (rw^2 w, doubled) for real node weights

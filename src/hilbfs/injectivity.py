@@ -15,10 +15,19 @@ k = 1; at larger k the cone bound of ``moments`` rejects the gauge rows
 before any Newton (the Hankel proof covers only the monomial frame), and
 the audit falls back to the constructive probe densities.  The
 linear-system identity holds for ANY positive row measures, which is all
-the integration step of the argument uses.  Both attempts read one N x Q
-row-ratio table rho = g / sum_j g_j of the gauge frame's squared sections,
-formed once per audit (``_lambda_for_audit``), and the row densities stay
-one (N, Q) weight array (``moments.LambdaSystem``) that ``f_matrix`` reads.
+the integration step of the argument uses.
+
+One pass: ``compare_fs`` synthesises the gauge frame's squared sections g
+over blocks of whole rings of at most ``geometry.NODE_BLOCK`` nodes
+(``moments.ratio_blocks``: the kernel's scatter and radial product once
+per audit, its trig product once per block), and each block serves at once
+the pointwise reconstruction check, the row-ratio peaks max_q rho_i,
+rho = g / sum_j g_j, that the cone bound reads, and the probe rows' unscaled
+sums sum_q rho^8 qw g^T and sum_q rho^8 qw f g^T, which become Lambda and F
+once divided by their row peaks.  So the audit forms no N x Q table.  Only
+a paper attempt that the cone bound lets run (k = 1, and rare pairs at
+k = 2) forms one: the squares table of its row Newtons, and its rows'
+(N, Q) weights, which ``f_matrix`` integrates in the same ring blocks.
 """
 
 from __future__ import annotations
@@ -32,7 +41,16 @@ import scipy.linalg as sla
 from .errors import DimensionError, MomentInfeasibleError
 from .geometry import ManifoldModel, MetricWeight, fs_metric
 from .linalg import HermitianForm, cholesky_lower, matrix_norms
-from .moments import build_lambda, section_squares
+from .moments import (
+    LAMBDA_TOL,
+    _cone_bound,
+    _probe_system,
+    _probe_weights,
+    _spike_floor,
+    build_lambda,
+    ratio_blocks,
+    square_blocks,
+)
 
 EQ4_TOL = 1e-10
 
@@ -69,30 +87,50 @@ class FsComparison:
     d_sq: np.ndarray
     gauge_rounding: float
     metrics: Tuple[MetricWeight, MetricWeight]
-    squares: np.ndarray
+    frame: np.ndarray
+    peaks: np.ndarray
+    probe_sums: np.ndarray
+    probe_f_sums: np.ndarray
     pointwise_consistency: float
 
 
 def compare_fs(model: ManifoldModel, h: HermitianForm, h2: HermitianForm) -> FsComparison:
-    """Pointwise factor f with FS(H)^k = (1+f) FS(H')^k and its supremum.
+    """Pointwise factor f with FS(H)^k = (1+f) FS(H')^k and its supremum,
+    and the audit's one pass over the gauge frame's squared sections.
 
     f is computed from the two Fubini-Study potentials; the gauge
-    eigenvalues are computed independently and the reconstruction
-    1 + f = sum_i d_i^{-2} |s''_i|^2_{FS(H)} is checked pointwise at 1e-10
-    (an internal consistency audit of the gauge, not a tolerance on f).
-    ``squares`` is the ``section_squares`` table of the gauge frame A, one
-    kernel synthesis of its rank-one forms, and ``gauge_rounding`` the
-    rounding delta that ``gauge_frame`` measured.
+    eigenvalues are computed independently.  ``frame`` is the gauge frame
+    A and ``gauge_rounding`` the rounding delta that ``gauge_frame``
+    measured.  The squares g of A's sections are synthesised in blocks of
+    whole rings of at most ``NODE_BLOCK`` nodes (``moments.ratio_blocks``)
+    and no N x Q table is formed; each block is read at once by
+      * the reconstruction 1 + f = sum_i d_i^{-2} g_i / sum_i g_i, checked
+        pointwise at 1e-10 (an internal consistency audit of the gauge,
+        not a tolerance on f), its largest deviation kept as
+        ``pointwise_consistency``;
+      * the row-ratio ``peaks`` max_q rho_i, rho = g / sum_j g_j, which the
+        cone bound of the paper rows reads;
+      * the probe rows' unscaled sums, ``probe_sums`` = sum_q w g^T and
+        ``probe_f_sums`` = sum_q w f g^T, w_i = rho_i^PROBE_POWER qw.
     """
     metrics = (fs_metric(model, h), fs_metric(model, h2))
     u1, u2 = (m.potential(model) for m in metrics)
     f = np.exp(u2 - u1) - 1.0
     node = int(np.abs(f).argmax())
     d_sq, frame, delta = gauge_frame(model, *metrics)
-    squares = section_squares(model, frame)
-    p1 = squares.sum(axis=0)
-    p2 = (1.0 / d_sq) @ squares
-    consistency = float(np.abs(p2 / p1 - (1.0 + f)).max())
+    n, qw, dinv2 = model.N, model.quad_weights, 1.0 / d_sq
+    peaks, sums, f_sums = np.zeros(n), np.zeros((n, n)), np.zeros((n, n))
+    consistency = 0.0
+    for nodes, g, total, rho in ratio_blocks(model, frame):
+        deviation = np.abs((dinv2 @ g) / total - (1.0 + f[nodes])).max()
+        # np.maximum keeps a NaN deviation, as the max over one table did
+        consistency = np.maximum(consistency, deviation)
+        np.maximum(peaks, rho.max(axis=1), out=peaks)
+        w = _probe_weights(rho, qw[nodes])
+        sums += w @ g.T
+        w *= f[nodes]
+        f_sums += w @ g.T
+    consistency = float(consistency)
     if consistency > EQ4_TOL:
         raise RuntimeError(
             f"gauge reconstruction of 1+f deviates by {consistency:.3e} (> {EQ4_TOL:g})"
@@ -104,7 +142,10 @@ def compare_fs(model: ManifoldModel, h: HermitianForm, h2: HermitianForm) -> FsC
         d_sq=d_sq,
         gauge_rounding=delta,
         metrics=metrics,
-        squares=squares,
+        frame=frame,
+        peaks=peaks,
+        probe_sums=sums,
+        probe_f_sums=f_sums,
         pointwise_consistency=consistency,
     )
 
@@ -113,24 +154,28 @@ def f_matrix(
     model: ManifoldModel,
     f: np.ndarray,
     weights: np.ndarray,
-    squares: Optional[np.ndarray] = None,
+    frame: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """F[i, j] = integral of f * |s_j|^2 * ref_weight against density i,
     (W o f) g^T for the (N, Q) node weights W of the densities, one row
     each (``LambdaSystem.weights``), read as they are.
 
-    ``squares`` is the frame's N x Q ``section_squares`` table g; ``None``
-    means the monomials.  When the densities come from ``build_lambda``
-    (row moments bounded by one) this guarantees max-norm(F) <= sup|f|.
+    g are the squares of the N x N ``frame``'s sections (``None``: the
+    monomials), synthesised in ``NODE_BLOCK`` ring blocks
+    (``moments.square_blocks``) and summed block by block, so no squares
+    table is formed.  When the densities come from ``build_lambda`` (row
+    moments bounded by one) this guarantees max-norm(F) <= sup|f|.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (model.Q,):
         raise DimensionError("f must be a node function")
-    gfun = section_squares(model) if squares is None else squares
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2 or weights.shape[1] != model.Q:
         raise DimensionError("density length mismatch")
-    return (weights * f) @ gfun.T
+    out = np.zeros((len(weights), model.N))
+    for nodes, g in square_blocks(model, frame):
+        out += (weights[:, nodes] * f[nodes]) @ g.T
+    return out
 
 
 @dataclass
@@ -167,18 +212,20 @@ class InjectivityReport:
         return out
 
 
-def _lambda_for_audit(model, squares, floor):
-    """Paper-floor rows when achievable, constructive probes otherwise.
-    Both read one row-ratio table rho = g / sum_j g_j of the frame's
-    ``squares``, formed here: the paper rows for their cone bound, the
-    probes for their weights."""
-    ratios = squares / squares.sum(axis=0)
+def _lambda_for_audit(model, comp, floor):
+    """(Lambda, F, paper status): paper-floor rows when achievable,
+    constructive probes otherwise.  The paper rows run in order, so when
+    the cone bound on the pass's ``peaks`` rejects row 0 the attempt ends
+    there, before any table is formed; otherwise ``build_lambda`` runs the
+    rows on its squares table.  The probe rows are the pass's sums, divided
+    by their row peaks."""
     try:
-        system = build_lambda(model, floor=floor, mode="paper", squares=squares, ratios=ratios)
-        return system, "achieved"
+        _cone_bound(comp.peaks, 0, _spike_floor(model, floor), LAMBDA_TOL)
+        system = build_lambda(model, floor=floor, mode="paper", frame=comp.frame)
     except MomentInfeasibleError as exc:
-        system = build_lambda(model, mode="probe", squares=squares, ratios=ratios)
-        return system, f"infeasible: {exc}"
+        system, peak = _probe_system(comp.probe_sums)
+        return system, comp.probe_f_sums / peak, f"infeasible: {exc}"
+    return system, f_matrix(model, comp.f, system.weights, frame=comp.frame), "achieved"
 
 
 def verify_injectivity(
@@ -198,13 +245,18 @@ def verify_injectivity(
     paper rows are solved to ``build_lambda``'s default tolerance.  With
     ``refine_check`` eps is measured again on ``model.refined()``, the
     doubled grid, which is built once per model and kept for later audits.
+
+    Every node integral comes from ``compare_fs``'s one pass over blocks of
+    whole rings of at most ``NODE_BLOCK`` nodes: the reconstruction check,
+    the peaks for the paper rows' cone bound, and the probe rows' Lambda
+    and F.  So the audit forms no N x Q array unless the cone bound lets the
+    paper rows run (``_lambda_for_audit``), which form the squares table.
     """
     comp = compare_fs(model, h, h2)
     n = model.N
     eps = comp.epsilon
     hypothesis_ok = bool(n**1.5 * eps <= 0.25)
-    system, paper_status = _lambda_for_audit(model, comp.squares, floor)
-    fmat = f_matrix(model, comp.f, system.weights, squares=comp.squares)
+    system, fmat, paper_status = _lambda_for_audit(model, comp, floor)
     dinv2_direct = 1.0 / comp.d_sq
     rhs = fmat @ np.ones(n)
     solved = np.linalg.solve(system.matrix, rhs)

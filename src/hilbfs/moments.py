@@ -17,7 +17,12 @@ once the full step's predicted decrease |slope| < ROUNDING_FLOOR
 real target and any family of node functions g_k, given as three functions
 (its docstring); ``solve_moments`` forms them from its N x Q table of
 squared sections, ``section_squares``, a pairing-kernel synthesis for any
-frame that overflows at no k.  ``calabi.surject_fixed_volume`` solves the
+frame that overflows at no k.  What needs only sums over the nodes reads
+the squares in one pass over blocks of whole rings of at most
+``geometry.NODE_BLOCK`` nodes (``square_blocks``, ``ratio_blocks``) and
+forms no N x Q table: the probe rows of ``build_lambda``, the row-ratio
+peaks of the cone bound below, ``injectivity.f_matrix`` and the
+injectivity audit's pass.  ``calabi.surject_fixed_volume`` solves the
 full-Gram problem, g_a = s* E_a s * ref_weight for the hermitian basis E_a
 of ``linalg.HermitianCoords``, whose targets tr(E_a G) may be negative,
 with no node table: a pairing synthesis, a Gram analysis, and for the
@@ -35,9 +40,14 @@ iterations.  For any frame a cone bound applies as well: with
 rho_i = g_i / sum_j g_j at each node, a node density whose moments meet the
 spike target of row i to within tol has row-i moment at least 1 - tol and
 at most max rho_i (1 + (N-1) floor + N tol), so ``build_lambda`` rejects
-the row when that maximum falls short of 1 - tol.  A well-conditioned row
-family remains available through the ``probe`` mode, which localises
-densities where each section dominates.
+the row when that maximum falls short of 1 - tol (``_cone_bound``, which
+the injectivity audit calls too, on the peaks of its pass).  A
+well-conditioned row family remains available through the ``probe`` mode,
+which localises densities where each section dominates: row i is the
+density rho_i^PROBE_POWER dV_ref, scaled so its largest moment is 1.  Its
+moments are summed block by block and divided by their row peaks at the
+end (``_probe_system``).  ``build_lambda`` keeps the densities' node
+weights, as one (N, Q) array; the injectivity audit keeps none.
 """
 
 from __future__ import annotations
@@ -56,6 +66,7 @@ PROBE_POWER = 8  # of rho_i in the probe densities, formed by three squarings
 ROUNDING_FLOOR = 1e-10  # relative rounding of the dual objective (see above)
 LAMBDA_BOUND = 2.0  # the paper's bound on ||Lambda|| and ||Lambda^{-1}||
 MAX_NEWTON = 100  # moment Newton iteration cap (see solve_moments, build_lambda)
+LAMBDA_TOL = 1e-9  # build_lambda's default moment tolerance, and the audit's
 
 
 @dataclass(frozen=True)
@@ -75,14 +86,52 @@ class MomentTarget:
         return self.values.size
 
 
+def _rank_one_forms(model: ManifoldModel, frame: Optional[np.ndarray]) -> np.ndarray:
+    """The rank-one forms R_j = conj(a_j) a_j^T of the rows a_j of an
+    N x N frame, (N, N, N); ``None`` means the identity."""
+    a = np.eye(model.N) if frame is None else np.asarray(frame, dtype=complex)
+    if a.shape != (model.N, model.N):
+        raise DimensionError(f"frame has shape {a.shape}, model needs {(model.N, model.N)}")
+    return a.conj()[:, :, None] * a[:, None, :]
+
+
 def section_squares(model: ManifoldModel, frame: Optional[np.ndarray] = None) -> np.ndarray:
     """The moment integrands g_j = |(A s)_j|^2 * ref_weight of an N x N
     frame A as an N x Q array; ``None`` means the identity, the monomials.
     g_j is rw s* R_j s for the rank-one form R_j = conj(a_j) a_j^T of row
     a_j, one stacked synthesis of the pairing kernel (``geometry``)."""
-    a = np.eye(model.N) if frame is None else np.asarray(frame, dtype=complex)
-    forms = a.conj()[:, :, None] * a[:, None, :]
-    return model._theta_fourier().pairings(forms, parts=1)[:, 0]
+    return model._theta_fourier().pairings(_rank_one_forms(model, frame), parts=1)[:, 0]
+
+
+def square_blocks(model: ManifoldModel, frame: Optional[np.ndarray] = None):
+    """``section_squares`` in blocks of whole rings of at most
+    ``geometry.NODE_BLOCK`` nodes: yields (nodes, g), g the (N, B) block of
+    the table on the slice ``nodes``, with no N x Q array formed.  g lives
+    in a buffer that the next block overwrites."""
+    kernel = model._theta_fourier()
+    yield from kernel.pairing_blocks(_rank_one_forms(model, frame))
+
+
+def ratio_blocks(model: ManifoldModel, frame: Optional[np.ndarray] = None):
+    """``square_blocks`` with the block's column sums sum_j g_j and its
+    row ratios rho = g / sum_j g_j: yields (nodes, g, sums, rho), rho too
+    in one buffer for all blocks, which the caller may overwrite."""
+    buffer = None
+    for nodes, g in square_blocks(model, frame):
+        if buffer is None:
+            buffer = np.empty_like(g)
+        sums = g.sum(axis=0)
+        yield nodes, g, sums, np.divide(g, sums, out=buffer[:, : g.shape[1]])
+
+
+def _probe_weights(rho: np.ndarray, qw: np.ndarray) -> np.ndarray:
+    """rho^PROBE_POWER qw, the probe densities' unscaled node weights on a
+    block, formed in place over the block's ``rho``."""
+    w = np.square(rho, out=rho)
+    w *= w
+    w *= w
+    w *= qw
+    return w
 
 
 @dataclass
@@ -216,16 +265,19 @@ class LambdaSystem:
     node weights as one (N, Q) array, row i the density of row i.  The
     weights are checked once, here (finite, nonnegative, positive mass in
     every row), and kept read-only; ``injectivity.f_matrix`` reads them as
-    they are."""
+    they are.  ``weights`` is None when the rows were summed in one pass
+    and their densities not kept (the injectivity audit's probe rows)."""
 
     matrix: np.ndarray
-    weights: np.ndarray
+    weights: Optional[np.ndarray]
     floor: Optional[float]
     mode: str
     norms: MatrixNorms
     inverse_norms: MatrixNorms
 
     def __post_init__(self):
+        if self.weights is None:
+            return
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 2 or len(w) != len(self.matrix):
             raise DimensionError(
@@ -251,112 +303,124 @@ def spike_targets(n: int, floor: float) -> np.ndarray:
     return t
 
 
-def _probe_rows(model: ManifoldModel, gfun: np.ndarray, rho: np.ndarray):
-    """Node weights w_i = rho_i^PROBE_POWER qw / max_j m_ij of the probe
-    densities as an N x Q array, and their moments m_ij / max_j m_ij,
-    m_ij = sum_q w_i g_j, as the N x N row-measure matrix."""
-    w = np.square(rho)
-    w *= w
-    w *= w
-    w *= model.quad_weights
-    moments = w @ gfun.T
-    peak = moments.max(axis=1, keepdims=True)
-    w /= peak
-    moments /= peak
-    return w, moments
+def _spike_floor(model: ManifoldModel, floor: Optional[float]) -> float:
+    """The paper rows' floor: e^{-k} by default, checked to lie in (0, 1)
+    and kept above 1e-300."""
+    f = float(np.exp(-min(model.k, 700))) if floor is None else float(floor)
+    if not 0.0 < f < 1.0:
+        raise ValueError("floor must lie in (0, 1)")
+    return max(f, 1e-300)
 
 
-def build_lambda(
-    model: ManifoldModel,
-    floor: Optional[float] = None,
-    tol: float = 1e-9,
-    mode: str = "paper",
-    squares: Optional[np.ndarray] = None,
-    max_newton: int = MAX_NEWTON,
-    ratios: Optional[np.ndarray] = None,
-) -> LambdaSystem:
-    """Row-measure matrix: row i holds the achieved squared-section moments
-    of the i-th density.  ``squares`` is the frame's N x Q
-    ``section_squares`` table; ``None`` means the monomials.  ``ratios``
-    is its row-ratio table rho = g / sum_j g_j when the caller has formed
-    it (``injectivity`` shares one between both modes); ``None`` forms it.
+def _cone_bound(peaks: np.ndarray, row: int, floor: float, tol: float):
+    """The cone bound of the module docstring on the spike target of row
+    ``row``: raises ``MomentInfeasibleError`` when the peak ratio
+    ``peaks[row]`` = max_q rho_row caps the row's moment below 1 - tol."""
+    n = peaks.size
+    reach = peaks[row] * (1.0 + (n - 1) * floor + n * tol)
+    if reach < 1.0 - tol:
+        raise MomentInfeasibleError(
+            f"row {row}: spike target (floor {floor:g}) is outside the "
+            f"moment cone of this frame: peak ratio {peaks[row]:.4f} caps "
+            f"the row's moment at {reach:.4f} < 1 - tol",
+            row=row,
+            diagnostics={"peak_ratio": float(peaks[row])},
+        )
 
-    mode "paper": each row solves the spike target (floor, ..., 1, ..., floor)
-    with 1 in the i-th place (floor defaults to e^{-k}); rows whose targets
-    are provably infeasible raise ``MomentInfeasibleError`` before their
-    Newton, with the Hankel margins (monomials only) or the peak of rho_i
-    (the cone bound of the module docstring), and a failed row Newton with
-    its ``history`` and no rounding-dependent text.  mode "probe": constructive
-    localised densities (no targets), always available, max entry
-    normalised to 1.
-    """
-    monomial_basis = squares is None
-    gfun = section_squares(model) if monomial_basis else squares
-    n = gfun.shape[0]
-    if mode not in ("probe", "paper"):
-        raise ValueError(f"unknown build_lambda mode {mode!r}")
-    if ratios is None:
-        rho = gfun / gfun.sum(axis=0)
-    elif ratios.shape == gfun.shape:
-        rho = ratios
-    else:
-        raise DimensionError(f"ratios have shape {ratios.shape}, squares {gfun.shape}")
-    if mode == "probe":
-        weights, lam = _probe_rows(model, gfun, rho)
-        floor_used = None
-    else:
-        f = float(np.exp(-min(model.k, 700))) if floor is None else float(floor)
-        if not 0.0 < f < 1.0:
-            raise ValueError("floor must lie in (0, 1)")
-        f = max(f, 1e-300)
-        targets = spike_targets(n, f)
-        peaks = rho.max(axis=1)
-        weight_rows, rows = [], []
-        for i in range(n):
-            if monomial_basis:
-                margins = hankel_margins(targets[i])
-                if min(margins.values()) <= 0.0:
-                    raise MomentInfeasibleError(
-                        f"row {i} target (floor {f:g}, spike at {i}) is outside "
-                        "the Stieltjes moment cone of the monomial basis: "
-                        f"Hankel margins {margins}; no positive density can "
-                        "achieve it (diagonal moments are log-convex)",
-                        row=i,
-                        diagnostics=margins,
-                    )
-            reach = peaks[i] * (1.0 + (n - 1) * f + n * tol)
-            if reach < 1.0 - tol:
-                raise MomentInfeasibleError(
-                    f"row {i}: spike target (floor {f:g}) is outside the "
-                    f"moment cone of this frame: peak ratio {peaks[i]:.4f} caps "
-                    f"the row's moment at {reach:.4f} < 1 - tol",
-                    row=i,
-                    diagnostics={"peak_ratio": float(peaks[i])},
-                )
-            try:
-                sol = solve_moments(
-                    model,
-                    MomentTarget(targets[i]),
-                    tol=tol,
-                    max_newton=max_newton,
-                    squares=gfun,
-                )
-            except ConvergenceError as exc:
-                raise MomentInfeasibleError(
-                    f"row {i}: moment Newton did not converge", row=i, history=exc.history
-                ) from exc
-            weight_rows.append(sol.density.weights)
-            rows.append(sol.achieved)
-        weights, lam = np.array(weight_rows), np.array(rows)
-        floor_used = f
+
+def _system(lam, weights, floor, mode, tol=LAMBDA_TOL) -> LambdaSystem:
+    """The ``LambdaSystem`` of the row-measure matrix ``lam``, whose
+    entries must not exceed 1 by more than 10 tol."""
     norms = matrix_norms(lam)
     if norms.max > 1.0 + 10 * tol:
         raise RuntimeError(f"row-measure matrix entry {norms.max:.6f} exceeds 1")
     return LambdaSystem(
         matrix=lam,
         weights=weights,
-        floor=floor_used,
+        floor=floor,
         mode=mode,
         norms=norms,
         inverse_norms=matrix_norms(np.linalg.inv(lam)),
     )
+
+
+def _probe_system(sums: np.ndarray, weights: Optional[np.ndarray] = None):
+    """The probe rows from their unscaled moments m_ij = sum_q w_i g_j,
+    w_i = rho_i^PROBE_POWER qw: each row divided by its peak max_j m_ij,
+    and so is row i of the node weights ``weights`` (in place) when they
+    are kept.  Returns the ``LambdaSystem`` and the (N, 1) peaks, which
+    scale any other sum over the same densities the same way."""
+    peak = sums.max(axis=1, keepdims=True)
+    if not (np.isfinite(peak).all() and (peak > 0.0).all()):
+        raise ValueError("probe row moments must be finite, with positive mass")
+    if weights is not None:
+        weights /= peak
+    return _system(sums / peak, weights, None, "probe"), peak
+
+
+def build_lambda(
+    model: ManifoldModel,
+    floor: Optional[float] = None,
+    tol: float = LAMBDA_TOL,
+    mode: str = "paper",
+    frame: Optional[np.ndarray] = None,
+    max_newton: int = MAX_NEWTON,
+) -> LambdaSystem:
+    """Row-measure matrix: row i holds the achieved squared-section moments
+    of the i-th density, for the squares g = ``section_squares(model,
+    frame)`` of the N x N ``frame``; ``None`` means the monomials.
+
+    mode "paper": each row solves the spike target (floor, ..., 1, ..., floor)
+    with 1 in the i-th place (floor defaults to e^{-k}); rows whose targets
+    are provably infeasible raise ``MomentInfeasibleError`` before their
+    Newton, with the Hankel margins (monomials only) or the peak of rho_i
+    (``_cone_bound``), and a failed row Newton with its ``history`` and no
+    rounding-dependent text.  This mode forms the N x Q squares table, which
+    every row Newton reads.  mode "probe": constructive localised densities
+    (no targets), always available, max entry normalised to 1, summed in one
+    pass over ``NODE_BLOCK`` ring blocks (``ratio_blocks``) with no squares
+    table; their node weights are kept, one (N, Q) array.
+    """
+    if mode not in ("probe", "paper"):
+        raise ValueError(f"unknown build_lambda mode {mode!r}")
+    n = model.N
+    if mode == "probe":
+        weights, sums = np.empty((n, model.Q)), np.zeros((n, n))
+        for nodes, g, _, rho in ratio_blocks(model, frame):
+            w = _probe_weights(rho, model.quad_weights[nodes])
+            weights[:, nodes] = w
+            sums += w @ g.T
+        return _probe_system(sums, weights)[0]
+    f = _spike_floor(model, floor)
+    gfun = section_squares(model, frame)
+    targets = spike_targets(n, f)
+    peaks = (gfun / gfun.sum(axis=0)).max(axis=1)
+    weight_rows, rows = [], []
+    for i in range(n):
+        if frame is None:
+            margins = hankel_margins(targets[i])
+            if min(margins.values()) <= 0.0:
+                raise MomentInfeasibleError(
+                    f"row {i} target (floor {f:g}, spike at {i}) is outside "
+                    "the Stieltjes moment cone of the monomial basis: "
+                    f"Hankel margins {margins}; no positive density can "
+                    "achieve it (diagonal moments are log-convex)",
+                    row=i,
+                    diagnostics=margins,
+                )
+        _cone_bound(peaks, i, f, tol)
+        try:
+            sol = solve_moments(
+                model,
+                MomentTarget(targets[i]),
+                tol=tol,
+                max_newton=max_newton,
+                squares=gfun,
+            )
+        except ConvergenceError as exc:
+            raise MomentInfeasibleError(
+                f"row {i}: moment Newton did not converge", row=i, history=exc.history
+            ) from exc
+        weight_rows.append(sol.density.weights)
+        rows.append(sol.achieved)
+    return _system(np.array(rows), np.array(weight_rows), f, "paper", tol)

@@ -9,6 +9,7 @@ from scipy.special import gammaln, lpmv
 
 from hilbfs import HermitianForm, fs_metric, hilb
 from hilbfs.linalg import HermitianCoords
+from hilbfs.moments import section_squares
 from hilbfs.pushforward import _psi_t_jacobian
 
 # the 2 x 2 identity's matrix JSON with one field that numpy cannot read as
@@ -325,3 +326,33 @@ def psi_jacobian_chain(model):
     dpsi = coords.matrix((jac @ coords.of(da).T).T)
     p_root = np.sqrt(np.sum(h)) / root
     return np.einsum("aij,bji->ab", basis, p_root[:, None] * dpsi * p_root).real
+
+
+def probe_rows(model, g, rho):
+    """Node weights w_i = rho_i^8 qw / max_j m_ij of the probe densities as
+    an N x Q table, and their moments m_ij / max_j m_ij, m_ij = sum_q w_i g_j,
+    from the full N x Q tables of the squares g and of rho = g / sum_j g_j."""
+    w = np.square(rho)
+    w *= w
+    w *= w
+    w *= model.quad_weights
+    moments = w @ g.T
+    peak = moments.max(axis=1, keepdims=True)
+    w /= peak
+    moments /= peak
+    return w, moments
+
+
+def audit_tables(model, frame, f, d_sq):
+    """The injectivity audit's node integrals from full N x Q tables: the
+    squares g of the frame's sections and rho = g / sum_j g_j, then the row
+    peaks max_q rho_i, the probe rows' Lambda and weights W (``probe_rows``),
+    F = (W o f) g^T, and the largest deviation of the reconstruction
+    sum_i d_i^{-2} g_i / sum_i g_i from 1 + f.
+    Returns (peaks, Lambda, F, deviation)."""
+    g = section_squares(model, frame)
+    total = g.sum(axis=0)
+    rho = g / total
+    w, lam = probe_rows(model, g, rho)
+    deviation = float(np.abs(((1.0 / d_sq) @ g) / total - (1.0 + f)).max())
+    return rho.max(axis=1), lam, (w * f) @ g.T, deviation

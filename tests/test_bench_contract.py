@@ -327,8 +327,8 @@ def test_balance_audit_iteration_lapack_calls(monkeypatch):
 def test_balance_audit_item_runs_no_eigensolve_and_no_per_row_density(monkeypatch):
     # the seed-1 k = 16 item: the conditioning guard of each step's Gram is
     # the certified bound tr(H) tr(H^-1), far below COND_GUARD / 2 here, not
-    # an eigvalsh; the audit keeps its 17 probe densities as one checked
-    # (N, Q) array, where it built and checked one Density per row
+    # an eigvalsh; the audit sums its 17 probe densities in one pass and
+    # keeps none, where it once built and checked one Density per row
     wl = workloads.WORKLOADS["balance-audit"]
     model = hb.geometry.build_p1_model(16, **workloads.grid(16))
     h0, h, h2 = wl.generate(hb, model, np.random.default_rng([1, 16]), 1, defaultdict(int))[0]

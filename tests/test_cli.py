@@ -128,6 +128,21 @@ def test_inject_sweep_seed_is_byte_identical(capsys):
     assert outputs[0].splitlines()[1].startswith("0,3,")
 
 
+def test_inject_sweep_withheld_verdict_leaves_pass_empty(capsys):
+    # at scale 0.05 the hypothesis N^(3/2) eps <= 1/4 fails: the verdict is
+    # withheld, not failed, although the distance is within the bound; the
+    # exit code is 2 since not every trial is verified, as for inject
+    assert main(["inject-sweep", "--k", "4", "--scale", "0.05", "--trials", "1"]) == 2
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "trial,seed,epsilon,bound,distance,pass,status"
+    cells = row.split(",")
+    assert cells[:2] == ["0", "0"]
+    assert float(cells[2]) == pytest.approx(0.03732344612137972, rel=1e-9)
+    assert float(cells[3]) == pytest.approx(1.866172306068986, rel=1e-9)
+    assert float(cells[4]) == pytest.approx(0.05, rel=1e-12)
+    assert cells[5:] == ["", "hypothesis not met"]
+
+
 GRID = ["--radial-nodes", "32", "--azimuthal-nodes", "48"]
 
 

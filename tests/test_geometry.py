@@ -15,7 +15,7 @@ from hilbfs import (
     hilb,
     reference_density,
 )
-from hilbfs.geometry import _legendre_table
+from hilbfs.geometry import NODE_BLOCK, _legendre_table
 from hilbfs.pushforward import _dpsi0_table, _psi_t_jacobian, _synthesis
 from hilbfs.linalg import (
     HermitianCoords,
@@ -210,6 +210,26 @@ class TestCurvatureVolume:
 
 def _rel(new, ref):
     return float(np.abs(new - ref).max() / np.abs(ref).max())
+
+
+class TestPairingBlocks:
+    @pytest.mark.parametrize("grid", [(40, 136), (6, 2100), (3, 8)])
+    def test_blocks_are_whole_rings_and_match_pairings(self, grid):
+        # blocks of at most NODE_BLOCK nodes, or of one ring when a ring is
+        # longer, in node order; the values are pairings' own
+        model = build_p1_model(2, *grid)
+        kernel = model._theta_fourier()
+        a = random_spd(model.N, np.random.default_rng(1), cond=10.0).mat
+        a = np.stack([a, np.linalg.inv(a)])
+        full = kernel.pairings(a, parts=1)[:, 0]
+        na, start = model.azimuthal_nodes, 0
+        for nodes, values in kernel.pairing_blocks(a):
+            size = nodes.stop - nodes.start
+            assert nodes.start == start and size % na == 0
+            assert size <= max(na, NODE_BLOCK)
+            assert _rel(values, full[..., nodes]) <= 1e-15
+            start = nodes.stop
+        assert start == model.Q
 
 
 def _real_rows(sums):

@@ -1,5 +1,6 @@
 import re
 import sys
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -15,10 +16,14 @@ from hilbfs import (
     MetricWeight,
     MomentInfeasibleError,
     build_p1_model,
+    compare_fs,
     verify_injectivity,
 )
 from hilbfs.injectivity import perturbed_pair
 from hilbfs.linalg import random_hermitian, random_spd
+from hilbfs.moments import _probe_system
+
+from _oracles import audit_tables
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -32,6 +37,54 @@ def _audit_pair(k, seed=1, item=0):
     rng = np.random.default_rng([seed, k])
     _, h, h2 = wl.generate(hilbfs, model, rng, item + 1, defaultdict(int))[item]
     return model, h, h2
+
+
+def _rel(new, ref):
+    return float(np.abs(new - ref).max() / np.abs(ref).max())
+
+
+# the balance-audit pairs of seeds 1-3, at the ladder's sizes and k = 2
+PASS_PAIRS = [(k, seed) for k in (2, 4, 8, 16) for seed in (1, 2, 3)]
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("k, seed", PASS_PAIRS)
+    def test_pass_matches_the_full_tables(self, k, seed):
+        # compare_fs sums over ring blocks what the audit once read from
+        # N x Q tables: the reconstruction's deviation, the row-ratio peaks
+        # and the probe rows' Lambda and F
+        model, h, h2 = _audit_pair(k, seed)
+        comp = compare_fs(model, h, h2)
+        peaks, lam, fmat, deviation = audit_tables(model, comp.frame, comp.f, comp.d_sq)
+        system, peak = _probe_system(comp.probe_sums)
+        assert _rel(comp.peaks, peaks) <= 1e-13
+        assert _rel(system.matrix, lam) <= 1e-13
+        assert _rel(comp.probe_f_sums / peak, fmat) <= 1e-13
+        assert abs(comp.pointwise_consistency - deviation) <= 1e-13 * deviation
+
+    @pytest.mark.parametrize("k, seed", PASS_PAIRS)
+    def test_f_matrix_is_bounded_by_sup_f(self, k, seed):
+        # |F_ij| <= sup|f| Lambda_ij, and no row moment exceeds 1
+        model, h, h2 = _audit_pair(k, seed)
+        report = verify_injectivity(model, h, h2, refine_check=False)
+        assert report.chain["F_max"] <= report.epsilon
+
+    def test_audit_forms_no_node_table(self):
+        # an N x Q table of doubles is 8NQ bytes; the audit's one pass holds
+        # a ring block's squares and ratios, not the tables
+        model, h, h2 = _audit_pair(16)
+        verify_injectivity(model, h, h2, refine_check=False)  # builds the kernel
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            verify_injectivity(model, h, h2, refine_check=False)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 2 * 8 * model.N * model.Q
 
 
 class TestEqualForms:

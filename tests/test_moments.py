@@ -29,8 +29,14 @@ from hilbfs.moments import (
     spike_targets,
 )
 
+from _oracles import probe_rows
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
+
+
+def _rel(new, ref):
+    return float(np.abs(new - ref).max() / np.abs(ref).max())
 
 
 class TestSolveMoments:
@@ -247,24 +253,36 @@ class TestBuildLambda:
             LambdaSystem(**{**fields, "weights": system.weights[:2]})
 
     @pytest.mark.parametrize("mode", ["probe", "paper"])
-    def test_shared_ratios_give_the_same_system(self, mode):
-        # k = 1 keeps the paper rows feasible
-        model = build_p1_model(1 if mode == "paper" else 4)
-        g = section_squares(model)
-        own = build_lambda(model, mode=mode, squares=g)
-        shared = build_lambda(model, mode=mode, squares=g, ratios=g / g.sum(axis=0))
-        assert np.array_equal(own.matrix, shared.matrix)
-        assert np.array_equal(own.weights, shared.weights)
+    def test_frame_rows_match_the_squares_table(self, mode):
+        # the probe rows are summed over ring blocks of the frame's squares
+        # (three here, the last one short), the full-table formula is the
+        # reference.  The paper rows (k = 1 keeps them feasible) of the
+        # identity frame are the monomials'
+        if mode == "probe":
+            model = build_p1_model(4, radial_nodes=40, azimuthal_nodes=136)
+        else:
+            model = build_p1_model(1)
+        n = model.N
+        if mode == "probe":
+            a = np.linalg.inv(np.linalg.cholesky(random_spd(n, np.random.default_rng(0), 10.0).mat))
+            g = section_squares(model, a)
+            weights, lam = probe_rows(model, g, g / g.sum(axis=0))
+            system = build_lambda(model, mode="probe", frame=a)
+            assert _rel(system.matrix, lam) <= 1e-13
+            assert _rel(system.weights, weights) <= 1e-13
+        else:
+            system = build_lambda(model, frame=np.eye(n))
+            monomial = build_lambda(model)
+            assert np.array_equal(system.matrix, monomial.matrix)
+            assert np.array_equal(system.weights, monomial.weights)
         with pytest.raises(DimensionError):
-            build_lambda(model, mode=mode, squares=g, ratios=g[:, 1:])
+            build_lambda(model, mode=mode, frame=np.eye(n + 1))
 
     def test_probe_mode_gauge_sections(self):
         model = build_p1_model(4, radial_nodes=32, azimuthal_nodes=48)
         rng = np.random.default_rng(0)
         a = np.linalg.inv(np.linalg.cholesky(random_spd(5, rng, cond=10.0).mat))
-        system = build_lambda(
-            model, mode="probe", squares=section_squares(model, a)
-        )
+        system = build_lambda(model, mode="probe", frame=a)
         assert system.matrix.shape == (5, 5)
         assert system.norms.max <= 1.0 + 1e-12
 
