@@ -25,9 +25,12 @@ The surjectivity pipelines realise a target Gram matrix G as the output of
 a Hilbert map and always recompute the forward map; no internal quantity is
 trusted without it.  ``surject_full`` ends at the closed-form Bergman
 metric of the B that ``solve_psi`` returns, ``surject_fixed_volume`` at
-the solved weight of a full-Gram moment problem.  Each checks its target
-once, by ``pushforward._checked_target``, and calls a realisation achieved
-when its forward residual is at most ``SURJECT_TOL``.  ``solve_ma`` is
+the solved weight of a full-Gram moment problem, whose Newton reads and
+writes the pairing kernels' own cells (``_full_gram_family``): no
+coordinate matrix, no Gram and no sparse operator per step, so
+``linalg.HermitianCoords.of_hankel`` serves psi only.  Each checks its
+target once, by ``pushforward._checked_target``, and calls a realisation
+achieved when its forward residual is at most ``SURJECT_TOL``.  ``solve_ma`` is
 the Monge-Ampere solver for grid data; neither pipeline calls it.  It
 stays, with ``MAProblem``, ``MASolution`` and ``SphericalOperator.spectral``,
 because ``perfbench/tracing.py`` wraps it and reports its time and Newton
@@ -37,8 +40,9 @@ then MA) would call it again.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -53,11 +57,19 @@ from .geometry import (
     Density,
     ManifoldModel,
     MetricWeight,
+    _cell_index,
     _weight_and_volume,
     fs_metric,
     reference_density,
 )
-from .linalg import COND_GUARD, HermitianCoords, HermitianForm, _as_form, damped_newton
+from .linalg import (
+    COND_GUARD,
+    COORDS_KEPT,
+    HermitianCoords,
+    HermitianForm,
+    _as_form,
+    damped_newton,
+)
 from .maps import FIXED, _gram, exponent_for_variant, hilb_nu, variant_density
 from .moments import MAX_NEWTON, _max_entropy_newton
 from .pushforward import _checked_target, solve_psi
@@ -224,32 +236,89 @@ def _report(mode, forward, g_form, margin, stage_logs) -> SurjectivityReport:
     )
 
 
+class _FullGramCells(NamedTuple):
+    """``_full_gram_cells``' read-only tables for the n x n hermitian basis."""
+
+    cell: np.ndarray  # (n^2,) each element's cell in the plain kernel's table
+    sigma: np.ndarray  # (n^2,) its scale
+    jac_cells: np.ndarray  # (2, n^2, n^2) the |Delta| and Sigma cells of J
+    jac_weights: np.ndarray  # (2, n^2, n^2) their coefficients
+
+
+@functools.lru_cache(maxsize=COORDS_KEPT)
+def _full_gram_cells(n: int) -> _FullGramCells:
+    """The kernel cells of the full-Gram moment family g_a = s* E_a s * rw
+    for the elements E_a of ``HermitianCoords.full(n)``, read from its slot
+    tables; built once per n and kept, read-only, for the last
+    ``COORDS_KEPT`` sizes.
+
+    A slot (i, j) with value v gives v conj(z^i) z^j, whose real part
+    r^d (Re v cos m theta - Im v sgn(j - i) sin m theta), d = i + j and
+    m = |j - i|, is the same for both slots of an element (conjugate
+    partners, or a zero second value).  So g_a = sigma_a r^d_a cos or
+    sin(m_a theta) rw, sigma_a the slots' sum of Re v, or of
+    -Im v sgn(j - i): 1 for e_ii, sqrt(2) cos for the real element of
+    i < j and -sqrt(2) sin for the imaginary one.  The Jacobian cells follow
+    from 2 cos cos = cos Delta + cos Sigma, 2 sin sin = cos Delta - cos Sigma
+    and 2 cos_a sin_b = sin Sigma - sin Delta, Delta = m_a - m_b and
+    Sigma = m_a + m_b, at D = d_a + d_b in the doubled kernel (weight rw^2);
+    sin Delta = sgn(Delta) sin |Delta| vanishes at Delta = 0, where its
+    coefficient is 0.  Entry (b, a) reads the cells of (a, b) with the same
+    coefficients."""
+    coords = HermitianCoords.full(n)
+    row, col = np.divmod(coords._index.reshape(2, -1), n)
+    value = coords._weight.reshape(2, -1).conj()
+    power, mode = row[0] + col[0], np.abs(col[0] - row[0])
+    cos = value.real.sum(axis=0)
+    sine = (cos == 0).astype(int)
+    sigma = np.where(sine, -(value.imag * np.sign(col - row)).sum(axis=0), cos)
+    cell = _cell_index(n, power, mode, sine)
+    d = power[:, None] + power
+    delta, total = mode[:, None] - mode, mode[:, None] + mode
+    sa, sb = sine[:, None], sine
+    mixed = sa ^ sb
+    half = 0.5 * sigma[:, None] * sigma
+    delta_coef = np.where(mixed, (sa - sb) * np.sign(delta), 1)
+    jac_cells = np.stack([_cell_index(2 * n - 1, d, delta, mixed),
+                          _cell_index(2 * n - 1, d, total, mixed)])
+    jac_weights = np.stack([half * delta_coef, half * (1 - 2 * (sa & sb))])
+    tables = _FullGramCells(cell, sigma, jac_cells, jac_weights)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def _full_gram_family(model: ManifoldModel, coords: HermitianCoords):
     """Potential, moments and Jacobian (see ``moments._max_entropy_newton``)
     of the family g_a = s* E_a s * ref_weight, E_a the elements of the full
-    ``coords``.
+    ``coords``, read and written in the pairing kernels' cells
+    (``_full_gram_cells``): g_a = sigma_a r^d_a cos or sin(m_a theta) rw.
 
-    The kernels carry ref_weight (see ``geometry``): u = sum_a c_a g_a is
-    the pairing synthesis of ``coords.matrix(c)`` = sum_a c_a E_a, and the
-    moments tr(E_a gram(ew)) are the coordinates of one analysis.  Since
-    g_a = sum E_a[i, j] conj(s_i) s_j and
-    conj(s_i) s_j conj(s_k) s_l = z^(j+l) conj(z)^(i+k), the Jacobian is
-        sum_q g_a g_b ew = sum conj(E_a[i, j]) E_b[k, l] G2[i + l, j + k]
-    (E_a hermitian), G2 the doubled kernel's gram of ew, which carries
-    ref_weight^2: ``coords.of_hankel`` of G2, one sparse product into
-    coordinates, symmetric to the bit as G2 is hermitian to the bit.  It
-    returns J^T, J in Fortran order, which ``posv`` factors in place.
+    u = sum_a c_a g_a is the plain kernel's ``synthesis`` of the cell table
+    holding sigma_a c_a in a's cell, and the moments sum_q g_a ew are
+    sigma_a times a's cell of the ``analysis`` of ew.  The Jacobian
+    sum_q g_a g_b ew is two gathers from the doubled kernel's analysis of
+    ew, whose weight is rw^2:
+        J_ab = (sigma_a sigma_b / 2) (X[D, |Delta|] +- X[D, Sigma]).
+    J is symmetric to the bit, (b, a) reading the cells of (a, b) with the
+    same coefficients, and is returned in Fortran order, which ``posv``
+    factors in place.
     """
     kernel, doubled = model._theta_fourier(), model._theta_fourier(doubled=True)
+    n, tables = coords.n, _full_gram_cells(coords.n)
 
     def potential(c):
-        return kernel.pairings(coords.matrix(c), parts=1)[0]
+        cells = np.zeros((2 * n - 1, 2 * n + 1))
+        cells.reshape(-1)[tables.cell] = tables.sigma * c
+        return kernel.synthesis(cells)
 
     def moments(ew):
-        return coords.of(kernel.gram(ew))
+        return tables.sigma * kernel.analysis(ew).reshape(-1)[tables.cell]
 
     def jacobian(ew):
-        return coords.of_hankel(doubled.gram(ew)).T
+        terms = doubled.analysis(ew).reshape(-1)[tables.jac_cells]
+        terms *= tables.jac_weights
+        return np.add(terms[0], terms[1], out=terms[0]).T
 
     return potential, moments, jacobian
 
@@ -285,14 +354,13 @@ def surject_fixed_volume(
     scale = model.N / model.V
     target_scaled = g_form.mat / scale
     coords = HermitianCoords.full(model.N)
-    _, u, history = _max_entropy_newton(
+    _, u, ew, history = _max_entropy_newton(
         *_full_gram_family(model, coords),
         base_nu.weights,
         coords.of(target_scaled),
         MOMENT_TOL / scale,
         MAX_NEWTON,
     )
-    ew = np.exp(u) * base_nu.weights
     gram = model._theta_fourier().gram(ew)
     stage_logs = [
         {

@@ -34,7 +34,11 @@ Geometry conventions
   sum_q s conj(s) rw w, so no caller multiplies or divides by rw; a
   quotient of degree 0 in the rows, as the curvature is, does not see it.
   Both directions run in real arithmetic and rearrange the quadrature sums
-  exactly, changing rounding only (``_ThetaFourier``).  Callers that only
+  exactly, changing rounding only (``_ThetaFourier``).  Each is one
+  implementation on a real (power, cos/sin mode) cell table laid out by
+  ``_cell_index``: ``analysis`` takes node weights to their cells, which
+  ``gram`` gathers from, and ``synthesis`` a cell table to node values,
+  which ``pairings`` runs after scattering a's entries.  Callers that only
   sum over the nodes (the injectivity audit) synthesise in blocks of whole
   rings of at most ``NODE_BLOCK`` nodes instead, into one reused buffer
   (``_ThetaFourier.pairing_blocks``), and form no N x Q table.
@@ -42,10 +46,14 @@ Geometry conventions
   z^(a+c) conj(z)^(b+d), so a sum over the nodes of four sections against
   a weight is one entry of the Gram of the n = 2N - 1 monomials of degree
   <= 2N - 2.  The doubled kernel (``_theta_fourier(doubled=True)``) is that
-  Gram's analysis, and its weight (1 - t)^(n-1) is rw^2.  Both Jacobians
-  read such Grams straight into coordinates through one sparse operator
-  (``linalg.HermitianCoords.of_hankel``): the full-Gram moment Newton's
-  (``calabi``) one Gram, psi's (``pushforward``) three.
+  Gram's analysis, and its weight (1 - t)^(n-1) is rw^2.  psi's Jacobian
+  (``pushforward``) reads three such weighted Grams into coordinates
+  through one sparse operator (``linalg.HermitianCoords.of_hankel``).  The
+  full-Gram moment Newton (``calabi._full_gram_family``) forms no Gram:
+  each of its functions is one cell, sigma r^d cos or sin(m theta) rw, and
+  by 2 cos cos = cos(m - m') + cos(m + m') and its like a product of two
+  is two cells of the doubled kernel, so its Jacobian is two gathers from
+  the doubled kernel's ``analysis``.
 """
 
 from __future__ import annotations
@@ -215,16 +223,17 @@ class _ThetaFourier:
         self._trig = np.vstack([np.cos(m), np.sin(m[1:])])
         self._scatter = {1: _scatter_tables(n, 1), 3: _scatter_tables(n, 3)}
         i, j = np.indices((n, n)).reshape(2, -1)
-        cell = (i + j) * (2 * n + 1) + np.abs(i - j)
-        self._gram_cells = cell.reshape(n, n), (cell + n).reshape(n, n)
+        self._gram_cells = tuple(
+            _cell_index(n, i + j, i - j, sine).reshape(n, n) for sine in (0, 1)
+        )
         self._gram_sign = np.sign(i - j).reshape(n, n)
 
     def pairings(self, a: np.ndarray, parts: int = 3) -> np.ndarray:
         """Real node values of rw P, P = s* a s, and, with ``parts`` = 3, of
         rw Re P_z, rw Im P_z and rw P_zzbar, P_z = s* a s', for hermitian
-        a (..., N, N); shape (..., 1 or 4, Q)."""
-        table, shape = self._rings(a, parts)
-        return (table @ self._trig).reshape(shape)
+        a (..., N, N); shape (..., 1 or 4, Q): the ``synthesis`` of the
+        scatter of a's entries into cells."""
+        return self.synthesis(self._cells(a, parts))
 
     def pairing_blocks(self, a: np.ndarray):
         """The rw P of ``pairings(a, parts=1)`` over blocks of whole rings of
@@ -234,7 +243,7 @@ class _ThetaFourier:
         product run once, the trig product once per block, into one buffer
         that every block reuses: no (..., Q) array is formed, and a block's
         values are gone once the next is asked for."""
-        table = self._rings(a, 1)[0][..., 0, :, :]
+        table = self._powers @ self._cells(a, 1)[..., 0, :, :]
         nr, na = self._grid
         step = min(nr, max(1, NODE_BLOCK // na))
         out = np.empty(table.shape[:-2] + (step, na))
@@ -243,10 +252,9 @@ class _ThetaFourier:
             block = np.matmul(table[..., ring:ring + rings, :], self._trig, out=out[..., :rings, :])
             yield slice(ring * na, (ring + rings) * na), block.reshape(block.shape[:-2] + (-1,))
 
-    def _rings(self, a: np.ndarray, parts: int) -> np.ndarray:
-        """The scatter and radial product of ``pairings``: the real
-        (..., rows, nr, 2n+1) table of each ring's cos/sin coefficients, and
-        the shape (..., rows, Q) of the node values."""
+    def _cells(self, a: np.ndarray, parts: int) -> np.ndarray:
+        """The scatter of ``pairings``: the real (..., rows, 2n-1, 2n+1) cell
+        table of the hermitian a (..., n, n)."""
         lead, n = a.shape[:-2], self._n
         rows = 1 if parts == 1 else 4
         src = np.ascontiguousarray(a, dtype=complex).reshape(lead + (n * n,)).view(float)
@@ -254,22 +262,43 @@ class _ThetaFourier:
         (src1, mult1, cell1), (src2, mult2, cell2) = self._scatter[parts]
         table[..., cell1] = src[..., src1] * mult1
         table[..., cell2] += src[..., src2] * mult2
-        table = self._powers @ table.reshape(lead + (rows, 2 * n - 1, 2 * n + 1))
-        return table, lead + (rows, -1)
+        return table.reshape(lead + (rows, 2 * n - 1, 2 * n + 1))
+
+    def synthesis(self, cells: np.ndarray) -> np.ndarray:
+        """Node values sum_(d, m) cells[d, m] r^d (1 - t)^(n-1) (cos or sin
+        m theta) of a real cell table (..., 2n-1, 2n+1) laid out as
+        ``_cell_index`` says, shape (..., Q): the radial product, then the
+        trig product."""
+        return ((self._powers @ cells) @ self._trig).reshape(cells.shape[:-2] + (-1,))
+
+    def analysis(self, w: np.ndarray) -> np.ndarray:
+        """The transpose of ``synthesis``: the real cells
+        sum_q r^d (1 - t)^(n-1) (cos or sin m theta) w of node weights
+        w (..., Q), shape (..., 2n-1, 2n+1) as ``_cell_index`` lays them
+        out; the trig product, then the radial one."""
+        spec = w.reshape(w.shape[:-1] + self._grid) @ self._trig.T
+        return self._powers.T @ spec
 
     def gram(self, w: np.ndarray) -> np.ndarray:
         """sum_q s_i conj(s_j) rw w (rw^2 w, doubled) for real node weights
         w (..., Q); hermitian to the bit: G_ij = C[i+j, |i-j|] + i sgn(i-j)
-        S[i+j, |i-j|] for the cos and sin cells C, S of w."""
+        S[i+j, |i-j|] for the cos and sin cells C, S of w's ``analysis``."""
         if np.iscomplexobj(w):
             raise TypeError("gram takes real node weights")
         lead, (cos_cell, sin_cell) = w.shape[:-1], self._gram_cells
-        spec = w.reshape(lead + self._grid) @ self._trig.T
-        cells = (self._powers.T @ spec).reshape(lead + (-1,))
+        cells = self.analysis(w).reshape(lead + (-1,))
         g = np.empty(lead + (self._n, self._n), complex)
         g.real = cells[..., cos_cell]
         g.imag = cells[..., sin_cell] * self._gram_sign
         return g
+
+
+def _cell_index(n: int, power, mode, sine):
+    """The flat index, in the (2n-1, 2n+1) cell table of a kernel of n
+    monomials, of the cell of r^power cos(|mode| theta) (``sine`` 0) or
+    r^power sin(|mode| theta) (``sine`` 1): cos m in column m <= n, sin m in
+    column n + m, 1 <= m <= n, so a sine of mode 0 names no sin cell."""
+    return power * (2 * n + 1) + np.abs(mode) + n * np.asarray(sine)
 
 
 def _scatter_tables(n: int, parts: int):
@@ -287,7 +316,7 @@ def _scatter_tables(n: int, parts: int):
     src, mult, cell, neg = [], [], [], []
     for row, (part, imag) in enumerate(rows):
         coef, power, mode = terms[part]
-        cos = (row * (2 * n - 1) + power) * (2 * n + 1) + np.abs(mode)
+        cos = row * (2 * n - 1) * (2 * n + 1) + _cell_index(n, power, mode, 0)
         # cos|m| takes the same part of a, sin|m| the other one, signed
         src += [2 * pair + imag, 2 * pair + 1 - imag]
         mult += [coef, (2 * imag - 1) * np.sign(mode) * coef]

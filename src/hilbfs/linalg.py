@@ -10,13 +10,16 @@ A[i, j] s_j transforms G into A @ G @ A*.  The real coordinates of a
 hermitian M in an orthonormal real basis E_a of all hermitian matrices
 (tr(E_a E_b) = delta_ab) are x_a = tr(E_a M), and M = sum_a x_a E_a; both
 surjectivity Newtons read and write hermitian matrices in these
-coordinates, and read their Jacobians as tr(E_a L(E_b)) for a linear map
-L.  Both maps are node sums of four sections, read from doubled-degree
-Grams, so both Jacobians are one product of a sparse operator with the
-Grams' floats (``HermitianCoords.of_hankel``): one Gram for the full-Gram
-moment Newton, three for psi.  psi is scale-invariant with unit-trace
-values, and its Newton borders its Jacobian with the trace direction
-instead of changing coordinates (``pushforward._newton_at_t``).
+coordinates.  psi reads its Jacobian as tr(E_a L(E_b)) for a linear map L,
+a node sum of four sections read from three weighted doubled-degree Grams
+by one product of a sparse operator with the Grams' floats
+(``HermitianCoords.of_hankel``).  The full-Gram moment Newton needs no
+operator: each of its functions s* E_a s * ref_weight is one cell of the
+pairing kernel, read from this basis's slot tables
+(``calabi._full_gram_cells``), and its Jacobian two gathers from the
+doubled kernel's cells.  psi is scale-invariant with unit-trace values, and its
+Newton borders its Jacobian with the trace direction instead of changing
+coordinates (``pushforward._newton_at_t``).
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ from .errors import (
 HERMITICITY_TOL = 1e-12
 COND_GUARD = 1e8
 # sizes n whose ``HermitianCoords.full`` instance, with the operators built on
-# it, stays shared: enough for the three sizes of a benchmark ladder, while
-# the k = 32 psi operator (175.5 MB) does not outlive the next few sizes
+# it, and whose full-Gram cell tables (``calabi._full_gram_cells``) stay
+# shared: enough for the three sizes of a benchmark ladder, while the k = 32
+# psi operator (175.5 MB) does not outlive the next few sizes
 COORDS_KEPT = 4
 
 

@@ -25,10 +25,13 @@ peaks of the cone bound below, ``injectivity.f_matrix`` and the
 injectivity audit's pass.  ``calabi.surject_fixed_volume`` solves the
 full-Gram problem, g_a = s* E_a s * ref_weight for the hermitian basis E_a
 of ``linalg.HermitianCoords``, whose targets tr(E_a G) may be negative,
-with no node table: a pairing synthesis, a Gram analysis, and for the
-Jacobian ``of_hankel``, one sparse product with the doubled-degree Gram
-(see ``geometry``), which hands ``posv`` a symmetric J in Fortran order to
-factor in place.
+with no node table and no Gram: each g_a is one cell of the pairing
+kernels (see ``geometry``), so the potential is one synthesis of a cell
+table, the moments one gather from an analysis, and the Jacobian two
+gathers from the doubled kernel's analysis, which hand ``posv`` a
+symmetric J in Fortran order to factor in place.  The Newton returns its
+last point's node weights with its coefficients, so no caller forms
+e^u * weights again.
 
 Feasibility caveat: with the monomial basis the diagonal moments are
 moments of a positive measure on [0, infinity) in x = |z|^2, hence
@@ -184,8 +187,9 @@ def _max_entropy_newton(
     degenerate) and accepting by the Armijo test on the convex dual objective
     sum(e^u * weights) - <c, target>, or by the gradient-norm test of the
     module docstring once that is below rounding.  The target may have
-    entries of either sign.  Returns (c, u, history), history holding the
-    max-norm residual of every iterate.
+    entries of either sign.  Returns (c, u, ew, history): the last point's
+    potential and node weights ew = e^u * weights, and the max-norm
+    residual of every iterate.
     """
 
     def evaluate(c):
@@ -212,11 +216,11 @@ def _max_entropy_newton(
         below_rounding = abs(slope) < ROUNDING_FLOOR * abs(old[2])
         return below_rounding and np.linalg.norm(new[1]) < np.linalg.norm(old[1])
 
-    (coef, _, _, _, u), history = damped_newton(
+    (coef, _, _, ew, u), history = damped_newton(
         evaluate, direction, accept, evaluate(np.zeros(target.size)),
         tol, max_newton, 60, "moment Newton",
     )
-    return coef, u, history
+    return coef, u, ew, history
 
 
 def solve_moments(
@@ -239,7 +243,7 @@ def solve_moments(
             f"target has {target.dim} entries, basis has {gfun.shape[0]}"
         )
     qw = model.quad_weights
-    coef, u, history = _max_entropy_newton(
+    coef, u, ew, history = _max_entropy_newton(
         lambda c: c @ gfun,
         lambda ew: gfun @ ew,
         lambda ew: (gfun * ew) @ gfun.T,
@@ -248,7 +252,6 @@ def solve_moments(
         tol,
         max_newton,
     )
-    ew = np.exp(u) * qw
     return MomentSolution(
         density=Density(ew),
         achieved=gfun @ ew,

@@ -99,12 +99,15 @@ AUDITS = {
 
 # the full-Gram moment Newton's iterations on the seed-1 surject-fixed items
 # of each size, drawn as the benchmark draws them (three rounds at k = 4 and
-# 12, ten items at k = 8): a change to how the Newton's Jacobian is
-# assembled should leave its path where it was
+# 12, ten items at k = 8), and on the first two items at k = 20 and 24, the
+# top of the fixed pipeline's reach: a change to how the Newton's Jacobian
+# is assembled should leave its path, and its reach, where they were
 FIXED_NEWTON_ITERS = {
     4: [5, 5, 5],
     8: [5, 5, 5, 5, 5, 5, 5, 6, 5, 5],
     12: [6, 5, 5],
+    20: [5, 5],
+    24: [5, 6],
 }
 
 

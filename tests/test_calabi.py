@@ -1,6 +1,8 @@
+import gc
 import math
 import sys
 import tracemalloc
+import weakref
 from collections import defaultdict
 from pathlib import Path
 
@@ -29,13 +31,13 @@ from hilbfs import (
     surject_fixed_volume,
     surject_full,
 )
-from hilbfs.calabi import _full_gram_family
+from hilbfs.calabi import _full_gram_cells, _full_gram_family
 from hilbfs.errors import (
     ConvergenceError,
     HermitianDefectError,
     VariantError,
 )
-from hilbfs.linalg import HermitianCoords, random_spd
+from hilbfs.linalg import COORDS_KEPT, HermitianCoords, random_spd
 from hilbfs.moments import _max_entropy_newton
 from hilbfs.pushforward import solve_psi
 
@@ -249,7 +251,7 @@ class TestFullGramFamily:
     """The table-free full-Gram moment family against the N^2 x Q table of
     its node functions."""
 
-    @pytest.mark.parametrize("k,d", [(2, 1), (4, 1), (8, 1), (12, 1), (16, 1), (3, 2)])
+    @pytest.mark.parametrize("k,d", [(2, 1), (4, 1), (8, 1), (12, 1), (16, 1), (3, 2), (6, 2)])
     def test_matches_pair_product_table(self, k, d):
         model = build_p1_model(k, line_degree=d)
         family = _full_gram_family(model, HermitianCoords.full(model.N))
@@ -295,6 +297,25 @@ class TestFullGramFamily:
         for g, nu in items:
             surject_fixed_volume(model, g, nu=nu)
         assert len(seen) >= 4 * count and all(seen)
+
+    def test_cell_tables_are_shared_read_only_and_dropped(self):
+        # the tables of one size are built once and shared while fewer than
+        # COORDS_KEPT other sizes are asked for, and dropped once more are
+        tables = _full_gram_cells(9)
+        assert _full_gram_cells(9) is tables
+        assert len(tables.cell) == 81 and tables.jac_cells.shape == (2, 81, 81)
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0
+        ref = weakref.ref(tables.jac_weights)
+        for n in range(2, 1 + COORDS_KEPT):
+            _full_gram_cells(n)
+        assert _full_gram_cells(9) is tables
+        del tables, table
+        for n in range(2, 3 + COORDS_KEPT):
+            _full_gram_cells(n)
+        gc.collect()
+        assert ref() is None
 
     def test_no_node_table_is_held(self):
         # one N^2 x Q table of floats alone would take 8 N^2 Q bytes
