@@ -416,8 +416,8 @@ def surject_full(model: ManifoldModel, target):
         scale = np.trace(g_form.mat).real / hilb_trace
         metric = fs_metric(model, HermitianForm(scale * np.linalg.inv(ctrace.a)))
         # one synthesis and its audits give both hilb and the curvature
-        weight, volume = _weight_and_volume(model, metric)
-        forward = _gram(model, weight * volume)
+        weights, volume = _weight_and_volume(model, metric)
+        forward = _gram(model, weights)
         density = volume / model.quad_weights
     except _STAGE_ERRORS as exc:
         raise StageError("forward-check", exc) from exc

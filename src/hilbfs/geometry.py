@@ -17,10 +17,13 @@ Geometry conventions
   rw(z) = (1+|z|^2)^(-dk) is the reference weight on the trivialising frame.
 * Bergman metrics: fs_metric(H) has u = log(rw P) with P = s* H^{-1} s, so
   its weight is rw * exp(-u) = 1/P, and its curvature density is that of
-  log P divided by k.  One synthesis of rw P therefore gives both factors of
+  log P divided by k.  One synthesis of rw P, ``_bergman_synthesis``,
+  therefore gives both factors of
   hilb(fs_metric(H)) = (N/V) sum_q s s* rw dens / (k rw P) qw, which is
-  (N / kV) M for the M = gram(mu_B / rw) of psi's synthesis of A = H^{-1}
-  (``pushforward._synthesis``): dens over P is mu_B.
+  (N / kV) M for the M = gram(mu_B / rw) that psi normalises at
+  A = H^{-1}: dens over P is mu_B.  That helper is the one place where the
+  curvature numerator and the factor 1/P^3 are formed; hilb, t_iterate,
+  psi and psi's Jacobian all read it.
 * Section pairings: for n monomials z^i, i < n, sum_ij A_ij conj(z^i) z^j =
   sum_ij A_ij r^(i+j) e^{i(j-i) theta} holds at most 2n - 1 powers of r and
   2n - 1 modes in the equispaced theta.  One kernel, ``_ThetaFourier``
@@ -519,36 +522,27 @@ def fs_metric(model: ManifoldModel, h) -> MetricWeight:
     return MetricWeight.bergman(_sized_form(model, h))
 
 
-def _curvature_numerator(p, pz_re, pz_im, pzz) -> np.ndarray:
-    """P P_zzbar - (Re P_z)^2 - (Im P_z)^2 at the nodes, from the four real
-    rows of a three-part ``_ThetaFourier.pairings`` (which give rw^2 times
-    it): four real products per node, with no complex array formed."""
-    num = p * pzz
-    num -= np.square(pz_re)
-    num -= np.square(pz_im)
-    return num
-
-
-def _curvature_density(model: ManifoldModel, a: np.ndarray):
-    """Curvature of log P, P = s* A s, as node weights.
-
-    Returns (weights, 1/(rw P)) with
-        weights = (P P_zzbar - |P_z|^2) / P^2 * (1+|z|^2)^2 qw / V,
-    i.e. ddbar log P divided by the reference form, times the quadrature
-    weights, for the pullback of the Fubini-Study form along z -> [W(z)],
-    W* W = s* A s.  The numerator is formed directly; the Cauchy-Binet
-    identity
-        P P_zzbar - |P_z|^2 = sum_{i<j} |W_i W'_j - W_j W'_i|^2
-    only explains why it is nonnegative in exact arithmetic; the rw that
-    the kernel's rows carry cancels from it.
-    """
+def _bergman_synthesis(model: ManifoldModel, a: np.ndarray):
+    """(rows, num, c) from one three-part synthesis of P = s* A s: the
+    kernel's rows rw (P, Re P_z, Im P_z, P_zzbar), num = P P_zzbar - |P_z|^2
+    and c = (1+|z|^2)^2 qw / (V P^3), all formed from those rows (so num
+    carries rw^2 and c 1/rw^3).  num c is mu_B / rw, the curvature of
+    log P over P as node weights (module docstring); the Cauchy-Binet
+    identity P P_zzbar - |P_z|^2 = sum_{i<j} |W_i W'_j - W_j W'_i|^2,
+    W* W = P, only explains why num is nonnegative in exact arithmetic.
+    Every Bergman consumer reads this one synthesis."""
     rows = model._theta_fourier().pairings(a)
-    inv_p = 1.0 / rows[0]
-    weights = _curvature_numerator(*rows)
-    weights *= model._volume_factor()
-    weights *= inv_p
-    weights *= inv_p
-    return weights, inv_p
+    p, pz_re, pz_im, pzz = rows
+    num = p * pzz
+    # c holds the squares, then P^3, so the passes form two node arrays
+    c = np.square(pz_re)
+    num -= c
+    np.square(pz_im, out=c)
+    num -= c
+    np.multiply(p, p, out=c)
+    c *= p
+    np.divide(model._volume_factor(), c, out=c)
+    return rows, num, c
 
 
 def curvature_volume(model: ManifoldModel, m: MetricWeight) -> Density:
@@ -563,9 +557,9 @@ def curvature_volume(model: ManifoldModel, m: MetricWeight) -> Density:
 
 
 def _weight_and_volume(model: ManifoldModel, m: MetricWeight):
-    """(weight, volume): node arrays of exp(-u), the metric weight over rw
-    (the kernel's gram carries rw), and of the ``curvature_volume``
-    weights, with its checks."""
+    """(weights, volume): the node weights exp(-u) volume that hilb's
+    ``gram`` reads (exp(-u) is the metric weight over rw, and the gram
+    carries rw), and the ``curvature_volume`` weights, with its checks."""
     if m.kind == "bergman":
         _sized_form(model, m.form)
         return _bergman_weight_and_volume(model, m.inverse)
@@ -573,19 +567,21 @@ def _weight_and_volume(model: ManifoldModel, m: MetricWeight):
     vol = 1.0 + (model.laplacian() @ u) / (4.0 * np.pi * model.k)
     vol *= model.quad_weights
     _audit_volume(model, vol)
-    return np.exp(-u), vol
+    return np.exp(-u) * vol, vol
 
 
 def _bergman_weight_and_volume(model: ManifoldModel, inverse: np.ndarray):
     """``_weight_and_volume`` of the Bergman metric whose form has the
-    inverse ``inverse``: its exp(-u) is the 1/(rw P) of the synthesis its
-    curvature is formed from (module docstring)."""
-    # P = s* H^{-1} s, the sum of |W|^2 over H-orthonormal rows W; the
-    # curvature of the k-th root divides that of log P by k
-    vol, weight = _curvature_density(model, inverse)
-    vol /= model.k
+    inverse ``inverse``, from one ``_bergman_synthesis`` of P = s* H^{-1} s:
+    the curvature of the k-th root of P is that of log P over k, and
+    exp(-u) = 1/(rw P), so the gram reads num c / k and the volume is
+    num c P / k (module docstring)."""
+    rows, num, c = _bergman_synthesis(model, inverse)
+    num *= c
+    num /= model.k
+    vol = np.multiply(num, rows[0], out=c)
     _audit_volume(model, vol)
-    return weight, vol
+    return num, vol
 
 
 def _audit_volume(model: ManifoldModel, vol: np.ndarray):

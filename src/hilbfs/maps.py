@@ -4,8 +4,8 @@ hilb sends a metric on L^k to the scaled L^2 Gram matrix of the section
 basis; fs_metric (in ``geometry``) sends a form back to a metric.  Their
 composition has the balanced metrics as fixed points; on the reference
 test-bed that is the binomial diagonal diag(1/C(dk, j)).  ``t_iterate``
-iterates that composition on arrays, with one ``zpotri``, one synthesis, one
-analysis and one ``zpotrf`` per step and no eigensolve (its docstring).
+iterates that composition on arrays, through the helpers of ``fs_metric``
+and of ``hilb``.
 
 Linearised at the balanced form H_b, in H = H_b^(1/2) (I + X) H_b^(1/2) and
 divided by T(H_b)'s trace ratio, T = hilb o fs_metric has the eigenvalue
@@ -100,8 +100,7 @@ def hilb(model: ManifoldModel, m: MetricWeight) -> HermitianForm:
     rw exp(-u) and the volume form of the metric's curvature: the kernel's
     gram, which carries rw, of exp(-u) times that volume.  A Bergman
     metric's exp(-u) and curvature come from one synthesis (``geometry``)."""
-    weight, vol = _weight_and_volume(model, m)
-    return _gram(model, weight * vol)
+    return _gram(model, _weight_and_volume(model, m)[0])
 
 
 def variant_density(
@@ -198,18 +197,12 @@ def t_iterate(
 
     The steps run on arrays, through the helpers that ``fs_metric`` and
     ``hilb`` of a Bergman metric call, so each check of those maps runs
-    here too.  Step r makes one ``zpotri`` of H_{r-1}'s factor, which gives
-    H_{r-1}^{-1} and the tr H_{r-1}^{-1} of H_{r-1}'s conditioning guard;
-    one three-part synthesis and the curvature volume's positivity and
-    mass audits; one analysis, ``gram``, whose Gram is hermitian to the bit
-    and kept without a symmetrising copy; and one ``zpotrf`` of that Gram,
-    its positive-definiteness check, whose factor gives the unit
-    determinant and H_r^{-1} at the next step.  The last form's guard
-    reads tr H^{-1} from one ``ztrtri`` of its factor, so every form is
-    guarded once; the exact condition number, for the
-    ``IllConditionedWarning``, is computed only where tr H tr H^{-1}
-    exceeds COND_GUARD / 2.  The trace records each form without its
-    factor, one matrix per step.
+    here too: every form, the last included, passes ``cholesky_lower``'s
+    conditioning guard once; each step's curvature volume passes the
+    positivity and mass audits of ``curvature_volume``; and each step's
+    Gram passes hilb's positive-definiteness check, a failure of which
+    raises ``DefinitenessError`` naming the step.  The trace records each
+    form without its factor, one matrix per step.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
@@ -225,9 +218,9 @@ def t_iterate(
     for r in range(1, max_iters + 1):
         inverse, inverse_trace = _inverse_of_factor(factor)
         _guard_conditioning(form, inverse_trace)
-        weight, vol = _bergman_weight_and_volume(model, inverse)
+        weights = _bergman_weight_and_volume(model, inverse)[0]
         try:
-            g, factor = _gram_and_factor(model, weight * vol)
+            g, factor = _gram_and_factor(model, weights)
         except DefinitenessError as exc:
             raise DefinitenessError(f"iteration {r}: {exc}") from exc
         defect = abs(float(np.vdot(g, inverse).real) - model.N)

@@ -63,7 +63,7 @@ import scipy.linalg as sla
 
 from .errors import ConvergenceError, DimensionError, MomentInfeasibleError
 from .geometry import Density, ManifoldModel
-from .linalg import MatrixNorms, damped_newton, matrix_norms
+from .linalg import MatrixNorms, _as_square, damped_newton
 
 PROBE_POWER = 8  # of rho_i in the probe densities, formed by three squarings
 ROUNDING_FLOOR = 1e-10  # relative rounding of the dual objective (see above)
@@ -333,17 +333,25 @@ def _cone_bound(peaks: np.ndarray, row: int, floor: float, tol: float):
 
 def _system(lam, weights, floor, mode, tol=LAMBDA_TOL) -> LambdaSystem:
     """The ``LambdaSystem`` of the row-measure matrix ``lam``, whose
-    entries must not exceed 1 by more than 10 tol."""
-    norms = matrix_norms(lam)
+    entries must not exceed 1 by more than 10 tol.  One SVD gives both
+    operator norms: ||Lambda^{-1}||_op = 1 / sigma_min and
+    ||Lambda^{-1}||_HS = ||1 / sigma||_2 for Lambda's singular values
+    sigma; the max norm is read from the inverse."""
+    a = _as_square(lam)
+    sigma = np.linalg.svd(a, compute_uv=False)
+    norms = MatrixNorms(float(sigma[0]), float(np.linalg.norm(a)), float(np.abs(a).max()))
     if norms.max > 1.0 + 10 * tol:
         raise RuntimeError(f"row-measure matrix entry {norms.max:.6f} exceeds 1")
+    inverse = _as_square(np.linalg.inv(lam))
     return LambdaSystem(
         matrix=lam,
         weights=weights,
         floor=floor,
         mode=mode,
         norms=norms,
-        inverse_norms=matrix_norms(np.linalg.inv(lam)),
+        inverse_norms=MatrixNorms(
+            float(1.0 / sigma[-1]), float(np.linalg.norm(1.0 / sigma)), float(np.abs(inverse).max())
+        ),
     )
 
 

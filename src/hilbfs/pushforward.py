@@ -26,13 +26,15 @@ recovered verbatim.
 The maps run on the ``ManifoldModel`` itself: the curve sits in P^(N-1)
 through its sections s, and psi(B) = M / tr M with M = sum_q s_q s_q*
 mu_B(q), mu_B the Fubini-Study volume of the moved curve B s over |B s|^2:
-one synthesis of A (``_synthesis``) gives mu_B / rw and M, and a Newton
-point carries it, so its Jacobian synthesises nothing.  The Newton reads
-residuals and writes steps in the hermitian coordinates tr(E_a M) of
-``linalg.HermitianCoords``, and its Jacobian in A (``_psi_t_jacobian``) is
-read in those coordinates: dA -> dM in one ``HermitianCoords.of_hankel``
-of three doubled-degree Grams, then its trace part removed and, at t < 1,
-the ``of_map`` of dpsi0's closed-form table added.  psi is
+one synthesis of A, ``geometry._bergman_synthesis`` (the one that hilb of
+a Bergman metric reads), gives mu_B / rw, and ``_synthesis`` adds M; a
+Newton point carries both, so its Jacobian synthesises nothing.  The
+Newton reads residuals and writes steps in the hermitian coordinates
+tr(E_a M) of ``linalg.HermitianCoords``, and its Jacobian in A
+(``_psi_t_jacobian``) is read in those coordinates: dA -> dM in one
+``HermitianCoords.of_hankel`` of three doubled-degree Grams, then its
+trace part removed and, at t < 1, the ``of_map`` of dpsi0's closed-form
+table added.  psi is
 scale-invariant and its values have unit trace, so that Jacobian has the
 scale direction A in its kernel and only values of zero trace; the Newton
 borders it with the trace direction (``_newton_at_t``).
@@ -57,7 +59,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ContinuationError, ConvergenceError, MarginError
-from .geometry import ManifoldModel, _curvature_numerator, _sized_form
+from .geometry import ManifoldModel, _bergman_synthesis, _sized_form
 from .linalg import HermitianCoords, HermitianForm, _as_form, damped_newton
 
 MARGIN = 1e-3  # smallest admissible eigenvalue of a unit-trace target
@@ -100,20 +102,16 @@ def _unit_trace(m: np.ndarray) -> np.ndarray:
 
 
 def _synthesis(model: ManifoldModel, a: np.ndarray, known=None):
-    """(M, rows, num, c) from one synthesis of A = B^2: the kernel's rows
-    rw (P, Re P_z, Im P_z, P_zzbar), num = P P_zzbar - |P_z|^2 and
-    c = (1+|z|^2)^2 qw / (V P^3) from them, and M the gram of num c =
-    mu_B / rw.  mu_B, the curvature of log P over P, is the Fubini-Study
-    volume of the moved curve W = B s over |W|^2, so M = B^{-1} Phi(B) B^{-1}.
-    ``known``, a list [form, its synthesis], supplies it when that form is A.
+    """(M, rows, num, c): A's ``geometry._bergman_synthesis`` (rows, num,
+    c) and M, the gram of num c = mu_B / rw.  mu_B, the curvature of log P
+    over P, is the Fubini-Study volume of the moved curve W = B s over
+    |W|^2, so M = B^{-1} Phi(B) B^{-1}.  ``known``, a list [form, its
+    synthesis], supplies it when that form is A.
     """
     if known is not None and known[0] is a:
         return known[1]
-    kernel = model._theta_fourier()
-    rows = kernel.pairings(a)
-    num = _curvature_numerator(*rows)
-    c = model._volume_factor() / (rows[0] * rows[0] * rows[0])
-    return kernel.gram(num * c), rows, num, c
+    rows, num, c = _bergman_synthesis(model, a)
+    return model._theta_fourier().gram(num * c), rows, num, c
 
 
 def _psi_t(model: Optional[ManifoldModel], a: np.ndarray, t: float, syn=None) -> np.ndarray:
@@ -224,10 +222,10 @@ def _psi_t_jacobian(
     in row a and column b for the elements E_a of ``coords``.
 
     It reads A's ``_synthesis``, ``syn`` when given: M = sum_q s_q s_q* mu_B(q)
-    with mu_B = num c, num = P P_zzbar - |P_z|^2, c = (1+|z|^2)^2 qw / (V P^3)
-    and P = s* A s.  The kernel's rows are rw (P, P_z, P_zzbar), so their c
-    is c / rw^3 and the forms f_p below come out divided by rw^2, as the
-    doubled kernel, which carries rw^2, needs.  Along X, A moves by X and
+    with mu_B = num c from ``geometry._bergman_synthesis``, whose rows,
+    num and c carry rw, rw^2 and 1/rw^3, so the forms f_p below come out
+    divided by rw^2, as the doubled kernel, which carries rw^2, needs.
+    Along X, A moves by X and
     d mu_B = Re(dP f_0 + 2 dP_z f_1 + dP_zzbar f_2) for the node forms
     (f_0, f_1, f_2) = ((P_zzbar - 3 num / P) c, -conj(P_z) c, P c).  As
     s_i conj(s_j) conj(s_a) s_b = z^(i+b) conj(z)^(j+a), dM = T vec(X) with

@@ -370,3 +370,27 @@ def test_balance_audit_reports_keep_their_values(seed, k):
     assert abs(report.route_agreement - agreement) <= 1e-13
     assert np.allclose([report.chain[name] for name in CHAIN], chain, rtol=1e-11, atol=0.0)
     assert np.allclose(report.d_sq, d_sq, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("k", [4, 16])
+def test_balance_audit_takes_five_svds(k, monkeypatch):
+    # the seed-1 item's audit: one SVD each of Lambda, F and Lambda^-1 F and
+    # the gauge's two spectral norms; ||Lambda^-1||_op is 1 / sigma_min of
+    # Lambda's own SVD, where a second SVD of the inverse made six
+    wl = workloads.WORKLOADS["balance-audit"]
+    model = hb.geometry.build_p1_model(k, **workloads.grid(k))
+    _, h, h2 = wl.generate(hb, model, np.random.default_rng([1, k]), 1, defaultdict(int))[0]
+    svd, norm, calls = np.linalg.svd, np.linalg.norm, defaultdict(int)
+
+    def counting_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        calls["spectral norm"] += ord == 2
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    hb.verify_injectivity(model, h, h2)
+    assert calls == {"svd": 3, "spectral norm": 2}

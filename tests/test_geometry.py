@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import hilbfs.geometry
+import hilbfs.pushforward
 from hilbfs import (
     ConfigurationError,
     CurvaturePositivityError,
@@ -13,7 +15,9 @@ from hilbfs import (
     curvature_volume,
     fs_metric,
     hilb,
+    psi,
     reference_density,
+    t_iterate,
 )
 from hilbfs.geometry import NODE_BLOCK, _legendre_table
 from hilbfs.pushforward import _dpsi0_table, _psi_t_jacobian, _synthesis
@@ -384,6 +388,36 @@ def test_hilb_of_a_bergman_metric_is_a_pushforward_gram(k, d):
     gram = _synthesis(model, b @ b)[0]
     ref = model.N / (model.k * model.V) * gram
     assert _rel(hilb(model, fs_metric(model, h)).mat, ref) <= 1e-12
+
+
+def test_every_bergman_consumer_synthesises_once(monkeypatch):
+    # hilb and curvature_volume of a Bergman metric, each t_iterate step and
+    # psi read one _bergman_synthesis; psi's Jacobian, given its point's
+    # synthesis, reads that and synthesises nothing
+    model = build_p1_model(3, 20, 32)
+    h = random_spd(model.N, np.random.default_rng(70), cond=5.0)
+    synthesis, calls = hilbfs.geometry._bergman_synthesis, [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return synthesis(*args)
+
+    def count(function, *args):
+        before = calls[0]
+        function(*args)
+        return calls[0] - before
+
+    monkeypatch.setattr(hilbfs.geometry, "_bergman_synthesis", counting)
+    monkeypatch.setattr(hilbfs.pushforward, "_bergman_synthesis", counting)
+    metric = fs_metric(model, h)
+    assert count(hilb, model, metric) == 1
+    assert count(curvature_volume, model, metric) == 1
+    assert count(t_iterate, model, h, 5, 0.0) == 5
+    assert count(psi, model, h) == 1
+    a, coords = h.mat @ h.mat, HermitianCoords.full(model.N)
+    syn = _synthesis(model, a)
+    assert count(_psi_t_jacobian, model, a, 1.0, coords, syn) == 0
+    assert count(_psi_t_jacobian, model, a, 1.0, coords) == 1
 
 
 class TestModelCaches:

@@ -113,14 +113,14 @@ class TestBergmanHilb:
         # exact Bergman curvature is positive, so a negative density is
         # planted at one node of the synthesis that hilb reads
         model = build_p1_model(2, radial_nodes=16, azimuthal_nodes=20)
-        synthesis = hilbfs.geometry._curvature_density
+        synthesis = hilbfs.geometry._bergman_synthesis
 
         def planted(model, a):
-            dens, p = synthesis(model, a)
-            dens[7] = -dens[7]
-            return dens, p
+            rows, num, c = synthesis(model, a)
+            num[7] = -num[7]
+            return rows, num, c
 
-        monkeypatch.setattr(hilbfs.geometry, "_curvature_density", planted)
+        monkeypatch.setattr(hilbfs.geometry, "_bergman_synthesis", planted)
         with pytest.raises(CurvaturePositivityError) as err:
             hilb(model, fs_metric(model, HermitianForm.identity(3)))
         assert err.value.node == 7
