@@ -289,9 +289,9 @@ def _full_gram_cells(n: int) -> _FullGramCells:
 
 
 def _full_gram_family(model: ManifoldModel, coords: HermitianCoords):
-    """Potential, moments and Jacobian (see ``moments._max_entropy_newton``)
-    of the family g_a = s* E_a s * ref_weight, E_a the elements of the full
-    ``coords``, read and written in the pairing kernels' cells
+    """Potential, moments, Jacobian (see ``moments._max_entropy_newton``)
+    and Gram of the family g_a = s* E_a s * ref_weight, E_a the elements of
+    the full ``coords``, read and written in the pairing kernels' cells
     (``_full_gram_cells``): g_a = sigma_a r^d_a cos or sin(m_a theta) rw.
 
     u = sum_a c_a g_a is the plain kernel's ``synthesis`` of the cell table
@@ -302,10 +302,14 @@ def _full_gram_family(model: ManifoldModel, coords: HermitianCoords):
         J_ab = (sigma_a sigma_b / 2) (X[D, |Delta|] +- X[D, Sigma]).
     J is symmetric to the bit, (b, a) reading the cells of (a, b) with the
     same coefficients, and is returned in Fortran order, which ``posv``
-    factors in place.
+    factors in place.  The Gram is the plain kernel's ``gram`` of ew,
+    gathered from the cells of the last ``moments`` call when that call was
+    at ew, as it is at the Newton's final point, which is then not analysed
+    twice.
     """
     kernel, doubled = model._theta_fourier(), model._theta_fourier(doubled=True)
     n, tables = coords.n, _full_gram_cells(coords.n)
+    last = [None, None]  # the last ``moments`` call's weights and cells
 
     def potential(c):
         cells = np.zeros((2 * n - 1, 2 * n + 1))
@@ -313,14 +317,18 @@ def _full_gram_family(model: ManifoldModel, coords: HermitianCoords):
         return kernel.synthesis(cells)
 
     def moments(ew):
-        return tables.sigma * kernel.analysis(ew).reshape(-1)[tables.cell]
+        last[:] = ew, kernel.analysis(ew)
+        return tables.sigma * last[1].reshape(-1)[tables.cell]
 
     def jacobian(ew):
         terms = doubled.analysis(ew).reshape(-1)[tables.jac_cells]
         terms *= tables.jac_weights
         return np.add(terms[0], terms[1], out=terms[0]).T
 
-    return potential, moments, jacobian
+    def gram(ew):
+        return kernel.gram_of_cells(last[1] if last[0] is ew else kernel.analysis(ew))
+
+    return potential, moments, jacobian, gram
 
 
 def surject_fixed_volume(
@@ -354,14 +362,17 @@ def surject_fixed_volume(
     scale = model.N / model.V
     target_scaled = g_form.mat / scale
     coords = HermitianCoords.full(model.N)
+    potential, moments, jacobian, gram_at = _full_gram_family(model, coords)
     _, u, ew, history = _max_entropy_newton(
-        *_full_gram_family(model, coords),
+        potential,
+        moments,
+        jacobian,
         base_nu.weights,
         coords.of(target_scaled),
         MOMENT_TOL / scale,
         MAX_NEWTON,
     )
-    gram = model._theta_fourier().gram(ew)
+    gram = gram_at(ew)
     stage_logs = [
         {
             "stage": "full-gram-moment",

@@ -40,11 +40,12 @@ Geometry conventions
   exactly, changing rounding only (``_ThetaFourier``).  Each is one
   implementation on a real (power, cos/sin mode) cell table laid out by
   ``_cell_index``: ``analysis`` takes node weights to their cells, which
-  ``gram`` gathers from, and ``synthesis`` a cell table to node values,
-  which ``pairings`` runs after scattering a's entries.  Callers that only
-  sum over the nodes (the injectivity audit) synthesise in blocks of whole
-  rings of at most ``NODE_BLOCK`` nodes instead, into one reused buffer
-  (``_ThetaFourier.pairing_blocks``), and form no N x Q table.
+  ``gram`` gathers from (``gram_of_cells``), and ``synthesis`` a cell table
+  to node values, which ``pairings`` runs after scattering a's entries.
+  Callers that only sum over the nodes (the injectivity audit) synthesise
+  in blocks of whole rings of at most ``NODE_BLOCK`` nodes instead, into
+  one reused buffer (``_ThetaFourier.pairing_blocks``), and form no N x Q
+  table.
 * Products of two pairings: s_a conj(s_b) s_c conj(s_d) =
   z^(a+c) conj(z)^(b+d), so a sum over the nodes of four sections against
   a weight is one entry of the Gram of the n = 2N - 1 monomials of degree
@@ -213,7 +214,13 @@ class _ThetaFourier:
     the same two products transposed, (Q + nr (2N-1)) (2N+1) multiply-adds,
     and a gather, hermitian to the bit.  The powers r^d (1 - t)^(n-1) of n
     monomials fold in rw for the N sections and rw^2 for the doubled
-    kernel's 2N - 1 monomials of degree <= 2N - 2."""
+    kernel's 2N - 1 monomials of degree <= 2N - 2.
+
+    The scatter indexes one form's entries and cells directly, x[index],
+    and a stack's with ``take`` along the last axis and assignment by
+    columns; the gather ``take``s along the last axis.  x[..., index], an
+    Ellipsis with an index array, takes NumPy's general indexing path at
+    about three times the cost."""
 
     def __init__(self, model: "ManifoldModel", doubled: bool = False):
         n = 2 * model.N - 1 if doubled else model.N
@@ -260,11 +267,19 @@ class _ThetaFourier:
         table of the hermitian a (..., n, n)."""
         lead, n = a.shape[:-2], self._n
         rows = 1 if parts == 1 else 4
-        src = np.ascontiguousarray(a, dtype=complex).reshape(lead + (n * n,)).view(float)
-        table = np.zeros(lead + (rows * (2 * n - 1) * (2 * n + 1),))
+        size = rows * (2 * n - 1) * (2 * n + 1)
+        src = np.ascontiguousarray(a, dtype=complex).reshape(-1, n * n).view(float)
         (src1, mult1, cell1), (src2, mult2, cell2) = self._scatter[parts]
-        table[..., cell1] = src[..., src1] * mult1
-        table[..., cell2] += src[..., src2] * mult2
+        if not lead:
+            table, src = np.zeros(size), src[0]
+            table[cell1] = src[src1] * mult1
+            table[cell2] += src[src2] * mult2
+        else:
+            table = np.zeros((len(src), size))
+            table[:, cell1] = src.take(src1, axis=1) * mult1
+            part = src.take(src2, axis=1) * mult2
+            part += table.take(cell2, axis=1)
+            table[:, cell2] = part
         return table.reshape(lead + (rows, 2 * n - 1, 2 * n + 1))
 
     def synthesis(self, cells: np.ndarray) -> np.ndarray:
@@ -286,13 +301,18 @@ class _ThetaFourier:
         """sum_q s_i conj(s_j) rw w (rw^2 w, doubled) for real node weights
         w (..., Q); hermitian to the bit: G_ij = C[i+j, |i-j|] + i sgn(i-j)
         S[i+j, |i-j|] for the cos and sin cells C, S of w's ``analysis``."""
-        if np.iscomplexobj(w):
+        if w.dtype.kind == "c":
             raise TypeError("gram takes real node weights")
-        lead, (cos_cell, sin_cell) = w.shape[:-1], self._gram_cells
-        cells = self.analysis(w).reshape(lead + (-1,))
+        return self.gram_of_cells(self.analysis(w))
+
+    def gram_of_cells(self, cells: np.ndarray) -> np.ndarray:
+        """The Gram that ``gram`` gathers from the cells (..., 2n-1, 2n+1)
+        of a weight's ``analysis``, shape (..., n, n)."""
+        lead, (cos_cell, sin_cell) = cells.shape[:-2], self._gram_cells
+        cells = cells.reshape(lead + (-1,))
         g = np.empty(lead + (self._n, self._n), complex)
-        g.real = cells[..., cos_cell]
-        g.imag = cells[..., sin_cell] * self._gram_sign
+        g.real = cells.take(cos_cell, axis=-1)
+        g.imag = cells.take(sin_cell, axis=-1) * self._gram_sign
         return g
 
 

@@ -266,7 +266,7 @@ def _inverse_of_factor(factor: np.ndarray):
     # zero upper half
     low = sla.lapack.zpotri(factor, lower=True)[0]
     inverse = low + low.conj().T
-    np.fill_diagonal(inverse, low.diagonal().real)
+    inverse.flat[:: len(low) + 1] = low.diagonal().real
     return inverse, float(low.diagonal().real.sum())
 
 

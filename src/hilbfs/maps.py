@@ -47,7 +47,6 @@ from .geometry import (
 )
 from .linalg import (
     HermitianForm,
-    _as_square,
     _cholesky,
     _guard_conditioning,
     _inverse_of_factor,
@@ -78,7 +77,8 @@ def _gram_and_factor(model: ManifoldModel, weights: np.ndarray):
     factor, G = L L*, whose ``zpotrf`` is G's positive-definiteness check."""
     g = model._theta_fourier().gram(weights)
     g *= model.N / model.V
-    _as_square(g)
+    if not np.isfinite(g).all():
+        raise ValueError("matrix has non-finite entries")
     try:
         return g, _cholesky(g)
     except DefinitenessError:

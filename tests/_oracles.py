@@ -194,6 +194,31 @@ def pairing_sums(model, a):
     )
 
 
+def ellipsis_cells(kernel, a, parts):
+    """The pairing kernel's cell table of the hermitian a (..., n, n),
+    scattered by its own index tables through Ellipsis indexing, one
+    expression for one form and for a stack."""
+    lead, n = a.shape[:-2], kernel._n
+    rows = 1 if parts == 1 else 4
+    src = np.ascontiguousarray(a, dtype=complex).reshape(lead + (n * n,)).view(float)
+    table = np.zeros(lead + (rows * (2 * n - 1) * (2 * n + 1),))
+    (src1, mult1, cell1), (src2, mult2, cell2) = kernel._scatter[parts]
+    table[..., cell1] = src[..., src1] * mult1
+    table[..., cell2] += src[..., src2] * mult2
+    return table.reshape(lead + (rows, 2 * n - 1, 2 * n + 1))
+
+
+def ellipsis_gram(kernel, w):
+    """The pairing kernel's Gram of the real node weights w (..., Q),
+    gathered from its ``analysis`` through Ellipsis indexing."""
+    lead, (cos_cell, sin_cell) = w.shape[:-1], kernel._gram_cells
+    cells = kernel.analysis(w).reshape(lead + (-1,))
+    g = np.empty(lead + (kernel._n, kernel._n), complex)
+    g.real = cells[..., cos_cell]
+    g.imag = cells[..., sin_cell] * kernel._gram_sign
+    return g
+
+
 def bergman_hilb_weights(model, h):
     """Node weights of hilb(fs_metric(H)) formed from two syntheses, as the
     metric weight rw exp(-u), u = log(P rw), times the curvature volume

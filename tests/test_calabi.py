@@ -191,6 +191,37 @@ class TestSurjectFixedVolume:
         assert cap == hilbfs.moments.MAX_NEWTON
         assert report.tolerance == hilbfs.calabi.SURJECT_TOL
 
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_logged_gram_reads_the_last_moments_cells(self, monkeypatch, k):
+        # the stage log's Gram is gathered from the cells of the Newton's
+        # last moments call, at its final point: one plain analysis per
+        # Newton evaluation and one for the forward check, with the bits
+        # of the kernel's gram of the final weights
+        model, g, nu = _benchmark_item(k)
+        kernel = model._theta_fourier()
+        analysis, calls, final = hilbfs.geometry._ThetaFourier.analysis, [0, 0], []
+
+        def counting(self, w):
+            calls[0] += self is kernel
+            return analysis(self, w)
+
+        def recording(potential, moments, *rest):
+            def counted(ew):
+                calls[1] += 1
+                return moments(ew)
+
+            out = _max_entropy_newton(potential, counted, *rest)
+            final.append(out[2])
+            return out
+
+        monkeypatch.setattr(hilbfs.geometry._ThetaFourier, "analysis", counting)
+        monkeypatch.setattr(hilbfs.calabi, "_max_entropy_newton", recording)
+        _, report = surject_fixed_volume(model, g, nu=nu)
+        assert calls[1] >= 2 and calls[0] == calls[1] + 1
+        scale = model.N / model.V
+        logged = float(np.abs(kernel.gram(final[0]) - g.mat / scale).max()) * scale
+        assert report.stage_logs[0]["residual"] == logged
+
     def test_canonical_variant_requires_general_type(self):
         # which O(d) on P^1 never is, so no canonical variant is offered
         model = build_p1_model(2)

@@ -30,6 +30,8 @@ from hilbfs.linalg import (
 )
 from _oracles import (
     curvature_sums,
+    ellipsis_cells,
+    ellipsis_gram,
     hermitian_basis,
     legendre_table_lpmv,
     mc_integral_p1,
@@ -293,6 +295,31 @@ class TestThetaFourierKernel:
         w = np.random.default_rng(k + 23).uniform(0.5, 1.5, size=(2, model.Q))
         g = model._theta_fourier(doubled).gram(w)
         assert np.array_equal(g, np.swapaxes(g, -1, -2).conj())
+
+    @pytest.mark.parametrize("k,d", KERNEL_CASES)
+    @pytest.mark.parametrize("doubled", [False, True])
+    def test_direct_indexing_matches_the_ellipsis_reference_to_the_bit(self, k, d, doubled):
+        # the scatter indexes one form directly and a stack with take, the
+        # gather takes along the last axis; each is bit for bit the
+        # Ellipsis-indexed reference, and a stacked form or weight gives
+        # the bits it gives alone
+        model = build_p1_model(k, line_degree=d)
+        kernel, rng = model._theta_fourier(doubled), np.random.default_rng(k + 27)
+        n = 2 * model.N - 1 if doubled else model.N
+        a = np.array([random_hermitian(n, rng) for _ in range(n)])
+        w = rng.uniform(0.5, 1.5, size=(n, model.Q))
+        for stack in (a[0], a[:3], a):
+            for parts in (1, 3):
+                cells = kernel._cells(stack, parts)
+                assert np.array_equal(cells, ellipsis_cells(kernel, stack, parts))
+                values = kernel.pairings(stack, parts)
+                assert np.array_equal(values, kernel.synthesis(cells))
+                assert np.array_equal(values.reshape((-1,) + values.shape[-2:])[0],
+                                      kernel.pairings(a[0], parts))
+        for weights in (w[0], w[:3], w):
+            g = kernel.gram(weights)
+            assert np.array_equal(g, ellipsis_gram(kernel, weights))
+            assert np.array_equal(g.reshape(-1, n, n)[0], kernel.gram(w[0]))
 
     def test_gram_rejects_complex_weights(self):
         model = build_p1_model(2)

@@ -125,6 +125,26 @@ class TestBergmanHilb:
             hilb(model, fs_metric(model, HermitianForm.identity(3)))
         assert err.value.node == 7
 
+    @pytest.mark.parametrize("iterate", [False, True])
+    def test_a_non_finite_gram_is_rejected(self, monkeypatch, iterate):
+        # a NaN planted in the cells that the kernel's gram gathers from
+        # reaches the Gram's finite check before its Cholesky factor
+        model = build_p1_model(2, radial_nodes=16, azimuthal_nodes=20)
+        analysis = hilbfs.geometry._ThetaFourier.analysis
+
+        def planted(self, w):
+            cells = analysis(self, w)
+            cells[..., 0, 0] = np.nan
+            return cells
+
+        monkeypatch.setattr(hilbfs.geometry._ThetaFourier, "analysis", planted)
+        h = HermitianForm.identity(3)
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            if iterate:
+                t_iterate(model, h, 3, 0.0)
+            else:
+                hilb(model, fs_metric(model, h))
+
     @pytest.mark.parametrize("evaluate", [hilb, curvature_volume])
     def test_a_metric_of_another_size_is_rejected(self, evaluate):
         # a Bergman metric of the k = 3 model on the k = 2 model: its form
