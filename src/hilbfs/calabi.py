@@ -27,8 +27,8 @@ trusted without it.  ``surject_full`` ends at the closed-form Bergman
 metric of the B that ``solve_psi`` returns, ``surject_fixed_volume`` at
 the solved weight of a full-Gram moment problem, whose Newton reads and
 writes the pairing kernels' own cells (``_full_gram_family``): no
-coordinate matrix, no Gram and no sparse operator per step, so
-``linalg.HermitianCoords.of_hankel`` serves psi only.  Each checks its
+coordinate matrix, no Gram and no sparse operator per step (psi's Newton
+has one, ``pushforward._jacobian_cells``).  Each checks its
 target once, by ``pushforward._checked_target``, and calls a realisation
 achieved when its forward residual is at most ``SURJECT_TOL``.  ``solve_ma`` is
 the Monge-Ampere solver for grid data; neither pipeline calls it.  It

@@ -50,14 +50,13 @@ Geometry conventions
   z^(a+c) conj(z)^(b+d), so a sum over the nodes of four sections against
   a weight is one entry of the Gram of the n = 2N - 1 monomials of degree
   <= 2N - 2.  The doubled kernel (``_theta_fourier(doubled=True)``) is that
-  Gram's analysis, and its weight (1 - t)^(n-1) is rw^2.  psi's Jacobian
-  (``pushforward``) reads three such weighted Grams into coordinates
-  through one sparse operator (``linalg.HermitianCoords.of_hankel``).  The
-  full-Gram moment Newton (``calabi._full_gram_family``) forms no Gram:
-  each of its functions is one cell, sigma r^d cos or sin(m theta) rw, and
-  by 2 cos cos = cos(m - m') + cos(m + m') and its like a product of two
-  is two cells of the doubled kernel, so its Jacobian is two gathers from
-  the doubled kernel's ``analysis``.
+  Gram's analysis, and its weight (1 - t)^(n-1) is rw^2.  Neither Newton
+  forms such a Gram: psi's Jacobian is one sparse operator on the doubled
+  kernel's cells of four node weights (``pushforward._jacobian_cells``),
+  and in the full-Gram moment Newton (``calabi._full_gram_family``) each
+  function is one cell, sigma r^d cos or sin(m theta) rw, and by
+  2 cos cos = cos(m - m') + cos(m + m') and its like a product of two is
+  two cells of the doubled kernel: its Jacobian is two gathers.
 """
 
 from __future__ import annotations

@@ -10,16 +10,12 @@ A[i, j] s_j transforms G into A @ G @ A*.  The real coordinates of a
 hermitian M in an orthonormal real basis E_a of all hermitian matrices
 (tr(E_a E_b) = delta_ab) are x_a = tr(E_a M), and M = sum_a x_a E_a; both
 surjectivity Newtons read and write hermitian matrices in these
-coordinates.  psi reads its Jacobian as tr(E_a L(E_b)) for a linear map L,
-a node sum of four sections read from three weighted doubled-degree Grams
-by one product of a sparse operator with the Grams' floats
-(``HermitianCoords.of_hankel``).  The full-Gram moment Newton needs no
-operator: each of its functions s* E_a s * ref_weight is one cell of the
-pairing kernel, read from this basis's slot tables
-(``calabi._full_gram_cells``), and its Jacobian two gathers from the
-doubled kernel's cells.  psi is scale-invariant with unit-trace values, and its
-Newton borders its Jacobian with the trace direction instead of changing
-coordinates (``pushforward._newton_at_t``).
+coordinates and read their Jacobians from the doubled kernel's cells
+through this basis's slot tables: psi's by a sparse operator
+(``pushforward._jacobian_cells``), the moment Newton's by two gathers
+(``calabi._full_gram_cells``).  psi is scale-invariant with unit-trace
+values, and its Newton borders its Jacobian with the trace direction
+instead of changing coordinates (``pushforward._newton_at_t``).
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sparse
 
 from .errors import (
     ConvergenceError,
@@ -44,10 +39,10 @@ from .errors import (
 
 HERMITICITY_TOL = 1e-12
 COND_GUARD = 1e8
-# sizes n whose ``HermitianCoords.full`` instance, with the operators built on
-# it, and whose full-Gram cell tables (``calabi._full_gram_cells``) stay
+# sizes n whose ``HermitianCoords.full`` instance and the cell tables built on
+# it (``pushforward._jacobian_cells``, ``calabi._full_gram_cells``) stay
 # shared: enough for the three sizes of a benchmark ladder, while the k = 32
-# psi operator (175.5 MB) does not outlive the next few sizes
+# psi operator (158.9 MB) does not outlive the next few sizes
 COORDS_KEPT = 4
 
 
@@ -328,10 +323,9 @@ class HermitianCoords:
     """Real coordinates x_a = tr(E_a M) of (stacked) hermitian n x n
     matrices M in an orthonormal real basis E_a of all hermitian matrices
     (n^2 elements), the matrix sum_a x_a E_a of coordinates x, and the real
-    matrix tr(E_a L(E_b)) of a linear map L, from its table (``of_map``)
-    or, for the Hankel maps of doubled Grams, from those Grams
-    (``of_hankel``).  ``full`` returns one shared instance per n, for the
-    last ``COORDS_KEPT`` sizes, whose arrays and operators are read-only.
+    matrix tr(E_a L(E_b)) of a linear map L from its table (``of_map``).
+    ``full`` returns one shared instance per n, for the last
+    ``COORDS_KEPT`` sizes, whose arrays are read-only.
 
     No element is stored as a matrix.  The diagonal units e_ii come first,
     then per pair i < j a real element with 1/sqrt(2) at (i, j) and (j, i)
@@ -339,8 +333,7 @@ class HermitianCoords:
     (i, j): two slots each, a diagonal unit's second value being 0.
     ``of_map`` weights table rows by the slots' conjugate values; ``of``
     and ``matrix`` read a slot as one float of vec(M), Re for a real value
-    and Im otherwise; ``of_hankel`` reads a pair of slots as one float of
-    each Gram, weighted, through one CSR operator per Gram count.
+    and Im otherwise.
     """
 
     def __init__(self, n: int):
@@ -353,7 +346,7 @@ class HermitianCoords:
         value = np.tile([1.0, 1.0, -1j, 1j], (len(ij), 1)).reshape(-1, 2) / np.sqrt(2.0)
         index = np.concatenate([np.repeat(e[:: n + 1], 2).reshape(-1, 2), index])
         value = np.concatenate([np.tile([1.0, 0.0], (n, 1)), value])
-        self.n, self._hankel = n, {}
+        self.n = n
         # slot 0 of every two-slot element, then slot 1; Re(conj(v) z) reads
         # Re z for a real v and Im z for an imaginary (or zero) one
         self._index, self._weight = index.T.ravel(), value.T.reshape(-1, 1).conj()
@@ -392,53 +385,6 @@ class HermitianCoords:
         rows = slots[: len(self)]
         rows += slots[len(self) :]
         return self.of(np.conjugate(rows, out=rows).reshape(len(rows), self.n, self.n))
-
-    def of_hankel(self, grams) -> np.ndarray:
-        """tr(E_a L(E_b)) for L(X)[i, j] = sum_p sum_kl G_p[i + l, j + k]
-        W_p[k, l] X[k, l], W = (1, 2l, kl)[:P], of a complex Gram G_0 of
-        size 2n - 1 or a stack of P <= 3: the CSR operator of ``grams`` P,
-        built on first use, kept and read-only, times the Grams' floats.
-
-        The entry sums Re(conj(v) v' W_p G_p[i + l, j + k]) over the slots
-        (i, j), v of E_a and (k, l), v' of E_b; conj(v) v' is real or
-        imaginary, so row (a, b) holds, per slot pair (0, 0), (0, 1),
-        (1, 0), (1, 1) and Gram p, one weight and one float of G_p.  For
-        P = 1 and a G_0 hermitian to the bit, J is symmetric to the bit:
-        pair (s, t) of (a, b) and (t, s) of (b, a) read conjugate cells with
-        conjugate coefficients, and the cross pairs of one entry give equal
-        products, an element's two slots being conjugate partners ((i, j),
-        v and (j, i), conj v), or one zero, for a diagonal unit's empty one.
-        """
-        grams = np.ascontiguousarray(grams, dtype=complex)
-        op = self._hankel_operator(grams.size // (2 * self.n - 1) ** 2)
-        return (op @ grams.reshape(-1).view(float)).reshape(len(self), len(self))
-
-    def _hankel_operator(self, grams: int) -> sparse.csr_array:
-        if grams not in self._hankel:
-            size, m = len(self), 2 * self.n - 1
-            row, col = np.divmod(self._index.reshape(2, -1), self.n)
-            conj_v = self._weight.reshape(2, -1)
-            data = np.empty((size, size, 4, grams))
-            indices = np.empty((size, size, 4, grams), dtype=np.int32)
-            for pair, (s, t) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-                cell = (row[s, :, None] + col[t]) * m + col[s, :, None] + row[t]
-                c = conj_v[s, :, None] * conj_v[t].conj()
-                # Re(c g) is c Re g for a real c and -Im c Im g for an imaginary one
-                imag = c.real == 0
-                coef = np.where(imag, -c.imag, c.real)
-                for p, weight in enumerate((1, 2 * col[t], row[t] * col[t])[:grams]):
-                    data[:, :, pair, p] = coef * weight
-                    indices[:, :, pair, p] = 2 * (p * m * m + cell) + imag
-            width = 4 * grams
-            indptr = np.arange(0, size * size * width + 1, width, dtype=np.int32)
-            op = sparse.csr_array(
-                (data.reshape(-1), indices.reshape(-1), indptr),
-                shape=(size * size, 2 * grams * m * m),
-            )
-            for array in (op.data, op.indices, op.indptr):
-                array.setflags(write=False)
-            self._hankel[grams] = op
-        return self._hankel[grams]
 
     def matrix(self, x) -> np.ndarray:
         """sum_a x_a E_a for coordinates x (..., len): each slot writes its

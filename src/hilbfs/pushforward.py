@@ -31,13 +31,11 @@ a Bergman metric reads), gives mu_B / rw, and ``_synthesis`` adds M; a
 Newton point carries both, so its Jacobian synthesises nothing.  The
 Newton reads residuals and writes steps in the hermitian coordinates
 tr(E_a M) of ``linalg.HermitianCoords``, and its Jacobian in A
-(``_psi_t_jacobian``) is read in those coordinates: dA -> dM in one
-``HermitianCoords.of_hankel`` of three doubled-degree Grams, then its
-trace part removed and, at t < 1, the ``of_map`` of dpsi0's closed-form
-table added.  psi is
-scale-invariant and its values have unit trace, so that Jacobian has the
-scale direction A in its kernel and only values of zero trace; the Newton
-borders it with the trace direction (``_newton_at_t``).
+(``_psi_t_jacobian``) is read in those coordinates from the doubled
+kernel's cells (``_jacobian_cells``), with dpsi0's closed-form table at
+t < 1.  psi is scale-invariant and its values have unit trace, so that
+Jacobian has the scale direction A in its kernel and only values of zero
+trace; the Newton borders it with the trace direction (``_newton_at_t``).
 
 Validation happens once per public call: every public function accepts B
 as a ``HermitianForm`` or an array, checks and squares it once in
@@ -52,15 +50,18 @@ evaluation inside the Newton leaves the positive cone.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sparse
 
 from .errors import ContinuationError, ConvergenceError, MarginError
-from .geometry import ManifoldModel, _bergman_synthesis, _sized_form
-from .linalg import HermitianCoords, HermitianForm, _as_form, damped_newton
+from .geometry import ManifoldModel, _bergman_synthesis, _cell_index, _sized_form
+from .linalg import (COORDS_KEPT, HermitianCoords, HermitianForm, _as_form,
+                     _inverse_of_factor, damped_newton)
 
 MARGIN = 1e-3  # smallest admissible eigenvalue of a unit-trace target
 STEP_FLOOR = 1e-6  # continuation step below which solve_psi gives up
@@ -69,6 +70,7 @@ CONTINUATION_STEPS = 10  # after an abandoned full step, solve_psi marches from 
 CONTRACTION_MAX = 0.5  # largest |simplified correction| / |correction| the full step accepts
 PSI_TOL = 1e-10  # max-norm residual at which the continuation Newton stops at t = 1
 PATH_TOL = 1e-4  # the same at every t < 1, whose point need only seed the next step
+ROW_BLOCK = 4096  # most Jacobian rows that ``_jacobian_cells`` builds at a time
 
 
 def _checked_b(b, model: Optional[ManifoldModel] = None):
@@ -215,6 +217,64 @@ class ContinuationTrace:
         self.rows.append(TraceRow(float(t), float(residual), float(step), int(iters)))
 
 
+@functools.lru_cache(maxsize=COORDS_KEPT)
+def _jacobian_cells(n: int) -> sparse.csr_array:
+    """The CSR operator from the doubled kernel's cells of the stacked weights
+    (P, Re P_z, Im P_z, P_zzbar - 3 num / P) c = (f_2, -Re f_1, Im f_1, f_0)
+    to tr(E_a dM(E_b)) in row a n^2 + b, E_a the elements of
+    ``HermitianCoords.full(n)``; built from its slot tables, ``ROW_BLOCK`` rows
+    at most at a time, and kept read-only for ``COORDS_KEPT`` sizes.  Slots
+    (i, j), v of E_a and (k, l), v' of E_b add Re(conj(v) v' W_p G_p[X, Y]),
+    (W_p, X, Y) = (1, i + l, j + k), (2l, i + l - 1, j + k), (kl, i + l - 1,
+    j + k - 1), and a Gram float is signed cells, G[X, Y] = C[X + Y, |X - Y|]
+    + i sgn(X - Y) S[X + Y, |X - Y|], G_1 = G(Re f_1) + i G(Im f_1).  Of a
+    row's 16 terms those reading one cell are merged, zero ones dropped."""
+    coords = HermitianCoords.full(n)
+    size, dn = len(coords), 2 * n - 1
+    block, stride = (2 * dn - 1) * (2 * dn + 1), 2 * dn + 1  # one weight's cells, one power's
+    row, col = np.divmod(coords._index.reshape(2, -1).astype(np.int32), n)
+    v = coords._weight.reshape(2, -1)
+    # slots (i, j) of E_a on axes (slot, 1, a, 1), (k, l) of E_b on (1, slot, 1, b)
+    vi, ij_sum, ij_dif = (x[:, None, :, None] for x in (v, row + col, row - col))
+    vk, kl_sum, lk_dif, k, l = (x[:, None] for x in (v.conj(), row + col - 2, col - row, row, col))
+    data, indices = np.empty(12 * size**2), np.empty(12 * size**2, np.int32)  # 12 a row at most
+    indptr = np.zeros(size**2 + 1, np.int32)
+    step = -(-size // -(-size * size // ROW_BLOCK))  # ceilings: the fewest equal blocks
+    for first in range(0, size, step):
+        a = slice(first, first + step)
+        coef = vi[:, :, a] * vk
+        # Re(c g) is c Re g for a real c and -Im c Im g for an imaginary one
+        imag = (coef.real == 0).astype(np.int32)
+        coef = coef.real - coef.imag
+        power, mode = ij_sum[:, :, a] + kl_sum, ij_dif[:, :, a] + lk_dif  # G_2's X + Y, X - Y
+        tables = np.empty((coef[0, 0].size, 16), np.int32), np.empty((coef[0, 0].size, 16))
+        cells, coefs = (t.reshape(-1, size, 4, 2, 2).transpose(2, 3, 4, 0, 1) for t in tables)
+        # G_0 and G_2 read the cos cell for a real c and the signed sin cell otherwise
+        cells[3] = _cell_index(dn, power, mode, imag)
+        np.add(cells[3], 2 * stride + 3 * block, out=cells[0])
+        np.multiply(coef, np.where(imag, np.sign(mode), 1), out=coefs[0])
+        np.multiply(coefs[0], k * l, out=coefs[3])
+        # G_1 reads the cos cell of row 1 (real c) or 2 and the sin cell of the other
+        cells[1] = _cell_index(dn, power + 1, mode - 1, 0) + (1 + imag) * block
+        np.add(cells[1], (1 - 2 * imag) * block + dn, out=cells[2])
+        coef *= 2 * l
+        np.multiply(coef, 2 * imag - 1, out=coefs[1])
+        np.multiply(coef, -np.sign(mode - 1), out=coefs[2])
+        part = sparse.csr_array((tables[1].ravel(), tables[0].ravel(), np.arange(
+            0, tables[0].size + 1, 16, dtype=np.int32)), shape=(len(tables[0]), 4 * block))
+        part.sum_duplicates()
+        part.eliminate_zeros()
+        nnz = indptr[first * size]
+        indptr[first * size + 1:(first + step) * size + 1] = nnz + part.indptr[1:]
+        data[nnz:nnz + part.nnz], indices[nnz:nnz + part.nnz] = part.data, part.indices
+    for array in (data, indices):  # shrunk in place to the merged entries: no view exists
+        array.resize(indptr[-1], refcheck=False)
+    op = sparse.csr_array((data, indices, indptr), shape=(size * size, 4 * block))
+    for array in (op.data, op.indices, op.indptr):
+        array.setflags(write=False)
+    return op
+
+
 def _psi_t_jacobian(
     model: ManifoldModel, a: np.ndarray, t: float, coords: HermitianCoords, syn=None
 ) -> np.ndarray:
@@ -231,31 +291,26 @@ def _psi_t_jacobian(
     s_i conj(s_j) conj(s_a) s_b = z^(i+b) conj(z)^(j+a), dM = T vec(X) with
         T[ij, ab] = G_0[i+b, j+a] + b G_1[i+b-1, j+a]
                     + a conj(G_1[j+a-1, i+b]) + ab G_2[i+b-1, j+a-1],
-    G_p the doubled-degree Gram of f_p, so T is the table of X -> dM.  In
-    coordinates the third term sums as the second: (i, j, a, b) ->
-    (j, i, b, a) permutes the nonzero entries of the hermitian E_a and E_b,
-    conjugating conj(E_a[i, j]) E_b[a, b] and turning the third term into
-    the conjugate of the second.  So tr(E_a dM(E_b)), the real part of the
-    sum, is ``coords.of_hankel`` of (G_0, G_1, G_2), the last two shifted
-    by one row (and column), with the weights (1, 2b, ab).  Then
-    tr M dpsi = dM - tr(dM) psi, and both endpoints of the homotopy have
-    unit trace, so d psi_t is (t / tr M) (dM - tr(dM) psi) + (1 - t) dpsi0
+    G_p the doubled-degree Gram of f_p.  In coordinates the third term sums
+    as the second: (i, j, a, b) -> (j, i, b, a) permutes the nonzero entries
+    of the hermitian E_a and E_b, conjugating conj(E_a[i, j]) E_b[a, b].  So
+    tr(E_a dM(E_b)) weights G_0, G_1 and G_2, shifted by one row (and
+    column), by (1, 2b, ab): ``_jacobian_cells`` on the f_p's cells.  Then
+    tr M dpsi = dM - tr(dM) psi, and both endpoints of the homotopy have unit
+    trace, so d psi_t is (t / tr M) (dM - tr(dM) psi) + (1 - t) dpsi0
     (``_dpsi0_table``), dpsi0 alone at t = 0.
     """
     if t == 0.0:
         return coords.of_map(_dpsi0_table(a))
-    n, doubled = model.N, model._theta_fourier(doubled=True)
-    m, (p, pz_re, pz_im, pzz), num, c = _synthesis(model, a) if syn is None else syn
-    # f_1 = -conj(P_z) c is complex: G_1 = G(Re f_1) + i G(Im f_1)
-    g0, g1_re, g1_im, g2 = doubled.gram(np.stack([pzz - 3.0 * num / p, -pz_re, pz_im, p]) * c)
-    # G_0, G_1 and G_2, the last two shifted so that each is read at (i+b, j+a)
-    grams = np.zeros((3,) + g0.shape, dtype=complex)
-    grams[0], grams[2, 1:, 1:] = g0, g2[:-1, :-1]
-    grams[1, 1:] = g1_re[:-1] + 1j * g1_im[:-1]
-    jac = coords.of_hankel(grams)
+    m, rows, num, c = _synthesis(model, a) if syn is None else syn
+    # (P, Re P_z, Im P_z, P_zzbar - 3 num / P) c: f_2, -Re f_1, Im f_1 and f_0
+    weights = rows * c
+    np.multiply(rows[3] - 3.0 * num / rows[0], c, out=weights[3])
+    cells = model._theta_fourier(doubled=True).analysis(weights)
+    jac = (_jacobian_cells(model.N) @ cells.reshape(-1)).reshape(len(coords), len(coords))
     trm = np.real(np.trace(m))
-    # tr M dpsi = dM - tr(dM) psi; the first n coordinates are the diagonal's
-    jac -= np.outer(coords.of(m / trm), jac[:n].sum(axis=0))
+    # tr M dpsi = dM - tr(dM) psi; the first N coordinates are the diagonal's
+    jac -= np.outer(coords.of(m / trm), jac[:model.N].sum(axis=0))
     jac *= t / trm
     if t < 1.0:
         jac += (1.0 - t) * coords.of_map(_dpsi0_table(a))
@@ -345,11 +400,11 @@ def _balancing_start(model, gm, a, coords, known):
     module docstring).
 
     With H = G and A = H^{-1} (both unit trace) it repeats
-    r = psi(A) - G, H <- herm(H - r), trace-normalised, A = H^{-1}.  It
-    stops when H is not positive definite or when a step fails to shrink
-    the residual's Frobenius norm, the norm of its ``coords``, by
-    ``CONTRACTION_MAX``, and then keeps the better of the last two points.
-    Returns (A, steps evaluated), A and its synthesis left in ``known``.
+    r = psi(A) - G, H <- herm(H - r), trace-normalised, A = H^{-1} by
+    ``zpotrf`` and ``zpotri``.  It stops when H is not positive definite or a
+    step fails to shrink the residual's Frobenius norm, the norm of its
+    ``coords``, by ``CONTRACTION_MAX``, keeping the better of the last two
+    points.  Returns (A, steps evaluated), A and its synthesis in ``known``.
     """
     syn = _synthesis(model, a)
     h, rm = gm, _psi_t(model, a, 1.0, syn) - gm
@@ -357,11 +412,11 @@ def _balancing_start(model, gm, a, coords, known):
     steps = 0
     while True:
         h_new = _unit_trace(h - rm)
-        ev, vec = np.linalg.eigh(h_new)
-        if ev.min() <= 0:
+        factor, info = sla.lapack.zpotrf(h_new, lower=True, clean=True)
+        if info > 0:
             break
         steps += 1
-        a_new = _power(ev, vec, -1.0)
+        a_new = np.divide(*_inverse_of_factor(factor))  # H^{-1} / tr H^{-1}
         syn_new = _synthesis(model, a_new)
         rm_new = _psi_t(model, a_new, 1.0, syn_new) - gm
         r_new = coords.of(rm_new)

@@ -5,12 +5,13 @@ forms and analytic shortcuts used by the production code."""
 import math
 
 import numpy as np
+import scipy.sparse as sparse
 from scipy.special import gammaln, lpmv
 
 from hilbfs import HermitianForm, fs_metric, hilb
 from hilbfs.linalg import HermitianCoords
 from hilbfs.moments import section_squares
-from hilbfs.pushforward import _psi_t_jacobian
+from hilbfs.pushforward import _dpsi0_table, _psi_t_jacobian, _synthesis
 
 # the 2 x 2 identity's matrix JSON with one field that numpy cannot read as
 # a form: a ragged re, a non-numeric entry and a non-integer n; then an n
@@ -275,6 +276,56 @@ def moment_jacobian(model, ew):
     full-Gram moment Jacobian by its defining sum over the nodes."""
     table = pair_product_table(model)
     return (table * ew) @ table.T
+
+
+def of_hankel(coords, grams):
+    """tr(E_a L(E_b)) for L(X)[i, j] = sum_p sum_kl G_p[i + l, j + k]
+    W_p[k, l] X[k, l], W = (1, 2l, kl), of a stack of three complex Grams of
+    size 2n - 1: the real part of conj(v) v' W_p G_p[i + l, j + k] summed
+    over the slots (i, j), v of E_a and (k, l), v' of E_b, through a CSR
+    operator whose row (a, b) holds, per slot pair (0, 0), (0, 1), (1, 0),
+    (1, 1) and Gram p, one weight and one float of G_p, none merged."""
+    size, n, m = len(coords), coords.n, 2 * coords.n - 1
+    row, col = np.divmod(coords._index.reshape(2, -1), n)
+    conj_v = coords._weight.reshape(2, -1)
+    data = np.empty((size, size, 4, 3))
+    indices = np.empty((size, size, 4, 3), dtype=np.int32)
+    for pair, (s, t) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        cell = (row[s, :, None] + col[t]) * m + col[s, :, None] + row[t]
+        c = conj_v[s, :, None] * conj_v[t].conj()
+        # Re(c g) is c Re g for a real c and -Im c Im g for an imaginary one
+        imag = c.real == 0
+        coef = np.where(imag, -c.imag, c.real)
+        for p, weight in enumerate((1, 2 * col[t], row[t] * col[t])):
+            data[:, :, pair, p] = coef * weight
+            indices[:, :, pair, p] = 2 * (p * m * m + cell) + imag
+    indptr = np.arange(0, size * size * 12 + 1, 12, dtype=np.int32)
+    op = sparse.csr_array(
+        (data.reshape(-1), indices.reshape(-1), indptr), shape=(size * size, 6 * m * m)
+    )
+    grams = np.ascontiguousarray(grams, dtype=complex)
+    return (op @ grams.reshape(-1).view(float)).reshape(size, size)
+
+
+def gram_route_jacobian(model, a, t, coords):
+    """``_psi_t_jacobian`` at 0 < t <= 1 by way of the Grams: the doubled
+    kernel's ``gram`` of the four weights f_0, Re f_1, Im f_1 and f_2, the
+    shifted stack (G_0, G_1, G_2), G_1 = G(Re f_1) + i G(Im f_1), read at
+    (i+b, j+a) with the weights (1, 2b, ab) by ``of_hankel``, and then the
+    same trace part and dpsi0 term."""
+    n, doubled = model.N, model._theta_fourier(doubled=True)
+    m, (p, pz_re, pz_im, pzz), num, c = _synthesis(model, a)
+    g0, g1_re, g1_im, g2 = doubled.gram(np.stack([pzz - 3.0 * num / p, -pz_re, pz_im, p]) * c)
+    grams = np.zeros((3,) + g0.shape, dtype=complex)
+    grams[0], grams[2, 1:, 1:] = g0, g2[:-1, :-1]
+    grams[1, 1:] = g1_re[:-1] + 1j * g1_im[:-1]
+    jac = of_hankel(coords, grams)
+    trm = np.real(np.trace(m))
+    jac -= np.outer(coords.of(m / trm), jac[:n].sum(axis=0))
+    jac *= t / trm
+    if t < 1.0:
+        jac += (1.0 - t) * coords.of_map(_dpsi0_table(a))
+    return jac
 
 
 def legendre_table_lpmv(x, lmax, mmax):

@@ -32,6 +32,7 @@ from _oracles import (
     curvature_sums,
     ellipsis_cells,
     ellipsis_gram,
+    gram_route_jacobian,
     hermitian_basis,
     legendre_table_lpmv,
     mc_integral_p1,
@@ -375,10 +376,26 @@ class TestThetaFourierKernel:
         # long double it reads up to 1.6e-13 at N = 13, and this sum 3e-14
         assert _rel(jac, ref) <= 3e-13
 
+    @pytest.mark.parametrize("t", [0.5, 1.0])
+    @pytest.mark.parametrize("k,d", [(k, d) for d in (1, 2) for k in range(1, 7)])
+    def test_psi_jacobian_matches_the_gram_route(self, k, d, t):
+        # the operator on the doubled kernel's cells against the route
+        # through three doubled Grams and their floats (``_oracles``), on
+        # the draws of the four-section sums above, where the two differ by
+        # at most 5e-14.  The Gram route rounds each float of G_1 before it
+        # weights it: against the same cells summed in long double it reads
+        # up to 1.4e-13 at N = 13 on the draw of seed [6, 2], the operator
+        # 1.5e-14
+        model = build_p1_model(k, line_degree=d)
+        b = random_spd(model.N, np.random.default_rng([k, d, 27]), cond=5.0).mat
+        coords = HermitianCoords.full(model.N)
+        ref = gram_route_jacobian(model, b @ b, t, coords)
+        assert _rel(_psi_t_jacobian(model, b @ b, t, coords), ref) <= 1e-13
+
     @pytest.mark.parametrize("k,d", KERNEL_CASES + [(12, 1)])
     def test_pushforward_measure_derivative(self, k, d):
         # the psi Jacobian, which takes the derivative of the pushforward
-        # measure through doubled-degree Grams, against the Jacobian that
+        # measure through the doubled kernel's cells, against the Jacobian that
         # the row-based derivative and the defining node sums assemble
         model = build_p1_model(k, line_degree=d)
         rng = np.random.default_rng(k + 30)

@@ -26,6 +26,7 @@ from hilbfs.linalg import (
     random_spd,
     random_unitary,
 )
+from hilbfs.pushforward import _jacobian_cells
 
 from _oracles import MALFORMED_IDS, MALFORMED_MATRIX_JSON, moment_jacobian
 
@@ -217,44 +218,60 @@ class TestOrthonormalize:
 class TestHermitianCoords:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("k", [1, 2, 4, 8, 12])
-    def test_of_hankel_matches_the_dense_sum(self, k, d):
-        # both sides are the same sum over the nodes, exact on any grid; the
-        # smallest one keeps the oracle's N^2 x Q table small
+    def test_jacobian_operator_matches_the_dense_sum(self, k, d):
+        # psi's Jacobian operator on the cells of one weight, in the slot of
+        # f_0, reads tr(E_a L(E_b)) for L(X)[i, j] = sum_kl G[i + l, j + k]
+        # X[k, l], G that weight's doubled Gram: the moment Jacobian, here
+        # by its defining node sum.  Both sides are the same sum over the
+        # nodes, exact on any grid; the smallest one keeps the oracle's
+        # N^2 x Q table small
         deg = d * k
         model = build_p1_model(k, deg + 1, 2 * deg + 1, line_degree=d)
         ew = model.quad_weights * np.random.default_rng([k, d]).uniform(0.1, 2.0, model.Q)
         dense = moment_jacobian(model, ew)
-        g2 = model._theta_fourier(doubled=True).gram(ew)
-        gathered = HermitianCoords.full(model.N).of_hankel(g2)
+        weights = np.zeros((4, model.Q))
+        weights[3] = ew
+        cells = model._theta_fourier(doubled=True).analysis(weights)
+        gathered = (_jacobian_cells(model.N) @ cells.reshape(-1)).reshape(dense.shape)
         assert np.abs(gathered - dense).max() <= 1e-13 * np.abs(dense).max()
 
     @pytest.mark.parametrize("kind", ["full"])
     def test_shared_instances_are_read_only(self, kind):
+        # the coordinates and the psi Jacobian operator built on them
         make = getattr(HermitianCoords, kind)
         hc = make(4)
         assert make(4) is hc
-        hc.of_hankel(np.ones((7, 7), dtype=complex))
-        hc.of_hankel(np.ones((3, 7, 7), dtype=complex))
-        operators = [hc._hankel_operator(grams) for grams in (1, 3)]
-        arrays = [getattr(op, name) for op in operators for name in ("data", "indices", "indptr")]
+        op = _jacobian_cells(4)
+        assert _jacobian_cells(4) is op
+        arrays = [op.data, op.indices, op.indptr]
         for table in [hc._index, hc._weight, hc._floats, hc._float_weight] + arrays:
             with pytest.raises(ValueError, match="read-only"):
                 table[...] = 0
 
     def test_shared_instances_are_dropped_after_other_sizes(self):
-        # the k = 32 instance, whose psi operator takes 175.5 MB, stays
-        # shared while fewer than COORDS_KEPT other sizes are asked for, and
-        # no longer once more than that are
-        hc = HermitianCoords.full(33)
-        ref = weakref.ref(hc)
+        # the k = 32 psi operator, 158.9 MB, stays shared while fewer than
+        # COORDS_KEPT other sizes are asked for, and no longer once more
+        # than that are
+        op = _jacobian_cells(33)
+        ref = weakref.ref(op)
         for n in range(2, 1 + COORDS_KEPT):
-            HermitianCoords.full(n)
-        assert HermitianCoords.full(33) is hc
-        del hc
+            _jacobian_cells(n)
+        assert _jacobian_cells(33) is op
+        del op
         for n in range(2, 3 + COORDS_KEPT):
-            HermitianCoords.full(n)
+            _jacobian_cells(n)
         gc.collect()
         assert ref() is None
+
+    def test_jacobian_operator_is_at_most_12_int32_entries_a_row(self):
+        # 16 terms a row before the terms that read one cell are merged and
+        # those of coefficient zero dropped; the parent's Gram operator
+        # held 12 a row
+        for n in range(3, 18):
+            op = _jacobian_cells(n)
+            assert op.shape[0] == n**4
+            assert np.diff(op.indptr).max() <= 12
+            assert op.indices.dtype == op.indptr.dtype == np.int32
 
 
 def _sqrt2(x):
